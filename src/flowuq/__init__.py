@@ -51,12 +51,9 @@ from .engine import (
     draw_rng,
     interval_c1,
     interval_c2,
-    lowdim_smoother,
     point_estimate,
     run_algorithm1,
-    run_algorithm2,
     run_algorithm3,
-    svd_smoother,
 )
 from .errors import (
     BadQuantileGrid,

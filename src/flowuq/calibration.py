@@ -24,13 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import DistanceMatrix, FlowMatrix, _freeze
-from .errors import (
-    Collinear,
-    DataError,
-    InsufficientData,
-    ParseError,
-)
-from .gravity import fit_log_gravity, twoway_design
+from .errors import DataError, InsufficientData, ParseError
+from .gravity import _log_gravity_ols, _twoway_fe, fit_log_gravity
 
 VARIANCE_FLOOR = 1e-12
 
@@ -482,45 +477,13 @@ class PriorMeans:
     adj_r2: np.ndarray    # (T,)
 
 
-def _gravity_ols_subsample(log_f, oidx, didx, log_dist, n):
-    """Within-period gravity OLS on whatever locations appear in the sample.
-
-    Dummies are built only for origins/destinations present, so the fit is
-    identified on its own sample even when some locations are absent that
-    period.  Returns in-sample fitted values and summary stats.
-    """
-    origins = np.unique(oidx)
-    dests = np.unique(didx)
-    omap = {int(o): k for k, o in enumerate(origins)}
-    dmap = {int(d): k for k, d in enumerate(dests)}
-    m = log_f.shape[0]
-    x = np.zeros((m, 1 + (len(origins) - 1) + len(dests)))
-    x[:, 0] = log_dist
-    rows = np.arange(m)
-    ocol = np.array([omap[int(o)] for o in oidx])
-    dcol = np.array([dmap[int(d)] for d in didx])
-    keep = ocol > 0
-    x[rows[keep], ocol[keep]] = 1.0
-    x[rows, len(origins) + dcol] = 1.0
-    resid_dist = log_dist - x[:, 1:] @ np.linalg.lstsq(x[:, 1:], log_dist, rcond=None)[0]
-    if np.max(np.abs(resid_dist)) < 1e-8 * max(1.0, float(np.max(np.abs(log_dist)))):
-        raise Collinear("log distance lies in the span of the fixed effects")
-    beta, *_ = np.linalg.lstsq(x, log_f, rcond=None)
-    fitted = x @ beta
-    resid = log_f - fitted
-    ssr = float(resid @ resid)
-    tss = float(np.sum((log_f - log_f.mean()) ** 2))
-    r2 = 1.0 if tss == 0 else 1.0 - ssr / tss
-    k = x.shape[1]
-    adj = 1.0 - (1.0 - r2) * (m - 1) / (m - k) if m > k else float("nan")
-    return fitted, float(beta[0]), adj
-
-
 def estimate_prior_means(
     panel: MirrorPanel, distances: DistanceMatrix
 ) -> PriorMeans:
     """Prior log-means from within-period gravity regressions.
 
+    Each period's fit runs on the locations present in it, so a location
+    absent in a period does not stop the others from being fitted.
     Positive dyad-periods get the within-period fitted value.  Zero
     dyad-periods are imputed with the across-period average of the dyad's
     fitted values over its positive periods.  Dyads never positive stay NaN
@@ -533,6 +496,8 @@ def estimate_prior_means(
         raise DataError("distance matrix size does not match the panel")
     flows = panel.report1  # report 1 is the observed-flow convention
     off = ~np.eye(n, dtype=bool)
+    with np.errstate(divide="ignore"):
+        log_dist = np.log(distances.values)
     mu = np.full((t, n, n), np.nan)
     beta = np.empty(t)
     adj = np.empty(t)
@@ -542,11 +507,9 @@ def estimate_prior_means(
             raise InsufficientData(
                 f"period {panel.periods[k]} has no positive flows"
             )
-        oidx, didx = np.nonzero(pos)
-        log_f = np.log(flows[k][oidx, didx])
-        log_d = np.log(distances.values[oidx, didx])
-        fitted, beta[k], adj[k] = _gravity_ols_subsample(log_f, oidx, didx, log_d, n)
-        mu[k][oidx, didx] = fitted
+        fit = _log_gravity_ols(flows[k], log_dist)
+        mu[k][pos] = fit.mu[pos]
+        beta[k], adj[k] = fit.beta_hat, fit.adj_r2
 
     pos_any = (flows > 0).any(axis=0) & off
     n_pos = (flows > 0).sum(axis=0)
@@ -602,12 +565,16 @@ def estimate_prior_variances(
 
 def _twoway_log_fit(values: np.ndarray, what: str, keep_empty: bool) -> np.ndarray:
     """Fit log(values) = origin FE + destination FE on the positive
-    off-diagonal estimates and return exp(fitted) for every off-diagonal dyad.
+    off-diagonal estimates and return exp(fitted) for every off-diagonal dyad
+    whose fitted value is identified.
 
-    A location with no positive estimate in a role has no fixed effect for
-    that role.  With ``keep_empty`` its dyads in that role keep their raw
-    estimate, which is zero, and the fit runs on the remaining dyads; this
-    is for estimates whose zeros are data (prior variances floored at zero).
+    A fitted value is identified when the positive estimates connect the
+    dyad's origin and destination, through a chain of dyads sharing a
+    location.  A location with no positive estimate in a role is the usual
+    way to break that, but the positive estimates can also fall into
+    separate groups of locations.  With ``keep_empty`` the dyads without an
+    identified fitted value keep zero, and the fit runs on the rest; this is
+    for estimates whose zeros are data (prior variances floored at zero).
     Without it the fit raises InsufficientData; this is for estimates whose
     zeros mean "not identified" (ME variances with no double-positive
     period).
@@ -615,27 +582,22 @@ def _twoway_log_fit(values: np.ndarray, what: str, keep_empty: bool) -> np.ndarr
     n = values.shape[0]
     off = ~np.eye(n, dtype=bool)
     mask = off & np.isfinite(values) & (values > 0)
-    has_origin, has_dest = mask.any(axis=1), mask.any(axis=0)
     if not keep_empty:
-        for role, has in (("origin", has_origin), ("destination", has_dest)):
+        for role, has in (("origin", mask.any(axis=1)), ("destination", mask.any(axis=0))):
             if not has.all():
                 raise InsufficientData(
                     f"no positive {what} estimate for {role} index "
                     f"{np.flatnonzero(~has).tolist()}"
                 )
-    oidx, didx = np.nonzero(mask)
-    # An emptied location leaves an all-zero dummy column; the minimum-norm
-    # lstsq solution is then the fit on the remaining locations.
-    x = twoway_design(oidx, didx, n)
-    y = np.log(values[oidx, didx])
-    beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-    fe_o = np.concatenate([[0.0], beta[: n - 1]])
-    fe_d = beta[n - 1 :]
-    fitted = np.exp(fe_o[:, None] + fe_d[None, :])
-    fitted[~off] = 0.0
-    fitted[~has_origin, :] = 0.0
-    fitted[:, ~has_dest] = 0.0
-    return fitted
+    log_v = np.log(np.where(mask, values, 1.0))
+    fe_o, fe_d, linked = _twoway_fe(mask.astype(float), log_v[:, :, None])
+    identified = linked & off
+    if not keep_empty and not identified[off].all():
+        raise InsufficientData(
+            f"positive {what} estimates split the locations into unconnected "
+            f"groups; {int(np.count_nonzero(off & ~identified))} dyads join two groups"
+        )
+    return np.where(identified, np.exp(fe_o + fe_d.T), 0.0)
 
 
 def shrink_variances(
@@ -654,11 +616,14 @@ def shrink_variances(
     - Prior variance (s2): a zero is an estimate floored at zero by
       ``estimate_prior_variances``, which is data, and ``sample_flow_matrix``
       has an exact path for s2 = 0.  A location whose s2 estimates are all
-      zero in a role keeps zero on those dyads; the fit runs on the rest.
+      zero in a role keeps zero on those dyads, and so does a dyad whose
+      origin and destination the positive estimates do not connect; the fit
+      runs on the rest.
     - ME variance (sigma2): a zero means the dyad has no double-positive
       period, so sigma2 is not identified there (``estimate_me_variance``).
-      A location with no positive sigma2 estimate in a role raises
-      InsufficientData.
+      A location with no positive sigma2 estimate in a role, or positive
+      estimates that leave some dyad's origin and destination unconnected,
+      raise InsufficientData.
     """
     return (
         _twoway_log_fit(np.asarray(sigma2, dtype=float), "ME variance", keep_empty=False),
@@ -672,6 +637,14 @@ def calibrate_mirror(
     """Full mirror-panel calibration: zero probabilities, ME variances,
     per-period prior means and variances, and (optionally) variance
     shrinkage across reporters."""
+    return _calibrate_mirror(panel, distances, shrink)[0]
+
+
+def _calibrate_mirror(
+    panel: MirrorPanel, distances: DistanceMatrix, shrink: bool
+) -> tuple[CalibratedParams, PriorMeans]:
+    """``calibrate_mirror`` plus the per-period gravity fits behind the prior
+    means, which the command-line summary reports."""
     _require_resolved(panel)
     p, b = estimate_zero_probs(panel)
     sigma2, observed = estimate_me_variance(panel)
@@ -680,7 +653,7 @@ def calibrate_mirror(
     sigma2_shrunk = s2_shrunk = None
     if shrink:
         sigma2_shrunk, s2_shrunk = shrink_variances(sigma2, s2)
-    return CalibratedParams(
+    params = CalibratedParams(
         p=p,
         b=b,
         mu=means.mu,
@@ -693,6 +666,7 @@ def calibrate_mirror(
         labels=panel.labels,
         periods=panel.periods,
     )
+    return params, means
 
 
 # ---------------------------------------------------------------------------

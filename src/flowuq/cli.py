@@ -26,18 +26,9 @@ import numpy as np
 
 from . import dataio
 from .armington import ArmingtonModel, solve_counterfactual, welfare_change_pct
-from .calibration import (
-    calibrate_baseline,
-    estimate_me_variance,
-    estimate_prior_means,
-    estimate_prior_variances,
-    estimate_zero_probs,
-    ingest_mirror_csv,
-    shrink_variances,
-    CalibratedParams,
-)
+from .calibration import _calibrate_mirror, calibrate_baseline, ingest_mirror_csv
 from .core import CounterfactualSpec, EstimatorResult, FlowMatrix
-from .engine import UqConfig, lowdim_smoother, point_estimate, run_algorithm1, run_algorithm2, svd_smoother
+from .engine import LowDimSmoother, SvdSmoother, UqConfig, point_estimate, run_algorithm1
 from .errors import (
     DataError,
     FlowUqError,
@@ -176,35 +167,18 @@ def cmd_calibrate(settings: Settings) -> int:
                 f"missing-data rule: copied {panel.na_copied} entries from the "
                 f"mirror side, zeroed {panel.na_zeroed}"
             )
-        p, b = estimate_zero_probs(panel)
-        sigma2, observed = estimate_me_variance(panel)
-        means = estimate_prior_means(panel, distances)
-        s2 = estimate_prior_variances(panel, means.mu, sigma2)
         shrink = settings.get("shrink", default=True, cast=bool)
-        sigma2_shrunk = s2_shrunk = s2_zero = None
+        params, means = _calibrate_mirror(panel, distances, shrink)
+        s2_zero = None
         if shrink:
-            sigma2_shrunk, s2_shrunk = shrink_variances(sigma2, s2)
             off = ~np.eye(panel.n, dtype=bool)
-            s2_zero = int(np.count_nonzero(s2_shrunk[off] == 0.0))
+            s2_zero = int(np.count_nonzero(params.s2_shrunk[off] == 0.0))
             if s2_zero:
                 _log(
                     f"shrinkage: {s2_zero} off-diagonal dyads keep a zero prior "
-                    "variance (every estimate of their origin or destination was "
-                    "floored to zero)"
+                    "variance (no positive estimate connects their origin and "
+                    "destination)"
                 )
-        params = CalibratedParams(
-            p=p,
-            b=b,
-            mu=means.mu,
-            s2=s2,
-            sigma2=sigma2,
-            s2_shrunk=s2_shrunk,
-            sigma2_shrunk=sigma2_shrunk,
-            mu_defined=means.defined,
-            me_observed=observed,
-            labels=panel.labels,
-            periods=panel.periods,
-        )
         dataio.write_params_json(out / "params.json", params)
 
         residuals = []
@@ -408,21 +382,18 @@ def cmd_uq(settings: Settings) -> int:
     smoother_name = settings.get("smoother", default="none")
     smoother = None
     if smoother_name == "svd":
-        smoother = svd_smoother(settings.get("svd_rank", cast=int, required=True))
+        smoother = SvdSmoother(settings.get("svd_rank", cast=int, required=True))
     elif smoother_name == "lowdim":
         distances = dataio.read_distances_csv(
             settings.get("distances", required=True), flows.labels
         )
-        smoother = lowdim_smoother(distances)
+        smoother = LowDimSmoother(distances)
     elif smoother_name != "none":
         raise DataError(f"unknown smoother {smoother_name!r}")
 
-    if smoother is not None:
-        draw_set, intervals = run_algorithm2(
-            flows, params, estimator, model, cf, cfg, smoother
-        )
-    else:
-        draw_set, intervals = run_algorithm1(flows, params, estimator, model, cf, cfg)
+    draw_set, intervals = run_algorithm1(
+        flows, params, estimator, model, cf, cfg, smoother=smoother
+    )
     point = point_estimate(flows, estimator, model, cf)
 
     dataio.write_draws_csv(out / "draws.csv", draw_set)

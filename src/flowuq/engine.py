@@ -218,14 +218,6 @@ class LowDimSmoother:
         return flows.replace_values(values)
 
 
-def svd_smoother(rank: int) -> SvdSmoother:
-    return SvdSmoother(rank)
-
-
-def lowdim_smoother(distances) -> LowDimSmoother:
-    return LowDimSmoother(distances)
-
-
 # ---------------------------------------------------------------------------
 # Draw loop
 
@@ -419,6 +411,11 @@ def run_algorithm1(
     fixed-external-estimator variant: the parameter is sampled independently
     of the data draw.  Failed model evaluations are skipped and counted;
     more than ``cfg.max_failure_fraction`` of them aborts.
+
+    With a ``smoother`` each drawn matrix is smoothed before the model
+    evaluates it.  The parameter is estimated on the unsmoothed draw unless
+    ``cfg.smooth_for_estimation`` says otherwise (the procedure is ambiguous
+    on this point, so it is a switch).
     """
     if cfg.mode != "only-ee" and params is None:
         raise DataError("data sampling requires calibrated parameters")
@@ -437,24 +434,6 @@ def run_algorithm1(
     )
     results = _run_loop(ctx)
     return _compose(ctx, results, flows_obs.labels)
-
-
-def run_algorithm2(
-    flows_obs: FlowMatrix,
-    params: CalibratedParams | None,
-    estimator: Estimator | EstimatorResult,
-    model: ModelFunction,
-    cf_spec: CounterfactualSpec,
-    cfg: UqConfig,
-    smoother: Callable[[FlowMatrix], FlowMatrix] | None,
-) -> tuple[DrawSet, tuple[Interval, ...]]:
-    """Bootstrap with data smoothing: each drawn matrix is smoothed before
-    the model evaluates it.  The parameter is estimated on the unsmoothed
-    draw unless ``cfg.smooth_for_estimation`` says otherwise (the procedure
-    is ambiguous on this point, so it is a switch)."""
-    return run_algorithm1(
-        flows_obs, params, estimator, model, cf_spec, cfg, smoother=smoother
-    )
 
 
 def run_algorithm3(

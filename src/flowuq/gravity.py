@@ -1,13 +1,22 @@
 """Structural-parameter estimation from dyadic flows.
 
-Two fits live here:
+Every regression here has origin and destination fixed effects, and all of
+them go through one weighted two-way projection on the n x n grid,
+``_twoway_fe``.  It concentrates the origin effects out of the normal
+equations and solves the remaining destination block (the Frisch-Waugh-
+Lovell concentration of ppmlhdfe), so no dummy design is ever built and a
+slope is the regression of one partialled variable on another.
 
 * ``fit_ppml`` -- Poisson pseudo-maximum-likelihood with origin and
-  destination fixed effects, robust to zero flows.  The negated coefficient
-  on log cost is the trade elasticity.  Its sampling variance accounts for
-  dyadic dependence: score cross-products are summed over every ordered pair
-  of dyads sharing at least one location (each dyad with itself and with its
-  mirror included).
+  destination fixed effects, robust to zero flows.  Each iteratively
+  reweighted least-squares step partials log cost and the working response
+  on the fixed effects with weights mu and regresses one on the other.  The
+  negated coefficient on log cost is the trade elasticity.  Its sampling
+  variance is built from the per-dyad influence values
+  psi = x~ (y - mu) / h, where x~ is log cost partialled with the final
+  weights and h = sum mu x~^2.  The dyadic variance sums psi_d psi_e over
+  every ordered pair of dyads sharing at least one location (each dyad with
+  itself and with its mirror included).
 * ``fit_log_gravity`` -- least squares of log flows on log distance plus
   two-way fixed effects, restricted to positive flows.  This is the
   workhorse behind the empirical-Bayes prior means.
@@ -45,55 +54,93 @@ def dyad_indices(n: int, include_diagonal: bool = False):
     return oidx, didx
 
 
-def twoway_design(
-    oidx: np.ndarray, didx: np.ndarray, n: int, extra: np.ndarray | None = None
-) -> np.ndarray:
-    """Design matrix [extra | origin dummies 2..n | destination dummies 1..n].
+def _twoway_fe(w: np.ndarray, v: np.ndarray):
+    """Weighted projection of values on origin and destination fixed effects.
 
-    The first origin fixed effect is normalized to zero; destination effects
-    absorb the level.  The choice only shifts the fixed effects, never the
-    slope coefficients, which is asserted in the tests.
+    ``w`` (n, n) holds the weights, zero outside the sample; ``v`` (n, n, k)
+    holds k finite value columns, ignored outside the sample.  Each column
+    gets the minimiser of sum w_ij (v_ij - a_i - b_j)^2.  With r and c the
+    row and column sums of w, and p and q those of w * v, the origin effects
+    are a = (p - w b) / r, which leaves the destination block
+
+        (diag(c) - w' diag(1/r) w) b = q - w' diag(1/r) p.
+
+    That block is singular along the destination indicator of each connected
+    component of the sample (origins and destinations joined by sampled
+    dyads; an absent location is a component of its own).  Adding those
+    indicators makes it regular without moving the fitted values.
+
+    Returns ``(a, b, linked)``: effects of shape (n, k), normalised to
+    a[0] = 0 on the component of origin 0 and to zero-sum destination effects
+    on every other component, zero for absent locations; and the (n, n) mask
+    of dyads whose fitted value a_i + b_j is identified, their origin and
+    destination lying in one component.
     """
-    m = oidx.shape[0]
-    cols = 0 if extra is None else 1
-    x = np.zeros((m, cols + (n - 1) + n))
-    if extra is not None:
-        x[:, 0] = extra
-    rows = np.arange(m)
-    has_orig = oidx > 0
-    x[rows[has_orig], cols + oidx[has_orig] - 1] = 1.0
-    x[rows, cols + (n - 1) + didx] = 1.0
-    return x
+    comp_o, comp_d = _components(w > 0)
+    r = w.sum(axis=1)
+    r = np.where(r > 0, r, 1.0)[:, None]  # an absent origin has a zero row
+    c = w.sum(axis=0)
+    wv = w[:, :, None] * v
+    p, q = wv.sum(axis=1), wv.sum(axis=0)
+    w_r = w / r
+    schur = np.diag(c) - w.T @ w_r
+    schur += (c.max() or 1.0) * (comp_d[:, None] == comp_d[None, :])
+    b = np.linalg.solve(schur, q - w_r.T @ p)
+    a = (p - w @ b) / r
+
+    shift = a[0].copy()
+    a[comp_o == comp_o[0]] -= shift
+    b[comp_d == comp_o[0]] += shift
+    return a, b, comp_o[:, None] == comp_d[None, :]
 
 
-def _split_fe(beta: np.ndarray, n: int, n_extra: int):
-    fe_origin = np.concatenate([[0.0], beta[n_extra : n_extra + n - 1]])
-    fe_dest = beta[n_extra + n - 1 : n_extra + 2 * n - 1]
-    return fe_origin, fe_dest
+def _components(sample: np.ndarray):
+    """Connected-component labels of the origins and the destinations in the
+    bipartite graph whose edges are the sampled dyads.
+
+    Every node starts with its own label and takes the smallest label among
+    its neighbours until nothing changes, which leaves each component
+    labelled by its smallest member; this takes about one round per step of
+    the graph's diameter.
+    """
+    n = sample.shape[0]
+    comp_o, comp_d = np.arange(n), np.arange(n, 2 * n)
+    unsampled = np.where(sample, 0, 2 * n)  # lifts non-edges above every label
+    while True:
+        new_d = np.minimum(comp_d, (unsampled + comp_o[:, None]).min(axis=0))
+        new_o = np.minimum(comp_o, (unsampled + new_d[None, :]).min(axis=1))
+        if (new_o == comp_o).all() and (new_d == comp_d).all():
+            return comp_o, comp_d
+        comp_o, comp_d = new_o, new_d
 
 
-def _check_collinear(x_extra: np.ndarray, fe_design: np.ndarray, what: str):
-    coef, *_ = np.linalg.lstsq(fe_design, x_extra, rcond=None)
-    resid = x_extra - fe_design @ coef
-    scale = max(1.0, float(np.max(np.abs(x_extra))))
-    if np.max(np.abs(resid)) < 1e-8 * scale:
+def _require_variation(h: float, total: float, what: str):
+    """Raise Collinear when the partialled regressor's weighted sum of
+    squares ``h`` is nil next to the raw one (residual norm below 1e-8 of
+    the regressor's)."""
+    if h <= 1e-16 * total:
         raise Collinear(f"{what} lies in the span of the fixed effects")
 
 
 @dataclass(frozen=True)
 class PpmlFit:
-    """Converged PPML fit plus everything the variance estimators need."""
+    """Converged PPML fit plus the influence values the variances need.
+
+    ``influence`` is the n x n grid of psi_ij = x~_ij (y_ij - mu_ij) / h,
+    zero off the sample: the per-dyad influence of the log-cost coefficient.
+    By Frisch-Waugh-Lovell, 1/h is that coefficient's entry of the inverse
+    Hessian and psi is its row of the inverse Hessian times the per-dyad
+    score, so every sandwich variance of the elasticity is a sum of psi
+    products.
+    """
 
     epsilon_hat: float
     fe_origin: np.ndarray
     fe_dest: np.ndarray
-    scores: np.ndarray            # per-dyad score contributions, m x k
+    influence: np.ndarray         # n x n influence values, zero off the sample
     variance: float               # sampling variance of epsilon_hat
-    variance_psd_projected: bool  # whether the dyadic meat needed projection
-    mu_hat: np.ndarray            # fitted mean flows per dyad
-    bread: np.ndarray             # inverse Hessian of the pseudo-likelihood
-    oidx: np.ndarray
-    didx: np.ndarray
+    variance_psd_projected: bool  # whether the dyadic pair sum was negative
+    mu_hat: np.ndarray            # fitted mean flows, dyad_indices order
     n: int
     deviance: float
     iterations: int
@@ -106,7 +153,7 @@ class GravityFit:
     fe_dest: np.ndarray
     residual_variance: float  # 1/N (maximum-likelihood) convention
     adj_r2: float
-    mu: np.ndarray            # fitted log-means for all dyads, NaN diagonal
+    mu: np.ndarray            # fitted log-means, NaN diagonal and unidentified
     n_obs: int
 
 
@@ -127,14 +174,17 @@ def fit_ppml(
     """Poisson pseudo-likelihood fit of flows on log costs with two-way FEs.
 
     Zeros in the flows are fine; that is the point of PPML.  The elasticity
-    estimate is the negated coefficient on ``log_costs``.
+    estimate is the negated coefficient on ``log_costs``.  Each iteration
+    takes the weighted least-squares step by partialling, with step-halving
+    on the linear predictor whenever the deviance would rise.
 
     Raises
     ------
     Collinear
         When ``log_costs`` has no variation beyond the fixed effects.
     Separation
-        When a fixed effect diverges (|FE| > 30) during iteration.
+        When a fixed effect diverges (|FE| > 30, with the first origin
+        effect normalised to zero) during iteration.
     NoConvergence
         When the iteration cap is hit or the first-order conditions fail.
     """
@@ -142,46 +192,63 @@ def fit_ppml(
     log_costs = np.asarray(log_costs, dtype=float)
     if log_costs.shape != (n, n):
         raise DataError("log_costs must be n x n")
+    if variance_mode not in ("dyadic", "independent"):
+        raise DataError(f"unknown variance mode {variance_mode!r}")
     oidx, didx = dyad_indices(n, include_diagonal)
     y = flows.values[oidx, didx]
     cost = log_costs[oidx, didx]
     if not np.all(np.isfinite(cost)):
         raise DataError("log_costs must be finite on included dyads")
 
-    x = twoway_design(oidx, didx, n, extra=cost)
-    _check_collinear(cost, x[:, 1:], "log cost")
-    k = x.shape[1]
+    def partial(mu, *columns):
+        """The columns partialled on the fixed effects with weights mu, and
+        those fixed effects."""
+        w = np.zeros((n, n))
+        w[oidx, didx] = mu
+        v = np.zeros((n, n, len(columns)))
+        v[oidx, didx] = np.stack(columns, axis=-1)
+        a, b, _ = _twoway_fe(w, v)
+        return v[oidx, didx] - a[oidx] - b[didx], a, b
+
+    def predictor(coef):
+        return coef[0] * cost + coef[1 : n + 1][oidx] + coef[n + 1 :][didx]
 
     # Standard GLM warm start: pull the mean toward the sample average.
     mu = 0.5 * (y + y.mean())
     eta = np.log(mu)
     dev = _poisson_deviance(y, mu)
-    beta = None
+    coef = None  # [slope, origin effects, destination effects]
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        w = np.sqrt(mu)
         z = eta + (y - mu) / mu
-        beta_new, *_ = np.linalg.lstsq(x * w[:, None], z * w, rcond=None)
-        if beta is None:
-            beta_try, dev_try = beta_new, None
+        resid, a, b = partial(mu, cost, z)
+        xt, zt = resid[:, 0], resid[:, 1]
+        h = float(mu @ (xt * xt))
+        _require_variation(h, float(mu @ (cost * cost)), "log cost")
+        slope = float((mu * xt) @ zt) / h
+        coef_new = np.concatenate(
+            [[slope], a[:, 1] - slope * a[:, 0], b[:, 1] - slope * b[:, 0]]
+        )
+        if coef is None:
+            coef_try, dev_try = coef_new, None
         else:
             step = 1.0
             while True:
-                beta_try = beta + step * (beta_new - beta)
+                coef_try = coef + step * (coef_new - coef)
                 dev_try = _poisson_deviance(
-                    y, np.exp(np.clip(x @ beta_try, -700, 700))
+                    y, np.exp(np.clip(predictor(coef_try), -700, 700))
                 )
                 if dev_try <= dev + dev_tol * max(1.0, abs(dev)) or step < 1e-8:
                     break
                 step *= 0.5
-        if np.max(np.abs(beta_try[1:])) > _FE_DIVERGENCE_BOUND:
+        if np.max(np.abs(coef_try[1:])) > _FE_DIVERGENCE_BOUND:
             raise Separation(
                 "a fixed effect exceeded "
                 f"{_FE_DIVERGENCE_BOUND:g} during PPML iteration"
             )
-        beta = beta_try
-        eta = np.clip(x @ beta, -700, 700)
+        coef = coef_try
+        eta = np.clip(predictor(coef), -700, 700)
         mu = np.exp(eta)
         dev_new = _poisson_deviance(y, mu) if dev_try is None else dev_try
         if abs(dev - dev_new) < dev_tol * max(1.0, abs(dev)):
@@ -192,140 +259,108 @@ def fit_ppml(
     if not converged:
         raise NoConvergence(max_iter, abs(dev), what="PPML")
 
-    scores = (y - mu)[:, None] * x
-    foc = np.abs(scores.sum(axis=0)).max()
+    # First-order conditions: the score sums for the slope and for every
+    # origin and destination effect.
+    u = y - mu
+    foc = max(
+        abs(float(u @ cost)),
+        float(np.abs(np.bincount(oidx, u, n)).max()),
+        float(np.abs(np.bincount(didx, u, n)).max()),
+    )
     if foc > 1e-8 * max(1.0, float(np.max(y))):
         raise NoConvergence(iteration, foc, what="PPML first-order conditions")
 
-    hessian = x.T @ (mu[:, None] * x)
-    bread = np.linalg.pinv(hessian)
-
-    if variance_mode not in ("dyadic", "independent"):
-        raise DataError(f"unknown variance mode {variance_mode!r}")
-    var, projected = _sandwich_raw(
-        scores, bread, oidx, didx, n, dyadic=variance_mode == "dyadic"
-    )
-
-    fe_origin, fe_dest = _split_fe(beta, n, 1)
+    xt = partial(mu, cost)[0][:, 0]
+    influence = np.zeros((n, n))
+    influence[oidx, didx] = xt * u / float(mu @ (xt * xt))
+    var, projected = _influence_variance(influence, dyadic=variance_mode == "dyadic")
     return PpmlFit(
-        epsilon_hat=float(-beta[0]),
-        fe_origin=fe_origin,
-        fe_dest=fe_dest,
-        scores=scores,
+        epsilon_hat=-float(coef[0]),
+        fe_origin=coef[1 : n + 1],
+        fe_dest=coef[n + 1 :],
+        influence=influence,
         variance=var,
         variance_psd_projected=projected,
         mu_hat=mu,
-        bread=bread,
-        oidx=oidx,
-        didx=didx,
         n=n,
         deviance=dev,
         iterations=iteration,
     )
 
 
-def _dyadic_meat(scores: np.ndarray, oidx: np.ndarray, didx: np.ndarray, n: int):
-    """Sum of score cross-products over ordered dyad pairs sharing a location.
+def _influence_variance(psi: np.ndarray, dyadic: bool):
+    """Sandwich variance of the elasticity from its influence grid.
 
-    Computed through per-location score sums: summing T_a T_a' over locations
-    counts each sharing pair once per shared location, so pairs sharing two
-    locations (a dyad with itself or with its mirror) are counted twice and
-    corrected afterwards.
-    """
-    k = scores.shape[1]
-    t = np.zeros((n, k))
-    np.add.at(t, oidx, scores)
-    off = oidx != didx
-    np.add.at(t, didx[off], scores[off])
-    meat = t.T @ t
+    The dyadic sum runs over ordered pairs of dyads sharing a location.  It
+    is computed through per-location sums T_a of the influence values of the
+    dyads touching a: summing T_a^2 counts each sharing pair once per shared
+    location, so pairs sharing two locations (an off-diagonal dyad with
+    itself or with its mirror) are counted twice and corrected afterwards.
 
-    s_off = scores[off]
-    meat -= s_off.T @ s_off
-    pos = np.full((n, n), -1, dtype=int)
-    pos[oidx, didx] = np.arange(scores.shape[0])
-    mirror = pos[didx[off], oidx[off]]
-    if np.any(mirror < 0):
-        raise DataError("dyadic variance requires both directions of each dyad")
-    meat -= s_off.T @ scores[mirror]
-    return 0.5 * (meat + meat.T)
-
-
-def _sandwich_raw(scores, bread, oidx, didx, n, dyadic: bool):
-    """Sandwich variance of the elasticity coordinate.
-
-    The pair-sum meat can be indefinite in finite samples; the variance of
-    interest is a single quadratic form, so the projection onto the feasible
-    (PSD) set reduces to clamping that scalar at zero.  Clamping the full
-    matrix spectrum instead would systematically inflate the variance.
+    The pair sum can be negative in finite samples; the variance of interest
+    is a single quadratic form, so the projection onto the feasible (PSD)
+    set reduces to clamping that scalar at zero.  Clamping the full matrix
+    spectrum instead would systematically inflate the variance.
     """
     if dyadic:
-        meat = _dyadic_meat(scores, oidx, didx, n)
+        own = np.diag(psi)
+        t = psi.sum(axis=1) + psi.sum(axis=0) - own
+        off = psi - np.diag(own)
+        var = float(t @ t - np.sum(off * off) - np.sum(off * off.T))
     else:
-        meat = scores.T @ scores
-    var = float((bread @ meat @ bread)[0, 0])
-    fired = var < 0.0
-    return max(var, 0.0), fired
+        var = float(np.sum(psi * psi))
+    return max(var, 0.0), var < 0.0
 
 
 def dyadic_variance(fit: PpmlFit) -> float:
     """Dyadic-dependence-robust sampling variance of the elasticity."""
-    return _sandwich_raw(
-        fit.scores, fit.bread, fit.oidx, fit.didx, fit.n, dyadic=True
-    )[0]
+    return _influence_variance(fit.influence, dyadic=True)[0]
 
 
 def independent_variance(fit: PpmlFit) -> float:
     """Heteroskedasticity-robust variance ignoring dyadic dependence.  Tends
     to understate uncertainty relative to the dyadic version."""
-    return _sandwich_raw(
-        fit.scores, fit.bread, fit.oidx, fit.didx, fit.n, dyadic=False
-    )[0]
+    return _influence_variance(fit.influence, dyadic=False)[0]
 
 
-def fit_log_gravity(flows: FlowMatrix, distances: DistanceMatrix) -> GravityFit:
-    """OLS of log flows on log distance with two-way FEs, positive flows only.
+def _log_gravity_ols(flows: np.ndarray, log_dist: np.ndarray) -> GravityFit:
+    """OLS of log flows on log distance and two-way fixed effects over the
+    positive off-diagonal flows, on whatever locations appear in them.
 
-    Diagonal dyads are excluded (distance to self is ill-defined).  Every
-    origin and destination must have at least one positive flow, otherwise
-    its fixed effect -- needed to predict prior means on all dyads -- is not
-    identified.
+    ``mu`` holds the fitted log-mean of every dyad whose origin and
+    destination effects are jointly identified by the sample, and NaN on the
+    others and on the diagonal.  The parameter count behind ``adj_r2`` is one
+    slope plus a dummy for each origin and destination in the sample, less
+    one.
     """
-    n = flows.n
-    if distances.n != n:
-        raise DataError("flow and distance matrices have different sizes")
-    oidx, didx = dyad_indices(n, include_diagonal=False)
-    f = flows.values[oidx, didx]
-    keep = f > 0
-    if not np.any(keep):
-        raise InsufficientData("no positive off-diagonal flows")
-    oidx, didx, f = oidx[keep], didx[keep], f[keep]
-    for name, idx in (("origin", oidx), ("destination", didx)):
-        missing = np.setdiff1d(np.arange(n), idx)
-        if missing.size:
-            labels = [flows.labels[i] for i in missing]
-            raise InsufficientData(f"no positive flow for {name}s {labels}")
+    n = flows.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    sample = (flows > 0) & off
+    log_dist = np.where(off, log_dist, 0.0)
+    x = np.where(sample, log_dist, 0.0)
+    y = np.log(np.where(sample, flows, 1.0))
+    a, b, linked = _twoway_fe(sample.astype(float), np.stack([x, y], axis=-1))
+    resid = (np.stack([x, y], axis=-1) - a[:, None, :] - b[None, :, :])[sample]
+    h = float(resid[:, 0] @ resid[:, 0])
+    _require_variation(h, float(np.sum(x * x)), "log distance")
+    beta = float(resid[:, 0] @ resid[:, 1]) / h
+    fe_origin = a[:, 1] - beta * a[:, 0]
+    fe_dest = b[:, 1] - beta * b[:, 0]
+    mu = beta * log_dist + fe_origin[:, None] + fe_dest[None, :]
+    mu[~(linked & off)] = np.nan
 
-    log_dist = np.log(distances.values[oidx, didx])
-    x = twoway_design(oidx, didx, n, extra=log_dist)
-    _check_collinear(log_dist, x[:, 1:], "log distance")
-    y = np.log(f)
-    beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-    resid = y - x @ beta
-    n_obs = y.shape[0]
-    ssr = float(resid @ resid)
-    tss = float(np.sum((y - y.mean()) ** 2))
+    y_obs = y[sample]
+    e = y_obs - mu[sample]
+    n_obs = y_obs.shape[0]
+    ssr = float(e @ e)
+    tss = float(np.sum((y_obs - y_obs.mean()) ** 2))
     r2 = 1.0 if tss == 0 else 1.0 - ssr / tss
-    k = x.shape[1]
+    k = int(sample.any(axis=1).sum() + sample.any(axis=0).sum())
     adj_r2 = (
         1.0 - (1.0 - r2) * (n_obs - 1) / (n_obs - k) if n_obs > k else float("nan")
     )
-    fe_origin, fe_dest = _split_fe(beta, n, 1)
-    with np.errstate(divide="ignore"):
-        log_dist_full = np.log(distances.values)
-    mu = beta[0] * log_dist_full + fe_origin[:, None] + fe_dest[None, :]
-    np.fill_diagonal(mu, np.nan)
     return GravityFit(
-        beta_hat=float(beta[0]),
+        beta_hat=beta,
         fe_origin=fe_origin,
         fe_dest=fe_dest,
         residual_variance=ssr / n_obs,
@@ -333,6 +368,37 @@ def fit_log_gravity(flows: FlowMatrix, distances: DistanceMatrix) -> GravityFit:
         mu=mu,
         n_obs=n_obs,
     )
+
+
+def fit_log_gravity(flows: FlowMatrix, distances: DistanceMatrix) -> GravityFit:
+    """OLS of log flows on log distance with two-way FEs, positive flows only.
+
+    Diagonal dyads are excluded (distance to self is ill-defined).  Every
+    origin and destination must have at least one positive flow, and the
+    positive flows must connect all of them, otherwise the fixed effects --
+    needed to predict prior means on all dyads -- are not identified.
+    """
+    n = flows.n
+    if distances.n != n:
+        raise DataError("flow and distance matrices have different sizes")
+    sample = (flows.values > 0) & ~np.eye(n, dtype=bool)
+    if not np.any(sample):
+        raise InsufficientData("no positive off-diagonal flows")
+    for name, present in (("origin", sample.any(axis=1)), ("destination", sample.any(axis=0))):
+        if not present.all():
+            labels = [flows.labels[i] for i in np.flatnonzero(~present)]
+            raise InsufficientData(f"no positive flow for {name}s {labels}")
+    with np.errstate(divide="ignore"):
+        fit = _log_gravity_ols(flows.values, np.log(distances.values))
+    unlinked = np.isnan(fit.mu) & ~np.eye(n, dtype=bool)
+    if np.any(unlinked):
+        i, j = np.argwhere(unlinked)[0]
+        raise InsufficientData(
+            "positive flows split the locations into groups with no flow "
+            f"between them; {int(unlinked.sum())} dyads such as "
+            f"{flows.labels[i]}->{flows.labels[j]} have no identified prior mean"
+        )
+    return fit
 
 
 def _psd_factor(sigma: np.ndarray) -> np.ndarray:

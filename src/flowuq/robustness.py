@@ -18,7 +18,7 @@ from .calibration import CalibratedParams
 from .core import DistanceMatrix, FlowMatrix
 from .engine import Interval, draw_rng
 from .errors import DataError, FlowUqError, TooFewDraws
-from .gravity import fit_log_gravity, twoway_design
+from .gravity import _twoway_fe, fit_log_gravity
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +269,13 @@ def gravity_partial_plot(
     """
     fit = fit_log_gravity(flows_obs, distances)  # also runs the data checks
     n = flows_obs.n
-    oidx, didx = np.nonzero((flows_obs.values > 0) & ~np.eye(n, dtype=bool))
-    y = np.log(flows_obs.values[oidx, didx])
-    x = np.log(distances.values[oidx, didx])
-    d = twoway_design(oidx, didx, n)
-    y_res = y - d @ np.linalg.lstsq(d, y, rcond=None)[0]
-    x_res = x - d @ np.linalg.lstsq(d, x, rcond=None)[0]
+    sample = (flows_obs.values > 0) & ~np.eye(n, dtype=bool)
+    v = np.zeros((n, n, 2))
+    v[sample, 0] = np.log(distances.values[sample])
+    v[sample, 1] = np.log(flows_obs.values[sample])
+    fe_o, fe_d, _ = _twoway_fe(sample.astype(float), v)
+    res = (v - fe_o[:, None, :] - fe_d[None, :, :])[sample]
+    x_res, y_res = res[:, 0], res[:, 1]
     sxx = float(x_res @ x_res)
     slope = float(x_res @ y_res) / sxx
     if abs(slope - fit.beta_hat) > 1e-10 * max(1.0, abs(fit.beta_hat)):

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they verify: the equilibrium oracle
 uses a general nonlinear root finder instead of damped substitution, the
 posterior oracle does numerical Bayes on a grid instead of conjugate
-algebra, the variance oracle enumerates dyad pairs instead of node sums.
+algebra, the variance oracle enumerates dyad pairs instead of node sums, and
+the fixed-effects regressions are rebuilt on a dense dummy design instead of
+the library's concentrated projection.
 """
 
 from __future__ import annotations
@@ -74,6 +76,29 @@ def dyadic_meat_enumeration(scores: np.ndarray, oidx: np.ndarray, didx: np.ndarr
             if nodes_d & {int(oidx[e]), int(didx[e])}:
                 meat += np.outer(scores[d], scores[e])
     return meat
+
+
+def twoway_design(oidx, didx, n: int, extra=None) -> np.ndarray:
+    """Dense design [extra | origin dummies 1..n-1 | destination dummies
+    0..n-1] for dyads (oidx, didx); the first origin effect is dropped."""
+    m = len(oidx)
+    cols = 0 if extra is None else 1
+    x = np.zeros((m, cols + 2 * n - 1))
+    if extra is not None:
+        x[:, 0] = extra
+    for row, (o, d) in enumerate(zip(oidx, didx)):
+        if o > 0:
+            x[row, cols + o - 1] = 1.0
+        x[row, cols + n - 1 + d] = 1.0
+    return x
+
+
+def ppml_scores_bread(y, mu, x):
+    """Per-dyad PPML scores (y - mu) x and the inverse Hessian of the
+    pseudo-likelihood, (x' diag(mu) x)^-1, on a dense design."""
+    scores = (y - mu)[:, None] * x
+    bread = np.linalg.inv(x.T @ (mu[:, None] * x))
+    return scores, bread
 
 
 def normal_equations_ols(x: np.ndarray, y: np.ndarray) -> np.ndarray:

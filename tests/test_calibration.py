@@ -27,7 +27,7 @@ from flowuq import (
 )
 from flowuq.calibration import CalibratedParams, resolve_missing
 
-from .oracles import posterior_grid_oracle, simulate_mirror_zeros
+from .oracles import posterior_grid_oracle, simulate_mirror_zeros, twoway_design
 
 
 def panel_from_reports(r1, r2, periods=None):
@@ -428,6 +428,32 @@ class TestPriorMeans:
         assert np.max(s2[off]) < 1e-20
 
 
+    def test_absent_location_matches_dense_fit(self):
+        dist, rng = self.world(seed=4)
+        r = np.empty((2, 5, 5))
+        for k in range(2):
+            r[k] = np.exp(
+                -1.0 * np.log(dist.values)
+                + rng.normal(1, 0.3, 5)[:, None]
+                + rng.normal(1, 0.3, 5)[None, :]
+                + 0.3 * rng.standard_normal((5, 5))
+            )
+            np.fill_diagonal(r[k], 0.0)
+        r[0, 3, :] = 0.0  # origin 3 exports nothing in period 0
+        r[0, :, 1] = 0.0  # destination 1 imports nothing in period 0
+        panel = panel_from_reports(r, r.copy())
+        means = estimate_prior_means(panel, dist)
+        pos = r[0] > 0
+        oidx, didx = np.nonzero(pos)
+        x = twoway_design(oidx, didx, 5, extra=np.log(dist.values[oidx, didx]))
+        coef = np.linalg.lstsq(x, np.log(r[0][oidx, didx]), rcond=None)[0]
+        assert np.max(np.abs(means.mu[0][pos] - x @ coef)) < 1e-10
+        assert abs(means.beta[0] - coef[0]) < 1e-10
+        # Dyads of the absent locations take their period-1 fitted values.
+        assert means.mu[0, 3, 0] == means.mu[1, 3, 0]
+        assert means.mu[0, 0, 1] == means.mu[1, 0, 1]
+
+
 class TestPriorVariances:
     def test_truncation_branches(self):
         rng = np.random.default_rng(0)
@@ -496,20 +522,22 @@ class TestShrinkVariances:
         off = ~np.eye(n, dtype=bool)
         v = np.exp(ko[:, None] + kd[None, :])
         v[~off] = 0.0
-        s2 = v.copy()
         # Origin 0 carries the normalised fixed effect; destination 3 is
         # any other location.  Both have only floored (zero) estimates.
-        s2[0, :] = 0.0
-        s2[:, 3] = 0.0
-        emptied = np.zeros((n, n), dtype=bool)
-        emptied[0, :] = emptied[:, 3] = True
-        emptied &= off
-        _, shrunk_s = shrink_variances(v, s2)
-        assert np.all(shrunk_s[emptied] == 0.0)
-        assert np.max(np.abs(shrunk_s[off & ~emptied] - v[off & ~emptied])) < 1e-10
-        assert np.all(shrunk_s[~off] == 0.0)
-        with pytest.raises(InsufficientData):
-            shrink_variances(s2, v)
+        emptied_locations = np.zeros((n, n), dtype=bool)
+        emptied_locations[0, :] = emptied_locations[:, 3] = True
+        # Every location has positive estimates, but only within {0, 1, 2}
+        # and within {3, 4, 5}: no estimate links a dyad across the groups.
+        group = np.arange(n) < 3
+        unconnected = group[:, None] != group[None, :]
+        for emptied in (emptied_locations & off, unconnected):
+            s2 = np.where(emptied, 0.0, v)
+            _, shrunk_s = shrink_variances(v, s2)
+            assert np.all(shrunk_s[emptied] == 0.0)
+            assert np.max(np.abs(shrunk_s[off & ~emptied] - v[off & ~emptied])) < 1e-10
+            assert np.all(shrunk_s[~off] == 0.0)
+            with pytest.raises(InsufficientData):
+                shrink_variances(s2, v)
 
 
 class TestMirrorCsv:

@@ -15,14 +15,12 @@ from flowuq import (
     UqConfig,
     interval_c1,
     interval_c2,
-    lowdim_smoother,
     point_estimate,
     run_algorithm1,
-    run_algorithm2,
     run_algorithm3,
-    svd_smoother,
 )
 from flowuq.armington import ArmingtonModel
+from flowuq.engine import LowDimSmoother, SvdSmoother
 from flowuq.gravity import fit_ppml
 from flowuq.scenarios import armington_world
 
@@ -106,7 +104,7 @@ class TestSmoothers:
         a = np.array([1.0, 2.0, 3.0, 4.0])
         b = np.array([2.0, 1.0, 0.5, 1.5])
         flows = FlowMatrix(np.outer(a, b))
-        smoothed = svd_smoother(1)(flows)
+        smoothed = SvdSmoother(1)(flows)
         assert np.max(np.abs(smoothed.values - flows.values)) < 1e-12
 
     def test_truncation_rank_and_defect(self):
@@ -114,7 +112,7 @@ class TestSmoothers:
         values = rng.uniform(0.5, 3.0, size=(6, 6))
         flows = FlowMatrix(values)
         rank = 2
-        smoothed = svd_smoother(rank)(flows)
+        smoothed = SvdSmoother(rank)(flows)
         s_full = np.linalg.svd(values, compute_uv=False)
         s_smooth = np.linalg.svd(smoothed.values, compute_uv=False)
         assert np.sum(s_smooth > 1e-10 * s_smooth[0]) <= rank
@@ -124,18 +122,18 @@ class TestSmoothers:
     def test_rank_too_large(self):
         flows = FlowMatrix(np.ones((3, 3)))
         with pytest.raises(RankTooLarge):
-            svd_smoother(4)(flows)
+            SvdSmoother(4)(flows)
 
     def test_negative_entries_clamped(self):
         rng = np.random.default_rng(2)
         values = rng.uniform(0.0, 1.0, size=(5, 5))
         values[0, 1] = 40.0  # spiky entry forces sign structure in rank 1
-        smoothed = svd_smoother(1)(FlowMatrix(values))
+        smoothed = SvdSmoother(1)(FlowMatrix(values))
         assert np.all(smoothed.values >= 0.0)
 
     def test_lowdim_smoother_fits_gravity(self):
         scen, flows_obs = small_world()
-        smoothed = lowdim_smoother(scen.distances)(flows_obs)
+        smoothed = LowDimSmoother(scen.distances)(flows_obs)
         off = ~np.eye(5, dtype=bool)
         assert np.all(smoothed.values[off] > 0)
         assert np.array_equal(np.diag(smoothed.values), np.diag(flows_obs.values))
@@ -251,8 +249,9 @@ class TestEngine:
         ds1, _ = run_algorithm1(
             flows_obs, scen.params, est, ArmingtonModel(), scen.cf_spec, cfg
         )
-        ds2, _ = run_algorithm2(
-            flows_obs, scen.params, est, ArmingtonModel(), scen.cf_spec, cfg, None
+        ds2, _ = run_algorithm1(
+            flows_obs, scen.params, est, ArmingtonModel(), scen.cf_spec, cfg,
+            smoother=None,
         )
         assert np.array_equal(ds1.draws, ds2.draws)
 
@@ -260,31 +259,31 @@ class TestEngine:
         scen, flows_obs = small_world()
         cfg = self.cfg(b=20, alpha=0.1)
         estimator = functools.partial(mean_flow_estimator, se=1e-9)
-        smoother = svd_smoother(1)
+        smoother = SvdSmoother(1)
 
         ds_raw, _ = run_algorithm1(
             flows_obs, scen.params, estimator, ThetaPassThrough(), scen.cf_spec, cfg
         )
-        ds_smooth, _ = run_algorithm2(
+        ds_smooth, _ = run_algorithm1(
             flows_obs,
             scen.params,
             estimator,
             ThetaPassThrough(),
             scen.cf_spec,
             cfg,
-            smoother,
+            smoother=smoother,
         )
         # Theta still estimated on the raw draw: pass-through outcomes match.
         assert np.allclose(ds_raw.draws, ds_smooth.draws)
 
-        ds_est_smooth, _ = run_algorithm2(
+        ds_est_smooth, _ = run_algorithm1(
             flows_obs,
             scen.params,
             estimator,
             ThetaPassThrough(),
             scen.cf_spec,
             UqConfig(b=20, alpha=0.1, seed=3, smooth_for_estimation=True),
-            smoother,
+            smoother=smoother,
         )
         assert not np.allclose(ds_raw.draws, ds_est_smooth.draws)
 

@@ -15,9 +15,14 @@ from flowuq import (
     independent_variance,
     sample_theta,
 )
-from flowuq.gravity import dyad_indices, twoway_design
+from flowuq.gravity import _twoway_fe, dyad_indices
 
-from .oracles import dyadic_meat_enumeration, normal_equations_ols
+from .oracles import (
+    dyadic_meat_enumeration,
+    normal_equations_ols,
+    ppml_scores_bread,
+    twoway_design,
+)
 
 
 def gravity_flows(n, epsilon, rng, noise_sd=0.0, include_diagonal=False):
@@ -35,6 +40,15 @@ def gravity_flows(n, epsilon, rng, noise_sd=0.0, include_diagonal=False):
     return FlowMatrix(values), log_costs
 
 
+def ppml_rebuild(fit, flows, log_costs, include_diagonal=False):
+    """Dense per-dyad scores and inverse Hessian of a PPML fit, rebuilt from
+    its fitted means alone; returns (scores, bread, oidx, didx)."""
+    oidx, didx = dyad_indices(flows.n, include_diagonal)
+    x = twoway_design(oidx, didx, flows.n, extra=log_costs[oidx, didx])
+    scores, bread = ppml_scores_bread(flows.values[oidx, didx], fit.mu_hat, x)
+    return scores, bread, oidx, didx
+
+
 class TestPpml:
     def test_exact_recovery(self):
         rng = np.random.default_rng(11)
@@ -43,7 +57,8 @@ class TestPpml:
         assert abs(fit.epsilon_hat - 5.0) < 1e-6
         assert fit.variance < 1e-10
         # Noiseless fit: per-dyad scores vanish too.
-        assert np.max(np.abs(fit.scores)) < 1e-6
+        scores = ppml_rebuild(fit, flows, log_costs)[0]
+        assert np.max(np.abs(scores)) < 1e-6
 
     def test_collinear_costs(self):
         rng = np.random.default_rng(1)
@@ -55,7 +70,8 @@ class TestPpml:
         rng = np.random.default_rng(2)
         flows, log_costs = gravity_flows(7, 3.0, rng, noise_sd=0.5)
         fit = fit_ppml(flows, log_costs)
-        foc = np.abs(fit.scores.sum(axis=0)).max()
+        scores = ppml_rebuild(fit, flows, log_costs)[0]
+        foc = np.abs(scores.sum(axis=0)).max()
         assert foc <= 1e-8 * max(1.0, float(np.max(flows.values)))
 
     def test_rescaling_invariance(self):
@@ -110,28 +126,34 @@ class TestDyadicVariance:
             rng = np.random.default_rng(seed)
             flows, log_costs = gravity_flows(n, 2.0, rng, noise_sd=0.6)
             fit = fit_ppml(flows, log_costs)
-            meat = dyadic_meat_enumeration(fit.scores, fit.oidx, fit.didx)
-            var_oracle = max(float((fit.bread @ meat @ fit.bread)[0, 0]), 0.0)
+            scores, bread, oidx, didx = ppml_rebuild(fit, flows, log_costs)
+            meat = dyadic_meat_enumeration(scores, oidx, didx)
+            var_oracle = max(float((bread @ meat @ bread)[0, 0]), 0.0)
             assert abs(dyadic_variance(fit) - var_oracle) < 1e-12 * max(
                 1.0, var_oracle
             )
             assert dyadic_variance(fit) >= 0.0
-            from flowuq.gravity import _dyadic_meat
-
-            meat_fast = _dyadic_meat(fit.scores, fit.oidx, fit.didx, fit.n)
-            assert np.max(np.abs(meat_fast - meat)) < 1e-10 * max(
-                1.0, np.max(np.abs(meat))
+            var_indep = float((bread @ scores.T @ scores @ bread)[0, 0])
+            assert abs(independent_variance(fit) - var_indep) < 1e-12 * max(
+                1.0, var_indep
+            )
+            # The influence grid is the slope row of the bread times the scores.
+            psi = np.zeros((n, n))
+            psi[oidx, didx] = scores @ bread[:, 0]
+            assert np.max(np.abs(fit.influence - psi)) < 1e-10 * max(
+                1.0, np.max(np.abs(psi))
             )
 
     def test_includes_diagonal_dyads(self):
         rng = np.random.default_rng(7)
         flows, log_costs = gravity_flows(4, 2.0, rng, noise_sd=0.5, include_diagonal=True)
         fit = fit_ppml(flows, log_costs, include_diagonal=True)
-        meat = dyadic_meat_enumeration(fit.scores, fit.oidx, fit.didx)
-        from flowuq.gravity import _dyadic_meat
-
-        meat_fast = _dyadic_meat(fit.scores, fit.oidx, fit.didx, fit.n)
-        assert np.max(np.abs(meat_fast - meat)) < 1e-10 * max(1.0, np.max(np.abs(meat)))
+        scores, bread, oidx, didx = ppml_rebuild(
+            fit, flows, log_costs, include_diagonal=True
+        )
+        meat = dyadic_meat_enumeration(scores, oidx, didx)
+        var_oracle = max(float((bread @ meat @ bread)[0, 0]), 0.0)
+        assert abs(dyadic_variance(fit) - var_oracle) < 1e-12 * max(1.0, var_oracle)
 
     def test_zero_residuals_zero_variance(self):
         rng = np.random.default_rng(8)
@@ -214,10 +236,15 @@ class TestLogGravity:
 
     def test_insufficient_data(self):
         flows, dist = self.exact_fit()
-        values = np.array(flows.values)
-        values[3, :] = 0.0  # origin 3 exports nothing
-        with pytest.raises(InsufficientData):
-            fit_log_gravity(FlowMatrix(values), dist)
+        no_exports = np.array(flows.values)
+        no_exports[3, :] = 0.0  # origin 3 exports nothing
+        # Every location trades, but only within {0, 1, 2} and within
+        # {3, 4, 5, 6}: a dyad joining the groups has no identified mean.
+        group = np.arange(7) < 3
+        unconnected = np.where(group[:, None] == group[None, :], flows.values, 0.0)
+        for values in (no_exports, unconnected):
+            with pytest.raises(InsufficientData):
+                fit_log_gravity(FlowMatrix(values), dist)
 
     def test_positive_flows_only(self):
         # Zeros are excluded, not log-transformed.
@@ -227,6 +254,40 @@ class TestLogGravity:
         fit = fit_log_gravity(FlowMatrix(values), dist)
         assert np.isfinite(fit.beta_hat)
         assert fit.n_obs == np.count_nonzero(values[~np.eye(7, dtype=bool)])
+
+
+class TestTwowayProjection:
+    def test_matches_dense_lstsq_with_absent_locations(self):
+        rng = np.random.default_rng(14)
+        n = 7
+        w = rng.uniform(0.5, 2.0, (n, n)) * (rng.random((n, n)) < 0.7)
+        np.fill_diagonal(w, 0.0)
+        w[2, :] = 0.0  # origin 2 absent
+        w[:, 5] = 0.0  # destination 5 absent
+        # Every location present, but dyads only within {0, 1, 2} and
+        # within {3, 4, 5, 6}.
+        group = np.arange(n) < 3
+        same = group[:, None] == group[None, :]
+        w_groups = np.where(same, rng.uniform(0.5, 2.0, (n, n)), 0.0)
+        np.fill_diagonal(w_groups, 0.0)
+        cases = (
+            (w, np.outer(w.any(axis=1), w.any(axis=0))),
+            (w_groups, same),
+        )
+        for weights, linked_expected in cases:
+            v = rng.normal(size=(n, n, 2))
+            a, b, linked = _twoway_fe(weights, v)
+            oidx, didx = np.nonzero(weights > 0)
+            x = twoway_design(oidx, didx, n)
+            sw = np.sqrt(weights[oidx, didx])
+            for k in range(2):
+                coef = np.linalg.lstsq(x * sw[:, None], v[oidx, didx, k] * sw, rcond=None)[0]
+                fitted = a[oidx, k] + b[didx, k]
+                assert np.max(np.abs(fitted - x @ coef)) < 1e-10
+            assert np.all(a[0] == 0.0)
+            assert np.all(a[~weights.any(axis=1)] == 0.0)
+            assert np.all(b[~weights.any(axis=0)] == 0.0)
+            assert np.array_equal(linked, linked_expected)
 
 
 class TestSampleTheta:
