@@ -24,7 +24,6 @@ from .calibration import (
     estimate_prior_variances,
     estimate_zero_probs,
     ingest_mirror_csv,
-    posterior_draw,
     posterior_log_variance,
     resolve_missing,
     sample_flow_matrix,
@@ -44,13 +43,10 @@ from .core import (
     evaluate_model,
 )
 from .engine import (
-    Interval,
     LowDimSmoother,
     SvdSmoother,
     UqConfig,
     draw_rng,
-    interval_c1,
-    interval_c2,
     point_estimate,
     run_algorithm1,
     run_algorithm3,
@@ -84,16 +80,21 @@ from .gravity import (
     independent_variance,
     sample_theta,
 )
+from .intervals import (
+    Interval,
+    RobustLevels,
+    interval_c1,
+    interval_c2,
+    robust_interval,
+    robust_interval_levels,
+    robust_quantile_levels,
+)
 from .robustness import (
     AttenuationSimConfig,
     GravityPartialPlot,
     NormalityDiagnostic,
-    RobustLevels,
     gravity_partial_plot,
     normality_diagnostic,
-    robust_interval,
-    robust_interval_levels,
-    robust_quantile_levels,
     run_attenuation_sim,
 )
 

@@ -127,31 +127,37 @@ class CalibratedParams:
 # Posterior sampling
 
 
-def shrinkage_weight(s2: float, sigma2: float) -> float:
-    """Weight on the observed log flow in the posterior mean.
+def shrinkage_weight(s2: float | np.ndarray, sigma2: float | np.ndarray):
+    """Weight on the observed log flow in the posterior mean, s2/(s2 + sigma2).
 
-    Both variances are floored at 1e-12 so the weight stays finite.
+    Takes scalars or arrays.  Both variances are floored at 1e-12 so the
+    weight stays finite.
     """
-    s2 = max(float(s2), VARIANCE_FLOOR)
-    sigma2 = max(float(sigma2), VARIANCE_FLOOR)
+    s2 = np.maximum(s2, VARIANCE_FLOOR)
+    sigma2 = np.maximum(sigma2, VARIANCE_FLOOR)
     return s2 / (s2 + sigma2)
 
 
-def posterior_log_variance(s2: float, sigma2: float) -> float:
-    """Posterior variance of the log flow, (1/s2 + 1/sigma2)^-1."""
-    s2 = max(float(s2), VARIANCE_FLOOR)
-    sigma2 = max(float(sigma2), VARIANCE_FLOOR)
+def posterior_log_variance(
+    s2: float | np.ndarray, sigma2: float | np.ndarray
+):
+    """Posterior variance of the log flow, (1/s2 + 1/sigma2)^-1, with both
+    variances floored at 1e-12.  Takes scalars or arrays."""
+    s2 = np.maximum(s2, VARIANCE_FLOOR)
+    sigma2 = np.maximum(sigma2, VARIANCE_FLOOR)
     return 1.0 / (1.0 / s2 + 1.0 / sigma2)
 
 
-def spike_weight(p: float, b: float) -> float:
-    """Posterior probability of a true zero given an observed zero.
+def spike_weight(p: float | np.ndarray, b: float | np.ndarray):
+    """Posterior probability of a true zero given an observed zero,
+    p/(p + b(1-p)).  Takes scalars or arrays.
 
     The degenerate case p = b = 0 (an observed zero the model says cannot
     happen) is resolved as a true zero: weight 1.
     """
-    denom = p + b * (1.0 - p)
-    return 1.0 if denom <= 0 else p / denom
+    p = np.asarray(p, dtype=float)
+    denom = p + np.asarray(b, dtype=float) * (1.0 - p)
+    return np.where(denom > 0, p / np.where(denom > 0, denom, 1.0), 1.0)[()]
 
 
 def sample_flow_matrix(
@@ -178,15 +184,13 @@ def sample_flow_matrix(
 
     s2 = params.effective_s2()
     sigma2 = params.effective_sigma2()
-    s2c = np.maximum(s2, VARIANCE_FLOOR)
-    sigma2c = np.maximum(sigma2, VARIANCE_FLOOR)
 
     out = np.empty((n, n))
     pos = f > 0
 
     # Positive observations: conjugate log-normal update.
-    w = s2c / (s2c + sigma2c)
-    var = 1.0 / (1.0 / s2c + 1.0 / sigma2c)
+    w = shrinkage_weight(s2, sigma2)
+    var = posterior_log_variance(s2, sigma2)
     with np.errstate(divide="ignore", invalid="ignore"):
         logf = np.where(pos, np.log(np.where(pos, f, 1.0)), 0.0)
     mean = w * logf + (1.0 - w) * params.mu
@@ -204,11 +208,8 @@ def sample_flow_matrix(
     # the spike-or-slab, counting the contradictory p = b = 0 entries.
     zero = ~pos
     hold = zero & (sigma2 == 0)
-    denom = params.p + params.b * (1.0 - params.p)
-    degenerate = zero & ~hold & (denom <= 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(denom > 0, params.p / np.where(denom > 0, denom, 1.0), 1.0)
-    spike = zero & (hold | degenerate | (u < q))
+    degenerate = zero & ~hold & (params.p == 0) & (params.b == 0)
+    spike = zero & (hold | degenerate | (u < spike_weight(params.p, params.b)))
     slab = zero & ~spike
     if np.any(slab & ~np.isfinite(params.mu)):
         raise DataError("slab draw needs a finite prior mean")
@@ -216,39 +217,6 @@ def sample_flow_matrix(
     out[slab] = np.exp(params.mu[slab] + np.sqrt(s2[slab]) * z[slab])
 
     return flows_obs.replace_values(out), int(np.count_nonzero(degenerate))
-
-
-def posterior_draw(
-    f_obs: float,
-    p: float,
-    b: float,
-    mu: float,
-    s2: float,
-    sigma2: float,
-    rng: np.random.Generator,
-) -> float:
-    """One posterior draw of a single true flow given its noisy observation."""
-    if f_obs < 0:
-        raise DataError("observed flows must be non-negative")
-    z = float(rng.standard_normal())
-    u = float(rng.random())
-    if f_obs > 0:
-        if sigma2 == 0:
-            return float(f_obs)
-        if s2 == 0:
-            return float(np.exp(mu))
-        if not np.isfinite(mu):
-            raise DataError("posterior update needs a finite prior mean")
-        w = shrinkage_weight(s2, sigma2)
-        var = posterior_log_variance(s2, sigma2)
-        return float(np.exp(w * np.log(f_obs) + (1.0 - w) * mu + np.sqrt(var) * z))
-    if sigma2 == 0:
-        return 0.0  # exactly measured zero
-    if u < spike_weight(p, b):
-        return 0.0
-    if not np.isfinite(mu):
-        raise DataError("slab draw needs a finite prior mean")
-    return float(np.exp(mu + np.sqrt(s2) * z))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import numpy as np
 
 from .calibration import CalibratedParams
 from .core import CounterfactualSpec, DistanceMatrix, DrawSet, FlowMatrix
-from .engine import Interval
 from .errors import DataError, ParseError
+from .intervals import Interval
 
 
 def _read_dyadic_csv(path, value_name: str):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,13 +30,13 @@ from .core import (
     evaluate_model,
 )
 from .errors import (
-    BadQuantileGrid,
     DataError,
     ModelEvaluationFailed,
     RankTooLarge,
     TooManyFailures,
 )
 from .gravity import fit_log_gravity, sample_theta
+from .intervals import Interval, _check_grid, _order_stats
 
 Estimator = Callable[[FlowMatrix], EstimatorResult]
 
@@ -81,31 +81,13 @@ class UqConfig:
             raise DataError("max failure fraction must be in [0, 1)")
         if self.workers < 1:
             raise DataError("workers must be >= 1")
-        _order_stat_ranks(self.b, self.alpha)
+        _check_grid(self.b, self.alpha)
         if self.interval_kind == "c2":
-            _order_stat_ranks(self.inner_draws, self.alpha)
+            _check_grid(self.inner_draws, self.alpha)
 
     @property
     def inner_draws(self) -> int:
         return self.b if self.b_inner is None else self.b_inner
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-    alpha: float
-    kind: str
-    draws_used: int
-    draws_failed: int = 0
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise DataError("interval endpoints out of order")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 def draw_rng(seed: int, draw: int, substream: int) -> np.random.Generator:
@@ -116,65 +98,6 @@ def draw_rng(seed: int, draw: int, substream: int) -> np.random.Generator:
     draws."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(draw, substream))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def _order_stat_ranks(b: int, alpha: float) -> tuple[int, int]:
-    lo = alpha / 2.0 * b
-    lo_rank = round(lo)
-    if abs(lo - lo_rank) > 1e-9 or lo_rank < 1:
-        raise BadQuantileGrid(
-            f"alpha/2 * B = {lo:g} is not a positive integer; "
-            "choose B and alpha so the order statistics exist"
-        )
-    return lo_rank, b - lo_rank
-
-
-def interval_c1(draws: Sequence[float], alpha: float) -> Interval:
-    """Equal-tailed interval from the (a/2*B)-th and ((1-a/2)*B)-th order
-    statistics of the draws (1-indexed; ties broken by stable sort)."""
-    arr = np.asarray(draws, dtype=float)
-    if arr.ndim != 1:
-        raise DataError("interval_c1 expects a one-dimensional draw set")
-    lo_rank, hi_rank = _order_stat_ranks(arr.shape[0], alpha)
-    s = np.sort(arr, kind="stable")
-    return Interval(
-        lo=float(s[lo_rank - 1]),
-        hi=float(s[hi_rank - 1]),
-        alpha=alpha,
-        kind="c1",
-        draws_used=arr.shape[0],
-    )
-
-
-def interval_c2(
-    per_draw_intervals: Sequence[tuple[float, float]], alpha: float
-) -> Interval:
-    """Conservative interval-of-intervals: the a/2 quantile of the lower
-    bounds paired with the 1-a/2 quantile of the upper bounds."""
-    arr = np.asarray(per_draw_intervals, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise DataError("interval_c2 expects (lower, upper) pairs")
-    lo_rank, hi_rank = _order_stat_ranks(arr.shape[0], alpha)
-    lowers = np.sort(arr[:, 0], kind="stable")
-    uppers = np.sort(arr[:, 1], kind="stable")
-    return Interval(
-        lo=float(lowers[lo_rank - 1]),
-        hi=float(uppers[hi_rank - 1]),
-        alpha=alpha,
-        kind="c2",
-        draws_used=arr.shape[0],
-    )
-
-
-def _clamped_order_stats(sorted_vals: np.ndarray, b_nominal: int, alpha: float):
-    """Order-statistic endpoints with ranks computed on the nominal draw
-    count; when draws failed, ranks are clamped into the available range,
-    erring toward a wider interval."""
-    lo_rank, hi_rank = _order_stat_ranks(b_nominal, alpha)
-    used = sorted_vals.shape[0]
-    lo_rank = min(lo_rank, used)
-    hi_rank = min(hi_rank, used)
-    return float(sorted_vals[lo_rank - 1]), float(sorted_vals[hi_rank - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +157,6 @@ class _LoopContext:
     cfg: UqConfig
     smoother: Callable[[FlowMatrix], FlowMatrix] | None
     theta_fixed: np.ndarray | None  # set in only-me mode
-    want_inner: bool
 
 
 def _estimate(ctx: _LoopContext, flows: FlowMatrix) -> EstimatorResult:
@@ -244,7 +166,14 @@ def _estimate(ctx: _LoopContext, flows: FlowMatrix) -> EstimatorResult:
 
 
 def _one_draw(ctx: _LoopContext, b: int):
-    """Returns (gamma or None, inner interval or None, degenerate count)."""
+    """Returns (gamma or None, the outcomes of every parameter draw that
+    evaluated, degenerate count).
+
+    The parameter draws are the point estimate alone in only-me mode, else
+    one draw from this b's estimate, or ``cfg.inner_draws`` of them for the
+    interval-of-intervals.  The first one gives this b's outcome draw, so c1
+    and c2 share the same draw set under the same seed; if it fails, draw b
+    fails."""
     cfg = ctx.cfg
     degenerate = 0
     if cfg.mode == "only-ee":
@@ -257,50 +186,24 @@ def _one_draw(ctx: _LoopContext, b: int):
     flows_est = flows_eval if cfg.smooth_for_estimation else flows_b
 
     if cfg.mode == "only-me":
-        theta_draws = None
+        theta_draws = [ctx.theta_fixed]
     else:
         est_b = _estimate(ctx, flows_est)
         theta_rng = draw_rng(cfg.seed, b, 1)
-        n_theta = cfg.inner_draws if ctx.want_inner else 1
+        n_theta = cfg.inner_draws if cfg.interval_kind == "c2" else 1
         theta_draws = [
             sample_theta(est_b, theta_rng, positive=cfg.positive_theta)
             for _ in range(n_theta)
         ]
 
-    def evaluate(theta):
-        return evaluate_model(ctx.model, flows_eval, theta, ctx.cf_spec)
-
-    if cfg.mode == "only-me":
-        try:
-            return evaluate(ctx.theta_fixed), None, degenerate
-        except ModelEvaluationFailed:
-            return None, None, degenerate
-
-    if not ctx.want_inner:
-        try:
-            return evaluate(theta_draws[0]), None, degenerate
-        except ModelEvaluationFailed:
-            return None, None, degenerate
-
-    # Inner sampling for the interval-of-intervals: the first inner draw
-    # doubles as this b's outcome draw so the two interval kinds share the
-    # same draw set under the same seed.
     gammas = []
-    first = None
-    first_failed = False
     for m, theta in enumerate(theta_draws):
         try:
-            val = evaluate(theta)
+            gammas.append(evaluate_model(ctx.model, flows_eval, theta, ctx.cf_spec))
         except ModelEvaluationFailed:
             if m == 0:
-                first_failed = True
-            continue
-        if m == 0:
-            first = val
-        gammas.append(val)
-    if first_failed or not gammas:
-        return None, None, degenerate
-    return first, np.asarray(gammas), degenerate
+                return None, None, degenerate
+    return gammas[0], np.asarray(gammas), degenerate
 
 
 def _run_chunk(ctx: _LoopContext, draws: Sequence[int]):
@@ -325,11 +228,11 @@ def _run_loop(ctx: _LoopContext):
 
 def _compose(ctx: _LoopContext, results, labels) -> tuple[DrawSet, tuple[Interval, ...]]:
     cfg = ctx.cfg
-    draws = [r[0] for r in results if r[0] is not None]
-    failed = sum(1 for r in results if r[0] is None)
-    if failed > cfg.max_failure_fraction * cfg.b or not draws:
+    kept = [r for r in results if r[0] is not None]
+    failed = cfg.b - len(kept)
+    if failed > cfg.max_failure_fraction * cfg.b or not kept:
         raise TooManyFailures(failed, cfg.b, cfg.max_failure_fraction)
-    stacked = np.vstack([np.atleast_1d(d) for d in draws])
+    stacked = np.vstack([np.atleast_1d(r[0]) for r in kept])
     if labels is None or len(labels) != stacked.shape[1]:
         labels = tuple(str(q) for q in range(stacked.shape[1]))
     draw_set = DrawSet(
@@ -341,46 +244,25 @@ def _compose(ctx: _LoopContext, results, labels) -> tuple[DrawSet, tuple[Interva
         labels=labels,
     )
 
-    intervals = []
-    for q in range(stacked.shape[1]):
-        col = stacked[:, q]
-        if cfg.interval_kind == "c1":
-            lo, hi = _clamped_order_stats(
-                np.sort(col, kind="stable"), cfg.b, cfg.alpha
-            )
-            kind = "c1"
-        elif cfg.interval_kind == "robust":
-            from .robustness import robust_interval
-
-            base = robust_interval(col, cfg.alpha, cfg.robust_c)
-            lo, hi, kind = base.lo, base.hi, base.kind
-        else:
-            lowers, uppers = [], []
-            for r in results:
-                if r[0] is None:
-                    continue
-                if r[1] is None:
-                    # Point-mass parameter distribution (only-me): the inner
-                    # interval degenerates to the draw itself.
-                    val = float(np.atleast_1d(r[0])[q])
-                    lowers.append(val)
-                    uppers.append(val)
-                    continue
-                s = np.sort(r[1][:, q], kind="stable")
-                lo_b, hi_b = _clamped_order_stats(s, cfg.inner_draws, cfg.alpha)
-                lowers.append(lo_b)
-                uppers.append(hi_b)
-            lo, _ = _clamped_order_stats(
-                np.sort(np.asarray(lowers), kind="stable"), cfg.b, cfg.alpha
-            )
-            _, hi = _clamped_order_stats(
-                np.sort(np.asarray(uppers), kind="stable"), cfg.b, cfg.alpha
-            )
-            kind = "c2"
-        intervals.append(
-            Interval(lo, hi, cfg.alpha, kind, draw_set.draws_used, failed)
-        )
-    return draw_set, tuple(intervals)
+    # Ranks come from the nominal draw counts, so failed draws are handled
+    # by the clamping rule in ``intervals``.
+    if cfg.interval_kind == "c2":
+        inner = [_order_stats(r[1], cfg.alpha, 1.0, cfg.inner_draws) for r in kept]
+        lowers, uppers = map(np.array, zip(*inner))
+        lo, _ = _order_stats(lowers, cfg.alpha, 1.0, cfg.b)
+        _, hi = _order_stats(uppers, cfg.alpha, 1.0, cfg.b)
+        kind = "c2"
+    elif cfg.interval_kind == "robust":
+        lo, hi = _order_stats(stacked, cfg.alpha, cfg.robust_c, cfg.b)
+        kind = f"robust(c={cfg.robust_c:g})"
+    else:
+        lo, hi = _order_stats(stacked, cfg.alpha, 1.0, cfg.b)
+        kind = "c1"
+    intervals = tuple(
+        Interval(float(a), float(b), cfg.alpha, kind, draw_set.draws_used, failed)
+        for a, b in zip(lo, hi)
+    )
+    return draw_set, intervals
 
 
 def _prepare_theta_fixed(ctx_estimator, flows_obs, mode):
@@ -430,7 +312,6 @@ def run_algorithm1(
         cfg=cfg,
         smoother=smoother,
         theta_fixed=_prepare_theta_fixed(estimator, flows_obs, cfg.mode),
-        want_inner=cfg.interval_kind == "c2" and cfg.mode != "only-me",
     )
     results = _run_loop(ctx)
     return _compose(ctx, results, flows_obs.labels)

@@ -1,0 +1,171 @@
+"""Order-statistic intervals of bootstrap draws.
+
+Every interval kind uses one rule.  Sort the draws.  The lower endpoint is
+the draw at rank floor(L * B + 1e-12), the upper endpoint the draw at rank
+ceil(U * B - 1e-12).  Ranks count from 1.  (L, U) are the robust quantile
+levels for a density-ratio factor c, and B is the nominal draw count.
+
+* ``c1``, equal-tailed: the rule at c = 1, where (L, U) = (alpha/2,
+  1 - alpha/2).  B and alpha must put alpha/2 * B on the integer grid, so
+  the endpoints are bona fide order statistics.
+* ``c2``, the interval of intervals: the rule at c = 1 on each draw's inner
+  draws gives one (lower, upper) pair per draw.  The interval is the lower
+  endpoint of the lower bounds and the upper endpoint of the upper bounds.
+* ``robust(c)``: the rule at the robust levels for c >= 1.  If the true
+  likelihood (or prior) is within a multiplicative factor c of the assumed
+  log-normal one, posterior quantiles can move as far as these relabelled
+  levels, so a robust interval is wider empirical quantiles of the same
+  draws.  At c = 1 it equals c1.
+
+The public functions take B to be the number of draws they are given.  The
+bootstrap engine passes the nominal B of its configuration (and the nominal
+inner draw count for c2's inner draws).  When draws failed, fewer draws are
+present than B, and each rank is clamped to the number present.  This acts
+as if every failed draw lay above all the present draws.  For the upper
+endpoint that is the widest choice.  For the lower endpoint it is the
+narrowest: the lower rank keeps its nominal value among fewer draws.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .errors import BadQuantileGrid, DataError, TooFewDraws
+
+
+@dataclass(frozen=True)
+class Interval:
+    lo: float
+    hi: float
+    alpha: float
+    kind: str
+    draws_used: int
+    draws_failed: int = 0
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise DataError("interval endpoints out of order")
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+
+# ---------------------------------------------------------------------------
+# Density-ratio-class quantile levels
+
+
+def robust_quantile_levels(alpha_tail: float, c: float) -> tuple[float, float]:
+    """Worst-case relabelling of a single quantile level.
+
+    For the alpha_tail-quantile under any likelihood within factor c of the
+    assumed one, the infimum is the nominal alpha/(alpha + (1-alpha) c^2)
+    quantile and the supremum the alpha c^2/(1-alpha + alpha c^2) quantile.
+    c = 1 returns (alpha, alpha): robust equals nominal.
+    """
+    if not 0 < alpha_tail < 1:
+        raise DataError("quantile level must be in (0, 1)")
+    if c < 1:
+        raise DataError("density-ratio bound c must be >= 1")
+    c2 = c * c
+    inf_level = alpha_tail / (alpha_tail + (1.0 - alpha_tail) * c2)
+    sup_level = alpha_tail * c2 / (1.0 - alpha_tail + alpha_tail * c2)
+    return inf_level, sup_level
+
+
+@dataclass(frozen=True)
+class RobustLevels:
+    """Two-sided robust interval levels for coverage 1 - alpha."""
+
+    lower_level: float
+    upper_level: float
+    c: float
+    alpha: float
+
+    def __post_init__(self):
+        half = self.alpha / 2.0
+        if not self.lower_level <= half <= 1 - half <= self.upper_level:
+            raise DataError("robust levels must bracket the nominal levels")
+
+
+def robust_interval_levels(alpha: float, c: float) -> RobustLevels:
+    """Quantile levels for the robust two-sided interval: the infimum of the
+    alpha/2-quantile and the supremum of the (1-alpha/2)-quantile."""
+    if not 0 < alpha < 1:
+        raise DataError("alpha must be in (0, 1)")
+    lower = robust_quantile_levels(alpha / 2.0, c)[0]
+    upper = robust_quantile_levels(1.0 - alpha / 2.0, c)[1]
+    return RobustLevels(lower_level=lower, upper_level=upper, c=c, alpha=alpha)
+
+
+# ---------------------------------------------------------------------------
+# The order-statistic rule
+
+
+def _check_grid(b: int, alpha: float) -> None:
+    """Raise BadQuantileGrid unless alpha/2 * b is a positive integer."""
+    lo = alpha / 2.0 * b
+    if abs(lo - round(lo)) > 1e-9 or round(lo) < 1:
+        raise BadQuantileGrid(
+            f"alpha/2 * B = {lo:g} is not a positive integer; "
+            "choose B and alpha so the order statistics exist"
+        )
+
+
+def _order_stats(draws: np.ndarray, alpha: float, c: float, b: int):
+    """Lower and upper endpoints of the draws along axis 0 at the robust
+    levels for factor ``c``, ranked on ``b`` nominal draws and clamped into
+    the draws present.  Ties are broken by a stable sort."""
+    levels = robust_interval_levels(alpha, c)
+    lo_rank = math.floor(levels.lower_level * b + 1e-12)
+    if lo_rank < 1:
+        raise TooFewDraws(
+            f"need B * {levels.lower_level:.4g} >= 1 to resolve the lower tail"
+        )
+    hi_rank = math.ceil(levels.upper_level * b - 1e-12)
+    s = np.sort(draws, axis=0, kind="stable")
+    used = s.shape[0]
+    return s[min(lo_rank, used) - 1], s[min(hi_rank, used) - 1]
+
+
+def interval_c1(draws: Sequence[float], alpha: float) -> Interval:
+    """Equal-tailed interval from the (a/2*B)-th and ((1-a/2)*B)-th order
+    statistics of the draws (1-indexed; ties broken by stable sort)."""
+    arr = np.asarray(draws, dtype=float)
+    if arr.ndim != 1:
+        raise DataError("interval_c1 expects a one-dimensional draw set")
+    _check_grid(arr.shape[0], alpha)
+    lo, hi = _order_stats(arr, alpha, 1.0, arr.shape[0])
+    return Interval(float(lo), float(hi), alpha, "c1", arr.shape[0])
+
+
+def interval_c2(
+    per_draw_intervals: Sequence[tuple[float, float]], alpha: float
+) -> Interval:
+    """Conservative interval-of-intervals: the a/2 quantile of the lower
+    bounds paired with the 1-a/2 quantile of the upper bounds."""
+    arr = np.asarray(per_draw_intervals, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise DataError("interval_c2 expects (lower, upper) pairs")
+    _check_grid(arr.shape[0], alpha)
+    lo, _ = _order_stats(arr[:, 0], alpha, 1.0, arr.shape[0])
+    _, hi = _order_stats(arr[:, 1], alpha, 1.0, arr.shape[0])
+    return Interval(float(lo), float(hi), alpha, "c2", arr.shape[0])
+
+
+def robust_interval(draws, alpha: float, c: float) -> Interval:
+    """Empirical quantiles of the draws at the robust levels.
+
+    Contains the nominal equal-tailed interval for every c >= 1 and is
+    monotone in c on a fixed draw set.  Raises TooFewDraws when the lower
+    level cannot be resolved (B * level < 1).
+    """
+    arr = np.asarray(draws, dtype=float)
+    if arr.ndim != 1:
+        raise DataError("robust_interval expects a one-dimensional draw set")
+    lo, hi = _order_stats(arr, alpha, c, arr.shape[0])
+    return Interval(float(lo), float(hi), alpha, f"robust(c={c:g})", arr.shape[0])

@@ -1,10 +1,7 @@
-"""Robust-Bayes quantile bounds, the attenuation simulation, and
-model-adequacy diagnostics.
+"""The attenuation simulation and model-adequacy diagnostics.
 
-The robust bounds answer: if the true likelihood (or prior) is within a
-multiplicative factor c of the assumed log-normal one, how far can posterior
-quantiles move?  The answer is a pure relabelling of quantile levels, so a
-robust interval is just wider empirical quantiles of the same draws.
+The robust-Bayes quantile bounds live with the other interval kinds in
+:mod:`flowuq.intervals`.
 """
 
 from __future__ import annotations
@@ -16,84 +13,9 @@ from scipy import stats
 
 from .calibration import CalibratedParams
 from .core import DistanceMatrix, FlowMatrix
-from .engine import Interval, draw_rng
-from .errors import DataError, FlowUqError, TooFewDraws
+from .engine import draw_rng
+from .errors import DataError, FlowUqError
 from .gravity import _twoway_fe, fit_log_gravity
-
-
-# ---------------------------------------------------------------------------
-# Density-ratio-class quantile bounds
-
-
-def robust_quantile_levels(alpha_tail: float, c: float) -> tuple[float, float]:
-    """Worst-case relabelling of a single quantile level.
-
-    For the alpha_tail-quantile under any likelihood within factor c of the
-    assumed one, the infimum is the nominal alpha/(alpha + (1-alpha) c^2)
-    quantile and the supremum the alpha c^2/(1-alpha + alpha c^2) quantile.
-    c = 1 returns (alpha, alpha): robust equals nominal.
-    """
-    if not 0 < alpha_tail < 1:
-        raise DataError("quantile level must be in (0, 1)")
-    if c < 1:
-        raise DataError("density-ratio bound c must be >= 1")
-    c2 = c * c
-    inf_level = alpha_tail / (alpha_tail + (1.0 - alpha_tail) * c2)
-    sup_level = alpha_tail * c2 / (1.0 - alpha_tail + alpha_tail * c2)
-    return inf_level, sup_level
-
-
-@dataclass(frozen=True)
-class RobustLevels:
-    """Two-sided robust interval levels for coverage 1 - alpha."""
-
-    lower_level: float
-    upper_level: float
-    c: float
-    alpha: float
-
-    def __post_init__(self):
-        half = self.alpha / 2.0
-        if not self.lower_level <= half <= 1 - half <= self.upper_level:
-            raise DataError("robust levels must bracket the nominal levels")
-
-
-def robust_interval_levels(alpha: float, c: float) -> RobustLevels:
-    """Quantile levels for the robust two-sided interval: the infimum of the
-    alpha/2-quantile and the supremum of the (1-alpha/2)-quantile."""
-    if not 0 < alpha < 1:
-        raise DataError("alpha must be in (0, 1)")
-    lower = robust_quantile_levels(alpha / 2.0, c)[0]
-    upper = robust_quantile_levels(1.0 - alpha / 2.0, c)[1]
-    return RobustLevels(lower_level=lower, upper_level=upper, c=c, alpha=alpha)
-
-
-def robust_interval(draws, alpha: float, c: float) -> Interval:
-    """Empirical quantiles of the draws at the robust levels.
-
-    Contains the nominal equal-tailed interval for every c >= 1 and is
-    monotone in c on a fixed draw set.  Raises TooFewDraws when the lower
-    level cannot be resolved (B * level < 1).
-    """
-    arr = np.asarray(draws, dtype=float)
-    if arr.ndim != 1:
-        raise DataError("robust_interval expects a one-dimensional draw set")
-    levels = robust_interval_levels(alpha, c)
-    b = arr.shape[0]
-    lo_rank = int(np.floor(levels.lower_level * b + 1e-12))
-    if lo_rank < 1:
-        raise TooFewDraws(
-            f"need B * {levels.lower_level:.4g} >= 1 to resolve the lower tail"
-        )
-    hi_rank = int(np.ceil(levels.upper_level * b - 1e-12))
-    s = np.sort(arr, kind="stable")
-    return Interval(
-        lo=float(s[lo_rank - 1]),
-        hi=float(s[min(hi_rank, b) - 1]),
-        alpha=alpha,
-        kind=f"robust(c={c:g})",
-        draws_used=b,
-    )
 
 
 # ---------------------------------------------------------------------------

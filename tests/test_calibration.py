@@ -18,7 +18,6 @@ from flowuq import (
     estimate_zero_probs,
     fit_log_gravity,
     ingest_mirror_csv,
-    posterior_draw,
     posterior_log_variance,
     sample_flow_matrix,
     shrink_variances,
@@ -41,7 +40,34 @@ def panel_from_reports(r1, r2, periods=None):
     )
 
 
+def constant_params(n, p=0.0, b=0.0, mu=0.5, s2=0.1, sigma2=0.05):
+    """The same prior and measurement-error parameters on every off-diagonal
+    dyad; the diagonal is held fixed."""
+    off = ~np.eye(n, dtype=bool)
+    return CalibratedParams(
+        p=np.where(off, p, 0.0),
+        b=np.where(off, b, 0.0),
+        mu=np.where(off, mu, np.nan),
+        s2=np.where(off, s2, 0.0),
+        sigma2=np.where(off, sigma2, 0.0),
+        mu_defined=off,
+    )
+
+
+def off_diagonal_draws(f_obs, params, seed):
+    """Off-diagonal entries of one posterior draw of a matrix whose every
+    entry is observed as ``f_obs``."""
+    n = params.n
+    draw, _ = sample_flow_matrix(
+        FlowMatrix(np.full((n, n), f_obs)), params, np.random.default_rng(seed)
+    )
+    return draw.values[~np.eye(n, dtype=bool)]
+
+
 class TestPosteriorDraw:
+    # A 317 x 317 matrix has 100,172 off-diagonal dyads: one call draws them.
+    N_LARGE = 317
+
     def test_shrinkage_anchor(self):
         # s2 = 0.101, sigma2 = 0.05: weight on the observation is 0.669,
         # on the prior 0.331, and the posterior log variance is 0.033.
@@ -50,17 +76,26 @@ class TestPosteriorDraw:
         assert abs((1 - w) - 0.331) < 5e-4
         assert abs(posterior_log_variance(0.101, 0.05) - 0.033) < 5e-4
 
-    def test_no_measurement_error_returns_observation(self):
-        rng = np.random.default_rng(0)
-        for f_obs in (0.5, 3.0, 1e4):
-            val = posterior_draw(f_obs, 0.0, 0.0, np.log(f_obs) + 1.0, 0.2, 0.0, rng)
-            assert val == f_obs
+    def test_formulas_take_arrays(self):
+        s2 = np.array([[0.101, 0.0], [1e-14, 2.0]])
+        sigma2 = np.array([[0.05, 0.3], [0.0, 2.0]])
+        p = np.array([[0.3, 0.0], [0.0, 1.0]])
+        b = np.array([[0.2, 0.0], [0.4, 0.0]])
+        w = shrinkage_weight(s2, sigma2)
+        var = posterior_log_variance(s2, sigma2)
+        q = spike_weight(p, b)
+        assert w.shape == var.shape == q.shape == (2, 2)
+        for i in range(2):
+            for j in range(2):
+                assert w[i, j] == shrinkage_weight(s2[i, j], sigma2[i, j])
+                assert var[i, j] == posterior_log_variance(s2[i, j], sigma2[i, j])
+                assert q[i, j] == spike_weight(p[i, j], b[i, j])
+        assert q[0, 1] == 1.0  # p = b = 0 resolves as a true zero
+        assert q[1, 0] == 0.0
 
     def test_tiny_measurement_error_concentrates(self):
-        rng = np.random.default_rng(1)
-        draws = np.array(
-            [posterior_draw(2.0, 0.0, 0.0, 0.0, 0.2, 1e-12, rng) for _ in range(200)]
-        )
+        params = constant_params(15, mu=0.0, s2=0.2, sigma2=1e-12)
+        draws = off_diagonal_draws(2.0, params, seed=1)
         assert np.max(np.abs(draws - 2.0)) < 1e-4
 
     def test_quadrature_oracle(self):
@@ -79,13 +114,11 @@ class TestPosteriorDraw:
 
     def test_conjugacy_moments(self):
         # Log draws are exactly normal with the closed-form moments; check
-        # by z-test at five sigma over 1e5 draws.
-        rng = np.random.default_rng(3)
+        # by z-test at five sigma over about 1e5 dyads.
         f_obs, mu, s2, sigma2 = 3.0, 0.4, 0.15, 0.08
-        n = 100_000
-        draws = np.log(
-            [posterior_draw(f_obs, 0.0, 0.0, mu, s2, sigma2, rng) for _ in range(n)]
-        )
+        params = constant_params(self.N_LARGE, mu=mu, s2=s2, sigma2=sigma2)
+        draws = np.log(off_diagonal_draws(f_obs, params, seed=3))
+        n = draws.size
         w = shrinkage_weight(s2, sigma2)
         mean_c = w * np.log(f_obs) + (1 - w) * mu
         var_c = posterior_log_variance(s2, sigma2)
@@ -115,36 +148,17 @@ class TestPosteriorDraw:
         # p = 0.3, b = 0.2: spike weight 0.3/(0.3 + 0.2*0.7) = 0.682.
         q = spike_weight(0.3, 0.2)
         assert abs(q - 0.68181818) < 1e-8
-        rng = np.random.default_rng(4)
-        n = 100_000
-        zeros = sum(
-            posterior_draw(0.0, 0.3, 0.2, 0.5, 0.1, 0.1, rng) == 0.0
-            for _ in range(n)
-        )
-        assert abs(zeros / n - q) < 0.01
-
-    def test_degenerate_zero_model(self):
-        rng = np.random.default_rng(5)
-        assert posterior_draw(0.0, 0.0, 0.0, 1.0, 0.1, 0.1, rng) == 0.0
+        params = constant_params(self.N_LARGE, p=0.3, b=0.2, s2=0.1, sigma2=0.1)
+        draws = off_diagonal_draws(0.0, params, seed=4)
+        assert abs(np.mean(draws == 0.0) - q) < 0.01
 
 
 class TestSampleFlowMatrix:
-    def params(self, n, p=0.0, b=0.0, mu=0.5, s2=0.1, sigma2=0.05):
-        off = ~np.eye(n, dtype=bool)
-        return CalibratedParams(
-            p=np.where(off, p, 0.0),
-            b=np.where(off, b, 0.0),
-            mu=np.where(off, mu, np.nan),
-            s2=np.where(off, s2, 0.0),
-            sigma2=np.where(off, sigma2, 0.0),
-            mu_defined=off,
-        )
-
     def test_zero_me_variance_reproduces_observation(self):
         rng = np.random.default_rng(0)
         flows = FlowMatrix(np.random.default_rng(1).uniform(0.5, 2.0, (4, 4)))
         draw, degenerate = sample_flow_matrix(
-            flows, self.params(4, sigma2=0.0), rng
+            flows, constant_params(4, sigma2=0.0), rng
         )
         assert np.array_equal(draw.values, flows.values)
         assert degenerate == 0
@@ -152,7 +166,7 @@ class TestSampleFlowMatrix:
     def test_diagonal_held_fixed(self):
         rng = np.random.default_rng(2)
         flows = FlowMatrix(np.random.default_rng(3).uniform(0.5, 2.0, (4, 4)))
-        draw, _ = sample_flow_matrix(flows, self.params(4), rng)
+        draw, _ = sample_flow_matrix(flows, constant_params(4), rng)
         assert np.array_equal(np.diag(draw.values), np.diag(flows.values))
         off = ~np.eye(4, dtype=bool)
         assert np.all(draw.values[off] != flows.values[off])
@@ -163,13 +177,13 @@ class TestSampleFlowMatrix:
         values[0, 1] = 0.0
         values[1, 2] = 0.0
         flows = FlowMatrix(values)
-        draw, degenerate = sample_flow_matrix(flows, self.params(3), rng)
+        draw, degenerate = sample_flow_matrix(flows, constant_params(3), rng)
         assert degenerate == 2
         assert draw.values[0, 1] == 0.0 and draw.values[1, 2] == 0.0
 
     def test_rng_consumption_is_data_independent(self):
         # Same seed, different observed zeros: subsequent rng state matches.
-        params = self.params(3, p=0.5, b=0.2)
+        params = constant_params(3, p=0.5, b=0.2)
         a = np.random.default_rng(9)
         b = np.random.default_rng(9)
         f1 = FlowMatrix(np.ones((3, 3)))

@@ -2,6 +2,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowuq import (
     BadQuantileGrid,
@@ -9,13 +11,16 @@ from flowuq import (
     DataError,
     EstimatorResult,
     FlowMatrix,
+    IdentityModel,
     ModelEvaluationFailed,
     RankTooLarge,
+    TooFewDraws,
     TooManyFailures,
     UqConfig,
     interval_c1,
     interval_c2,
     point_estimate,
+    robust_interval,
     run_algorithm1,
     run_algorithm3,
 )
@@ -52,6 +57,19 @@ class FailAboveThreshold:
         if flows.values[0, 1] > self.threshold:
             raise ModelEvaluationFailed("entry above threshold")
         return np.array([float(flows.values[0, 1])])
+
+
+class FailOnThetas:
+    """Passes theta through, except that it fails on the listed values of
+    its first coordinate; deterministic in the draw."""
+
+    def __init__(self, values):
+        self.values = frozenset(float(v) for v in values)
+
+    def __call__(self, flows, theta, cf_spec):
+        if float(theta[0]) in self.values:
+            raise ModelEvaluationFailed("listed parameter draw")
+        return np.atleast_1d(theta)
 
 
 def mean_flow_estimator(flows, se=0.1):
@@ -336,6 +354,67 @@ class TestEngine:
         assert len(ivs) == 5
         for iv in ivs:
             assert iv.lo <= iv.hi
+
+
+class TestEngineIntervals:
+    """The engine builds its intervals with the public interval functions'
+    rule; with failed draws it ranks on the nominal B."""
+
+    ALPHA = 0.1
+    EST = EstimatorResult(
+        theta_hat=[2.0, -1.0], sigma_hat=[[0.1, 0.02], [0.02, 0.3]]
+    )
+    FLOWS = FlowMatrix(np.ones((3, 3)))
+    CF = CounterfactualSpec.uniform_increase(3, 0.0)
+
+    def run(self, model, alpha=ALPHA, **kw):
+        cfg = UqConfig(alpha=alpha, mode="only-ee", **kw)
+        return run_algorithm1(self.FLOWS, None, self.EST, model, self.CF, cfg)
+
+    def test_robust_with_a_failed_draw(self):
+        # One failed draw out of B = 40 is within the 5% tolerance.  Ranked
+        # on the 39 survivors, the 2.5% tail would need B * 0.025 >= 1.
+        ds, _ = self.run(IdentityModel(), b=40, seed=5)
+        model = FailOnThetas([ds.draws[17, 0]])
+        _, c1 = self.run(model, alpha=0.05, b=40, seed=5)
+        ds_r, robust = self.run(
+            model, alpha=0.05, b=40, seed=5, interval_kind="robust", robust_c=1.0
+        )
+        assert ds_r.draws_failed == 1
+        assert [(iv.lo, iv.hi) for iv in robust] == [(iv.lo, iv.hi) for iv in c1]
+        assert robust[0].draws_failed == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        b=st.sampled_from([20, 40, 60, 100, 200]),
+        c=st.floats(min_value=1.0, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+        data=st.data(),
+    )
+    def test_engine_intervals_are_the_public_ones(self, b, c, seed, data):
+        ds, c1 = self.run(IdentityModel(), b=b, seed=seed)
+        columns = [ds.column(q) for q in range(ds.n_outcomes)]
+        assert c1 == tuple(interval_c1(col, self.ALPHA) for col in columns)
+        robust = dict(b=b, seed=seed, interval_kind="robust", robust_c=c)
+        try:
+            expected = tuple(robust_interval(col, self.ALPHA, c) for col in columns)
+        except TooFewDraws:
+            with pytest.raises(TooFewDraws):
+                self.run(IdentityModel(), **robust)
+        else:
+            assert self.run(IdentityModel(), **robust)[1] == expected
+
+        # Fail up to the 5% tolerance: robust at c = 1 still equals c1.
+        fail = data.draw(
+            st.lists(st.integers(0, b - 1), unique=True, max_size=b // 20)
+        )
+        model = FailOnThetas(ds.draws[fail, 0])
+        ds_f, c1_f = self.run(model, b=b, seed=seed)
+        _, robust_f = self.run(
+            model, b=b, seed=seed, interval_kind="robust", robust_c=1.0
+        )
+        assert ds_f.draws_failed == len(fail)
+        assert [(iv.lo, iv.hi) for iv in robust_f] == [(iv.lo, iv.hi) for iv in c1_f]
 
 
 class TestUqConfigValidation:

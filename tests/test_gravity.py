@@ -7,6 +7,7 @@ from flowuq import (
     EstimatorResult,
     FlowMatrix,
     InsufficientData,
+    NoConvergence,
     NotPSD,
     Separation,
     dyadic_variance,
@@ -16,6 +17,7 @@ from flowuq import (
     sample_theta,
 )
 from flowuq.gravity import _twoway_fe, dyad_indices
+from flowuq.scenarios import armington_world
 
 from .oracles import (
     dyadic_meat_enumeration,
@@ -73,6 +75,15 @@ class TestPpml:
         scores = ppml_rebuild(fit, flows, log_costs)[0]
         foc = np.abs(scores.sum(axis=0)).max()
         assert foc <= 1e-8 * max(1.0, float(np.max(flows.values)))
+
+    def test_first_order_condition_guard(self):
+        # A loose deviance tolerance stops IRLS after 5 iterations with score
+        # sums of 1.7e-5, which the first-order-condition check rejects.
+        world = armington_world(n=10, seed=0)
+        _, observed = world.draw_world(np.random.default_rng(1))
+        with pytest.raises(NoConvergence, match="first-order conditions") as info:
+            fit_ppml(observed, world.log_costs, dev_tol=1e-3)
+        assert info.value.iterations == 5
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(3)
