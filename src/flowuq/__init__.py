@@ -10,7 +10,6 @@ counterfactual model, and report quantile intervals of the outcome draws.
 from .armington import (
     ArmingtonModel,
     EquilibriumResult,
-    SolverOptions,
     solve_counterfactual,
     welfare_change_pct,
 )

@@ -14,10 +14,19 @@ valid flow matrix; holding the deficit/income ratio fixed instead makes the
 equations inconsistent whenever trade is unbalanced, and the two coincide on
 balanced data).  Summing the equations shows any solution family is
 one-dimensional; we pin it by holding world income fixed
-(sum_i y_i Y_i = sum_i Y_i) each iteration.  With balanced trade the system
-is homogeneous and the convention provably cancels in shares and welfare;
-with deficits, the fixed deficit levels are denominated in baseline world
-income, which is the standard practice this normalization encodes.
+(sum_i y_i Y_i = sum_i Y_i).  With balanced trade the system is homogeneous
+and the convention provably cancels in shares and welfare; with deficits,
+the fixed deficit levels are denominated in baseline world income, which is
+the standard practice this normalization encodes.
+
+The solver is Newton in x = log y on the log defects log(supply_i / y_i Y_i),
+with the analytic Jacobian (eps Pi diag(E^cf) Pi' + Pi diag(y Y)) / supply
+- (1 + eps) I, Pi = lam^cf * lam, and the world-income normalization in place
+of the last equation, which Walras' Law makes redundant.  A step-halving line
+search keeps every counterfactual expenditure positive and the squared norm
+of the system falling.  When it stalls, continuation solves smaller shocks
+tau^s (s = 1/2, 1/4, ...) and restarts from their solution;
+``EquilibriumResult.iterations`` counts Newton steps over all stages.
 """
 
 from __future__ import annotations
@@ -29,20 +38,10 @@ import numpy as np
 from .core import CounterfactualSpec, FlowMatrix, derive_aggregates
 from .errors import DataError, InvalidElasticity, NoConvergence, ZeroDiagonal
 
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Damped successive substitution on log y."""
-
-    damping: float = 0.5
-    tol: float = 1e-10       # sup-norm of the log fixed-point defect
-    max_iter: int = 10_000
-
-    def __post_init__(self):
-        if not 0 < self.damping <= 1:
-            raise DataError("damping must be in (0, 1]")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise DataError("tol must be > 0 and max_iter >= 1")
+_TOL = 1e-10            # sup-norm of the log market-clearing defects
+_MAX_STEPS = 100        # Newton steps, summed over the continuation stages
+_MAX_HALVINGS = 30      # step halvings before the line search stalls
+_MIN_STAGE = 2.0**-20   # narrowest continuation stage
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class EquilibriumResult:
     lambda_prop: np.ndarray   # proportional share changes lam^cf_ij
     welfare_prop: np.ndarray  # proportional welfare changes W_i
     residual: float           # sup-norm log defect at the solution
-    iterations: int
+    iterations: int           # Newton steps over all continuation stages
 
 
 def _share_changes(
@@ -65,41 +64,55 @@ def _share_changes(
     return p / denom[None, :]
 
 
-def _log_update(
-    log_tau: np.ndarray,
-    log_y: np.ndarray,
-    shares: np.ndarray,
-    income: np.ndarray,
-    deficit: np.ndarray,
-    epsilon: float,
-) -> np.ndarray:
-    """One substitution step, solved for y_i wherever it enters with its own
-    exponent: y_i^(1+eps) = K_i(y).
+def _defects(log_tau, log_y, shares, income, deficit, epsilon):
+    """At a candidate log y: the log market-clearing defects, the Newton system
+    (world income in place of the last defect), Pi and E^cf; None when some
+    counterfactual expenditure is not positive."""
+    y_income = np.exp(log_y) * income
+    exp_cf = y_income + deficit
+    if not np.all(exp_cf > 0):
+        return None
+    pi = _share_changes(log_tau, log_y, shares, epsilon) * shares
+    defect = np.log(pi @ exp_cf / y_income)
+    system = np.append(defect[:-1], np.log(y_income.sum() / income.sum()))
+    return defect, system, pi, exp_cf
 
-    Isolating the own-income term is what keeps successive substitution
-    stable for elasticities above one; the residual reported to callers is
-    still the defect of the market-clearing equation, which is (1+eps)
-    times the defect of this rearranged map in logs.
-    """
-    logp = -epsilon * (log_tau + log_y[:, None])
-    m = logp.max(axis=0)
-    denom = (shares * np.exp(logp - m[None, :])).sum(axis=0)
-    # tau_ij^-eps / denom_j, with the same stabilizing shift in both parts.
-    a = np.exp(-epsilon * log_tau - m[None, :]) / denom[None, :]
-    exp_cf = np.exp(log_y) * income + deficit
-    if np.any(exp_cf <= 0):
-        raise NoConvergence(
-            0, float("inf"), what="counterfactual solver (negative expenditure)"
-        )
-    k = (a * shares) @ exp_cf / income
-    return np.log(k) / (1.0 + epsilon)
+
+def _newton(log_tau, log_y, shares, income, deficit, epsilon, max_steps):
+    """Newton with line search from log_y, a point with positive expenditure.
+    Returns (log_y, residual, steps, converged); it stops unconverged when
+    the Newton system is singular, the line search stalls or max_steps run
+    out."""
+    args = (shares, income, deficit, epsilon)
+    defect, g, pi, exp_cf = _defects(log_tau, log_y, *args)
+    for steps in range(max_steps + 1):
+        residual = float(np.max(np.abs(defect)))
+        if max(residual, abs(g[-1])) <= _TOL:
+            return log_y, residual, steps, True
+        if steps == max_steps:
+            break
+        y_income = np.exp(log_y) * income
+        jac = (epsilon * (pi * exp_cf) @ pi.T + pi * y_income) / (pi @ exp_cf)[:, None]
+        jac[np.diag_indices_from(jac)] -= 1.0 + epsilon
+        jac[-1] = y_income / y_income.sum()
+        try:
+            step = np.linalg.solve(jac, -g)
+        except np.linalg.LinAlgError:
+            break
+        for _ in range(_MAX_HALVINGS):
+            with np.errstate(all="ignore"):  # an overlong step may overflow
+                trial = _defects(log_tau, log_y + step, *args)
+                if trial is not None and trial[1] @ trial[1] < g @ g:
+                    break
+            step = 0.5 * step
+        else:
+            break
+        log_y, (defect, g, pi, exp_cf) = log_y + step, trial
+    return log_y, residual, steps, False
 
 
 def solve_counterfactual(
-    flows: FlowMatrix,
-    cf_spec: CounterfactualSpec,
-    epsilon: float,
-    opts: SolverOptions = SolverOptions(),
+    flows: FlowMatrix, cf_spec: CounterfactualSpec, epsilon: float
 ) -> EquilibriumResult:
     """Solve the counterfactual income fixed point and derived changes.
 
@@ -112,8 +125,6 @@ def solve_counterfactual(
         Proportional cost changes, diagonal exactly 1.
     epsilon : float
         Trade elasticity, > 0.
-    opts : SolverOptions
-        Damping, tolerance and iteration cap.
 
     Raises
     ------
@@ -132,41 +143,36 @@ def solve_counterfactual(
         bad = [flows.labels[i] for i in np.flatnonzero(np.diag(agg.shares) <= 0)]
         raise ZeroDiagonal(f"zero own flow for {bad}")
 
-    income = agg.income
-    deficit = agg.expenditure - agg.income
-    total_income = income.sum()
+    args = (agg.shares, agg.income, agg.expenditure - agg.income, epsilon)
     log_tau = np.log(tau)
-    n = flows.n
-
-    log_y = np.zeros(n)
-    defect = np.inf
-    for iteration in range(1, opts.max_iter + 1):
-        log_g = _log_update(log_tau, log_y, agg.shares, income, deficit, epsilon)
-        defect = (1.0 + epsilon) * float(np.max(np.abs(log_g - log_y)))
-        if defect <= opts.tol:
+    # Continuation: when Newton stalls on the shock tau^s, the next stage
+    # starts from the last solved shock tau^done and aims halfway back.
+    log_y, done, s, steps = np.zeros(flows.n), 0.0, 1.0, 0
+    while True:
+        log_y_s, residual, k, converged = _newton(
+            s * log_tau, log_y, *args, _MAX_STEPS - steps
+        )
+        steps += k
+        if converged and s == 1.0:
             break
-        log_y = (1 - opts.damping) * log_y + opts.damping * log_g
-        # Walras' Law leaves a one-dimensional solution family; hold world
-        # income fixed to pin it.
-        log_y -= np.log(np.exp(log_y) @ income / total_income)
-    else:
-        raise NoConvergence(opts.max_iter, defect, what="counterfactual solver")
+        if converged:
+            log_y, done, s = log_y_s, s, 1.0
+        elif steps < _MAX_STEPS and s - done > _MIN_STAGE:
+            s = 0.5 * (done + s)
+        else:
+            raise NoConvergence(steps, residual, what="counterfactual solver")
 
-    y = np.exp(log_y)
-    y /= y @ income / total_income
-    lam_cf = _share_changes(log_tau, np.log(y), agg.shares, epsilon)
-    welfare = np.diag(lam_cf) ** (-1.0 / epsilon)
-
+    lam_cf = _share_changes(log_tau, log_y_s, agg.shares, epsilon)
     cf_share_cols = (lam_cf * agg.shares).sum(axis=0)
     if np.max(np.abs(cf_share_cols - 1.0)) > 1e-8:
-        raise NoConvergence(iteration, defect, what="share reconstruction")
+        raise NoConvergence(steps, residual, what="share reconstruction")
 
     return EquilibriumResult(
-        y_prop=y,
+        y_prop=np.exp(log_y_s),
         lambda_prop=lam_cf,
-        welfare_prop=welfare,
-        residual=defect,
-        iterations=iteration,
+        welfare_prop=np.diag(lam_cf) ** (-1.0 / epsilon),
+        residual=residual,
+        iterations=steps,
     )
 
 
@@ -180,11 +186,9 @@ class ArmingtonModel:
     """ModelFunction adapter: theta[0] is the trade elasticity, the outcome
     vector is the percentage welfare change of every location."""
 
-    opts: SolverOptions = SolverOptions()
-
     def __call__(
         self, flows: FlowMatrix, theta: np.ndarray, cf_spec: CounterfactualSpec
     ) -> np.ndarray:
         epsilon = float(np.atleast_1d(theta)[0])
-        result = solve_counterfactual(flows, cf_spec, epsilon, self.opts)
+        result = solve_counterfactual(flows, cf_spec, epsilon)
         return welfare_change_pct(result)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import DistanceMatrix, FlowMatrix, _freeze
 from .errors import DataError, InsufficientData, ParseError
-from .gravity import _log_gravity_ols, _twoway_fe, fit_log_gravity
+from .gravity import _components, _log_gravity_ols, _twoway_fe, fit_log_gravity
 
 VARIANCE_FLOOR = 1e-12
 
@@ -558,7 +558,8 @@ def _twoway_log_fit(values: np.ndarray, what: str, keep_empty: bool) -> np.ndarr
                     f"{np.flatnonzero(~has).tolist()}"
                 )
     log_v = np.log(np.where(mask, values, 1.0))
-    fe_o, fe_d, linked = _twoway_fe(mask.astype(float), log_v[:, :, None])
+    labels = _components(mask)
+    fe_o, fe_d, linked = _twoway_fe(mask.astype(float), log_v[:, :, None], labels)
     identified = linked & off
     if not keep_empty and not identified[off].all():
         raise InsufficientData(

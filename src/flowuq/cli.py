@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -44,8 +43,6 @@ from .robustness import (
     residual_summary,
     run_attenuation_sim,
 )
-
-WORKERS_ENV = "FLOWUQ_WORKERS"
 
 
 def _log(msg: str):
@@ -104,12 +101,6 @@ def _outdir(settings: Settings) -> Path:
     out = Path(settings.get("output_dir", default="."))
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _workers(settings: Settings) -> int:
-    env = os.environ.get(WORKERS_ENV)
-    default = int(env) if env else 1
-    return settings.get("workers", default=default, cast=int)
 
 
 def _write_diagnostics(out: Path, diag, plot):
@@ -372,7 +363,7 @@ def cmd_uq(settings: Settings) -> int:
         max_failure_fraction=settings.get(
             "max_failure_frac", default=0.05, cast=float
         ),
-        workers=_workers(settings),
+        workers=settings.get("workers", default=1, cast=int),
         smooth_for_estimation=settings.get(
             "smooth_for_estimation", default=False, cast=bool
         ),

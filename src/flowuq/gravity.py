@@ -54,11 +54,12 @@ def dyad_indices(n: int, include_diagonal: bool = False):
     return oidx, didx
 
 
-def _twoway_fe(w: np.ndarray, v: np.ndarray):
+def _twoway_fe(w: np.ndarray, v: np.ndarray, labels: tuple[np.ndarray, np.ndarray]):
     """Weighted projection of values on origin and destination fixed effects.
 
     ``w`` (n, n) holds the weights, zero outside the sample; ``v`` (n, n, k)
-    holds k finite value columns, ignored outside the sample.  Each column
+    holds k finite value columns, ignored outside the sample; ``labels`` are
+    the sample's component labels from ``_components(w > 0)``.  Each column
     gets the minimiser of sum w_ij (v_ij - a_i - b_j)^2.  With r and c the
     row and column sums of w, and p and q those of w * v, the origin effects
     are a = (p - w b) / r, which leaves the destination block
@@ -76,7 +77,7 @@ def _twoway_fe(w: np.ndarray, v: np.ndarray):
     of dyads whose fitted value a_i + b_j is identified, their origin and
     destination lying in one component.
     """
-    comp_o, comp_d = _components(w > 0)
+    comp_o, comp_d = labels
     r = w.sum(axis=1)
     r = np.where(r > 0, r, 1.0)[:, None]  # an absent origin has a zero row
     c = w.sum(axis=0)
@@ -199,6 +200,11 @@ def fit_ppml(
     cost = log_costs[oidx, didx]
     if not np.all(np.isfinite(cost)):
         raise DataError("log_costs must be finite on included dyads")
+    # Standard GLM warm start: pull the mean toward the sample average.
+    mu = 0.5 * (y + y.mean())
+    sample = np.zeros((n, n), dtype=bool)
+    sample[oidx, didx] = mu > 0  # and every later mu = exp(eta) > 0 there
+    labels = _components(sample)
 
     def partial(mu, *columns):
         """The columns partialled on the fixed effects with weights mu, and
@@ -207,14 +213,12 @@ def fit_ppml(
         w[oidx, didx] = mu
         v = np.zeros((n, n, len(columns)))
         v[oidx, didx] = np.stack(columns, axis=-1)
-        a, b, _ = _twoway_fe(w, v)
+        a, b, _ = _twoway_fe(w, v, labels)
         return v[oidx, didx] - a[oidx] - b[didx], a, b
 
     def predictor(coef):
         return coef[0] * cost + coef[1 : n + 1][oidx] + coef[n + 1 :][didx]
 
-    # Standard GLM warm start: pull the mean toward the sample average.
-    mu = 0.5 * (y + y.mean())
     eta = np.log(mu)
     dev = _poisson_deviance(y, mu)
     coef = None  # [slope, origin effects, destination effects]
@@ -339,8 +343,9 @@ def _log_gravity_ols(flows: np.ndarray, log_dist: np.ndarray) -> GravityFit:
     log_dist = np.where(off, log_dist, 0.0)
     x = np.where(sample, log_dist, 0.0)
     y = np.log(np.where(sample, flows, 1.0))
-    a, b, linked = _twoway_fe(sample.astype(float), np.stack([x, y], axis=-1))
-    resid = (np.stack([x, y], axis=-1) - a[:, None, :] - b[None, :, :])[sample]
+    xy = np.stack([x, y], axis=-1)
+    a, b, linked = _twoway_fe(sample.astype(float), xy, _components(sample))
+    resid = (xy - a[:, None, :] - b[None, :, :])[sample]
     h = float(resid[:, 0] @ resid[:, 0])
     _require_variation(h, float(np.sum(x * x)), "log distance")
     beta = float(resid[:, 0] @ resid[:, 1]) / h

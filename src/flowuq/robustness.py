@@ -15,7 +15,7 @@ from .calibration import CalibratedParams
 from .core import DistanceMatrix, FlowMatrix
 from .engine import draw_rng
 from .errors import DataError, FlowUqError
-from .gravity import _twoway_fe, fit_log_gravity
+from .gravity import _components, _twoway_fe, fit_log_gravity
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +195,7 @@ def gravity_partial_plot(
     v = np.zeros((n, n, 2))
     v[sample, 0] = np.log(distances.values[sample])
     v[sample, 1] = np.log(flows_obs.values[sample])
-    fe_o, fe_d, _ = _twoway_fe(sample.astype(float), v)
+    fe_o, fe_d, _ = _twoway_fe(sample.astype(float), v, _components(sample))
     res = (v - fe_o[:, None, :] - fe_d[None, :, :])[sample]
     x_res, y_res = res[:, 0], res[:, 1]
     sxx = float(x_res @ x_res)

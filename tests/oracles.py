@@ -1,11 +1,12 @@
 """Independent reference implementations used to check the library.
 
 These deliberately avoid the code paths they verify: the equilibrium oracle
-uses a general nonlinear root finder instead of damped substitution, the
-posterior oracle does numerical Bayes on a grid instead of conjugate
-algebra, the variance oracle enumerates dyad pairs instead of node sums, and
-the fixed-effects regressions are rebuilt on a dense dummy design instead of
-the library's concentrated projection.
+uses a general nonlinear least-squares root finder instead of the package's
+Newton iteration on the log market-clearing defects, the posterior oracle
+does numerical Bayes on a grid instead of conjugate algebra, the variance
+oracle enumerates dyad pairs instead of node sums, and the fixed-effects
+regressions are rebuilt on a dense dummy design instead of the library's
+concentrated projection.
 """
 
 from __future__ import annotations

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowuq import (
     CounterfactualSpec,
+    EstimatorResult,
     FlowMatrix,
     InvalidElasticity,
     NoConvergence,
-    SolverOptions,
+    UqConfig,
     ZeroDiagonal,
     derive_aggregates,
+    run_algorithm1,
     solve_counterfactual,
     welfare_change_pct,
 )
+from flowuq.armington import _TOL, ArmingtonModel, _defects, _share_changes
+from flowuq.scenarios import armington_world
 
 from .oracles import armington_oracle
 
@@ -105,7 +111,7 @@ def test_share_reconstruction_and_residual():
     flows = asymmetric_world()
     spec = CounterfactualSpec.uniform_increase(3, 0.2)
     res = solve_counterfactual(flows, spec, epsilon=2.5)
-    assert res.residual <= SolverOptions().tol
+    assert res.residual <= _TOL
     shares = derive_aggregates(flows).shares
     cols = (res.lambda_prop * shares).sum(axis=0)
     assert np.max(np.abs(cols - 1.0)) < 1e-8
@@ -119,17 +125,15 @@ def test_normalization_convention_cancels_when_balanced():
     flows = asymmetric_world()  # balanced by construction
     spec = CounterfactualSpec.uniform_increase(3, 0.15)
     res = solve_counterfactual(flows, spec, epsilon=3.0)
-    from flowuq.armington import _log_update, _share_changes
-
     agg = derive_aggregates(flows)
     deficit = agg.expenditure - agg.income
     assert np.max(np.abs(deficit)) < 1e-12
     for c in (0.5, 2.0):
         log_y = np.log(c * res.y_prop)
-        log_g = _log_update(
+        defect = _defects(
             np.log(spec.tau_prop), log_y, agg.shares, agg.income, deficit, 3.0
-        )
-        assert np.max(np.abs(log_g - log_y)) * 4.0 < 1e-8  # still a solution
+        )[0]
+        assert np.max(np.abs(defect)) < 1e-8  # still a solution
         scaled = _share_changes(np.log(spec.tau_prop), log_y, agg.shares, 3.0)
         assert np.max(np.abs(scaled - res.lambda_prop)) < 1e-12
 
@@ -162,12 +166,25 @@ def test_error_conditions():
             CounterfactualSpec.uniform_increase(2, 0.1),
             2.0,
         )
+    # Location 0 runs a trade surplus of 9.9 on an income of 11, so its
+    # expenditure stays positive only while its income stays above 0.9 of
+    # baseline; a fivefold cost on its exports leaves no such equilibrium.
     with pytest.raises(NoConvergence):
         solve_counterfactual(
-            unbalanced_world(),
-            CounterfactualSpec.uniform_increase(3, 0.1),
-            epsilon=2.0,
-            opts=SolverOptions(max_iter=2, tol=1e-16),
+            FlowMatrix([[1.0, 10.0], [0.1, 1.0]]),
+            CounterfactualSpec(np.array([[1.0, 5.0], [1.0, 1.0]])),
+            epsilon=5.0,
+        )
+
+
+def test_singular_newton_system_is_no_convergence(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NoConvergence):
+        solve_counterfactual(
+            unbalanced_world(), CounterfactualSpec.uniform_increase(3, 0.1), 2.0
         )
 
 
@@ -177,3 +194,55 @@ def test_zero_off_diagonal_flows_propagate_benignly():
     res = solve_counterfactual(FlowMatrix(values), spec, epsilon=2.0)
     y_o, _, w_o = armington_oracle(values, spec.tau_prop, 2.0)
     assert np.max(np.abs(res.welfare_prop - w_o)) < 1e-8
+
+
+def test_large_shock_solved_through_continuation():
+    # Newton from y = 1 stalls on this shock: the line search cannot reduce
+    # the defects.  The solver reaches it through smaller shocks tau^s.
+    values = np.array([[33.0, 0.27, 0.03], [3.4, 3.8, 3.5], [0.0, 0.0, 5.8]])
+    tau = np.array([[1.0, 1.0, 1.1], [0.96, 1.0, 2.0], [1.8, 1.3, 1.0]])
+    res = solve_counterfactual(FlowMatrix(values), CounterfactualSpec(tau), 10.0)
+    y_o, _, w_o = armington_oracle(values, tau, 10.0)
+    assert np.max(np.abs(res.y_prop - y_o)) < 1e-8
+    assert np.max(np.abs(res.welfare_prop - w_o)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [10, 30, 60, 100])
+def test_gravity_world_matches_oracle(n):
+    world = armington_world(n=n)
+    _, observed = world.draw_world(np.random.default_rng(0))
+    res = solve_counterfactual(observed, world.cf_spec, world.epsilon)
+    y_o, _, w_o = armington_oracle(observed.values, world.cf_spec.tau_prop, world.epsilon)
+    assert res.residual <= _TOL
+    assert np.max(np.abs(res.y_prop - y_o)) < 1e-8
+    assert np.max(np.abs(res.welfare_prop - w_o)) < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 80),
+    seed=st.integers(0, 2**32 - 1),
+    epsilon=st.floats(0.5, 15.0),
+    zero_frac=st.floats(0.0, 0.5),
+)
+def test_random_unbalanced_worlds_solve(n, seed, epsilon, zero_frac):
+    rng = np.random.default_rng(seed)
+    values = np.exp(rng.normal(0.0, 1.0, (n, n)))
+    values[rng.random((n, n)) < zero_frac] = 0.0
+    np.fill_diagonal(values, np.exp(rng.normal(2.0, 0.5, n)))
+    tau = rng.uniform(0.7, 1.5, (n, n))
+    np.fill_diagonal(tau, 1.0)
+    res = solve_counterfactual(FlowMatrix(values), CounterfactualSpec(tau), epsilon)
+    _, _, w_o = armington_oracle(values, tau, epsilon)
+    assert np.max(np.abs(res.welfare_prop - w_o)) < 1e-8
+
+
+def test_bootstrap_at_n80_has_no_failed_draws():
+    world = armington_world(n=80)
+    _, observed = world.draw_world(np.random.default_rng(0))
+    estimate = EstimatorResult(theta_hat=[5.0], sigma_hat=[[0.2**2]])
+    cfg = UqConfig(b=40, alpha=0.05, seed=0, mode="ee+me", max_failure_fraction=0.99)
+    draws, _ = run_algorithm1(
+        observed, world.params, estimate, ArmingtonModel(), world.cf_spec, cfg
+    )
+    assert draws.draws_failed == 0

@@ -16,7 +16,7 @@ from flowuq import (
     independent_variance,
     sample_theta,
 )
-from flowuq.gravity import _twoway_fe, dyad_indices
+from flowuq.gravity import _components, _twoway_fe, dyad_indices
 from flowuq.scenarios import armington_world
 
 from .oracles import (
@@ -287,7 +287,7 @@ class TestTwowayProjection:
         )
         for weights, linked_expected in cases:
             v = rng.normal(size=(n, n, 2))
-            a, b, linked = _twoway_fe(weights, v)
+            a, b, linked = _twoway_fe(weights, v, _components(weights > 0))
             oidx, didx = np.nonzero(weights > 0)
             x = twoway_design(oidx, didx, n)
             sw = np.sqrt(weights[oidx, didx])
