@@ -128,7 +128,11 @@ def solve_counterfactual(
 
     Raises
     ------
-    InvalidElasticity, ZeroDiagonal, DataError, NoConvergence
+    InvalidElasticity, ZeroDiagonal, DataError
+    NoConvergence
+        When Newton with continuation cannot reach the full shock; the
+        message names the last solved share s of the shock tau^s and the
+        share it failed at.
     """
     if epsilon <= 0:
         raise InvalidElasticity(f"elasticity must be > 0, got {epsilon}")
@@ -160,7 +164,12 @@ def solve_counterfactual(
         elif steps < _MAX_STEPS and s - done > _MIN_STAGE:
             s = 0.5 * (done + s)
         else:
-            raise NoConvergence(steps, residual, what="counterfactual solver")
+            raise NoConvergence(
+                steps,
+                residual,
+                what="counterfactual solver (continuation solved the shock tau^s "
+                f"up to s = {done:.6g} and failed at s = {s:.6g})",
+            )
 
     lam_cf = _share_changes(log_tau, log_y_s, agg.shares, epsilon)
     cf_share_cols = (lam_cf * agg.shares).sum(axis=0)

@@ -40,7 +40,6 @@ from .robustness import (
     AttenuationSimConfig,
     gravity_partial_plot,
     normality_diagnostic,
-    residual_summary,
     run_attenuation_sim,
 )
 
@@ -172,15 +171,9 @@ def cmd_calibrate(settings: Settings) -> int:
                 )
         dataio.write_params_json(out / "params.json", params)
 
-        residuals = []
-        n_zero_var = 0
-        for period in panel.periods:
-            k = panel.periods.index(period)
-            flows_t = FlowMatrix(panel.report1[k], panel.labels)
-            diag_t = normality_diagnostic(flows_t, params.for_period(period))
-            residuals.append(diag_t.residuals)
-            n_zero_var += diag_t.n_zero_variance
-        diag = residual_summary(np.concatenate(residuals), n_zero_variance=n_zero_var)
+        diag = normality_diagnostic(
+            [FlowMatrix(r, panel.labels) for r in panel.report1], params
+        )
         last = panel.periods[-1]
         flows_last = FlowMatrix(panel.report1[-1], panel.labels)
         plot = gravity_partial_plot(flows_last, distances)

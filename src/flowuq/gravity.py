@@ -181,6 +181,8 @@ def fit_ppml(
 
     Raises
     ------
+    InsufficientData
+        When no included dyad has a positive flow.
     Collinear
         When ``log_costs`` has no variation beyond the fixed effects.
     Separation
@@ -200,6 +202,8 @@ def fit_ppml(
     cost = log_costs[oidx, didx]
     if not np.all(np.isfinite(cost)):
         raise DataError("log_costs must be finite on included dyads")
+    if not np.any(y > 0):
+        raise InsufficientData("no positive flow on the included dyads")
     # Standard GLM warm start: pull the mean toward the sample average.
     mu = 0.5 * (y + y.mean())
     sample = np.zeros((n, n), dtype=bool)

@@ -6,10 +6,11 @@ The robust-Bayes quantile bounds live with the other interval kinds in
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .calibration import CalibratedParams
 from .core import DistanceMatrix, FlowMatrix
@@ -111,10 +112,31 @@ class NormalityDiagnostic:
     n_zero_variance: int = 0
 
 
+# math.erfc element-wise, for the normal CDF Phi(x) = erfc(-x / sqrt 2) / 2.
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def residual_summary(
     residuals: np.ndarray, bins: int = 30, n_zero_variance: int = 0
 ) -> NormalityDiagnostic:
-    """Summary statistics and histogram counts for standardized residuals."""
+    """Summary statistics and histogram counts for standardized residuals.
+
+    With the population central moments m_k = mean((z - mean(z))^k):
+
+    - ``variance`` is m2;
+    - ``skewness`` is m3 / m2^1.5;
+    - ``excess_kurtosis`` is m4 / m2^2 - 3;
+    - ``ks_distance`` is the one-sample Kolmogorov-Smirnov distance to
+      N(0, 1): over the sorted z_(1) <= ... <= z_(n), the largest of
+      i/n - Phi(z_(i)) and Phi(z_(i)) - (i - 1)/n, with
+      Phi(x) = erfc(-x / sqrt 2) / 2.
+
+    Skewness and kurtosis are NaN when m2 <= (eps * mean)^2, eps the float64
+    machine epsilon: a spread at rounding level of the mean, zero for a
+    constant sample.  These are the definitions of ``scipy.stats.skew``,
+    ``scipy.stats.kurtosis`` and ``scipy.stats.kstest(z, "norm")``, which
+    the tests use as the oracle.
+    """
     z = np.asarray(residuals, dtype=float)
     if z.size == 0:
         return NormalityDiagnostic(
@@ -128,44 +150,77 @@ def residual_summary(
             bin_counts=np.empty(0, dtype=int),
             n_zero_variance=n_zero_variance,
         )
+    mean = z.mean()
+    d = z - mean
+    d2 = d**2
+    m2, m3, m4 = d2.mean(), (d2 * d).mean(), (d2**2).mean()
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
+        skewness = excess_kurtosis = float("nan")
+    else:
+        with np.errstate(all="ignore"):  # powers of m2 can underflow to 0
+            skewness = float(m3 / m2**1.5)
+            excess_kurtosis = float(m4 / m2**2 - 3.0)
+    n = z.size
+    cdf = 0.5 * _erfc(-np.sort(z) / math.sqrt(2.0)).astype(float)
+    ks = max(
+        (np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max()
+    )
     counts, edges = np.histogram(z, bins=bins)
     return NormalityDiagnostic(
         residuals=z,
-        mean=float(z.mean()),
-        variance=float(z.var()),
-        skewness=float(stats.skew(z)),
-        excess_kurtosis=float(stats.kurtosis(z)),
-        ks_distance=float(stats.kstest(z, "norm").statistic),
+        mean=float(mean),
+        variance=float(m2),
+        skewness=skewness,
+        excess_kurtosis=excess_kurtosis,
+        ks_distance=float(ks),
         bin_edges=edges,
         bin_counts=counts,
         n_zero_variance=n_zero_variance,
     )
 
 
+def _standardized_residuals(
+    flows_obs: FlowMatrix, mu: np.ndarray, total_var: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """(log f - mu) / sqrt(total_var) on the positive off-diagonal flows with
+    a finite prior mean and a positive total variance, and the number of
+    such flows left out for a zero total variance."""
+    f = flows_obs.values
+    use = ~np.eye(flows_obs.n, dtype=bool) & (f > 0) & np.isfinite(mu)
+    zero_var = use & (total_var <= 0)
+    use &= total_var > 0
+    z = (np.log(f[use]) - mu[use]) / np.sqrt(total_var[use])
+    return z, int(np.count_nonzero(zero_var))
+
+
 def normality_diagnostic(
-    flows_obs: FlowMatrix, params: CalibratedParams, bins: int = 30
+    flows_obs: FlowMatrix | Sequence[FlowMatrix],
+    params: CalibratedParams,
+    bins: int = 30,
 ) -> NormalityDiagnostic:
     """Standardized residuals of positive log flows against the calibrated
     prior-plus-noise scale, with summary statistics for the normal check.
 
+    With per-period parameters, ``flows_obs`` is a sequence of flow
+    matrices, one per period of ``params.periods`` and in that order; the
+    residuals of all periods are pooled into one summary.
+
     Entries whose total variance is zero cannot be standardized and are
     excluded (counted).  An empty positive subsample yields empty output.
     """
-    if params.has_periods:
-        raise DataError("slice per-period parameters with for_period() first")
-    f = flows_obs.values
-    n = flows_obs.n
-    off = ~np.eye(n, dtype=bool)
-    total_var = params.effective_s2() + params.effective_sigma2()
-    use = off & (f > 0) & np.isfinite(params.mu)
-    zero_var = use & (total_var <= 0)
-    use = use & (total_var > 0)
-    if not np.any(use):
-        return residual_summary(
-            np.empty(0), bins, int(np.count_nonzero(zero_var))
+    single = isinstance(flows_obs, FlowMatrix)
+    flows = [flows_obs] if single else list(flows_obs)
+    mus = list(params.mu) if params.has_periods else [params.mu]
+    if single == params.has_periods or len(flows) != len(mus):
+        raise DataError(
+            "pass one flow matrix with single-period parameters or one per "
+            "period with per-period parameters (for_period() slices them)"
         )
-    z = (np.log(f[use]) - params.mu[use]) / np.sqrt(total_var[use])
-    return residual_summary(z, bins, int(np.count_nonzero(zero_var)))
+    total_var = params.effective_s2() + params.effective_sigma2()
+    parts = [_standardized_residuals(f, mu, total_var) for f, mu in zip(flows, mus)]
+    return residual_summary(
+        np.concatenate([z for z, _ in parts]), bins, sum(k for _, k in parts)
+    )
 
 
 @dataclass(frozen=True)

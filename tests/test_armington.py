@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,12 +171,17 @@ def test_error_conditions():
     # Location 0 runs a trade surplus of 9.9 on an income of 11, so its
     # expenditure stays positive only while its income stays above 0.9 of
     # baseline; a fivefold cost on its exports leaves no such equilibrium.
-    with pytest.raises(NoConvergence):
-        solve_counterfactual(
-            FlowMatrix([[1.0, 10.0], [0.1, 1.0]]),
-            CounterfactualSpec(np.array([[1.0, 5.0], [1.0, 1.0]])),
-            epsilon=5.0,
-        )
+    # Continuation solves part of the shock, and the error says how much.
+    surplus = FlowMatrix([[1.0, 10.0], [0.1, 1.0]])
+    tau = np.array([[1.0, 5.0], [1.0, 1.0]])
+    with pytest.raises(NoConvergence) as info:
+        solve_counterfactual(surplus, CounterfactualSpec(tau), epsilon=5.0)
+    found = re.search(r"tau\^s up to s = (\S+) and failed at s = (\S+)\)", str(info.value))
+    assert found, str(info.value)
+    done, failed = float(found[1]), float(found[2])
+    assert 0.0 < done < failed <= 1.0
+    solve_counterfactual(surplus, CounterfactualSpec(tau**done), epsilon=5.0)
+    assert info.value.iterations > 0 and info.value.residual > _TOL
 
 
 def test_singular_newton_system_is_no_convergence(monkeypatch):

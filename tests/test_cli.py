@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -510,3 +514,55 @@ def test_identification_error_exit_3(tmp_path):
         ]
     )
     assert code == 3
+
+
+# Blocks scipy before anything is imported, then runs calibrate --mirror and
+# uq end to end; an import of scipy anywhere on these paths raises.
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from pathlib import Path
+import numpy as np
+from flowuq import dataio
+from flowuq.cli import main
+from flowuq.scenarios import armington_world, mirror_world
+
+work = Path(sys.argv[1])
+mirror = mirror_world(n=6, t=4, seed=3)
+dataio.write_mirror_csv(
+    work / "mirror.csv", mirror.labels, mirror.periods,
+    mirror.panel.report1, mirror.panel.report2,
+)
+dataio.write_dyadic_csv(work / "md.csv", mirror.labels, mirror.distances.values, "distance")
+calibrate = main([
+    "calibrate", "--mirror", str(work / "mirror.csv"), "--distances", str(work / "md.csv"),
+    "--output-dir", str(work / "calib"),
+])
+world = armington_world(n=6, seed=1)
+_, obs = world.draw_world(np.random.default_rng(0))
+dataio.write_dyadic_csv(work / "flows.csv", world.labels, obs.values, "flow")
+dataio.write_dyadic_csv(work / "costs.csv", world.labels, np.exp(world.log_costs), "cost")
+dataio.write_params_json(work / "params.json", world.params)
+uq = main([
+    "uq", "--flows", str(work / "flows.csv"), "--params", str(work / "params.json"),
+    "--costs", str(work / "costs.csv"), "--uniform-increase", "0.1", "--b", "40",
+    "--seed", "3", "--output-dir", str(work / "uq"),
+])
+loaded = [m for m in sys.modules if m.startswith("scipy.")]
+print(calibrate, uq, loaded)
+sys.exit(calibrate or uq or bool(loaded))
+"""
+
+
+def test_calibrate_and_uq_run_without_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.split() == ["0", "0", "[]"]
+    assert (tmp_path / "calib" / "normality_summary.json").exists()
+    assert (tmp_path / "uq" / "interval.json").exists()

@@ -52,6 +52,12 @@ def ppml_rebuild(fit, flows, log_costs, include_diagonal=False):
 
 
 class TestPpml:
+    @pytest.mark.filterwarnings("error")
+    def test_no_positive_flow_is_insufficient_data(self):
+        # Only own flows are positive, and they are excluded by default.
+        with pytest.raises(InsufficientData):
+            fit_ppml(FlowMatrix(5.0 * np.eye(4)), np.ones((4, 4)))
+
     def test_exact_recovery(self):
         rng = np.random.default_rng(11)
         flows, log_costs = gravity_flows(8, 5.0, rng)

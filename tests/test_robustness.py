@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,15 @@ from flowuq import (
     fit_log_gravity,
     gravity_partial_plot,
     interval_c1,
+    calibrate_mirror,
     normality_diagnostic,
     robust_interval,
     robust_interval_levels,
     robust_quantile_levels,
     run_attenuation_sim,
 )
+from flowuq.robustness import residual_summary
+from flowuq.scenarios import mirror_world
 
 
 class TestRobustLevels:
@@ -183,6 +188,92 @@ class TestNormalityDiagnostic:
         np.fill_diagonal(values, 1.0)
         diag = normality_diagnostic(FlowMatrix(values), _diag_params(n, 0.0, 0.2, 0.05))
         assert diag.bin_counts.sum() == diag.residuals.size
+
+    def test_per_period_parameters_pool_the_periods(self):
+        scen = mirror_world(n=6, t=4, seed=3)
+        params = calibrate_mirror(scen.panel, scen.distances)
+        flows = [FlowMatrix(r, scen.labels) for r in scen.panel.report1]
+        pooled = normality_diagnostic(flows, params)
+        parts = [
+            normality_diagnostic(f, params.for_period(t)) for f, t in zip(flows, scen.periods)
+        ]
+        assert np.array_equal(pooled.residuals, np.concatenate([d.residuals for d in parts]))
+        assert pooled.n_zero_variance == sum(d.n_zero_variance for d in parts)
+        single = residual_summary(pooled.residuals)
+        for field in ("mean", "variance", "skewness", "excess_kurtosis", "ks_distance"):
+            assert getattr(pooled, field) == getattr(single, field)
+        assert np.array_equal(pooled.bin_counts, single.bin_counts)
+        with pytest.raises(DataError):
+            normality_diagnostic(flows[0], params)
+        with pytest.raises(DataError):
+            normality_diagnostic(flows[:-1], params)
+        with pytest.raises(DataError):
+            normality_diagnostic(flows, params.for_period(scen.periods[0]))
+
+
+def _scipy_statistics(z):
+    # scipy is the independent oracle here; the package never imports it.
+    from scipy import stats
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # near-constant samples
+        return stats.skew(z), stats.kurtosis(z), stats.kstest(z, "norm").statistic
+
+
+def _assert_matches_scipy(z):
+    diag = residual_summary(np.asarray(z, dtype=float))
+    got = (diag.skewness, diag.excess_kurtosis, diag.ks_distance)
+    np.testing.assert_allclose(got, _scipy_statistics(z), rtol=1e-12, atol=0, equal_nan=True)
+    return diag
+
+
+class TestResidualSummary:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_matches_scipy_on_any_sample(self, values):
+        _assert_matches_scipy(values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 5000),
+        st.integers(0, 2**32 - 1),
+        st.floats(min_value=1.5, max_value=50.0),
+        st.floats(min_value=-3.0, max_value=3.0),
+    )
+    def test_matches_scipy_on_heavy_tailed_samples(self, n, seed, df, shift):
+        rng = np.random.default_rng(seed)
+        _assert_matches_scipy(shift + rng.standard_t(df, n))
+
+    def test_single_residual(self):
+        diag = _assert_matches_scipy([0.3])
+        assert np.isnan(diag.skewness) and np.isnan(diag.excess_kurtosis)
+        assert diag.ks_distance == pytest.approx(0.6179114221889526, rel=1e-14)
+
+    def test_constant_sample_has_nan_moments(self):
+        # The mean of 0.1 repeated is not exactly 0.1, so m2 is not exactly
+        # zero; the spread is at rounding level and the moments are NaN.
+        for z in (np.full(7, 0.1), np.zeros(4), np.full(3, -2.5)):
+            diag = _assert_matches_scipy(z)
+            assert np.isnan(diag.skewness) and np.isnan(diag.excess_kurtosis)
+            assert np.isfinite(diag.ks_distance)
+
+    def test_two_point_sample(self):
+        diag = _assert_matches_scipy([1.0, 2.0])
+        assert diag.skewness == 0.0
+        assert diag.excess_kurtosis == -2.0
+        assert diag.variance == 0.25
+        # m2 underflows to a subnormal whose powers are 0: NaN, quietly.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tiny = _assert_matches_scipy([0.0, 1e-160])
+        assert np.isnan(tiny.skewness) and np.isnan(tiny.excess_kurtosis)
 
 
 class TestGravityPartialPlot:
