@@ -19,6 +19,8 @@ from two independent noisy reports per dyad and period.
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -269,8 +271,8 @@ class MirrorPanel:
     """Two independent noisy reports of each off-diagonal dyad per period.
 
     Entries may be NaN (missing) until :func:`resolve_missing` is applied;
-    the calibration estimators require a fully resolved panel.  Diagonal
-    entries are ignored.
+    the calibration estimators require a fully resolved panel.  Off-diagonal
+    entries must not be negative or infinite.  Diagonal entries are ignored.
     """
 
     report1: np.ndarray  # (T, n, n)
@@ -294,6 +296,8 @@ class MirrorPanel:
         has_missing = False
         for name, arr in (("report1", r1), ("report2", r2)):
             vals = arr[:, off]
+            if np.any(np.isinf(vals)):
+                raise DataError(f"{name} contains infinite flows")
             if np.any(vals[~np.isnan(vals)] < 0):
                 raise DataError(f"{name} contains negative flows")
             has_missing = has_missing or bool(np.any(np.isnan(vals)))
@@ -352,8 +356,8 @@ def resolve_missing(panel: MirrorPanel) -> MirrorPanel:
     zeroed = int(np.count_nonzero(np.isnan(r1[:, off]))) + int(
         np.count_nonzero(np.isnan(r2[:, off]))
     )
-    r1 = np.nan_to_num(r1, nan=0.0)
-    r2 = np.nan_to_num(r2, nan=0.0)
+    r1 = np.where(np.isnan(r1), 0.0, r1)
+    r2 = np.where(np.isnan(r2), 0.0, r2)
     return MirrorPanel(
         report1=r1,
         report2=r2,
@@ -648,14 +652,24 @@ def ingest_mirror_csv(path) -> MirrorPanel:
     """Read a mirror panel from CSV and apply the missing-data rule.
 
     Format: ``origin,destination,year,flow_report1,flow_report2``; an empty
-    flow field is a missing value.  Dyad-periods absent from the file are
-    missing as well (and therefore become zeros unless the copy rule fires).
+    or whitespace-only flow field is a missing value, and blank lines are
+    skipped.  Dyad-periods absent from the file are missing as well (and
+    therefore become zeros unless the copy rule fires).  A malformed row
+    raises :class:`ParseError` with its 1-based line number; a dyad-period
+    listed twice is reported at its second row, after every other row
+    parsed.
     """
-    rows = []
     try:
         handle = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
+    # One pass into compact columns: location and period indices in order of
+    # first appearance, the two reports, and each row's line number.
+    label_idx: dict[str, int] = {}
+    period_idx: dict[int, int] = {}
+    origin, dest, period = array("q"), array("q"), array("q")
+    flow1, flow2 = array("d"), array("d")
+    lines = array("q")
     with handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -664,51 +678,75 @@ def ingest_mirror_csv(path) -> MirrorPanel:
                 f"expected header {','.join(_MIRROR_HEADER)}", row=1
             )
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
             if len(row) != 5:
-                raise ParseError(f"expected 5 fields, got {len(row)}", row=lineno)
-            origin, dest = row[0].strip(), row[1].strip()
-            try:
-                year = int(row[2])
-            except ValueError:
-                raise ParseError(f"bad year {row[2]!r}", row=lineno) from None
-            vals = []
-            for cell in row[3:5]:
-                cell = cell.strip()
-                if cell == "":
-                    vals.append(np.nan)
+                if not row or all(not c.strip() for c in row):
                     continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(f"bad flow {cell!r}", row=lineno) from None
-                if v < 0:
-                    raise ParseError(f"negative flow {v}", row=lineno)
-                vals.append(v)
-            if origin == dest:
+                raise ParseError(f"expected 5 fields, got {len(row)}", row=lineno)
+            o, d, year, cell1, cell2 = row
+            try:
+                year = int(year)
+            except ValueError:
+                if all(not c.strip() for c in row):
+                    continue
+                raise ParseError(f"bad year {year!r}", row=lineno) from None
+            v1 = _mirror_flow(cell1, lineno)
+            v2 = _mirror_flow(cell2, lineno)
+            o, d = o.strip(), d.strip()
+            if o == d:
                 raise ParseError("own flows do not belong in a mirror panel", row=lineno)
-            rows.append((origin, dest, year, vals[0], vals[1], lineno))
+            origin.append(label_idx.setdefault(o, len(label_idx)))
+            dest.append(label_idx.setdefault(d, len(label_idx)))
+            period.append(period_idx.setdefault(year, len(period_idx)))
+            flow1.append(v1)
+            flow2.append(v2)
+            lines.append(lineno)
 
-    if not rows:
+    if not lines:
         raise ParseError("no data rows", row=2)
-    labels = sorted({r[0] for r in rows} | {r[1] for r in rows})
-    periods = sorted({r[2] for r in rows})
-    lab_idx = {lab: i for i, lab in enumerate(labels)}
-    per_idx = {t: k for k, t in enumerate(periods)}
+    labels, lab_rank = _sorted_ranks(label_idx)
+    periods, per_rank = _sorted_ranks(period_idx)
     n, t = len(labels), len(periods)
+    k = per_rank[np.frombuffer(period, dtype=np.int64)]
+    i = lab_rank[np.frombuffer(origin, dtype=np.int64)]
+    j = lab_rank[np.frombuffer(dest, dtype=np.int64)]
+    cell = (k * n + i) * n + j
+    _, first = np.unique(cell, return_index=True)
+    if first.size < cell.size:
+        repeat = np.ones(cell.size, dtype=bool)
+        repeat[first] = False
+        row = int(np.argmax(repeat))
+        key = (labels[i[row]], labels[j[row]], periods[k[row]])
+        raise ParseError(f"duplicate dyad-period {key}", row=lines[row])
     r1 = np.full((t, n, n), np.nan)
     r2 = np.full((t, n, n), np.nan)
-    seen = set()
-    for origin, dest, year, v1, v2, lineno in rows:
-        key = (origin, dest, year)
-        if key in seen:
-            raise ParseError(f"duplicate dyad-period {key}", row=lineno)
-        seen.add(key)
-        r1[per_idx[year], lab_idx[origin], lab_idx[dest]] = v1
-        r2[per_idx[year], lab_idx[origin], lab_idx[dest]] = v2
+    r1[k, i, j] = np.frombuffer(flow1)
+    r2[k, i, j] = np.frombuffer(flow2)
 
     panel = MirrorPanel(
         report1=r1, report2=r2, labels=tuple(labels), periods=tuple(periods)
     )
     return resolve_missing(panel)
+
+
+def _sorted_ranks(first_seen: dict) -> tuple[list, np.ndarray]:
+    """The keys in sorted order, and the sorted position of each key indexed
+    by its order of first appearance."""
+    keys = sorted(first_seen)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[[first_seen[key] for key in keys]] = np.arange(len(keys))
+    return keys, rank
+
+
+def _mirror_flow(cell: str, lineno: int) -> float:
+    """One report cell: NaN when empty or blank, else a finite flow >= 0."""
+    try:
+        v = float(cell)
+    except ValueError:
+        if not cell.strip():
+            return np.nan
+        raise ParseError(f"bad flow {cell.strip()!r}", row=lineno) from None
+    if not math.isfinite(v):
+        raise ParseError(f"non-finite flow {cell.strip()!r}", row=lineno)
+    if v < 0:
+        raise ParseError(f"negative flow {v}", row=lineno)
+    return v

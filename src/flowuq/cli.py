@@ -115,26 +115,21 @@ def _write_diagnostics(out: Path, diag, plot):
             "n_zero_variance": diag.n_zero_variance,
         },
     )
-    with open(out / "normality_residuals.csv", "w") as fh:
-        fh.write("residual\n")
-        for v in diag.residuals:
-            fh.write(f"{v!r}\n")
-    with open(out / "normality_histogram.csv", "w") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for k in range(diag.bin_counts.size):
-            fh.write(
-                f"{diag.bin_edges[k]!r},{diag.bin_edges[k + 1]!r},{int(diag.bin_counts[k])}\n"
-            )
+    dataio.write_columns_csv(out / "normality_residuals.csv", ["residual"], [diag.residuals])
+    edges = diag.bin_edges
+    dataio.write_columns_csv(
+        out / "normality_histogram.csv",
+        ["bin_left", "bin_right", "count"],
+        [edges[:-1], edges[1:], diag.bin_counts],
+    )
     if plot is not None:
-        with open(out / "gravity_partial.csv", "w") as fh:
-            fh.write("x,y\n")
-            for xv, yv in zip(plot.x, plot.y):
-                fh.write(f"{xv!r},{yv!r}\n")
-        with open(out / "gravity_binned.csv", "w") as fh:
-            fh.write("bin_center,bin_mean,count\n")
-            for c, m, k in zip(plot.bin_centers, plot.bin_means, plot.bin_counts):
-                if k > 0:
-                    fh.write(f"{c!r},{m!r},{int(k)}\n")
+        dataio.write_columns_csv(out / "gravity_partial.csv", ["x", "y"], [plot.x, plot.y])
+        filled = plot.bin_counts > 0
+        dataio.write_columns_csv(
+            out / "gravity_binned.csv",
+            ["bin_center", "bin_mean", "count"],
+            [plot.bin_centers[filled], plot.bin_means[filled], plot.bin_counts[filled]],
+        )
 
 
 def _j(x: float):
@@ -432,15 +427,13 @@ def cmd_simulate_attenuation(settings: Settings) -> int:
         mu_zero_ablation=settings.get("mu_zero", default=False, cast=bool),
     )
     biases = run_attenuation_sim(cfg)
-    with open(out / "biases.csv", "w") as fh:
-        fh.write("median_posterior_bias\n")
-        for v in biases:
-            fh.write(f"{v!r}\n")
+    dataio.write_columns_csv(out / "biases.csv", ["median_posterior_bias"], [biases])
     counts, edges = np.histogram(biases, bins=40)
-    with open(out / "bias_histogram.csv", "w") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for k in range(counts.size):
-            fh.write(f"{edges[k]!r},{edges[k + 1]!r},{int(counts[k])}\n")
+    dataio.write_columns_csv(
+        out / "bias_histogram.csv",
+        ["bin_left", "bin_right", "count"],
+        [edges[:-1], edges[1:], counts],
+    )
     dataio.write_json(
         out / "attenuation_summary.json",
         {

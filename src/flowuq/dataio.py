@@ -4,20 +4,23 @@ All dyadic inputs share the shape ``origin,destination,value``.  Missing
 dyads default to 0 for flows, 1 for proportional cost changes and cost
 levels; distances must be present for every ordered pair (the reverse
 direction is used as a fallback).  Outputs are plain CSV/JSON with
-deterministic ordering and shortest round-trip float formatting, so a rerun
-with the same seed is byte-identical.
+deterministic ordering, and every CSV and JSON writer prints floats as their
+shortest round-trip text (``float.__repr__``), so a rerun with the same seed
+is byte-identical and every number parses back to the same float.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
 
-from .calibration import CalibratedParams
+from .calibration import _MIRROR_HEADER, CalibratedParams
 from .core import CounterfactualSpec, DistanceMatrix, DrawSet, FlowMatrix
 from .errors import DataError, ParseError
 from .intervals import Interval
@@ -131,69 +134,120 @@ def write_dyadic_csv(path, labels, values: np.ndarray, value_name: str):
                 writer.writerow([o, d, repr(float(values[i, j]))])
 
 
+def _csv_fields(*fields) -> str:
+    """Fields as one line of ``csv.writer`` output, without its "\\r\\n"."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()[:-2]
+
+
 def write_mirror_csv(path, labels, periods, report1, report2):
-    """Inverse of ingest: one row per off-diagonal dyad-period."""
+    """Inverse of ingest: one row per off-diagonal dyad-period; a NaN report
+    is an empty cell.  The bytes are those of ``csv.writer``; each dyad's
+    label pair and each year is quoted once and reused on every row."""
+
+    def cells(matrix):
+        return [["" if v != v else repr(v) for v in row] for row in matrix.tolist()]
+
+    n = len(labels)
+    dyads = [
+        (i, j, _csv_fields(labels[i], labels[j])) for i in range(n) for j in range(n) if i != j
+    ]
+    reports = zip(np.asarray(report1, dtype=float), np.asarray(report2, dtype=float))
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["origin", "destination", "year", "flow_report1", "flow_report2"]
-        )
-        for k, year in enumerate(periods):
-            for i, o in enumerate(labels):
-                for j, d in enumerate(labels):
-                    if i == j:
-                        continue
-                    cells = []
-                    for rep in (report1, report2):
-                        v = rep[k, i, j]
-                        cells.append("" if np.isnan(v) else repr(float(v)))
-                    writer.writerow([o, d, year, cells[0], cells[1]])
+        handle.write(_csv_fields(*_MIRROR_HEADER) + "\r\n")
+        for year, (matrix1, matrix2) in zip(periods, reports):
+            year = _csv_fields(year)
+            rows1, rows2 = cells(matrix1), cells(matrix2)
+            handle.write(
+                "".join(
+                    f"{pair},{year},{rows1[i][j]},{rows2[i][j]}\r\n" for i, j, pair in dyads
+                )
+            )
+
+
+def write_columns_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]):
+    """A CSV of equal-length numeric columns under a header line: floats as
+    their shortest round-trip text, integer columns as integers."""
+    rows = map(",".join, zip(*(map(repr, np.asarray(c).tolist()) for c in columns)))
+    with open(path, "w", newline="") as handle:
+        handle.write("".join(f"{row}\n" for row in (",".join(header), *rows)))
 
 
 # ---------------------------------------------------------------------------
 # Calibrated parameters <-> JSON (keyed by dyad)
 
-
-def _num(x) -> float | None:
-    x = float(x)
-    return None if math.isnan(x) else x
+_JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def params_to_json(params: CalibratedParams) -> dict:
-    labels = params.labels
-    n = params.n
-    periods = list(params.periods) if params.periods is not None else None
-    dyads = {}
-    for i, o in enumerate(labels):
-        for j, d in enumerate(labels):
-            entry = {
-                "p": _num(params.p[i, j]),
-                "b": _num(params.b[i, j]),
-                "s2": _num(params.s2[i, j]),
-                "sigma2": _num(params.sigma2[i, j]),
-            }
-            if params.s2_shrunk is not None:
-                entry["s2_shrunk"] = _num(params.s2_shrunk[i, j])
-            if params.sigma2_shrunk is not None:
-                entry["sigma2_shrunk"] = _num(params.sigma2_shrunk[i, j])
-            if params.mu_defined is not None:
-                entry["mu_defined"] = bool(params.mu_defined[i, j])
-            if params.me_observed is not None:
-                entry["me_observed"] = bool(params.me_observed[i, j])
-            if params.has_periods:
-                entry["mu"] = {
-                    str(t): _num(params.mu[k, i, j]) for k, t in enumerate(periods)
-                }
-            else:
-                entry["mu"] = _num(params.mu[i, j])
-            dyads[f"{o}->{d}"] = entry
-    return {"labels": list(labels), "periods": periods, "dyads": dyads}
+def _json_numbers(values: np.ndarray) -> list[str]:
+    """Each float as ``json.dumps`` writes it once NaN is mapped to None:
+    ``float.__repr__``, ``null`` for NaN, ``Infinity`` for inf."""
+    out = list(map(float.__repr__, values.tolist()))
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        out[k] = _JSON_NONFINITE[out[k]]
+    return out
+
+
+def _json_list(items: list[str]) -> str:
+    """A list of JSON values at the second level of an indent-2 document."""
+    return "[" + ",".join(f"\n    {x}" for x in items) + "\n  ]" if items else "[]"
 
 
 def write_params_json(path, params: CalibratedParams):
+    """Write the parameters keyed by dyad ``"origin->destination"``.
+
+    The bytes equal ``json.dump(doc, handle, indent=2, sort_keys=True)`` and a
+    newline, for the document that maps NaN to None.  The writer streams one
+    dyad block at a time: the indenting encoder is pure Python and several
+    times slower.
+    """
+    n = params.n
+    keys = [f"{o}->{d}" for o in params.labels for d in params.labels]
+    columns = {
+        name: _json_numbers(np.ravel(arr))
+        for name, arr in (
+            ("p", params.p),
+            ("b", params.b),
+            ("s2", params.s2),
+            ("sigma2", params.sigma2),
+            ("s2_shrunk", params.s2_shrunk),
+            ("sigma2_shrunk", params.sigma2_shrunk),
+        )
+        if arr is not None
+    }
+    for name, arr in (("mu_defined", params.mu_defined), ("me_observed", params.me_observed)):
+        if arr is not None:
+            columns[name] = ["true" if v else "false" for v in np.ravel(arr).tolist()]
+    if params.has_periods:
+        periods = params.periods
+        by_text = sorted(range(len(periods)), key=lambda k: str(periods[k]))
+        mu = params.mu.reshape(len(periods), n * n)[by_text].T
+        heads = [f'\n        "{periods[k]}": ' for k in by_text]
+
+        def mu_text(k: int) -> str:
+            numbers = map(str.__add__, heads, _json_numbers(mu[k]))
+            return "{" + ",".join(numbers) + "\n      }" if heads else "{}"
+    else:
+        mu_numbers = _json_numbers(params.mu.ravel())
+        mu_text = mu_numbers.__getitem__
+    names = sorted([*columns, "mu"])
+    periods_text = (
+        "null" if params.periods is None else _json_list([repr(t) for t in params.periods])
+    )
+
     with open(path, "w") as handle:
-        json.dump(params_to_json(params), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write('{\n  "dyads": {')
+        for pos, k in enumerate(sorted(range(n * n), key=keys.__getitem__)):
+            fields = ",".join(
+                f'\n      "{name}": {mu_text(k) if name == "mu" else columns[name][k]}'
+                for name in names
+            )
+            head = "," if pos else ""
+            handle.write(f"{head}\n    {encode_basestring_ascii(keys[k])}: {{{fields}\n    }}")
+        handle.write("\n  }," if n else "},")
+        labels_text = _json_list([encode_basestring_ascii(lab) for lab in params.labels])
+        handle.write(f'\n  "labels": {labels_text},\n  "periods": {periods_text}\n}}\n')
 
 
 def _nan(x) -> float:

@@ -6,7 +6,8 @@ Newton iteration on the log market-clearing defects, the posterior oracle
 does numerical Bayes on a grid instead of conjugate algebra, the variance
 oracle enumerates dyad pairs instead of node sums, and the fixed-effects
 regressions are rebuilt on a dense dummy design instead of the library's
-concentrated projection.
+concentrated projection, and the params.json document is built as a dict
+for ``json.dumps`` instead of the library's streaming writer.
 """
 
 from __future__ import annotations
@@ -117,3 +118,32 @@ def simulate_mirror_zeros(
     r1 = np.where(true_zero | spur1, 0.0, 1.0)
     r2 = np.where(true_zero | spur2, 0.0, 1.0)
     return r1, r2
+
+
+def params_json_doc(params) -> dict:
+    """The params.json document of calibrated parameters as a plain dict:
+    one entry per dyad keyed ``"origin->destination"``, NaN as None, optional
+    matrices only when present, and ``mu`` keyed by period text when the
+    means are per period."""
+
+    def num(x):
+        x = float(x)
+        return None if np.isnan(x) else x
+
+    dyads = {}
+    for i, o in enumerate(params.labels):
+        for j, d in enumerate(params.labels):
+            entry = {name: num(getattr(params, name)[i, j]) for name in ("p", "b", "s2", "sigma2")}
+            for name in ("s2_shrunk", "sigma2_shrunk"):
+                if getattr(params, name) is not None:
+                    entry[name] = num(getattr(params, name)[i, j])
+            for name in ("mu_defined", "me_observed"):
+                if getattr(params, name) is not None:
+                    entry[name] = bool(getattr(params, name)[i, j])
+            if params.has_periods:
+                entry["mu"] = {str(t): num(params.mu[k, i, j]) for k, t in enumerate(params.periods)}
+            else:
+                entry["mu"] = num(params.mu[i, j])
+            dyads[f"{o}->{d}"] = entry
+    periods = None if params.periods is None else list(params.periods)
+    return {"labels": list(params.labels), "periods": periods, "dyads": dyads}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -604,6 +606,92 @@ class TestMirrorCsv:
         rows = ["A,B,2000,-1.0,1.4"]
         with pytest.raises(ParseError):
             ingest_mirror_csv(self.write(tmp_path, rows))
+
+    def test_quoted_labels_blank_lines_and_blank_cells(self, tmp_path):
+        rows = [
+            '"Paris, FR",B,2000,1.5,1.4',
+            "",
+            '   ,  ,  ',
+            ' , ,\t, , ',
+            'B,"Paris, FR",2000,  ,2.1',
+            "  ",
+            '"Paris, FR",B,2001,1.6,1.7',
+            'B,"Paris, FR",2001,2.2,2.3',
+        ]
+        panel = ingest_mirror_csv(self.write(tmp_path, rows))
+        assert panel.labels == ("B", "Paris, FR")
+        assert panel.periods == (2000, 2001)
+        assert panel.report1[0, 1, 0] == 1.5
+        assert panel.report2[1, 0, 1] == 2.3
+        # The whitespace-only cell is missing; the mirror side is not
+        # positive in every period, so it becomes a zero.
+        assert panel.report1[0, 0, 1] == 0.0
+        assert panel.na_zeroed == 1 and panel.na_copied == 0
+
+    @pytest.mark.parametrize(
+        "rows, row",
+        [
+            (["A,B,2000,1.5,1.4", "B,A,2000,2.0"], 3),  # field count
+            (["A,B,2000,1.5,1.4,0"], 2),
+            (["A,B,2000,1.5,1.4", "", "B,A,not_a_year,2.0,2.1"], 4),  # bad year
+            (["A,B,2000,1.5,oops"], 2),  # bad flow
+            (["A,B,2000,-1.0,1.4"], 2),  # negative flow
+            (["A,B,2000,1.5,1.4", "B,A,2000,inf,1.0"], 3),  # non-finite flow
+            (["A,B,2000,1.5,1.4", "B,A,2000,1.0,-Infinity"], 3),
+            (["A,B,2000,1.5,1.4", "B,A,2000,nan,1.0"], 3),
+            (["A,B,2000,1.5,NaN"], 2),
+            (["A,A,2000,1.5,1.4"], 2),  # own flow
+            # A duplicate is reported at its second row, after all rows parse.
+            (["A,B,2000,1.5,1.4", "B,A,2000,1,1", "A,B,2001,1,1", " A , B ,2000,1,1"], 5),
+            (["A,B,2000,1,1", "A,B,2000,2,2", "A,B,2000,3,3"], 3),
+            (["A,B,2000,1,1", "A,B,2000,2,2", "B,A,2000,x,1"], 4),
+            ([], 2),  # no data rows
+            (["", "  "], 2),
+        ],
+    )
+    def test_parse_error_rows(self, tmp_path, rows, row):
+        with pytest.raises(ParseError) as info:
+            ingest_mirror_csv(self.write(tmp_path, rows))
+        assert info.value.row == row
+
+    def test_parse_error_messages(self, tmp_path):
+        cases = [
+            (["A,B,2000,1.5,inf"], "non-finite flow 'inf'"),
+            (["A,B,2000,1.5, nan "], "non-finite flow 'nan'"),
+            (["A,B,2000,x ,1"], "bad flow 'x'"),
+            (["A,B,2000,1,1", "A,B,2000,1,1"], "duplicate dyad-period ('A', 'B', 2000)"),
+        ]
+        for rows, message in cases:
+            with pytest.raises(ParseError, match=re.escape(message)):
+                ingest_mirror_csv(self.write(tmp_path, rows))
+        with pytest.raises(ParseError) as info:
+            ingest_mirror_csv(self.write(tmp_path, ["A,B,2000,1,1"], header="origin,dest,year,a,b"))
+        assert info.value.row == 1
+
+    def test_panel_rejects_infinite_reports(self):
+        r1 = np.ones((1, 2, 2))
+        r2 = np.ones((1, 2, 2))
+        r2[0, 1, 0] = np.inf
+        with pytest.raises(DataError, match="infinite"):
+            MirrorPanel(report1=r1, report2=r2, labels=("A", "B"), periods=(0,))
+        r2[0, 1, 0] = -np.inf
+        with pytest.raises(DataError, match="infinite"):
+            MirrorPanel(report1=r2, report2=r1, labels=("A", "B"), periods=(0,))
+
+    def test_resolve_missing_zeroes_only_nan(self):
+        big = np.finfo(float).max
+        r1 = np.array([[[np.nan, big], [np.nan, np.nan]], [[0.0, 2.5], [0.0, 0.0]]])
+        r2 = np.array([[[0.0, 1.0], [3.0, 0.0]], [[0.0, np.nan], [4.0, 0.0]]])
+        resolved = resolve_missing(
+            MirrorPanel(report1=r1, report2=r2, labels=("A", "B"), periods=(0, 1))
+        )
+        np.testing.assert_array_equal(
+            resolved.report1, [[[0.0, big], [0.0, 0.0]], [[0.0, 2.5], [0.0, 0.0]]]
+        )
+        np.testing.assert_array_equal(
+            resolved.report2, [[[0.0, 1.0], [3.0, 0.0]], [[0.0, 0.0], [4.0, 0.0]]]
+        )
+        assert resolved.na_zeroed == 2 and resolved.na_copied == 0
 
     def test_resolve_missing_order(self):
         # The copy rule fires before the zero rule.

@@ -516,6 +516,43 @@ def test_identification_error_exit_3(tmp_path):
     assert code == 3
 
 
+def _assert_numeric_csv(path):
+    """Every data cell parses: counts as int, everything else as float."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    assert len(lines) > 1, path.name
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == len(header), (path.name, line)
+        for name, cell in zip(header, cells):
+            (int if name == "count" else float)(cell)
+
+
+def test_every_csv_cell_is_a_number(mirror_files, tmp_path):
+    scen, mirror, dist = mirror_files
+    calib = tmp_path / "calib"
+    argv = ["calibrate", "--mirror", str(mirror), "--distances", str(dist)]
+    assert main(argv + ["--output-dir", str(calib)]) == 0
+    flows = tmp_path / "flows.csv"
+    dataio.write_dyadic_csv(flows, scen.labels, scen.panel.report1[-1], "flow")
+    diag = tmp_path / "diag"
+    argv = ["diagnose", "--flows", str(flows), "--distances", str(dist)]
+    argv += ["--params", str(calib / "params.json"), "--period", str(scen.periods[-1])]
+    assert main(argv + ["--output-dir", str(diag)]) == 0
+    att = tmp_path / "att"
+    argv = ["simulate-attenuation", "--m-reps", "3", "--b-draws", "10", "--n", "8"]
+    assert main(argv + ["--output-dir", str(att)]) == 0
+    written = sorted(calib.glob("*.csv")) + sorted(diag.glob("*.csv")) + sorted(att.glob("*.csv"))
+    assert [p.name for p in written] == [
+        "gravity_binned.csv",
+        "gravity_partial.csv",
+        "normality_histogram.csv",
+        "normality_residuals.csv",
+    ] * 2 + ["bias_histogram.csv", "biases.csv"]
+    for path in written:
+        _assert_numeric_csv(path)
+
+
 # Blocks scipy before anything is imported, then runs calibrate --mirror and
 # uq end to end; an import of scipy anywhere on these paths raises.
 _WITHOUT_SCIPY = """
