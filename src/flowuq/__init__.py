@@ -72,10 +72,12 @@ from .errors import (
 )
 from .gravity import (
     GravityFit,
+    PpmlEstimator,
     PpmlFit,
     dyadic_variance,
     fit_log_gravity,
     fit_ppml,
+    fit_ppml_many,
     independent_variance,
     sample_theta,
 )

@@ -24,8 +24,9 @@ with the analytic Jacobian (eps Pi diag(E^cf) Pi' + Pi diag(y Y)) / supply
 - (1 + eps) I, Pi = lam^cf * lam, and the world-income normalization in place
 of the last equation, which Walras' Law makes redundant.  A step-halving line
 search keeps every counterfactual expenditure positive and the squared norm
-of the system falling.  When it stalls, continuation solves smaller shocks
-tau^s (s = 1/2, 1/4, ...) and restarts from their solution;
+of the system falling.  When it stalls, or a stage takes more than
+``_STAGE_STEPS`` steps, continuation solves smaller shocks tau^s
+(s = 1/2, 1/4, ...) and restarts from their solution;
 ``EquilibriumResult.iterations`` counts Newton steps over all stages.
 """
 
@@ -40,6 +41,7 @@ from .errors import DataError, InvalidElasticity, NoConvergence, ZeroDiagonal
 
 _TOL = 1e-10            # sup-norm of the log market-clearing defects
 _MAX_STEPS = 100        # Newton steps, summed over the continuation stages
+_STAGE_STEPS = 25       # Newton steps a stage may take before the shock narrows
 _MAX_HALVINGS = 30      # step halvings before the line search stalls
 _MIN_STAGE = 2.0**-20   # narrowest continuation stage
 
@@ -80,17 +82,20 @@ def _defects(log_tau, log_y, shares, income, deficit, epsilon):
 
 def _newton(log_tau, log_y, shares, income, deficit, epsilon, max_steps):
     """Newton with line search from log_y, a point with positive expenditure.
-    Returns (log_y, residual, steps, converged); it stops unconverged when
-    the Newton system is singular, the line search stalls or max_steps run
-    out."""
+    Returns (log_y, residual, steps, stop): ``stop`` is None on convergence,
+    else why Newton stopped -- the step cap, a singular Newton system, or a
+    line search that could not shrink the system's norm, either because no
+    halved step kept every counterfactual expenditure positive ("positivity
+    bound") or because the positive ones did not reduce it ("line-search
+    stall")."""
     args = (shares, income, deficit, epsilon)
     defect, g, pi, exp_cf = _defects(log_tau, log_y, *args)
     for steps in range(max_steps + 1):
         residual = float(np.max(np.abs(defect)))
         if max(residual, abs(g[-1])) <= _TOL:
-            return log_y, residual, steps, True
+            return log_y, residual, steps, None
         if steps == max_steps:
-            break
+            return log_y, residual, steps, "step cap"
         y_income = np.exp(log_y) * income
         jac = (epsilon * (pi * exp_cf) @ pi.T + pi * y_income) / (pi @ exp_cf)[:, None]
         jac[np.diag_indices_from(jac)] -= 1.0 + epsilon
@@ -98,17 +103,18 @@ def _newton(log_tau, log_y, shares, income, deficit, epsilon, max_steps):
         try:
             step = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError:
-            break
+            return log_y, residual, steps, "singular Newton system"
+        positive = False
         for _ in range(_MAX_HALVINGS):
             with np.errstate(all="ignore"):  # an overlong step may overflow
                 trial = _defects(log_tau, log_y + step, *args)
                 if trial is not None and trial[1] @ trial[1] < g @ g:
                     break
+            positive = positive or trial is not None
             step = 0.5 * step
         else:
-            break
+            return log_y, residual, steps, "line-search stall" if positive else "positivity bound"
         log_y, (defect, g, pi, exp_cf) = log_y + step, trial
-    return log_y, residual, steps, False
 
 
 def solve_counterfactual(
@@ -131,8 +137,8 @@ def solve_counterfactual(
     InvalidElasticity, ZeroDiagonal, DataError
     NoConvergence
         When Newton with continuation cannot reach the full shock; the
-        message names the last solved share s of the shock tau^s and the
-        share it failed at.
+        message names the last solved share s of the shock tau^s, the share
+        it failed at, and what stopped Newton there (``reason``).
     """
     if epsilon <= 0:
         raise InvalidElasticity(f"elasticity must be > 0, got {epsilon}")
@@ -151,24 +157,27 @@ def solve_counterfactual(
     log_tau = np.log(tau)
     # Continuation: when Newton stalls on the shock tau^s, the next stage
     # starts from the last solved shock tau^done and aims halfway back.
-    log_y, done, s, steps = np.zeros(flows.n), 0.0, 1.0, 0
+    # ``stall`` is what stopped the last stage that failed before the current
+    # one, reported along with the final stop when the two differ.
+    log_y, done, s, steps, stall = np.zeros(flows.n), 0.0, 1.0, 0, None
     while True:
-        log_y_s, residual, k, converged = _newton(
-            s * log_tau, log_y, *args, _MAX_STEPS - steps
+        log_y_s, residual, k, stop = _newton(
+            s * log_tau, log_y, *args, min(_STAGE_STEPS, _MAX_STEPS - steps)
         )
         steps += k
-        if converged and s == 1.0:
+        if stop is None and s == 1.0:
             break
-        if converged:
+        if stop is None:
             log_y, done, s = log_y_s, s, 1.0
         elif steps < _MAX_STEPS and s - done > _MIN_STAGE:
-            s = 0.5 * (done + s)
+            s, stall = 0.5 * (done + s), stop
         else:
             raise NoConvergence(
                 steps,
                 residual,
                 what="counterfactual solver (continuation solved the shock tau^s "
                 f"up to s = {done:.6g} and failed at s = {s:.6g})",
+                reason=stop if stall in (None, stop) else f"{stop} after {stall}",
             )
 
     lam_cf = _share_changes(log_tau, log_y_s, agg.shares, epsilon)

@@ -563,7 +563,8 @@ def _twoway_log_fit(values: np.ndarray, what: str, keep_empty: bool) -> np.ndarr
                 )
     log_v = np.log(np.where(mask, values, 1.0))
     labels = _components(mask)
-    fe_o, fe_d, linked = _twoway_fe(mask.astype(float), log_v[:, :, None], labels)
+    fe_o, fe_d, linked = _twoway_fe(mask.astype(float)[None], log_v[None, :, :, None], labels)
+    fe_o, fe_d = fe_o[0], fe_d[0]
     identified = linked & off
     if not keep_empty and not identified[off].all():
         raise InsufficientData(

@@ -17,7 +17,6 @@ failed draws.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from .errors import (
     LengthMismatch,
     TooManyFailures,
 )
-from .gravity import fit_log_gravity, fit_ppml
+from .gravity import PpmlEstimator, fit_log_gravity, fit_ppml
 from .robustness import (
     AttenuationSimConfig,
     gravity_partial_plot,
@@ -283,14 +282,6 @@ def cmd_counterfactual(settings: Settings) -> int:
 # uq
 
 
-def _ppml_estimator(flows: FlowMatrix, log_costs, include_diagonal) -> EstimatorResult:
-    fit = fit_ppml(flows, log_costs, include_diagonal=include_diagonal)
-    return EstimatorResult(
-        theta_hat=np.array([fit.epsilon_hat]),
-        sigma_hat=np.array([[fit.variance]]),
-    )
-
-
 class _ConstantModel:
     """Smoke-test plug-in: ignores everything and returns a constant."""
 
@@ -318,9 +309,7 @@ def cmd_uq(settings: Settings) -> int:
     if costs_path is not None:
         log_costs = dataio.read_costs_csv(costs_path, flows.labels)
         include_diag = settings.get("include_diagonal", default=False, cast=bool)
-        estimator = functools.partial(
-            _ppml_estimator, log_costs=log_costs, include_diagonal=include_diag
-        )
+        estimator = PpmlEstimator(log_costs, include_diag)
     else:
         theta = settings.get("theta", cast=float)
         if theta is None:

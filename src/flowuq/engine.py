@@ -3,12 +3,15 @@
 The draw loop is the same in every variant: sample a data matrix from the
 measurement-error posterior, sample a structural parameter from the
 estimation-error posterior, evaluate the counterfactual.  Modes fix one leg
-("only-ee" keeps the observed data, "only-me" keeps the point estimate);
-smoothing variants transform the drawn matrix before the model sees it.
+("only-ee" keeps the observed data, smoothed and estimated once; "only-me"
+keeps the point estimate); smoothing variants transform the drawn matrix
+before the model sees it.  The loop runs in batches of draws whose matrices
+are estimated together when the estimator has a ``many`` method (as
+``gravity.PpmlEstimator`` does), and one by one otherwise.
 
 Reproducibility contract: every draw b has its own counter-based RNG streams
 keyed by (seed, b), so the result is a pure function of (inputs, seed, B) no
-matter how the loop is scheduled across workers.
+matter how the loop is scheduled across workers and batches.
 """
 
 from __future__ import annotations
@@ -145,6 +148,17 @@ class LowDimSmoother:
 # Draw loop
 
 
+# A batch of draws is estimated together; its size keeps the batch's stacked
+# n x n grids within this many cells: 81 draws at n = 10, 9 at n = 30 and
+# one from n = 91 on.  PPML holds about 15 grids per draw at its peak, so a
+# batch's working memory stays near 1 MB.
+_BATCH_CELLS = 8192
+
+
+def _batch_size(n: int) -> int:
+    return max(1, _BATCH_CELLS // (n * n))
+
+
 @dataclass(frozen=True)
 class _LoopContext:
     """Everything a worker needs to produce draws; must stay picklable."""
@@ -157,42 +171,45 @@ class _LoopContext:
     cfg: UqConfig
     smoother: Callable[[FlowMatrix], FlowMatrix] | None
     theta_fixed: np.ndarray | None  # set in only-me mode
+    # Set in only-ee mode: the matrix the model evaluates and its estimate,
+    # the same on every draw.
+    data_fixed: tuple[FlowMatrix, EstimatorResult] | None
 
 
-def _estimate(ctx: _LoopContext, flows: FlowMatrix) -> EstimatorResult:
-    if isinstance(ctx.estimator, EstimatorResult):
-        return ctx.estimator
-    return ctx.estimator(flows)
+def _estimate(estimator: Estimator | EstimatorResult, flows: FlowMatrix) -> EstimatorResult:
+    return estimator if isinstance(estimator, EstimatorResult) else estimator(flows)
 
 
-def _one_draw(ctx: _LoopContext, b: int):
+def _estimate_many(
+    estimator: Estimator | EstimatorResult, flows: list[FlowMatrix]
+) -> list[EstimatorResult]:
+    """Estimates of a batch of matrices: through the estimator's ``many``
+    when it has one, else one call per matrix."""
+    if isinstance(estimator, EstimatorResult):
+        return [estimator] * len(flows)
+    many = getattr(estimator, "many", None)
+    if many is not None:
+        return many(flows)
+    return [estimator(f) for f in flows]
+
+
+def _evaluate_draw(ctx: _LoopContext, b: int, flows_eval: FlowMatrix, est, degenerate: int):
     """Returns (gamma or None, the outcomes of every parameter draw that
-    evaluated, degenerate count).
+    evaluated, degenerate count) for draw b.
 
-    The parameter draws are the point estimate alone in only-me mode, else
-    one draw from this b's estimate, or ``cfg.inner_draws`` of them for the
-    interval-of-intervals.  The first one gives this b's outcome draw, so c1
-    and c2 share the same draw set under the same seed; if it fails, draw b
-    fails."""
+    The parameter draws are the point estimate alone in only-me mode
+    (``est`` is None), else one draw from this b's estimate, or
+    ``cfg.inner_draws`` of them for the interval-of-intervals.  The first one
+    gives this b's outcome draw, so c1 and c2 share the same draw set under
+    the same seed; if it fails, draw b fails."""
     cfg = ctx.cfg
-    degenerate = 0
-    if cfg.mode == "only-ee":
-        flows_b = ctx.flows_obs
-    else:
-        flows_b, degenerate = sample_flow_matrix(
-            ctx.flows_obs, ctx.params, draw_rng(cfg.seed, b, 0)
-        )
-    flows_eval = ctx.smoother(flows_b) if ctx.smoother is not None else flows_b
-    flows_est = flows_eval if cfg.smooth_for_estimation else flows_b
-
-    if cfg.mode == "only-me":
+    if est is None:
         theta_draws = [ctx.theta_fixed]
     else:
-        est_b = _estimate(ctx, flows_est)
         theta_rng = draw_rng(cfg.seed, b, 1)
         n_theta = cfg.inner_draws if cfg.interval_kind == "c2" else 1
         theta_draws = [
-            sample_theta(est_b, theta_rng, positive=cfg.positive_theta)
+            sample_theta(est, theta_rng, positive=cfg.positive_theta)
             for _ in range(n_theta)
         ]
 
@@ -207,7 +224,36 @@ def _one_draw(ctx: _LoopContext, b: int):
 
 
 def _run_chunk(ctx: _LoopContext, draws: Sequence[int]):
-    return [(b, _one_draw(ctx, b)) for b in draws]
+    """The draw loop, over batches of ``_batch_size(n)`` draws: sample each
+    draw's flow matrix from its own stream, estimate the batch's matrices
+    together, then sample the parameter and evaluate the model draw by draw.
+    An estimator error is raised for the batch before any of its draws is
+    evaluated."""
+    cfg = ctx.cfg
+    size = _batch_size(ctx.flows_obs.n)
+    results = []
+    for start in range(0, len(draws), size):
+        batch = draws[start : start + size]
+        if cfg.mode == "only-ee":
+            flows_eval, est = ctx.data_fixed
+            drawn = [(flows_eval, est, 0)] * len(batch)
+        else:
+            sampled = [
+                sample_flow_matrix(ctx.flows_obs, ctx.params, draw_rng(cfg.seed, b, 0))
+                for b in batch
+            ]
+            flows_b = [flows for flows, _ in sampled]
+            evals = flows_b if ctx.smoother is None else [ctx.smoother(f) for f in flows_b]
+            if cfg.mode == "only-me":
+                ests = [None] * len(batch)
+            else:
+                ests = _estimate_many(
+                    ctx.estimator, evals if cfg.smooth_for_estimation else flows_b
+                )
+            drawn = zip(evals, ests, (degenerate for _, degenerate in sampled))
+        for b, (flows_eval, est, degenerate) in zip(batch, drawn):
+            results.append((b, _evaluate_draw(ctx, b, flows_eval, est, degenerate)))
+    return results
 
 
 def _run_loop(ctx: _LoopContext):
@@ -265,16 +311,6 @@ def _compose(ctx: _LoopContext, results, labels) -> tuple[DrawSet, tuple[Interva
     return draw_set, intervals
 
 
-def _prepare_theta_fixed(ctx_estimator, flows_obs, mode):
-    if mode != "only-me":
-        return None
-    if isinstance(ctx_estimator, EstimatorResult):
-        return ctx_estimator.theta_hat
-    if ctx_estimator is None:
-        raise DataError("only-me mode needs an estimator for the point estimate")
-    return ctx_estimator(flows_obs).theta_hat
-
-
 def run_algorithm1(
     flows_obs: FlowMatrix,
     params: CalibratedParams | None,
@@ -291,8 +327,10 @@ def run_algorithm1(
     Returns the draw set and one interval per outcome coordinate.  Passing
     an :class:`EstimatorResult` instead of a callable estimator uses the
     fixed-external-estimator variant: the parameter is sampled independently
-    of the data draw.  Failed model evaluations are skipped and counted;
-    more than ``cfg.max_failure_fraction`` of them aborts.
+    of the data draw.  A callable estimator with a ``many`` method gets each
+    batch of drawn matrices in one call and must return what one call per
+    matrix would.  Failed model evaluations are skipped and counted; more
+    than ``cfg.max_failure_fraction`` of them aborts.
 
     With a ``smoother`` each drawn matrix is smoothed before the model
     evaluates it.  The parameter is estimated on the unsmoothed draw unless
@@ -303,6 +341,16 @@ def run_algorithm1(
         raise DataError("data sampling requires calibrated parameters")
     if params is not None and params.has_periods:
         raise DataError("slice per-period parameters with for_period() first")
+    theta_fixed = data_fixed = None
+    if cfg.mode == "only-me":
+        if estimator is None:
+            raise DataError("only-me mode needs an estimator for the point estimate")
+        theta_fixed = _estimate(estimator, flows_obs).theta_hat
+    elif cfg.mode == "only-ee":
+        # The data are fixed, so smooth and estimate once for every draw.
+        flows_eval = smoother(flows_obs) if smoother is not None else flows_obs
+        flows_est = flows_eval if cfg.smooth_for_estimation else flows_obs
+        data_fixed = (flows_eval, _estimate(estimator, flows_est))
     ctx = _LoopContext(
         flows_obs=flows_obs,
         params=params,
@@ -311,7 +359,8 @@ def run_algorithm1(
         cf_spec=cf_spec,
         cfg=cfg,
         smoother=smoother,
-        theta_fixed=_prepare_theta_fixed(estimator, flows_obs, cfg.mode),
+        theta_fixed=theta_fixed,
+        data_fixed=data_fixed,
     )
     results = _run_loop(ctx)
     return _compose(ctx, results, flows_obs.labels)
@@ -342,9 +391,4 @@ def point_estimate(
     cf_spec: CounterfactualSpec,
 ) -> np.ndarray:
     """g evaluated at the observed data and the point estimate."""
-    theta = (
-        estimator.theta_hat
-        if isinstance(estimator, EstimatorResult)
-        else estimator(flows_obs).theta_hat
-    )
-    return evaluate_model(model, flows_obs, theta, cf_spec)
+    return evaluate_model(model, flows_obs, _estimate(estimator, flows_obs).theta_hat, cf_spec)

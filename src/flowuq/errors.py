@@ -67,12 +67,16 @@ class NotPSD(FlowUqError):
 class NoConvergence(FlowUqError):
     """An iterative solver hit its iteration cap before reaching tolerance."""
 
-    def __init__(self, iterations: int, residual: float, what: str = "solver"):
+    def __init__(
+        self, iterations: int, residual: float, what: str = "solver", reason: str | None = None
+    ):
         self.iterations = iterations
         self.residual = residual
+        self.reason = reason
+        stopped = "" if reason is None else f"; stopped by {reason}"
         super().__init__(
             f"{what} did not converge after {iterations} iterations "
-            f"(residual {residual:.3e})"
+            f"(residual {residual:.3e}{stopped})"
         )
 
 

@@ -1,14 +1,17 @@
 """Structural-parameter estimation from dyadic flows.
 
 Every regression here has origin and destination fixed effects, and all of
-them go through one weighted two-way projection on the n x n grid,
-``_twoway_fe``.  It concentrates the origin effects out of the normal
-equations and solves the remaining destination block (the Frisch-Waugh-
-Lovell concentration of ppmlhdfe), so no dummy design is ever built and a
-slope is the regression of one partialled variable on another.
+them go through one weighted two-way projection on n x n grids,
+``_twoway_fe``, which takes a batch of weightings and solves their
+concentrated systems as one stack.  It concentrates the origin effects out
+of the normal equations and solves the remaining destination block (the
+Frisch-Waugh-Lovell concentration of ppmlhdfe), so no dummy design is ever
+built and a slope is the regression of one partialled variable on another.
 
-* ``fit_ppml`` -- Poisson pseudo-maximum-likelihood with origin and
-  destination fixed effects, robust to zero flows.  Each iteratively
+* ``fit_ppml_many`` -- Poisson pseudo-maximum-likelihood with origin and
+  destination fixed effects, robust to zero flows, for a stack of flow
+  matrices at once; ``fit_ppml`` is a batch of one, and ``PpmlEstimator``
+  is the bootstrap's estimator plug-in on top of both.  Each iteratively
   reweighted least-squares step partials log cost and the working response
   on the fixed effects with weights mu and regresses one on the other.  The
   negated coefficient on log cost is the trade elasticity.  Its sampling
@@ -42,56 +45,55 @@ from .errors import (
 )
 
 _FE_DIVERGENCE_BOUND = 30.0
-
-
-def dyad_indices(n: int, include_diagonal: bool = False):
-    """Row-major (origin, destination) index arrays for all dyads."""
-    oidx, didx = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    oidx, didx = oidx.ravel(), didx.ravel()
-    if not include_diagonal:
-        keep = oidx != didx
-        oidx, didx = oidx[keep], didx[keep]
-    return oidx, didx
+_MAX_ITER = 200  # IRLS iterations before a fit counts as not converged
 
 
 def _twoway_fe(w: np.ndarray, v: np.ndarray, labels: tuple[np.ndarray, np.ndarray]):
-    """Weighted projection of values on origin and destination fixed effects.
+    """Weighted projection of values on origin and destination fixed effects,
+    for a batch of k weightings of one sample.
 
-    ``w`` (n, n) holds the weights, zero outside the sample; ``v`` (n, n, k)
-    holds k finite value columns, ignored outside the sample; ``labels`` are
-    the sample's component labels from ``_components(w > 0)``.  Each column
-    gets the minimiser of sum w_ij (v_ij - a_i - b_j)^2.  With r and c the
-    row and column sums of w, and p and q those of w * v, the origin effects
-    are a = (p - w b) / r, which leaves the destination block
+    ``w`` (k, n, n) holds the weights, zero outside the sample; ``v``
+    (k, n, n, m) holds m finite value columns, ignored outside the sample;
+    ``labels`` are the sample's component labels from ``_components``, which
+    every weighting in the batch shares.  Each column gets the minimiser of
+    sum w_ij (v_ij - a_i - b_j)^2.  With r and c the row and column sums of
+    w, and p and q those of w * v, the origin effects are a = (p - w b) / r,
+    which leaves the destination block
 
         (diag(c) - w' diag(1/r) w) b = q - w' diag(1/r) p.
 
     That block is singular along the destination indicator of each connected
     component of the sample (origins and destinations joined by sampled
     dyads; an absent location is a component of its own).  Adding those
-    indicators makes it regular without moving the fitted values.
+    indicators makes it regular without moving the fitted values.  The k
+    blocks are solved as one stack.
 
-    Returns ``(a, b, linked)``: effects of shape (n, k), normalised to
+    Returns ``(a, b, linked)``: effects of shape (k, n, m), normalised to
     a[0] = 0 on the component of origin 0 and to zero-sum destination effects
     on every other component, zero for absent locations; and the (n, n) mask
     of dyads whose fitted value a_i + b_j is identified, their origin and
     destination lying in one component.
     """
     comp_o, comp_d = labels
-    r = w.sum(axis=1)
-    r = np.where(r > 0, r, 1.0)[:, None]  # an absent origin has a zero row
-    c = w.sum(axis=0)
-    wv = w[:, :, None] * v
-    p, q = wv.sum(axis=1), wv.sum(axis=0)
+    n = w.shape[1]
+    r = w.sum(axis=2)
+    r = np.where(r > 0, r, 1.0)[:, :, None]  # an absent origin has a zero row
+    c = w.sum(axis=1)
+    wv = w[..., None] * v
+    p, q = wv.sum(axis=2), wv.sum(axis=1)
     w_r = w / r
-    schur = np.diag(c) - w.T @ w_r
-    schur += (c.max() or 1.0) * (comp_d[:, None] == comp_d[None, :])
-    b = np.linalg.solve(schur, q - w_r.T @ p)
+    schur = -(w.transpose(0, 2, 1) @ w_r)
+    schur.reshape(len(schur), n * n)[:, :: n + 1] += c  # the diagonal
+    c_max = c.max(axis=1)
+    schur += np.where(c_max > 0, c_max, 1.0)[:, None, None] * (
+        comp_d[:, None] == comp_d[None, :]
+    )
+    b = np.linalg.solve(schur, q - w_r.transpose(0, 2, 1) @ p)
     a = (p - w @ b) / r
 
-    shift = a[0].copy()
-    a[comp_o == comp_o[0]] -= shift
-    b[comp_d == comp_o[0]] += shift
+    shift = a[:, 0].copy()
+    a[:, comp_o == comp_o[0]] -= shift[:, None, :]
+    b[:, comp_d == comp_o[0]] += shift[:, None, :]
     return a, b, comp_o[:, None] == comp_d[None, :]
 
 
@@ -115,12 +117,15 @@ def _components(sample: np.ndarray):
         comp_o, comp_d = new_o, new_d
 
 
-def _require_variation(h: float, total: float, what: str):
-    """Raise Collinear when the partialled regressor's weighted sum of
-    squares ``h`` is nil next to the raw one (residual norm below 1e-8 of
-    the regressor's)."""
-    if h <= 1e-16 * total:
-        raise Collinear(f"{what} lies in the span of the fixed effects")
+def _lacks_variation(h, total):
+    """Whether a partialled regressor's weighted sum of squares ``h`` is nil
+    next to the raw one ``total`` (residual norm below 1e-8 of the
+    regressor's)."""
+    return h <= 1e-16 * total
+
+
+def _collinear(what: str) -> Collinear:
+    return Collinear(f"{what} lies in the span of the fixed effects")
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,7 @@ class PpmlFit:
     influence: np.ndarray         # n x n influence values, zero off the sample
     variance: float               # sampling variance of epsilon_hat
     variance_psd_projected: bool  # whether the dyadic pair sum was negative
-    mu_hat: np.ndarray            # fitted mean flows, dyad_indices order
+    mu_hat: np.ndarray            # n x n fitted mean flows, zero off the sample
     n: int
     deviance: float
     iterations: int
@@ -158,10 +163,17 @@ class GravityFit:
     n_obs: int
 
 
-def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ylogy = np.where(y > 0, y * np.log(np.where(y > 0, y / mu, 1.0)), 0.0)
-    return float(2.0 * np.sum(ylogy - (y - mu)))
+def _grid_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of each (n, n) slice of a stack, added in the same order whatever
+    the stack's length, so a slice sums alike alone and in a batch."""
+    return np.add.reduce(x.reshape(x.shape[0], x.shape[1] * x.shape[2]), axis=1)
+
+
+def _poisson_deviance(y: np.ndarray, mu: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Poisson deviance of each slice of a stack, ``pos`` marking y > 0;
+    dyads with y = mu = 0 (off the sample) add nothing."""
+    ratio = np.divide(y, mu, out=np.ones_like(y), where=pos)
+    return 2.0 * _grid_sum(y * np.log(ratio) - (y - mu))
 
 
 def fit_ppml(
@@ -170,19 +182,43 @@ def fit_ppml(
     include_diagonal: bool = False,
     variance_mode: str = "dyadic",
     dev_tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> PpmlFit:
     """Poisson pseudo-likelihood fit of flows on log costs with two-way FEs.
 
     Zeros in the flows are fine; that is the point of PPML.  The elasticity
-    estimate is the negated coefficient on ``log_costs``.  Each iteration
-    takes the weighted least-squares step by partialling, with step-halving
-    on the linear predictor whenever the deviance would rise.
+    estimate is the negated coefficient on ``log_costs``.  This is
+    ``fit_ppml_many`` on a batch of one; the errors are documented there.
+    """
+    return fit_ppml_many(
+        flows.values[None], log_costs, include_diagonal, variance_mode, dev_tol
+    )[0]
+
+
+def fit_ppml_many(
+    values: np.ndarray,
+    log_costs: np.ndarray,
+    include_diagonal: bool = False,
+    variance_mode: str = "dyadic",
+    dev_tol: float = 1e-12,
+) -> list[PpmlFit]:
+    """PPML fits of a (k, n, n) stack of flow matrices on shared log costs,
+    run as one batched IRLS.
+
+    Flows, means, the linear predictor and the weights are n x n grids with
+    weight zero off the sample (the diagonal, unless included).  Each
+    iteration partials log cost and the working response on the fixed
+    effects for every live fit at once and regresses one on the other.  Every
+    fit has its own step-halving on the linear predictor, taken whenever its
+    deviance would rise, and its own convergence test, and it leaves the
+    iteration with its state frozen once it converges.  Every slice's fit
+    equals ``fit_ppml`` on that slice alone, bit for bit.
 
     Raises
     ------
+    DataError
+        On a malformed stack, or log costs that are not finite where used.
     InsufficientData
-        When no included dyad has a positive flow.
+        When no included dyad of a slice has a positive flow.
     Collinear
         When ``log_costs`` has no variation beyond the fixed effects.
     Separation
@@ -190,109 +226,184 @@ def fit_ppml(
         effect normalised to zero) during iteration.
     NoConvergence
         When the iteration cap is hit or the first-order conditions fail.
+
+    When several slices fail, the error raised is that of the lowest failing
+    slice, the one ``fit_ppml`` raises on that slice alone.
     """
-    n = flows.n
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[1] != values.shape[2]:
+        raise DataError(f"flows must be a (k, n, n) stack, got shape {values.shape}")
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise DataError("flows must be finite and non-negative")
+    k, n = values.shape[:2]
     log_costs = np.asarray(log_costs, dtype=float)
     if log_costs.shape != (n, n):
         raise DataError("log_costs must be n x n")
     if variance_mode not in ("dyadic", "independent"):
         raise DataError(f"unknown variance mode {variance_mode!r}")
-    oidx, didx = dyad_indices(n, include_diagonal)
-    y = flows.values[oidx, didx]
-    cost = log_costs[oidx, didx]
-    if not np.all(np.isfinite(cost)):
+    mask = np.ones((n, n), dtype=bool) if include_diagonal else ~np.eye(n, dtype=bool)
+    if not np.all(np.isfinite(log_costs[mask])):
         raise DataError("log_costs must be finite on included dyads")
-    if not np.any(y > 0):
-        raise InsufficientData("no positive flow on the included dyads")
-    # Standard GLM warm start: pull the mean toward the sample average.
-    mu = 0.5 * (y + y.mean())
-    sample = np.zeros((n, n), dtype=bool)
-    sample[oidx, didx] = mu > 0  # and every later mu = exp(eta) > 0 there
-    labels = _components(sample)
+    on = mask.astype(float)
+    cost = np.where(mask, log_costs, 0.0)
+    cost2 = cost * cost
+    labels = _components(mask)
 
-    def partial(mu, *columns):
-        """The columns partialled on the fixed effects with weights mu, and
-        those fixed effects."""
-        w = np.zeros((n, n))
-        w[oidx, didx] = mu
-        v = np.zeros((n, n, len(columns)))
-        v[oidx, didx] = np.stack(columns, axis=-1)
-        a, b, _ = _twoway_fe(w, v, labels)
-        return v[oidx, didx] - a[oidx] - b[didx], a, b
+    def trial(y, pos, s, o, d):
+        """Linear predictor, mean and deviance of candidate coefficients."""
+        eta = s[:, None, None] * cost + o[:, :, None] + d[:, None, :]
+        np.minimum(np.maximum(eta, -700.0, out=eta), 700.0, out=eta)
+        mu = np.exp(eta) * on
+        return eta, mu, _poisson_deviance(y, mu, pos)
 
-    def predictor(coef):
-        return coef[0] * cost + coef[1 : n + 1][oidx] + coef[n + 1 :][didx]
+    # Results, filled in as fits leave the iteration, and the failures.
+    slope, fe_o, fe_d = np.zeros(k), np.zeros((k, n)), np.zeros((k, n))
+    mu_hat, deviance = np.zeros((k, n, n)), np.zeros(k)
+    iterations = np.zeros(k, dtype=int)
+    failures: dict[int, Exception] = {}
 
-    eta = np.log(mu)
-    dev = _poisson_deviance(y, mu)
-    coef = None  # [slope, origin effects, destination effects]
-    converged = False
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
-        z = eta + (y - mu) / mu
-        resid, a, b = partial(mu, cost, z)
-        xt, zt = resid[:, 0], resid[:, 1]
-        h = float(mu @ (xt * xt))
-        _require_variation(h, float(mu @ (cost * cost)), "log cost")
-        slope = float((mu * xt) @ zt) / h
-        coef_new = np.concatenate(
-            [[slope], a[:, 1] - slope * a[:, 0], b[:, 1] - slope * b[:, 0]]
-        )
-        if coef is None:
-            coef_try, dev_try = coef_new, None
-        else:
-            step = 1.0
-            while True:
-                coef_try = coef + step * (coef_new - coef)
-                dev_try = _poisson_deviance(
-                    y, np.exp(np.clip(predictor(coef_try), -700, 700))
-                )
-                if dev_try <= dev + dev_tol * max(1.0, abs(dev)) or step < 1e-8:
-                    break
-                step *= 0.5
-        if np.max(np.abs(coef_try[1:])) > _FE_DIVERGENCE_BOUND:
-            raise Separation(
-                "a fixed effect exceeded "
-                f"{_FE_DIVERGENCE_BOUND:g} during PPML iteration"
-            )
-        coef = coef_try
-        eta = np.clip(predictor(coef), -700, 700)
-        mu = np.exp(eta)
-        dev_new = _poisson_deviance(y, mu) if dev_try is None else dev_try
-        if abs(dev - dev_new) < dev_tol * max(1.0, abs(dev)):
-            dev = dev_new
-            converged = True
+    # The live fits' state, one row per fit in ``idx``.
+    y = values * on
+    pos = y > 0
+    has_flow = pos.any(axis=(1, 2))
+    for j in np.flatnonzero(~has_flow):
+        failures[int(j)] = InsufficientData("no positive flow on the included dyads")
+    idx = np.flatnonzero(has_flow)
+    idx = idx[idx < min(failures, default=k)]
+    y, pos = y[idx], pos[idx]
+    # Standard GLM warm start: pull the mean toward the sample average.  Its
+    # support, and so that of every later mu = exp(eta), is the whole mask.
+    mu = 0.5 * (y + (_grid_sum(y) / mask.sum())[:, None, None]) * on
+    eta = np.log(np.where(mask, mu, 1.0))
+    dev = _poisson_deviance(y, mu, pos)
+    s, o, d = np.zeros(len(idx)), np.zeros((len(idx), n)), np.zeros((len(idx), n))
+
+    for iteration in range(1, _MAX_ITER + 1):
+        if not idx.size:
             break
-        dev = dev_new
-    if not converged:
-        raise NoConvergence(max_iter, abs(dev), what="PPML")
+        v = np.empty(mu.shape + (2,))
+        v[..., 0] = cost
+        np.divide(y - mu, np.where(mask, mu, 1.0), out=v[..., 1])
+        v[..., 1] += eta  # the working response z = eta + (y - mu) / mu
+        a, b, _ = _twoway_fe(mu, v, labels)
+        v -= a[:, :, None, :]
+        v -= b[:, None, :, :]
+        xt, zt = v[..., 0], v[..., 1]  # the partialled columns
+        h = _grid_sum(mu * (xt * xt))
+        lacking = _lacks_variation(h, _grid_sum(mu * cost2))
+        if lacking.any():
+            for j in idx[lacking]:
+                failures[int(j)] = _collinear("log cost")
+            idx, y, pos, mu, eta, dev, s, o, d, xt, zt, h, a, b = (
+                x[~lacking] for x in (idx, y, pos, mu, eta, dev, s, o, d, xt, zt, h, a, b)
+            )
+        s_new = _grid_sum((mu * xt) * zt) / h
+        o_new = a[..., 1] - s_new[:, None] * a[..., 0]
+        d_new = b[..., 1] - s_new[:, None] * b[..., 0]
+        if iteration == 1:
+            s, o, d = s_new, o_new, d_new
+            eta_t, mu_t, dev_t = trial(y, pos, s, o, d)
+        else:  # halve each fit's step until its deviance does not rise
+            bound = dev + dev_tol * np.maximum(1.0, np.abs(dev))
+            s_t, o_t, d_t = np.empty_like(s), np.empty_like(o), np.empty_like(d)
+            eta_t, mu_t, dev_t = np.empty_like(eta), np.empty_like(mu), np.empty_like(dev)
+            todo, step = np.arange(len(idx)), 1.0
+            while todo.size:
+                s_t[todo] = s[todo] + step * (s_new[todo] - s[todo])
+                o_t[todo] = o[todo] + step * (o_new[todo] - o[todo])
+                d_t[todo] = d[todo] + step * (d_new[todo] - d[todo])
+                eta_t[todo], mu_t[todo], dev_t[todo] = trial(
+                    y[todo], pos[todo], s_t[todo], o_t[todo], d_t[todo]
+                )
+                todo = todo[~(dev_t[todo] <= bound[todo])] if step >= 1e-8 else todo[:0]
+                step *= 0.5
+            s, o, d = s_t, o_t, d_t
+        separated = np.maximum(np.abs(o).max(axis=1), np.abs(d).max(axis=1)) > _FE_DIVERGENCE_BOUND
+        for j in idx[separated]:
+            failures[int(j)] = Separation(
+                f"a fixed effect exceeded {_FE_DIVERGENCE_BOUND:g} during PPML iteration"
+            )
+        converged = np.abs(dev - dev_t) < dev_tol * np.maximum(1.0, np.abs(dev))
+        eta, mu, dev = eta_t, mu_t, dev_t
+        done = converged & ~separated
+        rows = idx[done]
+        slope[rows], fe_o[rows], fe_d[rows] = s[done], o[done], d[done]
+        mu_hat[rows], deviance[rows], iterations[rows] = mu[done], dev[done], iteration
+        # A fit after the first failure can no longer decide the error raised.
+        keep = ~(converged | separated) & (idx < min(failures, default=k))
+        if not keep.all():
+            idx, y, pos, mu, eta, dev, s, o, d = (
+                x[keep] for x in (idx, y, pos, mu, eta, dev, s, o, d)
+            )
+    for j, dev_j in zip(idx, dev):
+        failures[int(j)] = NoConvergence(_MAX_ITER, abs(float(dev_j)), what="PPML")
 
-    # First-order conditions: the score sums for the slope and for every
-    # origin and destination effect.
-    u = y - mu
-    foc = max(
-        abs(float(u @ cost)),
-        float(np.abs(np.bincount(oidx, u, n)).max()),
-        float(np.abs(np.bincount(didx, u, n)).max()),
+    # First-order conditions of the fits below the first failure, which all
+    # converged: the score sums for the slope and every fixed effect.
+    m = min(failures, default=k)
+    u = values[:m] * on - mu_hat[:m]
+    foc = np.maximum(
+        np.abs(_grid_sum(u * cost)),
+        np.maximum(np.abs(u.sum(axis=2)).max(axis=1), np.abs(u.sum(axis=1)).max(axis=1)),
     )
-    if foc > 1e-8 * max(1.0, float(np.max(y))):
-        raise NoConvergence(iteration, foc, what="PPML first-order conditions")
+    for j in range(m):
+        if foc[j] > 1e-8 * max(1.0, float(values[j][mask].max())):
+            failures[j] = NoConvergence(
+                int(iterations[j]), float(foc[j]), what="PPML first-order conditions"
+            )
+    if failures:
+        raise failures[min(failures)]
 
-    xt = partial(mu, cost)[0][:, 0]
-    influence = np.zeros((n, n))
-    influence[oidx, didx] = xt * u / float(mu @ (xt * xt))
-    var, projected = _influence_variance(influence, dyadic=variance_mode == "dyadic")
-    return PpmlFit(
-        epsilon_hat=-float(coef[0]),
-        fe_origin=coef[1 : n + 1],
-        fe_dest=coef[n + 1 :],
-        influence=influence,
-        variance=var,
-        variance_psd_projected=projected,
-        mu_hat=mu,
-        n=n,
-        deviance=dev,
-        iterations=iteration,
+    a, b, _ = _twoway_fe(mu_hat, np.broadcast_to(cost[:, :, None], (k, n, n, 1)), labels)
+    xt = cost - a[:, :, None, 0] - b[:, None, :, 0]
+    influence = (xt * u) * on / _grid_sum(mu_hat * (xt * xt))[:, None, None]
+    fits = []
+    for j in range(k):
+        var, projected = _influence_variance(influence[j], dyadic=variance_mode == "dyadic")
+        fits.append(
+            PpmlFit(
+                epsilon_hat=-float(slope[j]),
+                fe_origin=fe_o[j],
+                fe_dest=fe_d[j],
+                influence=influence[j],
+                variance=var,
+                variance_psd_projected=projected,
+                mu_hat=mu_hat[j],
+                n=n,
+                deviance=float(deviance[j]),
+                iterations=int(iterations[j]),
+            )
+        )
+    return fits
+
+
+@dataclass(frozen=True, eq=False)
+class PpmlEstimator:
+    """Bootstrap estimator plug-in: the PPML elasticity and its sampling
+    variance on a flow matrix, against fixed log costs.  ``many`` fits a
+    batch of matrices in one IRLS with the same results.  Picklable, so a
+    process pool can ship it."""
+
+    log_costs: np.ndarray
+    include_diagonal: bool = False
+
+    def __call__(self, flows: FlowMatrix) -> EstimatorResult:
+        return _elasticity_estimate(
+            fit_ppml(flows, self.log_costs, include_diagonal=self.include_diagonal)
+        )
+
+    def many(self, flows_seq) -> list[EstimatorResult]:
+        fits = fit_ppml_many(
+            np.stack([flows.values for flows in flows_seq]),
+            self.log_costs,
+            include_diagonal=self.include_diagonal,
+        )
+        return [_elasticity_estimate(fit) for fit in fits]
+
+
+def _elasticity_estimate(fit: PpmlFit) -> EstimatorResult:
+    return EstimatorResult(
+        theta_hat=np.array([fit.epsilon_hat]), sigma_hat=np.array([[fit.variance]])
     )
 
 
@@ -348,10 +459,12 @@ def _log_gravity_ols(flows: np.ndarray, log_dist: np.ndarray) -> GravityFit:
     x = np.where(sample, log_dist, 0.0)
     y = np.log(np.where(sample, flows, 1.0))
     xy = np.stack([x, y], axis=-1)
-    a, b, linked = _twoway_fe(sample.astype(float), xy, _components(sample))
+    a, b, linked = _twoway_fe(sample.astype(float)[None], xy[None], _components(sample))
+    a, b = a[0], b[0]
     resid = (xy - a[:, None, :] - b[None, :, :])[sample]
     h = float(resid[:, 0] @ resid[:, 0])
-    _require_variation(h, float(np.sum(x * x)), "log distance")
+    if _lacks_variation(h, float(np.sum(x * x))):
+        raise _collinear("log distance")
     beta = float(resid[:, 0] @ resid[:, 1]) / h
     fe_origin = a[:, 1] - beta * a[:, 0]
     fe_dest = b[:, 1] - beta * b[:, 0]

@@ -250,7 +250,8 @@ def gravity_partial_plot(
     v = np.zeros((n, n, 2))
     v[sample, 0] = np.log(distances.values[sample])
     v[sample, 1] = np.log(flows_obs.values[sample])
-    fe_o, fe_d, _ = _twoway_fe(sample.astype(float), v, _components(sample))
+    fe_o, fe_d, _ = _twoway_fe(sample.astype(float)[None], v[None], _components(sample))
+    fe_o, fe_d = fe_o[0], fe_d[0]
     res = (v - fe_o[:, None, :] - fe_d[None, :, :])[sample]
     x_res, y_res = res[:, 0], res[:, 1]
     sxx = float(x_res @ x_res)

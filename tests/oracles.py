@@ -80,6 +80,16 @@ def dyadic_meat_enumeration(scores: np.ndarray, oidx: np.ndarray, didx: np.ndarr
     return meat
 
 
+def dyad_indices(n: int, include_diagonal: bool = False):
+    """Row-major (origin, destination) index arrays for all dyads."""
+    oidx, didx = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    oidx, didx = oidx.ravel(), didx.ravel()
+    if not include_diagonal:
+        keep = oidx != didx
+        oidx, didx = oidx[keep], didx[keep]
+    return oidx, didx
+
+
 def twoway_design(oidx, didx, n: int, extra=None) -> np.ndarray:
     """Dense design [extra | origin dummies 1..n-1 | destination dummies
     0..n-1] for dyads (oidx, didx); the first origin effect is dropped."""

@@ -18,7 +18,13 @@ from flowuq import (
     solve_counterfactual,
     welfare_change_pct,
 )
-from flowuq.armington import _TOL, ArmingtonModel, _defects, _share_changes
+from flowuq.armington import (
+    _STAGE_STEPS,
+    _TOL,
+    ArmingtonModel,
+    _defects,
+    _share_changes,
+)
 from flowuq.scenarios import armington_world
 
 from .oracles import armington_oracle
@@ -182,6 +188,11 @@ def test_error_conditions():
     assert 0.0 < done < failed <= 1.0
     solve_counterfactual(surplus, CounterfactualSpec(tau**done), epsilon=5.0)
     assert info.value.iterations > 0 and info.value.residual > _TOL
+    # Every stalled stage stopped at the positivity bound (no halved step
+    # keeps the surplus location's expenditure positive); the last stage ran
+    # out of steps.  The error says both.
+    assert info.value.reason == "step cap after positivity bound"
+    assert "stopped by step cap after positivity bound" in str(info.value)
 
 
 def test_singular_newton_system_is_no_convergence(monkeypatch):
@@ -189,10 +200,11 @@ def test_singular_newton_system_is_no_convergence(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence, match="stopped by singular Newton system") as info:
         solve_counterfactual(
             unbalanced_world(), CounterfactualSpec.uniform_increase(3, 0.1), 2.0
         )
+    assert info.value.reason == "singular Newton system"
 
 
 def test_zero_off_diagonal_flows_propagate_benignly():
@@ -212,6 +224,22 @@ def test_large_shock_solved_through_continuation():
     y_o, _, w_o = armington_oracle(values, tau, 10.0)
     assert np.max(np.abs(res.y_prop - y_o)) < 1e-8
     assert np.max(np.abs(res.welfare_prop - w_o)) < 1e-8
+
+
+def test_slow_newton_stage_narrows_the_shock():
+    # Location 1 exports nothing, so after the shock location 0 must regain
+    # its export level through a large relative income change.  Newton from
+    # y = 1 makes slow progress and used to spend all 100 steps on the full
+    # shock; a stage now gets _STAGE_STEPS steps before continuation narrows
+    # it, and the half shock solves in five.  (The random-world property test
+    # below found this world: n=2, seed=500, epsilon=9.0, zero_frac=0.5.)
+    values = np.array([[3.96607921, 0.42001585], [0.0, 3.95696025]])
+    tau = np.array([[1.0, 1.41756127], [1.14561936, 1.0]])
+    res = solve_counterfactual(FlowMatrix(values), CounterfactualSpec(tau), 9.0)
+    y_o, _, w_o = armington_oracle(values, tau, 9.0)
+    assert np.max(np.abs(res.y_prop - y_o)) < 1e-8
+    assert np.max(np.abs(res.welfare_prop - w_o)) < 1e-8
+    assert res.iterations > _STAGE_STEPS
 
 
 @pytest.mark.parametrize("n", [10, 30, 60, 100])

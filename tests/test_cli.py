@@ -218,6 +218,36 @@ def test_uq_byte_identical_and_mode_ladder(armington_files, tmp_path):
     assert widths["ee+me"] >= widths["only-me"] * 0.95  # composition dominates
 
 
+def test_uq_ppml_byte_identical_across_workers_and_batches(
+    armington_files, tmp_path, monkeypatch
+):
+    # The PPML estimates of a batch of draws come from one batched IRLS; the
+    # draws must not depend on how the loop is cut into workers or batches.
+    from flowuq import engine
+
+    scen, flows, dist, costs, params = armington_files
+    default_batch = engine._batch_size
+    outputs = {}
+    for workers, batch in ((1, None), (2, None), (3, None), (1, 1), (1, 3)):
+        monkeypatch.setattr(
+            engine, "_batch_size", default_batch if batch is None else lambda n: batch
+        )
+        out = tmp_path / f"uq_w{workers}_b{batch}"
+        argv = [
+            "uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs),
+            "--uniform-increase", "0.1", "--b", "40", "--alpha", "0.05", "--seed", "4",
+            "--workers", str(workers), "--output-dir", str(out),
+        ]
+        assert main(argv) == 0
+        outputs[workers, batch] = [
+            (out / name).read_bytes() for name in ("draws.csv", "interval.json")
+        ]
+    assert default_batch(scen.n) >= 40  # the default runs all 40 draws as one batch
+    first = outputs[1, None]
+    for key, value in outputs.items():
+        assert value == first, key
+
+
 def test_uq_constant_model_degenerate(armington_files, tmp_path):
     scen, flows, dist, costs, params = armington_files
     out = tmp_path / "uq_const"

@@ -25,8 +25,8 @@ from flowuq import (
     run_algorithm3,
 )
 from flowuq.armington import ArmingtonModel
-from flowuq.engine import LowDimSmoother, SvdSmoother
-from flowuq.gravity import fit_ppml
+from flowuq.engine import LowDimSmoother, SvdSmoother, draw_rng
+from flowuq.gravity import PpmlEstimator, fit_ppml, sample_theta
 from flowuq.scenarios import armington_world
 
 
@@ -70,6 +70,18 @@ class FailOnThetas:
         if float(theta[0]) in self.values:
             raise ModelEvaluationFailed("listed parameter draw")
         return np.atleast_1d(theta)
+
+
+class Counting:
+    """Wraps an estimator or smoother and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, flows):
+        self.calls += 1
+        return self.fn(flows)
 
 
 def mean_flow_estimator(flows, se=0.1):
@@ -190,6 +202,21 @@ class TestEngine:
         theta_hat = mean_flow_estimator(flows_obs).theta_hat[0]
         # Data fixed: every theta draw is centered on the same estimate.
         assert abs(ds.draws.mean() - theta_hat) < 0.1
+
+    def test_only_ee_smooths_and_estimates_once(self):
+        scen, flows_obs = small_world()
+        estimator = Counting(functools.partial(mean_flow_estimator, se=0.2))
+        smoother = Counting(SvdSmoother(2))
+        cfg = self.cfg(mode="only-ee", b=40, alpha=0.1)
+        ds, _ = run_algorithm1(
+            flows_obs, None, estimator, ThetaPassThrough(), scen.cf_spec, cfg, smoother=smoother
+        )
+        assert (estimator.calls, smoother.calls) == (1, 1)
+        # Draw b is still a draw from the observed data's estimate on b's own
+        # parameter stream, as when every draw re-estimated.
+        est = mean_flow_estimator(flows_obs, se=0.2)
+        expected = [sample_theta(est, draw_rng(cfg.seed, b, 1)) for b in range(1, 41)]
+        assert np.array_equal(ds.draws, np.array(expected))
 
     def test_only_me_fixes_theta(self):
         scen, flows_obs = small_world()
@@ -354,6 +381,17 @@ class TestEngine:
         assert len(ivs) == 5
         for iv in ivs:
             assert iv.lo <= iv.hi
+        # The batched estimator gives the draws of one PPML fit per draw.
+        ds_batched, ivs_batched = run_algorithm3(
+            flows_obs,
+            scen.params,
+            PpmlEstimator(scen.log_costs),
+            ArmingtonModel(),
+            scen.cf_spec,
+            self.cfg(b=40, alpha=0.1),
+        )
+        assert np.array_equal(ds.draws, ds_batched.draws)
+        assert ivs == ivs_batched
 
 
 class TestEngineIntervals:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowuq import (
     Collinear,
+    DataError,
     DistanceMatrix,
     EstimatorResult,
     FlowMatrix,
+    FlowUqError,
     InsufficientData,
     NoConvergence,
     NotPSD,
@@ -16,10 +20,12 @@ from flowuq import (
     independent_variance,
     sample_theta,
 )
-from flowuq.gravity import _components, _twoway_fe, dyad_indices
+from flowuq import gravity
+from flowuq.gravity import _components, _twoway_fe, fit_ppml_many
 from flowuq.scenarios import armington_world
 
 from .oracles import (
+    dyad_indices,
     dyadic_meat_enumeration,
     normal_equations_ols,
     ppml_scores_bread,
@@ -47,7 +53,9 @@ def ppml_rebuild(fit, flows, log_costs, include_diagonal=False):
     its fitted means alone; returns (scores, bread, oidx, didx)."""
     oidx, didx = dyad_indices(flows.n, include_diagonal)
     x = twoway_design(oidx, didx, flows.n, extra=log_costs[oidx, didx])
-    scores, bread = ppml_scores_bread(flows.values[oidx, didx], fit.mu_hat, x)
+    scores, bread = ppml_scores_bread(
+        flows.values[oidx, didx], fit.mu_hat[oidx, didx], x
+    )
     return scores, bread, oidx, didx
 
 
@@ -112,7 +120,8 @@ class TestPpml:
         values[oidx[drop], didx[drop]] = 0.0
         fit = fit_ppml(FlowMatrix(values), log_costs)
         assert np.isfinite(fit.epsilon_hat)
-        assert np.all(fit.mu_hat > 0)
+        assert np.all(fit.mu_hat[oidx, didx] > 0)
+        assert np.all(np.diag(fit.mu_hat) == 0.0)  # off the sample
 
     def test_separation(self):
         # One destination attracts astronomically more flow than the rest;
@@ -135,6 +144,120 @@ class TestPpml:
         flows_r = FlowMatrix(flows.values[np.ix_(relabel, relabel)])
         fit_r = fit_ppml(flows_r, log_costs[np.ix_(relabel, relabel)])
         assert abs(fit.epsilon_hat - fit_r.epsilon_hat) < 1e-7
+
+
+def assert_same_fit(single, batched):
+    """Two PPML fits agree bit for bit."""
+    for field in ("epsilon_hat", "variance", "variance_psd_projected", "deviance", "iterations"):
+        assert getattr(single, field) == getattr(batched, field), field
+    for field in ("fe_origin", "fe_dest", "influence", "mu_hat"):
+        assert np.array_equal(getattr(single, field), getattr(batched, field)), field
+
+
+class TestPpmlMany:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 8),
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        noise_sd=st.floats(0.0, 1.5),
+        zero_frac=st.sampled_from([0.0, 0.1, 0.3]),
+        include_diagonal=st.booleans(),
+        variance_mode=st.sampled_from(["dyadic", "independent"]),
+    )
+    def test_matches_single_fits(
+        self, n, k, seed, noise_sd, zero_frac, include_diagonal, variance_mode
+    ):
+        rng = np.random.default_rng(seed)
+        log_costs = gravity_flows(n, 3.0, rng)[1]
+        stack = []
+        for _ in range(k):
+            flows = gravity_flows(n, 3.0, rng, noise_sd, include_diagonal)[0]
+            stack.append(flows.values * (rng.random((n, n)) >= zero_frac))
+        singles = []
+        for values in stack:
+            try:
+                singles.append(
+                    fit_ppml(FlowMatrix(values), log_costs, include_diagonal, variance_mode)
+                )
+            except FlowUqError as exc:  # the batch must raise the first failure
+                with pytest.raises(type(exc)) as info:
+                    fit_ppml_many(np.stack(stack), log_costs, include_diagonal, variance_mode)
+                assert str(info.value) == str(exc)
+                return
+        fits = fit_ppml_many(np.stack(stack), log_costs, include_diagonal, variance_mode)
+        assert len(fits) == k
+        for single, batched in zip(singles, fits):
+            assert_same_fit(single, batched)
+
+    def test_step_halving_is_per_fit(self):
+        # Heavy multiplicative noise: the full IRLS step raises the deviance
+        # at some iteration of the second and third slices (they halve their
+        # steps, a different number of times), never for the clean slices.
+        rng = np.random.default_rng(2024)
+        n = 5
+        log_costs = rng.uniform(0.0, 2.0, (n, n))
+        np.fill_diagonal(log_costs, 0.0)
+        noisy = []
+        for _ in range(47):
+            log_mu = (
+                rng.normal(0, 0.4, (n, 1)) + rng.normal(0, 0.4, n) - 3.0 * log_costs
+                + rng.uniform(3, 7) * rng.standard_normal((n, n))
+            )
+            values = np.exp(log_mu) * (rng.random((n, n)) >= 0.2)
+            np.fill_diagonal(values, 0.0)
+            noisy.append(values)
+        clean = np.exp(-3.0 * log_costs)
+        np.fill_diagonal(clean, 0.0)
+        stack = np.stack([clean, noisy[1], noisy[46], 2.0 * clean])
+        fits = fit_ppml_many(stack, log_costs)
+        for values, batched in zip(stack, fits):
+            assert_same_fit(fit_ppml(FlowMatrix(values), log_costs), batched)
+        assert fits[1].iterations != fits[2].iterations
+
+    def test_lowest_failing_slice_decides(self, monkeypatch):
+        # With five IRLS iterations allowed, noiseless slices converge and a
+        # noisy slice does not; a slice with one dominant destination
+        # separates within those five.
+        monkeypatch.setattr(gravity, "_MAX_ITER", 5)
+        rng = np.random.default_rng(5)
+        log_costs = rng.uniform(0.0, 0.5, size=(6, 6))
+
+        def flows(noise_sd):
+            log_mu = rng.normal(0.0, 0.4, (6, 1)) + rng.normal(0.0, 0.4, 6) - 2.0 * log_costs
+            values = np.exp(log_mu + noise_sd * rng.standard_normal((6, 6)))
+            np.fill_diagonal(values, 0.0)
+            return values
+
+        good = [flows(0.0) for _ in range(4)]
+        separating = flows(0.1)
+        separating[:, 2] *= np.exp(40.0)
+        slow = flows(2.0)
+        for values in good:
+            fit_ppml(FlowMatrix(values), log_costs)  # converges in time
+        with pytest.raises(Separation) as sep:
+            fit_ppml(FlowMatrix(separating), log_costs)
+        with pytest.raises(NoConvergence) as cap:
+            fit_ppml(FlowMatrix(slow), log_costs)
+        assert cap.value.iterations == 5
+
+        for first, second, expected in ((separating, slow, sep), (slow, separating, cap)):
+            stack = np.stack([good[0], good[1], first, good[2], second, good[3]])
+            with pytest.raises(type(expected.value)) as info:
+                fit_ppml_many(stack, log_costs)
+            assert str(info.value) == str(expected.value)
+
+    def test_collinear_costs(self):
+        rng = np.random.default_rng(1)
+        stack = np.stack([gravity_flows(5, 2.0, rng, noise_sd=0.1)[0].values for _ in range(3)])
+        with pytest.raises(Collinear):
+            fit_ppml_many(stack, np.full((5, 5), 0.7))
+
+    def test_rejects_malformed_stacks(self):
+        log_costs = np.zeros((3, 3))
+        for values in (np.ones((3, 3)), np.ones((2, 3, 4)), -np.ones((1, 3, 3))):
+            with pytest.raises(DataError):
+                fit_ppml_many(values, log_costs)
 
 
 class TestDyadicVariance:
@@ -293,7 +416,8 @@ class TestTwowayProjection:
         )
         for weights, linked_expected in cases:
             v = rng.normal(size=(n, n, 2))
-            a, b, linked = _twoway_fe(weights, v, _components(weights > 0))
+            a, b, linked = _twoway_fe(weights[None], v[None], _components(weights > 0))
+            a, b = a[0], b[0]
             oidx, didx = np.nonzero(weights > 0)
             x = twoway_design(oidx, didx, n)
             sw = np.sqrt(weights[oidx, didx])
