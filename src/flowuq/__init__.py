@@ -11,6 +11,7 @@ from .armington import (
     ArmingtonModel,
     EquilibriumResult,
     solve_counterfactual,
+    solve_counterfactual_many,
     welfare_change_pct,
 )
 from .calibration import (
@@ -40,6 +41,7 @@ from .core import (
     IdentityModel,
     derive_aggregates,
     evaluate_model,
+    evaluate_model_many,
 )
 from .engine import (
     LowDimSmoother,

@@ -28,6 +28,14 @@ of the system falling.  When it stalls, or a stage takes more than
 ``_STAGE_STEPS`` steps, continuation solves smaller shocks tau^s
 (s = 1/2, 1/4, ...) and restarts from their solution;
 ``EquilibriumResult.iterations`` counts Newton steps over all stages.
+
+``solve_counterfactual_many`` is the one implementation: it runs this Newton
+for a stack of flow matrices and elasticities at once, solving the k Newton
+systems of a step as one stack, while every system keeps its own line
+search, continuation stages, step budget and stop reason.  Every slice's
+result equals ``solve_counterfactual`` on that slice alone, bit for bit, and
+``solve_counterfactual`` is a batch of one.  ``ArmingtonModel.many`` is the
+bootstrap's batched entry.
 """
 
 from __future__ import annotations
@@ -36,8 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CounterfactualSpec, FlowMatrix, derive_aggregates
-from .errors import DataError, InvalidElasticity, NoConvergence, ZeroDiagonal
+from .core import CounterfactualSpec, FlowMatrix, derive_aggregates, solve_stack
+from .errors import (
+    DataError,
+    FlowUqError,
+    InvalidElasticity,
+    NoConvergence,
+    ZeroDiagonal,
+)
 
 _TOL = 1e-10            # sup-norm of the log market-clearing defects
 _MAX_STEPS = 100        # Newton steps, summed over the continuation stages
@@ -56,65 +70,191 @@ class EquilibriumResult:
 
 
 def _share_changes(
-    log_tau: np.ndarray, log_y: np.ndarray, shares: np.ndarray, epsilon: float
+    log_tau: np.ndarray, log_y: np.ndarray, shares: np.ndarray, epsilon
 ) -> np.ndarray:
-    """lam^cf_ij for a candidate y, computed stably in logs."""
-    logp = -epsilon * (log_tau + log_y[:, None])
-    m = logp.max(axis=0)
-    p = np.exp(logp - m[None, :])
-    denom = (shares * p).sum(axis=0)
-    return p / denom[None, :]
+    """lam^cf_ij for a candidate y, computed stably in logs; the arguments may
+    carry a leading stack axis."""
+    epsilon = np.asarray(epsilon)[..., None, None]
+    logp = -epsilon * (log_tau + log_y[..., :, None])
+    m = logp.max(axis=-2)
+    p = np.exp(logp - m[..., None, :])
+    denom = (shares * p).sum(axis=-2)
+    return p / denom[..., None, :]
 
 
 def _defects(log_tau, log_y, shares, income, deficit, epsilon):
     """At a candidate log y: the log market-clearing defects, the Newton system
-    (world income in place of the last defect), Pi and E^cf; None when some
-    counterfactual expenditure is not positive."""
+    (world income in place of the last defect), Pi and E^cf; the arguments may
+    carry a leading stack axis.  Meaningful only where every counterfactual
+    expenditure E^cf is positive."""
     y_income = np.exp(log_y) * income
     exp_cf = y_income + deficit
-    if not np.all(exp_cf > 0):
-        return None
     pi = _share_changes(log_tau, log_y, shares, epsilon) * shares
-    defect = np.log(pi @ exp_cf / y_income)
-    system = np.append(defect[:-1], np.log(y_income.sum() / income.sum()))
+    defect = np.log((pi @ exp_cf[..., None])[..., 0] / y_income)
+    world = np.log(y_income.sum(axis=-1) / income.sum(axis=-1))
+    system = np.concatenate([defect[..., :-1], world[..., None]], axis=-1)
     return defect, system, pi, exp_cf
 
 
-def _newton(log_tau, log_y, shares, income, deficit, epsilon, max_steps):
-    """Newton with line search from log_y, a point with positive expenditure.
-    Returns (log_y, residual, steps, stop): ``stop`` is None on convergence,
-    else why Newton stopped -- the step cap, a singular Newton system, or a
-    line search that could not shrink the system's norm, either because no
-    halved step kept every counterfactual expenditure positive ("positivity
-    bound") or because the positive ones did not reduce it ("line-search
-    stall")."""
-    args = (shares, income, deficit, epsilon)
-    defect, g, pi, exp_cf = _defects(log_tau, log_y, *args)
-    for steps in range(max_steps + 1):
-        residual = float(np.max(np.abs(defect)))
-        if max(residual, abs(g[-1])) <= _TOL:
-            return log_y, residual, steps, None
-        if steps == max_steps:
-            return log_y, residual, steps, "step cap"
-        y_income = np.exp(log_y) * income
-        jac = (epsilon * (pi * exp_cf) @ pi.T + pi * y_income) / (pi @ exp_cf)[:, None]
-        jac[np.diag_indices_from(jac)] -= 1.0 + epsilon
-        jac[-1] = y_income / y_income.sum()
-        try:
-            step = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            return log_y, residual, steps, "singular Newton system"
-        positive = False
-        for _ in range(_MAX_HALVINGS):
-            with np.errstate(all="ignore"):  # an overlong step may overflow
-                trial = _defects(log_tau, log_y + step, *args)
-                if trial is not None and trial[1] @ trial[1] < g @ g:
-                    break
-            positive = positive or trial is not None
-            step = 0.5 * step
+def _newton_steps(log_y, pi, exp_cf, income, epsilon, g):
+    """Newton steps of a stack of systems at their current points, and the
+    mask of the singular systems (their steps are NaN)."""
+    y_income = np.exp(log_y) * income
+    supply = (pi @ exp_cf[:, :, None])[:, :, 0]
+    jac = (epsilon[:, None, None] * (pi * exp_cf[:, None, :])) @ pi.transpose(0, 2, 1)
+    jac += pi * y_income[:, None, :]
+    jac /= supply[:, :, None]
+    jac.reshape(len(jac), -1)[:, :: jac.shape[1] + 1] -= (1.0 + epsilon)[:, None]
+    jac[:, -1] = y_income / y_income.sum(axis=1)[:, None]
+    step, singular = solve_stack(jac, -g[:, :, None])
+    return step[:, :, 0], singular
+
+
+def _rows(mask: np.ndarray):
+    """An index for the rows a mask selects: a plain slice when it selects
+    every row, so that the arrays are viewed rather than copied."""
+    return slice(None) if mask.all() else mask
+
+
+def _line_search(log_tau, log_y, step, g, args):
+    """Step halving for a stack of Newton steps: each system halves its own
+    step, at most ``_MAX_HALVINGS`` times, until the trial point keeps every
+    counterfactual expenditure positive and shrinks the squared norm of the
+    system.
+
+    Returns the accepted steps, the ``_defects`` at the accepted points (rows
+    of the other systems are undefined), the mask of systems that accepted a
+    step, and the mask of those that tried a step with positive expenditure.
+    """
+    k = len(log_y)
+    trial = None
+    accepted, positive_seen = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
+    norm = (g * g).sum(axis=1)
+    todo = np.ones(k, dtype=bool)
+    for _ in range(_MAX_HALVINGS):
+        rows = _rows(todo)
+        with np.errstate(all="ignore"):  # an overlong step may overflow
+            t = _defects(log_tau[rows], log_y[rows] + step[rows], *(a[rows] for a in args))
+            positive = (t[3] > 0).all(axis=1)
+            ok = positive & ((t[1] * t[1]).sum(axis=1) < norm[rows])
+        hit = np.flatnonzero(todo)[ok]
+        if trial is None:  # the first attempt covers every system
+            trial = t
         else:
-            return log_y, residual, steps, "line-search stall" if positive else "positivity bound"
-        log_y, (defect, g, pi, exp_cf) = log_y + step, trial
+            for dest, src in zip(trial, t):
+                dest[hit] = src[ok]
+        accepted[hit] = True
+        positive_seen[rows] |= positive
+        todo[hit] = False
+        if not todo.any():
+            break
+        step[todo] *= 0.5
+    return step, trial, accepted, positive_seen
+
+
+def _continuation(log_tau, shares, income, deficit, epsilon):
+    """Newton with continuation on tau^s for a stack of systems.
+
+    Each system runs stages of at most ``_STAGE_STEPS`` Newton steps within
+    its own budget of ``_MAX_STEPS``.  A stage on the shock tau^s starts from
+    the solution of the last solved shock tau^done (y = 1 at first).  When it
+    converges at s < 1 the next stage aims at the full shock; when it stops,
+    the next one aims halfway between done and s, until the budget is spent
+    or the stage would be narrower than ``_MIN_STAGE``.  A stage stops on the
+    step cap, a singular Newton system, or a line search that could not
+    shrink the system's norm, either because no halved step kept every
+    counterfactual expenditure positive ("positivity bound") or because the
+    positive ones did not reduce it ("line-search stall").  Each round takes
+    one Newton step in every live stage, solving their systems as one stack.
+
+    Returns one entry per system: (log y, residual, steps), or NoConvergence
+    whose reason is what stopped the last stage, and also what stopped the
+    stage before it when the two differ.
+    """
+    k, n = income.shape
+    out: list = [None] * k
+    base = np.zeros((k, n))         # log y at tau^done, where a stage starts
+    done, s = np.zeros(k), np.ones(k)
+    steps = np.zeros(k, dtype=int)  # Newton steps of the finished stages
+    stall: list = [None] * k        # what stopped the last failed stage
+    # The unfinished systems' current stages, one row per system in ``ids``.
+    ids = np.arange(k)
+    args = (shares, income, deficit, epsilon)
+    x, lt = np.empty((k, n)), np.empty((k, n, n))  # lt: the stage's s * log tau
+    defect, g, pi, exp_cf = np.empty((k, n)), np.empty((k, n)), np.empty((k, n, n)), np.empty((k, n))
+    taken, cap = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+    fresh = np.ones(k, dtype=bool)  # rows starting a stage
+    while ids.size:
+        if fresh.any():
+            rows, new = _rows(fresh), ids[fresh]
+            lt[rows] = s[new, None, None] * log_tau
+            x[rows] = base[new]
+            taken[rows] = 0
+            cap[rows] = np.minimum(_STAGE_STEPS, _MAX_STEPS - steps[new])
+            defect[rows], g[rows], pi[rows], exp_cf[rows] = _defects(
+                lt[rows], x[rows], *(a[rows] for a in args)
+            )
+        residual = np.abs(defect).max(axis=1)
+        converged = np.maximum(residual, np.abs(g[:, -1])) <= _TOL
+        capped = ~converged & (taken == cap)
+        stops = {i: None for i in np.flatnonzero(converged)}
+        stops.update({i: "step cap" for i in np.flatnonzero(capped)})
+        moving = ~(converged | capped)
+        if moving.any():
+            rows = _rows(moving)
+            _, income, _, epsilon = args
+            step, singular = _newton_steps(
+                x[rows], pi[rows], exp_cf[rows], income[rows], epsilon[rows], g[rows]
+            )
+            if singular.any():
+                at = np.flatnonzero(moving)[singular]
+                stops.update({i: "singular Newton system" for i in at})
+                moving[at] = False
+                rows, step = _rows(moving), step[~singular]
+            step, trial, accepted, positive_seen = _line_search(
+                lt[rows], x[rows], step, g[rows], tuple(a[rows] for a in args)
+            )
+            if not accepted.all():
+                at = np.flatnonzero(moving)[~accepted]
+                for i, positive in zip(at, positive_seen[~accepted]):
+                    stops[i] = "line-search stall" if positive else "positivity bound"
+                moving[at] = False
+                rows, step = _rows(moving), step[accepted]
+                trial = tuple(a[accepted] for a in trial)
+            x[rows] += step
+            taken[rows] += 1
+            defect[rows], g[rows], pi[rows], exp_cf[rows] = trial
+
+        fresh[:] = False
+        finished = np.zeros(len(ids), dtype=bool)
+        for i, stop in stops.items():
+            j = ids[i]
+            steps[j] += taken[i]
+            if stop is None and s[j] == 1.0:
+                out[j] = (x[i].copy(), float(residual[i]), int(steps[j]))
+                finished[i] = True
+            elif stop is None:
+                base[j], done[j], s[j] = x[i], s[j], 1.0
+                fresh[i] = True
+            elif steps[j] < _MAX_STEPS and s[j] - done[j] > _MIN_STAGE:
+                s[j], stall[j] = 0.5 * (done[j] + s[j]), stop
+                fresh[i] = True
+            else:
+                out[j] = NoConvergence(
+                    int(steps[j]),
+                    float(residual[i]),
+                    what="counterfactual solver (continuation solved the shock tau^s "
+                    f"up to s = {done[j]:.6g} and failed at s = {s[j]:.6g})",
+                    reason=stop if stall[j] in (None, stop) else f"{stop} after {stall[j]}",
+                )
+                finished[i] = True
+        if finished.any():
+            keep = ~finished
+            ids, x, lt, defect, g, pi, exp_cf, taken, cap, fresh = (
+                a[keep] for a in (ids, x, lt, defect, g, pi, exp_cf, taken, cap, fresh)
+            )
+            args = tuple(a[keep] for a in args)
+    return out
 
 
 def solve_counterfactual(
@@ -140,58 +280,87 @@ def solve_counterfactual(
         message names the last solved share s of the shock tau^s, the share
         it failed at, and what stopped Newton there (``reason``).
     """
-    if epsilon <= 0:
-        raise InvalidElasticity(f"elasticity must be > 0, got {epsilon}")
-    if flows.n != cf_spec.n:
-        raise DataError("flow matrix and counterfactual spec sizes differ")
-    tau = cf_spec.tau_prop
-    if np.max(np.abs(np.diag(tau) - 1.0)) > 1e-12:
-        raise DataError("own trade costs are fixed at 1; diagonal must be 1")
-
-    agg = derive_aggregates(flows)
-    if np.any(np.diag(agg.shares) <= 0):
-        bad = [flows.labels[i] for i in np.flatnonzero(np.diag(agg.shares) <= 0)]
-        raise ZeroDiagonal(f"zero own flow for {bad}")
-
-    args = (agg.shares, agg.income, agg.expenditure - agg.income, epsilon)
-    log_tau = np.log(tau)
-    # Continuation: when Newton stalls on the shock tau^s, the next stage
-    # starts from the last solved shock tau^done and aims halfway back.
-    # ``stall`` is what stopped the last stage that failed before the current
-    # one, reported along with the final stop when the two differ.
-    log_y, done, s, steps, stall = np.zeros(flows.n), 0.0, 1.0, 0, None
-    while True:
-        log_y_s, residual, k, stop = _newton(
-            s * log_tau, log_y, *args, min(_STAGE_STEPS, _MAX_STEPS - steps)
-        )
-        steps += k
-        if stop is None and s == 1.0:
-            break
-        if stop is None:
-            log_y, done, s = log_y_s, s, 1.0
-        elif steps < _MAX_STEPS and s - done > _MIN_STAGE:
-            s, stall = 0.5 * (done + s), stop
-        else:
-            raise NoConvergence(
-                steps,
-                residual,
-                what="counterfactual solver (continuation solved the shock tau^s "
-                f"up to s = {done:.6g} and failed at s = {s:.6g})",
-                reason=stop if stall in (None, stop) else f"{stop} after {stall}",
-            )
-
-    lam_cf = _share_changes(log_tau, log_y_s, agg.shares, epsilon)
-    cf_share_cols = (lam_cf * agg.shares).sum(axis=0)
-    if np.max(np.abs(cf_share_cols - 1.0)) > 1e-8:
-        raise NoConvergence(steps, residual, what="share reconstruction")
-
-    return EquilibriumResult(
-        y_prop=np.exp(log_y_s),
-        lambda_prop=lam_cf,
-        welfare_prop=np.diag(lam_cf) ** (-1.0 / epsilon),
-        residual=residual,
-        iterations=steps,
+    (result,) = solve_counterfactual_many(
+        flows.values[None], cf_spec, [epsilon], labels=flows.labels
     )
+    if isinstance(result, FlowUqError):
+        raise result
+    return result
+
+
+def solve_counterfactual_many(
+    values: np.ndarray,
+    cf_spec: CounterfactualSpec,
+    epsilons,
+    labels: tuple[str, ...] = (),
+) -> list[EquilibriumResult | FlowUqError]:
+    """``solve_counterfactual`` for a (k, n, n) stack of flow matrices over
+    the same ``labels``, with one elasticity per matrix.
+
+    Returns one entry per slice: its ``EquilibriumResult``, or the error that
+    ``solve_counterfactual`` raises on that slice alone, with the same class
+    and message.  A malformed stack raises ``DataError``.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[1] != values.shape[2]:
+        raise DataError(f"flows must be a (k, n, n) stack, got shape {values.shape}")
+    k, n = values.shape[:2]
+    epsilons = np.asarray(epsilons, dtype=float)
+    if epsilons.shape != (k,):
+        raise DataError(f"need {k} elasticities, got shape {epsilons.shape}")
+    tau = cf_spec.tau_prop
+    if n != cf_spec.n:
+        problem = "flow matrix and counterfactual spec sizes differ"
+    elif np.max(np.abs(np.diag(tau) - 1.0)) > 1e-12:
+        problem = "own trade costs are fixed at 1; diagonal must be 1"
+    else:
+        problem = None
+
+    results: list = [None] * k
+    aggs = {}
+    for j in range(k):
+        try:
+            if epsilons[j] <= 0:
+                raise InvalidElasticity(f"elasticity must be > 0, got {epsilons[j]}")
+            if problem is not None:
+                raise DataError(problem)
+            flows = FlowMatrix(values[j], labels)
+            agg = derive_aggregates(flows)
+            zero = np.diag(agg.shares) <= 0
+            if zero.any():
+                bad = [flows.labels[i] for i in np.flatnonzero(zero)]
+                raise ZeroDiagonal(f"zero own flow for {bad}")
+        except FlowUqError as exc:
+            results[j] = exc
+        else:
+            aggs[j] = agg
+    if not aggs:
+        return results
+
+    idx = list(aggs)
+    shares = np.stack([aggs[j].shares for j in idx])
+    income = np.stack([aggs[j].income for j in idx])
+    deficit = np.stack([aggs[j].expenditure - aggs[j].income for j in idx])
+    log_tau = np.log(tau)
+    solved = _continuation(log_tau, shares, income, deficit, epsilons[idx])
+    for j, agg, outcome in zip(idx, aggs.values(), solved):
+        if isinstance(outcome, NoConvergence):
+            results[j] = outcome
+            continue
+        log_y, residual, steps = outcome
+        lam_cf = _share_changes(log_tau, log_y, agg.shares, epsilons[j])
+        cf_share_cols = (lam_cf * agg.shares).sum(axis=0)
+        if np.max(np.abs(cf_share_cols - 1.0)) > 1e-8:
+            results[j] = NoConvergence(steps, residual, what="share reconstruction")
+            continue
+        results[j] = EquilibriumResult(
+            y_prop=np.exp(log_y),
+            lambda_prop=lam_cf,
+            welfare_prop=np.diag(lam_cf) ** (-1.0 / epsilons[j]),
+            residual=residual,
+            iterations=steps,
+        )
+    return results
 
 
 def welfare_change_pct(result: EquilibriumResult) -> np.ndarray:
@@ -202,7 +371,9 @@ def welfare_change_pct(result: EquilibriumResult) -> np.ndarray:
 @dataclass(frozen=True)
 class ArmingtonModel:
     """ModelFunction adapter: theta[0] is the trade elasticity, the outcome
-    vector is the percentage welfare change of every location."""
+    vector is the percentage welfare change of every location.  ``many``
+    solves a batch of (flows, theta) pairs through
+    ``solve_counterfactual_many``."""
 
     def __call__(
         self, flows: FlowMatrix, theta: np.ndarray, cf_spec: CounterfactualSpec
@@ -210,3 +381,16 @@ class ArmingtonModel:
         epsilon = float(np.atleast_1d(theta)[0])
         result = solve_counterfactual(flows, cf_spec, epsilon)
         return welfare_change_pct(result)
+
+    def many(self, flows_seq, thetas, cf_spec: CounterfactualSpec) -> list:
+        if not flows_seq:
+            return []
+        results = solve_counterfactual_many(
+            np.stack([flows.values for flows in flows_seq]),
+            cf_spec,
+            [float(np.atleast_1d(theta)[0]) for theta in thetas],
+            labels=flows_seq[0].labels,
+        )
+        return [
+            r if isinstance(r, FlowUqError) else welfare_change_pct(r) for r in results
+        ]

@@ -563,15 +563,15 @@ def _twoway_log_fit(values: np.ndarray, what: str, keep_empty: bool) -> np.ndarr
                 )
     log_v = np.log(np.where(mask, values, 1.0))
     labels = _components(mask)
-    fe_o, fe_d, linked = _twoway_fe(mask.astype(float)[None], log_v[None, :, :, None], labels)
-    fe_o, fe_d = fe_o[0], fe_d[0]
+    fe_o, fe_d, linked, _ = _twoway_fe(mask.astype(float)[None], log_v[None, None], labels)
+    fe_o, fe_d = fe_o[0, 0], fe_d[0, 0]
     identified = linked & off
     if not keep_empty and not identified[off].all():
         raise InsufficientData(
             f"positive {what} estimates split the locations into unconnected "
             f"groups; {int(np.count_nonzero(off & ~identified))} dyads join two groups"
         )
-    return np.where(identified, np.exp(fe_o + fe_d.T), 0.0)
+    return np.where(identified, np.exp(fe_o[:, None] + fe_d[None, :]), 0.0)
 
 
 def shrink_variances(

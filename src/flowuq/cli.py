@@ -309,13 +309,15 @@ def cmd_uq(settings: Settings) -> int:
     if costs_path is not None:
         log_costs = dataio.read_costs_csv(costs_path, flows.labels)
         include_diag = settings.get("include_diagonal", default=False, cast=bool)
-        estimator = PpmlEstimator(log_costs, include_diag)
+        fit = fit_ppml(flows, log_costs, include_diagonal=include_diag)
+        observed = fit.to_estimator_result()
+        estimator = PpmlEstimator(log_costs, fit, include_diag)
     else:
         theta = settings.get("theta", cast=float)
         if theta is None:
             raise DataError("supply --costs for re-estimation or an external --theta")
         se = settings.get("theta_se", default=0.0, cast=float)
-        estimator = EstimatorResult(
+        observed = estimator = EstimatorResult(
             theta_hat=np.array([theta]), sigma_hat=np.array([[se**2]])
         )
 
@@ -358,11 +360,14 @@ def cmd_uq(settings: Settings) -> int:
         smoother = LowDimSmoother(distances)
     elif smoother_name != "none":
         raise DataError(f"unknown smoother {smoother_name!r}")
+    if mode != "ee+me" and (smoother is None or not cfg.smooth_for_estimation):
+        # The loop estimates only the observed matrix, whose fit is at hand.
+        estimator = observed
 
     draw_set, intervals = run_algorithm1(
         flows, params, estimator, model, cf, cfg, smoother=smoother
     )
-    point = point_estimate(flows, estimator, model, cf)
+    point = point_estimate(flows, observed, model, cf)
 
     dataio.write_draws_csv(out / "draws.csv", draw_set)
     dataio.write_json(

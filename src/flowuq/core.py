@@ -23,7 +23,11 @@ from .errors import (
 )
 
 # A counterfactual model: (flows, theta, cf_spec) -> vector of outcomes.
-# Must be deterministic: identical inputs give identical outputs.
+# Must be deterministic: identical inputs give identical outputs.  A model may
+# also have a ``many(flows_seq, thetas, cf_spec)`` method that evaluates a
+# batch of (flows, theta) pairs over the same locations at once.  It returns
+# a list with one entry per pair: what a call on that pair alone returns, or
+# the FlowUqError that call raises.  ``evaluate_model_many`` uses it.
 ModelFunction = Callable[["FlowMatrix", np.ndarray, "CounterfactualSpec"], np.ndarray]
 
 
@@ -255,16 +259,77 @@ def evaluate_model(
     The bootstrap engine relies on this: a non-converged or otherwise failed
     evaluation must surface as a skippable failure, never as a bogus value.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    try:
-        out = np.atleast_1d(np.asarray(g(flows, theta, cf_spec), dtype=float))
-    except ModelEvaluationFailed:
-        raise
-    except FlowUqError as exc:
-        raise ModelEvaluationFailed(f"{type(exc).__name__}: {exc}") from exc
-    if not np.all(np.isfinite(out)):
-        raise ModelEvaluationFailed("model returned non-finite outcomes")
+    out = _checked_outcome(_call_model(g, flows, _as_theta(theta), cf_spec))
+    if isinstance(out, ModelEvaluationFailed):
+        raise out
     return out
+
+
+def evaluate_model_many(
+    g: ModelFunction,
+    flows_seq: Sequence[FlowMatrix],
+    thetas: Sequence[np.ndarray],
+    cf_spec: CounterfactualSpec,
+) -> list[np.ndarray | ModelEvaluationFailed]:
+    """``evaluate_model`` on each (flows, theta) pair, through the model's
+    ``many`` when it has one and one call per pair otherwise.  A failed pair
+    gets its ModelEvaluationFailed in place of an outcome vector."""
+    thetas = [_as_theta(theta) for theta in thetas]
+    many = getattr(g, "many", None)
+    if many is not None:
+        raw = many(flows_seq, thetas, cf_spec)
+    else:
+        raw = [_call_model(g, f, theta, cf_spec) for f, theta in zip(flows_seq, thetas)]
+    return [_checked_outcome(out) for out in raw]
+
+
+def _as_theta(theta) -> np.ndarray:
+    return np.atleast_1d(np.asarray(theta, dtype=float))
+
+
+def _call_model(g, flows, theta, cf_spec):
+    """The model's outcome, or the FlowUqError it raised."""
+    try:
+        return g(flows, theta, cf_spec)
+    except FlowUqError as exc:
+        return exc
+
+
+def _checked_outcome(out) -> np.ndarray | ModelEvaluationFailed:
+    """A model's raw result as a finite outcome vector, or the failure."""
+    if isinstance(out, ModelEvaluationFailed):
+        return out
+    if isinstance(out, FlowUqError):
+        failure = ModelEvaluationFailed(f"{type(out).__name__}: {out}")
+        failure.__cause__ = out
+        return failure
+    out = np.atleast_1d(np.asarray(out, dtype=float))
+    if not np.all(np.isfinite(out)):
+        return ModelEvaluationFailed("model returned non-finite outcomes")
+    return out
+
+
+def solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.solve`` on a stack of systems, (k, n, n) and (k, n, m),
+    where a singular system fails alone.
+
+    Returns the solutions and a (k,) mask of the singular systems, whose
+    solutions are NaN.  When the stacked solve raises, every system is solved
+    alone; LAPACK solves each slice of a stack as it solves that slice by
+    itself, so the other solutions do not depend on the stack.
+    """
+    try:
+        return np.linalg.solve(a, b), np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    x = np.full(b.shape, np.nan)
+    singular = np.zeros(len(a), dtype=bool)
+    for j in range(len(a)):
+        try:
+            x[j] = np.linalg.solve(a[j], b[j])
+        except np.linalg.LinAlgError:
+            singular[j] = True
+    return x, singular
 
 
 class IdentityModel:

@@ -5,9 +5,13 @@ measurement-error posterior, sample a structural parameter from the
 estimation-error posterior, evaluate the counterfactual.  Modes fix one leg
 ("only-ee" keeps the observed data, smoothed and estimated once; "only-me"
 keeps the point estimate); smoothing variants transform the drawn matrix
-before the model sees it.  The loop runs in batches of draws whose matrices
-are estimated together when the estimator has a ``many`` method (as
-``gravity.PpmlEstimator`` does), and one by one otherwise.
+before the model sees it.  The loop runs in batches of draws.  A batch's
+matrices are estimated together when the estimator has a ``many`` method (as
+``gravity.PpmlEstimator`` does), and one by one otherwise.  Its (draw,
+parameter) pairs -- one per draw, or the inner draws of the
+interval-of-intervals -- are evaluated in groups through the model's
+``many`` method when it has one (as ``armington.ArmingtonModel`` does, with
+one stacked Newton per group), and one call per pair otherwise.
 
 Reproducibility contract: every draw b has its own counter-based RNG streams
 keyed by (seed, b), so the result is a pure function of (inputs, seed, B) no
@@ -31,6 +35,7 @@ from .core import (
     EstimatorResult,
     ModelFunction,
     evaluate_model,
+    evaluate_model_many,
 )
 from .errors import (
     DataError,
@@ -148,10 +153,11 @@ class LowDimSmoother:
 # Draw loop
 
 
-# A batch of draws is estimated together; its size keeps the batch's stacked
-# n x n grids within this many cells: 81 draws at n = 10, 9 at n = 30 and
-# one from n = 91 on.  PPML holds about 15 grids per draw at its peak, so a
-# batch's working memory stays near 1 MB.
+# A batch of draws is estimated together, and its (draw, parameter) pairs are
+# evaluated in groups of the same size; the size keeps the stacked n x n
+# grids within this many cells: 81 draws at n = 10, 9 at n = 30 and one from
+# n = 91 on.  PPML holds about 15 grids per draw at its peak, so a batch's
+# working memory stays near 1 MB.
 _BATCH_CELLS = 8192
 
 
@@ -193,42 +199,31 @@ def _estimate_many(
     return [estimator(f) for f in flows]
 
 
-def _evaluate_draw(ctx: _LoopContext, b: int, flows_eval: FlowMatrix, est, degenerate: int):
-    """Returns (gamma or None, the outcomes of every parameter draw that
-    evaluated, degenerate count) for draw b.
-
-    The parameter draws are the point estimate alone in only-me mode
-    (``est`` is None), else one draw from this b's estimate, or
-    ``cfg.inner_draws`` of them for the interval-of-intervals.  The first one
-    gives this b's outcome draw, so c1 and c2 share the same draw set under
-    the same seed; if it fails, draw b fails."""
+def _theta_draws(ctx: _LoopContext, b: int, est: EstimatorResult | None) -> list[np.ndarray]:
+    """The parameter draws of draw b: the point estimate alone in only-me
+    mode (``est`` is None), else one draw from this b's estimate, or
+    ``cfg.inner_draws`` of them for the interval-of-intervals.  The first
+    one gives this b's outcome draw, so c1 and c2 share the same draw set
+    under the same seed."""
     cfg = ctx.cfg
     if est is None:
-        theta_draws = [ctx.theta_fixed]
-    else:
-        theta_rng = draw_rng(cfg.seed, b, 1)
-        n_theta = cfg.inner_draws if cfg.interval_kind == "c2" else 1
-        theta_draws = [
-            sample_theta(est, theta_rng, positive=cfg.positive_theta)
-            for _ in range(n_theta)
-        ]
-
-    gammas = []
-    for m, theta in enumerate(theta_draws):
-        try:
-            gammas.append(evaluate_model(ctx.model, flows_eval, theta, ctx.cf_spec))
-        except ModelEvaluationFailed:
-            if m == 0:
-                return None, None, degenerate
-    return gammas[0], np.asarray(gammas), degenerate
+        return [ctx.theta_fixed]
+    theta_rng = draw_rng(cfg.seed, b, 1)
+    n_theta = cfg.inner_draws if cfg.interval_kind == "c2" else 1
+    return [sample_theta(est, theta_rng, positive=cfg.positive_theta) for _ in range(n_theta)]
 
 
 def _run_chunk(ctx: _LoopContext, draws: Sequence[int]):
     """The draw loop, over batches of ``_batch_size(n)`` draws: sample each
     draw's flow matrix from its own stream, estimate the batch's matrices
-    together, then sample the parameter and evaluate the model draw by draw.
-    An estimator error is raised for the batch before any of its draws is
-    evaluated."""
+    together, sample each draw's parameters, then evaluate the model on every
+    (draw, parameter) pair of the batch, ``_batch_size(n)`` pairs at a time
+    (see ``evaluate_model_many``).  An estimator error is raised for the
+    batch before any of its draws is evaluated.
+
+    Returns (b, (gamma or None, the outcomes of every parameter draw that
+    evaluated, degenerate count)) for each draw b; draw b fails when its
+    first parameter draw does."""
     cfg = ctx.cfg
     size = _batch_size(ctx.flows_obs.n)
     results = []
@@ -250,9 +245,24 @@ def _run_chunk(ctx: _LoopContext, draws: Sequence[int]):
                 ests = _estimate_many(
                     ctx.estimator, evals if cfg.smooth_for_estimation else flows_b
                 )
-            drawn = zip(evals, ests, (degenerate for _, degenerate in sampled))
-        for b, (flows_eval, est, degenerate) in zip(batch, drawn):
-            results.append((b, _evaluate_draw(ctx, b, flows_eval, est, degenerate)))
+            drawn = list(zip(evals, ests, (degenerate for _, degenerate in sampled)))
+        thetas = [_theta_draws(ctx, b, est) for b, (_, est, _) in zip(batch, drawn)]
+        pairs = [(f, theta) for (f, _, _), ts in zip(drawn, thetas) for theta in ts]
+        outcomes = []
+        for i in range(0, len(pairs), size):
+            group = pairs[i : i + size]
+            outcomes += evaluate_model_many(
+                ctx.model, [f for f, _ in group], [t for _, t in group], ctx.cf_spec
+            )
+        first = 0
+        for b, (_, _, degenerate), ts in zip(batch, drawn, thetas):
+            outs = outcomes[first : first + len(ts)]
+            first += len(ts)
+            if isinstance(outs[0], ModelEvaluationFailed):
+                results.append((b, (None, None, degenerate)))
+            else:
+                gammas = [g for g in outs if not isinstance(g, ModelEvaluationFailed)]
+                results.append((b, (gammas[0], np.asarray(gammas), degenerate)))
     return results
 
 
@@ -329,8 +339,10 @@ def run_algorithm1(
     fixed-external-estimator variant: the parameter is sampled independently
     of the data draw.  A callable estimator with a ``many`` method gets each
     batch of drawn matrices in one call and must return what one call per
-    matrix would.  Failed model evaluations are skipped and counted; more
-    than ``cfg.max_failure_fraction`` of them aborts.
+    matrix would; so must a model's ``many`` (see ``core.ModelFunction``),
+    which gets the batch's (matrix, parameter) pairs.  Failed model
+    evaluations are skipped and counted; more than
+    ``cfg.max_failure_fraction`` of them aborts.
 
     With a ``smoother`` each drawn matrix is smoothed before the model
     evaluates it.  The parameter is estimated on the unsmoothed draw unless

@@ -247,13 +247,12 @@ def gravity_partial_plot(
     fit = fit_log_gravity(flows_obs, distances)  # also runs the data checks
     n = flows_obs.n
     sample = (flows_obs.values > 0) & ~np.eye(n, dtype=bool)
-    v = np.zeros((n, n, 2))
-    v[sample, 0] = np.log(distances.values[sample])
-    v[sample, 1] = np.log(flows_obs.values[sample])
-    fe_o, fe_d, _ = _twoway_fe(sample.astype(float)[None], v[None], _components(sample))
+    v = np.zeros((2, n, n))
+    v[0, sample] = np.log(distances.values[sample])
+    v[1, sample] = np.log(flows_obs.values[sample])
+    fe_o, fe_d, _, _ = _twoway_fe(sample.astype(float)[None], v[None], _components(sample))
     fe_o, fe_d = fe_o[0], fe_d[0]
-    res = (v - fe_o[:, None, :] - fe_d[None, :, :])[sample]
-    x_res, y_res = res[:, 0], res[:, 1]
+    x_res, y_res = (v - fe_o[:, :, None] - fe_d[:, None, :])[:, sample]
     sxx = float(x_res @ x_res)
     slope = float(x_res @ y_res) / sxx
     if abs(slope - fit.beta_hat) > 1e-10 * max(1.0, abs(fit.beta_hat)):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from flowuq import (
     CounterfactualSpec,
+    EquilibriumResult,
     EstimatorResult,
     FlowMatrix,
+    FlowUqError,
     InvalidElasticity,
     NoConvergence,
     UqConfig,
@@ -24,6 +26,7 @@ from flowuq.armington import (
     ArmingtonModel,
     _defects,
     _share_changes,
+    solve_counterfactual_many,
 )
 from flowuq.scenarios import armington_world
 
@@ -253,6 +256,17 @@ def test_gravity_world_matches_oracle(n):
     assert np.max(np.abs(res.welfare_prop - w_o)) < 1e-8
 
 
+def random_unbalanced_world(rng, n, zero_frac):
+    """Lognormal flows with up to ``zero_frac`` of them zero, larger own
+    flows, and cost changes between 0.7 and 1.5."""
+    values = np.exp(rng.normal(0.0, 1.0, (n, n)))
+    values[rng.random((n, n)) < zero_frac] = 0.0
+    np.fill_diagonal(values, np.exp(rng.normal(2.0, 0.5, n)))
+    tau = rng.uniform(0.7, 1.5, (n, n))
+    np.fill_diagonal(tau, 1.0)
+    return values, tau
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 80),
@@ -261,12 +275,7 @@ def test_gravity_world_matches_oracle(n):
     zero_frac=st.floats(0.0, 0.5),
 )
 def test_random_unbalanced_worlds_solve(n, seed, epsilon, zero_frac):
-    rng = np.random.default_rng(seed)
-    values = np.exp(rng.normal(0.0, 1.0, (n, n)))
-    values[rng.random((n, n)) < zero_frac] = 0.0
-    np.fill_diagonal(values, np.exp(rng.normal(2.0, 0.5, n)))
-    tau = rng.uniform(0.7, 1.5, (n, n))
-    np.fill_diagonal(tau, 1.0)
+    values, tau = random_unbalanced_world(np.random.default_rng(seed), n, zero_frac)
     res = solve_counterfactual(FlowMatrix(values), CounterfactualSpec(tau), epsilon)
     _, _, w_o = armington_oracle(values, tau, epsilon)
     assert np.max(np.abs(res.welfare_prop - w_o)) < 1e-8
@@ -281,3 +290,124 @@ def test_bootstrap_at_n80_has_no_failed_draws():
         observed, world.params, estimate, ArmingtonModel(), world.cf_spec, cfg
     )
     assert draws.draws_failed == 0
+
+
+def solve_alone(values, tau, epsilon):
+    """``solve_counterfactual`` on one matrix: its result or its error."""
+    try:
+        return solve_counterfactual(FlowMatrix(values), CounterfactualSpec(tau), epsilon)
+    except FlowUqError as exc:
+        return exc
+
+
+def assert_same_outcome(single, batched):
+    """A slice of a batched solve equals the solve of that slice alone, bit
+    for bit: the same result, or an error of the same class and message."""
+    if isinstance(single, FlowUqError):
+        assert type(batched) is type(single)
+        assert str(batched) == str(single)
+        return
+    assert isinstance(batched, EquilibriumResult), batched
+    for field in ("y_prop", "lambda_prop", "welfare_prop"):
+        assert np.array_equal(getattr(single, field), getattr(batched, field)), field
+    assert (single.residual, single.iterations) == (batched.residual, batched.iterations)
+
+
+def autarkic_world():
+    # Location 0 trades with no one else, which makes the Newton system of
+    # the counterfactual singular.
+    return np.array([[7.0, 0.0, 0.0], [0.0, 4.0, 3.5], [0.0, 1.0, 3.0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    shock=st.sampled_from([1.0, 3.0, 6.0]),
+    data=st.data(),
+)
+def test_many_matches_single_solves(n, k, seed, shock, data):
+    # Worlds from the generator above on one cost change, raised to a power
+    # so that larger shocks need continuation or fail; some slices get an
+    # invalid elasticity, a zero own flow or an autarkic location.
+    rng = np.random.default_rng(seed)
+    tau = random_unbalanced_world(rng, n, 0.0)[1] ** shock
+    stack, epsilons = [], []
+    for _ in range(k):
+        values = random_unbalanced_world(rng, n, rng.uniform(0.0, 0.5))[0]
+        kind = data.draw(st.sampled_from(["plain"] * 4 + ["epsilon", "diagonal", "autarky"]))
+        epsilon = rng.uniform(0.5, 15.0)
+        if kind == "epsilon":
+            epsilon = -epsilon
+        elif kind == "diagonal":
+            values[n - 1, n - 1] = 0.0
+        elif kind == "autarky":
+            values[0, 1:] = values[1:, 0] = 0.0
+        stack.append(values)
+        epsilons.append(epsilon)
+    batched = solve_counterfactual_many(np.stack(stack), CounterfactualSpec(tau), epsilons)
+    assert len(batched) == k
+    for values, epsilon, result in zip(stack, epsilons, batched):
+        assert_same_outcome(solve_alone(values, tau, epsilon), result)
+
+
+def test_many_runs_each_slice_through_its_own_stages():
+    # The large-shock world needs continuation, and the surplus world
+    # fails after it; in a stack with worlds that solve directly, every slice
+    # gets what it gets alone.
+    large = np.array([[33.0, 0.27, 0.03], [3.4, 3.8, 3.5], [0.0, 0.0, 5.8]])
+    tau = np.array([[1.0, 1.0, 1.1], [0.96, 1.0, 2.0], [1.8, 1.3, 1.0]])
+    stack = [asymmetric_world().values, large, unbalanced_world().values, large, autarkic_world()]
+    epsilons = [3.5, 10.0, 4.0, 0.0, 10.0]
+    results = solve_counterfactual_many(np.stack(stack), CounterfactualSpec(tau), epsilons)
+    for values, epsilon, result in zip(stack, epsilons, results):
+        assert_same_outcome(solve_alone(values, tau, epsilon), result)
+    assert isinstance(results[1], EquilibriumResult)
+    assert isinstance(results[3], InvalidElasticity)
+    assert results[4].reason == "singular Newton system"
+
+    surplus = np.array([[1.0, 10.0], [0.1, 1.0]])
+    tau = np.array([[1.0, 5.0], [1.0, 1.0]])
+    stack = [np.ones((2, 2)), surplus, np.array([[2.0, 1.0], [0.5, 3.0]])]
+    results = solve_counterfactual_many(np.stack(stack), CounterfactualSpec(tau), [5.0] * 3)
+    for values, result in zip(stack, results):
+        assert_same_outcome(solve_alone(values, tau, 5.0), result)
+    assert results[1].reason == "step cap after positivity bound"
+    assert isinstance(results[0], EquilibriumResult)
+    assert isinstance(results[2], EquilibriumResult)
+
+
+def test_singular_newton_system_fails_its_slice_alone(monkeypatch):
+    # The autarkic slice makes the stacked Newton solve raise; the stack is
+    # then solved slice by slice, and only that slice fails.
+    solve, stacked_raises = np.linalg.solve, []
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            stacked_raises.append(a.ndim == 3 and len(a) > 1)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    spec = CounterfactualSpec.uniform_increase(3, 0.1)
+    stack = [asymmetric_world().values, unbalanced_world().values, autarkic_world(), np.ones((3, 3))]
+    results = solve_counterfactual_many(np.stack(stack), spec, [4.0, 2.5, 4.0, 3.0])
+    assert any(stacked_raises)
+    assert [isinstance(r, FlowUqError) for r in results] == [False, False, True, False]
+    assert results[2].reason == "singular Newton system"
+    for values, epsilon, result in zip(stack, [4.0, 2.5, 4.0, 3.0], results):
+        assert_same_outcome(solve_alone(values, spec.tau_prop, epsilon), result)
+
+
+def test_model_many_matches_calls():
+    spec = CounterfactualSpec.uniform_increase(3, 0.1)
+    flows = [asymmetric_world(), FlowMatrix(autarkic_world(), ("A", "B", "C")), unbalanced_world()]
+    thetas = [np.array([4.0]), np.array([4.0]), np.array([-1.0])]
+    outcomes = ArmingtonModel().many(flows, thetas, spec)
+    assert np.array_equal(outcomes[0], ArmingtonModel()(flows[0], thetas[0], spec))
+    for f, theta, out in zip(flows[1:], thetas[1:], outcomes[1:]):
+        with pytest.raises(type(out), match=re.escape(str(out))):
+            ArmingtonModel()(f, theta, spec)
+    assert ArmingtonModel().many([], [], spec) == []

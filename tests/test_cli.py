@@ -11,6 +11,8 @@ from flowuq import dataio
 from flowuq.cli import main
 from flowuq.scenarios import armington_world, mirror_world
 
+from .test_gravity import singular_world
+
 
 @pytest.fixture()
 def mirror_files(tmp_path):
@@ -221,31 +223,40 @@ def test_uq_byte_identical_and_mode_ladder(armington_files, tmp_path):
 def test_uq_ppml_byte_identical_across_workers_and_batches(
     armington_files, tmp_path, monkeypatch
 ):
-    # The PPML estimates of a batch of draws come from one batched IRLS; the
-    # draws must not depend on how the loop is cut into workers or batches.
+    # The PPML estimates of a batch of draws come from one batched IRLS, and
+    # the model evaluates a batch's (draw, parameter) pairs in stacked Newton
+    # solves; the draws must not depend on how the loop is cut into workers
+    # or batches, in any mode or interval kind.
     from flowuq import engine
 
     scen, flows, dist, costs, params = armington_files
     default_batch = engine._batch_size
-    outputs = {}
-    for workers, batch in ((1, None), (2, None), (3, None), (1, 1), (1, 3)):
-        monkeypatch.setattr(
-            engine, "_batch_size", default_batch if batch is None else lambda n: batch
-        )
-        out = tmp_path / f"uq_w{workers}_b{batch}"
-        argv = [
-            "uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs),
-            "--uniform-increase", "0.1", "--b", "40", "--alpha", "0.05", "--seed", "4",
-            "--workers", str(workers), "--output-dir", str(out),
-        ]
-        assert main(argv) == 0
-        outputs[workers, batch] = [
-            (out / name).read_bytes() for name in ("draws.csv", "interval.json")
-        ]
+    variants = {
+        "c1": [],
+        "c2": ["--interval", "c2", "--b-inner", "40"],
+        "only-me": ["--mode", "only-me"],
+        "only-ee": ["--mode", "only-ee"],
+    }
+    for name, extra in variants.items():
+        outputs = {}
+        for workers, batch in ((1, None), (2, None), (3, None), (1, 1), (1, 3)):
+            monkeypatch.setattr(
+                engine, "_batch_size", default_batch if batch is None else lambda n: batch
+            )
+            out = tmp_path / f"uq_{name}_w{workers}_b{batch}"
+            argv = [
+                "uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs),
+                "--uniform-increase", "0.1", "--b", "40", "--alpha", "0.05", "--seed", "4",
+                "--workers", str(workers), "--output-dir", str(out), *extra,
+            ]
+            assert main(argv) == 0
+            outputs[workers, batch] = [
+                (out / f).read_bytes() for f in ("draws.csv", "interval.json")
+            ]
+        first = outputs[1, None]
+        for key, value in outputs.items():
+            assert value == first, (name, key)
     assert default_batch(scen.n) >= 40  # the default runs all 40 draws as one batch
-    first = outputs[1, None]
-    for key, value in outputs.items():
-        assert value == first, key
 
 
 def test_uq_constant_model_degenerate(armington_files, tmp_path):
@@ -519,6 +530,19 @@ def test_counterfactual_and_estimate(armington_files, tmp_path):
     assert code == 0
     doc = json.loads((out2 / "ppml.json").read_text())
     assert abs(doc["epsilon_hat"] - scen.epsilon) < 1.0
+
+
+def test_estimate_singular_projection_exit_3(tmp_path):
+    # The weighted fixed-effects block turns singular during IRLS on this
+    # world; that is a separation error, not a numpy traceback.
+    world, log_costs = singular_world()
+    labels = [str(i) for i in range(world.n)]
+    flows = tmp_path / "flows.csv"
+    costs = tmp_path / "costs.csv"
+    dataio.write_dyadic_csv(flows, labels, world.values, "flow")
+    dataio.write_dyadic_csv(costs, labels, np.exp(log_costs), "cost")
+    argv = ["estimate", "--flows", str(flows), "--costs", str(costs)]
+    assert main(argv + ["--output-dir", str(tmp_path / "est")]) == 3
 
 
 def test_identification_error_exit_3(tmp_path):

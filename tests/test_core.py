@@ -10,6 +10,7 @@ from flowuq import (
     EstimatorResult,
     FlowMatrix,
     IdentityModel,
+    InvalidElasticity,
     ModelEvaluationFailed,
     NotPSD,
     ZeroMarginal,
@@ -17,6 +18,7 @@ from flowuq import (
     evaluate_model,
 )
 from flowuq.armington import ArmingtonModel
+from flowuq.core import evaluate_model_many, solve_stack
 
 
 def test_flow_matrix_validation():
@@ -130,6 +132,52 @@ def test_evaluate_model_wraps_failures():
     with pytest.raises(ModelEvaluationFailed) as info:
         evaluate_model(ArmingtonModel(), fm, np.array([-1.0]), spec)
     assert "InvalidElasticity" in str(info.value)
+
+
+def test_evaluate_model_many_checks_every_pair():
+    # Through ``many`` and call by call, each pair gets what evaluate_model
+    # gives it, with failures in place of outcomes.
+    spec = CounterfactualSpec(np.ones((2, 2)))
+    flows = [FlowMatrix(np.ones((2, 2)))] * 3
+    thetas = [np.array([1.0]), np.array([np.nan]), np.array([-1.0])]
+
+    class Batched:
+        def __call__(self, flows, theta, cf_spec):
+            if theta[0] < 0:
+                raise InvalidElasticity("negative")
+            return theta
+
+        def many(self, flows_seq, thetas, cf_spec):
+            return [
+                InvalidElasticity("negative") if t[0] < 0 else t for t in thetas
+            ]
+
+    class CallsOnly:
+        def __call__(self, flows, theta, cf_spec):
+            return Batched()(flows, theta, cf_spec)
+
+    for model in (Batched(), CallsOnly()):
+        first, nan, negative = evaluate_model_many(model, flows, thetas, spec)
+        assert np.array_equal(first, [1.0])
+        assert isinstance(nan, ModelEvaluationFailed)
+        assert isinstance(negative, ModelEvaluationFailed)
+        assert str(negative) == "InvalidElasticity: negative"
+        assert isinstance(negative.__cause__, InvalidElasticity)
+
+
+def test_solve_stack_singular_system_fails_alone():
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(4, 3, 3))
+    a[2] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]
+    b = rng.normal(size=(4, 3, 2))
+    x, singular = solve_stack(a, b)
+    assert singular.tolist() == [False, False, True, False]
+    assert np.isnan(x[2]).all()
+    for j in (0, 1, 3):
+        assert np.array_equal(x[j], np.linalg.solve(a[j], b[j]))
+        assert np.array_equal(x[j], np.linalg.solve(a[j : j + 1], b[j : j + 1])[0])
+    x, singular = solve_stack(a[[0, 1, 3]], b[[0, 1, 3]])
+    assert not singular.any()
 
 
 def test_model_determinism():

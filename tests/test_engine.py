@@ -17,12 +17,14 @@ from flowuq import (
     TooFewDraws,
     TooManyFailures,
     UqConfig,
+    evaluate_model,
     interval_c1,
     interval_c2,
     point_estimate,
     robust_interval,
     run_algorithm1,
     run_algorithm3,
+    sample_flow_matrix,
 )
 from flowuq.armington import ArmingtonModel
 from flowuq.engine import LowDimSmoother, SvdSmoother, draw_rng
@@ -70,6 +72,16 @@ class FailOnThetas:
         if float(theta[0]) in self.values:
             raise ModelEvaluationFailed("listed parameter draw")
         return np.atleast_1d(theta)
+
+
+class CallsOnly:
+    """A model without its ``many`` method: the engine calls it per pair."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def __call__(self, flows, theta, cf_spec):
+        return self.model(flows, theta, cf_spec)
 
 
 class Counting:
@@ -381,17 +393,62 @@ class TestEngine:
         assert len(ivs) == 5
         for iv in ivs:
             assert iv.lo <= iv.hi
-        # The batched estimator gives the draws of one PPML fit per draw.
+        # The batched estimator, whose fits start at the observed fit, gives
+        # the draws of one such fit per draw, and those of cold fits within
+        # the IRLS tolerance.
+        estimator = PpmlEstimator(scen.log_costs, fit_ppml(flows_obs, scen.log_costs))
         ds_batched, ivs_batched = run_algorithm3(
             flows_obs,
             scen.params,
-            PpmlEstimator(scen.log_costs),
+            estimator,
             ArmingtonModel(),
             scen.cf_spec,
             self.cfg(b=40, alpha=0.1),
         )
-        assert np.array_equal(ds.draws, ds_batched.draws)
-        assert ivs == ivs_batched
+        ds_single, ivs_single = run_algorithm3(
+            flows_obs,
+            scen.params,
+            lambda flows: estimator(flows),
+            ArmingtonModel(),
+            scen.cf_spec,
+            self.cfg(b=40, alpha=0.1),
+        )
+        assert np.array_equal(ds_single.draws, ds_batched.draws)
+        assert ivs_single == ivs_batched
+        np.testing.assert_allclose(ds_batched.draws, ds.draws, rtol=1e-10, atol=0)
+
+    def test_models_with_and_without_many_give_the_per_draw_loop(self):
+        # Whether the model evaluates a batch's pairs through ``many`` or
+        # call by call, the draws are those of one evaluate_model call per
+        # parameter draw, in draw order: draw b keeps the outcome of its first
+        # parameter draw and fails with it (a negative elasticity draw is an
+        # invalid elasticity).
+        scen, flows_obs = small_world()
+        est = EstimatorResult(theta_hat=[1.0], sigma_hat=[[0.4]])
+        for kw, n_theta in ((dict(), 1), (dict(interval_kind="c2", b_inner=20), 20)):
+            cfg = self.cfg(b=40, alpha=0.1, max_failure_fraction=0.5, **kw)
+            expected = []
+            for b in range(1, 41):
+                flows_b = sample_flow_matrix(flows_obs, scen.params, draw_rng(cfg.seed, b, 0))[0]
+                theta_rng = draw_rng(cfg.seed, b, 1)
+                thetas = [sample_theta(est, theta_rng) for _ in range(n_theta)]
+                try:
+                    expected.append(evaluate_model(ArmingtonModel(), flows_b, thetas[0], scen.cf_spec))
+                except ModelEvaluationFailed:
+                    pass
+            assert len(expected) < 40
+            for model in (ArmingtonModel(), CallsOnly(ArmingtonModel())):
+                ds, _ = run_algorithm1(flows_obs, scen.params, est, model, scen.cf_spec, cfg)
+                assert np.array_equal(ds.draws, np.array(expected))
+                assert ds.draws_failed == 40 - len(expected)
+        for kw in (dict(interval_kind="c2", b_inner=20), dict(mode="only-me")):
+            cfg = self.cfg(b=40, alpha=0.1, max_failure_fraction=0.5, **kw)
+            batched, called = (
+                run_algorithm1(flows_obs, scen.params, est, model, scen.cf_spec, cfg)
+                for model in (ArmingtonModel(), CallsOnly(ArmingtonModel()))
+            )
+            assert np.array_equal(batched[0].draws, called[0].draws)
+            assert batched[1] == called[1]
 
 
 class TestEngineIntervals:

@@ -13,11 +13,13 @@ from flowuq import (
     InsufficientData,
     NoConvergence,
     NotPSD,
+    PpmlEstimator,
     Separation,
     dyadic_variance,
     fit_log_gravity,
     fit_ppml,
     independent_variance,
+    sample_flow_matrix,
     sample_theta,
 )
 from flowuq import gravity
@@ -75,6 +77,89 @@ class TestPpml:
         # Noiseless fit: per-dyad scores vanish too.
         scores = ppml_rebuild(fit, flows, log_costs)[0]
         assert np.max(np.abs(scores)) < 1e-6
+
+    def test_singular_projection_fails_its_slice_alone(self, monkeypatch):
+        # On the heavy-noise world the fitted means of the empty origin fall
+        # to ~1e-17 of the largest, and the fixed-effects block turns
+        # singular before any effect exceeds the separation bound.
+        flows, log_costs = singular_world()
+        with pytest.raises(Separation, match="projection became singular") as single:
+            fit_ppml(flows, log_costs)
+
+        # The weighting that was singular fails alone in a stack: the other
+        # slices get their own projections, bit for bit.
+        seen = []
+        real = gravity._twoway_fe
+
+        def recording(w, v, labels):
+            out = real(w, v, labels)
+            if out[3].any():
+                seen.append((w[out[3]][0], v[out[3]][0], labels))
+            return out
+
+        monkeypatch.setattr(gravity, "_twoway_fe", recording)
+        with pytest.raises(Separation):
+            fit_ppml(flows, log_costs)
+        monkeypatch.undo()
+        w_bad, v_bad, labels = seen[0]
+        rng = np.random.default_rng(3)
+        w = np.exp(rng.normal(0.0, 1.0, (4,) + w_bad.shape)) * (w_bad > 0)
+        v = rng.normal(size=(4,) + v_bad.shape)
+        w[2], v[2] = w_bad, v_bad
+        a, b, _, singular = _twoway_fe(w, v, labels)
+        assert singular.tolist() == [False, False, True, False]
+        assert np.isnan(a[2]).all() and np.isnan(b[2]).all()
+        for j in (0, 1, 3):
+            a_j, b_j, _, singular_j = _twoway_fe(w[j : j + 1], v[j : j + 1], labels)
+            assert not singular_j.any()
+            assert np.array_equal(a[j], a_j[0]) and np.array_equal(b[j], b_j[0])
+
+        # In a batch of fits the lowest failing slice's error is raised.
+        good = [gravity_flows(flows.n, 2.0, rng)[0].values for _ in range(3)]
+        separating = good[2] * np.exp(40.0 * (np.arange(flows.n) == 2))
+        with pytest.raises(Separation, match="exceeded") as sep:
+            fit_ppml(FlowMatrix(separating), log_costs)
+        for stack, expected in (
+            ([good[0], good[1], flows.values, separating], single),
+            ([good[0], separating, flows.values, good[1]], sep),
+        ):
+            with pytest.raises(Separation) as info:
+                fit_ppml_many(np.stack(stack), log_costs)
+            assert str(info.value) == str(expected.value)
+
+    def test_warm_start_matches_cold_fits(self):
+        # Draws around an observed matrix, fitted from the observed fit: the
+        # estimates agree with cold fits within the IRLS tolerance, in fewer
+        # iterations; a separating draw still separates.
+        world = armington_world(n=12, seed=4)
+        _, observed = world.draw_world(np.random.default_rng(1))
+        start = fit_ppml(observed, world.log_costs)
+        rng = np.random.default_rng(2)
+        stack = np.stack(
+            [sample_flow_matrix(observed, world.params, rng)[0].values for _ in range(6)]
+        )
+        cold = fit_ppml_many(stack, world.log_costs)
+        warm = fit_ppml_many(stack, world.log_costs, start=start)
+        for c, w in zip(cold, warm):
+            assert abs(w.epsilon_hat - c.epsilon_hat) <= 1e-10 * abs(c.epsilon_hat)
+            assert abs(w.variance - c.variance) <= 1e-10 * c.variance
+        assert sum(w.iterations for w in warm) < sum(c.iterations for c in cold)
+        for single, batched in zip(stack, warm):
+            assert_same_fit(fit_ppml_many(single[None], world.log_costs, start=start)[0], batched)
+
+        estimator = PpmlEstimator(world.log_costs, start)
+        many = estimator.many([FlowMatrix(values) for values in stack])
+        for values, est, fit in zip(stack, many, warm):
+            one = estimator(FlowMatrix(values))
+            assert np.array_equal(one.theta_hat, est.theta_hat)
+            assert np.array_equal(one.sigma_hat, est.sigma_hat)
+            assert est.theta_hat[0] == fit.epsilon_hat
+
+        separating = stack[0] * np.exp(40.0 * (np.arange(12) == 2))
+        with pytest.raises(Separation):
+            fit_ppml_many(np.stack([stack[1], separating]), world.log_costs, start=start)
+        with pytest.raises(DataError):
+            fit_ppml_many(stack[:, :5, :5], world.log_costs[:5, :5], start=start)
 
     def test_collinear_costs(self):
         rng = np.random.default_rng(1)
@@ -144,6 +229,19 @@ class TestPpml:
         flows_r = FlowMatrix(flows.values[np.ix_(relabel, relabel)])
         fit_r = fit_ppml(flows_r, log_costs[np.ix_(relabel, relabel)])
         assert abs(fit.epsilon_hat - fit_r.epsilon_hat) < 1e-7
+
+
+def singular_world():
+    """A heavy-noise PPML world (origin 0 exports nothing) on which the
+    weighted fixed-effects block turns singular during IRLS."""
+    rng = np.random.default_rng(41)
+    n = int(rng.integers(3, 7))
+    noise_sd = rng.uniform(3, 8)
+    zero_frac = rng.choice([0.0, 0.3, 0.6])
+    flows, log_costs = gravity_flows(n, 3.0, rng, noise_sd)
+    log_costs = log_costs * rng.uniform(1, 10)
+    values = flows.values * (rng.random((n, n)) >= zero_frac)
+    return FlowMatrix(values), log_costs
 
 
 def assert_same_fit(single, batched):
@@ -246,6 +344,89 @@ class TestPpmlMany:
             with pytest.raises(type(expected.value)) as info:
                 fit_ppml_many(stack, log_costs)
             assert str(info.value) == str(expected.value)
+
+    def test_singular_projection_fails_its_slice_alone(self, monkeypatch):
+        # On the heavy-noise world the fitted means of the empty origin fall
+        # to ~1e-17 of the largest, and the fixed-effects block turns
+        # singular before any effect exceeds the separation bound.
+        flows, log_costs = singular_world()
+        with pytest.raises(Separation, match="projection became singular") as single:
+            fit_ppml(flows, log_costs)
+
+        # The weighting that was singular fails alone in a stack: the other
+        # slices get their own projections, bit for bit.
+        seen = []
+        real = gravity._twoway_fe
+
+        def recording(w, v, labels):
+            out = real(w, v, labels)
+            if out[3].any():
+                seen.append((w[out[3]][0], v[out[3]][0], labels))
+            return out
+
+        monkeypatch.setattr(gravity, "_twoway_fe", recording)
+        with pytest.raises(Separation):
+            fit_ppml(flows, log_costs)
+        monkeypatch.undo()
+        w_bad, v_bad, labels = seen[0]
+        rng = np.random.default_rng(3)
+        w = np.exp(rng.normal(0.0, 1.0, (4,) + w_bad.shape)) * (w_bad > 0)
+        v = rng.normal(size=(4,) + v_bad.shape)
+        w[2], v[2] = w_bad, v_bad
+        a, b, _, singular = _twoway_fe(w, v, labels)
+        assert singular.tolist() == [False, False, True, False]
+        assert np.isnan(a[2]).all() and np.isnan(b[2]).all()
+        for j in (0, 1, 3):
+            a_j, b_j, _, singular_j = _twoway_fe(w[j : j + 1], v[j : j + 1], labels)
+            assert not singular_j.any()
+            assert np.array_equal(a[j], a_j[0]) and np.array_equal(b[j], b_j[0])
+
+        # In a batch of fits the lowest failing slice's error is raised.
+        good = [gravity_flows(flows.n, 2.0, rng)[0].values for _ in range(3)]
+        separating = good[2] * np.exp(40.0 * (np.arange(flows.n) == 2))
+        with pytest.raises(Separation, match="exceeded") as sep:
+            fit_ppml(FlowMatrix(separating), log_costs)
+        for stack, expected in (
+            ([good[0], good[1], flows.values, separating], single),
+            ([good[0], separating, flows.values, good[1]], sep),
+        ):
+            with pytest.raises(Separation) as info:
+                fit_ppml_many(np.stack(stack), log_costs)
+            assert str(info.value) == str(expected.value)
+
+    def test_warm_start_matches_cold_fits(self):
+        # Draws around an observed matrix, fitted from the observed fit: the
+        # estimates agree with cold fits within the IRLS tolerance, in fewer
+        # iterations; a separating draw still separates.
+        world = armington_world(n=12, seed=4)
+        _, observed = world.draw_world(np.random.default_rng(1))
+        start = fit_ppml(observed, world.log_costs)
+        rng = np.random.default_rng(2)
+        stack = np.stack(
+            [sample_flow_matrix(observed, world.params, rng)[0].values for _ in range(6)]
+        )
+        cold = fit_ppml_many(stack, world.log_costs)
+        warm = fit_ppml_many(stack, world.log_costs, start=start)
+        for c, w in zip(cold, warm):
+            assert abs(w.epsilon_hat - c.epsilon_hat) <= 1e-10 * abs(c.epsilon_hat)
+            assert abs(w.variance - c.variance) <= 1e-10 * c.variance
+        assert sum(w.iterations for w in warm) < sum(c.iterations for c in cold)
+        for single, batched in zip(stack, warm):
+            assert_same_fit(fit_ppml_many(single[None], world.log_costs, start=start)[0], batched)
+
+        estimator = PpmlEstimator(world.log_costs, start)
+        many = estimator.many([FlowMatrix(values) for values in stack])
+        for values, est, fit in zip(stack, many, warm):
+            one = estimator(FlowMatrix(values))
+            assert np.array_equal(one.theta_hat, est.theta_hat)
+            assert np.array_equal(one.sigma_hat, est.sigma_hat)
+            assert est.theta_hat[0] == fit.epsilon_hat
+
+        separating = stack[0] * np.exp(40.0 * (np.arange(12) == 2))
+        with pytest.raises(Separation):
+            fit_ppml_many(np.stack([stack[1], separating]), world.log_costs, start=start)
+        with pytest.raises(DataError):
+            fit_ppml_many(stack[:, :5, :5], world.log_costs[:5, :5], start=start)
 
     def test_collinear_costs(self):
         rng = np.random.default_rng(1)
@@ -416,8 +597,11 @@ class TestTwowayProjection:
         )
         for weights, linked_expected in cases:
             v = rng.normal(size=(n, n, 2))
-            a, b, linked = _twoway_fe(weights[None], v[None], _components(weights > 0))
-            a, b = a[0], b[0]
+            a, b, linked, singular = _twoway_fe(
+                weights[None], v.transpose(2, 0, 1)[None], _components(weights > 0)
+            )
+            assert not singular.any()
+            a, b = a[0].T, b[0].T
             oidx, didx = np.nonzero(weights > 0)
             x = twoway_design(oidx, didx, n)
             sw = np.sqrt(weights[oidx, didx])
