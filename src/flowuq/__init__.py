@@ -50,7 +50,6 @@ from .engine import (
     draw_rng,
     point_estimate,
     run_algorithm1,
-    run_algorithm3,
 )
 from .errors import (
     BadQuantileGrid,

@@ -7,8 +7,10 @@ intervals, and ``estimate``/``counterfactual``/``diagnose``/
 
 Every option can also come from a flat ``key = value`` config file
 (``--config``); command-line values win over file values, file values over
-defaults.  All randomness flows from the single ``seed`` option, and outputs
-are byte-identical across reruns and worker counts.
+defaults.  A file key that is not an option of the command is a data
+error, as an unknown flag is.  All randomness flows from the single
+``seed`` option, and outputs are byte-identical across reruns and worker
+counts.
 
 Exit codes: 0 success, 2 data errors, 3 identification errors, 4 too many
 failed draws.
@@ -282,16 +284,6 @@ def cmd_counterfactual(settings: Settings) -> int:
 # uq
 
 
-class _ConstantModel:
-    """Smoke-test plug-in: ignores everything and returns a constant."""
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def __call__(self, flows, theta, cf_spec):
-        return np.array([self.value])
-
-
 def cmd_uq(settings: Settings) -> int:
     out = _outdir(settings)
     flows = dataio.read_flows_csv(settings.get("flows", required=True))
@@ -322,14 +314,10 @@ def cmd_uq(settings: Settings) -> int:
         )
 
     model_name = settings.get("model", default="armington")
-    if model_name == "armington":
-        model = ArmingtonModel()
-        cf = _cf_spec(settings, flows.n, flows.labels)
-    elif model_name == "constant":
-        model = _ConstantModel(settings.get("constant_value", default=0.0, cast=float))
-        cf = CounterfactualSpec.uniform_increase(flows.n, 0.0)
-    else:
-        raise DataError(f"unknown model {model_name!r}; built-ins: armington, constant")
+    if model_name != "armington":
+        raise DataError(f"unknown model {model_name!r}; built-in: armington")
+    model = ArmingtonModel()
+    cf = _cf_spec(settings, flows.n, flows.labels)
 
     cfg = UqConfig(
         b=settings.get("b", default=1000, cast=int),
@@ -343,10 +331,6 @@ def cmd_uq(settings: Settings) -> int:
             "max_failure_frac", default=0.05, cast=float
         ),
         workers=settings.get("workers", default=1, cast=int),
-        smooth_for_estimation=settings.get(
-            "smooth_for_estimation", default=False, cast=bool
-        ),
-        positive_theta=settings.get("positive_theta", default=False, cast=bool),
     )
 
     smoother_name = settings.get("smoother", default="none")
@@ -360,7 +344,7 @@ def cmd_uq(settings: Settings) -> int:
         smoother = LowDimSmoother(distances)
     elif smoother_name != "none":
         raise DataError(f"unknown smoother {smoother_name!r}")
-    if mode != "ee+me" and (smoother is None or not cfg.smooth_for_estimation):
+    if mode != "ee+me":
         # The loop estimates only the observed matrix, whose fit is at hand.
         estimator = observed
 
@@ -572,8 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--theta", type=float, help="external point estimate")
     p.add_argument("--theta-se", dest="theta_se", type=float)
-    p.add_argument("--model", choices=["armington", "constant"])
-    p.add_argument("--constant-value", dest="constant_value", type=float)
+    p.add_argument("--model", choices=["armington"])
     p.add_argument("--cf-spec", dest="cf_spec")
     p.add_argument("--uniform-increase", dest="uniform_increase", type=float)
     p.add_argument("--b", type=int)
@@ -584,18 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-inner", dest="b_inner", type=int)
     p.add_argument("--max-failure-frac", dest="max_failure_frac", type=float)
     p.add_argument("--workers", type=int)
-    p.add_argument(
-        "--smooth-for-estimation",
-        dest="smooth_for_estimation",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
-    p.add_argument(
-        "--positive-theta",
-        dest="positive_theta",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
     p.add_argument("--smoother", choices=["none", "lowdim", "svd"])
     p.add_argument("--svd-rank", dest="svd_rank", type=int)
     p.add_argument("--distances")
@@ -647,6 +618,13 @@ def main(argv=None) -> int:
         return 2
     try:
         fileconf = load_config_file(args.config) if args.config else {}
+        known = set(vars(args)) - {"command", "handler", "config"}
+        unknown = [key for key in fileconf if key not in known]
+        if unknown:
+            raise DataError(
+                f"config {args.config}: {args.command} has no option "
+                + ", ".join(unknown)
+            )
         settings = Settings(args, fileconf)
         return args.handler(settings)
     except TooManyFailures as exc:

@@ -63,17 +63,6 @@ def _read_dyadic_csv(path, value_name: str):
     return sorted(labels), entries
 
 
-def read_flows_csv(path) -> FlowMatrix:
-    """Flows from ``origin,destination,flow``; absent dyads are zeros."""
-    labels, entries = _read_dyadic_csv(path, "flow")
-    idx = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    values = np.zeros((n, n))
-    for (o, d), v in entries.items():
-        values[idx[o], idx[d]] = v
-    return FlowMatrix(values, tuple(labels))
-
-
 def _fill_matrix(labels, entries, default, name):
     idx = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
@@ -83,6 +72,12 @@ def _fill_matrix(labels, entries, default, name):
             raise DataError(f"{name} file mentions unknown location {o}->{d}")
         values[idx[o], idx[d]] = v
     return values
+
+
+def read_flows_csv(path) -> FlowMatrix:
+    """Flows from ``origin,destination,flow``; absent dyads are zeros."""
+    labels, entries = _read_dyadic_csv(path, "flow")
+    return FlowMatrix(_fill_matrix(labels, entries, 0.0, "flow"), tuple(labels))
 
 
 def read_distances_csv(path, labels: Sequence[str]) -> DistanceMatrix:

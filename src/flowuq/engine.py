@@ -1,12 +1,13 @@
 """Bootstrap composition of the two posteriors into uncertainty intervals.
 
 The draw loop is the same in every variant: sample a data matrix from the
-measurement-error posterior, sample a structural parameter from the
-estimation-error posterior, evaluate the counterfactual.  Modes fix one leg
-("only-ee" keeps the observed data, smoothed and estimated once; "only-me"
-keeps the point estimate); smoothing variants transform the drawn matrix
-before the model sees it.  The loop runs in batches of draws.  A batch's
-matrices are estimated together when the estimator has a ``many`` method (as
+measurement-error posterior, re-estimate the structural parameter on it and
+draw the parameter from N(theta_hat, Sigma_hat), evaluate the counterfactual.
+Modes fix one leg ("only-ee" keeps the observed data, estimated once;
+"only-me" keeps the point estimate).  A smoother transforms the matrix the
+model evaluates; the parameter is always estimated on the unsmoothed one.
+The loop runs in batches of draws.  A batch's matrices are estimated
+together when the estimator has a ``many`` method (as
 ``gravity.PpmlEstimator`` does), and one by one otherwise.  Its (draw,
 parameter) pairs -- one per draw, or the inner draws of the
 interval-of-intervals -- are evaluated in groups through the model's
@@ -54,7 +55,8 @@ INTERVAL_KINDS = ("c1", "c2", "robust")
 
 @dataclass(frozen=True)
 class UqConfig:
-    """Bootstrap configuration.
+    """Bootstrap configuration: the draw counts, interval kind, mode, seed
+    and worker count of :func:`run_algorithm1`.
 
     ``b`` and ``alpha`` must put alpha/2*b on the integer grid so the
     interval endpoints are bona fide order statistics.  ``b_inner`` controls
@@ -71,8 +73,6 @@ class UqConfig:
     b_inner: int | None = None
     max_failure_fraction: float = 0.05
     workers: int = 1
-    smooth_for_estimation: bool = False
-    positive_theta: bool = False
 
     def __post_init__(self):
         if self.b < 1:
@@ -210,7 +210,7 @@ def _theta_draws(ctx: _LoopContext, b: int, est: EstimatorResult | None) -> list
         return [ctx.theta_fixed]
     theta_rng = draw_rng(cfg.seed, b, 1)
     n_theta = cfg.inner_draws if cfg.interval_kind == "c2" else 1
-    return [sample_theta(est, theta_rng, positive=cfg.positive_theta) for _ in range(n_theta)]
+    return [sample_theta(est, theta_rng) for _ in range(n_theta)]
 
 
 def _run_chunk(ctx: _LoopContext, draws: Sequence[int]):
@@ -242,9 +242,7 @@ def _run_chunk(ctx: _LoopContext, draws: Sequence[int]):
             if cfg.mode == "only-me":
                 ests = [None] * len(batch)
             else:
-                ests = _estimate_many(
-                    ctx.estimator, evals if cfg.smooth_for_estimation else flows_b
-                )
+                ests = _estimate_many(ctx.estimator, flows_b)
             drawn = list(zip(evals, ests, (degenerate for _, degenerate in sampled)))
         thetas = [_theta_draws(ctx, b, est) for b, (_, est, _) in zip(batch, drawn)]
         pairs = [(f, theta) for (f, _, _), ts in zip(drawn, thetas) for theta in ts]
@@ -330,9 +328,10 @@ def run_algorithm1(
     cfg: UqConfig,
     smoother: Callable[[FlowMatrix], FlowMatrix] | None = None,
 ) -> tuple[DrawSet, tuple[Interval, ...]]:
-    """General bootstrap: per draw, sample data from the measurement-error
-    posterior, sample the parameter from its sampling distribution evaluated
-    on that draw, evaluate the model, and build the configured interval.
+    """The empirical-Bayes bootstrap: per draw, sample data from the
+    measurement-error posterior, sample the parameter from its normal
+    sampling distribution estimated on that draw, evaluate the model, and
+    build the configured interval.
 
     Returns the draw set and one interval per outcome coordinate.  Passing
     an :class:`EstimatorResult` instead of a callable estimator uses the
@@ -345,9 +344,7 @@ def run_algorithm1(
     ``cfg.max_failure_fraction`` of them aborts.
 
     With a ``smoother`` each drawn matrix is smoothed before the model
-    evaluates it.  The parameter is estimated on the unsmoothed draw unless
-    ``cfg.smooth_for_estimation`` says otherwise (the procedure is ambiguous
-    on this point, so it is a switch).
+    evaluates it; the parameter is still estimated on the unsmoothed draw.
     """
     if cfg.mode != "only-ee" and params is None:
         raise DataError("data sampling requires calibrated parameters")
@@ -361,8 +358,7 @@ def run_algorithm1(
     elif cfg.mode == "only-ee":
         # The data are fixed, so smooth and estimate once for every draw.
         flows_eval = smoother(flows_obs) if smoother is not None else flows_obs
-        flows_est = flows_eval if cfg.smooth_for_estimation else flows_obs
-        data_fixed = (flows_eval, _estimate(estimator, flows_est))
+        data_fixed = (flows_eval, _estimate(estimator, flows_obs))
     ctx = _LoopContext(
         flows_obs=flows_obs,
         params=params,
@@ -376,24 +372,6 @@ def run_algorithm1(
     )
     results = _run_loop(ctx)
     return _compose(ctx, results, flows_obs.labels)
-
-
-def run_algorithm3(
-    flows_obs: FlowMatrix,
-    params: CalibratedParams,
-    estimator: Estimator,
-    model: ModelFunction,
-    cf_spec: CounterfactualSpec,
-    cfg: UqConfig,
-) -> tuple[DrawSet, tuple[Interval, ...]]:
-    """Default empirical-Bayes bootstrap: spike-and-slab posterior draws of
-    the flows with the parameter re-estimated (and normally sampled) on every
-    drawn matrix."""
-    if isinstance(estimator, EstimatorResult) or not callable(estimator):
-        raise DataError(
-            "the default approach re-estimates on each draw; pass a callable"
-        )
-    return run_algorithm1(flows_obs, params, estimator, model, cf_spec, cfg)
 
 
 def point_estimate(

@@ -25,8 +25,8 @@ built and a slope is the regression of one partialled variable on another.
   two-way fixed effects, restricted to positive flows.  This is the
   workhorse behind the empirical-Bayes prior means.
 
-``sample_theta`` draws structural parameters from the normal (or log-normal,
-for parameters known to be positive) sampling distribution of an estimate.
+``sample_theta`` draws structural parameters from the normal sampling
+distribution N(theta_hat, sigma_hat) of an estimate.
 """
 
 from __future__ import annotations
@@ -580,20 +580,8 @@ def _psd_factor(sigma: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
 
 
-def sample_theta(
-    est: EstimatorResult, rng: np.random.Generator, positive: bool = False
-) -> np.ndarray:
-    """One draw from the sampling distribution of the estimate.
-
-    Default is N(theta_hat, sigma_hat).  With ``positive=True`` the draw is
-    log-normal, parameterized so its median is theta_hat (log-covariance from
-    the delta method), for parameters known to be non-negative.
-    """
+def sample_theta(est: EstimatorResult, rng: np.random.Generator) -> np.ndarray:
+    """One draw from the sampling distribution N(theta_hat, sigma_hat) of
+    the estimate."""
     z = rng.standard_normal(est.dim)
-    if not positive:
-        return est.theta_hat + _psd_factor(est.sigma_hat) @ z
-    if np.any(est.theta_hat <= 0):
-        raise DataError("log-normal sampling requires a positive theta_hat")
-    inv = 1.0 / est.theta_hat
-    log_cov = est.sigma_hat * np.outer(inv, inv)
-    return np.exp(np.log(est.theta_hat) + _psd_factor(log_cov) @ z)
+    return est.theta_hat + _psd_factor(est.sigma_hat) @ z

@@ -115,10 +115,13 @@ class NormalityDiagnostic:
 # math.erfc element-wise, for the normal CDF Phi(x) = erfc(-x / sqrt 2) / 2.
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
+# Histogram bins of the standardized residuals, and of the partialled log
+# distance in the gravity plot's binned means.
+_RESIDUAL_BINS = 30
+_PARTIAL_PLOT_BINS = 20
 
-def residual_summary(
-    residuals: np.ndarray, bins: int = 30, n_zero_variance: int = 0
-) -> NormalityDiagnostic:
+
+def residual_summary(residuals: np.ndarray, n_zero_variance: int = 0) -> NormalityDiagnostic:
     """Summary statistics and histogram counts for standardized residuals.
 
     With the population central moments m_k = mean((z - mean(z))^k):
@@ -165,7 +168,7 @@ def residual_summary(
     ks = max(
         (np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max()
     )
-    counts, edges = np.histogram(z, bins=bins)
+    counts, edges = np.histogram(z, bins=_RESIDUAL_BINS)
     return NormalityDiagnostic(
         residuals=z,
         mean=float(mean),
@@ -196,7 +199,6 @@ def _standardized_residuals(
 def normality_diagnostic(
     flows_obs: FlowMatrix | Sequence[FlowMatrix],
     params: CalibratedParams,
-    bins: int = 30,
 ) -> NormalityDiagnostic:
     """Standardized residuals of positive log flows against the calibrated
     prior-plus-noise scale, with summary statistics for the normal check.
@@ -219,7 +221,7 @@ def normality_diagnostic(
     total_var = params.effective_s2() + params.effective_sigma2()
     parts = [_standardized_residuals(f, mu, total_var) for f, mu in zip(flows, mus)]
     return residual_summary(
-        np.concatenate([z for z, _ in parts]), bins, sum(k for _, k in parts)
+        np.concatenate([z for z, _ in parts]), sum(k for _, k in parts)
     )
 
 
@@ -233,9 +235,7 @@ class GravityPartialPlot:
     bin_counts: np.ndarray
 
 
-def gravity_partial_plot(
-    flows_obs: FlowMatrix, distances: DistanceMatrix, bins: int = 20
-) -> GravityPartialPlot:
+def gravity_partial_plot(flows_obs: FlowMatrix, distances: DistanceMatrix) -> GravityPartialPlot:
     """Partial log flows and log distances on the two-way fixed effects and
     return the scatter, its OLS slope, and binned means for a nonparametric
     overlay.
@@ -260,10 +260,10 @@ def gravity_partial_plot(
             "Frisch-Waugh identity violated: partialled slope "
             f"{slope} vs fit {fit.beta_hat}"
         )
-    edges = np.linspace(x_res.min(), x_res.max(), bins + 1)
-    idx = np.clip(np.digitize(x_res, edges) - 1, 0, bins - 1)
-    sums = np.bincount(idx, weights=y_res, minlength=bins)
-    counts = np.bincount(idx, minlength=bins)
+    edges = np.linspace(x_res.min(), x_res.max(), _PARTIAL_PLOT_BINS + 1)
+    idx = np.clip(np.digitize(x_res, edges) - 1, 0, _PARTIAL_PLOT_BINS - 1)
+    sums = np.bincount(idx, weights=y_res, minlength=_PARTIAL_PLOT_BINS)
+    counts = np.bincount(idx, minlength=_PARTIAL_PLOT_BINS)
     with np.errstate(invalid="ignore"):
         means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -259,37 +259,6 @@ def test_uq_ppml_byte_identical_across_workers_and_batches(
     assert default_batch(scen.n) >= 40  # the default runs all 40 draws as one batch
 
 
-def test_uq_constant_model_degenerate(armington_files, tmp_path):
-    scen, flows, dist, costs, params = armington_files
-    out = tmp_path / "uq_const"
-    code = main(
-        [
-            "uq",
-            "--flows",
-            str(flows),
-            "--params",
-            str(params),
-            "--theta",
-            "2.0",
-            "--theta-se",
-            "0.5",
-            "--model",
-            "constant",
-            "--constant-value",
-            "1.5",
-            "--b",
-            "80",
-            "--alpha",
-            "0.05",
-            "--output-dir",
-            str(out),
-        ]
-    )
-    assert code == 0
-    doc = json.loads((out / "interval.json").read_text())
-    assert doc["outcomes"][0]["lo"] == doc["outcomes"][0]["hi"] == 1.5
-
-
 def test_uq_external_estimator_and_robust_interval(armington_files, tmp_path):
     scen, flows, dist, costs, params = armington_files
     out = tmp_path / "uq_rob"
@@ -366,6 +335,64 @@ def test_config_file_precedence(armington_files, tmp_path):
     )
     doc2 = json.loads((out2 / "interval.json").read_text())
     assert doc2["outcomes"][0]["draws_used"] == 60
+
+
+@pytest.mark.parametrize(
+    "line, key", [("positive-theta = true", "positive_theta"), ("seeed = 5", "seeed")]
+)
+def test_config_file_unknown_key_exits_2(armington_files, tmp_path, capsys, line, key):
+    # A key no option of the command reads is refused, as an unknown flag
+    # is, rather than silently ignored.
+    scen, flows, dist, costs, params = armington_files
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"flows = {flows}\nparams = {params}\ntheta = 5.0\n{line}\n")
+    out = tmp_path / "out"
+    argv = ["uq", "--config", str(conf), "--uniform-increase", "0.1", "--b", "40"]
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "draws.csv").exists()
+
+
+def test_uq_smoother_matches_engine(armington_files, tmp_path):
+    # The CLI smooths the matrix the model evaluates and estimates on the raw
+    # one: through PpmlEstimator in ee+me, and as the observed PPML fit in
+    # the modes that estimate only the observed matrix.
+    from flowuq.armington import ArmingtonModel
+    from flowuq.core import CounterfactualSpec
+    from flowuq.engine import LowDimSmoother, SvdSmoother, UqConfig, run_algorithm1
+    from flowuq.gravity import PpmlEstimator, fit_ppml
+
+    scen, flows, dist, costs, params = armington_files
+    flows_obs = dataio.read_flows_csv(flows)
+    params_obs = dataio.read_params_json(params)
+    log_costs = dataio.read_costs_csv(costs, flows_obs.labels)
+    fit = fit_ppml(flows_obs, log_costs)
+    cf = CounterfactualSpec.uniform_increase(flows_obs.n, 0.1)
+    smoothers = {
+        "svd": (["--smoother", "svd", "--svd-rank", "2"], SvdSmoother(2)),
+        "lowdim": (
+            ["--smoother", "lowdim", "--distances", str(dist)],
+            LowDimSmoother(dataio.read_distances_csv(dist, flows_obs.labels)),
+        ),
+    }
+    for mode in ("only-ee", "only-me", "ee+me"):
+        estimator = (
+            PpmlEstimator(log_costs, fit) if mode == "ee+me" else fit.to_estimator_result()
+        )
+        for name, (flags, smoother) in smoothers.items():
+            out = tmp_path / f"uq_{mode}_{name}"
+            argv = [
+                "uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs),
+                "--uniform-increase", "0.1", "--b", "40", "--seed", "6", "--mode", mode,
+                "--output-dir", str(out), *flags,
+            ]
+            assert main(argv) == 0
+            draw_set, _ = run_algorithm1(
+                flows_obs, params_obs, estimator, ArmingtonModel(), cf,
+                UqConfig(b=40, seed=6, mode=mode), smoother=smoother,
+            )
+            _, drawn = dataio.read_draws_csv(out / "draws.csv")
+            assert np.array_equal(drawn, draw_set.draws), (mode, name)
 
 
 def test_report_ranks(armington_files, tmp_path):

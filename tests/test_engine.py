@@ -23,7 +23,6 @@ from flowuq import (
     point_estimate,
     robust_interval,
     run_algorithm1,
-    run_algorithm3,
     sample_flow_matrix,
 )
 from flowuq.armington import ArmingtonModel
@@ -333,29 +332,6 @@ class TestEngine:
         # Theta still estimated on the raw draw: pass-through outcomes match.
         assert np.allclose(ds_raw.draws, ds_smooth.draws)
 
-        ds_est_smooth, _ = run_algorithm1(
-            flows_obs,
-            scen.params,
-            estimator,
-            ThetaPassThrough(),
-            scen.cf_spec,
-            UqConfig(b=20, alpha=0.1, seed=3, smooth_for_estimation=True),
-            smoother=smoother,
-        )
-        assert not np.allclose(ds_raw.draws, ds_est_smooth.draws)
-
-    def test_algorithm3_requires_callable(self):
-        scen, flows_obs = small_world()
-        with pytest.raises(DataError):
-            run_algorithm3(
-                flows_obs,
-                scen.params,
-                EstimatorResult(theta_hat=[1.0], sigma_hat=[[0.1]]),
-                ConstantModel(0.0),
-                scen.cf_spec,
-                self.cfg(),
-            )
-
     def test_c2_wider_than_c1_same_draws(self):
         scen, flows_obs = small_world()
         estimator = functools.partial(mean_flow_estimator, se=0.25)
@@ -381,7 +357,7 @@ class TestEngine:
     def test_full_armington_ppml_pipeline(self):
         scen, flows_obs = small_world()
         estimator = functools.partial(ppml_estimator, log_costs=scen.log_costs)
-        ds, ivs = run_algorithm3(
+        ds, ivs = run_algorithm1(
             flows_obs,
             scen.params,
             estimator,
@@ -397,7 +373,7 @@ class TestEngine:
         # the draws of one such fit per draw, and those of cold fits within
         # the IRLS tolerance.
         estimator = PpmlEstimator(scen.log_costs, fit_ppml(flows_obs, scen.log_costs))
-        ds_batched, ivs_batched = run_algorithm3(
+        ds_batched, ivs_batched = run_algorithm1(
             flows_obs,
             scen.params,
             estimator,
@@ -405,7 +381,7 @@ class TestEngine:
             scen.cf_spec,
             self.cfg(b=40, alpha=0.1),
         )
-        ds_single, ivs_single = run_algorithm3(
+        ds_single, ivs_single = run_algorithm1(
             flows_obs,
             scen.params,
             lambda flows: estimator(flows),

@@ -634,13 +634,6 @@ class TestSampleTheta:
         b = [sample_theta(est, np.random.default_rng(42)) for _ in range(3)]
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    def test_lognormal_median(self):
-        est = EstimatorResult(theta_hat=[2.0], sigma_hat=[[0.5]])
-        rng = np.random.default_rng(7)
-        draws = np.array([sample_theta(est, rng, positive=True)[0] for _ in range(40_001)])
-        assert np.all(draws > 0)
-        assert abs(np.median(draws) - 2.0) < 0.05
-
     def test_not_psd(self):
         est = EstimatorResult(theta_hat=[1.0], sigma_hat=[[1.0]])
         object.__setattr__(est, "sigma_hat", np.array([[-1.0]]))
