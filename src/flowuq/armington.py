@@ -316,9 +316,23 @@ def solve_counterfactual_many(
     else:
         problem = None
 
+    # Income, expenditure and shares of the whole stack at once.  A slice
+    # that fails any check of the solo path is redone alone, which gives its
+    # error that path's class and message.  Positive own shares imply
+    # positive income and expenditure.
+    income, expenditure = values.sum(axis=2), values.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = values / expenditure[:, None, :]
+    fast = (
+        ~(epsilons <= 0)
+        & np.isfinite(values).all(axis=(1, 2))
+        & (values >= 0).all(axis=(1, 2))
+        & (np.diagonal(shares, axis1=1, axis2=2) > 0).all(axis=1)
+    )
+    if problem is not None or (labels and (len(labels) != n or len(set(labels)) != n)):
+        fast[:] = False
     results: list = [None] * k
-    aggs = {}
-    for j in range(k):
+    for j in np.flatnonzero(~fast):
         try:
             if epsilons[j] <= 0:
                 raise InvalidElasticity(f"elasticity must be > 0, got {epsilons[j]}")
@@ -332,24 +346,21 @@ def solve_counterfactual_many(
                 raise ZeroDiagonal(f"zero own flow for {bad}")
         except FlowUqError as exc:
             results[j] = exc
-        else:
-            aggs[j] = agg
-    if not aggs:
+    idx = np.array([j for j in range(k) if results[j] is None], dtype=int)
+    if not idx.size:
         return results
 
-    idx = list(aggs)
-    shares = np.stack([aggs[j].shares for j in idx])
-    income = np.stack([aggs[j].income for j in idx])
-    deficit = np.stack([aggs[j].expenditure - aggs[j].income for j in idx])
+    shares, income = shares[idx], income[idx]
+    deficit = expenditure[idx] - income
     log_tau = np.log(tau)
     solved = _continuation(log_tau, shares, income, deficit, epsilons[idx])
-    for j, agg, outcome in zip(idx, aggs.values(), solved):
+    for j, shares_j, outcome in zip(idx, shares, solved):
         if isinstance(outcome, NoConvergence):
             results[j] = outcome
             continue
         log_y, residual, steps = outcome
-        lam_cf = _share_changes(log_tau, log_y, agg.shares, epsilons[j])
-        cf_share_cols = (lam_cf * agg.shares).sum(axis=0)
+        lam_cf = _share_changes(log_tau, log_y, shares_j, epsilons[j])
+        cf_share_cols = (lam_cf * shares_j).sum(axis=0)
         if np.max(np.abs(cf_share_cols - 1.0)) > 1e-8:
             results[j] = NoConvergence(steps, residual, what="share reconstruction")
             continue

@@ -186,24 +186,24 @@ def sample_flow_matrix(
 
     s2 = params.effective_s2()
     sigma2 = params.effective_sigma2()
-
-    out = np.empty((n, n))
+    mu = params.mu
+    finite_mu = np.isfinite(mu)
+    out = np.zeros((n, n))
     pos = f > 0
 
     # Positive observations: conjugate log-normal update.
-    w = shrinkage_weight(s2, sigma2)
-    var = posterior_log_variance(s2, sigma2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logf = np.where(pos, np.log(np.where(pos, f, 1.0)), 0.0)
-    mean = w * logf + (1.0 - w) * params.mu
     exact_obs = pos & (sigma2 == 0)
     exact_prior = pos & (s2 == 0) & ~exact_obs
     generic = pos & ~exact_obs & ~exact_prior
-    if np.any(generic & ~np.isfinite(params.mu)):
+    if np.any((generic | exact_prior) & ~finite_mu):
         raise DataError("posterior update needs a finite prior mean")
-    out[generic] = np.exp(mean[generic] + np.sqrt(var[generic]) * z[generic])
+    s2_g, sigma2_g = s2[generic], sigma2[generic]
+    w = shrinkage_weight(s2_g, sigma2_g)
+    mean = w * np.log(f[generic]) + (1.0 - w) * mu[generic]
+    sd = np.sqrt(posterior_log_variance(s2_g, sigma2_g))
+    out[generic] = np.exp(mean + sd * z[generic])
     out[exact_obs] = f[exact_obs]
-    out[exact_prior] = np.exp(params.mu[exact_prior])
+    out[exact_prior] = np.exp(mu[exact_prior])
 
     # Observed zeros: an exactly-measured zero is a true zero (the model has
     # no channel for a spurious one without reporting noise); otherwise draw
@@ -211,12 +211,11 @@ def sample_flow_matrix(
     zero = ~pos
     hold = zero & (sigma2 == 0)
     degenerate = zero & ~hold & (params.p == 0) & (params.b == 0)
-    spike = zero & (hold | degenerate | (u < spike_weight(params.p, params.b)))
-    slab = zero & ~spike
-    if np.any(slab & ~np.isfinite(params.mu)):
+    slab = zero & ~hold & ~degenerate
+    slab[slab] = ~(u[slab] < spike_weight(params.p[slab], params.b[slab]))
+    if np.any(slab & ~finite_mu):
         raise DataError("slab draw needs a finite prior mean")
-    out[spike] = 0.0
-    out[slab] = np.exp(params.mu[slab] + np.sqrt(s2[slab]) * z[slab])
+    out[slab] = np.exp(mu[slab] + np.sqrt(s2[slab]) * z[slab])
 
     return flows_obs.replace_values(out), int(np.count_nonzero(degenerate))
 

@@ -6,7 +6,9 @@ draw the parameter from N(theta_hat, Sigma_hat), evaluate the counterfactual.
 Modes fix one leg ("only-ee" keeps the observed data, estimated once;
 "only-me" keeps the point estimate).  A smoother transforms the matrix the
 model evaluates; the parameter is always estimated on the unsmoothed one.
-The loop runs in batches of draws.  A batch's matrices are estimated
+The loop runs in batches of draws, as many as fit a budget of stacked n x n
+cells chosen from a measured sweep of batch sizes (``_BATCH_CELLS``: 40
+draws at n = 30, 3 at n = 100).  A batch's matrices are estimated
 together when the estimator has a ``many`` method (as
 ``gravity.PpmlEstimator`` does), and one by one otherwise.  Its (draw,
 parameter) pairs -- one per draw, or the inner draws of the
@@ -155,10 +157,14 @@ class LowDimSmoother:
 
 # A batch of draws is estimated together, and its (draw, parameter) pairs are
 # evaluated in groups of the same size; the size keeps the stacked n x n
-# grids within this many cells: 81 draws at n = 10, 9 at n = 30 and one from
-# n = 91 on.  PPML holds about 15 grids per draw at its peak, so a batch's
-# working memory stays near 1 MB.
-_BATCH_CELLS = 8192
+# grids within this many cells: 360 draws at n = 10, 40 at n = 30, 10 at
+# n = 60, 3 at n = 100 and one from n = 135 on.  A sweep of batch sizes at
+# n = 10, 30, 60 and 100 (BENCH_stacked_draws.json) found the per-draw cost
+# of PPML plus the Newton solve lowest between about 30,000 and 48,000 cells
+# at every size, and higher on both sides of that range at n = 60 and 100.
+# PPML holds about 15 grids per draw at its peak, so a batch's working memory
+# stays near 4 MB.
+_BATCH_CELLS = 36000
 
 
 def _batch_size(n: int) -> int:

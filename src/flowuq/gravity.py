@@ -80,16 +80,22 @@ def _twoway_fe(w: np.ndarray, v: np.ndarray, labels: tuple[np.ndarray, np.ndarra
     are NaN.
     """
     comp_o, comp_d = labels
-    n = w.shape[1]
+    k, m, n = v.shape[:3]
     r = w.sum(axis=2)
     r = np.where(r > 0, r, 1.0)[:, :, None]  # an absent origin has a zero row
     c = w.sum(axis=1)
     wv = w[:, None] * v
-    # p and q as (k, n, m).  Both add their terms in index order: q reduces
-    # a middle axis, and p accumulates along the last one, where a reduction
-    # would add pairwise and round differently.
-    p = np.add.accumulate(wv, axis=3)[..., -1].transpose(0, 2, 1)
-    q = wv.sum(axis=2).transpose(0, 2, 1)
+    # p and q as (k, n, m).  Both add their terms in index order by reducing
+    # a middle axis; p first moves its summation axis there in a contiguous
+    # copy, since a reduction along the last axis (or over a strided view of
+    # it) adds pairwise and rounds differently.  The two share one buffer,
+    # which leaves p strided along the locations: the product w_r' p below
+    # is a BLAS matrix-vector product when m = 1, whose rounding depends on
+    # that stride, and at unit stride the fits would move in the last bit.
+    pq = np.empty((k, m, n, 2))
+    np.ascontiguousarray(wv.transpose(0, 1, 3, 2)).sum(axis=2, out=pq[..., 0])
+    wv.sum(axis=2, out=pq[..., 1])
+    p, q = pq[..., 0].transpose(0, 2, 1), pq[..., 1].transpose(0, 2, 1)
     w_r = w / r
     schur = -(w.transpose(0, 2, 1) @ w_r)
     schur.reshape(len(schur), n * n)[:, :: n + 1] += c  # the diagonal

@@ -32,7 +32,10 @@ def armington_oracle(flows: np.ndarray, tau_prop: np.ndarray, epsilon: float):
     lam = f / expenditure[None, :]
 
     def shares_cf(y):
-        p = (tau_prop * y[:, None]) ** (-epsilon)
+        # least_squares probes very large y on the way; the power overflows
+        # there, and the residual check below judges the root it returns.
+        with np.errstate(over="ignore"):
+            p = (tau_prop * y[:, None]) ** (-epsilon)
         return p / (lam * p).sum(axis=0)[None, :]
 
     def equations(y):

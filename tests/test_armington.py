@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from flowuq import (
     CounterfactualSpec,
+    DataError,
     EquilibriumResult,
     EstimatorResult,
     FlowMatrix,
@@ -17,9 +18,11 @@ from flowuq import (
     ZeroDiagonal,
     derive_aggregates,
     run_algorithm1,
+    sample_flow_matrix,
     solve_counterfactual,
     welfare_change_pct,
 )
+from flowuq import engine
 from flowuq.armington import (
     _STAGE_STEPS,
     _TOL,
@@ -376,6 +379,48 @@ def test_many_runs_each_slice_through_its_own_stages():
     assert results[1].reason == "step cap after positivity bound"
     assert isinstance(results[0], EquilibriumResult)
     assert isinstance(results[2], EquilibriumResult)
+
+
+def test_many_checks_each_slice_as_it_is_checked_alone():
+    # Aggregates come from the whole stack at once; every slice that fails a
+    # check of the solo path gets the solo error, and the rest still solve.
+    spec = CounterfactualSpec.uniform_increase(3, 0.1)
+    good = asymmetric_world().values
+    nan, negative, no_income = good.copy(), good.copy(), good.copy()
+    nan[0, 1] = np.nan
+    negative[1, 2] = -1.0
+    no_income[2] = 0.0
+    stack = [good, nan, negative, good, no_income, good, good]
+    epsilons = [4.0, 4.0, 4.0, 0.0, 4.0, np.nan, 2.5]
+    results = solve_counterfactual_many(np.stack(stack), spec, epsilons)
+    for values, epsilon, result in zip(stack, epsilons, results):
+        assert_same_outcome(solve_alone(values, spec.tau_prop, epsilon), result)
+    assert [type(r).__name__ for r in results[:5]] == [
+        "EquilibriumResult", "DataError", "DataError", "InvalidElasticity", "ZeroMarginal"
+    ]
+    assert isinstance(results[6], EquilibriumResult)
+    for result in solve_counterfactual_many(
+        np.stack([good, good]), spec, [4.0, 4.0], labels=("A", "A", "B")
+    ):
+        assert isinstance(result, DataError) and "unique" in str(result)
+
+
+def test_many_matches_single_solves_at_the_draw_loop_batch_n100():
+    # The draw loop's batches hold more than one draw at n = 100; such a
+    # batch of posterior draws, each with its own elasticity, solves as each
+    # slice solves alone, bit for bit.
+    k = engine._batch_size(100)
+    assert k > 1
+    world = armington_world(n=100, seed=3)
+    _, observed = world.draw_world(np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    stack = [sample_flow_matrix(observed, world.params, rng)[0].values for _ in range(k)]
+    epsilons = rng.uniform(3.0, 7.0, k)
+    tau = world.cf_spec.tau_prop
+    results = solve_counterfactual_many(np.stack(stack), world.cf_spec, epsilons)
+    for values, epsilon, result in zip(stack, epsilons, results):
+        assert isinstance(result, EquilibriumResult), result
+        assert_same_outcome(solve_alone(values, tau, epsilon), result)
 
 
 def test_singular_newton_system_fails_its_slice_alone(monkeypatch):

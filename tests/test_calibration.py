@@ -183,6 +183,19 @@ class TestSampleFlowMatrix:
         assert degenerate == 2
         assert draw.values[0, 1] == 0.0 and draw.values[1, 2] == 0.0
 
+    def test_exact_prior_needs_a_finite_prior_mean(self):
+        # A positive observation with s2 = 0 takes exp(mu) verbatim; where the
+        # calibration left mu undefined that is an error of the sampler, not
+        # a non-finite draw.
+        params = constant_params(3)
+        mu, s2 = params.mu.copy(), params.s2.copy()
+        mu[0, 1], s2[0, 1] = np.nan, 0.0
+        params = CalibratedParams(
+            p=params.p, b=params.b, mu=mu, s2=s2, sigma2=params.sigma2
+        )
+        with pytest.raises(DataError, match="posterior update needs a finite prior mean"):
+            sample_flow_matrix(FlowMatrix(np.ones((3, 3))), params, np.random.default_rng(0))
+
     def test_rng_consumption_is_data_independent(self):
         # Same seed, different observed zeros: subsequent rng state matches.
         params = constant_params(3, p=0.5, b=0.2)

@@ -22,7 +22,7 @@ from flowuq import (
     sample_flow_matrix,
     sample_theta,
 )
-from flowuq import gravity
+from flowuq import engine, gravity
 from flowuq.gravity import _components, _twoway_fe, fit_ppml_many
 from flowuq.scenarios import armington_world
 
@@ -427,6 +427,23 @@ class TestPpmlMany:
             fit_ppml_many(np.stack([stack[1], separating]), world.log_costs, start=start)
         with pytest.raises(DataError):
             fit_ppml_many(stack[:, :5, :5], world.log_costs[:5, :5], start=start)
+
+    def test_draw_loop_batch_at_n100_matches_single_fits(self):
+        # The draw loop's batches hold more than one draw at n = 100; such a
+        # batch of drawn matrices, fitted in one IRLS from the observed fit,
+        # gives every slice's fit alone, bit for bit.
+        k = engine._batch_size(100)
+        assert k > 1
+        world = armington_world(n=100, seed=3)
+        _, observed = world.draw_world(np.random.default_rng(1))
+        start = fit_ppml(observed, world.log_costs)
+        rng = np.random.default_rng(2)
+        stack = np.stack(
+            [sample_flow_matrix(observed, world.params, rng)[0].values for _ in range(k)]
+        )
+        fits = fit_ppml_many(stack, world.log_costs, start=start)
+        for single, batched in zip(stack, fits):
+            assert_same_fit(fit_ppml_many(single[None], world.log_costs, start=start)[0], batched)
 
     def test_collinear_costs(self):
         rng = np.random.default_rng(1)
