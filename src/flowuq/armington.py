@@ -270,7 +270,7 @@ def solve_counterfactual(
     cf_spec : CounterfactualSpec
         Proportional cost changes, diagonal exactly 1.
     epsilon : float
-        Trade elasticity, > 0.
+        Trade elasticity, finite and > 0.
 
     Raises
     ------
@@ -323,8 +323,9 @@ def solve_counterfactual_many(
     income, expenditure = values.sum(axis=2), values.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         shares = values / expenditure[:, None, :]
+    valid_epsilon = (epsilons > 0) & (epsilons < np.inf)  # NaN fails it
     fast = (
-        ~(epsilons <= 0)
+        valid_epsilon
         & np.isfinite(values).all(axis=(1, 2))
         & (values >= 0).all(axis=(1, 2))
         & (np.diagonal(shares, axis1=1, axis2=2) > 0).all(axis=1)
@@ -334,8 +335,10 @@ def solve_counterfactual_many(
     results: list = [None] * k
     for j in np.flatnonzero(~fast):
         try:
-            if epsilons[j] <= 0:
-                raise InvalidElasticity(f"elasticity must be > 0, got {epsilons[j]}")
+            if not valid_epsilon[j]:
+                raise InvalidElasticity(
+                    f"elasticity must be finite and > 0, got {epsilons[j]}"
+                )
             if problem is not None:
                 raise DataError(problem)
             flows = FlowMatrix(values[j], labels)

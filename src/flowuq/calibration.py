@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import DistanceMatrix, FlowMatrix, _freeze
 from .errors import DataError, InsufficientData, ParseError
-from .gravity import _components, _log_gravity_ols, _twoway_fe, fit_log_gravity
+from .gravity import GravityFit, _components, _log_gravity_ols, _twoway_fe, fit_log_gravity
 
 VARIANCE_FLOOR = 1e-12
 
@@ -64,7 +64,7 @@ class CalibratedParams:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (n, n):
                 raise DataError(f"{name} must be {n}x{n}")
-            if np.any((arr < 0) | (arr > 1)):
+            if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails it
                 raise DataError(f"{name} entries must be probabilities in [0, 1]")
             object.__setattr__(self, name, _freeze(arr))
         for name in ("s2", "sigma2", "s2_shrunk", "sigma2_shrunk"):
@@ -74,8 +74,8 @@ class CalibratedParams:
             arr = np.asarray(arr, dtype=float)
             if arr.shape != (n, n):
                 raise DataError(f"{name} must be {n}x{n}")
-            if np.any(arr[np.isfinite(arr)] < 0):
-                raise DataError(f"{name} must be non-negative")
+            if not np.all(arr >= 0):  # NaN fails it
+                raise DataError(f"{name} must be non-negative, not NaN")
             object.__setattr__(self, name, _freeze(arr))
         mu = np.asarray(self.mu, dtype=float)
         if mu.shape[-2:] != (n, n) or mu.ndim not in (2, 3):
@@ -230,7 +230,7 @@ def calibrate_baseline(
     sigma2_common: float,
     p,
     b,
-) -> CalibratedParams:
+) -> tuple[CalibratedParams, GravityFit]:
     """Calibrate with a constant, externally supplied ME variance.
 
     The prior mean is the fitted two-way gravity regression on positive
@@ -238,9 +238,12 @@ def calibrate_baseline(
     variance, floored at zero.  Zero-flow probabilities p and b must be
     supplied (scalars broadcast).  Diagonal dyads are excluded from the fit
     and are held fixed under posterior sampling.
+
+    Returns the parameters and the gravity fit behind them, whose summary
+    and partial-regression scatter the command-line diagnostics report.
     """
-    if sigma2_common < 0:
-        raise DataError("measurement-error variance must be >= 0")
+    if not 0 <= sigma2_common < math.inf:  # NaN fails it
+        raise DataError("measurement-error variance must be finite and >= 0")
     n = flows_obs.n
     fit = fit_log_gravity(flows_obs, distances)
     s2_hat = max(fit.residual_variance - sigma2_common, 0.0)
@@ -250,7 +253,7 @@ def calibrate_baseline(
     b_arr = np.where(off, np.broadcast_to(np.asarray(b, dtype=float), (n, n)), 0.0)
     s2 = np.where(off, s2_hat, 0.0)
     sigma2 = np.where(off, sigma2_common, 0.0)
-    return CalibratedParams(
+    params = CalibratedParams(
         p=p_arr,
         b=b_arr,
         mu=fit.mu,
@@ -259,6 +262,7 @@ def calibrate_baseline(
         mu_defined=off,
         labels=flows_obs.labels,
     )
+    return params, fit
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +273,12 @@ def calibrate_baseline(
 class MirrorPanel:
     """Two independent noisy reports of each off-diagonal dyad per period.
 
-    Entries may be NaN (missing) until :func:`resolve_missing` is applied;
-    the calibration estimators require a fully resolved panel.  Off-diagonal
-    entries must not be negative or infinite.  Diagonal entries are ignored.
+    A panel is resolved when it is built: it refuses NaN, so reports with
+    missing entries go through :func:`resolve_missing` first (as
+    :func:`ingest_mirror_csv` does), and every calibration estimator takes
+    any panel.  ``na_copied`` and ``na_zeroed`` count the entries that rule
+    filled.  Off-diagonal entries must not be negative or infinite; diagonal
+    entries are ignored.
     """
 
     report1: np.ndarray  # (T, n, n)
@@ -292,17 +299,17 @@ class MirrorPanel:
         if len(self.labels) != n or len(self.periods) != t:
             raise DataError("labels/periods do not match the report arrays")
         off = ~np.eye(n, dtype=bool)
-        has_missing = False
         for name, arr in (("report1", r1), ("report2", r2)):
+            if np.any(np.isnan(arr)):
+                raise DataError(
+                    f"{name} has missing entries; apply resolve_missing first"
+                )
             vals = arr[:, off]
             if np.any(np.isinf(vals)):
                 raise DataError(f"{name} contains infinite flows")
-            if np.any(vals[~np.isnan(vals)] < 0):
+            if np.any(vals < 0):
                 raise DataError(f"{name} contains negative flows")
-            has_missing = has_missing or bool(np.any(np.isnan(vals)))
-        both_pos = (r1 > 0) & (r2 > 0) & off[None, :, :]
-        # A panel still carrying missing values is only checked once resolved.
-        if not has_missing and not np.any(both_pos):
+        if not np.any((r1 > 0) & (r2 > 0) & off[None, :, :]):
             raise DataError(
                 "panel has no dyad-period with two positive reports; "
                 "measurement-error variance is unidentified"
@@ -320,51 +327,37 @@ class MirrorPanel:
     def t(self) -> int:
         return self.report1.shape[0]
 
-    @property
-    def has_missing(self) -> bool:
-        off = ~np.eye(self.n, dtype=bool)
-        return bool(
-            np.any(np.isnan(self.report1[:, off]))
-            or np.any(np.isnan(self.report2[:, off]))
-        )
 
-
-def _require_resolved(panel: MirrorPanel):
-    if panel.has_missing:
-        raise DataError("panel has missing entries; apply resolve_missing first")
-
-
-def resolve_missing(panel: MirrorPanel) -> MirrorPanel:
-    """Apply the two-step missing-data rule.
+def resolve_missing(
+    report1: np.ndarray, report2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Apply the two-step missing-data rule to (T, n, n) report arrays whose
+    missing entries are NaN.
 
     First, for dyads where one side is missing in every period while the
     other side is positive in every period, copy the positive side across.
-    Then set all remaining missing entries to zero.
+    Then set all remaining missing entries to zero.  Returns the resolved
+    reports, the number of off-diagonal entries copied and the number
+    zeroed.
     """
-    r1 = np.array(panel.report1)
-    r2 = np.array(panel.report2)
-    off = ~np.eye(panel.n, dtype=bool)
+    r1 = np.array(report1, dtype=float)
+    r2 = np.array(report2, dtype=float)
+    t, n = r1.shape[:2]
+    off = ~np.eye(n, dtype=bool)
     copied = 0
     for a, other in ((r1, r2), (r2, r1)):
         all_na = np.all(np.isnan(a), axis=0) & off
         all_pos = np.all(~np.isnan(other) & (other > 0), axis=0)
         fix = all_na & all_pos
         if np.any(fix):
-            copied += int(np.count_nonzero(fix)) * panel.t
+            copied += int(np.count_nonzero(fix)) * t
             a[:, fix] = other[:, fix]
     zeroed = int(np.count_nonzero(np.isnan(r1[:, off]))) + int(
         np.count_nonzero(np.isnan(r2[:, off]))
     )
-    r1 = np.where(np.isnan(r1), 0.0, r1)
-    r2 = np.where(np.isnan(r2), 0.0, r2)
-    return MirrorPanel(
-        report1=r1,
-        report2=r2,
-        labels=panel.labels,
-        periods=panel.periods,
-        na_copied=copied,
-        na_zeroed=zeroed,
-    )
+    r1[np.isnan(r1)] = 0.0
+    r2[np.isnan(r2)] = 0.0
+    return r1, r2, copied, zeroed
 
 
 def estimate_zero_probs(panel: MirrorPanel) -> tuple[np.ndarray, np.ndarray]:
@@ -375,7 +368,6 @@ def estimate_zero_probs(panel: MirrorPanel) -> tuple[np.ndarray, np.ndarray]:
     inside (0, 1); the six boundary configurations get their own closed
     forms, including the no-double-zero case b = z1/(2 - z1).
     """
-    _require_resolved(panel)
     r1, r2 = panel.report1, panel.report2
     t = panel.t
     c2 = ((r1 == 0) & (r2 == 0)).sum(axis=0)
@@ -423,7 +415,6 @@ def estimate_me_variance(panel: MirrorPanel) -> tuple[np.ndarray, np.ndarray]:
     sigma2.  Dyads with no double-positive period get 0; the returned mask
     records which dyads were actually identified.
     """
-    _require_resolved(panel)
     r1, r2 = panel.report1, panel.report2
     both = (r1 > 0) & (r2 > 0)
     counts = both.sum(axis=0)
@@ -440,12 +431,15 @@ def estimate_me_variance(panel: MirrorPanel) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PriorMeans:
-    """Per-period prior means plus the per-period gravity fit summaries."""
+    """Per-period prior means, the per-period gravity fit summaries, and the
+    last period's whole fit, whose partial-regression scatter the
+    command-line diagnostics report."""
 
     mu: np.ndarray        # (T, n, n), NaN where undefined
     defined: np.ndarray   # (n, n): dyad has at least one positive period
     beta: np.ndarray      # (T,) log-distance coefficients
     adj_r2: np.ndarray    # (T,)
+    last_fit: GravityFit  # the fit of period T
 
 
 def estimate_prior_means(
@@ -461,7 +455,6 @@ def estimate_prior_means(
     and are flagged undefined (their posterior never needs a slab mean when
     the true-zero probability is one).
     """
-    _require_resolved(panel)
     n, t = panel.n, panel.t
     if distances.n != n:
         raise DataError("distance matrix size does not match the panel")
@@ -489,7 +482,7 @@ def estimate_prior_means(
     for k in range(t):
         fill = pos_any & ~(flows[k] > 0)
         mu[k][fill] = avg[fill]
-    return PriorMeans(mu=mu, defined=pos_any, beta=beta, adj_r2=adj)
+    return PriorMeans(mu=mu, defined=pos_any, beta=beta, adj_r2=adj, last_fit=fit)
 
 
 def estimate_prior_variances(
@@ -518,7 +511,6 @@ def estimate_prior_variances(
     recorded s2 means are checked against, until that reference is
     re-recorded with a bias-corrected estimator.
     """
-    _require_resolved(panel)
     flows = panel.report1
     t, n = panel.t, panel.n
     if mu.shape != (t, n, n):
@@ -606,19 +598,15 @@ def shrink_variances(
 
 def calibrate_mirror(
     panel: MirrorPanel, distances: DistanceMatrix, shrink: bool = True
-) -> CalibratedParams:
+) -> tuple[CalibratedParams, PriorMeans]:
     """Full mirror-panel calibration: zero probabilities, ME variances,
     per-period prior means and variances, and (optionally) variance
-    shrinkage across reporters."""
-    return _calibrate_mirror(panel, distances, shrink)[0]
+    shrinkage across reporters.
 
-
-def _calibrate_mirror(
-    panel: MirrorPanel, distances: DistanceMatrix, shrink: bool
-) -> tuple[CalibratedParams, PriorMeans]:
-    """``calibrate_mirror`` plus the per-period gravity fits behind the prior
-    means, which the command-line summary reports."""
-    _require_resolved(panel)
+    Returns the parameters and the prior means with the per-period gravity
+    fits behind them (``PriorMeans``), which the command-line summary and
+    diagnostics report.
+    """
     p, b = estimate_zero_probs(panel)
     sigma2, observed = estimate_me_variance(panel)
     means = estimate_prior_means(panel, distances)
@@ -721,11 +709,15 @@ def ingest_mirror_csv(path) -> MirrorPanel:
     r2 = np.full((t, n, n), np.nan)
     r1[k, i, j] = np.frombuffer(flow1)
     r2[k, i, j] = np.frombuffer(flow2)
-
-    panel = MirrorPanel(
-        report1=r1, report2=r2, labels=tuple(labels), periods=tuple(periods)
+    r1, r2, copied, zeroed = resolve_missing(r1, r2)
+    return MirrorPanel(
+        report1=r1,
+        report2=r2,
+        labels=tuple(labels),
+        periods=tuple(periods),
+        na_copied=copied,
+        na_zeroed=zeroed,
     )
-    return resolve_missing(panel)
 
 
 def _sorted_ranks(first_seen: dict) -> tuple[list, np.ndarray]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dataio
 from .armington import ArmingtonModel, solve_counterfactual, welfare_change_pct
-from .calibration import _calibrate_mirror, calibrate_baseline, ingest_mirror_csv
+from .calibration import calibrate_baseline, calibrate_mirror, ingest_mirror_csv
 from .core import CounterfactualSpec, EstimatorResult, FlowMatrix
 from .engine import LowDimSmoother, SvdSmoother, UqConfig, point_estimate, run_algorithm1
 from .errors import (
@@ -36,7 +36,7 @@ from .errors import (
     LengthMismatch,
     TooManyFailures,
 )
-from .gravity import PpmlEstimator, fit_log_gravity, fit_ppml
+from .gravity import PpmlEstimator, fit_log_gravity, fit_ppml, independent_variance
 from .robustness import (
     AttenuationSimConfig,
     gravity_partial_plot,
@@ -123,14 +123,13 @@ def _write_diagnostics(out: Path, diag, plot):
         ["bin_left", "bin_right", "count"],
         [edges[:-1], edges[1:], diag.bin_counts],
     )
-    if plot is not None:
-        dataio.write_columns_csv(out / "gravity_partial.csv", ["x", "y"], [plot.x, plot.y])
-        filled = plot.bin_counts > 0
-        dataio.write_columns_csv(
-            out / "gravity_binned.csv",
-            ["bin_center", "bin_mean", "count"],
-            [plot.bin_centers[filled], plot.bin_means[filled], plot.bin_counts[filled]],
-        )
+    dataio.write_columns_csv(out / "gravity_partial.csv", ["x", "y"], [plot.x, plot.y])
+    filled = plot.bin_counts > 0
+    dataio.write_columns_csv(
+        out / "gravity_binned.csv",
+        ["bin_center", "bin_mean", "count"],
+        [plot.bin_centers[filled], plot.bin_means[filled], plot.bin_counts[filled]],
+    )
 
 
 def _j(x: float):
@@ -154,7 +153,7 @@ def cmd_calibrate(settings: Settings) -> int:
                 f"mirror side, zeroed {panel.na_zeroed}"
             )
         shrink = settings.get("shrink", default=True, cast=bool)
-        params, means = _calibrate_mirror(panel, distances, shrink)
+        params, means = calibrate_mirror(panel, distances, shrink)
         s2_zero = None
         if shrink:
             off = ~np.eye(panel.n, dtype=bool)
@@ -171,8 +170,7 @@ def cmd_calibrate(settings: Settings) -> int:
             [FlowMatrix(r, panel.labels) for r in panel.report1], params
         )
         last = panel.periods[-1]
-        flows_last = FlowMatrix(panel.report1[-1], panel.labels)
-        plot = gravity_partial_plot(flows_last, distances)
+        plot = gravity_partial_plot(means.last_fit)
         _write_diagnostics(out, diag, plot)
         dataio.write_json(
             out / "calibration_summary.json",
@@ -196,11 +194,10 @@ def cmd_calibrate(settings: Settings) -> int:
         sigma2 = settings.get("sigma2", cast=float, required=True)
         p = settings.get("p", default=0.0, cast=float)
         b = settings.get("b_spurious", default=0.0, cast=float)
-        params = calibrate_baseline(flows, distances, sigma2, p, b)
+        params, fit = calibrate_baseline(flows, distances, sigma2, p, b)
         dataio.write_params_json(out / "params.json", params)
-        fit = fit_log_gravity(flows, distances)
         diag = normality_diagnostic(flows, params)
-        plot = gravity_partial_plot(flows, distances)
+        plot = gravity_partial_plot(fit)
         _write_diagnostics(out, diag, plot)
         dataio.write_json(
             out / "calibration_summary.json",
@@ -227,23 +224,27 @@ def cmd_estimate(settings: Settings) -> int:
     log_costs = dataio.read_costs_csv(settings.get("costs", required=True), flows.labels)
     include_diag = settings.get("include_diagonal", default=False, cast=bool)
     variance_mode = settings.get("variance", default="dyadic")
-    fit = fit_ppml(
-        flows, log_costs, include_diagonal=include_diag, variance_mode=variance_mode
-    )
+    if variance_mode not in ("dyadic", "independent"):
+        raise DataError(f"unknown variance mode {variance_mode!r}")
+    fit = fit_ppml(flows, log_costs, include_diagonal=include_diag)
+    if variance_mode == "dyadic":
+        variance, projected = fit.variance, fit.variance_psd_projected
+    else:  # a sum of squares, never projected
+        variance, projected = independent_variance(fit), False
     dataio.write_json(
         out / "ppml.json",
         {
             "epsilon_hat": fit.epsilon_hat,
-            "variance": fit.variance,
+            "variance": variance,
             "variance_mode": variance_mode,
-            "variance_psd_projected": fit.variance_psd_projected,
+            "variance_psd_projected": projected,
             "deviance": fit.deviance,
             "iterations": fit.iterations,
             "fe_origin": {l: float(v) for l, v in zip(flows.labels, fit.fe_origin)},
             "fe_dest": {l: float(v) for l, v in zip(flows.labels, fit.fe_dest)},
         },
     )
-    _log(f"epsilon_hat = {fit.epsilon_hat:.6g} (se {np.sqrt(fit.variance):.3g})")
+    _log(f"epsilon_hat = {fit.epsilon_hat:.6g} (se {np.sqrt(variance):.3g})")
     return 0
 
 
@@ -382,7 +383,7 @@ def cmd_diagnose(settings: Settings) -> int:
         period = settings.get("period", cast=int, required=True)
         params = params.for_period(period)
     diag = normality_diagnostic(flows, params)
-    plot = gravity_partial_plot(flows, distances)
+    plot = gravity_partial_plot(fit_log_gravity(flows, distances))
     _write_diagnostics(out, diag, plot)
     _log(f"diagnostics written to {out}")
     return 0

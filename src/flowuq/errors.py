@@ -37,7 +37,7 @@ class ZeroDiagonal(DataError):
 
 
 class InvalidElasticity(DataError):
-    """Elasticity parameter outside its admissible range (must be > 0)."""
+    """Elasticity parameter outside its admissible range (finite and > 0)."""
 
 
 class LengthMismatch(DataError):

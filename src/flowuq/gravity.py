@@ -167,7 +167,7 @@ class PpmlFit:
     fe_origin: np.ndarray
     fe_dest: np.ndarray
     influence: np.ndarray         # n x n influence values, zero off the sample
-    variance: float               # sampling variance of epsilon_hat
+    variance: float               # dyadic-robust variance of epsilon_hat
     variance_psd_projected: bool  # whether the dyadic pair sum was negative
     mu_hat: np.ndarray            # n x n fitted mean flows, zero off the sample
     n: int
@@ -183,6 +183,15 @@ class PpmlFit:
 
 @dataclass(frozen=True)
 class GravityFit:
+    """Least-squares gravity fit of log flows on log distance with two-way
+    fixed effects, over the positive off-diagonal flows.
+
+    ``x_res`` and ``y_res`` are log distance and log flow on the sample, in
+    row-major dyad order, with the fixed effects partialled out: the scatter
+    whose least-squares slope is ``beta_hat`` (Frisch-Waugh-Lovell), which
+    ``robustness.gravity_partial_plot`` bins.
+    """
+
     beta_hat: float
     fe_origin: np.ndarray
     fe_dest: np.ndarray
@@ -190,6 +199,8 @@ class GravityFit:
     adj_r2: float
     mu: np.ndarray            # fitted log-means, NaN diagonal and unidentified
     n_obs: int
+    x_res: np.ndarray         # partialled log distance on the sample
+    y_res: np.ndarray         # partialled log flow on the sample
 
 
 def _grid_sum(x: np.ndarray) -> np.ndarray:
@@ -209,7 +220,6 @@ def fit_ppml(
     flows: FlowMatrix,
     log_costs: np.ndarray,
     include_diagonal: bool = False,
-    variance_mode: str = "dyadic",
     dev_tol: float = 1e-12,
 ) -> PpmlFit:
     """Poisson pseudo-likelihood fit of flows on log costs with two-way FEs.
@@ -219,7 +229,7 @@ def fit_ppml(
     ``fit_ppml_many`` on a batch of one; the errors are documented there.
     """
     return fit_ppml_many(
-        flows.values[None], log_costs, include_diagonal, variance_mode, dev_tol
+        flows.values[None], log_costs, include_diagonal, dev_tol
     )[0]
 
 
@@ -227,7 +237,6 @@ def fit_ppml_many(
     values: np.ndarray,
     log_costs: np.ndarray,
     include_diagonal: bool = False,
-    variance_mode: str = "dyadic",
     dev_tol: float = 1e-12,
     start: PpmlFit | None = None,
 ) -> list[PpmlFit]:
@@ -278,8 +287,6 @@ def fit_ppml_many(
     log_costs = np.asarray(log_costs, dtype=float)
     if log_costs.shape != (n, n):
         raise DataError("log_costs must be n x n")
-    if variance_mode not in ("dyadic", "independent"):
-        raise DataError(f"unknown variance mode {variance_mode!r}")
     if start is not None and start.n != n:
         raise DataError(f"the start fit has {start.n} locations, the flows {n}")
     mask = np.ones((n, n), dtype=bool) if include_diagonal else ~np.eye(n, dtype=bool)
@@ -411,7 +418,7 @@ def fit_ppml_many(
     influence = (xt * u) * on / _grid_sum(mu_hat * (xt * xt))[:, None, None]
     fits = []
     for j in range(k):
-        var, projected = _influence_variance(influence[j], dyadic=variance_mode == "dyadic")
+        var, projected = _influence_variance(influence[j], dyadic=True)
         fits.append(
             PpmlFit(
                 epsilon_hat=-float(slope[j]),
@@ -537,6 +544,8 @@ def _log_gravity_ols(flows: np.ndarray, log_dist: np.ndarray) -> GravityFit:
         adj_r2=adj_r2,
         mu=mu,
         n_obs=n_obs,
+        x_res=x_res,
+        y_res=y_res,
     )
 
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibratedParams
-from .core import DistanceMatrix, FlowMatrix
+from .core import FlowMatrix
 from .engine import draw_rng
-from .errors import DataError, FlowUqError
-from .gravity import _components, _twoway_fe, fit_log_gravity
+from .errors import DataError
+from .gravity import GravityFit
 
 
 # ---------------------------------------------------------------------------
@@ -47,12 +47,13 @@ class AttenuationSimConfig:
     def __post_init__(self):
         if min(self.m_reps, self.b_draws, self.n) < 1:
             raise DataError("m_reps, b_draws and n must be positive")
-        if self.epsilon <= 0 or self.s <= 0:
-            raise DataError("epsilon and s must be positive")
-        if self.sigma < 0:
-            raise DataError("sigma must be non-negative")
-        if self.rho == 0:
-            raise DataError("rho must be nonzero")  # negative is unusual but allowed
+        # Each check is written so that NaN fails it.
+        if not (0 < self.epsilon < math.inf and 0 < self.s < math.inf):
+            raise DataError("epsilon and s must be finite and positive")
+        if not 0 <= self.sigma < math.inf:
+            raise DataError("sigma must be finite and non-negative")
+        if not (math.isfinite(self.rho) and self.rho != 0):  # negative is allowed
+            raise DataError("rho must be finite and nonzero")
 
 
 def run_attenuation_sim(cfg: AttenuationSimConfig) -> np.ndarray:
@@ -229,37 +230,23 @@ def normality_diagnostic(
 class GravityPartialPlot:
     x: np.ndarray           # log distance, fixed effects partialled out
     y: np.ndarray           # log flow, fixed effects partialled out
-    slope: float            # equals the gravity fit's distance coefficient
+    slope: float            # the gravity fit's distance coefficient
     bin_centers: np.ndarray
     bin_means: np.ndarray
     bin_counts: np.ndarray
 
 
-def gravity_partial_plot(flows_obs: FlowMatrix, distances: DistanceMatrix) -> GravityPartialPlot:
-    """Partial log flows and log distances on the two-way fixed effects and
-    return the scatter, its OLS slope, and binned means for a nonparametric
-    overlay.
+def gravity_partial_plot(fit: GravityFit) -> GravityPartialPlot:
+    """The partial-regression scatter of a gravity fit, with binned means
+    for a nonparametric overlay.
 
-    By the Frisch-Waugh identity the scatter slope equals the gravity
-    regression's distance coefficient; this is checked to 1e-10 and a
-    violation is reported as an internal error.
+    The scatter is the fit's log distance and log flow with the fixed
+    effects partialled out (``x_res``, ``y_res``); by the Frisch-Waugh-Lovell
+    theorem its least-squares slope is the fit's distance coefficient.  The
+    means are over ``_PARTIAL_PLOT_BINS`` equal-width bins of the partialled
+    log distance; an empty bin has a NaN mean.
     """
-    fit = fit_log_gravity(flows_obs, distances)  # also runs the data checks
-    n = flows_obs.n
-    sample = (flows_obs.values > 0) & ~np.eye(n, dtype=bool)
-    v = np.zeros((2, n, n))
-    v[0, sample] = np.log(distances.values[sample])
-    v[1, sample] = np.log(flows_obs.values[sample])
-    fe_o, fe_d, _, _ = _twoway_fe(sample.astype(float)[None], v[None], _components(sample))
-    fe_o, fe_d = fe_o[0], fe_d[0]
-    x_res, y_res = (v - fe_o[:, :, None] - fe_d[:, None, :])[:, sample]
-    sxx = float(x_res @ x_res)
-    slope = float(x_res @ y_res) / sxx
-    if abs(slope - fit.beta_hat) > 1e-10 * max(1.0, abs(fit.beta_hat)):
-        raise FlowUqError(
-            "Frisch-Waugh identity violated: partialled slope "
-            f"{slope} vs fit {fit.beta_hat}"
-        )
+    x_res, y_res = fit.x_res, fit.y_res
     edges = np.linspace(x_res.min(), x_res.max(), _PARTIAL_PLOT_BINS + 1)
     idx = np.clip(np.digitize(x_res, edges) - 1, 0, _PARTIAL_PLOT_BINS - 1)
     sums = np.bincount(idx, weights=y_res, minlength=_PARTIAL_PLOT_BINS)
@@ -270,7 +257,7 @@ def gravity_partial_plot(flows_obs: FlowMatrix, distances: DistanceMatrix) -> Gr
     return GravityPartialPlot(
         x=x_res,
         y=y_res,
-        slope=slope,
+        slope=fit.beta_hat,
         bin_centers=centers,
         bin_means=means,
         bin_counts=counts,

@@ -172,8 +172,9 @@ def test_welfare_change_pct_values():
 def test_error_conditions():
     flows = symmetric_world()
     spec = CounterfactualSpec.uniform_increase(4, 0.1)
-    with pytest.raises(InvalidElasticity):
-        solve_counterfactual(flows, spec, epsilon=0.0)
+    for epsilon in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidElasticity, match="finite and > 0"):
+            solve_counterfactual(flows, spec, epsilon=epsilon)
     with pytest.raises(ZeroDiagonal):
         solve_counterfactual(
             FlowMatrix([[0.0, 1.0], [1.0, 1.0]]),
@@ -395,10 +396,10 @@ def test_many_checks_each_slice_as_it_is_checked_alone():
     results = solve_counterfactual_many(np.stack(stack), spec, epsilons)
     for values, epsilon, result in zip(stack, epsilons, results):
         assert_same_outcome(solve_alone(values, spec.tau_prop, epsilon), result)
-    assert [type(r).__name__ for r in results[:5]] == [
-        "EquilibriumResult", "DataError", "DataError", "InvalidElasticity", "ZeroMarginal"
+    assert [type(r).__name__ for r in results] == [
+        "EquilibriumResult", "DataError", "DataError", "InvalidElasticity", "ZeroMarginal",
+        "InvalidElasticity", "EquilibriumResult",
     ]
-    assert isinstance(results[6], EquilibriumResult)
     for result in solve_counterfactual_many(
         np.stack([good, good]), spec, [4.0, 4.0], labels=("A", "A", "B")
     ):

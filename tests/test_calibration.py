@@ -224,25 +224,45 @@ class TestCalibrateBaseline:
     def test_variance_decomposition(self):
         flows, dist = self.world()
         fit = fit_log_gravity(flows, dist)
-        params = calibrate_baseline(flows, dist, sigma2_common=0.05, p=0.0, b=0.0)
+        params, _ = calibrate_baseline(flows, dist, sigma2_common=0.05, p=0.0, b=0.0)
         off = ~np.eye(6, dtype=bool)
         expected = max(fit.residual_variance - 0.05, 0.0)
         assert np.allclose(params.s2[off], expected)
         assert np.allclose(params.sigma2[off], 0.05)
         # All noise: prior variance floors at zero.
-        params_hi = calibrate_baseline(flows, dist, fit.residual_variance + 1.0, 0, 0)
+        params_hi, _ = calibrate_baseline(flows, dist, fit.residual_variance + 1.0, 0, 0)
         assert np.all(params_hi.s2[off] == 0.0)
         # No noise: everything is signal.
-        params_lo = calibrate_baseline(flows, dist, 0.0, 0, 0)
+        params_lo, _ = calibrate_baseline(flows, dist, 0.0, 0, 0)
         assert np.allclose(params_lo.s2[off], fit.residual_variance)
 
     def test_prior_means_are_gravity_fitted_values(self):
         flows, dist = self.world(seed=1)
         fit = fit_log_gravity(flows, dist)
-        params = calibrate_baseline(flows, dist, 0.02, 0.0, 0.0)
+        params, own = calibrate_baseline(flows, dist, 0.02, 0.0, 0.0)
         off = ~np.eye(6, dtype=bool)
         assert np.allclose(params.mu[off], fit.mu[off])
         assert np.all(np.isnan(np.diag(params.mu)))
+        # The returned fit is the one the prior means come from.
+        assert own.beta_hat == fit.beta_hat
+        np.testing.assert_array_equal(own.mu, params.mu)
+        np.testing.assert_array_equal(own.x_res, fit.x_res)
+
+    @pytest.mark.parametrize(
+        "sigma2, p, b",
+        [(np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), (-0.1, 0.0, 0.0), (0.05, np.nan, 0.0),
+         (0.05, 0.0, np.nan), (0.05, 1.5, 0.0)],
+    )
+    def test_non_finite_or_out_of_range_parameters_are_data_errors(self, sigma2, p, b):
+        flows, dist = self.world()
+        with pytest.raises(DataError):
+            calibrate_baseline(flows, dist, sigma2, p, b)
+
+
+@pytest.mark.parametrize("name", ["p", "b", "s2", "sigma2"])
+def test_calibrated_params_refuse_nan(name):
+    with pytest.raises(DataError, match=f"^{name} "):
+        constant_params(3, **{name: np.nan})
 
 
 class TestZeroProbs:
@@ -695,16 +715,21 @@ class TestMirrorCsv:
         big = np.finfo(float).max
         r1 = np.array([[[np.nan, big], [np.nan, np.nan]], [[0.0, 2.5], [0.0, 0.0]]])
         r2 = np.array([[[0.0, 1.0], [3.0, 0.0]], [[0.0, np.nan], [4.0, 0.0]]])
-        resolved = resolve_missing(
+        out1, out2, copied, zeroed = resolve_missing(r1, r2)
+        np.testing.assert_array_equal(out1, [[[0, big], [0, 0]], [[0, 2.5], [0, 0]]])
+        np.testing.assert_array_equal(out2, [[[0, 1.0], [3.0, 0]], [[0, 0], [4.0, 0]]])
+        assert zeroed == 2 and copied == 0
+        assert np.isnan(r1[0, 1, 0]), "the inputs are left as they were"
+
+    def test_panel_refuses_missing_reports(self):
+        r1 = np.ones((2, 2, 2))
+        r2 = np.ones((2, 2, 2))
+        r2[1, 0, 1] = np.nan
+        with pytest.raises(DataError, match="report2 has missing entries"):
             MirrorPanel(report1=r1, report2=r2, labels=("A", "B"), periods=(0, 1))
-        )
-        np.testing.assert_array_equal(
-            resolved.report1, [[[0.0, big], [0.0, 0.0]], [[0.0, 2.5], [0.0, 0.0]]]
-        )
-        np.testing.assert_array_equal(
-            resolved.report2, [[[0.0, 1.0], [3.0, 0.0]], [[0.0, 0.0], [4.0, 0.0]]]
-        )
-        assert resolved.na_zeroed == 2 and resolved.na_copied == 0
+        r1[0, 1, 1] = np.nan  # on the diagonal as well
+        with pytest.raises(DataError, match="report1 has missing entries"):
+            MirrorPanel(r1, np.ones((2, 2, 2)), labels=("A", "B"), periods=(0, 1))
 
     def test_resolve_missing_order(self):
         # The copy rule fires before the zero rule.
@@ -713,16 +738,13 @@ class TestMirrorCsv:
         r1[:, 1, 0] = 5.0
         r2[:, 0, 1] = 3.0
         r2[:, 1, 0] = np.nan
-        panel = MirrorPanel(
-            report1=r1, report2=r2, labels=("A", "B"), periods=(0, 1)
-        )
-        resolved = resolve_missing(panel)
+        out1, out2, copied, zeroed = resolve_missing(r1, r2)
         # (0,1): report1 all-NA, report2 all-positive -> copied
-        assert np.array_equal(resolved.report1[:, 0, 1], [3.0, 3.0])
+        assert np.array_equal(out1[:, 0, 1], [3.0, 3.0])
         # (1,0): report2 all-NA, report1 all-positive -> copied
-        assert np.array_equal(resolved.report2[:, 1, 0], [5.0, 5.0])
-        assert resolved.na_copied == 4
-        assert resolved.na_zeroed == 0
+        assert np.array_equal(out2[:, 1, 0], [5.0, 5.0])
+        assert copied == 4
+        assert zeroed == 0
 
 
 class TestCalibrateMirror:
@@ -730,7 +752,7 @@ class TestCalibrateMirror:
         from flowuq.scenarios import mirror_world
 
         scen = mirror_world(n=6, t=8, seed=3)
-        params = calibrate_mirror(scen.panel, scen.distances)
+        params, means = calibrate_mirror(scen.panel, scen.distances)
         off = ~np.eye(6, dtype=bool)
         assert params.has_periods and params.periods == scen.periods
         assert np.all(params.p[off] == 0.0)  # no zeros simulated
@@ -746,3 +768,8 @@ class TestCalibrateMirror:
         draw, degenerate = sample_flow_matrix(flows, sliced, rng)
         assert degenerate == 0
         assert np.all(draw.values[off] > 0)
+        # The last period's fit comes back whole.
+        last = fit_log_gravity(flows, scen.distances)
+        assert means.last_fit.beta_hat == last.beta_hat == means.beta[-1]
+        np.testing.assert_array_equal(means.last_fit.x_res, last.x_res)
+        np.testing.assert_array_equal(means.last_fit.y_res, last.y_res)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowuq import dataio
+from flowuq import dataio, gravity
 from flowuq.cli import main
 from flowuq.scenarios import armington_world, mirror_world
 
@@ -97,6 +97,99 @@ def test_calibrate_mirror_reports_zero_prior_variances(tmp_path, capsys):
     assert main(argv + ["--output-dir", str(tmp_path / "raw"), "--no-shrink"]) == 0
     raw = json.loads((tmp_path / "raw" / "calibration_summary.json").read_text())
     assert raw["s2_shrunk_zero_dyads"] is None
+
+
+_ARTIFACTS = (
+    "params.json",
+    "calibration_summary.json",
+    "normality_summary.json",
+    "normality_residuals.csv",
+    "normality_histogram.csv",
+    "gravity_partial.csv",
+    "gravity_binned.csv",
+)
+
+
+def test_calibrate_mirror_with_a_location_absent_from_the_last_period(tmp_path):
+    # Origin C02 reports no positive flow in the last period.  That period's
+    # prior-mean fit runs on the other locations, and so do its partial
+    # scatter and the calibration.
+    scen = mirror_world(n=6, t=5, seed=3)
+    r1 = np.array(scen.panel.report1)
+    r1[-1, 2, :] = 0.0
+    mirror = tmp_path / "mirror.csv"
+    dist = tmp_path / "distances.csv"
+    dataio.write_mirror_csv(mirror, scen.labels, scen.periods, r1, scen.panel.report2)
+    dataio.write_dyadic_csv(dist, scen.labels, scen.distances.values, "distance")
+    out = tmp_path / "calib"
+    argv = ["calibrate", "--mirror", str(mirror), "--distances", str(dist)]
+    assert main(argv + ["--output-dir", str(out)]) == 0
+    for name in _ARTIFACTS:
+        assert (out / name).exists(), name
+    partial = np.loadtxt(out / "gravity_partial.csv", delimiter=",", skiprows=1)
+    sample = (r1[-1] > 0) & ~np.eye(6, dtype=bool)
+    assert len(partial) == np.count_nonzero(sample) == 6 * 5 - 5
+
+
+def _count_projections(monkeypatch):
+    """Count the calls of the one fixed-effects projection, wherever the
+    package holds it."""
+    real = gravity._twoway_fe
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flowuq") and getattr(module, "_twoway_fe", None) is real:
+            monkeypatch.setattr(module, "_twoway_fe", counted)
+    return calls
+
+
+def test_each_command_makes_each_gravity_fit_once(
+    mirror_files, armington_files, tmp_path, monkeypatch
+):
+    # A mirror calibration projects once per period, plus once per shrunk
+    # variance; a baseline calibration and a diagnosis fit once.
+    calls = _count_projections(monkeypatch)
+    scen, mirror, mdist = mirror_files
+    _, flows, dist, _, _ = armington_files
+    mirror_argv = ["calibrate", "--mirror", str(mirror), "--distances", str(mdist)]
+    baseline = ["calibrate", "--flows", str(flows), "--distances", str(dist)]
+    baseline += ["--sigma2", "0.05"]
+    diagnose = ["diagnose", "--flows", str(flows), "--distances", str(dist)]
+    diagnose += ["--params", str(tmp_path / "base" / "params.json")]
+    t = len(scen.periods)
+    for argv, name, expected in (
+        (mirror_argv, "mirror", t + 2),
+        (mirror_argv + ["--no-shrink"], "raw", t),
+        (baseline, "base", 1),
+        (diagnose, "diag", 1),
+    ):
+        calls[0] = 0
+        assert main(argv + ["--output-dir", str(tmp_path / name)]) == 0
+        assert calls[0] == expected, name
+
+
+def test_non_finite_parameters_exit_2(armington_files, tmp_path, capsys):
+    _, flows, dist, _, _ = armington_files
+    attenuation = ["simulate-attenuation", "--m-reps", "2", "--b-draws", "5", "--n", "6"]
+    baseline = ["calibrate", "--flows", str(flows), "--distances", str(dist)]
+    counterfactual = ["counterfactual", "--flows", str(flows), "--uniform-increase", "0.1"]
+    cases = [
+        (counterfactual + ["--epsilon", "nan"], "elasticity must be finite", "welfare.json"),
+        (attenuation + ["--epsilon", "nan"], "epsilon and s", "biases.csv"),
+        (attenuation + ["--s", "nan"], "epsilon and s", "biases.csv"),
+        (attenuation + ["--sigma", "nan"], "sigma", "biases.csv"),
+        (baseline + ["--sigma2", "nan"], "measurement-error variance", "params.json"),
+        (baseline + ["--sigma2", "0.05", "--p", "nan"], "probabilities", "params.json"),
+    ]
+    for i, (argv, message, artifact) in enumerate(cases):
+        out = tmp_path / f"o{i}"
+        assert main(argv + ["--output-dir", str(out)]) == 2, argv
+        assert message in capsys.readouterr().err
+        assert not (out / artifact).exists()
 
 
 def test_calibrate_missing_file_exits_2(tmp_path):
@@ -557,6 +650,29 @@ def test_counterfactual_and_estimate(armington_files, tmp_path):
     assert code == 0
     doc = json.loads((out2 / "ppml.json").read_text())
     assert abs(doc["epsilon_hat"] - scen.epsilon) < 1.0
+
+
+def test_estimate_variance_modes(armington_files, tmp_path):
+    # --variance independent reports the independent variance of the one
+    # dyadic fit; an unknown mode from a config file is refused.
+    _, flows, _, costs, _ = armington_files
+    observed = dataio.read_flows_csv(flows)
+    fit = gravity.fit_ppml(observed, dataio.read_costs_csv(costs, observed.labels))
+    argv = ["estimate", "--flows", str(flows), "--costs", str(costs)]
+    docs = {}
+    for mode in ("dyadic", "independent"):
+        assert main(argv + ["--variance", mode, "--output-dir", str(tmp_path / mode)]) == 0
+        docs[mode] = json.loads((tmp_path / mode / "ppml.json").read_text())
+        assert docs[mode]["variance_mode"] == mode
+    assert docs["dyadic"]["variance"] == fit.variance
+    assert docs["independent"]["variance"] == gravity.independent_variance(fit)
+    assert docs["independent"]["variance_psd_projected"] is False
+    assert docs["dyadic"]["epsilon_hat"] == docs["independent"]["epsilon_hat"]
+    conf = tmp_path / "est.conf"
+    conf.write_text("variance = sandwich\n")
+    out = tmp_path / "bad"
+    assert main(argv + ["--config", str(conf), "--output-dir", str(out)]) == 2
+    assert not (out / "ppml.json").exists()
 
 
 def test_estimate_singular_projection_exit_3(tmp_path):

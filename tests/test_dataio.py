@@ -66,7 +66,7 @@ def test_params_json_roundtrip(tmp_path):
     scen = mirror_world(n=5, t=4, seed=8)
     from flowuq import calibrate_mirror
 
-    params = calibrate_mirror(scen.panel, scen.distances)
+    params, _ = calibrate_mirror(scen.panel, scen.distances)
     path = tmp_path / "params.json"
     dataio.write_params_json(path, params)
     back = dataio.read_params_json(path)
@@ -126,7 +126,8 @@ def test_mirror_csv_roundtrip(tmp_path):
 def _mirror_params(shrink=True):
     # Periods 9, 10, 11 sort as "10" < "11" < "9" in the JSON keys.
     scen = mirror_world(n=4, t=3, seed=8)
-    return replace(calibrate_mirror(scen.panel, scen.distances, shrink=shrink), periods=(9, 10, 11))
+    params, _ = calibrate_mirror(scen.panel, scen.distances, shrink=shrink)
+    return replace(params, periods=(9, 10, 11))
 
 
 def _nan_mu_params():

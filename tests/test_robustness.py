@@ -12,7 +12,9 @@ from flowuq import (
     DataError,
     DistanceMatrix,
     FlowMatrix,
+    MirrorPanel,
     TooFewDraws,
+    estimate_prior_means,
     fit_log_gravity,
     gravity_partial_plot,
     interval_c1,
@@ -25,6 +27,8 @@ from flowuq import (
 )
 from flowuq.robustness import residual_summary
 from flowuq.scenarios import mirror_world
+
+from .oracles import twoway_design
 
 
 class TestRobustLevels:
@@ -128,6 +132,12 @@ class TestAttenuationSim:
         biases = run_attenuation_sim(cfg)
         assert np.all(np.isfinite(biases))
 
+    @pytest.mark.parametrize("field", ["epsilon", "s", "sigma", "rho"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_are_data_errors(self, field, value):
+        with pytest.raises(DataError, match=field):
+            AttenuationSimConfig(m_reps=1, b_draws=2, n=5, **{field: value})
+
 
 def _diag_params(n, mu, s2, sigma2):
     off = ~np.eye(n, dtype=bool)
@@ -191,7 +201,7 @@ class TestNormalityDiagnostic:
 
     def test_per_period_parameters_pool_the_periods(self):
         scen = mirror_world(n=6, t=4, seed=3)
-        params = calibrate_mirror(scen.panel, scen.distances)
+        params, _ = calibrate_mirror(scen.panel, scen.distances)
         flows = [FlowMatrix(r, scen.labels) for r in scen.panel.report1]
         pooled = normality_diagnostic(flows, params)
         parts = [
@@ -293,19 +303,59 @@ class TestGravityPartialPlot:
 
     def test_exact_gravity_points_on_line(self):
         flows, dist = self.world()
-        plot = gravity_partial_plot(flows, dist)
+        plot = gravity_partial_plot(fit_log_gravity(flows, dist))
         assert abs(plot.slope + 1.3) < 1e-10
         assert np.max(np.abs(plot.y - plot.slope * plot.x)) < 1e-10
 
     def test_slope_equals_gravity_beta(self):
+        # Frisch-Waugh-Lovell: the scatter's own least-squares slope is the
+        # gravity fit's distance coefficient.
         flows, dist = self.world(seed=3, noise=0.4)
         fit = fit_log_gravity(flows, dist)
-        plot = gravity_partial_plot(flows, dist)
-        assert abs(plot.slope - fit.beta_hat) < 1e-10
+        plot = gravity_partial_plot(fit)
+        assert plot.slope == fit.beta_hat
+        assert abs(float(plot.x @ plot.y) / float(plot.x @ plot.x) - fit.beta_hat) < 1e-10
+
+    @staticmethod
+    def oracle_scatter(values, dist):
+        """Residuals of log distance and log flow on origin and destination
+        dummies, by dense least squares over the positive off-diagonal
+        flows in row-major order."""
+        n = values.shape[0]
+        oidx, didx = np.nonzero((values > 0) & ~np.eye(n, dtype=bool))
+        dummies = twoway_design(oidx, didx, n)
+        out = []
+        for v in (np.log(dist[oidx, didx]), np.log(values[oidx, didx])):
+            coef = np.linalg.lstsq(dummies, v, rcond=None)[0]
+            out.append(v - dummies @ coef)
+        return out
+
+    def test_scatter_is_the_dummy_regression_residuals(self):
+        # A sparse world, and a panel period in which location 2 has no
+        # positive flow (its dummies are empty columns for the oracle).
+        flows, dist = self.world(seed=6, noise=0.3)
+        values = np.array(flows.values)
+        values[np.random.default_rng(1).random(values.shape) < 0.2] = 0.0
+        values[np.arange(8), (np.arange(8) + 1) % 8] = 1.0  # keep them connected
+        scen = mirror_world(n=6, t=3, seed=3)
+        r1 = np.array(scen.panel.report1)
+        r1[-1, 2, :] = r1[-1, :, 2] = 0.0
+        panel = MirrorPanel(r1, scen.panel.report2, scen.labels, scen.periods)
+        last_fit = estimate_prior_means(panel, scen.distances).last_fit
+        cases = [
+            (fit_log_gravity(FlowMatrix(values), dist), values, dist.values),
+            (last_fit, r1[-1], scen.distances.values),
+        ]
+        for fit, v, d in cases:
+            plot = gravity_partial_plot(fit)
+            x, y = self.oracle_scatter(v, d)
+            assert plot.x.shape == x.shape
+            assert np.max(np.abs(plot.x - x)) < 1e-10
+            assert np.max(np.abs(plot.y - y)) < 1e-10
 
     def test_binned_means_track_line(self):
         flows, dist = self.world(seed=4, noise=0.0)
-        plot = gravity_partial_plot(flows, dist)
+        plot = gravity_partial_plot(fit_log_gravity(flows, dist))
         mask = plot.bin_counts > 0
         assert np.max(
             np.abs(plot.bin_means[mask] - plot.slope * plot.bin_centers[mask])
@@ -314,5 +364,5 @@ class TestGravityPartialPlot:
     def test_constant_distance_collinear(self):
         flows, _ = self.world(seed=5, noise=0.2)
         const_dist = DistanceMatrix(np.full((8, 8), 2.0))
-        with pytest.raises(Collinear):
-            gravity_partial_plot(flows, const_dist)
+        with pytest.raises(Collinear):  # the fit the plot needs is refused
+            gravity_partial_plot(fit_log_gravity(flows, const_dist))
