@@ -75,7 +75,6 @@ from .gravity import (
     GravityFit,
     PpmlEstimator,
     PpmlFit,
-    dyadic_variance,
     fit_log_gravity,
     fit_ppml,
     fit_ppml_many,

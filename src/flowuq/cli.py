@@ -6,11 +6,14 @@ intervals, and ``estimate``/``counterfactual``/``diagnose``/
 ``simulate-attenuation``/``report-ranks`` cover the supporting pieces.
 
 Every option can also come from a flat ``key = value`` config file
-(``--config``); command-line values win over file values, file values over
-defaults.  A file key that is not an option of the command is a data
-error, as an unknown flag is.  All randomness flows from the single
-``seed`` option, and outputs are byte-identical across reruns and worker
-counts.
+(``--config``).  A key is the option's name, spelled with ``-`` or ``_``
+(``uniform-increase = 0.1``); a yes/no option takes true/false, yes/no or
+1/0.  The file's values parse through the same argparse parser as flags,
+so they meet the same types and choices, and the command line wins over
+the file.  A key that is not an option of the command is a data error, as
+an unknown flag is.  All randomness flows from ``--seed``, which only
+``uq`` and ``simulate-attenuation`` take, and outputs are byte-identical
+across reruns and worker counts.
 
 Exit codes: 0 success, 2 data errors, 3 identification errors, 4 too many
 failed draws.
@@ -28,7 +31,15 @@ from . import dataio
 from .armington import ArmingtonModel, solve_counterfactual, welfare_change_pct
 from .calibration import calibrate_baseline, calibrate_mirror, ingest_mirror_csv
 from .core import CounterfactualSpec, EstimatorResult, FlowMatrix
-from .engine import LowDimSmoother, SvdSmoother, UqConfig, point_estimate, run_algorithm1
+from .engine import (
+    INTERVAL_KINDS,
+    MODES,
+    LowDimSmoother,
+    SvdSmoother,
+    UqConfig,
+    point_estimate,
+    run_algorithm1,
+)
 from .errors import (
     DataError,
     FlowUqError,
@@ -49,56 +60,17 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
-def load_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` file; '#' starts a comment."""
-    values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot open config {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"config line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+def _required(args: argparse.Namespace, name: str):
+    """The value of an option that another option, or the data, makes
+    required."""
+    value = getattr(args, name)
+    if value is None:
+        raise DataError(f"missing required option --{name.replace('_', '-')}")
+    return value
 
 
-class Settings:
-    """CLI > config file > default resolution."""
-
-    _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-    def __init__(self, args: argparse.Namespace, fileconf: dict[str, str]):
-        self.args = vars(args)
-        self.fileconf = fileconf
-
-    def get(self, key, default=None, cast=str, required=False):
-        value = self.args.get(key)
-        if value is None and key in self.fileconf:
-            raw = self.fileconf[key]
-            if cast is bool:
-                try:
-                    value = self._BOOLS[raw.lower()]
-                except KeyError:
-                    raise DataError(f"config {key}: {raw!r} is not a boolean") from None
-            else:
-                try:
-                    value = cast(raw)
-                except ValueError:
-                    raise DataError(f"config {key}: cannot parse {raw!r}") from None
-        if value is None:
-            if required:
-                raise DataError(f"missing required option --{key.replace('_', '-')}")
-            return default
-        return value
-
-
-def _outdir(settings: Settings) -> Path:
-    out = Path(settings.get("output_dir", default="."))
+def _outdir(args: argparse.Namespace) -> Path:
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -140,22 +112,19 @@ def _j(x: float):
 # calibrate
 
 
-def cmd_calibrate(settings: Settings) -> int:
-    out = _outdir(settings)
-    mirror = settings.get("mirror")
-    distances_path = settings.get("distances", required=True)
-    if mirror is not None:
-        panel = ingest_mirror_csv(mirror)
-        distances = dataio.read_distances_csv(distances_path, panel.labels)
+def cmd_calibrate(args: argparse.Namespace) -> int:
+    out = _outdir(args)
+    if args.mirror is not None:
+        panel = ingest_mirror_csv(args.mirror)
+        distances = dataio.read_distances_csv(args.distances, panel.labels)
         if panel.na_copied or panel.na_zeroed:
             _log(
                 f"missing-data rule: copied {panel.na_copied} entries from the "
                 f"mirror side, zeroed {panel.na_zeroed}"
             )
-        shrink = settings.get("shrink", default=True, cast=bool)
-        params, means = calibrate_mirror(panel, distances, shrink)
+        params, means = calibrate_mirror(panel, distances, args.shrink)
         s2_zero = None
-        if shrink:
+        if args.shrink:
             off = ~np.eye(panel.n, dtype=bool)
             s2_zero = int(np.count_nonzero(params.s2_shrunk[off] == 0.0))
             if s2_zero:
@@ -184,17 +153,14 @@ def cmd_calibrate(settings: Settings) -> int:
                 "na_copied": panel.na_copied,
                 "na_zeroed": panel.na_zeroed,
                 "s2_shrunk_zero_dyads": s2_zero,
-                "shrunk_variances": bool(shrink),
+                "shrunk_variances": args.shrink,
             },
         )
     else:
-        flows_path = settings.get("flows", required=True)
-        flows = dataio.read_flows_csv(flows_path)
-        distances = dataio.read_distances_csv(distances_path, flows.labels)
-        sigma2 = settings.get("sigma2", cast=float, required=True)
-        p = settings.get("p", default=0.0, cast=float)
-        b = settings.get("b_spurious", default=0.0, cast=float)
-        params, fit = calibrate_baseline(flows, distances, sigma2, p, b)
+        flows = dataio.read_flows_csv(_required(args, "flows"))
+        distances = dataio.read_distances_csv(args.distances, flows.labels)
+        sigma2 = _required(args, "sigma2")
+        params, fit = calibrate_baseline(flows, distances, sigma2, args.p, args.b_spurious)
         dataio.write_params_json(out / "params.json", params)
         diag = normality_diagnostic(flows, params)
         plot = gravity_partial_plot(fit)
@@ -218,16 +184,12 @@ def cmd_calibrate(settings: Settings) -> int:
 # estimate / counterfactual
 
 
-def cmd_estimate(settings: Settings) -> int:
-    out = _outdir(settings)
-    flows = dataio.read_flows_csv(settings.get("flows", required=True))
-    log_costs = dataio.read_costs_csv(settings.get("costs", required=True), flows.labels)
-    include_diag = settings.get("include_diagonal", default=False, cast=bool)
-    variance_mode = settings.get("variance", default="dyadic")
-    if variance_mode not in ("dyadic", "independent"):
-        raise DataError(f"unknown variance mode {variance_mode!r}")
-    fit = fit_ppml(flows, log_costs, include_diagonal=include_diag)
-    if variance_mode == "dyadic":
+def cmd_estimate(args: argparse.Namespace) -> int:
+    out = _outdir(args)
+    flows = dataio.read_flows_csv(args.flows)
+    log_costs = dataio.read_costs_csv(args.costs, flows.labels)
+    fit = fit_ppml(flows, log_costs, include_diagonal=args.include_diagonal)
+    if args.variance == "dyadic":
         variance, projected = fit.variance, fit.variance_psd_projected
     else:  # a sum of squares, never projected
         variance, projected = independent_variance(fit), False
@@ -236,7 +198,7 @@ def cmd_estimate(settings: Settings) -> int:
         {
             "epsilon_hat": fit.epsilon_hat,
             "variance": variance,
-            "variance_mode": variance_mode,
+            "variance_mode": args.variance,
             "variance_psd_projected": projected,
             "deviance": fit.deviance,
             "iterations": fit.iterations,
@@ -248,27 +210,22 @@ def cmd_estimate(settings: Settings) -> int:
     return 0
 
 
-def _cf_spec(settings: Settings, n: int, labels) -> CounterfactualSpec:
-    path = settings.get("cf_spec")
-    if path is not None:
-        return dataio.read_cf_spec_csv(path, labels)
-    pct = settings.get("uniform_increase", cast=float)
-    if pct is None:
-        raise DataError("supply --cf-spec or --uniform-increase")
-    return CounterfactualSpec.uniform_increase(n, pct)
+def _cf_spec(args: argparse.Namespace, n: int, labels) -> CounterfactualSpec:
+    if args.cf_spec is not None:
+        return dataio.read_cf_spec_csv(args.cf_spec, labels)
+    return CounterfactualSpec.uniform_increase(n, args.uniform_increase)
 
 
-def cmd_counterfactual(settings: Settings) -> int:
-    out = _outdir(settings)
-    flows = dataio.read_flows_csv(settings.get("flows", required=True))
-    epsilon = settings.get("epsilon", cast=float, required=True)
-    cf = _cf_spec(settings, flows.n, flows.labels)
-    result = solve_counterfactual(flows, cf, epsilon)
+def cmd_counterfactual(args: argparse.Namespace) -> int:
+    out = _outdir(args)
+    flows = dataio.read_flows_csv(args.flows)
+    cf = _cf_spec(args, flows.n, flows.labels)
+    result = solve_counterfactual(flows, cf, args.epsilon)
     pct = welfare_change_pct(result)
     dataio.write_json(
         out / "welfare.json",
         {
-            "epsilon": epsilon,
+            "epsilon": args.epsilon,
             "residual": result.residual,
             "iterations": result.iterations,
             "welfare_pct": {l: float(v) for l, v in zip(flows.labels, pct)},
@@ -285,67 +242,52 @@ def cmd_counterfactual(settings: Settings) -> int:
 # uq
 
 
-def cmd_uq(settings: Settings) -> int:
-    out = _outdir(settings)
-    flows = dataio.read_flows_csv(settings.get("flows", required=True))
+def cmd_uq(args: argparse.Namespace) -> int:
+    if args.costs is not None and args.theta_se is not None:
+        raise DataError("--theta-se goes with an external --theta, not with --costs")
+    out = _outdir(args)
+    flows = dataio.read_flows_csv(args.flows)
     params = None
-    mode = settings.get("mode", default="ee+me")
-    if mode != "only-ee":
-        params = dataio.read_params_json(settings.get("params", required=True))
+    if args.mode != "only-ee":
+        params = dataio.read_params_json(_required(args, "params"))
         if params.has_periods:
-            period = settings.get("period", cast=int, required=True)
-            params = params.for_period(period)
+            params = params.for_period(_required(args, "period"))
         if tuple(params.labels) != tuple(flows.labels):
             raise DataError("params and flows cover different locations")
 
-    costs_path = settings.get("costs")
-    if costs_path is not None:
-        log_costs = dataio.read_costs_csv(costs_path, flows.labels)
-        include_diag = settings.get("include_diagonal", default=False, cast=bool)
-        fit = fit_ppml(flows, log_costs, include_diagonal=include_diag)
+    if args.costs is not None:
+        log_costs = dataio.read_costs_csv(args.costs, flows.labels)
+        fit = fit_ppml(flows, log_costs, include_diagonal=args.include_diagonal)
         observed = fit.to_estimator_result()
-        estimator = PpmlEstimator(log_costs, fit, include_diag)
+        estimator = PpmlEstimator(log_costs, fit, args.include_diagonal)
     else:
-        theta = settings.get("theta", cast=float)
-        if theta is None:
-            raise DataError("supply --costs for re-estimation or an external --theta")
-        se = settings.get("theta_se", default=0.0, cast=float)
+        se = args.theta_se or 0.0
         observed = estimator = EstimatorResult(
-            theta_hat=np.array([theta]), sigma_hat=np.array([[se**2]])
+            theta_hat=np.array([args.theta]), sigma_hat=np.array([[se**2]])
         )
 
-    model_name = settings.get("model", default="armington")
-    if model_name != "armington":
-        raise DataError(f"unknown model {model_name!r}; built-in: armington")
-    model = ArmingtonModel()
-    cf = _cf_spec(settings, flows.n, flows.labels)
+    model = ArmingtonModel()  # the one --model choice
+    cf = _cf_spec(args, flows.n, flows.labels)
 
     cfg = UqConfig(
-        b=settings.get("b", default=1000, cast=int),
-        alpha=settings.get("alpha", default=0.05, cast=float),
-        seed=settings.get("seed", default=0, cast=int),
-        mode=mode,
-        interval_kind=settings.get("interval", default="c1"),
-        robust_c=settings.get("robust_c", default=1.0, cast=float),
-        b_inner=settings.get("b_inner", cast=int),
-        max_failure_fraction=settings.get(
-            "max_failure_frac", default=0.05, cast=float
-        ),
-        workers=settings.get("workers", default=1, cast=int),
+        b=args.b,
+        alpha=args.alpha,
+        seed=args.seed,
+        mode=args.mode,
+        interval_kind=args.interval,
+        robust_c=args.robust_c,
+        b_inner=args.b_inner,
+        max_failure_fraction=args.max_failure_frac,
+        workers=args.workers,
     )
 
-    smoother_name = settings.get("smoother", default="none")
     smoother = None
-    if smoother_name == "svd":
-        smoother = SvdSmoother(settings.get("svd_rank", cast=int, required=True))
-    elif smoother_name == "lowdim":
-        distances = dataio.read_distances_csv(
-            settings.get("distances", required=True), flows.labels
-        )
+    if args.smoother == "svd":
+        smoother = SvdSmoother(_required(args, "svd_rank"))
+    elif args.smoother == "lowdim":
+        distances = dataio.read_distances_csv(_required(args, "distances"), flows.labels)
         smoother = LowDimSmoother(distances)
-    elif smoother_name != "none":
-        raise DataError(f"unknown smoother {smoother_name!r}")
-    if mode != "ee+me":
+    if args.mode != "ee+me":
         # The loop estimates only the observed matrix, whose fit is at hand.
         estimator = observed
 
@@ -372,16 +314,13 @@ def cmd_uq(settings: Settings) -> int:
 # diagnose / simulate-attenuation / report-ranks
 
 
-def cmd_diagnose(settings: Settings) -> int:
-    out = _outdir(settings)
-    flows = dataio.read_flows_csv(settings.get("flows", required=True))
-    distances = dataio.read_distances_csv(
-        settings.get("distances", required=True), flows.labels
-    )
-    params = dataio.read_params_json(settings.get("params", required=True))
+def cmd_diagnose(args: argparse.Namespace) -> int:
+    out = _outdir(args)
+    flows = dataio.read_flows_csv(args.flows)
+    distances = dataio.read_distances_csv(args.distances, flows.labels)
+    params = dataio.read_params_json(args.params)
     if params.has_periods:
-        period = settings.get("period", cast=int, required=True)
-        params = params.for_period(period)
+        params = params.for_period(_required(args, "period"))
     diag = normality_diagnostic(flows, params)
     plot = gravity_partial_plot(fit_log_gravity(flows, distances))
     _write_diagnostics(out, diag, plot)
@@ -389,21 +328,20 @@ def cmd_diagnose(settings: Settings) -> int:
     return 0
 
 
-def cmd_simulate_attenuation(settings: Settings) -> int:
-    out = _outdir(settings)
-    rho = settings.get("rho", default=0.5, cast=float)
-    if rho <= 0:
-        _log(f"warning: rho = {rho:g} is outside the usual positive range")
+def cmd_simulate_attenuation(args: argparse.Namespace) -> int:
+    out = _outdir(args)
+    if args.rho <= 0:
+        _log(f"warning: rho = {args.rho:g} is outside the usual positive range")
     cfg = AttenuationSimConfig(
-        m_reps=settings.get("m_reps", default=2000, cast=int),
-        b_draws=settings.get("b_draws", default=200, cast=int),
-        n=settings.get("n", default=50, cast=int),
-        rho=rho,
-        epsilon=settings.get("epsilon", default=5.0, cast=float),
-        s=settings.get("s", default=0.1, cast=float),
-        sigma=settings.get("sigma", default=0.1, cast=float),
-        seed=settings.get("seed", default=0, cast=int),
-        mu_zero_ablation=settings.get("mu_zero", default=False, cast=bool),
+        m_reps=args.m_reps,
+        b_draws=args.b_draws,
+        n=args.n,
+        rho=args.rho,
+        epsilon=args.epsilon,
+        s=args.s,
+        sigma=args.sigma,
+        seed=args.seed,
+        mu_zero_ablation=args.mu_zero,
     )
     biases = run_attenuation_sim(cfg)
     dataio.write_columns_csv(out / "biases.csv", ["median_posterior_bias"], [biases])
@@ -428,11 +366,9 @@ def cmd_simulate_attenuation(settings: Settings) -> int:
     return 0
 
 
-def cmd_report_ranks(settings: Settings) -> int:
-    out = _outdir(settings)
-    paths = settings.get("draws", required=True)
-    if isinstance(paths, str):
-        paths = [p for p in paths.split(",") if p]
+def cmd_report_ranks(args: argparse.Namespace) -> int:
+    out = _outdir(args)
+    paths = [p for p in args.draws.split(",") if p]
     labels: list[str] = []
     columns: list[np.ndarray] = []
     length = None
@@ -446,9 +382,8 @@ def cmd_report_ranks(settings: Settings) -> int:
             )
         labels.extend(labs)
         columns.extend(arr.T)
-    wanted = settings.get("columns")
-    if wanted is not None:
-        keep = [w.strip() for w in wanted.split(",")]
+    if args.columns is not None:
+        keep = [w.strip() for w in args.columns.split(",")]
         missing = [w for w in keep if w not in labels]
         if missing:
             raise DataError(f"unknown outcome columns {missing}")
@@ -492,142 +427,168 @@ def cmd_report_ranks(settings: Settings) -> int:
 # Parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+_YES_NO = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+# Parsed on its own first, to find the file; every command shares it.
+_CONFIG = argparse.ArgumentParser(prog="flowuq", add_help=False)
+_CONFIG.add_argument("--config", metavar="FILE", help="key = value file of options; flags win")
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The ``flowuq`` parser, and each command's options by name: the keys a
+    ``--config`` file may set."""
     parser = argparse.ArgumentParser(
         prog="flowuq",
         description="Uncertainty quantification for counterfactuals from noisy dyadic flows",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
+    options: dict[str, dict[str, argparse.Action]] = {}
 
-    def common(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--output-dir", dest="output_dir", help="output directory")
-        p.add_argument("--seed", type=int, dest="seed")
+    def command(name, handler, help):
+        p = sub.add_parser(name, parents=[_CONFIG], help=help)
+        p.set_defaults(handler=handler)
+        known = options[name] = {}
 
-    p = sub.add_parser("calibrate", help="calibrate prior and ME parameters")
-    common(p)
-    p.add_argument("--mirror", help="mirror panel CSV (two reports per dyad-period)")
-    p.add_argument("--flows", help="flows CSV (baseline regime)")
-    p.add_argument("--distances", help="distances CSV")
-    p.add_argument("--sigma2", type=float, help="common ME variance (baseline)")
-    p.add_argument("--p", type=float, dest="p", help="true-zero probability (baseline)")
-    p.add_argument(
-        "--b-spurious", type=float, dest="b_spurious", help="spurious-zero probability"
+        def add(*flags, group=None, **kwargs):
+            action = (group or p).add_argument(*flags, **kwargs)
+            known[action.dest] = action
+
+        add("--output-dir", default=".", help="output directory")
+        return p, add
+
+    yes_no = argparse.BooleanOptionalAction
+
+    p, add = command("calibrate", cmd_calibrate, "calibrate prior and ME parameters")
+    add("--mirror", help="mirror panel CSV (two reports per dyad-period)")
+    add("--flows", help="flows CSV (baseline regime)")
+    add("--distances", required=True, help="distances CSV")
+    add("--sigma2", type=float, help="common ME variance (baseline)")
+    add("--p", type=float, default=0.0, help="true-zero probability (baseline)")
+    add("--b-spurious", type=float, default=0.0, help="spurious-zero probability")
+    add("--shrink", action=yes_no, default=True,
+        help="shrink per-dyad variances across reporters (mirror regime)")
+
+    p, add = command("estimate", cmd_estimate, "PPML elasticity with dyadic-robust variance")
+    add("--flows", required=True)
+    add("--costs", required=True, help="cost-level CSV")
+    add("--include-diagonal", action=yes_no, default=False)
+    add("--variance", choices=["dyadic", "independent"], default="dyadic")
+
+    def cost_change(p, add):
+        change = p.add_mutually_exclusive_group(required=True)
+        add("--cf-spec", group=change, help="proportional cost-change CSV")
+        add("--uniform-increase", group=change, type=float)
+
+    p, add = command("counterfactual", cmd_counterfactual, "solve the built-in model once")
+    add("--flows", required=True)
+    add("--epsilon", type=float, required=True)
+    cost_change(p, add)
+
+    p, add = command("uq", cmd_uq, "bootstrap draws and uncertainty intervals")
+    add("--flows", required=True)
+    add("--params", help="params.json from calibrate")
+    add("--period", type=int)
+    elasticity = p.add_mutually_exclusive_group(required=True)
+    add("--costs", group=elasticity, help="re-estimate the elasticity from this cost CSV")
+    add("--theta", group=elasticity, type=float, help="external point estimate")
+    add("--theta-se", type=float, help="standard error of --theta (default 0)")
+    add("--include-diagonal", action=yes_no, default=False)
+    add("--model", choices=["armington"], default="armington")
+    cost_change(p, add)
+    add("--b", type=int, default=1000)
+    add("--alpha", type=float, default=0.05)
+    add("--seed", type=int, default=0)
+    add("--mode", choices=MODES, default="ee+me")
+    add("--interval", choices=INTERVAL_KINDS, default="c1")
+    add("--robust-c", type=float, default=1.0)
+    add("--b-inner", type=int)
+    add("--max-failure-frac", type=float, default=0.05)
+    add("--workers", type=int, default=1)
+    add("--smoother", choices=["none", "lowdim", "svd"], default="none")
+    add("--svd-rank", type=int)
+    add("--distances")
+
+    p, add = command("diagnose", cmd_diagnose, "model-adequacy diagnostics")
+    add("--flows", required=True)
+    add("--distances", required=True)
+    add("--params", required=True)
+    add("--period", type=int)
+
+    p, add = command(
+        "simulate-attenuation", cmd_simulate_attenuation, "posterior-bias Monte Carlo"
     )
-    p.add_argument(
-        "--shrink",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="shrink per-dyad variances across reporters (mirror regime)",
-    )
-    p.set_defaults(handler=cmd_calibrate)
+    add("--m-reps", type=int, default=2000)
+    add("--b-draws", type=int, default=200)
+    add("--n", type=int, default=50)
+    add("--rho", type=float, default=0.5)
+    add("--epsilon", type=float, default=5.0)
+    add("--s", type=float, default=0.1)
+    add("--sigma", type=float, default=0.1)
+    add("--seed", type=int, default=0)
+    add("--mu-zero", action=yes_no, default=False,
+        help="ablation: shrink toward zero instead of the gravity fit")
 
-    p = sub.add_parser("estimate", help="PPML elasticity with dyadic-robust variance")
-    common(p)
-    p.add_argument("--flows")
-    p.add_argument("--costs", help="cost-level CSV")
-    p.add_argument(
-        "--include-diagonal",
-        dest="include_diagonal",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
-    p.add_argument("--variance", choices=["dyadic", "independent"])
-    p.set_defaults(handler=cmd_estimate)
+    p, add = command("report-ranks", cmd_report_ranks, "pairwise rank-reversal frequencies")
+    add("--draws", required=True,
+        help="draws CSV (comma-separate multiple files with aligned seeds)")
+    add("--columns", help="comma-separated outcome columns to compare")
 
-    p = sub.add_parser("counterfactual", help="solve the built-in model once")
-    common(p)
-    p.add_argument("--flows")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--cf-spec", dest="cf_spec", help="proportional cost-change CSV")
-    p.add_argument("--uniform-increase", dest="uniform_increase", type=float)
-    p.set_defaults(handler=cmd_counterfactual)
+    return parser, options
 
-    p = sub.add_parser("uq", help="bootstrap draws and uncertainty intervals")
-    common(p)
-    p.add_argument("--flows")
-    p.add_argument("--params", help="params.json from calibrate")
-    p.add_argument("--period", type=int)
-    p.add_argument("--costs", help="re-estimate the elasticity from this cost CSV")
-    p.add_argument(
-        "--include-diagonal",
-        dest="include_diagonal",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
-    p.add_argument("--theta", type=float, help="external point estimate")
-    p.add_argument("--theta-se", dest="theta_se", type=float)
-    p.add_argument("--model", choices=["armington"])
-    p.add_argument("--cf-spec", dest="cf_spec")
-    p.add_argument("--uniform-increase", dest="uniform_increase", type=float)
-    p.add_argument("--b", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--mode", choices=["only-ee", "only-me", "ee+me"])
-    p.add_argument("--interval", choices=["c1", "c2", "robust"])
-    p.add_argument("--robust-c", dest="robust_c", type=float)
-    p.add_argument("--b-inner", dest="b_inner", type=int)
-    p.add_argument("--max-failure-frac", dest="max_failure_frac", type=float)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--smoother", choices=["none", "lowdim", "svd"])
-    p.add_argument("--svd-rank", dest="svd_rank", type=int)
-    p.add_argument("--distances")
-    p.set_defaults(handler=cmd_uq)
 
-    p = sub.add_parser("diagnose", help="model-adequacy diagnostics")
-    common(p)
-    p.add_argument("--flows")
-    p.add_argument("--distances")
-    p.add_argument("--params")
-    p.add_argument("--period", type=int)
-    p.set_defaults(handler=cmd_diagnose)
+def _config_tokens(path, command: str, options: dict[str, argparse.Action]) -> list[str]:
+    """The command-line tokens of a flat ``key = value`` file ('#' starts a
+    comment): ``--key=value``, or ``--key``/``--no-key`` for a yes/no
+    option.  A key must name an option of ``command`` exactly."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise DataError(f"cannot open config {path}: {exc}") from exc
+    tokens: list[str] = []
+    unknown: list[str] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"config line {lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key, value = key.strip().replace("-", "_"), value.strip()
+        action = options.get(key)
+        if action is None:
+            unknown.append(key)
+        elif isinstance(action, argparse.BooleanOptionalAction):
+            yes = _YES_NO.get(value.lower())
+            if yes is None:
+                raise DataError(f"config {key}: {value!r} is not a boolean")
+            tokens.append(action.option_strings[0 if yes else 1])
+        else:
+            tokens.append(f"{action.option_strings[0]}={value}")
+    if unknown:
+        raise DataError(f"config {path}: {command} has no option " + ", ".join(unknown))
+    return tokens
 
-    p = sub.add_parser("simulate-attenuation", help="posterior-bias Monte Carlo")
-    common(p)
-    p.add_argument("--m-reps", dest="m_reps", type=int)
-    p.add_argument("--b-draws", dest="b_draws", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument(
-        "--mu-zero",
-        dest="mu_zero",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="ablation: shrink toward zero instead of the gravity fit",
-    )
-    p.set_defaults(handler=cmd_simulate_attenuation)
 
-    p = sub.add_parser("report-ranks", help="pairwise rank-reversal frequencies")
-    common(p)
-    p.add_argument(
-        "--draws",
-        help="draws CSV (comma-separate multiple files with aligned seeds)",
-    )
-    p.add_argument("--columns", help="comma-separated outcome columns to compare")
-    p.set_defaults(handler=cmd_report_ranks)
-
-    return parser
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse a ``flowuq`` command line.  The ``--config`` file's tokens go
+    right after the command name, so argparse checks them as it checks
+    flags, and a flag given on the command line wins."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, options = build_parser()
+    if argv and argv[0] in options:
+        path = _CONFIG.parse_known_args(argv[1:])[0].config
+        if path is not None:
+            argv[1:1] = _config_tokens(path, argv[0], options[argv[0]])
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "handler"):
-        parser.print_help()
-        return 2
     try:
-        fileconf = load_config_file(args.config) if args.config else {}
-        known = set(vars(args)) - {"command", "handler", "config"}
-        unknown = [key for key in fileconf if key not in known]
-        if unknown:
-            raise DataError(
-                f"config {args.config}: {args.command} has no option "
-                + ", ".join(unknown)
-            )
-        settings = Settings(args, fileconf)
-        return args.handler(settings)
+        try:
+            args = parse_args(argv)
+        except SystemExit as exc:  # argparse has printed the help or the error
+            return exc.code
+        return args.handler(args)
     except TooManyFailures as exc:
         _log(f"error: {exc}")
         return 4

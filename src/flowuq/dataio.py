@@ -249,56 +249,52 @@ def _nan(x) -> float:
     return math.nan if x is None else float(x)
 
 
+_SHRUNK = ("s2_shrunk", "sigma2_shrunk")
+
+
 def params_from_json(doc: dict) -> CalibratedParams:
+    """Parameters from a ``write_params_json`` document.  Every dyad must
+    carry p, b, s2, sigma2 and mu, and either both shrunk variances or
+    neither, as every other dyad does; only mu may be null."""
     labels = tuple(doc["labels"])
     periods = doc.get("periods")
     n = len(labels)
     t = len(periods) if periods else 0
-    shape2 = (n, n)
-    p = np.zeros(shape2)
-    b = np.zeros(shape2)
-    s2 = np.zeros(shape2)
-    sigma2 = np.zeros(shape2)
-    mu = np.full((t, n, n) if periods else shape2, np.nan)
-    any_s2s = any("s2_shrunk" in e for e in doc["dyads"].values())
-    any_v2s = any("sigma2_shrunk" in e for e in doc["dyads"].values())
-    s2_shrunk = np.zeros(shape2) if any_s2s else None
-    sigma2_shrunk = np.zeros(shape2) if any_v2s else None
-    mu_defined = np.zeros(shape2, dtype=bool)
-    me_observed = np.zeros(shape2, dtype=bool)
+    first = next(iter(doc["dyads"].values()), {})
+    shrunk = any(name in first for name in _SHRUNK)
+    names = ("p", "b", "s2", "sigma2") + (_SHRUNK if shrunk else ())
+    values = {name: np.zeros((n, n)) for name in names}
+    mu = np.full((t, n, n) if periods else (n, n), np.nan)
+    mu_defined = np.zeros((n, n), dtype=bool)
+    me_observed = np.zeros((n, n), dtype=bool)
     idx = {lab: i for i, lab in enumerate(labels)}
     for key, entry in doc["dyads"].items():
         o, _, d = key.partition("->")
         if o not in idx or d not in idx:
             raise DataError(f"unknown dyad key {key!r}")
         i, j = idx[o], idx[d]
-        p[i, j] = _nan(entry["p"]) if entry["p"] is not None else 0.0
-        b[i, j] = _nan(entry["b"]) if entry["b"] is not None else 0.0
-        s2[i, j] = _nan(entry.get("s2", 0.0) or 0.0)
-        sigma2[i, j] = _nan(entry.get("sigma2", 0.0) or 0.0)
-        if s2_shrunk is not None:
-            s2_shrunk[i, j] = _nan(entry.get("s2_shrunk", 0.0) or 0.0)
-        if sigma2_shrunk is not None:
-            sigma2_shrunk[i, j] = _nan(entry.get("sigma2_shrunk", 0.0) or 0.0)
+        for name in names:
+            if entry.get(name) is None:
+                raise DataError(f"params dyad {key!r}: {name} is missing or null")
+            values[name][i, j] = float(entry[name])
+        if not shrunk and any(name in entry for name in _SHRUNK):
+            raise DataError(f"params dyad {key!r}: shrunk variances on some dyads only")
+        if "mu" not in entry:
+            raise DataError(f"params dyad {key!r}: mu is missing")
         mu_defined[i, j] = bool(entry.get("mu_defined", entry["mu"] is not None))
         me_observed[i, j] = bool(entry.get("me_observed", False))
         if periods:
             for k, per in enumerate(periods):
-                mu[k, i, j] = _nan(entry["mu"].get(str(per)))
+                mu[k, i, j] = _nan((entry["mu"] or {}).get(str(per)))
         else:
             mu[i, j] = _nan(entry["mu"])
     return CalibratedParams(
-        p=p,
-        b=b,
         mu=mu,
-        s2=s2,
-        sigma2=sigma2,
-        s2_shrunk=s2_shrunk,
-        sigma2_shrunk=sigma2_shrunk,
         mu_defined=mu_defined,
         me_observed=me_observed,
         labels=labels,
         periods=tuple(periods) if periods else None,
+        **values,
     )
 
 

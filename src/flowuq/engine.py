@@ -79,6 +79,8 @@ class UqConfig:
     def __post_init__(self):
         if self.b < 1:
             raise DataError("draw count must be positive")
+        if self.seed < 0:
+            raise DataError("seed must be non-negative")
         if not 0 < self.alpha < 1:
             raise DataError("alpha must be in (0, 1)")
         if self.mode not in MODES:

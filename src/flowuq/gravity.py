@@ -486,11 +486,6 @@ def _influence_variance(psi: np.ndarray, dyadic: bool):
     return max(var, 0.0), var < 0.0
 
 
-def dyadic_variance(fit: PpmlFit) -> float:
-    """Dyadic-dependence-robust sampling variance of the elasticity."""
-    return _influence_variance(fit.influence, dyadic=True)[0]
-
-
 def independent_variance(fit: PpmlFit) -> float:
     """Heteroskedasticity-robust variance ignoring dyadic dependence.  Tends
     to understate uncertainty relative to the dyadic version."""

@@ -47,6 +47,8 @@ class AttenuationSimConfig:
     def __post_init__(self):
         if min(self.m_reps, self.b_draws, self.n) < 1:
             raise DataError("m_reps, b_draws and n must be positive")
+        if self.seed < 0:
+            raise DataError("seed must be non-negative")
         # Each check is written so that NaN fails it.
         if not (0 < self.epsilon < math.inf and 0 < self.s < math.inf):
             raise DataError("epsilon and s must be finite and positive")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowuq import dataio, gravity
+from flowuq import cli, dataio, gravity
 from flowuq.cli import main
 from flowuq.scenarios import armington_world, mirror_world
 
@@ -173,11 +173,20 @@ def test_each_command_makes_each_gravity_fit_once(
 
 
 def test_non_finite_parameters_exit_2(armington_files, tmp_path, capsys):
-    _, flows, dist, _, _ = armington_files
+    _, flows, dist, costs, params = armington_files
     attenuation = ["simulate-attenuation", "--m-reps", "2", "--b-draws", "5", "--n", "6"]
     baseline = ["calibrate", "--flows", str(flows), "--distances", str(dist)]
     counterfactual = ["counterfactual", "--flows", str(flows), "--uniform-increase", "0.1"]
+    uq = ["uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs)]
+    uq += ["--uniform-increase", "0.1", "--b", "40"]
+    negative_seed = tmp_path / "seed.conf"
+    negative_seed.write_text("seed = -3\n")
+    from_file = ["--config", str(negative_seed)]
     cases = [
+        (uq + ["--seed", "-1"], "seed must be non-negative", "draws.csv"),
+        (uq + from_file, "seed must be non-negative", "draws.csv"),
+        (attenuation + ["--seed", "-3"], "seed must be non-negative", "biases.csv"),
+        (attenuation + from_file, "seed must be non-negative", "biases.csv"),
         (counterfactual + ["--epsilon", "nan"], "elasticity must be finite", "welfare.json"),
         (attenuation + ["--epsilon", "nan"], "epsilon and s", "biases.csv"),
         (attenuation + ["--s", "nan"], "epsilon and s", "biases.csv"),
@@ -444,6 +453,177 @@ def test_config_file_unknown_key_exits_2(armington_files, tmp_path, capsys, line
     assert main([*argv, "--output-dir", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not (out / "draws.csv").exists()
+
+
+# One setting of every option of every command, spread over samples that
+# parse: each sample meets its command's requirements and conflicts.
+_SAMPLES = {
+    "calibrate": [
+        {"mirror": "m.csv", "distances": "d.csv", "shrink": "no", "output_dir": "o"},
+        {"flows": "f.csv", "distances": "d.csv", "sigma2": "0.05", "p": "0.1",
+         "b_spurious": "0.02"},
+    ],
+    "estimate": [
+        {"flows": "f.csv", "costs": "c.csv", "include_diagonal": "yes",
+         "variance": "independent", "output_dir": "o"},
+    ],
+    "counterfactual": [
+        {"flows": "f.csv", "epsilon": "4.5", "cf_spec": "s.csv"},
+        {"flows": "f.csv", "epsilon": "4.5", "uniform_increase": "0.1", "output_dir": "o"},
+    ],
+    "uq": [
+        {"flows": "f.csv", "params": "p.json", "period": "2001", "costs": "c.csv",
+         "include_diagonal": "true", "model": "armington", "cf_spec": "s.csv", "b": "40",
+         "alpha": "0.1", "seed": "7", "mode": "only-me", "interval": "c2",
+         "robust_c": "1.5", "b_inner": "20", "max_failure_frac": "0.1", "workers": "2",
+         "smoother": "svd", "svd_rank": "2", "distances": "d.csv"},
+        {"flows": "f.csv", "theta": "5", "theta_se": "0.4", "uniform_increase": "-0.1",
+         "smoother": "lowdim", "include_diagonal": "0", "output_dir": "o"},
+    ],
+    "diagnose": [{"flows": "f.csv", "distances": "d.csv", "params": "p.json", "period": "2001",
+                  "output_dir": "o"}],
+    "simulate-attenuation": [
+        {"m_reps": "3", "b_draws": "5", "n": "6", "rho": "-0.5", "epsilon": "4",
+         "s": "0.2", "sigma": "0.3", "seed": "11", "mu_zero": "1", "output_dir": "o"},
+    ],
+    "report-ranks": [{"draws": "a.csv,b.csv", "columns": "A,B", "output_dir": "o"}],
+}
+_YES_NO = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
+
+
+def _flags(settings):
+    argv = []
+    for key, value in settings.items():
+        flag = key.replace("_", "-")
+        if value in _YES_NO:  # every yes/no value in the samples is one of these
+            argv.append(f"--{flag}" if _YES_NO[value] else f"--no-{flag}")
+        else:
+            argv += [f"--{flag}", value]
+    return argv
+
+
+def _parsed(argv):
+    return {k: v for k, v in vars(cli.parse_args(argv)).items() if k != "config"}
+
+
+def test_samples_cover_every_option():
+    _, options = cli.build_parser()
+    assert set(options) == set(_SAMPLES)
+    for command, known in options.items():
+        assert set().union(*_SAMPLES[command]) == set(known), command
+
+
+@pytest.mark.parametrize(
+    "command, sample, key",
+    [
+        (command, i, key)
+        for command, samples in _SAMPLES.items()
+        for i, sample in enumerate(samples)
+        for key in sample
+    ],
+)
+def test_config_value_parses_as_its_flag(tmp_path, command, sample, key):
+    # A file value meets the same types, choices and defaults as the flag,
+    # under either spelling of the key.
+    settings = _SAMPLES[command][sample]
+    rest = _flags({k: v for k, v in settings.items() if k != key})
+    expected = _parsed([command, *rest, *_flags({key: settings[key]})])
+    for spelled in (key, key.replace("_", "-")):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{spelled} = {settings[key]}  # from the file\n")
+        assert _parsed([command, "--config", str(conf), *rest]) == expected, spelled
+
+
+@pytest.mark.parametrize("spelling", ["true", "Yes", "1", "FALSE", "no", "0"])
+@pytest.mark.parametrize(
+    "command, key",
+    [("calibrate", "shrink"), ("estimate", "include_diagonal"), ("uq", "include_diagonal"),
+     ("simulate-attenuation", "mu_zero")],
+)
+def test_config_yes_no_spellings(tmp_path, command, key, spelling):
+    base = _flags({k: v for k, v in _SAMPLES[command][0].items() if k != key})
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {spelling}\n")
+    flag = key.replace("_", "-")
+    yes = spelling.lower() in ("true", "yes", "1")
+    expected = _parsed([command, *base, f"--{flag}" if yes else f"--no-{flag}"])
+    assert _parsed([command, "--config", str(conf), *base]) == expected
+    assert expected[key] is yes
+
+
+@pytest.mark.parametrize(
+    "command, line, message",
+    [
+        ("uq", "mode = fast", "invalid choice: 'fast'"),
+        ("uq", "model = constant", "invalid choice: 'constant'"),
+        ("uq", "interval = c3", "invalid choice: 'c3'"),
+        ("uq", "b = forty", "invalid int value: 'forty'"),
+        ("uq", "include-diagonal = maybe", "'maybe' is not a boolean"),
+        ("estimate", "variance = sandwich", "invalid choice: 'sandwich'"),
+        ("calibrate", "out = x", "calibrate has no option out"),
+        ("calibrate", "seed = 1", "calibrate has no option seed"),
+        ("calibrate", "config = other.conf", "calibrate has no option config"),
+    ],
+)
+def test_config_value_refused_exits_2(tmp_path, capsys, command, line, message):
+    # Exact key names only: argparse would take ``--out`` as --output-dir.
+    conf = tmp_path / "run.conf"
+    conf.write_text(line + "\n")
+    argv = [command, *_flags(_SAMPLES[command][0]), "--config", str(conf)]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_only_on_the_commands_that_draw():
+    _, options = cli.build_parser()
+    assert [c for c, known in options.items() if "seed" in known] == [
+        "uq", "simulate-attenuation"
+    ]
+
+
+def test_conflicting_inputs_exit_2(armington_files, tmp_path, capsys):
+    # --costs re-estimates the elasticity that --theta/--theta-se would give,
+    # and --cf-spec and --uniform-increase are two cost changes; flags and
+    # file values are refused alike.
+    _, flows, _, costs, params = armington_files
+    spec = tmp_path / "spec.csv"
+    spec.write_text("origin,destination,tau_prop\n")
+    uq = ["uq", "--flows", str(flows), "--params", str(params), "--b", "40"]
+    cf = ["counterfactual", "--flows", str(flows), "--epsilon", "5"]
+    conflict = "not allowed with argument"
+    cases = [
+        (uq + ["--costs", str(costs), "--uniform-increase", "0.1"], "theta = 5", conflict),
+        (uq + ["--theta", "5", "--uniform-increase", "0.1"], f"costs = {costs}", conflict),
+        (uq + ["--costs", str(costs), "--uniform-increase", "0.1"], "theta_se = 0.4",
+         "--theta-se goes with an external --theta"),
+        (uq + ["--costs", str(costs), "--uniform-increase", "0.1"], f"cf-spec = {spec}",
+         conflict),
+        (cf + ["--cf-spec", str(spec)], "uniform-increase = 0.1", conflict),
+    ]
+    for i, (argv, line, message) in enumerate(cases):
+        key, _, value = (part.strip() for part in line.partition("="))
+        conf = tmp_path / f"c{i}.conf"
+        conf.write_text(line + "\n")
+        flag = ["--" + key.replace("_", "-"), value]
+        for extra in (flag, ["--config", str(conf)]):
+            out = tmp_path / f"o{i}"
+            assert main(argv + extra + ["--output-dir", str(out)]) == 2, (argv, extra)
+            assert message in capsys.readouterr().err, (argv, extra)
+            assert not out.exists()
+
+
+def test_uq_nulled_params_variance_exits_2(armington_files, tmp_path, capsys):
+    _, flows, _, costs, params = armington_files
+    doc = json.loads(params.read_text())
+    first = next(iter(doc["dyads"]))
+    doc["dyads"][first]["s2"] = None
+    params.write_text(json.dumps(doc))
+    argv = ["uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs)]
+    argv += ["--uniform-increase", "0.1", "--b", "40", "--output-dir", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert f"params dyad '{first}': s2 is missing or null" in capsys.readouterr().err
 
 
 def test_uq_smoother_matches_engine(armington_files, tmp_path):

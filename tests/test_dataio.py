@@ -176,6 +176,36 @@ def test_params_json_optional_keys(tmp_path):
     assert isinstance(doc["dyads"][f"{first}->{second}"]["mu"], float)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda e: e.pop("p"), "p is missing or null"),
+        (lambda e: e.update(b=None), "b is missing or null"),
+        (lambda e: e.update(sigma2=None), "sigma2 is missing or null"),
+        (lambda e: e.pop("sigma2_shrunk"), "sigma2_shrunk is missing or null"),
+        (lambda e: e.pop("mu"), "mu is missing"),
+    ],
+)
+def test_params_json_refuses_lost_values(edit, message):
+    # A lost value is an error, not "no measurement error"; only mu may be null.
+    doc = params_json_doc(_mirror_params())
+    key = sorted(doc["dyads"])[6]
+    edit(doc["dyads"][key])
+    with pytest.raises(DataError, match=f"params dyad '{key}': {message}"):
+        dataio.params_from_json(doc)
+
+
+def test_params_json_shrunk_pair_on_every_dyad_or_none():
+    doc = params_json_doc(_mirror_params(shrink=False))
+    key = sorted(doc["dyads"])[6]
+    doc["dyads"][key]["s2_shrunk"] = 0.1
+    with pytest.raises(DataError, match="shrunk variances on some dyads only"):
+        dataio.params_from_json(doc)
+    doc = params_json_doc(_mirror_params())
+    doc["dyads"][key]["mu"] = None
+    assert np.isnan(dataio.params_from_json(doc).mu[:, 1, 2]).all()
+
+
 def test_mirror_csv_golden(tmp_path):
     nan = np.nan
     r1 = np.array(

@@ -15,7 +15,6 @@ from flowuq import (
     NotPSD,
     PpmlEstimator,
     Separation,
-    dyadic_variance,
     fit_log_gravity,
     fit_ppml,
     independent_variance,
@@ -429,10 +428,10 @@ class TestDyadicVariance:
             scores, bread, oidx, didx = ppml_rebuild(fit, flows, log_costs)
             meat = dyadic_meat_enumeration(scores, oidx, didx)
             var_oracle = max(float((bread @ meat @ bread)[0, 0]), 0.0)
-            assert abs(dyadic_variance(fit) - var_oracle) < 1e-12 * max(
+            assert abs(fit.variance - var_oracle) < 1e-12 * max(
                 1.0, var_oracle
             )
-            assert dyadic_variance(fit) >= 0.0
+            assert fit.variance >= 0.0
             var_indep = float((bread @ scores.T @ scores @ bread)[0, 0])
             assert abs(independent_variance(fit) - var_indep) < 1e-12 * max(
                 1.0, var_indep
@@ -453,13 +452,13 @@ class TestDyadicVariance:
         )
         meat = dyadic_meat_enumeration(scores, oidx, didx)
         var_oracle = max(float((bread @ meat @ bread)[0, 0]), 0.0)
-        assert abs(dyadic_variance(fit) - var_oracle) < 1e-12 * max(1.0, var_oracle)
+        assert abs(fit.variance - var_oracle) < 1e-12 * max(1.0, var_oracle)
 
     def test_zero_residuals_zero_variance(self):
         rng = np.random.default_rng(8)
         flows, log_costs = gravity_flows(6, 3.0, rng)
         fit = fit_ppml(flows, log_costs)
-        assert dyadic_variance(fit) < 1e-12
+        assert fit.variance < 1e-12
         assert independent_variance(fit) < 1e-12
 
     def test_close_to_independent_variance_under_independence(self):
@@ -472,7 +471,7 @@ class TestDyadicVariance:
         for _ in range(reps):
             flows, log_costs = gravity_flows(14, 3.0, rng, noise_sd=0.3)
             fit = fit_ppml(flows, log_costs)
-            dyadic_avg += dyadic_variance(fit) / reps
+            dyadic_avg += fit.variance / reps
             indep_avg += independent_variance(fit) / reps
         assert abs(dyadic_avg - indep_avg) < 0.25 * indep_avg
 
