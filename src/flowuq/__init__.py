@@ -15,7 +15,6 @@ from .armington import (
     welfare_change_pct,
 )
 from .calibration import (
-    CalibratedParams,
     MirrorPanel,
     calibrate_baseline,
     calibrate_mirror,
@@ -33,6 +32,7 @@ from .calibration import (
 )
 from .core import (
     Aggregates,
+    CalibratedParams,
     CounterfactualSpec,
     DistanceMatrix,
     DrawSet,

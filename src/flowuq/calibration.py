@@ -13,116 +13,24 @@ gives a closed-form posterior for the true flow given the noisy one:
 Two calibration regimes fill in the parameters: a baseline regime that takes
 the measurement-error variance from domain knowledge and fits the prior from
 a single cross-section, and a mirror-panel regime that identifies everything
-from two independent noisy reports per dyad and period.
+from two independent noisy reports per dyad and period.  Both produce a
+:class:`flowuq.core.CalibratedParams`; :func:`ingest_mirror_csv` reads a
+panel with :func:`flowuq.dataio.read_mirror_csv` and resolves its gaps.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DistanceMatrix, FlowMatrix, _freeze
-from .errors import DataError, InsufficientData, ParseError
+from .core import CalibratedParams, DistanceMatrix, FlowMatrix, _freeze
+from .dataio import read_mirror_csv
+from .errors import DataError, InsufficientData
 from .gravity import GravityFit, _components, _log_gravity_ols, _twoway_fe, fit_log_gravity
 
 VARIANCE_FLOOR = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Parameter container
-
-
-@dataclass(frozen=True)
-class CalibratedParams:
-    """Calibrated prior and measurement-error parameters, one set per dyad.
-
-    ``mu`` is (n, n) in the baseline regime or (T, n, n) in the mirror-panel
-    regime (slice with :meth:`for_period` before sampling).  Shrunk variance
-    matrices, when present, take precedence in the posterior.
-    """
-
-    p: np.ndarray
-    b: np.ndarray
-    mu: np.ndarray
-    s2: np.ndarray
-    sigma2: np.ndarray
-    s2_shrunk: np.ndarray | None = None
-    sigma2_shrunk: np.ndarray | None = None
-    mu_defined: np.ndarray | None = None
-    me_observed: np.ndarray | None = None
-    labels: tuple[str, ...] = ()
-    periods: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        n = p.shape[0]
-        for name in ("p", "b"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n, n):
-                raise DataError(f"{name} must be {n}x{n}")
-            if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails it
-                raise DataError(f"{name} entries must be probabilities in [0, 1]")
-            object.__setattr__(self, name, _freeze(arr))
-        for name in ("s2", "sigma2", "s2_shrunk", "sigma2_shrunk"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != (n, n):
-                raise DataError(f"{name} must be {n}x{n}")
-            if not np.all(arr >= 0):  # NaN fails it
-                raise DataError(f"{name} must be non-negative, not NaN")
-            object.__setattr__(self, name, _freeze(arr))
-        mu = np.asarray(self.mu, dtype=float)
-        if mu.shape[-2:] != (n, n) or mu.ndim not in (2, 3):
-            raise DataError("mu must be (n, n) or (T, n, n)")
-        if mu.ndim == 3:
-            if self.periods is None or len(self.periods) != mu.shape[0]:
-                raise DataError("per-period mu requires matching periods")
-        object.__setattr__(self, "mu", _freeze(mu))
-        if self.mu_defined is not None:
-            object.__setattr__(
-                self, "mu_defined", np.asarray(self.mu_defined, dtype=bool)
-            )
-        if self.me_observed is not None:
-            object.__setattr__(
-                self, "me_observed", np.asarray(self.me_observed, dtype=bool)
-            )
-        labels = tuple(self.labels) if self.labels else tuple(
-            str(i) for i in range(n)
-        )
-        if len(labels) != n:
-            raise DataError("label count does not match parameter matrices")
-        object.__setattr__(self, "labels", labels)
-        if self.periods is not None:
-            object.__setattr__(self, "periods", tuple(int(t) for t in self.periods))
-
-    @property
-    def n(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def has_periods(self) -> bool:
-        return self.mu.ndim == 3
-
-    def for_period(self, period: int) -> "CalibratedParams":
-        """Slice per-period prior means down to a single period."""
-        if not self.has_periods:
-            return self
-        if self.periods is None or period not in self.periods:
-            raise DataError(f"period {period} not in calibrated periods")
-        t = self.periods.index(period)
-        return replace(self, mu=self.mu[t], periods=None)
-
-    def effective_s2(self) -> np.ndarray:
-        return self.s2 if self.s2_shrunk is None else self.s2_shrunk
-
-    def effective_sigma2(self) -> np.ndarray:
-        return self.sigma2 if self.sigma2_shrunk is None else self.sigma2_shrunk
 
 
 # ---------------------------------------------------------------------------
@@ -633,112 +541,11 @@ def calibrate_mirror(
 # ---------------------------------------------------------------------------
 # Mirror CSV ingestion
 
-_MIRROR_HEADER = ["origin", "destination", "year", "flow_report1", "flow_report2"]
-
 
 def ingest_mirror_csv(path) -> MirrorPanel:
-    """Read a mirror panel from CSV and apply the missing-data rule.
-
-    Format: ``origin,destination,year,flow_report1,flow_report2``; an empty
-    or whitespace-only flow field is a missing value, and blank lines are
-    skipped.  Dyad-periods absent from the file are missing as well (and
-    therefore become zeros unless the copy rule fires).  A malformed row
-    raises :class:`ParseError` with its 1-based line number; a dyad-period
-    listed twice is reported at its second row, after every other row
-    parsed.
-    """
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    # One pass into compact columns: location and period indices in order of
-    # first appearance, the two reports, and each row's line number.
-    label_idx: dict[str, int] = {}
-    period_idx: dict[int, int] = {}
-    origin, dest, period = array("q"), array("q"), array("q")
-    flow1, flow2 = array("d"), array("d")
-    lines = array("q")
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _MIRROR_HEADER:
-            raise ParseError(
-                f"expected header {','.join(_MIRROR_HEADER)}", row=1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                if not row or all(not c.strip() for c in row):
-                    continue
-                raise ParseError(f"expected 5 fields, got {len(row)}", row=lineno)
-            o, d, year, cell1, cell2 = row
-            try:
-                year = int(year)
-            except ValueError:
-                if all(not c.strip() for c in row):
-                    continue
-                raise ParseError(f"bad year {year!r}", row=lineno) from None
-            v1 = _mirror_flow(cell1, lineno)
-            v2 = _mirror_flow(cell2, lineno)
-            o, d = o.strip(), d.strip()
-            if o == d:
-                raise ParseError("own flows do not belong in a mirror panel", row=lineno)
-            origin.append(label_idx.setdefault(o, len(label_idx)))
-            dest.append(label_idx.setdefault(d, len(label_idx)))
-            period.append(period_idx.setdefault(year, len(period_idx)))
-            flow1.append(v1)
-            flow2.append(v2)
-            lines.append(lineno)
-
-    if not lines:
-        raise ParseError("no data rows", row=2)
-    labels, lab_rank = _sorted_ranks(label_idx)
-    periods, per_rank = _sorted_ranks(period_idx)
-    n, t = len(labels), len(periods)
-    k = per_rank[np.frombuffer(period, dtype=np.int64)]
-    i = lab_rank[np.frombuffer(origin, dtype=np.int64)]
-    j = lab_rank[np.frombuffer(dest, dtype=np.int64)]
-    cell = (k * n + i) * n + j
-    _, first = np.unique(cell, return_index=True)
-    if first.size < cell.size:
-        repeat = np.ones(cell.size, dtype=bool)
-        repeat[first] = False
-        row = int(np.argmax(repeat))
-        key = (labels[i[row]], labels[j[row]], periods[k[row]])
-        raise ParseError(f"duplicate dyad-period {key}", row=lines[row])
-    r1 = np.full((t, n, n), np.nan)
-    r2 = np.full((t, n, n), np.nan)
-    r1[k, i, j] = np.frombuffer(flow1)
-    r2[k, i, j] = np.frombuffer(flow2)
-    r1, r2, copied, zeroed = resolve_missing(r1, r2)
-    return MirrorPanel(
-        report1=r1,
-        report2=r2,
-        labels=tuple(labels),
-        periods=tuple(periods),
-        na_copied=copied,
-        na_zeroed=zeroed,
-    )
-
-
-def _sorted_ranks(first_seen: dict) -> tuple[list, np.ndarray]:
-    """The keys in sorted order, and the sorted position of each key indexed
-    by its order of first appearance."""
-    keys = sorted(first_seen)
-    rank = np.empty(len(keys), dtype=np.intp)
-    rank[[first_seen[key] for key in keys]] = np.arange(len(keys))
-    return keys, rank
-
-
-def _mirror_flow(cell: str, lineno: int) -> float:
-    """One report cell: NaN when empty or blank, else a finite flow >= 0."""
-    try:
-        v = float(cell)
-    except ValueError:
-        if not cell.strip():
-            return np.nan
-        raise ParseError(f"bad flow {cell.strip()!r}", row=lineno) from None
-    if not math.isfinite(v):
-        raise ParseError(f"non-finite flow {cell.strip()!r}", row=lineno)
-    if v < 0:
-        raise ParseError(f"negative flow {v}", row=lineno)
-    return v
+    """Read a mirror panel from CSV (:func:`flowuq.dataio.read_mirror_csv`)
+    and apply the missing-data rule: a blank report and a dyad-period absent
+    from the file are missing, and become zeros unless the copy rule fires."""
+    labels, periods, report1, report2 = read_mirror_csv(path)
+    r1, r2, copied, zeroed = resolve_missing(report1, report2)
+    return MirrorPanel(r1, r2, labels, periods, na_copied=copied, na_zeroed=zeroed)

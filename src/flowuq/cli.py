@@ -11,9 +11,11 @@ Every option can also come from a flat ``key = value`` config file
 1/0.  The file's values parse through the same argparse parser as flags,
 so they meet the same types and choices, and the command line wins over
 the file.  A key that is not an option of the command is a data error, as
-an unknown flag is.  All randomness flows from ``--seed``, which only
-``uq`` and ``simulate-attenuation`` take, and outputs are byte-identical
-across reruns and worker counts.
+an unknown flag is, and so is an option given without what uses it
+(``--b-inner`` without ``--interval c2``, ``--flows`` with ``--mirror``).
+All randomness flows from ``--seed``, which only ``uq`` and
+``simulate-attenuation`` take, and outputs are byte-identical across reruns
+and worker counts.
 
 Exit codes: 0 success, 2 data errors, 3 identification errors, 4 too many
 failed draws.
@@ -69,6 +71,13 @@ def _required(args: argparse.Namespace, name: str):
     return value
 
 
+def _refuse_unused(args: argparse.Namespace, needs: str, *names: str):
+    """Refuse options given without ``needs``, the only thing that uses them."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise DataError(f"--{name.replace('_', '-')} needs {needs}")
+
+
 def _outdir(args: argparse.Namespace) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -113,8 +122,14 @@ def _j(x: float):
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    if args.mirror is not None:
+        baseline = ("flows", "sigma2", "p", "b_spurious")
+        _refuse_unused(args, "the baseline regime (no --mirror)", *baseline)
+    else:
+        _refuse_unused(args, "--mirror", "shrink")
     out = _outdir(args)
     if args.mirror is not None:
+        shrink = args.shrink is not False  # default yes
         panel = ingest_mirror_csv(args.mirror)
         distances = dataio.read_distances_csv(args.distances, panel.labels)
         if panel.na_copied or panel.na_zeroed:
@@ -122,9 +137,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                 f"missing-data rule: copied {panel.na_copied} entries from the "
                 f"mirror side, zeroed {panel.na_zeroed}"
             )
-        params, means = calibrate_mirror(panel, distances, args.shrink)
+        params, means = calibrate_mirror(panel, distances, shrink)
         s2_zero = None
-        if args.shrink:
+        if shrink:
             off = ~np.eye(panel.n, dtype=bool)
             s2_zero = int(np.count_nonzero(params.s2_shrunk[off] == 0.0))
             if s2_zero:
@@ -153,14 +168,16 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                 "na_copied": panel.na_copied,
                 "na_zeroed": panel.na_zeroed,
                 "s2_shrunk_zero_dyads": s2_zero,
-                "shrunk_variances": args.shrink,
+                "shrunk_variances": shrink,
             },
         )
     else:
         flows = dataio.read_flows_csv(_required(args, "flows"))
         distances = dataio.read_distances_csv(args.distances, flows.labels)
         sigma2 = _required(args, "sigma2")
-        params, fit = calibrate_baseline(flows, distances, sigma2, args.p, args.b_spurious)
+        p = 0.0 if args.p is None else args.p
+        b = 0.0 if args.b_spurious is None else args.b_spurious
+        params, fit = calibrate_baseline(flows, distances, sigma2, p, b)
         dataio.write_params_json(out / "params.json", params)
         diag = normality_diagnostic(flows, params)
         plot = gravity_partial_plot(fit)
@@ -242,16 +259,33 @@ def cmd_counterfactual(args: argparse.Namespace) -> int:
 # uq
 
 
+def _params(args: argparse.Namespace):
+    """The ``--params`` file, sliced to ``--period`` if its means are per period."""
+    params = dataio.read_params_json(_required(args, "params"))
+    if params.has_periods:
+        return params.for_period(_required(args, "period"))
+    _refuse_unused(args, "per-period --params", "period")
+    return params
+
+
 def cmd_uq(args: argparse.Namespace) -> int:
     if args.costs is not None and args.theta_se is not None:
         raise DataError("--theta-se goes with an external --theta, not with --costs")
+    if args.interval != "c2":
+        _refuse_unused(args, "--interval c2", "b_inner")
+    if args.interval != "robust":
+        _refuse_unused(args, "--interval robust", "robust_c")
+    if args.smoother != "svd":
+        _refuse_unused(args, "--smoother svd", "svd_rank")
+    if args.smoother != "lowdim":
+        _refuse_unused(args, "--smoother lowdim", "distances")
+    if args.mode == "only-ee":
+        _refuse_unused(args, "--mode only-me or ee+me", "period")
     out = _outdir(args)
     flows = dataio.read_flows_csv(args.flows)
     params = None
     if args.mode != "only-ee":
-        params = dataio.read_params_json(_required(args, "params"))
-        if params.has_periods:
-            params = params.for_period(_required(args, "period"))
+        params = _params(args)
         if tuple(params.labels) != tuple(flows.labels):
             raise DataError("params and flows cover different locations")
 
@@ -275,7 +309,7 @@ def cmd_uq(args: argparse.Namespace) -> int:
         seed=args.seed,
         mode=args.mode,
         interval_kind=args.interval,
-        robust_c=args.robust_c,
+        robust_c=1.0 if args.robust_c is None else args.robust_c,
         b_inner=args.b_inner,
         max_failure_fraction=args.max_failure_frac,
         workers=args.workers,
@@ -318,9 +352,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     out = _outdir(args)
     flows = dataio.read_flows_csv(args.flows)
     distances = dataio.read_distances_csv(args.distances, flows.labels)
-    params = dataio.read_params_json(args.params)
-    if params.has_periods:
-        params = params.for_period(_required(args, "period"))
+    params = _params(args)
     diag = normality_diagnostic(flows, params)
     plot = gravity_partial_plot(fit_log_gravity(flows, distances))
     _write_diagnostics(out, diag, plot)
@@ -463,10 +495,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
     add("--flows", help="flows CSV (baseline regime)")
     add("--distances", required=True, help="distances CSV")
     add("--sigma2", type=float, help="common ME variance (baseline)")
-    add("--p", type=float, default=0.0, help="true-zero probability (baseline)")
-    add("--b-spurious", type=float, default=0.0, help="spurious-zero probability")
-    add("--shrink", action=yes_no, default=True,
-        help="shrink per-dyad variances across reporters (mirror regime)")
+    add("--p", type=float, help="true-zero probability (baseline; default 0)")
+    add("--b-spurious", type=float, help="spurious-zero probability (baseline; default 0)")
+    add("--shrink", action=yes_no,
+        help="shrink per-dyad variances across reporters (mirror regime; default yes)")
 
     p, add = command("estimate", cmd_estimate, "PPML elasticity with dyadic-robust variance")
     add("--flows", required=True)
@@ -487,7 +519,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
     p, add = command("uq", cmd_uq, "bootstrap draws and uncertainty intervals")
     add("--flows", required=True)
     add("--params", help="params.json from calibrate")
-    add("--period", type=int)
+    add("--period", type=int, help="year of per-period params")
     elasticity = p.add_mutually_exclusive_group(required=True)
     add("--costs", group=elasticity, help="re-estimate the elasticity from this cost CSV")
     add("--theta", group=elasticity, type=float, help="external point estimate")
@@ -500,19 +532,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
     add("--seed", type=int, default=0)
     add("--mode", choices=MODES, default="ee+me")
     add("--interval", choices=INTERVAL_KINDS, default="c1")
-    add("--robust-c", type=float, default=1.0)
-    add("--b-inner", type=int)
+    add("--robust-c", type=float, help="with --interval robust (default 1)")
+    add("--b-inner", type=int, help="with --interval c2 (default --b)")
     add("--max-failure-frac", type=float, default=0.05)
     add("--workers", type=int, default=1)
     add("--smoother", choices=["none", "lowdim", "svd"], default="none")
-    add("--svd-rank", type=int)
-    add("--distances")
+    add("--svd-rank", type=int, help="with --smoother svd")
+    add("--distances", help="distances CSV, with --smoother lowdim")
 
     p, add = command("diagnose", cmd_diagnose, "model-adequacy diagnostics")
     add("--flows", required=True)
     add("--distances", required=True)
     add("--params", required=True)
-    add("--period", type=int)
+    add("--period", type=int, help="year of per-period params")
 
     p, add = command(
         "simulate-attenuation", cmd_simulate_attenuation, "posterior-bias Monte Carlo"
@@ -541,7 +573,7 @@ def _config_tokens(path, command: str, options: dict[str, argparse.Action]) -> l
     comment): ``--key=value``, or ``--key``/``--no-key`` for a yes/no
     option.  A key must name an option of ``command`` exactly."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open config {path}: {exc}") from exc
     tokens: list[str] = []

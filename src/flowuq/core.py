@@ -1,15 +1,16 @@
 """Shared domain types and the abstract counterfactual-function contract.
 
 The data object throughout is an n-by-n matrix of non-negative dyadic flows
-(currency per period, vehicles per day, ...); all operations are agnostic to
-the flow unit.  A counterfactual model is any callable mapping
+(currency per period, vehicles per day, ...), with the calibrated parameters
+of its measurement error (:class:`CalibratedParams`); all operations are
+agnostic to the flow unit.  A counterfactual model is any callable mapping
 ``(flows, theta, cf_spec) -> outcome vector``; the bootstrap engine never
 needs to know what the model does internally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -162,6 +163,83 @@ class EstimatorResult:
     @property
     def dim(self) -> int:
         return self.theta_hat.shape[0]
+
+
+@dataclass(frozen=True)
+class CalibratedParams:
+    """Calibrated prior and measurement-error parameters, one set per dyad.
+
+    ``mu`` is (n, n) in the baseline regime or (T, n, n) in the mirror-panel
+    regime (slice with :meth:`for_period` before sampling).  Shrunk variance
+    matrices, when present, take precedence in the posterior.
+    """
+
+    p: np.ndarray
+    b: np.ndarray
+    mu: np.ndarray
+    s2: np.ndarray
+    sigma2: np.ndarray
+    s2_shrunk: np.ndarray | None = None
+    sigma2_shrunk: np.ndarray | None = None
+    mu_defined: np.ndarray | None = None
+    me_observed: np.ndarray | None = None
+    labels: tuple[str, ...] = ()
+    periods: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        n = np.shape(self.p)[0]
+        for name in ("p", "b", "s2", "sigma2", "s2_shrunk", "sigma2_shrunk"):
+            arr = getattr(self, name)
+            probability = name in ("p", "b")
+            if arr is None and not probability:
+                continue
+            arr = np.asarray(arr, dtype=float)
+            if arr.shape != (n, n):
+                raise DataError(f"{name} must be {n}x{n}")
+            if probability and not np.all((arr >= 0) & (arr <= 1)):  # NaN fails it
+                raise DataError(f"{name} entries must be probabilities in [0, 1]")
+            if not np.all(arr >= 0):  # NaN fails it
+                raise DataError(f"{name} must be non-negative, not NaN")
+            object.__setattr__(self, name, _freeze(arr))
+        mu = np.asarray(self.mu, dtype=float)
+        if mu.shape[-2:] != (n, n) or mu.ndim not in (2, 3):
+            raise DataError("mu must be (n, n) or (T, n, n)")
+        if mu.ndim == 3:
+            if self.periods is None or len(self.periods) != mu.shape[0]:
+                raise DataError("per-period mu requires matching periods")
+        object.__setattr__(self, "mu", _freeze(mu))
+        for name in ("mu_defined", "me_observed"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=bool))
+        labels = tuple(self.labels) if self.labels else _default_labels(n)
+        if len(labels) != n:
+            raise DataError("label count does not match parameter matrices")
+        object.__setattr__(self, "labels", labels)
+        if self.periods is not None:
+            object.__setattr__(self, "periods", tuple(int(t) for t in self.periods))
+
+    @property
+    def n(self) -> int:
+        return self.p.shape[0]
+
+    @property
+    def has_periods(self) -> bool:
+        return self.mu.ndim == 3
+
+    def for_period(self, period: int) -> "CalibratedParams":
+        """Slice per-period prior means down to a single period."""
+        if not self.has_periods:
+            return self
+        if self.periods is None or period not in self.periods:
+            raise DataError(f"period {period} not in calibrated periods")
+        t = self.periods.index(period)
+        return replace(self, mu=self.mu[t], periods=None)
+
+    def effective_s2(self) -> np.ndarray:
+        return self.s2 if self.s2_shrunk is None else self.s2_shrunk
+
+    def effective_sigma2(self) -> np.ndarray:
+        return self.sigma2 if self.sigma2_shrunk is None else self.sigma2_shrunk
 
 
 @dataclass(frozen=True)

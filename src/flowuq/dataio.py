@@ -1,12 +1,16 @@
 """File formats: dyadic CSVs in, results and parameter files out.
 
-All dyadic inputs share the shape ``origin,destination,value``.  Missing
-dyads default to 0 for flows, 1 for proportional cost changes and cost
-levels; distances must be present for every ordered pair (the reverse
-direction is used as a fallback).  Outputs are plain CSV/JSON with
-deterministic ordering, and every CSV and JSON writer prints floats as their
-shortest round-trip text (``float.__repr__``), so a rerun with the same seed
-is byte-identical and every number parses back to the same float.
+Every dyadic input is a CSV with a header row: ``origin,destination,VALUE``
+for flows, distances, cost levels and cost changes, and
+``origin,destination,year,flow_report1,flow_report2`` for a mirror panel.
+One reader parses them all: it skips blank rows, strips labels, reads a
+blank value cell as missing, and raises ParseError with the row number of a
+malformed row, a non-finite value or a repeated dyad.  An absent or blank
+dyad is 0 for flows, 1 for cost levels and cost changes, the reverse dyad
+for distances, and missing for a mirror report.  Inputs are UTF-8, with or
+without a byte-order mark.  Outputs are UTF-8 CSV/JSON in a fixed order,
+with floats as their shortest round-trip text (``float.__repr__``), so a
+rerun with the same seed is byte-identical and every number reads back.
 """
 
 from __future__ import annotations
@@ -15,113 +19,192 @@ import csv
 import io
 import json
 import math
+from array import array
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
 
-from .calibration import _MIRROR_HEADER, CalibratedParams
-from .core import CounterfactualSpec, DistanceMatrix, DrawSet, FlowMatrix
+from .core import CalibratedParams, CounterfactualSpec, DistanceMatrix, DrawSet, FlowMatrix
 from .errors import DataError, ParseError
 from .intervals import Interval
 
+_MIRROR_HEADER = ("origin", "destination", "year", "flow_report1", "flow_report2")
 
-def _read_dyadic_csv(path, value_name: str):
-    """Returns (labels, {(o, d): value}) from an origin,destination,value file."""
-    expected = ["origin", "destination", value_name]
+
+def _open(path):
+    """A text input: UTF-8, a byte-order mark skipped."""
     try:
-        handle = open(path, newline="")
+        return open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    entries: dict[tuple[str, str], float] = {}
-    labels: set[str] = set()
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected:
-            raise ParseError(f"expected header {','.join(expected)}", row=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", row=lineno)
-            origin, dest = row[0].strip(), row[1].strip()
-            try:
-                value = float(row[2])
-            except ValueError:
-                raise ParseError(f"bad {value_name} {row[2]!r}", row=lineno) from None
-            if not math.isfinite(value):
-                raise ParseError(f"non-finite {value_name}", row=lineno)
-            key = (origin, dest)
-            if key in entries:
-                raise ParseError(f"duplicate dyad {origin}->{dest}", row=lineno)
-            entries[key] = value
-            labels.add(origin)
-            labels.add(dest)
-    if not entries:
+
+
+def _read_table(path, header: Sequence[str], what: str, refuse=()):
+    """Parse an ``origin,destination[,year],VALUE...`` CSV under ``header``:
+    the sorted labels and periods ([0] without a year column), each row's
+    origin, destination and period as positions in them, and its value
+    cells, NaN where blank.  ParseError names the first row with the wrong
+    field count, a year that is not a whole number, a bad or non-finite
+    ``what``, or that a ``refuse`` pair ``(message, test(i, j, values) ->
+    row mask)`` flags; then a key listed twice, at its second row.
+    """
+    year = header[2] == "year"
+    width, nv = len(header), len(header) - 2
+    names = ("year",) * year + (what,) * (nv - year)
+    # One pass into compact columns: label indices in order of first
+    # appearance, the year and value cells, and each row's number.  A row
+    # parses its cells in one call; only a row with a blank or bad cell goes
+    # cell by cell, and the cells are checked as whole columns afterwards.
+    label_idx: dict[str, int] = {}
+    origin, dest, lines, vals = array("q"), array("q"), array("q"), array("d")
+    blank: list[int] = []  # positions in vals of blank value cells
+
+    def table():
+        """The rows read so far; ParseError at the first row with a bad year,
+        a non-finite value or that a ``refuse`` test flags."""
+        labels = sorted({lab.strip() for lab in label_idx})
+        position = {lab: p for p, lab in enumerate(labels)}
+        rank = np.array([position[lab.strip()] for lab in label_idx], dtype=np.intp)
+        i, j = (rank[np.frombuffer(column, dtype=np.int64)] for column in (origin, dest))
+        cells = np.frombuffer(vals)[: len(lines) * nv].reshape(-1, nv)
+        bad = ~np.isfinite(cells)
+        bad.flat[[b for b in blank if b < bad.size]] = False
+        if year:
+            bad[:, 0] |= np.floor(cells[:, 0]) != cells[:, 0]
+        values = cells[:, year:]
+        masks = [bad.any(axis=1)] + [test(i, j, values) for _, test in refuse]
+        hits = [(int(np.argmax(mask)), n) for n, mask in enumerate(masks) if mask.any()]
+        if hits:
+            r, n = min(hits)
+            if n:
+                raise ParseError(refuse[n - 1][0], row=lines[r])
+            c = int(np.argmax(bad[r]))
+            problem = "bad" if names[c] == "year" else "non-finite"
+            raise ParseError(f"{problem} {names[c]} {str(cells[r, c])!r}", row=lines[r])
+        years = cells[:, 0] if year else np.zeros(len(lines))
+        periods, k = np.unique(years, return_inverse=True)
+        return labels, [int(p) for p in periods], i, j, k, values
+
+    try:
+        with _open(path) as handle:
+            reader = csv.reader(handle)
+            head = next(reader, None)
+            if head is None or [h.strip() for h in head] != list(header):
+                raise ParseError(f"expected header {','.join(header)}", row=1)
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    if any(map(str.strip, row)):
+                        raise ParseError(f"expected {width} fields, got {len(row)}", row=lineno)
+                    continue
+                try:
+                    vals.extend(map(float, row[2:]))
+                except ValueError:
+                    del vals[len(lines) * nv :]
+                    if not any(map(str.strip, row)):
+                        continue
+                    for name, cell in zip(names, row[2:]):
+                        try:
+                            vals.append(float(cell))
+                        except ValueError:
+                            if cell.strip() or name == "year":
+                                message = f"bad {name} {cell.strip()!r}"
+                                raise ParseError(message, row=lineno) from None
+                            blank.append(len(vals))
+                            vals.append(math.nan)
+                origin.append(label_idx.setdefault(row[0], len(label_idx)))
+                dest.append(label_idx.setdefault(row[1], len(label_idx)))
+                lines.append(lineno)
+    except ParseError:
+        table()  # an earlier row may fail a test made on whole columns
+        raise
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not UTF-8 text") from None
+
+    if not lines:
         raise ParseError("no data rows", row=2)
-    return sorted(labels), entries
+    labels, periods, i, j, k, values = out = table()
+    cell = (k * len(labels) + i) * len(labels) + j
+    order = np.argsort(cell, kind="stable")
+    again = order[1:][np.diff(cell[order]) == 0]  # rows whose key came before
+    if again.size:
+        r = int(again.min())
+        key = (labels[i[r]], labels[j[r]], periods[k[r]])[: 2 + year]
+        raise ParseError(f"duplicate {'dyad-period' if year else 'dyad'} {key}", row=lines[r])
+    return out
 
 
-def _fill_matrix(labels, entries, default, name):
-    idx = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    values = np.full((n, n), default)
-    for (o, d), v in entries.items():
-        if o not in idx or d not in idx:
-            raise DataError(f"{name} file mentions unknown location {o}->{d}")
-        values[idx[o], idx[d]] = v
-    return values
+def _read_matrix(path, what: str, labels, fill: float, strict: bool = True):
+    """The labels and the (n, n) matrix of an ``origin,destination,WHAT``
+    file over ``labels`` (the file's own when None), ``fill`` where absent or
+    blank.  A location not in ``labels`` is a DataError unless not ``strict``."""
+    file_labels, _, i, j, _, values = _read_table(path, ("origin", "destination", what), what)
+    labels = file_labels if labels is None else labels
+    idx = {lab: p for p, lab in enumerate(labels)}
+    pos = np.array([idx.get(lab, -1) for lab in file_labels])
+    o, d = pos[i], pos[j]
+    known = (o >= 0) & (d >= 0)
+    if strict and not known.all():
+        r = int(np.argmin(known))
+        dyad = f"{file_labels[i[r]]}->{file_labels[j[r]]}"
+        raise DataError(f"{what} file mentions unknown location {dyad}")
+    keep = known & ~np.isnan(values[:, 0])
+    out = np.full((len(labels), len(labels)), fill)
+    out[o[keep], d[keep]] = values[keep, 0]
+    return labels, out
 
 
 def read_flows_csv(path) -> FlowMatrix:
     """Flows from ``origin,destination,flow``; absent dyads are zeros."""
-    labels, entries = _read_dyadic_csv(path, "flow")
-    return FlowMatrix(_fill_matrix(labels, entries, 0.0, "flow"), tuple(labels))
+    labels, values = _read_matrix(path, "flow", None, 0.0)
+    return FlowMatrix(values, tuple(labels))
 
 
 def read_distances_csv(path, labels: Sequence[str]) -> DistanceMatrix:
     """Distances over the given labels; a missing (i, j) falls back to the
-    reported (j, i); the (unused) diagonal defaults to 1."""
-    _, entries = _read_dyadic_csv(path, "distance")
-    n = len(labels)
-    idx = {lab: i for i, lab in enumerate(labels)}
-    values = np.full((n, n), np.nan)
-    np.fill_diagonal(values, 1.0)
-    for (o, d), v in entries.items():
-        if o in idx and d in idx:
-            values[idx[o], idx[d]] = v
-    hole = np.isnan(values)
-    values = np.where(hole & ~np.isnan(values.T), values.T, values)
+    reported (j, i), the (unused) diagonal defaults to 1, and rows naming
+    other locations are ignored."""
+    _, values = _read_matrix(path, "distance", labels, math.nan, strict=False)
+    values[np.eye(len(labels), dtype=bool) & np.isnan(values)] = 1.0
+    values = np.where(np.isnan(values), values.T, values)
     missing = np.argwhere(np.isnan(values))
     if missing.size:
-        o, d = missing[0]
-        raise DataError(
-            f"distance missing for {labels[o]}->{labels[d]} "
-            f"(and {len(missing) - 1} more)"
-        )
+        (o, d), more = missing[0], len(missing) - 1
+        raise DataError(f"distance missing for {labels[o]}->{labels[d]} (and {more} more)")
     return DistanceMatrix(values, tuple(labels))
 
 
 def read_cf_spec_csv(path, labels: Sequence[str]) -> CounterfactualSpec:
     """Proportional cost changes; absent dyads are 1 (unchanged)."""
-    _, entries = _read_dyadic_csv(path, "tau_prop")
-    return CounterfactualSpec(_fill_matrix(labels, entries, 1.0, "cost-change"))
+    return CounterfactualSpec(_read_matrix(path, "tau_prop", labels, 1.0)[1])
 
 
 def read_costs_csv(path, labels: Sequence[str]) -> np.ndarray:
     """Cost levels (e.g. iceberg costs); absent dyads are 1.  Returns the
     log-cost matrix used by the elasticity fit."""
-    _, entries = _read_dyadic_csv(path, "cost")
-    values = _fill_matrix(labels, entries, 1.0, "cost")
+    _, values = _read_matrix(path, "cost", labels, 1.0)
     if np.any(values <= 0):
         raise DataError("cost levels must be strictly positive")
     return np.log(values)
 
 
+def read_mirror_csv(path) -> tuple[list[str], list[int], np.ndarray, np.ndarray]:
+    """Inverse of :func:`write_mirror_csv`: the sorted labels and periods and
+    the two (T, n, n) report arrays, NaN where a report is blank or the
+    dyad-period is absent.  A negative flow and an own flow are row errors."""
+    refuse = (
+        ("negative flow", lambda i, j, values: (values < 0).any(axis=1)),
+        ("own flows do not belong in a mirror panel", lambda i, j, values: i == j),
+    )
+    labels, periods, i, j, k, values = _read_table(path, _MIRROR_HEADER, "flow", refuse)
+    reports = np.full((2, len(periods), len(labels), len(labels)), np.nan)
+    reports[:, k, i, j] = values.T
+    return labels, periods, reports[0], reports[1]
+
+
 def write_dyadic_csv(path, labels, values: np.ndarray, value_name: str):
     values = np.asarray(values)
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["origin", "destination", value_name])
         for i, o in enumerate(labels):
@@ -137,9 +220,10 @@ def _csv_fields(*fields) -> str:
 
 
 def write_mirror_csv(path, labels, periods, report1, report2):
-    """Inverse of ingest: one row per off-diagonal dyad-period; a NaN report
-    is an empty cell.  The bytes are those of ``csv.writer``; each dyad's
-    label pair and each year is quoted once and reused on every row."""
+    """Inverse of :func:`read_mirror_csv`: one row per off-diagonal
+    dyad-period; a NaN report is an empty cell.  The bytes are those of
+    ``csv.writer``; each dyad's label pair and each year is quoted once and
+    reused on every row."""
 
     def cells(matrix):
         return [["" if v != v else repr(v) for v in row] for row in matrix.tolist()]
@@ -149,7 +233,7 @@ def write_mirror_csv(path, labels, periods, report1, report2):
         (i, j, _csv_fields(labels[i], labels[j])) for i in range(n) for j in range(n) if i != j
     ]
     reports = zip(np.asarray(report1, dtype=float), np.asarray(report2, dtype=float))
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(_csv_fields(*_MIRROR_HEADER) + "\r\n")
         for year, (matrix1, matrix2) in zip(periods, reports):
             year = _csv_fields(year)
@@ -165,7 +249,7 @@ def write_columns_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]
     """A CSV of equal-length numeric columns under a header line: floats as
     their shortest round-trip text, integer columns as integers."""
     rows = map(",".join, zip(*(map(repr, np.asarray(c).tolist()) for c in columns)))
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("".join(f"{row}\n" for row in (",".join(header), *rows)))
 
 
@@ -231,7 +315,7 @@ def write_params_json(path, params: CalibratedParams):
         "null" if params.periods is None else _json_list([repr(t) for t in params.periods])
     )
 
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write('{\n  "dyads": {')
         for pos, k in enumerate(sorted(range(n * n), key=keys.__getitem__)):
             fields = ",".join(
@@ -253,9 +337,10 @@ _SHRUNK = ("s2_shrunk", "sigma2_shrunk")
 
 
 def params_from_json(doc: dict) -> CalibratedParams:
-    """Parameters from a ``write_params_json`` document.  Every dyad must
-    carry p, b, s2, sigma2 and mu, and either both shrunk variances or
-    neither, as every other dyad does; only mu may be null."""
+    """Parameters from a ``write_params_json`` document.  Every one of the
+    n * n dyads must be listed and carry p, b, s2, sigma2 and mu, and either
+    both shrunk variances or neither, as every other dyad does; only mu may
+    be null."""
     labels = tuple(doc["labels"])
     periods = doc.get("periods")
     n = len(labels)
@@ -288,6 +373,9 @@ def params_from_json(doc: dict) -> CalibratedParams:
                 mu[k, i, j] = _nan((entry["mu"] or {}).get(str(per)))
         else:
             mu[i, j] = _nan(entry["mu"])
+    for key in (f"{o}->{d}" for o in labels for d in labels):
+        if key not in doc["dyads"]:
+            raise DataError(f"params file has no dyad {key!r}")
     return CalibratedParams(
         mu=mu,
         mu_defined=mu_defined,
@@ -300,10 +388,8 @@ def params_from_json(doc: dict) -> CalibratedParams:
 
 def read_params_json(path) -> CalibratedParams:
     try:
-        with open(path) as handle:
+        with _open(path) as handle:
             doc = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     return params_from_json(doc)
@@ -314,7 +400,7 @@ def read_params_json(path) -> CalibratedParams:
 
 
 def write_draws_csv(path, draw_set: DrawSet):
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(list(draw_set.labels))
         for row in draw_set.draws:
@@ -322,11 +408,7 @@ def write_draws_csv(path, draw_set: DrawSet):
 
 
 def read_draws_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with handle:
+    with _open(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if not header:
@@ -371,6 +453,6 @@ def intervals_to_json(
 
 
 def write_json(path, doc: dict):
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")

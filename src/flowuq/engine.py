@@ -30,8 +30,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calibration import CalibratedParams, sample_flow_matrix
+from .calibration import sample_flow_matrix
 from .core import (
+    CalibratedParams,
     CounterfactualSpec,
     DrawSet,
     FlowMatrix,

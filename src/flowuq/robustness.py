@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibratedParams
-from .core import FlowMatrix
+from .core import CalibratedParams, FlowMatrix
 from .engine import draw_rng
 from .errors import DataError
 from .gravity import GravityFit

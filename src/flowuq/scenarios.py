@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibratedParams, MirrorPanel
-from .core import CounterfactualSpec, DistanceMatrix, FlowMatrix
+from .calibration import MirrorPanel
+from .core import CalibratedParams, CounterfactualSpec, DistanceMatrix, FlowMatrix
 
 
 def _line_distances(n: int) -> np.ndarray:

@@ -626,6 +626,63 @@ def test_uq_nulled_params_variance_exits_2(armington_files, tmp_path, capsys):
     assert f"params dyad '{first}': s2 is missing or null" in capsys.readouterr().err
 
 
+def test_uq_params_missing_a_dyad_exits_2(armington_files, tmp_path, capsys):
+    # A dyad left out of params.json is an error, not a dyad without
+    # measurement error.
+    _, flows, _, costs, params = armington_files
+    doc = json.loads(params.read_text())
+    first = next(iter(doc["dyads"]))
+    del doc["dyads"][first]
+    params.write_text(json.dumps(doc))
+    argv = ["uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs)]
+    argv += ["--uniform-increase", "0.1", "--b", "40", "--output-dir", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert f"params file has no dyad '{first}'" in capsys.readouterr().err
+
+
+def test_unused_options_exit_2(armington_files, mirror_files, tmp_path, capsys):
+    # An option that only another option's value, or per-period params,
+    # would use is refused when that is absent, from a flag or a file.
+    _, flows, dist, costs, params = armington_files
+    _, mirror, mdist = mirror_files
+    uq = ["uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs)]
+    uq += ["--uniform-increase", "0.1", "--b", "40"]
+    mirror_calibrate = ["calibrate", "--mirror", str(mirror), "--distances", str(mdist)]
+    baseline = ["calibrate", "--flows", str(flows), "--distances", str(dist), "--sigma2", "0.1"]
+    diagnose = ["diagnose", "--flows", str(flows), "--distances", str(dist)]
+    diagnose += ["--params", str(params)]
+    regime = "needs the baseline regime"
+    cases = [
+        (uq, "b-inner = 7", "--b-inner needs --interval c2"),
+        (uq + ["--interval", "robust"], "b-inner = 7", "--b-inner needs --interval c2"),
+        (uq, "robust-c = 3", "--robust-c needs --interval robust"),
+        (uq, "svd-rank = 3", "--svd-rank needs --smoother svd"),
+        (uq + ["--smoother", "lowdim"], "svd-rank = 3", "--svd-rank needs --smoother svd"),
+        (uq, "distances = nowhere.csv", "--distances needs --smoother lowdim"),
+        (uq, "period = 1999", "--period needs per-period --params"),
+        (uq + ["--mode", "only-ee"], "period = 1999", "--period needs --mode only-me or ee+me"),
+        (diagnose, "period = 1999", "--period needs per-period --params"),
+        (mirror_calibrate, "flows = nowhere.csv", f"--flows {regime}"),
+        (mirror_calibrate, "sigma2 = 0.3", f"--sigma2 {regime}"),
+        (mirror_calibrate, "p = 0.2", f"--p {regime}"),
+        (mirror_calibrate, "b-spurious = 0.1", f"--b-spurious {regime}"),
+        (baseline, "shrink = no", "--shrink needs --mirror"),
+        (baseline, "shrink = yes", "--shrink needs --mirror"),
+    ]
+    for i, (argv, line, message) in enumerate(cases):
+        key, _, value = (part.strip() for part in line.partition("="))
+        conf = tmp_path / f"c{i}.conf"
+        conf.write_text(line + "\n")
+        if key == "shrink":
+            flag = ["--shrink" if value == "yes" else "--no-shrink"]
+        else:
+            flag = ["--" + key, value]
+        for extra in (flag, ["--config", str(conf)]):
+            out = tmp_path / f"o{i}"
+            assert main(argv + extra + ["--output-dir", str(out)]) == 2, (argv, extra)
+            assert message in capsys.readouterr().err, (argv, extra)
+
+
 def test_uq_smoother_matches_engine(armington_files, tmp_path):
     # The CLI smooths the matrix the model evaluates and estimates on the raw
     # one: through PpmlEstimator in ee+me, and as the observed PPML fit in

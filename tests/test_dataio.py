@@ -259,3 +259,142 @@ def test_columns_csv(tmp_path):
     assert path.read_text() == "x,n\n-0.9208779009832093,3\n0.30000000000000004,0\n1e-300,12\n"
     dataio.write_columns_csv(path, ["x"], [np.empty(0)])
     assert path.read_text() == "x\n"
+
+
+# One reader parses every dyadic CSV; each format only places the values.
+# Each entry: the header, a row's value cells for one value, and the read
+# matrix over the given labels (report 1 of the first year for a mirror).
+DYADIC_READERS = {
+    "flows": ("flow", lambda v: v, lambda path, labels: dataio.read_flows_csv(path).values),
+    "distances": (
+        "distance",
+        lambda v: v,
+        lambda path, labels: dataio.read_distances_csv(path, labels).values,
+    ),
+    "costs": (
+        "cost",
+        lambda v: v,
+        lambda path, labels: np.exp(dataio.read_costs_csv(path, labels)),
+    ),
+    "cost-changes": (
+        "tau_prop",
+        lambda v: v,
+        lambda path, labels: dataio.read_cf_spec_csv(path, labels).tau_prop,
+    ),
+    "mirror": (
+        "year,flow_report1,flow_report2",
+        lambda v: f"2000,{v},{v}",
+        lambda path, labels: dataio.read_mirror_csv(path)[2][0],
+    ),
+}
+
+
+def _write_dyadic(path, kind, rows, bom=False):
+    columns, cells, _ = DYADIC_READERS[kind]
+    lines = [f"origin,destination,{columns}"]
+    lines += [row if isinstance(row, str) else f"{row[0]},{row[1]},{cells(row[2])}"
+              for row in rows]
+    text = ("\ufeff" if bom else "") + "\n".join(lines) + "\n"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("kind", DYADIC_READERS)
+def test_dyadic_reader_skips_blank_rows_and_reads_quoted_labels_and_a_bom(tmp_path, kind):
+    path = _write_dyadic(
+        tmp_path / "in.csv",
+        kind,
+        [("\"Paris, FR\"", "B", 2.5), "", "   ", " , , ", ("B ", "\"Paris, FR\"", 3.5)],
+        bom=True,
+    )
+    labels = ("B", "Paris, FR")
+    values = DYADIC_READERS[kind][2](path, labels)
+    assert values[1, 0] == 2.5 and values[0, 1] == 3.5
+    if kind == "mirror":
+        assert dataio.read_mirror_csv(path)[:2] == (list(labels), [2000])
+
+
+@pytest.mark.parametrize("kind", DYADIC_READERS)
+@pytest.mark.parametrize(
+    "rows, row, message",
+    [
+        (None, 1, "expected header"),
+        ([("A", "B", 1), "A,B,1,1,1,1"], 3, "fields"),
+        ([("A", "B", 1), ("B", "A", "oops")], 3, "bad"),
+        ([("A", "B", 1), ("B", "A", "inf")], 3, "non-finite"),
+        ([("A", "B", 1), ("B", "A", "nan")], 3, "non-finite"),
+        # The first bad row is reported, also when a later one fails to parse.
+        ([("A", "B", "-inf"), ("B", "A", 1), ("B", "A", "x")], 2, "non-finite"),
+        # A duplicate is reported at its second row, after every row parsed.
+        ([("A", "B", 1), (" A ", " B ", 2), ("B", "A", 3)], 3, "duplicate"),
+        ([("A", "B", 1), ("A", "B", 2), ("B", "A", "x")], 4, "bad"),
+        ([], 2, "no data rows"),
+    ],
+)
+def test_dyadic_reader_row_errors(tmp_path, kind, rows, row, message):
+    if rows is None:
+        path = tmp_path / "in.csv"
+        path.write_text("origin,dest,value\nA,B,1\n", encoding="utf-8")
+    else:
+        path = _write_dyadic(tmp_path / "in.csv", kind, rows)
+    with pytest.raises(ParseError, match=message) as info:
+        DYADIC_READERS[kind][2](path, ("A", "B"))
+    assert info.value.row == row
+
+
+@pytest.mark.parametrize(
+    "kind, expected",
+    [
+        ("flows", 0.0),
+        ("distances", 7.0),  # the reverse dyad
+        ("costs", 1.0),
+        ("cost-changes", 1.0),
+        ("mirror", np.nan),  # missing
+    ],
+)
+def test_blank_cell_is_an_absent_dyad(tmp_path, kind, expected):
+    path = _write_dyadic(tmp_path / "in.csv", kind, [("A", "B", 7.0), ("B", "A", "")])
+    np.testing.assert_array_equal(DYADIC_READERS[kind][2](path, ("A", "B"))[1, 0], expected)
+
+
+def test_unknown_locations(tmp_path):
+    # Cost levels and cost changes must name known locations; distances to
+    # other locations are ignored.
+    for kind in ("costs", "cost-changes"):
+        path = _write_dyadic(tmp_path / f"{kind}.csv", kind, [("A", "B", 2.0), ("A", "Z", 2.0)])
+        with pytest.raises(DataError, match="unknown location A->Z"):
+            DYADIC_READERS[kind][2](path, ("A", "B"))
+    path = _write_dyadic(tmp_path / "d.csv", "distances", [("A", "B", 2.0), ("A", "Z", 3.0)])
+    distances = dataio.read_distances_csv(path, ("A", "B")).values
+    np.testing.assert_array_equal(distances, [[1, 2], [2, 1]])
+
+
+def test_read_mirror_csv_inverts_the_writer(tmp_path):
+    nan = np.nan
+    r1 = np.array([[[nan, 1.5, 0.0], [2.0, nan, nan], [nan, 1e-07, nan]]])
+    r2 = np.array([[[nan, nan, 3.0], [2.5, nan, 0.1 + 0.2], [nan, 4.0, nan]]])
+    path = tmp_path / "mirror.csv"
+    dataio.write_mirror_csv(path, ("A", "B,C", "D"), (1999,), r1, r2)
+    labels, periods, back1, back2 = dataio.read_mirror_csv(path)
+    assert labels == ["A", "B,C", "D"] and periods == [1999]
+    np.testing.assert_array_equal(back1, r1)
+    np.testing.assert_array_equal(back2, r2)
+
+
+def test_mirror_reader_refuses_negative_and_own_flows(tmp_path):
+    path = _write_dyadic(tmp_path / "m.csv", "mirror", [("A", "B", 1), ("B", "A", -2.0)])
+    with pytest.raises(ParseError, match="negative flow") as info:
+        dataio.read_mirror_csv(path)
+    assert info.value.row == 3
+    path = _write_dyadic(tmp_path / "m.csv", "mirror", [("A", "B", 1), (" A", "A ", 2)])
+    with pytest.raises(ParseError, match="own flows") as info:
+        dataio.read_mirror_csv(path)
+    assert info.value.row == 3
+
+
+def test_params_json_must_list_every_dyad():
+    doc = params_json_doc(armington_world(n=4, seed=2).params)
+    first, second = doc["labels"][:2]
+    del doc["dyads"][f"{first}->{second}"]
+    with pytest.raises(DataError, match=f"params file has no dyad '{first}->{second}'"):
+        dataio.params_from_json(doc)
