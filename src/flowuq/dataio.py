@@ -8,9 +8,18 @@ blank value cell as missing, and raises ParseError with the row number of a
 malformed row, a non-finite value or a repeated dyad.  An absent or blank
 dyad is 0 for flows, 1 for cost levels and cost changes, the reverse dyad
 for distances, and missing for a mirror report.  Inputs are UTF-8, with or
-without a byte-order mark.  Outputs are UTF-8 CSV/JSON in a fixed order,
-with floats as their shortest round-trip text (``float.__repr__``), so a
-rerun with the same seed is byte-identical and every number reads back.
+without a byte-order mark.
+
+The reader parses by the column, on chunks of whole lines of about 64 K
+characters, so the text it holds at once is bounded whatever the file's
+size.  A quote-free chunk of rows of the header's width is split with one
+``str.split``, any other chunk with ``csv.reader`` (see ``_read_table``).
+
+Outputs are UTF-8 CSV/JSON in a fixed order, with floats as their shortest
+round-trip text (``float.__repr__``), so a rerun with the same seed is
+byte-identical and every number reads back.  JSON outputs are strict: a
+NaN or infinity is written as null where it can rightly occur, and is an
+error anywhere else.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import io
 import json
 import math
 from array import array
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -31,6 +41,11 @@ from .intervals import Interval
 
 _MIRROR_HEADER = ("origin", "destination", "year", "flow_report1", "flow_report2")
 
+# The reader takes whole lines of about this many characters at a time.
+_CHUNK_CHARS = 1 << 16
+# The params.json writer lays out the text of this many dyads at a time.
+_BLOCK_DYADS = 256
+
 
 def _open(path):
     """A text input: UTF-8, a byte-order mark skipped."""
@@ -40,6 +55,73 @@ def _open(path):
         raise DataError(f"cannot open {path}: {exc}") from exc
 
 
+def _chunks(handle, size: int):
+    """The handle's remaining lines, about ``size`` characters at a time.  A
+    chunk with an odd count of ``"`` ends inside a quoted field, so it takes
+    one more line until the count is even: no record spans two chunks.  (A
+    stray ``"`` inside an unquoted field, which ``csv.reader`` keeps as text,
+    runs the chunk on to the next ``"``: still read right, but not bounded.)"""
+    while lines := handle.readlines(size):
+        text = "".join(lines)
+        odd = '"' in text and text.count('"') % 2
+        while odd and (line := handle.readline()):
+            lines.append(line)
+            odd ^= line.count('"') % 2
+        yield lines
+
+
+def _split(lines: list[str], width: int, row: int):
+    """The cells of a chunk's records of ``width`` fields, record after
+    record, and their row numbers, counting from ``row``; then the row number
+    after the chunk, and ``(row, message)`` for the first record of another
+    width that is not blank (the records after it are dropped), or None."""
+    text = ",".join(lines)
+    if '"' not in text:
+        # Each line is one record.  Its terminator ("\n", "\r\n" or "\r";
+        # only the file's last line may lack one) stays on its last cell,
+        # where float() and strip() ignore it.  The split is right when there
+        # are ``width`` cells per line and every terminator lies in a cell at
+        # position ``width - 1`` modulo ``width``: every line then starts and
+        # ends on a multiple of ``width`` cells, so each holds ``width``.
+        cells = text.split(",")
+        last = "".join(cells[width - 1 :: width])
+        ends = last.count("\n") + last.count("\r") - last.count("\r\n")
+        if len(cells) == width * len(lines) and ends == len(lines) - (lines[-1][-1] not in "\r\n"):
+            rows = np.arange(row, row + len(lines), dtype=np.int64)
+            return cells, rows, row + len(lines), None
+    cells, rows, error = [], array("q"), None
+    for row, record in enumerate(csv.reader(lines), start=row):
+        if len(record) == width:
+            cells += record
+            rows.append(row)
+        elif any(map(str.strip, record)):
+            error = (row, f"expected {width} fields, got {len(record)}")
+            break
+    return cells, np.frombuffer(rows, dtype=np.int64), row + 1, error
+
+
+def _parse_values(cells: list[str], width: int, nv: int):
+    """The ``nv`` value columns of ``width``-field records as an (nv, m)
+    array, each parsed with one ``float`` map.  A column that fails goes cell
+    by cell: its blank cells read NaN and are flagged in the blank mask, and
+    its unparsable ones in the bad mask."""
+    m = len(cells) // width
+    values = np.empty((nv, m))
+    blank, bad = np.zeros((nv, m), dtype=bool), np.zeros((nv, m), dtype=bool)
+    for c in range(nv):
+        column = cells[2 + c :: width]
+        try:
+            values[c] = np.fromiter(map(float, column), dtype=float, count=m)
+        except ValueError:
+            for r, cell in enumerate(column):
+                try:
+                    values[c, r] = float(cell)
+                except ValueError:
+                    values[c, r] = math.nan
+                    (bad if cell.strip() else blank)[c, r] = True
+    return values, blank, bad
+
+
 def _read_table(path, header: Sequence[str], what: str, refuse=()):
     """Parse an ``origin,destination[,year],VALUE...`` CSV under ``header``:
     the sorted labels and periods ([0] without a year column), each row's
@@ -47,83 +129,103 @@ def _read_table(path, header: Sequence[str], what: str, refuse=()):
     cells, NaN where blank.  ParseError names the first row with the wrong
     field count, a year that is not a whole number, a bad or non-finite
     ``what``, or that a ``refuse`` pair ``(message, test(i, j, values) ->
-    row mask)`` flags; then a key listed twice, at its second row.
+    row mask)`` flags; then a key listed twice, at its second row.  Rows
+    count CSV records, the header being row 1.
+
+    The file is read in chunks of about ``_CHUNK_CHARS`` characters of whole
+    lines.  A chunk grows by a line while it holds an odd count of ``"``, so
+    a quoted field (which may hold a comma or a line break) never spans two
+    chunks.  Two tokenizers feed the same column code:
+
+    * a chunk with no ``"`` whose every line has ``width - 1`` commas is
+      split with one ``str.split`` (``_split``);
+    * any other chunk, one with a quoted field or a blank or ragged row, goes
+      through ``csv.reader``; a record of the wrong width is skipped if its
+      cells are blank and is an error otherwise.
+
+    Labels map to indices through a dict, and each value column parses with
+    one ``float`` map; only a column that fails goes cell by cell.  A row of
+    blank cells is skipped and a blank year is bad.  Reading stops at the
+    first row that does not parse, which is reported unless an earlier row
+    fails a check made on whole columns after the last chunk: finite
+    values, whole years, ``refuse``, then duplicates.  Memory: the text and
+    cell strings of one chunk, plus 8 bytes per row for each of the origin,
+    destination, row number, year and value columns.
     """
     year = header[2] == "year"
     width, nv = len(header), len(header) - 2
     names = ("year",) * year + (what,) * (nv - year)
-    # One pass into compact columns: label indices in order of first
-    # appearance, the year and value cells, and each row's number.  A row
-    # parses its cells in one call; only a row with a blank or bad cell goes
-    # cell by cell, and the cells are checked as whole columns afterwards.
+    # Compact columns: each row's label indices (a new label takes the next
+    # index), its number, and its year and value cells.
     label_idx: dict[str, int] = {}
     origin, dest, lines, vals = array("q"), array("q"), array("q"), array("d")
     blank: list[int] = []  # positions in vals of blank value cells
-
-    def table():
-        """The rows read so far; ParseError at the first row with a bad year,
-        a non-finite value or that a ``refuse`` test flags."""
-        labels = sorted({lab.strip() for lab in label_idx})
-        position = {lab: p for p, lab in enumerate(labels)}
-        rank = np.array([position[lab.strip()] for lab in label_idx], dtype=np.intp)
-        i, j = (rank[np.frombuffer(column, dtype=np.int64)] for column in (origin, dest))
-        cells = np.frombuffer(vals)[: len(lines) * nv].reshape(-1, nv)
-        bad = ~np.isfinite(cells)
-        bad.flat[[b for b in blank if b < bad.size]] = False
-        if year:
-            bad[:, 0] |= np.floor(cells[:, 0]) != cells[:, 0]
-        values = cells[:, year:]
-        masks = [bad.any(axis=1)] + [test(i, j, values) for _, test in refuse]
-        hits = [(int(np.argmax(mask)), n) for n, mask in enumerate(masks) if mask.any()]
-        if hits:
-            r, n = min(hits)
-            if n:
-                raise ParseError(refuse[n - 1][0], row=lines[r])
-            c = int(np.argmax(bad[r]))
-            problem = "bad" if names[c] == "year" else "non-finite"
-            raise ParseError(f"{problem} {names[c]} {str(cells[r, c])!r}", row=lines[r])
-        years = cells[:, 0] if year else np.zeros(len(lines))
-        periods, k = np.unique(years, return_inverse=True)
-        return labels, [int(p) for p in periods], i, j, k, values
-
+    error = None  # (row, message) of the first row that does not parse
     try:
         with _open(path) as handle:
-            reader = csv.reader(handle)
-            head = next(reader, None)
+            head = next(csv.reader(next(_chunks(handle, 1), [])), None)
             if head is None or [h.strip() for h in head] != list(header):
                 raise ParseError(f"expected header {','.join(header)}", row=1)
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != width:
-                    if any(map(str.strip, row)):
-                        raise ParseError(f"expected {width} fields, got {len(row)}", row=lineno)
-                    continue
-                try:
-                    vals.extend(map(float, row[2:]))
-                except ValueError:
-                    del vals[len(lines) * nv :]
-                    if not any(map(str.strip, row)):
-                        continue
-                    for name, cell in zip(names, row[2:]):
-                        try:
-                            vals.append(float(cell))
-                        except ValueError:
-                            if cell.strip() or name == "year":
-                                message = f"bad {name} {cell.strip()!r}"
-                                raise ParseError(message, row=lineno) from None
-                            blank.append(len(vals))
-                            vals.append(math.nan)
-                origin.append(label_idx.setdefault(row[0], len(label_idx)))
-                dest.append(label_idx.setdefault(row[1], len(label_idx)))
-                lines.append(lineno)
-    except ParseError:
-        table()  # an earlier row may fail a test made on whole columns
-        raise
+            row = 2
+            for chunk in _chunks(handle, _CHUNK_CHARS):
+                cells, rows, row, error = _split(chunk, width, row)
+                values, blanks, bad = _parse_values(cells, width, nv)
+                origins, dests = cells[0::width], cells[1::width]
+                if blanks.any() or bad.any():
+                    # A row of blank cells is skipped; a blank year is bad.
+                    empty = [not (o.strip() or d.strip()) for o, d in zip(origins, dests)]
+                    skip = blanks.all(axis=0) & np.array(empty, dtype=bool)
+                    bad[0] |= blanks[0] & year
+                    bad &= ~skip
+                    if bad.any():
+                        r = int(np.argmax(bad.any(axis=0)))
+                        c = int(np.argmax(bad[:, r]))
+                        cell = cells[r * width + 2 + c].strip()
+                        error = (int(rows[r]), f"bad {names[c]} {cell!r}")
+                        skip[r:] = True
+                    keep = ~skip
+                    origins, dests = ([x for x, k in zip(c, keep) if k] for c in (origins, dests))
+                    values, blanks, rows = values[:, keep], blanks[:, keep], rows[keep]
+                    blank += (np.flatnonzero(blanks.T) + len(vals)).tolist()
+                for lab in sorted(set(origins).union(dests).difference(label_idx)):
+                    label_idx[lab] = len(label_idx)
+                for column, labs in ((origin, origins), (dest, dests)):
+                    indices = np.fromiter(map(label_idx.__getitem__, labs), np.int64, len(labs))
+                    column.frombytes(indices.tobytes())
+                lines.frombytes(rows.tobytes())
+                vals.frombytes(values.T.tobytes())
+                if error:
+                    break
     except UnicodeDecodeError:
         raise ParseError(f"{path} is not UTF-8 text") from None
 
+    labels = sorted({lab.strip() for lab in label_idx})
+    position = {lab: p for p, lab in enumerate(labels)}
+    rank = np.array([position[lab.strip()] for lab in label_idx], dtype=np.intp)
+    i, j = (rank[np.frombuffer(column, dtype=np.int64)] for column in (origin, dest))
+    cells = np.frombuffer(vals).reshape(-1, nv)
+    bad = ~np.isfinite(cells)
+    bad.flat[blank] = False
+    if year:
+        bad[:, 0] |= np.floor(cells[:, 0]) != cells[:, 0]
+    values = cells[:, year:]
+    masks = [bad.any(axis=1)] + [test(i, j, values) for _, test in refuse]
+    hits = [(int(np.argmax(mask)), n) for n, mask in enumerate(masks) if mask.any()]
+    if hits:
+        r, n = min(hits)
+        if n:
+            raise ParseError(refuse[n - 1][0], row=lines[r])
+        c = int(np.argmax(bad[r]))
+        problem = "bad" if names[c] == "year" else "non-finite"
+        raise ParseError(f"{problem} {names[c]} {str(cells[r, c])!r}", row=lines[r])
+    if error:
+        raise ParseError(error[1], row=error[0])
     if not lines:
         raise ParseError("no data rows", row=2)
-    labels, periods, i, j, k, values = out = table()
+
+    years = cells[:, 0] if year else np.zeros(len(lines))
+    periods, k = np.unique(years, return_inverse=True)
+    periods = [int(p) for p in periods]
     cell = (k * len(labels) + i) * len(labels) + j
     order = np.argsort(cell, kind="stable")
     again = order[1:][np.diff(cell[order]) == 0]  # rows whose key came before
@@ -131,7 +233,7 @@ def _read_table(path, header: Sequence[str], what: str, refuse=()):
         r = int(again.min())
         key = (labels[i[r]], labels[j[r]], periods[k[r]])[: 2 + year]
         raise ParseError(f"duplicate {'dyad-period' if year else 'dyad'} {key}", row=lines[r])
-    return out
+    return labels, periods, i, j, k, values
 
 
 def _read_matrix(path, what: str, labels, fill: float, strict: bool = True):
@@ -250,7 +352,7 @@ def write_columns_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]
     their shortest round-trip text, integer columns as integers."""
     rows = map(",".join, zip(*(map(repr, np.asarray(c).tolist()) for c in columns)))
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("".join(f"{row}\n" for row in (",".join(header), *rows)))
+        handle.write("\n".join((",".join(header), *rows)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +379,18 @@ def write_params_json(path, params: CalibratedParams):
     """Write the parameters keyed by dyad ``"origin->destination"``.
 
     The bytes equal ``json.dump(doc, handle, indent=2, sort_keys=True)`` and a
-    newline, for the document that maps NaN to None.  The writer streams one
-    dyad block at a time: the indenting encoder is pure Python and several
-    times slower.
+    newline, for the document that maps NaN to None.  The indenting encoder
+    is pure Python and several times slower, so the writer lays the text out
+    itself, ``_BLOCK_DYADS`` dyads at a time in key order: one
+    ``_json_numbers`` call gives every number of a block, mu's per period
+    (periods sorted as text), and one ``%`` template per dyad places them.
     """
     n = params.n
     keys = [f"{o}->{d}" for o in params.labels for d in params.labels]
-    columns = {
-        name: _json_numbers(np.ravel(arr))
+    # Each field's values as an (n * n, width) grid: width 1, or one column
+    # per period for per-period means.
+    numbers = {
+        name: np.reshape(arr, (n * n, 1))
         for name, arr in (
             ("p", params.p),
             ("b", params.b),
@@ -295,35 +401,44 @@ def write_params_json(path, params: CalibratedParams):
         )
         if arr is not None
     }
-    for name, arr in (("mu_defined", params.mu_defined), ("me_observed", params.me_observed)):
-        if arr is not None:
-            columns[name] = ["true" if v else "false" for v in np.ravel(arr).tolist()]
+    flags = {
+        name: np.ravel(arr)
+        for name, arr in (("mu_defined", params.mu_defined), ("me_observed", params.me_observed))
+        if arr is not None
+    }
     if params.has_periods:
         periods = params.periods
         by_text = sorted(range(len(periods)), key=lambda k: str(periods[k]))
-        mu = params.mu.reshape(len(periods), n * n)[by_text].T
-        heads = [f'\n        "{periods[k]}": ' for k in by_text]
-
-        def mu_text(k: int) -> str:
-            numbers = map(str.__add__, heads, _json_numbers(mu[k]))
-            return "{" + ",".join(numbers) + "\n      }" if heads else "{}"
+        numbers["mu"] = params.mu.reshape(len(periods), n * n)[by_text].T
+        heads = [f'\n        "{str(periods[k]).replace("%", "%%")}": %s' for k in by_text]
+        mu_slot = "{" + ",".join(heads) + "\n      }" if heads else "{}"
     else:
-        mu_numbers = _json_numbers(params.mu.ravel())
-        mu_text = mu_numbers.__getitem__
-    names = sorted([*columns, "mu"])
+        numbers["mu"] = params.mu.reshape(n * n, 1)
+        mu_slot = "%s"
+    names = sorted([*numbers, *flags])
+    slots = ",".join(f'\n      "{name}": {mu_slot if name == "mu" else "%s"}' for name in names)
+    template = "\n    %s: {" + slots + "\n    }"
     periods_text = (
         "null" if params.periods is None else _json_list([repr(t) for t in params.periods])
     )
 
+    order = np.array(sorted(range(n * n), key=keys.__getitem__), dtype=np.intp)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write('{\n  "dyads": {')
-        for pos, k in enumerate(sorted(range(n * n), key=keys.__getitem__)):
-            fields = ",".join(
-                f'\n      "{name}": {mu_text(k) if name == "mu" else columns[name][k]}'
-                for name in names
-            )
-            head = "," if pos else ""
-            handle.write(f"{head}\n    {encode_basestring_ascii(keys[k])}: {{{fields}\n    }}")
+        for start in range(0, n * n, _BLOCK_DYADS):
+            block = order[start : start + _BLOCK_DYADS]
+            # The block's numbers in one call, one run of len(block) per
+            # column, in the order of the template's slots.
+            grid = np.concatenate([numbers[name][block].T for name in names if name in numbers])
+            text = _json_numbers(grid.ravel())
+            columns = (text[at : at + len(block)] for at in range(0, len(text), len(block)))
+            args = [[encode_basestring_ascii(keys[k]) for k in block.tolist()]]
+            for name in names:
+                if name in flags:
+                    args.append(["true" if v else "false" for v in flags[name][block].tolist()])
+                else:
+                    args += islice(columns, numbers[name].shape[1])
+            handle.write(("," if start else "") + ",".join(map(template.__mod__, zip(*args))))
         handle.write("\n  }," if n else "},")
         labels_text = _json_list([encode_basestring_ascii(lab) for lab in params.labels])
         handle.write(f'\n  "labels": {labels_text},\n  "periods": {periods_text}\n}}\n')
@@ -408,6 +523,9 @@ def write_draws_csv(path, draw_set: DrawSet):
 
 
 def read_draws_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """The outcome labels and the (B, q) draws of a :func:`write_draws_csv`
+    file; ParseError names the first ragged row or row with a bad or
+    non-finite draw."""
     with _open(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -423,6 +541,9 @@ def read_draws_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
                 rows.append([float(c) for c in row])
             except ValueError:
                 raise ParseError("bad number", row=lineno) from None
+            if not all(map(math.isfinite, rows[-1])):
+                cell = next(c for c, v in zip(row, rows[-1]) if not math.isfinite(v))
+                raise ParseError(f"non-finite draw {cell.strip()!r}", row=lineno)
     if not rows:
         raise ParseError("no draws", row=2)
     return tuple(h.strip() for h in header), np.asarray(rows)
@@ -453,6 +574,8 @@ def intervals_to_json(
 
 
 def write_json(path, doc: dict):
+    """Strict JSON: a NaN or infinity in ``doc`` is a ValueError and nothing
+    is written, so a field that can be undefined must hold None instead."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")

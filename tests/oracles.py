@@ -6,11 +6,15 @@ Newton iteration on the log market-clearing defects, the posterior oracle
 does numerical Bayes on a grid instead of conjugate algebra, the variance
 oracle enumerates dyad pairs instead of node sums, and the fixed-effects
 regressions are rebuilt on a dense dummy design instead of the library's
-concentrated projection, and the params.json document is built as a dict
-for ``json.dumps`` instead of the library's streaming writer.
+concentrated projection, the params.json document is built as a dict
+for ``json.dumps`` instead of the library's streaming writer, and the
+dyadic table is read row by row from one ``csv.reader`` over the whole file
+instead of the library's chunked column parse.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 from scipy import optimize
@@ -160,3 +164,73 @@ def params_json_doc(params) -> dict:
             dyads[f"{o}->{d}"] = entry
     periods = None if params.periods is None else list(params.periods)
     return {"labels": list(params.labels), "periods": periods, "dyads": dyads}
+
+
+def read_table_rows(path, header, what: str):
+    """A dyadic CSV read the slow way, as ``flowuq.dataio._read_table`` reads
+    it without ``refuse`` tests: one ``csv.reader`` over the whole file and
+    every rule applied row by row.  Returns the sorted labels and periods and
+    one ``(i, j, k, values)`` tuple per data row, or raises ParseError at the
+    first row (a CSV record, the header being row 1) that breaks a rule.
+
+    Rules, in the order they are tried on a row: a record whose cells are
+    all blank is skipped; a record of the wrong width is an error; a cell
+    that float() refuses is bad unless it is a blank value cell (missing,
+    NaN); then a year must be a finite whole number and a value finite.  A
+    key (origin, destination[, year]) seen on an earlier row is an error at
+    its second row, reported only when no row breaks another rule.
+    """
+    from flowuq.errors import ParseError
+
+    year = header[2] == "year"
+    width = len(header)
+    names = ["year"] * year + [what] * (width - 2 - year)
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        records = list(csv.reader(handle))
+    if not records or [h.strip() for h in records[0]] != list(header):
+        raise ParseError(f"expected header {','.join(header)}", row=1)
+    rows = []
+    for row, record in enumerate(records[1:], start=2):
+        if not any(cell.strip() for cell in record):
+            continue
+        if len(record) != width:
+            raise ParseError(f"expected {width} fields, got {len(record)}", row=row)
+        numbers = []
+        for name, cell in zip(names, record[2:]):
+            if not cell.strip() and name != "year":
+                numbers.append(None)
+                continue
+            try:
+                numbers.append(float(cell))
+            except ValueError:
+                raise ParseError(f"bad {name} {cell.strip()!r}", row=row) from None
+        for name, x in zip(names, numbers):
+            if x is None:
+                continue
+            if name == "year" and not (np.isfinite(x) and x == int(x)):
+                raise ParseError(f"bad year {str(x)!r}", row=row)
+            if name != "year" and not np.isfinite(x):
+                raise ParseError(f"non-finite {name} {str(x)!r}", row=row)
+        numbers = [np.nan if x is None else x for x in numbers]
+        rows.append((row, record[0].strip(), record[1].strip(), numbers))
+    if not rows:
+        raise ParseError("no data rows", row=2)
+    seen = set()
+    for row, o, d, numbers in rows:
+        key = (o, d, int(numbers[0])) if year else (o, d)
+        if key in seen:
+            kind = "dyad-period" if year else "dyad"
+            raise ParseError(f"duplicate {kind} {key}", row=row)
+        seen.add(key)
+    labels = sorted({o for _, o, _, _ in rows} | {d for _, _, d, _ in rows})
+    periods = sorted({int(numbers[0]) for *_, numbers in rows}) if year else [0]
+    out = [
+        (
+            labels.index(o),
+            labels.index(d),
+            periods.index(int(numbers[0])) if year else 0,
+            numbers[year:],
+        )
+        for _, o, d, numbers in rows
+    ]
+    return labels, periods, out

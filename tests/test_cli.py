@@ -832,6 +832,16 @@ def test_report_ranks_length_mismatch(tmp_path):
     assert code == 2
 
 
+def test_report_ranks_refuses_a_non_finite_draw(tmp_path, capsys):
+    # A NaN draw used to reach ranks.json as the bare token NaN, which is not JSON.
+    path = tmp_path / "draws.csv"
+    path.write_text("a,b\n1.0,2.0\nnan,3.0\n2.0,1.0\n", encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["report-ranks", "--draws", str(path), "--output-dir", str(out)]) == 2
+    assert "row 3: non-finite draw 'nan'" in capsys.readouterr().err
+    assert not (out / "ranks.json").exists()
+
+
 def test_simulate_attenuation_smoke(tmp_path):
     out = tmp_path / "att"
     code = main(

@@ -3,12 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowuq import DataError, ParseError, calibrate_mirror, ingest_mirror_csv
 from flowuq import dataio
 from flowuq.scenarios import armington_world, mirror_world
 
-from .oracles import params_json_doc
+from .oracles import params_json_doc, read_table_rows
 
 
 def test_flows_csv_roundtrip(tmp_path):
@@ -143,7 +145,7 @@ def _odd_label_params():
     mu = np.array(params.mu)
     mu[0, 0, 1] = np.inf
     mu[2, 1, 0] = -np.inf
-    return replace(params, mu=mu, labels=('a"b', "c,d", "Zürich\\", "東京"))
+    return replace(params, mu=mu, labels=('a"b', "c,d %s", "Zürich\\ %%", "東京{0}"))
 
 
 @pytest.mark.parametrize(
@@ -398,3 +400,210 @@ def test_params_json_must_list_every_dyad():
     del doc["dyads"][f"{first}->{second}"]
     with pytest.raises(DataError, match=f"params file has no dyad '{first}->{second}'"):
         dataio.params_from_json(doc)
+
+
+def test_write_json_is_strict(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        dataio.write_json(path, {"x": float("nan")})
+    assert not path.exists()
+    dataio.write_json(path, {"x": None, "y": 1.5})
+    assert json.loads(path.read_text(encoding="utf-8")) == {"x": None, "y": 1.5}
+
+
+# The reader takes whole lines in chunks of about _CHUNK_CHARS characters.
+# Run with every chunk size from one line at a time up to the whole file, a
+# chunk boundary falls at every line, also inside a quoted record.
+MIRROR_HEAD = "origin,destination,year,flow_report1,flow_report2"
+
+
+def _chunk_sizes(text):
+    return range(1, len(text) + 2)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_quoted_label_with_a_comma_and_a_line_break_across_chunks(tmp_path, monkeypatch, eol):
+    lines = [
+        MIRROR_HEAD,
+        "A,B,2000,1.0,2.0",
+        '"Paris,' + eol + 'FR",A,2000,3.0,4.0',
+        'A,"Paris,' + eol + 'FR",2000,5.0,',
+        "B,A,2000,6.0,7.0",
+    ]
+    text = eol.join(lines) + eol
+    path, again = tmp_path / "m.csv", tmp_path / "again.csv"
+    path.write_bytes(text.encode("utf-8"))
+    again.write_bytes((text + "B,A,2000,8.0,8.0" + eol).encode("utf-8"))
+    nan = np.nan
+    for size in _chunk_sizes(text):
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", size)
+        labels, periods, r1, r2 = dataio.read_mirror_csv(path)
+        assert labels == ["A", "B", f"Paris,{eol}FR"] and periods == [2000], size
+        np.testing.assert_array_equal(r1[0], [[nan, 1.0, 5.0], [6.0, nan, nan], [3.0, nan, nan]])
+        np.testing.assert_array_equal(r2[0], [[nan, 2.0, nan], [7.0, nan, nan], [4.0, nan, nan]])
+        # Rows count records: the quoted records take two lines each.
+        with pytest.raises(ParseError, match="duplicate") as info:
+            dataio.read_mirror_csv(again)
+        assert info.value.row == 6
+
+
+@pytest.mark.parametrize("kind", ["flows", "mirror"])
+def test_blank_rows_at_chunk_boundaries(tmp_path, monkeypatch, kind):
+    rows = [("A", "B", 1.5), "", "   ", " , , ", " , , , , ", ("B", "A", 2.5), " , , ", ""]
+    path = _write_dyadic(tmp_path / "in.csv", kind, rows)
+    text = path.read_text(encoding="utf-8")
+    for size in _chunk_sizes(text):
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", size)
+        values = DYADIC_READERS[kind][2](path, ("A", "B"))
+        assert values[0, 1] == 1.5 and values[1, 0] == 2.5, size
+    # A row after the blank ones keeps its record number.
+    path = _write_dyadic(tmp_path / "in.csv", kind, rows + [("B", "A", "x")])
+    for size in _chunk_sizes(text):
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", size)
+        with pytest.raises(ParseError, match="bad") as info:
+            DYADIC_READERS[kind][2](path, ("A", "B"))
+        assert info.value.row == 10
+
+
+def test_first_bad_row_is_reported_across_chunks(tmp_path, monkeypatch):
+    # A non-finite cell in the first chunk, an unparsable one in the second:
+    # the reader stops at the second, but reports the first.
+    rows = [("A", "B", 1.0), ("B", "A", "inf"), ("A", "C", 2.0), ("C", "A", "x")]
+    path = _write_dyadic(tmp_path / "in.csv", "flows", rows)
+    monkeypatch.setattr(dataio, "_CHUNK_CHARS", 20)
+    with pytest.raises(ParseError, match="non-finite flow 'inf'") as info:
+        dataio.read_flows_csv(path)
+    assert info.value.row == 3
+    rows[1] = ("B", "A", 2.0)
+    path = _write_dyadic(tmp_path / "in.csv", "flows", rows)
+    with pytest.raises(ParseError, match="bad flow 'x'") as info:
+        dataio.read_flows_csv(path)
+    assert info.value.row == 5
+
+
+def test_duplicate_reported_at_its_second_row_across_chunks(tmp_path, monkeypatch):
+    rows = [("A", "B", 1.0), ("B", "A", 2.0), ("A", "C", 3.0), ("C", "A", 4.0), (" A", "B ", 5.0)]
+    path = _write_dyadic(tmp_path / "in.csv", "mirror", rows)
+    for size in (1, 30, 60):
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", size)
+        with pytest.raises(ParseError, match=r"duplicate dyad-period \('A', 'B', 2000\)") as info:
+            dataio.read_mirror_csv(path)
+        assert info.value.row == 6
+
+
+@pytest.mark.parametrize("kind, width", [("flows", 3), ("mirror", 5)])
+def test_ragged_rows_that_make_up_each_others_fields(tmp_path, kind, width):
+    # One row a field long and the next a field short hold the chunk's count
+    # of cells, but not one row of the header's width each.
+    long, short = ",".join(["1"] * (width + 1)), ",".join(["1"] * (width - 1))
+    path = _write_dyadic(tmp_path / "in.csv", kind, [("A", "B", 1), long, short])
+    with pytest.raises(ParseError, match=f"expected {width} fields, got {width + 1}") as info:
+        DYADIC_READERS[kind][2](path, ("A", "B"))
+    assert info.value.row == 3
+
+
+def test_blank_year_is_bad(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(MIRROR_HEAD + "\nA,B,2000,1,1\nB,A,,2,2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="bad year ''") as info:
+        dataio.read_mirror_csv(path)
+    assert info.value.row == 3
+
+
+def test_blank_report_on_the_split_path_is_missing(tmp_path):
+    # "A,B,2000,,1.5" has no quote and the header's comma count, so its chunk
+    # is split without csv.reader.
+    path = tmp_path / "m.csv"
+    rows = ["A,B,2000,,1.5", "B,A,2000,2.0,2.5", "A,B,2001,1.0,1.0", "B,A,2001,3.0,3.0"]
+    path.write_text("\n".join([MIRROR_HEAD, *rows]) + "\n", encoding="utf-8")
+    _, _, r1, r2 = dataio.read_mirror_csv(path)
+    assert np.isnan(r1[0, 0, 1]) and r2[0, 0, 1] == 1.5
+    panel = ingest_mirror_csv(path)
+    assert panel.report1[0, 0, 1] == 0.0 and panel.na_zeroed == 1 and panel.na_copied == 0
+
+
+# Tokenizer equivalence: the chunked column parse against one csv.reader row
+# loop, on tables whose labels need quoting and whose lines end in LF, CRLF
+# or CR.  U+2028 and U+0085 end a line for str.splitlines but not for csv.
+_ODD_LABEL = st.text(st.sampled_from(list('AbZ ,"é東\u2028\u0085\n\r')), max_size=5)
+_LABEL = st.one_of(st.sampled_from(["A", "B", " C ", "DD"]), _ODD_LABEL)
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr),
+    st.sampled_from(["", " ", " 2.5 ", "-0.0", "1e-300", "7"]),
+)
+_YEAR = st.sampled_from(["1999", "2000", " 2001 ", "2000.0"])
+# A table that is not clean may also hold a bad or non-finite cell, a ragged
+# row or a repeated key.
+_BAD_NUMBER = st.sampled_from(["inf", "nan", "x", "1.5.0"])
+_BAD_YEAR = st.sampled_from(["", "nan", "2000.5", "x"])
+
+
+def _field(text: str, quote: bool) -> str:
+    if quote or any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def _tables(draw):
+    mirror = draw(st.booleans())
+    clean = draw(st.booleans())
+    header = dataio._MIRROR_HEADER if mirror else ("origin", "destination", "flow")
+    width = len(header)
+    labels = draw(st.lists(_LABEL, min_size=1, max_size=5))
+    lines, keys = [",".join(header)], set()
+    for _ in range(draw(st.integers(1, 15))):
+        shape = draw(st.sampled_from(["row"] * 8 + ["blank"] + ["ragged"] * (not clean)))
+        if shape == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", " , , ", " , , , , "])))
+            continue
+        bad = not clean and draw(st.integers(0, 9)) == 0
+        cells = [draw(st.sampled_from(labels)), draw(st.sampled_from(labels))]
+        if mirror:
+            cells.append(draw(_BAD_YEAR if bad and draw(st.booleans()) else _YEAR))
+        cells += [draw(_NUMBER) for _ in range(width - len(cells))]
+        if bad:
+            cells[draw(st.integers(len(cells) - 1, width - 1))] = draw(_BAD_NUMBER)
+        if clean:
+            key = (cells[0].strip(), cells[1].strip(), float(cells[2]) if mirror else 0)
+            if key in keys:
+                continue
+            keys.add(key)
+        if shape == "ragged":
+            short = draw(st.booleans())
+            cells = cells[: draw(st.integers(1, width - 1))] if short else cells + ["1"]
+        lines.append(",".join(_field(c, draw(st.integers(0, 9)) == 0) for c in cells))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return header, (bom + text).encode("utf-8"), draw(st.integers(1, 200))
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ParseError as exc:
+        return ("ParseError", exc.row, str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_chunked_reader_matches_a_csv_row_loop(tmp_path_factory, table):
+    header, data, chunk = table
+    path = tmp_path_factory.mktemp("table") / "in.csv"
+    path.write_bytes(data)
+    what = header[-1] if len(header) == 3 else "flow"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_CHUNK_CHARS", chunk)
+        got = _outcome(lambda: dataio._read_table(path, header, what))
+    expected = _outcome(lambda: read_table_rows(path, header, what))
+    if expected[0] == "ParseError":
+        assert got == expected
+        return
+    labels, periods, rows = expected
+    assert got[:2] == (labels, periods)
+    i, j, k, values = got[2:]
+    np.testing.assert_array_equal(i, [r[0] for r in rows])
+    np.testing.assert_array_equal(j, [r[1] for r in rows])
+    np.testing.assert_array_equal(k, [r[2] for r in rows])
+    np.testing.assert_array_equal(values, np.array([r[3] for r in rows]).reshape(values.shape))
