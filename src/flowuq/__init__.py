@@ -45,11 +45,11 @@ from .core import (
 )
 from .engine import (
     LowDimSmoother,
-    SvdSmoother,
     UqConfig,
     draw_rng,
     point_estimate,
     run_algorithm1,
+    run_uq,
 )
 from .errors import (
     BadQuantileGrid,
@@ -64,7 +64,6 @@ from .errors import (
     NoConvergence,
     NotPSD,
     ParseError,
-    RankTooLarge,
     Separation,
     TooFewDraws,
     TooManyFailures,

@@ -33,15 +33,7 @@ from . import dataio
 from .armington import ArmingtonModel, solve_counterfactual, welfare_change_pct
 from .calibration import calibrate_baseline, calibrate_mirror, ingest_mirror_csv
 from .core import CounterfactualSpec, EstimatorResult, FlowMatrix
-from .engine import (
-    INTERVAL_KINDS,
-    MODES,
-    LowDimSmoother,
-    SvdSmoother,
-    UqConfig,
-    point_estimate,
-    run_algorithm1,
-)
+from .engine import INTERVAL_KINDS, MODES, LowDimSmoother, UqConfig, run_uq
 from .errors import (
     DataError,
     FlowUqError,
@@ -49,7 +41,7 @@ from .errors import (
     LengthMismatch,
     TooManyFailures,
 )
-from .gravity import PpmlEstimator, fit_log_gravity, fit_ppml, independent_variance
+from .gravity import fit_log_gravity, fit_ppml, independent_variance
 from .robustness import (
     AttenuationSimConfig,
     gravity_partial_plot,
@@ -275,8 +267,6 @@ def cmd_uq(args: argparse.Namespace) -> int:
         _refuse_unused(args, "--interval c2", "b_inner")
     if args.interval != "robust":
         _refuse_unused(args, "--interval robust", "robust_c")
-    if args.smoother != "svd":
-        _refuse_unused(args, "--smoother svd", "svd_rank")
     if args.smoother != "lowdim":
         _refuse_unused(args, "--smoother lowdim", "distances")
     if args.mode == "only-ee":
@@ -290,13 +280,10 @@ def cmd_uq(args: argparse.Namespace) -> int:
             raise DataError("params and flows cover different locations")
 
     if args.costs is not None:
-        log_costs = dataio.read_costs_csv(args.costs, flows.labels)
-        fit = fit_ppml(flows, log_costs, include_diagonal=args.include_diagonal)
-        observed = fit.to_estimator_result()
-        estimator = PpmlEstimator(log_costs, fit, args.include_diagonal)
+        estimation = dataio.read_costs_csv(args.costs, flows.labels)
     else:
         se = args.theta_se or 0.0
-        observed = estimator = EstimatorResult(
+        estimation = EstimatorResult(
             theta_hat=np.array([args.theta]), sigma_hat=np.array([[se**2]])
         )
 
@@ -316,25 +303,20 @@ def cmd_uq(args: argparse.Namespace) -> int:
     )
 
     smoother = None
-    if args.smoother == "svd":
-        smoother = SvdSmoother(_required(args, "svd_rank"))
-    elif args.smoother == "lowdim":
+    if args.smoother == "lowdim":
         distances = dataio.read_distances_csv(_required(args, "distances"), flows.labels)
         smoother = LowDimSmoother(distances)
-    if args.mode != "ee+me":
-        # The loop estimates only the observed matrix, whose fit is at hand.
-        estimator = observed
 
-    draw_set, intervals = run_algorithm1(
-        flows, params, estimator, model, cf, cfg, smoother=smoother
+    draw_set, intervals, point = run_uq(
+        flows, params, estimation, model, cf, cfg, smoother, args.include_diagonal
     )
-    point = point_estimate(flows, observed, model, cf)
 
     dataio.write_draws_csv(out / "draws.csv", draw_set)
     dataio.write_json(
         out / "interval.json",
         dataio.intervals_to_json(
-            intervals, draw_set.labels, point=point, seed=cfg.seed, mode=cfg.mode
+            intervals, draw_set.labels, point, cfg.seed, cfg.mode,
+            "g(F)" if smoother is None else "g(S(F))",
         ),
     )
     _log(
@@ -536,8 +518,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
     add("--b-inner", type=int, help="with --interval c2 (default --b)")
     add("--max-failure-frac", type=float, default=0.05)
     add("--workers", type=int, default=1)
-    add("--smoother", choices=["none", "lowdim", "svd"], default="none")
-    add("--svd-rank", type=int, help="with --smoother svd")
+    add("--smoother", choices=["none", "lowdim"], default="none",
+        help="lowdim: evaluate the model on the gravity fit of each draw (estimand g(S(F)))")
     add("--distances", help="distances CSV, with --smoother lowdim")
 
     p, add = command("diagnose", cmd_diagnose, "model-adequacy diagnostics")

@@ -552,13 +552,16 @@ def read_draws_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
 def intervals_to_json(
     intervals: Sequence[Interval],
     labels: Sequence[str],
-    point: np.ndarray | None = None,
-    seed: int | None = None,
-    mode: str | None = None,
+    point: np.ndarray,
+    seed: int,
+    mode: str,
+    estimand: str,
 ) -> dict:
-    out = {"seed": seed, "mode": mode, "outcomes": []}
-    for q, interval in enumerate(intervals):
-        entry = {
+    """The ``interval.json`` document.  ``estimand`` names what the
+    intervals cover: ``"g(F)"``, the counterfactual at the true flows, or
+    ``"g(S(F))"``, the counterfactual at the smoothed true flows."""
+    outcomes = [
+        {
             "outcome": labels[q],
             "lo": interval.lo,
             "hi": interval.hi,
@@ -566,11 +569,11 @@ def intervals_to_json(
             "kind": interval.kind,
             "draws_used": interval.draws_used,
             "draws_failed": interval.draws_failed,
+            "point_estimate": float(point[q]),
         }
-        if point is not None:
-            entry["point_estimate"] = float(point[q])
-        out["outcomes"].append(entry)
-    return out
+        for q, interval in enumerate(intervals)
+    ]
+    return {"seed": seed, "mode": mode, "estimand": estimand, "outcomes": outcomes}
 
 
 def write_json(path, doc: dict):

@@ -4,8 +4,11 @@ The draw loop is the same in every variant: sample a data matrix from the
 measurement-error posterior, re-estimate the structural parameter on it and
 draw the parameter from N(theta_hat, Sigma_hat), evaluate the counterfactual.
 Modes fix one leg ("only-ee" keeps the observed data, estimated once;
-"only-me" keeps the point estimate).  A smoother transforms the matrix the
-model evaluates; the parameter is always estimated on the unsmoothed one.
+"only-me" keeps the point estimate).  The one smoother,
+:class:`LowDimSmoother`, transforms the matrix the model evaluates; the
+parameter is always estimated on the unsmoothed one.  :func:`run_uq` is the
+``flowuq uq`` pipeline: it fits the observed matrix, picks the estimator the
+mode needs, runs the loop and evaluates the point estimate.
 The loop runs in batches of draws, as many as fit a budget of stacked n x n
 cells chosen from a measured sweep of batch sizes (``_BATCH_CELLS``: 40
 draws at n = 30, 3 at n = 100).  A batch's matrices are estimated
@@ -41,13 +44,8 @@ from .core import (
     evaluate_model,
     evaluate_model_many,
 )
-from .errors import (
-    DataError,
-    ModelEvaluationFailed,
-    RankTooLarge,
-    TooManyFailures,
-)
-from .gravity import fit_log_gravity, sample_theta
+from .errors import DataError, ModelEvaluationFailed, TooManyFailures
+from .gravity import PpmlEstimator, fit_log_gravity, fit_ppml, sample_theta
 from .intervals import Interval, _check_grid, _order_stats
 
 Estimator = Callable[[FlowMatrix], EstimatorResult]
@@ -114,29 +112,7 @@ def draw_rng(seed: int, draw: int, substream: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Smoothers
-
-
-@dataclass(frozen=True)
-class SvdSmoother:
-    """Truncated-SVD matrix approximation keeping the top ``rank`` singular
-    values.  Negative entries of the reconstruction are clamped to zero
-    (flows are non-negative)."""
-
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise DataError("rank must be >= 1")
-
-    def __call__(self, flows: FlowMatrix) -> FlowMatrix:
-        if self.rank > flows.n:
-            raise RankTooLarge(
-                f"rank {self.rank} exceeds matrix dimension {flows.n}"
-            )
-        u, s, vt = np.linalg.svd(flows.values, full_matrices=False)
-        approx = (u[:, : self.rank] * s[: self.rank]) @ vt[: self.rank]
-        return flows.replace_values(np.clip(approx, 0.0, None))
+# Smoother
 
 
 @dataclass(frozen=True)
@@ -391,3 +367,38 @@ def point_estimate(
 ) -> np.ndarray:
     """g evaluated at the observed data and the point estimate."""
     return evaluate_model(model, flows_obs, _estimate(estimator, flows_obs).theta_hat, cf_spec)
+
+
+def run_uq(
+    flows_obs: FlowMatrix,
+    params: CalibratedParams | None,
+    estimation: np.ndarray | EstimatorResult,
+    model: ModelFunction,
+    cf_spec: CounterfactualSpec,
+    cfg: UqConfig,
+    smoother: Callable[[FlowMatrix], FlowMatrix] | None = None,
+    include_diagonal: bool = False,
+) -> tuple[DrawSet, tuple[Interval, ...], np.ndarray]:
+    """The ``flowuq uq`` pipeline: the draw set, one interval per outcome
+    and the point estimate g at the observed data.
+
+    ``estimation`` is either the log costs, on which PPML estimates the
+    elasticity, or an external :class:`EstimatorResult`.  With log costs the
+    observed matrix is fitted once; in ee+me every drawn matrix is
+    re-estimated by a :class:`PpmlEstimator` started at that fit, and in the
+    other modes, which estimate only the observed matrix, the loop takes the
+    observed fit as it is.  The point estimate uses the observed fit (or the
+    external estimate) and the unsmoothed observed matrix.
+    """
+    if isinstance(estimation, EstimatorResult):
+        observed = estimator = estimation
+    else:
+        fit = fit_ppml(flows_obs, estimation, include_diagonal=include_diagonal)
+        observed = fit.to_estimator_result()
+        estimator = (
+            PpmlEstimator(estimation, fit, include_diagonal) if cfg.mode == "ee+me" else observed
+        )
+    draw_set, intervals = run_algorithm1(
+        flows_obs, params, estimator, model, cf_spec, cfg, smoother=smoother
+    )
+    return draw_set, intervals, point_estimate(flows_obs, observed, model, cf_spec)

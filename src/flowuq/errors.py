@@ -108,7 +108,3 @@ class BadQuantileGrid(FlowUqError):
 
 class TooFewDraws(FlowUqError):
     """Not enough draws to resolve the requested tail quantile."""
-
-
-class RankTooLarge(FlowUqError):
-    """Requested truncation rank exceeds the matrix dimension."""

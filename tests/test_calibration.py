@@ -592,7 +592,7 @@ class TestShrinkVariances:
 class TestMirrorCsv:
     def write(self, tmp_path, rows, header="origin,destination,year,flow_report1,flow_report2"):
         path = tmp_path / "mirror.csv"
-        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
         return path
 
     def test_round_trip_no_missing(self, tmp_path):

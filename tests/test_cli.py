@@ -66,7 +66,7 @@ def test_calibrate_mirror_writes_artifacts(mirror_files, tmp_path):
         "gravity_binned.csv",
     ):
         assert (out / name).exists()
-    summary = json.loads((out / "calibration_summary.json").read_text())
+    summary = json.loads((out / "calibration_summary.json").read_text(encoding="utf-8"))
     assert summary["regime"] == "mirror"
     assert len(summary["adj_r2_by_period"]) == 5
     params = dataio.read_params_json(out / "params.json")
@@ -86,7 +86,7 @@ def test_calibrate_mirror_reports_zero_prior_variances(tmp_path, capsys):
     out = tmp_path / "calib"
     argv = ["calibrate", "--mirror", str(mirror), "--distances", str(dist)]
     assert main(argv + ["--output-dir", str(out)]) == 0
-    summary = json.loads((out / "calibration_summary.json").read_text())
+    summary = json.loads((out / "calibration_summary.json").read_text(encoding="utf-8"))
     params = dataio.read_params_json(out / "params.json")
     off = ~np.eye(params.n, dtype=bool)
     zeros = int(np.count_nonzero(params.s2_shrunk[off] == 0.0))
@@ -95,7 +95,7 @@ def test_calibrate_mirror_reports_zero_prior_variances(tmp_path, capsys):
     assert f"{zeros} off-diagonal dyads keep a zero prior variance" in capsys.readouterr().err
 
     assert main(argv + ["--output-dir", str(tmp_path / "raw"), "--no-shrink"]) == 0
-    raw = json.loads((tmp_path / "raw" / "calibration_summary.json").read_text())
+    raw = json.loads((tmp_path / "raw" / "calibration_summary.json").read_text(encoding="utf-8"))
     assert raw["s2_shrunk_zero_dyads"] is None
 
 
@@ -126,7 +126,7 @@ def test_calibrate_mirror_with_a_location_absent_from_the_last_period(tmp_path):
     assert main(argv + ["--output-dir", str(out)]) == 0
     for name in _ARTIFACTS:
         assert (out / name).exists(), name
-    partial = np.loadtxt(out / "gravity_partial.csv", delimiter=",", skiprows=1)
+    partial = np.loadtxt(out / "gravity_partial.csv", delimiter=",", skiprows=1, encoding="utf-8")
     sample = (r1[-1] > 0) & ~np.eye(6, dtype=bool)
     assert len(partial) == np.count_nonzero(sample) == 6 * 5 - 5
 
@@ -180,7 +180,7 @@ def test_non_finite_parameters_exit_2(armington_files, tmp_path, capsys):
     uq = ["uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs)]
     uq += ["--uniform-increase", "0.1", "--b", "40"]
     negative_seed = tmp_path / "seed.conf"
-    negative_seed.write_text("seed = -3\n")
+    negative_seed.write_text("seed = -3\n", encoding="utf-8")
     from_file = ["--config", str(negative_seed)]
     cases = [
         (uq + ["--seed", "-1"], "seed must be non-negative", "draws.csv"),
@@ -233,7 +233,7 @@ def test_calibrate_na_counting(tmp_path):
         "C,B,2001,1.0,1.0",
     ]
     mirror = tmp_path / "m.csv"
-    mirror.write_text("\n".join(rows) + "\n")
+    mirror.write_text("\n".join(rows) + "\n", encoding="utf-8")
     dist = tmp_path / "d.csv"
     labels = ["A", "B", "C"]
     dataio.write_dyadic_csv(
@@ -315,7 +315,7 @@ def test_uq_byte_identical_and_mode_ladder(armington_files, tmp_path):
             ]
         )
         assert code == 0
-        doc = json.loads((out / "interval.json").read_text())
+        doc = json.loads((out / "interval.json").read_text(encoding="utf-8"))
         entry = doc["outcomes"][0]
         widths[mode] = entry["hi"] - entry["lo"]
     assert widths["ee+me"] >= widths["only-ee"]
@@ -390,7 +390,7 @@ def test_uq_external_estimator_and_robust_interval(armington_files, tmp_path):
         ]
     )
     assert code == 0
-    doc = json.loads((out / "interval.json").read_text())
+    doc = json.loads((out / "interval.json").read_text(encoding="utf-8"))
     assert doc["outcomes"][0]["kind"] == "robust(c=1.5)"
 
 
@@ -411,11 +411,12 @@ def test_config_file_precedence(armington_files, tmp_path):
                 "seed = 3",
             ]
         )
-        + "\n"
+        + "\n",
+        encoding="utf-8",
     )
     out1 = tmp_path / "c1"
     assert main(["uq", "--config", str(conf), "--output-dir", str(out1)]) == 0
-    doc = json.loads((out1 / "interval.json").read_text())
+    doc = json.loads((out1 / "interval.json").read_text(encoding="utf-8"))
     assert doc["outcomes"][0]["draws_used"] == 40
     # CLI overrides the file value.
     out2 = tmp_path / "c2"
@@ -435,19 +436,21 @@ def test_config_file_precedence(armington_files, tmp_path):
         )
         == 0
     )
-    doc2 = json.loads((out2 / "interval.json").read_text())
+    doc2 = json.loads((out2 / "interval.json").read_text(encoding="utf-8"))
     assert doc2["outcomes"][0]["draws_used"] == 60
 
 
 @pytest.mark.parametrize(
-    "line, key", [("positive-theta = true", "positive_theta"), ("seeed = 5", "seeed")]
+    "line, key",
+    [("positive-theta = true", "positive_theta"), ("svd-rank = 3", "svd_rank"),
+     ("seeed = 5", "seeed")],
 )
 def test_config_file_unknown_key_exits_2(armington_files, tmp_path, capsys, line, key):
     # A key no option of the command reads is refused, as an unknown flag
     # is, rather than silently ignored.
     scen, flows, dist, costs, params = armington_files
     conf = tmp_path / "run.conf"
-    conf.write_text(f"flows = {flows}\nparams = {params}\ntheta = 5.0\n{line}\n")
+    conf.write_text(f"flows = {flows}\nparams = {params}\ntheta = 5.0\n{line}\n", encoding="utf-8")
     out = tmp_path / "out"
     argv = ["uq", "--config", str(conf), "--uniform-increase", "0.1", "--b", "40"]
     assert main([*argv, "--output-dir", str(out)]) == 2
@@ -476,9 +479,9 @@ _SAMPLES = {
          "include_diagonal": "true", "model": "armington", "cf_spec": "s.csv", "b": "40",
          "alpha": "0.1", "seed": "7", "mode": "only-me", "interval": "c2",
          "robust_c": "1.5", "b_inner": "20", "max_failure_frac": "0.1", "workers": "2",
-         "smoother": "svd", "svd_rank": "2", "distances": "d.csv"},
+         "smoother": "lowdim", "distances": "d.csv"},
         {"flows": "f.csv", "theta": "5", "theta_se": "0.4", "uniform_increase": "-0.1",
-         "smoother": "lowdim", "include_diagonal": "0", "output_dir": "o"},
+         "smoother": "none", "include_diagonal": "0", "output_dir": "o"},
     ],
     "diagnose": [{"flows": "f.csv", "distances": "d.csv", "params": "p.json", "period": "2001",
                   "output_dir": "o"}],
@@ -530,7 +533,7 @@ def test_config_value_parses_as_its_flag(tmp_path, command, sample, key):
     expected = _parsed([command, *rest, *_flags({key: settings[key]})])
     for spelled in (key, key.replace("_", "-")):
         conf = tmp_path / "run.conf"
-        conf.write_text(f"{spelled} = {settings[key]}  # from the file\n")
+        conf.write_text(f"{spelled} = {settings[key]}  # from the file\n", encoding="utf-8")
         assert _parsed([command, "--config", str(conf), *rest]) == expected, spelled
 
 
@@ -543,7 +546,7 @@ def test_config_value_parses_as_its_flag(tmp_path, command, sample, key):
 def test_config_yes_no_spellings(tmp_path, command, key, spelling):
     base = _flags({k: v for k, v in _SAMPLES[command][0].items() if k != key})
     conf = tmp_path / "run.conf"
-    conf.write_text(f"{key} = {spelling}\n")
+    conf.write_text(f"{key} = {spelling}\n", encoding="utf-8")
     flag = key.replace("_", "-")
     yes = spelling.lower() in ("true", "yes", "1")
     expected = _parsed([command, *base, f"--{flag}" if yes else f"--no-{flag}"])
@@ -556,6 +559,7 @@ def test_config_yes_no_spellings(tmp_path, command, key, spelling):
     [
         ("uq", "mode = fast", "invalid choice: 'fast'"),
         ("uq", "model = constant", "invalid choice: 'constant'"),
+        ("uq", "smoother = svd", "invalid choice: 'svd'"),
         ("uq", "interval = c3", "invalid choice: 'c3'"),
         ("uq", "b = forty", "invalid int value: 'forty'"),
         ("uq", "include-diagonal = maybe", "'maybe' is not a boolean"),
@@ -568,7 +572,7 @@ def test_config_yes_no_spellings(tmp_path, command, key, spelling):
 def test_config_value_refused_exits_2(tmp_path, capsys, command, line, message):
     # Exact key names only: argparse would take ``--out`` as --output-dir.
     conf = tmp_path / "run.conf"
-    conf.write_text(line + "\n")
+    conf.write_text(line + "\n", encoding="utf-8")
     argv = [command, *_flags(_SAMPLES[command][0]), "--config", str(conf)]
     out = tmp_path / "out"
     assert cli.main(argv + ["--output-dir", str(out)]) == 2
@@ -589,7 +593,7 @@ def test_conflicting_inputs_exit_2(armington_files, tmp_path, capsys):
     # file values are refused alike.
     _, flows, _, costs, params = armington_files
     spec = tmp_path / "spec.csv"
-    spec.write_text("origin,destination,tau_prop\n")
+    spec.write_text("origin,destination,tau_prop\n", encoding="utf-8")
     uq = ["uq", "--flows", str(flows), "--params", str(params), "--b", "40"]
     cf = ["counterfactual", "--flows", str(flows), "--epsilon", "5"]
     conflict = "not allowed with argument"
@@ -605,7 +609,7 @@ def test_conflicting_inputs_exit_2(armington_files, tmp_path, capsys):
     for i, (argv, line, message) in enumerate(cases):
         key, _, value = (part.strip() for part in line.partition("="))
         conf = tmp_path / f"c{i}.conf"
-        conf.write_text(line + "\n")
+        conf.write_text(line + "\n", encoding="utf-8")
         flag = ["--" + key.replace("_", "-"), value]
         for extra in (flag, ["--config", str(conf)]):
             out = tmp_path / f"o{i}"
@@ -616,10 +620,10 @@ def test_conflicting_inputs_exit_2(armington_files, tmp_path, capsys):
 
 def test_uq_nulled_params_variance_exits_2(armington_files, tmp_path, capsys):
     _, flows, _, costs, params = armington_files
-    doc = json.loads(params.read_text())
+    doc = json.loads(params.read_text(encoding="utf-8"))
     first = next(iter(doc["dyads"]))
     doc["dyads"][first]["s2"] = None
-    params.write_text(json.dumps(doc))
+    params.write_text(json.dumps(doc), encoding="utf-8")
     argv = ["uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs)]
     argv += ["--uniform-increase", "0.1", "--b", "40", "--output-dir", str(tmp_path / "o")]
     assert main(argv) == 2
@@ -630,10 +634,10 @@ def test_uq_params_missing_a_dyad_exits_2(armington_files, tmp_path, capsys):
     # A dyad left out of params.json is an error, not a dyad without
     # measurement error.
     _, flows, _, costs, params = armington_files
-    doc = json.loads(params.read_text())
+    doc = json.loads(params.read_text(encoding="utf-8"))
     first = next(iter(doc["dyads"]))
     del doc["dyads"][first]
-    params.write_text(json.dumps(doc))
+    params.write_text(json.dumps(doc), encoding="utf-8")
     argv = ["uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs)]
     argv += ["--uniform-increase", "0.1", "--b", "40", "--output-dir", str(tmp_path / "o")]
     assert main(argv) == 2
@@ -656,8 +660,6 @@ def test_unused_options_exit_2(armington_files, mirror_files, tmp_path, capsys):
         (uq, "b-inner = 7", "--b-inner needs --interval c2"),
         (uq + ["--interval", "robust"], "b-inner = 7", "--b-inner needs --interval c2"),
         (uq, "robust-c = 3", "--robust-c needs --interval robust"),
-        (uq, "svd-rank = 3", "--svd-rank needs --smoother svd"),
-        (uq + ["--smoother", "lowdim"], "svd-rank = 3", "--svd-rank needs --smoother svd"),
         (uq, "distances = nowhere.csv", "--distances needs --smoother lowdim"),
         (uq, "period = 1999", "--period needs per-period --params"),
         (uq + ["--mode", "only-ee"], "period = 1999", "--period needs --mode only-me or ee+me"),
@@ -672,7 +674,7 @@ def test_unused_options_exit_2(armington_files, mirror_files, tmp_path, capsys):
     for i, (argv, line, message) in enumerate(cases):
         key, _, value = (part.strip() for part in line.partition("="))
         conf = tmp_path / f"c{i}.conf"
-        conf.write_text(line + "\n")
+        conf.write_text(line + "\n", encoding="utf-8")
         if key == "shrink":
             flag = ["--shrink" if value == "yes" else "--no-shrink"]
         else:
@@ -686,10 +688,11 @@ def test_unused_options_exit_2(armington_files, mirror_files, tmp_path, capsys):
 def test_uq_smoother_matches_engine(armington_files, tmp_path):
     # The CLI smooths the matrix the model evaluates and estimates on the raw
     # one: through PpmlEstimator in ee+me, and as the observed PPML fit in
-    # the modes that estimate only the observed matrix.
+    # the modes that estimate only the observed matrix; an external --theta
+    # is used as it is.  interval.json names the estimand the intervals cover.
     from flowuq.armington import ArmingtonModel
-    from flowuq.core import CounterfactualSpec
-    from flowuq.engine import LowDimSmoother, SvdSmoother, UqConfig, run_algorithm1
+    from flowuq.core import CounterfactualSpec, EstimatorResult
+    from flowuq.engine import LowDimSmoother, UqConfig, run_algorithm1
     from flowuq.gravity import PpmlEstimator, fit_ppml
 
     scen, flows, dist, costs, params = armington_files
@@ -699,30 +702,55 @@ def test_uq_smoother_matches_engine(armington_files, tmp_path):
     fit = fit_ppml(flows_obs, log_costs)
     cf = CounterfactualSpec.uniform_increase(flows_obs.n, 0.1)
     smoothers = {
-        "svd": (["--smoother", "svd", "--svd-rank", "2"], SvdSmoother(2)),
+        "none": ([], None, "g(F)"),
         "lowdim": (
             ["--smoother", "lowdim", "--distances", str(dist)],
             LowDimSmoother(dataio.read_distances_csv(dist, flows_obs.labels)),
+            "g(S(F))",
         ),
     }
+    external = EstimatorResult(theta_hat=np.array([4.5]), sigma_hat=np.array([[0.3**2]]))
     for mode in ("only-ee", "only-me", "ee+me"):
-        estimator = (
-            PpmlEstimator(log_costs, fit) if mode == "ee+me" else fit.to_estimator_result()
-        )
-        for name, (flags, smoother) in smoothers.items():
-            out = tmp_path / f"uq_{mode}_{name}"
-            argv = [
-                "uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs),
-                "--uniform-increase", "0.1", "--b", "40", "--seed", "6", "--mode", mode,
-                "--output-dir", str(out), *flags,
-            ]
-            assert main(argv) == 0
-            draw_set, _ = run_algorithm1(
-                flows_obs, params_obs, estimator, ArmingtonModel(), cf,
-                UqConfig(b=40, seed=6, mode=mode), smoother=smoother,
-            )
-            _, drawn = dataio.read_draws_csv(out / "draws.csv")
-            assert np.array_equal(drawn, draw_set.draws), (mode, name)
+        ppml = PpmlEstimator(log_costs, fit) if mode == "ee+me" else fit.to_estimator_result()
+        estimators = {
+            "costs": (["--costs", str(costs)], ppml),
+            "theta": (["--theta", "4.5", "--theta-se", "0.3"], external),
+        }
+        for name, (flags, smoother, estimand) in smoothers.items():
+            for source, (source_flags, estimator) in estimators.items():
+                out = tmp_path / f"uq_{mode}_{name}_{source}"
+                argv = [
+                    "uq", "--flows", str(flows), "--params", str(params), *source_flags,
+                    "--uniform-increase", "0.1", "--b", "40", "--seed", "6", "--mode", mode,
+                    "--output-dir", str(out), *flags,
+                ]
+                assert main(argv) == 0
+                draw_set, _ = run_algorithm1(
+                    flows_obs, params_obs, estimator, ArmingtonModel(), cf,
+                    UqConfig(b=40, seed=6, mode=mode), smoother=smoother,
+                )
+                _, drawn = dataio.read_draws_csv(out / "draws.csv")
+                assert np.array_equal(drawn, draw_set.draws), (mode, name, source)
+                doc = json.loads((out / "interval.json").read_text(encoding="utf-8"))
+                assert doc["estimand"] == estimand
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [(["--smoother", "svd"], "invalid choice: 'svd'"),
+     (["--svd-rank", "3"], "unrecognized arguments: --svd-rank")],
+    ids=["smoother-svd", "svd-rank"],
+)
+def test_uq_svd_smoother_flags_exit_2(armington_files, tmp_path, capsys, flag, message):
+    # The rank-r SVD smoother is gone; the config-file tests above refuse
+    # its keys too.
+    _, flows, _, costs, params = armington_files
+    out = tmp_path / "out"
+    argv = ["uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs)]
+    argv += ["--uniform-increase", "0.1", "--b", "40", *flag, "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_ranks(armington_files, tmp_path):
@@ -758,7 +786,7 @@ def test_report_ranks(armington_files, tmp_path):
         ]
     )
     assert code == 0
-    doc = json.loads((ranks_out / "ranks.json").read_text())
+    doc = json.loads((ranks_out / "ranks.json").read_text(encoding="utf-8"))
     assert len(doc["pairs"]) == 15  # 6 choose 2
     for pair in doc["pairs"]:
         assert 0.0 <= pair["reversal_frequency"] <= 0.5
@@ -783,7 +811,7 @@ def test_report_ranks_separated_normals(tmp_path):
     dataio.write_draws_csv(path, ds)
     out = tmp_path / "r"
     assert main(["report-ranks", "--draws", str(path), "--output-dir", str(out)]) == 0
-    doc = json.loads((out / "ranks.json").read_text())
+    doc = json.loads((out / "ranks.json").read_text(encoding="utf-8"))
     assert doc["pairs"][0]["reversal_frequency"] < 0.001
     assert doc["pairs"][0]["higher"] == "high"
 
@@ -803,7 +831,7 @@ def test_report_ranks_identical_columns_all_ties(tmp_path):
     dataio.write_draws_csv(path, ds)
     out = tmp_path / "r"
     assert main(["report-ranks", "--draws", str(path), "--output-dir", str(out)]) == 0
-    doc = json.loads((out / "ranks.json").read_text())
+    doc = json.loads((out / "ranks.json").read_text(encoding="utf-8"))
     assert doc["pairs"][0]["tie_frequency"] == 1.0
     assert doc["pairs"][0]["reversal_frequency"] == 0.0
 
@@ -879,7 +907,7 @@ def test_counterfactual_and_estimate(armington_files, tmp_path):
         ]
     )
     assert code == 0
-    doc = json.loads((out / "welfare.json").read_text())
+    doc = json.loads((out / "welfare.json").read_text(encoding="utf-8"))
     assert all(v < 0 for v in doc["welfare_pct"].values())
 
     out2 = tmp_path / "est"
@@ -895,7 +923,7 @@ def test_counterfactual_and_estimate(armington_files, tmp_path):
         ]
     )
     assert code == 0
-    doc = json.loads((out2 / "ppml.json").read_text())
+    doc = json.loads((out2 / "ppml.json").read_text(encoding="utf-8"))
     assert abs(doc["epsilon_hat"] - scen.epsilon) < 1.0
 
 
@@ -909,14 +937,14 @@ def test_estimate_variance_modes(armington_files, tmp_path):
     docs = {}
     for mode in ("dyadic", "independent"):
         assert main(argv + ["--variance", mode, "--output-dir", str(tmp_path / mode)]) == 0
-        docs[mode] = json.loads((tmp_path / mode / "ppml.json").read_text())
+        docs[mode] = json.loads((tmp_path / mode / "ppml.json").read_text(encoding="utf-8"))
         assert docs[mode]["variance_mode"] == mode
     assert docs["dyadic"]["variance"] == fit.variance
     assert docs["independent"]["variance"] == gravity.independent_variance(fit)
     assert docs["independent"]["variance_psd_projected"] is False
     assert docs["dyadic"]["epsilon_hat"] == docs["independent"]["epsilon_hat"]
     conf = tmp_path / "est.conf"
-    conf.write_text("variance = sandwich\n")
+    conf.write_text("variance = sandwich\n", encoding="utf-8")
     out = tmp_path / "bad"
     assert main(argv + ["--config", str(conf), "--output-dir", str(out)]) == 2
     assert not (out / "ppml.json").exists()
@@ -962,7 +990,7 @@ def test_identification_error_exit_3(tmp_path):
 
 def _assert_numeric_csv(path):
     """Every data cell parses: counts as int, everything else as float."""
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
     assert len(lines) > 1, path.name
     for line in lines[1:]:
@@ -1041,7 +1069,7 @@ def test_calibrate_and_uq_run_without_scipy(tmp_path):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run(
         [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=env, capture_output=True, encoding="utf-8", timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.split() == ["0", "0", "[]"]

@@ -19,7 +19,8 @@ def test_flows_csv_roundtrip(tmp_path):
         "origin,destination,flow\n"
         "B,A,2.5\n"
         "A,B,1.5\n"
-        "A,A,4.0\n"
+        "A,A,4.0\n",
+        encoding="utf-8",
     )
     fm = dataio.read_flows_csv(path)
     assert fm.labels == ("A", "B")
@@ -30,14 +31,14 @@ def test_flows_csv_roundtrip(tmp_path):
 
 def test_flows_csv_errors(tmp_path):
     path = tmp_path / "flows.csv"
-    path.write_text("origin,destination,flow\nA,B,oops\n")
+    path.write_text("origin,destination,flow\nA,B,oops\n", encoding="utf-8")
     with pytest.raises(ParseError) as info:
         dataio.read_flows_csv(path)
     assert info.value.row == 2
-    path.write_text("origin,dest,flow\nA,B,1.0\n")
+    path.write_text("origin,dest,flow\nA,B,1.0\n", encoding="utf-8")
     with pytest.raises(ParseError):
         dataio.read_flows_csv(path)
-    path.write_text("origin,destination,flow\nA,B,1.0\nA,B,2.0\n")
+    path.write_text("origin,destination,flow\nA,B,1.0\nA,B,2.0\n", encoding="utf-8")
     with pytest.raises(ParseError):
         dataio.read_flows_csv(path)
     with pytest.raises(DataError):
@@ -46,18 +47,18 @@ def test_flows_csv_errors(tmp_path):
 
 def test_distances_fallback_to_reverse(tmp_path):
     path = tmp_path / "dist.csv"
-    path.write_text("origin,destination,distance\nA,B,7.0\n")
+    path.write_text("origin,destination,distance\nA,B,7.0\n", encoding="utf-8")
     dm = dataio.read_distances_csv(path, ["A", "B"])
     assert dm.values[0, 1] == 7.0
     assert dm.values[1, 0] == 7.0  # reverse direction fallback
-    path.write_text("origin,destination,distance\nA,B,7.0\n")
+    path.write_text("origin,destination,distance\nA,B,7.0\n", encoding="utf-8")
     with pytest.raises(DataError):
         dataio.read_distances_csv(path, ["A", "B", "C"])
 
 
 def test_cf_spec_defaults_to_one(tmp_path):
     path = tmp_path / "spec.csv"
-    path.write_text("origin,destination,tau_prop\nA,B,1.1\n")
+    path.write_text("origin,destination,tau_prop\nA,B,1.1\n", encoding="utf-8")
     spec = dataio.read_cf_spec_csv(path, ["A", "B"])
     assert spec.tau_prop[0, 1] == 1.1
     assert spec.tau_prop[1, 0] == 1.0
@@ -170,9 +171,9 @@ def test_params_json_bytes_match_json_dumps(tmp_path, make):
 def test_params_json_optional_keys(tmp_path):
     path = tmp_path / "params.json"
     dataio.write_params_json(path, _mirror_params(shrink=False))
-    assert "_shrunk" not in path.read_text()
+    assert "_shrunk" not in path.read_text(encoding="utf-8")
     dataio.write_params_json(path, armington_world(n=4, seed=2).params)
-    doc = json.loads(path.read_text())
+    doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["periods"] is None
     first, second = doc["labels"][:2]
     assert isinstance(doc["dyads"][f"{first}->{second}"]["mu"], float)
@@ -258,9 +259,10 @@ def test_columns_csv(tmp_path):
     path = tmp_path / "cols.csv"
     x = np.array([-0.9208779009832093, 0.1 + 0.2, 1e-300])
     dataio.write_columns_csv(path, ["x", "n"], [x, np.array([3, 0, 12])])
-    assert path.read_text() == "x,n\n-0.9208779009832093,3\n0.30000000000000004,0\n1e-300,12\n"
+    expected = "x,n\n-0.9208779009832093,3\n0.30000000000000004,0\n1e-300,12\n"
+    assert path.read_text(encoding="utf-8") == expected
     dataio.write_columns_csv(path, ["x"], [np.empty(0)])
-    assert path.read_text() == "x\n"
+    assert path.read_text(encoding="utf-8") == "x\n"
 
 
 # One reader parses every dyadic CSV; each format only places the values.

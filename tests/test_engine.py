@@ -13,7 +13,6 @@ from flowuq import (
     FlowMatrix,
     IdentityModel,
     ModelEvaluationFailed,
-    RankTooLarge,
     TooFewDraws,
     TooManyFailures,
     UqConfig,
@@ -23,10 +22,12 @@ from flowuq import (
     point_estimate,
     robust_interval,
     run_algorithm1,
+    run_uq,
     sample_flow_matrix,
 )
+from flowuq import engine
 from flowuq.armington import ArmingtonModel
-from flowuq.engine import LowDimSmoother, SvdSmoother, draw_rng
+from flowuq.engine import MODES, LowDimSmoother, draw_rng
 from flowuq.gravity import PpmlEstimator, fit_ppml, sample_theta
 from flowuq.scenarios import armington_world
 
@@ -141,37 +142,6 @@ class TestIntervalOps:
 
 
 class TestSmoothers:
-    def test_rank_one_is_identity(self):
-        a = np.array([1.0, 2.0, 3.0, 4.0])
-        b = np.array([2.0, 1.0, 0.5, 1.5])
-        flows = FlowMatrix(np.outer(a, b))
-        smoothed = SvdSmoother(1)(flows)
-        assert np.max(np.abs(smoothed.values - flows.values)) < 1e-12
-
-    def test_truncation_rank_and_defect(self):
-        rng = np.random.default_rng(1)
-        values = rng.uniform(0.5, 3.0, size=(6, 6))
-        flows = FlowMatrix(values)
-        rank = 2
-        smoothed = SvdSmoother(rank)(flows)
-        s_full = np.linalg.svd(values, compute_uv=False)
-        s_smooth = np.linalg.svd(smoothed.values, compute_uv=False)
-        assert np.sum(s_smooth > 1e-10 * s_smooth[0]) <= rank
-        defect = np.linalg.norm(values - smoothed.values)
-        assert abs(defect - np.sqrt(np.sum(s_full[rank:] ** 2))) < 1e-10
-
-    def test_rank_too_large(self):
-        flows = FlowMatrix(np.ones((3, 3)))
-        with pytest.raises(RankTooLarge):
-            SvdSmoother(4)(flows)
-
-    def test_negative_entries_clamped(self):
-        rng = np.random.default_rng(2)
-        values = rng.uniform(0.0, 1.0, size=(5, 5))
-        values[0, 1] = 40.0  # spiky entry forces sign structure in rank 1
-        smoothed = SvdSmoother(1)(FlowMatrix(values))
-        assert np.all(smoothed.values >= 0.0)
-
     def test_lowdim_smoother_fits_gravity(self):
         scen, flows_obs = small_world()
         smoothed = LowDimSmoother(scen.distances)(flows_obs)
@@ -217,7 +187,7 @@ class TestEngine:
     def test_only_ee_smooths_and_estimates_once(self):
         scen, flows_obs = small_world()
         estimator = Counting(functools.partial(mean_flow_estimator, se=0.2))
-        smoother = Counting(SvdSmoother(2))
+        smoother = Counting(LowDimSmoother(scen.distances))
         cfg = self.cfg(mode="only-ee", b=40, alpha=0.1)
         ds, _ = run_algorithm1(
             flows_obs, None, estimator, ThetaPassThrough(), scen.cf_spec, cfg, smoother=smoother
@@ -315,7 +285,7 @@ class TestEngine:
         scen, flows_obs = small_world()
         cfg = self.cfg(b=20, alpha=0.1)
         estimator = functools.partial(mean_flow_estimator, se=1e-9)
-        smoother = SvdSmoother(1)
+        smoother = LowDimSmoother(scen.distances)
 
         ds_raw, _ = run_algorithm1(
             flows_obs, scen.params, estimator, ThetaPassThrough(), scen.cf_spec, cfg
@@ -425,6 +395,45 @@ class TestEngine:
             )
             assert np.array_equal(batched[0].draws, called[0].draws)
             assert batched[1] == called[1]
+
+
+class TestRunUq:
+    def test_fits_the_observed_matrix_once_and_reestimates_only_in_ee_me(self, monkeypatch):
+        # With log costs, every mode fits the observed matrix once, and only
+        # ee+me re-estimates, on the drawn matrices; with an external
+        # estimate nothing is fitted.  The point estimate is g at the
+        # observed matrix and the observed fit.
+        scen, flows_obs = small_world()
+        fitted, estimated = [], []
+        real_fit, real_many = engine.fit_ppml, PpmlEstimator.many
+
+        def counted_fit(flows, *args, **kwargs):
+            fitted.append(flows)
+            return real_fit(flows, *args, **kwargs)
+
+        def counted_many(self, flows_seq):
+            estimated.extend(flows_seq)
+            return real_many(self, flows_seq)
+
+        monkeypatch.setattr(engine, "fit_ppml", counted_fit)
+        monkeypatch.setattr(PpmlEstimator, "many", counted_many)
+        external = EstimatorResult(theta_hat=[4.0], sigma_hat=[[0.04]])
+        observed = fit_ppml(flows_obs, scen.log_costs).to_estimator_result()
+        for mode in MODES:
+            cfg = UqConfig(b=20, alpha=0.1, seed=3, mode=mode)
+            for estimation, est in ((scen.log_costs, observed), (external, external)):
+                fitted.clear()
+                estimated.clear()
+                ds, ivs, point = run_uq(
+                    flows_obs, scen.params, estimation, ArmingtonModel(), scen.cf_spec, cfg
+                )
+                costs = estimation is scen.log_costs
+                assert [f is flows_obs for f in fitted] == ([True] if costs else []), mode
+                assert len(estimated) == (cfg.b if costs and mode == "ee+me" else 0), mode
+                assert all(f is not flows_obs for f in estimated)
+                expected = point_estimate(flows_obs, est, ArmingtonModel(), scen.cf_spec)
+                assert np.array_equal(point, expected)
+                assert (ds.draws.shape, len(ivs)) == ((cfg.b, 5), 5)
 
 
 class TestEngineIntervals:
