@@ -103,6 +103,15 @@ def mean_flow_estimator(flows, se=0.1):
     )
 
 
+def cell_estimator(flows, se=0.1):
+    """Reads one off-diagonal cell, which the gravity smoother changes (the
+    mean log flow is left unchanged by its two-way fixed-effects fit)."""
+    return EstimatorResult(
+        theta_hat=np.array([float(np.log(flows.values[0, 1]))]),
+        sigma_hat=np.array([[se**2]]),
+    )
+
+
 def ppml_estimator(flows, log_costs):
     fit = fit_ppml(flows, log_costs)
     return EstimatorResult(
@@ -186,7 +195,7 @@ class TestEngine:
 
     def test_only_ee_smooths_and_estimates_once(self):
         scen, flows_obs = small_world()
-        estimator = Counting(functools.partial(mean_flow_estimator, se=0.2))
+        estimator = Counting(functools.partial(cell_estimator, se=0.2))
         smoother = Counting(LowDimSmoother(scen.distances))
         cfg = self.cfg(mode="only-ee", b=40, alpha=0.1)
         ds, _ = run_algorithm1(
@@ -195,7 +204,8 @@ class TestEngine:
         assert (estimator.calls, smoother.calls) == (1, 1)
         # Draw b is still a draw from the observed data's estimate on b's own
         # parameter stream, as when every draw re-estimated.
-        est = mean_flow_estimator(flows_obs, se=0.2)
+        est = cell_estimator(flows_obs, se=0.2)
+        assert est.theta_hat[0] != cell_estimator(smoother.fn(flows_obs)).theta_hat[0]
         expected = [sample_theta(est, draw_rng(cfg.seed, b, 1)) for b in range(1, 41)]
         assert np.array_equal(ds.draws, np.array(expected))
 
@@ -284,7 +294,7 @@ class TestEngine:
     def test_algorithm2_smooths_evaluation_not_estimation(self):
         scen, flows_obs = small_world()
         cfg = self.cfg(b=20, alpha=0.1)
-        estimator = functools.partial(mean_flow_estimator, se=1e-9)
+        estimator = functools.partial(cell_estimator, se=1e-9)
         smoother = LowDimSmoother(scen.distances)
 
         ds_raw, _ = run_algorithm1(
@@ -299,8 +309,13 @@ class TestEngine:
             cfg,
             smoother=smoother,
         )
-        # Theta still estimated on the raw draw: pass-through outcomes match.
+        # Theta still estimated on the raw draw: pass-through outcomes match,
+        # though smoothing moves the cell the estimator reads.
         assert np.allclose(ds_raw.draws, ds_smooth.draws)
+        assert not np.isclose(
+            cell_estimator(flows_obs).theta_hat[0],
+            cell_estimator(smoother(flows_obs)).theta_hat[0],
+        )
 
     def test_c2_wider_than_c1_same_draws(self):
         scen, flows_obs = small_world()
