@@ -31,7 +31,6 @@ from .calibration import (
     spike_weight,
 )
 from .core import (
-    Aggregates,
     CalibratedParams,
     CounterfactualSpec,
     DistanceMatrix,
@@ -39,7 +38,6 @@ from .core import (
     EstimatorResult,
     FlowMatrix,
     IdentityModel,
-    derive_aggregates,
     evaluate_model,
     evaluate_model_many,
 )
@@ -82,7 +80,6 @@ from .gravity import (
 )
 from .intervals import (
     Interval,
-    RobustLevels,
     interval_c1,
     interval_c2,
     robust_interval,

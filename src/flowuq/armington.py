@@ -44,13 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CounterfactualSpec, FlowMatrix, derive_aggregates, solve_stack
+from .core import CounterfactualSpec, FlowMatrix, solve_stack
 from .errors import (
     DataError,
     FlowUqError,
     InvalidElasticity,
     NoConvergence,
     ZeroDiagonal,
+    ZeroMarginal,
 )
 
 _TOL = 1e-10            # sup-norm of the log market-clearing defects
@@ -316,10 +317,10 @@ def solve_counterfactual_many(
     else:
         problem = None
 
-    # Income, expenditure and shares of the whole stack at once.  A slice
-    # that fails any check of the solo path is redone alone, which gives its
-    # error that path's class and message.  Positive own shares imply
-    # positive income and expenditure.
+    # Income, expenditure and shares of the whole stack at once, for the
+    # solve and for the checks.  A slice that fails the fast check is checked
+    # again in the solo path's order, which gives its error that path's class
+    # and message.  Positive own shares imply positive income and expenditure.
     income, expenditure = values.sum(axis=2), values.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         shares = values / expenditure[:, None, :]
@@ -341,12 +342,15 @@ def solve_counterfactual_many(
                 )
             if problem is not None:
                 raise DataError(problem)
-            flows = FlowMatrix(values[j], labels)
-            agg = derive_aggregates(flows)
-            zero = np.diag(agg.shares) <= 0
-            if zero.any():
-                bad = [flows.labels[i] for i in np.flatnonzero(zero)]
-                raise ZeroDiagonal(f"zero own flow for {bad}")
+            labels_j = FlowMatrix(values[j], labels).labels
+            for error, what, zero in (
+                (ZeroMarginal, "total income", income[j] == 0),
+                (ZeroMarginal, "total expenditure", expenditure[j] == 0),
+                (ZeroDiagonal, "own flow", np.diag(shares[j]) <= 0),
+            ):
+                if zero.any():
+                    bad = [labels_j[i] for i in np.flatnonzero(zero)]
+                    raise error(f"zero {what} for {bad}")
         except FlowUqError as exc:
             results[j] = exc
     idx = np.array([j for j in range(k) if results[j] is None], dtype=int)

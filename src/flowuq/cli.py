@@ -383,7 +383,7 @@ def cmd_simulate_attenuation(args: argparse.Namespace) -> int:
 def cmd_report_ranks(args: argparse.Namespace) -> int:
     out = _outdir(args)
     paths = [p for p in args.draws.split(",") if p]
-    labels: list[str] = []
+    files: list[tuple[str, tuple[str, ...]]] = []
     columns: list[np.ndarray] = []
     length = None
     for path in paths:
@@ -394,8 +394,13 @@ def cmd_report_ranks(args: argparse.Namespace) -> int:
             raise LengthMismatch(
                 f"{path} has {arr.shape[0]} draws, expected {length}"
             )
-        labels.extend(labs)
+        files.append((path, labs))
         columns.extend(arr.T)
+    # A label that several files have is named "<path>:<label>" in each.
+    owners: dict[str, int] = {}
+    for lab in (lab for _, labs in files for lab in set(labs)):
+        owners[lab] = owners.get(lab, 0) + 1
+    labels = [f"{path}:{lab}" if owners[lab] > 1 else lab for path, labs in files for lab in labs]
     if args.columns is not None:
         keep = [w.strip() for w in args.columns.split(",")]
         missing = [w for w in keep if w not in labels]
@@ -544,7 +549,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
 
     p, add = command("report-ranks", cmd_report_ranks, "pairwise rank-reversal frequencies")
     add("--draws", required=True,
-        help="draws CSV (comma-separate multiple files with aligned seeds)")
+        help="draws CSV (comma-separate multiple files with aligned seeds; a label "
+             "that several files have is named PATH:LABEL)")
     add("--columns", help="comma-separated outcome columns to compare")
 
     return parser, options

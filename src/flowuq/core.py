@@ -20,7 +20,6 @@ from .errors import (
     FlowUqError,
     ModelEvaluationFailed,
     NotPSD,
-    ZeroMarginal,
 )
 
 # A counterfactual model: (flows, theta, cf_spec) -> vector of outcomes.
@@ -243,17 +242,6 @@ class CalibratedParams:
 
 
 @dataclass(frozen=True)
-class Aggregates:
-    """Income, expenditure, deficit ratios and expenditure shares implied by
-    a flow matrix."""
-
-    income: np.ndarray        # Y_i = sum_l F_il (row sums)
-    expenditure: np.ndarray   # E_i = sum_k F_ki (column sums)
-    deficit_ratio: np.ndarray  # kappa_i = (E_i - Y_i) / Y_i
-    shares: np.ndarray        # lambda_ij = F_ij / E_j
-
-
-@dataclass(frozen=True)
 class DrawSet:
     """Bootstrap draws of the counterfactual outcome vector.
 
@@ -264,8 +252,6 @@ class DrawSet:
 
     draws: np.ndarray
     b: int
-    seed: int
-    mode: str  # "only-ee" | "only-me" | "ee+me"
     draws_failed: int = 0
     labels: tuple[str, ...] = ()
 
@@ -297,32 +283,6 @@ class DrawSet:
 
     def column(self, q: int) -> np.ndarray:
         return self.draws[:, q]
-
-
-def derive_aggregates(flows: FlowMatrix) -> Aggregates:
-    """Income Y_i, expenditure E_i, deficit ratio kappa_i and expenditure
-    shares lambda_ij implied by a flow matrix.
-
-    Raises ZeroMarginal when any Y_i or E_j is zero, since kappa and the
-    shares are then undefined.
-    """
-    f = flows.values
-    income = f.sum(axis=1)
-    expenditure = f.sum(axis=0)
-    if np.any(income == 0):
-        bad = [flows.labels[i] for i in np.flatnonzero(income == 0)]
-        raise ZeroMarginal(f"zero total income for {bad}")
-    if np.any(expenditure == 0):
-        bad = [flows.labels[j] for j in np.flatnonzero(expenditure == 0)]
-        raise ZeroMarginal(f"zero total expenditure for {bad}")
-    kappa = (expenditure - income) / income
-    shares = f / expenditure[None, :]
-    return Aggregates(
-        income=_freeze(income),
-        expenditure=_freeze(expenditure),
-        deficit_ratio=_freeze(kappa),
-        shares=_freeze(shares),
-    )
 
 
 def evaluate_model(

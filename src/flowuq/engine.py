@@ -3,10 +3,11 @@
 The draw loop is the same in every variant: sample a data matrix from the
 measurement-error posterior, re-estimate the structural parameter on it and
 draw the parameter from N(theta_hat, Sigma_hat), evaluate the counterfactual.
-Modes fix one leg ("only-ee" keeps the observed data, estimated once;
-"only-me" keeps the point estimate).  The one smoother,
-:class:`LowDimSmoother`, transforms the matrix the model evaluates; the
-parameter is always estimated on the unsmoothed one.  :func:`run_uq` is the
+Modes fix one leg, which holds the observed matrix's estimate, made once
+("only-ee" keeps the observed data and draws from that estimate; "only-me"
+keeps its theta_hat).  The one smoother, :class:`LowDimSmoother`,
+transforms the matrix the model evaluates; the parameter is always
+estimated on the unsmoothed one.  :func:`run_uq` is the
 ``flowuq uq`` pipeline: it fits the observed matrix, picks the estimator the
 mode needs, runs the loop and evaluates the point estimate.
 The loop runs in batches of draws, as many as fit a budget of stacked n x n
@@ -46,7 +47,7 @@ from .core import (
 )
 from .errors import DataError, ModelEvaluationFailed, TooManyFailures
 from .gravity import PpmlEstimator, fit_log_gravity, fit_ppml, sample_theta
-from .intervals import Interval, _check_grid, _order_stats
+from .intervals import Interval, _check_grid, _order_stats, _ranks, robust_interval_levels
 
 Estimator = Callable[[FlowMatrix], EstimatorResult]
 
@@ -62,7 +63,8 @@ class UqConfig:
     ``b`` and ``alpha`` must put alpha/2*b on the integer grid so the
     interval endpoints are bona fide order statistics.  ``b_inner`` controls
     the nested draw count used for the conservative interval-of-intervals
-    (defaults to ``b``).
+    (defaults to ``b``).  ``robust_c`` and a robust interval's ranks are
+    checked here, before any draw.
     """
 
     b: int
@@ -86,8 +88,7 @@ class UqConfig:
             raise DataError(f"mode must be one of {MODES}")
         if self.interval_kind not in INTERVAL_KINDS:
             raise DataError(f"interval kind must be one of {INTERVAL_KINDS}")
-        if self.robust_c < 1:
-            raise DataError("robust c must be >= 1")
+        robust_interval_levels(self.alpha, self.robust_c)  # c finite and >= 1
         if not 0 <= self.max_failure_fraction < 1:
             raise DataError("max failure fraction must be in [0, 1)")
         if self.workers < 1:
@@ -95,6 +96,8 @@ class UqConfig:
         _check_grid(self.b, self.alpha)
         if self.interval_kind == "c2":
             _check_grid(self.inner_draws, self.alpha)
+        elif self.interval_kind == "robust":
+            _ranks(self.alpha, self.robust_c, self.b)
 
     @property
     def inner_draws(self) -> int:
@@ -156,15 +159,14 @@ class _LoopContext:
 
     flows_obs: FlowMatrix
     params: CalibratedParams | None
-    estimator: Estimator | EstimatorResult | None
+    # Outside ee+me, the observed matrix's estimate, the same on every draw.
+    estimator: Estimator | EstimatorResult
     model: ModelFunction
     cf_spec: CounterfactualSpec
     cfg: UqConfig
     smoother: Callable[[FlowMatrix], FlowMatrix] | None
-    theta_fixed: np.ndarray | None  # set in only-me mode
-    # Set in only-ee mode: the matrix the model evaluates and its estimate,
-    # the same on every draw.
-    data_fixed: tuple[FlowMatrix, EstimatorResult] | None
+    # Set in only-ee mode: the matrix the model evaluates on every draw.
+    flows_fixed: FlowMatrix | None
 
 
 def _estimate(estimator: Estimator | EstimatorResult, flows: FlowMatrix) -> EstimatorResult:
@@ -184,15 +186,14 @@ def _estimate_many(
     return [estimator(f) for f in flows]
 
 
-def _theta_draws(ctx: _LoopContext, b: int, est: EstimatorResult | None) -> list[np.ndarray]:
+def _theta_draws(cfg: UqConfig, b: int, est: EstimatorResult) -> list[np.ndarray]:
     """The parameter draws of draw b: the point estimate alone in only-me
-    mode (``est`` is None), else one draw from this b's estimate, or
-    ``cfg.inner_draws`` of them for the interval-of-intervals.  The first
-    one gives this b's outcome draw, so c1 and c2 share the same draw set
-    under the same seed."""
-    cfg = ctx.cfg
-    if est is None:
-        return [ctx.theta_fixed]
+    mode, else one draw from this b's estimate, or ``cfg.inner_draws`` of
+    them for the interval-of-intervals.  The first one gives this b's
+    outcome draw, so c1 and c2 share the same draw set under the same
+    seed."""
+    if cfg.mode == "only-me":
+        return [est.theta_hat]
     theta_rng = draw_rng(cfg.seed, b, 1)
     n_theta = cfg.inner_draws if cfg.interval_kind == "c2" else 1
     return [sample_theta(est, theta_rng) for _ in range(n_theta)]
@@ -215,22 +216,19 @@ def _run_chunk(ctx: _LoopContext, draws: Sequence[int]):
     for start in range(0, len(draws), size):
         batch = draws[start : start + size]
         if cfg.mode == "only-ee":
-            flows_eval, est = ctx.data_fixed
-            drawn = [(flows_eval, est, 0)] * len(batch)
+            evals, degenerate = [ctx.flows_fixed] * len(batch), [0] * len(batch)
+            ests = [ctx.estimator] * len(batch)
         else:
             sampled = [
                 sample_flow_matrix(ctx.flows_obs, ctx.params, draw_rng(cfg.seed, b, 0))
                 for b in batch
             ]
             flows_b = [flows for flows, _ in sampled]
+            degenerate = [zeros for _, zeros in sampled]
             evals = flows_b if ctx.smoother is None else [ctx.smoother(f) for f in flows_b]
-            if cfg.mode == "only-me":
-                ests = [None] * len(batch)
-            else:
-                ests = _estimate_many(ctx.estimator, flows_b)
-            drawn = list(zip(evals, ests, (degenerate for _, degenerate in sampled)))
-        thetas = [_theta_draws(ctx, b, est) for b, (_, est, _) in zip(batch, drawn)]
-        pairs = [(f, theta) for (f, _, _), ts in zip(drawn, thetas) for theta in ts]
+            ests = _estimate_many(ctx.estimator, flows_b)
+        thetas = [_theta_draws(cfg, b, est) for b, est in zip(batch, ests)]
+        pairs = [(f, theta) for f, ts in zip(evals, thetas) for theta in ts]
         outcomes = []
         for i in range(0, len(pairs), size):
             group = pairs[i : i + size]
@@ -238,14 +236,14 @@ def _run_chunk(ctx: _LoopContext, draws: Sequence[int]):
                 ctx.model, [f for f, _ in group], [t for _, t in group], ctx.cf_spec
             )
         first = 0
-        for b, (_, _, degenerate), ts in zip(batch, drawn, thetas):
+        for b, zeros, ts in zip(batch, degenerate, thetas):
             outs = outcomes[first : first + len(ts)]
             first += len(ts)
             if isinstance(outs[0], ModelEvaluationFailed):
-                results.append((b, (None, None, degenerate)))
+                results.append((b, (None, None, zeros)))
             else:
                 gammas = [g for g in outs if not isinstance(g, ModelEvaluationFailed)]
-                results.append((b, (gammas[0], np.asarray(gammas), degenerate)))
+                results.append((b, (gammas[0], np.asarray(gammas), zeros)))
     return results
 
 
@@ -274,14 +272,7 @@ def _compose(ctx: _LoopContext, results, labels) -> tuple[DrawSet, tuple[Interva
     stacked = np.vstack([np.atleast_1d(r[0]) for r in kept])
     if labels is None or len(labels) != stacked.shape[1]:
         labels = tuple(str(q) for q in range(stacked.shape[1]))
-    draw_set = DrawSet(
-        draws=stacked,
-        b=cfg.b,
-        seed=cfg.seed,
-        mode=cfg.mode,
-        draws_failed=failed,
-        labels=labels,
-    )
+    draw_set = DrawSet(draws=stacked, b=cfg.b, draws_failed=failed, labels=labels)
 
     # Ranks come from the nominal draw counts, so failed draws are handled
     # by the clamping rule in ``intervals``.
@@ -335,15 +326,15 @@ def run_algorithm1(
         raise DataError("data sampling requires calibrated parameters")
     if params is not None and params.has_periods:
         raise DataError("slice per-period parameters with for_period() first")
-    theta_fixed = data_fixed = None
-    if cfg.mode == "only-me":
-        if estimator is None:
-            raise DataError("only-me mode needs an estimator for the point estimate")
-        theta_fixed = _estimate(estimator, flows_obs).theta_hat
-    elif cfg.mode == "only-ee":
-        # The data are fixed, so smooth and estimate once for every draw.
-        flows_eval = smoother(flows_obs) if smoother is not None else flows_obs
-        data_fixed = (flows_eval, _estimate(estimator, flows_obs))
+    if estimator is None:
+        raise DataError(f"{cfg.mode} mode needs an estimator")
+    # With one leg fixed, the observed matrix is smoothed (only-ee) and
+    # estimated once for every draw.
+    flows_fixed = None
+    if cfg.mode == "only-ee":
+        flows_fixed = smoother(flows_obs) if smoother is not None else flows_obs
+    if cfg.mode != "ee+me":
+        estimator = _estimate(estimator, flows_obs)
     ctx = _LoopContext(
         flows_obs=flows_obs,
         params=params,
@@ -352,8 +343,7 @@ def run_algorithm1(
         cf_spec=cf_spec,
         cfg=cfg,
         smoother=smoother,
-        theta_fixed=theta_fixed,
-        data_fixed=data_fixed,
+        flows_fixed=flows_fixed,
     )
     results = _run_loop(ctx)
     return _compose(ctx, results, flows_obs.labels)

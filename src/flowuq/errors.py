@@ -27,8 +27,8 @@ class ParseError(DataError):
 
 
 class ZeroMarginal(DataError):
-    """A row or column of the flow matrix sums to zero, so income/expenditure
-    aggregates are undefined."""
+    """A row or column of the flow matrix sums to zero, so a location's
+    income or expenditure, and the model's shares, are undefined."""
 
 
 class ZeroDiagonal(DataError):

@@ -2,8 +2,9 @@
 
 Every interval kind uses one rule.  Sort the draws.  The lower endpoint is
 the draw at rank floor(L * B + 1e-12), the upper endpoint the draw at rank
-ceil(U * B - 1e-12).  Ranks count from 1.  (L, U) are the robust quantile
-levels for a density-ratio factor c, and B is the nominal draw count.
+ceil(U * B - 1e-12).  Ranks count from 1.  (L, U) =
+``robust_interval_levels(alpha, c)`` are the robust quantile levels for a
+density-ratio factor c, finite and >= 1, and B is the nominal draw count.
 
 * ``c1``, equal-tailed: the rule at c = 1, where (L, U) = (alpha/2,
   1 - alpha/2).  B and alpha must put alpha/2 * B on the integer grid, so
@@ -69,37 +70,25 @@ def robust_quantile_levels(alpha_tail: float, c: float) -> tuple[float, float]:
     """
     if not 0 < alpha_tail < 1:
         raise DataError("quantile level must be in (0, 1)")
-    if c < 1:
-        raise DataError("density-ratio bound c must be >= 1")
+    if not 1 <= c < math.inf:  # NaN fails it
+        raise DataError(f"density-ratio bound c must be finite and >= 1, got c = {c}")
     c2 = c * c
     inf_level = alpha_tail / (alpha_tail + (1.0 - alpha_tail) * c2)
     sup_level = alpha_tail * c2 / (1.0 - alpha_tail + alpha_tail * c2)
     return inf_level, sup_level
 
 
-@dataclass(frozen=True)
-class RobustLevels:
-    """Two-sided robust interval levels for coverage 1 - alpha."""
-
-    lower_level: float
-    upper_level: float
-    c: float
-    alpha: float
-
-    def __post_init__(self):
-        half = self.alpha / 2.0
-        if not self.lower_level <= half <= 1 - half <= self.upper_level:
-            raise DataError("robust levels must bracket the nominal levels")
-
-
-def robust_interval_levels(alpha: float, c: float) -> RobustLevels:
-    """Quantile levels for the robust two-sided interval: the infimum of the
-    alpha/2-quantile and the supremum of the (1-alpha/2)-quantile."""
+def robust_interval_levels(alpha: float, c: float) -> tuple[float, float]:
+    """Quantile levels (lower, upper) of the robust two-sided interval for
+    coverage 1 - alpha: the infimum of the alpha/2-quantile and the supremum
+    of the (1-alpha/2)-quantile.  They bracket the nominal levels."""
     if not 0 < alpha < 1:
         raise DataError("alpha must be in (0, 1)")
     lower = robust_quantile_levels(alpha / 2.0, c)[0]
     upper = robust_quantile_levels(1.0 - alpha / 2.0, c)[1]
-    return RobustLevels(lower_level=lower, upper_level=upper, c=c, alpha=alpha)
+    if not lower <= alpha / 2.0 <= 1.0 - alpha / 2.0 <= upper:
+        raise DataError(f"robust levels at c = {c:g} must bracket the nominal levels")
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +105,23 @@ def _check_grid(b: int, alpha: float) -> None:
         )
 
 
+def _ranks(alpha: float, c: float, b: int) -> tuple[int, int]:
+    """Ranks (from 1) of the lower and upper endpoints among ``b`` draws at
+    the robust levels for factor ``c``."""
+    lower, upper = robust_interval_levels(alpha, c)
+    lo_rank = math.floor(lower * b + 1e-12)
+    if lo_rank < 1:
+        raise TooFewDraws(
+            f"need B * {lower:.4g} >= 1 to resolve the lower tail at c = {c:g} (B = {b})"
+        )
+    return lo_rank, math.ceil(upper * b - 1e-12)
+
+
 def _order_stats(draws: np.ndarray, alpha: float, c: float, b: int):
     """Lower and upper endpoints of the draws along axis 0 at the robust
     levels for factor ``c``, ranked on ``b`` nominal draws and clamped into
     the draws present.  Ties are broken by a stable sort."""
-    levels = robust_interval_levels(alpha, c)
-    lo_rank = math.floor(levels.lower_level * b + 1e-12)
-    if lo_rank < 1:
-        raise TooFewDraws(
-            f"need B * {levels.lower_level:.4g} >= 1 to resolve the lower tail"
-        )
-    hi_rank = math.ceil(levels.upper_level * b - 1e-12)
+    lo_rank, hi_rank = _ranks(alpha, c, b)
     s = np.sort(draws, axis=0, kind="stable")
     used = s.shape[0]
     return s[min(lo_rank, used) - 1], s[min(hi_rank, used) - 1]

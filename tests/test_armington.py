@@ -16,7 +16,7 @@ from flowuq import (
     NoConvergence,
     UqConfig,
     ZeroDiagonal,
-    derive_aggregates,
+    ZeroMarginal,
     run_algorithm1,
     sample_flow_matrix,
     solve_counterfactual,
@@ -126,7 +126,7 @@ def test_share_reconstruction_and_residual():
     spec = CounterfactualSpec.uniform_increase(3, 0.2)
     res = solve_counterfactual(flows, spec, epsilon=2.5)
     assert res.residual <= _TOL
-    shares = derive_aggregates(flows).shares
+    shares = flows.values / flows.values.sum(axis=0)
     cols = (res.lambda_prop * shares).sum(axis=0)
     assert np.max(np.abs(cols - 1.0)) < 1e-8
     assert np.all(res.y_prop > 0)
@@ -139,16 +139,15 @@ def test_normalization_convention_cancels_when_balanced():
     flows = asymmetric_world()  # balanced by construction
     spec = CounterfactualSpec.uniform_increase(3, 0.15)
     res = solve_counterfactual(flows, spec, epsilon=3.0)
-    agg = derive_aggregates(flows)
-    deficit = agg.expenditure - agg.income
+    income, expenditure = flows.values.sum(axis=1), flows.values.sum(axis=0)
+    shares = flows.values / expenditure
+    deficit = expenditure - income
     assert np.max(np.abs(deficit)) < 1e-12
     for c in (0.5, 2.0):
         log_y = np.log(c * res.y_prop)
-        defect = _defects(
-            np.log(spec.tau_prop), log_y, agg.shares, agg.income, deficit, 3.0
-        )[0]
+        defect = _defects(np.log(spec.tau_prop), log_y, shares, income, deficit, 3.0)[0]
         assert np.max(np.abs(defect)) < 1e-8  # still a solution
-        scaled = _share_changes(np.log(spec.tau_prop), log_y, agg.shares, 3.0)
+        scaled = _share_changes(np.log(spec.tau_prop), log_y, shares, 3.0)
         assert np.max(np.abs(scaled - res.lambda_prop)) < 1e-12
 
 
@@ -200,6 +199,24 @@ def test_error_conditions():
     # out of steps.  The error says both.
     assert info.value.reason == "step cap after positivity bound"
     assert "stopped by step cap after positivity bound" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "values, error, message",
+    [
+        ([[0.0, 0.0], [1.0, 1.0]], ZeroMarginal, "zero total income for ['a']"),
+        ([[1.0, 0.0], [1.0, 0.0]], ZeroMarginal, "zero total expenditure for ['b']"),
+        # Income is checked before expenditure, and both before own flows.
+        ([[0.0, 0.0], [0.0, 1.0]], ZeroMarginal, "zero total income for ['a']"),
+        ([[0.0, 1.0], [1.0, 0.0]], ZeroDiagonal, "zero own flow for ['a', 'b']"),
+    ],
+    ids=["income", "expenditure", "income-first", "own-flow"],
+)
+def test_zero_marginals_and_own_flows_name_their_locations(values, error, message):
+    spec = CounterfactualSpec.uniform_increase(2, 0.1)
+    with pytest.raises(error) as info:
+        solve_counterfactual(FlowMatrix(values, ("a", "b")), spec, 2.0)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_singular_newton_system_is_no_convergence(monkeypatch):
@@ -383,8 +400,9 @@ def test_many_runs_each_slice_through_its_own_stages():
 
 
 def test_many_checks_each_slice_as_it_is_checked_alone():
-    # Aggregates come from the whole stack at once; every slice that fails a
-    # check of the solo path gets the solo error, and the rest still solve.
+    # Income, expenditure and shares come from the whole stack at once; every
+    # slice that fails a check of the solo path gets the solo error, and the
+    # rest still solve.
     spec = CounterfactualSpec.uniform_increase(3, 0.1)
     good = asymmetric_world().values
     nan, negative, no_income = good.copy(), good.copy(), good.copy()

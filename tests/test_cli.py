@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowuq import cli, dataio, gravity
+from flowuq import cli, dataio, engine, gravity
+from flowuq.calibration import sample_flow_matrix
 from flowuq.cli import main
 from flowuq.scenarios import armington_world, mirror_world
 
@@ -392,6 +393,31 @@ def test_uq_external_estimator_and_robust_interval(armington_files, tmp_path):
     assert code == 0
     doc = json.loads((out / "interval.json").read_text(encoding="utf-8"))
     assert doc["outcomes"][0]["kind"] == "robust(c=1.5)"
+
+
+@pytest.mark.parametrize(
+    "c, message",
+    [
+        ("nan", "c must be finite and >= 1, got c = nan"),
+        ("inf", "c must be finite and >= 1, got c = inf"),
+        ("1e200", "robust levels at c = 1e+200 must bracket"),
+        ("40", "to resolve the lower tail at c = 40 (B = 200)"),
+    ],
+)
+def test_uq_bad_robust_c_exits_2_before_any_draw(
+    armington_files, tmp_path, capsys, monkeypatch, c, message
+):
+    _, flows, _, _, params = armington_files
+    calls = []
+    monkeypatch.setattr(
+        engine, "sample_flow_matrix", lambda *a: calls.append(a) or sample_flow_matrix(*a)
+    )
+    argv = ["uq", "--flows", str(flows), "--params", str(params), "--theta", "5.0"]
+    argv += ["--uniform-increase", "0.1", "--b", "200", "--interval", "robust"]
+    argv += ["--robust-c", c, "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
 
 
 def test_config_file_precedence(armington_files, tmp_path):
@@ -803,8 +829,6 @@ def test_report_ranks_separated_normals(tmp_path):
             [rng.normal(0.0, 1.0, 4000), rng.normal(10.0, 1.0, 4000)]
         ),
         b=4000,
-        seed=0,
-        mode="only-ee",
         labels=("low", "high"),
     )
     path = tmp_path / "draws.csv"
@@ -823,8 +847,6 @@ def test_report_ranks_identical_columns_all_ties(tmp_path):
     ds = DrawSet(
         draws=np.column_stack([col, col]),
         b=100,
-        seed=0,
-        mode="only-ee",
         labels=("a", "b"),
     )
     path = tmp_path / "draws.csv"
@@ -843,8 +865,6 @@ def test_report_ranks_length_mismatch(tmp_path):
         ds = DrawSet(
             draws=np.arange(float(length)),
             b=length,
-            seed=0,
-            mode="only-ee",
             labels=(name,),
         )
         dataio.write_draws_csv(tmp_path / name, ds)
@@ -858,6 +878,29 @@ def test_report_ranks_length_mismatch(tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_report_ranks_names_labels_that_files_share(tmp_path, capsys):
+    # Two uq runs over the same locations share their labels: a label that
+    # both files have is named by its path, and a bare one is unknown.
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("A,B\n1.0,2.0\n2.0,1.0\n", encoding="utf-8")
+    b.write_text("A,C\n3.0,0.0\n4.0,3.0\n", encoding="utf-8")
+    out = tmp_path / "r"
+    draws = ["report-ranks", "--draws", f"{a},{b}", "--output-dir", str(out)]
+    assert main(draws) == 0
+    doc = json.loads((out / "ranks.json").read_text(encoding="utf-8"))
+    names = {(p["higher"], p["lower"]) for p in doc["pairs"]}
+    assert len(names) == 6 and {n for pair in names for n in pair} == {
+        f"{a}:A", "B", f"{b}:A", "C"
+    }
+    assert main([*draws, "--columns", f"{a}:A,{b}:A"]) == 0
+    (pair,) = json.loads((out / "ranks.json").read_text(encoding="utf-8"))["pairs"]
+    assert (pair["higher"], pair["lower"]) == (f"{b}:A", f"{a}:A")
+    assert pair["tie_frequency"] == 0.0
+    capsys.readouterr()
+    assert main([*draws, "--columns", "A,B"]) == 2
+    assert "unknown outcome columns ['A']" in capsys.readouterr().err
 
 
 def test_report_ranks_refuses_a_non_finite_draw(tmp_path, capsys):

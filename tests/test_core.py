@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from flowuq import (
     CounterfactualSpec,
@@ -13,8 +11,6 @@ from flowuq import (
     InvalidElasticity,
     ModelEvaluationFailed,
     NotPSD,
-    ZeroMarginal,
-    derive_aggregates,
     evaluate_model,
 )
 from flowuq.armington import ArmingtonModel
@@ -36,56 +32,6 @@ def test_flow_matrix_immutable():
     fm = FlowMatrix(np.ones((2, 2)))
     with pytest.raises(ValueError):
         fm.values[0, 0] = 5.0
-
-
-def test_aggregates_symmetric_2x2():
-    agg = derive_aggregates(FlowMatrix(np.ones((2, 2))))
-    assert np.allclose(agg.income, [2.0, 2.0])
-    assert np.allclose(agg.expenditure, [2.0, 2.0])
-    assert np.allclose(agg.deficit_ratio, [0.0, 0.0])
-    assert np.allclose(agg.shares, 0.5)
-
-
-def test_aggregates_hand_example():
-    # Y, E, kappa and shares worked out by hand from the four defining sums.
-    agg = derive_aggregates(FlowMatrix([[2.0, 1.0], [0.0, 1.0]]))
-    assert np.allclose(agg.income, [3.0, 1.0])
-    assert np.allclose(agg.expenditure, [2.0, 2.0])
-    assert np.allclose(agg.deficit_ratio, [-1.0 / 3.0, 1.0])
-    assert np.allclose(agg.shares[:, 0], [1.0, 0.0])
-    assert np.allclose(agg.shares[:, 1], [0.5, 0.5])
-
-
-def test_aggregates_zero_marginal():
-    with pytest.raises(ZeroMarginal):
-        derive_aggregates(FlowMatrix([[0.0, 0.0], [1.0, 1.0]]))
-    with pytest.raises(ZeroMarginal):
-        derive_aggregates(FlowMatrix([[1.0, 0.0], [1.0, 0.0]]))
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=6),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_aggregates_properties(n, seed):
-    rng = np.random.default_rng(seed)
-    values = rng.uniform(0.05, 10.0, size=(n, n))
-    agg = derive_aggregates(FlowMatrix(values))
-    # Conservation: total income equals total expenditure equals total mass.
-    assert np.isclose(agg.income.sum(), values.sum())
-    assert np.isclose(agg.expenditure.sum(), values.sum())
-    # Share columns are probability vectors.
-    assert np.all(agg.shares >= 0)
-    assert np.max(np.abs(agg.shares.sum(axis=0) - 1.0)) < 1e-12
-    assert np.all(np.isfinite(agg.deficit_ratio))
-
-
-def test_share_columns_sum_to_one_tightly():
-    rng = np.random.default_rng(7)
-    values = rng.lognormal(0, 2, size=(30, 30))
-    agg = derive_aggregates(FlowMatrix(values))
-    assert np.max(np.abs(agg.shares.sum(axis=0) - 1.0)) < 1e-14
 
 
 def test_estimator_result_validation():
@@ -191,10 +137,10 @@ def test_model_determinism():
 
 
 def test_drawset_accounting():
-    ds = DrawSet(draws=np.arange(8.0), b=10, seed=1, mode="ee+me", draws_failed=2)
+    ds = DrawSet(draws=np.arange(8.0), b=10, draws_failed=2)
     assert ds.draws_used == 8
     assert ds.n_outcomes == 1
     with pytest.raises(DataError):
-        DrawSet(draws=np.arange(8.0), b=10, seed=1, mode="ee+me", draws_failed=1)
+        DrawSet(draws=np.arange(8.0), b=10, draws_failed=1)
     with pytest.raises(DataError):
-        DrawSet(draws=np.array([1.0, np.nan]), b=2, seed=1, mode="ee+me")
+        DrawSet(draws=np.array([1.0, np.nan]), b=2)

@@ -100,8 +100,6 @@ def test_draws_csv_roundtrip(tmp_path):
     ds = DrawSet(
         draws=np.random.default_rng(0).normal(size=(50, 3)),
         b=50,
-        seed=1,
-        mode="ee+me",
         labels=("x", "y", "z"),
     )
     path = tmp_path / "draws.csv"

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,31 @@ class TestEngine:
         assert est.theta_hat[0] != cell_estimator(smoother.fn(flows_obs)).theta_hat[0]
         expected = [sample_theta(est, draw_rng(cfg.seed, b, 1)) for b in range(1, 41)]
         assert np.array_equal(ds.draws, np.array(expected))
+
+    def test_only_me_estimates_once(self):
+        # The observed matrix is estimated once, unsmoothed, and every draw
+        # evaluates the smoothed drawn matrix at that estimate.
+        scen, flows_obs = small_world()
+        estimator = Counting(functools.partial(cell_estimator, se=0.2))
+        smoother = Counting(LowDimSmoother(scen.distances))
+        cfg = self.cfg(mode="only-me", b=40, alpha=0.1)
+        ds, _ = run_algorithm1(
+            flows_obs, scen.params, estimator, ThetaPassThrough(), scen.cf_spec, cfg,
+            smoother=smoother,
+        )
+        assert (estimator.calls, smoother.calls) == (1, 40)
+        theta_hat = cell_estimator(flows_obs).theta_hat[0]
+        assert theta_hat != cell_estimator(smoother.fn(flows_obs)).theta_hat[0]
+        assert np.all(ds.draws == theta_hat)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_missing_estimator_is_a_data_error(self, mode):
+        scen, flows_obs = small_world()
+        with pytest.raises(DataError, match=re.escape(f"{mode} mode needs an estimator")):
+            run_algorithm1(
+                flows_obs, scen.params, None, ThetaPassThrough(), scen.cf_spec,
+                self.cfg(mode=mode),
+            )
 
     def test_only_me_fixes_theta(self):
         scen, flows_obs = small_world()
@@ -490,6 +516,22 @@ class TestEngineIntervals:
         ds, c1 = self.run(IdentityModel(), b=b, seed=seed)
         columns = [ds.column(q) for q in range(ds.n_outcomes)]
         assert c1 == tuple(interval_c1(col, self.ALPHA) for col in columns)
+
+        # c2 is interval_c2 of each draw's interval_c1 of its inner draws,
+        # rebuilt here from each draw's parameter stream.
+        b_inner = 20
+        per_draw = []
+        for d in range(1, b + 1):
+            rng = draw_rng(seed, d, 1)
+            inner = np.array([sample_theta(self.EST, rng) for _ in range(b_inner)])
+            per_draw.append([interval_c1(col, self.ALPHA) for col in inner.T])
+        expected = tuple(
+            interval_c2([(iv.lo, iv.hi) for iv in column], self.ALPHA)
+            for column in zip(*per_draw)
+        )
+        _, c2 = self.run(IdentityModel(), b=b, seed=seed, interval_kind="c2", b_inner=b_inner)
+        assert c2 == expected
+
         robust = dict(b=b, seed=seed, interval_kind="robust", robust_c=c)
         try:
             expected = tuple(robust_interval(col, self.ALPHA, c) for col in columns)
@@ -520,8 +562,12 @@ class TestUqConfigValidation:
             UqConfig(b=100, alpha=0.05)  # 2.5
         with pytest.raises(DataError):
             UqConfig(b=100, alpha=0.1, mode="everything")
-        with pytest.raises(DataError):
-            UqConfig(b=100, alpha=0.1, robust_c=0.5)
+        for c in (0.5, np.nan, np.inf):
+            for kind in ("c1", "robust"):
+                with pytest.raises(DataError, match="c must be finite and >= 1"):
+                    UqConfig(b=100, alpha=0.1, interval_kind=kind, robust_c=c)
+        with pytest.raises(TooFewDraws, match="at c = 40"):
+            UqConfig(b=200, alpha=0.05, interval_kind="robust", robust_c=40.0)
         cfg = UqConfig(b=100, alpha=0.1, interval_kind="c2", b_inner=200)
         assert cfg.inner_draws == 200
         with pytest.raises(BadQuantileGrid):

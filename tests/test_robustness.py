@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -33,20 +34,20 @@ from .oracles import twoway_design
 
 class TestRobustLevels:
     def test_paper_quantile_levels(self):
-        levels = robust_interval_levels(alpha=0.05, c=1.5)
-        assert abs(levels.lower_level - 0.05 / 4.4375) < 1e-12
-        assert abs(levels.upper_level - 4.3875 / 4.4375) < 1e-12
+        lower, upper = robust_interval_levels(alpha=0.05, c=1.5)
+        assert abs(lower - 0.05 / 4.4375) < 1e-12
+        assert abs(upper - 4.3875 / 4.4375) < 1e-12
         # Rounded to the usual presentation: the 1.1% and 98.9% quantiles.
-        assert round(levels.lower_level, 3) == 0.011
-        assert round(levels.upper_level, 3) == 0.989
+        assert round(lower, 3) == 0.011
+        assert round(upper, 3) == 0.989
 
     def test_c_equal_one_is_nominal(self):
         inf_level, sup_level = robust_quantile_levels(0.05, 1.0)
         assert inf_level == pytest.approx(0.05, abs=1e-15)
         assert sup_level == pytest.approx(0.05, abs=1e-15)
-        levels = robust_interval_levels(alpha=0.05, c=1.0)
-        assert levels.lower_level == pytest.approx(0.025, abs=1e-15)
-        assert levels.upper_level == pytest.approx(0.975, abs=1e-15)
+        lower, upper = robust_interval_levels(alpha=0.05, c=1.0)
+        assert lower == pytest.approx(0.025, abs=1e-15)
+        assert upper == pytest.approx(0.975, abs=1e-15)
 
     def test_closed_form_example_c2(self):
         inf_level, _ = robust_quantile_levels(0.05, 2.0)
@@ -66,8 +67,20 @@ class TestRobustLevels:
         assert inf2 <= inf1 <= alpha_tail <= sup1 <= sup2
 
     def test_bracket_invariant(self):
-        levels = robust_interval_levels(alpha=0.1, c=2.0)
-        assert levels.lower_level <= 0.05 <= 0.95 <= levels.upper_level
+        lower, upper = robust_interval_levels(alpha=0.1, c=2.0)
+        assert lower <= 0.05 <= 0.95 <= upper
+
+    @pytest.mark.parametrize("c", [0.5, math.nan, math.inf])
+    def test_c_must_be_finite_and_at_least_one(self, c):
+        with pytest.raises(DataError, match="c must be finite and >= 1"):
+            robust_quantile_levels(0.05, c)
+        with pytest.raises(DataError, match="c must be finite and >= 1"):
+            robust_interval_levels(0.05, c)
+
+    def test_levels_whose_square_overflows_are_refused(self):
+        # c * c is infinite: the upper level would be inf / inf.
+        with pytest.raises(DataError, match=r"at c = 1e\+200 must bracket"):
+            robust_interval_levels(0.05, 1e200)
 
 
 class TestRobustInterval:
