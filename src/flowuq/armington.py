@@ -19,6 +19,12 @@ and the convention provably cancels in shares and welfare; with deficits,
 the fixed deficit levels are denominated in baseline world income, which is
 the standard practice this normalization encodes.
 
+A world whose trade graph (i and j linked when either ships to the other)
+splits into blocs that trade with no one outside has one such family per
+bloc, since each bloc's equations sum to its own Walras' law.  Such a world
+is solved bloc by bloc, each holding its own income fixed, which also holds
+world income fixed; an autarkic location keeps y = 1 and its welfare.
+
 The solver is Newton in x = log y on the log defects log(supply_i / y_i Y_i),
 with the analytic Jacobian (eps Pi diag(E^cf) Pi' + Pi diag(y Y)) / supply
 - (1 + eps) I, Pi = lam^cf * lam, and the world-income normalization in place
@@ -53,6 +59,7 @@ from .errors import (
     ZeroDiagonal,
     ZeroMarginal,
 )
+from .gravity import _components
 
 _TOL = 1e-10            # sup-norm of the log market-clearing defects
 _MAX_STEPS = 100        # Newton steps, summed over the continuation stages
@@ -258,6 +265,28 @@ def _continuation(log_tau, shares, income, deficit, epsilon):
     return out
 
 
+def _solve_by_bloc(log_tau, shares, income, deficit, epsilon, blocs):
+    """``_continuation`` for one world whose trade graph splits: each bloc of
+    locations with the same label in ``blocs`` is solved as its own world.
+    Returns (log y, the largest residual, the Newton steps of every bloc), or
+    the first bloc's NoConvergence."""
+    log_y, residual, steps = np.zeros(len(income)), 0.0, 0
+    for label in np.unique(blocs):
+        c = np.flatnonzero(blocs == label)
+        (outcome,) = _continuation(
+            log_tau[np.ix_(c, c)],
+            shares[np.ix_(c, c)][None],
+            income[c][None],
+            deficit[c][None],
+            np.array([epsilon]),
+        )
+        if isinstance(outcome, NoConvergence):
+            return outcome
+        log_y[c] = outcome[0]
+        residual, steps = max(residual, outcome[1]), steps + outcome[2]
+    return log_y, residual, steps
+
+
 def solve_counterfactual(
     flows: FlowMatrix, cf_spec: CounterfactualSpec, epsilon: float
 ) -> EquilibriumResult:
@@ -360,7 +389,21 @@ def solve_counterfactual_many(
     shares, income = shares[idx], income[idx]
     deficit = expenditure[idx] - income
     log_tau = np.log(tau)
-    solved = _continuation(log_tau, shares, income, deficit, epsilons[idx])
+    # Trade blocs, each labelled by its smallest member: a slice with a
+    # nonzero label splits and is solved bloc by bloc.
+    blocs = _components(values[idx] > 0)[0]
+    whole = (blocs == 0).all(axis=1)
+    solved = [None] * len(idx)
+    rows = _rows(whole)
+    for i, outcome in zip(
+        np.flatnonzero(whole),
+        _continuation(log_tau, *(a[rows] for a in (shares, income, deficit, epsilons[idx]))),
+    ):
+        solved[i] = outcome
+    for i in np.flatnonzero(~whole):
+        solved[i] = _solve_by_bloc(
+            log_tau, shares[i], income[i], deficit[i], epsilons[idx[i]], blocs[i]
+        )
     for j, shares_j, outcome in zip(idx, shares, solved):
         if isinstance(outcome, NoConvergence):
             results[j] = outcome

@@ -115,19 +115,20 @@ def _twoway_fe(w: np.ndarray, v: np.ndarray, labels: tuple[np.ndarray, np.ndarra
 
 def _components(sample: np.ndarray):
     """Connected-component labels of the origins and the destinations in the
-    bipartite graph whose edges are the sampled dyads.
+    bipartite graph whose edges are the sampled dyads; ``sample`` may carry a
+    leading stack axis, and so do the labels then.
 
     Every node starts with its own label and takes the smallest label among
     its neighbours until nothing changes, which leaves each component
     labelled by its smallest member; this takes about one round per step of
     the graph's diameter.
     """
-    n = sample.shape[0]
+    n = sample.shape[-1]
     comp_o, comp_d = np.arange(n), np.arange(n, 2 * n)
     unsampled = np.where(sample, 0, 2 * n)  # lifts non-edges above every label
     while True:
-        new_d = np.minimum(comp_d, (unsampled + comp_o[:, None]).min(axis=0))
-        new_o = np.minimum(comp_o, (unsampled + new_d[None, :]).min(axis=1))
+        new_d = np.minimum(comp_d, (unsampled + comp_o[..., :, None]).min(axis=-2))
+        new_o = np.minimum(comp_o, (unsampled + new_d[..., None, :]).min(axis=-1))
         if (new_o == comp_o).all() and (new_d == comp_d).all():
             return comp_o, comp_d
         comp_o, comp_d = new_o, new_d

@@ -18,15 +18,19 @@ import csv
 
 import numpy as np
 from scipy import optimize
+from scipy.sparse.csgraph import connected_components
 
 
 def armington_oracle(flows: np.ndarray, tau_prop: np.ndarray, epsilon: float):
     """Solve the counterfactual system with a dense least-squares root find
     at tight tolerance; returns (y, lambda_cf, welfare).
 
-    All n market-clearing equations (deficits fixed in level) plus the
-    world-income normalization are solved jointly; the residual must vanish
-    to near machine precision or the oracle aborts.
+    All n market-clearing equations (deficits fixed in level) plus one
+    income normalization per trade bloc (a weakly connected component of
+    the graph of positive flows, found by scipy's graph routines) are solved
+    jointly; a connected world has one bloc, and its normalization holds
+    world income fixed.  The residual must vanish to near machine precision
+    or the oracle aborts.
     """
     f = np.asarray(flows, dtype=float)
     n = f.shape[0]
@@ -34,18 +38,21 @@ def armington_oracle(flows: np.ndarray, tau_prop: np.ndarray, epsilon: float):
     expenditure = f.sum(axis=0)
     deficit = expenditure - income
     lam = f / expenditure[None, :]
+    _, bloc = connected_components(f > 0, directed=True, connection="weak")
+    members = bloc[None, :] == np.unique(bloc)[:, None]  # one row per bloc
 
     def shares_cf(y):
-        # least_squares probes very large y on the way; the power overflows
-        # there, and the residual check below judges the root it returns.
-        with np.errstate(over="ignore"):
+        # least_squares probes very large or negative y on the way; the power
+        # overflows or is NaN there, and the residual check below judges the
+        # root it returns.
+        with np.errstate(over="ignore", invalid="ignore"):
             p = (tau_prop * y[:, None]) ** (-epsilon)
         return p / (lam * p).sum(axis=0)[None, :]
 
     def equations(y):
         lcf = shares_cf(y)
         r = y * income - (lcf * lam) @ (y * income + deficit)
-        return np.append(r, y @ income - income.sum())
+        return np.append(r, members @ (y * income) - members @ income)
 
     sol = optimize.least_squares(
         equations, np.ones(n), xtol=1e-15, ftol=1e-15, gtol=1e-15

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowuq import (
@@ -295,6 +295,11 @@ def random_unbalanced_world(rng, n, zero_frac):
     epsilon=st.floats(0.5, 15.0),
     zero_frac=st.floats(0.0, 0.5),
 )
+# Location 0 of this world is autarkic, and the rest trade among themselves:
+# one income normalization for the world left a family of solutions, and at
+# epsilon = 1 a singular Newton system.
+@example(n=3, seed=2025, epsilon=1.0, zero_frac=0.5)
+@example(n=3, seed=2025, epsilon=5.0, zero_frac=0.5)
 def test_random_unbalanced_worlds_solve(n, seed, epsilon, zero_frac):
     values, tau = random_unbalanced_world(np.random.default_rng(seed), n, zero_frac)
     res = solve_counterfactual(FlowMatrix(values), CounterfactualSpec(tau), epsilon)
@@ -335,9 +340,39 @@ def assert_same_outcome(single, batched):
 
 
 def autarkic_world():
-    # Location 0 trades with no one else, which makes the Newton system of
-    # the counterfactual singular.
+    # Location 0 trades with no one else, so the world splits into two blocs
+    # that are solved one by one.
     return np.array([[7.0, 0.0, 0.0], [0.0, 4.0, 3.5], [0.0, 1.0, 3.0]])
+
+
+def test_split_world_solves_bloc_by_bloc():
+    # Each bloc is solved as its own world and holds its own income fixed:
+    # the autarkic location keeps y = 1 and its welfare, and the other bloc
+    # gets what it gets alone.  Blocs with deficits pin the welfare, so the
+    # oracle normalizes bloc by bloc too.
+    values = np.array(
+        [[7.0, 0.0, 0.0, 0.0], [0.0, 4.0, 3.5, 0.0], [0.0, 1.0, 3.0, 0.0], [0.0, 0.0, 0.0, 2.0]]
+    )
+    tau = np.array(
+        [[1.0, 1.2, 0.9, 1.1], [1.3, 1.0, 1.4, 0.8], [1.1, 0.7, 1.0, 1.2], [0.9, 1.5, 1.3, 1.0]]
+    )
+    res = solve_counterfactual(FlowMatrix(values), CounterfactualSpec(tau), 4.0)
+    assert res.y_prop[[0, 3]].tolist() == [1.0, 1.0]
+    assert res.welfare_prop[[0, 3]].tolist() == [1.0, 1.0]
+    bloc = solve_counterfactual(
+        FlowMatrix(values[1:3, 1:3]), CounterfactualSpec(tau[1:3, 1:3]), 4.0
+    )
+    assert np.array_equal(res.y_prop[1:3], bloc.y_prop)
+    # Shares are recomputed on the whole world, so they may differ in the
+    # last bits.
+    assert np.allclose(res.welfare_prop[1:3], bloc.welfare_prop, rtol=1e-14, atol=0)
+    assert np.allclose(res.lambda_prop[1:3, 1:3], bloc.lambda_prop, rtol=1e-14, atol=0)
+    assert (res.residual, res.iterations) == (bloc.residual, bloc.iterations)
+    assert bloc.iterations > 0
+    income = values.sum(axis=1)
+    assert abs(res.y_prop[1:3] @ income[1:3] - income[1:3].sum()) < 1e-12
+    _, _, w_o = armington_oracle(values, tau, 4.0)
+    assert np.max(np.abs(res.welfare_prop - w_o)) < 1e-8
 
 
 @settings(max_examples=40, deadline=None)
@@ -386,7 +421,7 @@ def test_many_runs_each_slice_through_its_own_stages():
         assert_same_outcome(solve_alone(values, tau, epsilon), result)
     assert isinstance(results[1], EquilibriumResult)
     assert isinstance(results[3], InvalidElasticity)
-    assert results[4].reason == "singular Newton system"
+    assert isinstance(results[4], EquilibriumResult)
 
     surplus = np.array([[1.0, 10.0], [0.1, 1.0]])
     tau = np.array([[1.0, 5.0], [1.0, 1.0]])
@@ -443,11 +478,17 @@ def test_many_matches_single_solves_at_the_draw_loop_batch_n100():
 
 
 def test_singular_newton_system_fails_its_slice_alone(monkeypatch):
-    # The autarkic slice makes the stacked Newton solve raise; the stack is
-    # then solved slice by slice, and only that slice fails.
+    # The marked slice's Newton systems are made singular, which makes the
+    # stacked Newton solve raise; the stack is then solved slice by slice,
+    # and only that slice fails.  Its every stage starts at y = 1, where the
+    # last row of its system, y Y / sum(y Y), is its income shares.
+    marked = np.array([[6.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.5, 1.0, 1.5]])
+    marked_shares = marked.sum(axis=1) / marked.sum()
     solve, stacked_raises = np.linalg.solve, []
 
     def spy(a, b):
+        a = a.copy()
+        a[np.isclose(a[..., -1, :], marked_shares).all(axis=-1)] = 0.0
         try:
             return solve(a, b)
         except np.linalg.LinAlgError:
@@ -456,7 +497,7 @@ def test_singular_newton_system_fails_its_slice_alone(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", spy)
     spec = CounterfactualSpec.uniform_increase(3, 0.1)
-    stack = [asymmetric_world().values, unbalanced_world().values, autarkic_world(), np.ones((3, 3))]
+    stack = [asymmetric_world().values, unbalanced_world().values, marked, np.ones((3, 3))]
     results = solve_counterfactual_many(np.stack(stack), spec, [4.0, 2.5, 4.0, 3.0])
     assert any(stacked_raises)
     assert [isinstance(r, FlowUqError) for r in results] == [False, False, True, False]
@@ -470,8 +511,8 @@ def test_model_many_matches_calls():
     flows = [asymmetric_world(), FlowMatrix(autarkic_world(), ("A", "B", "C")), unbalanced_world()]
     thetas = [np.array([4.0]), np.array([4.0]), np.array([-1.0])]
     outcomes = ArmingtonModel().many(flows, thetas, spec)
-    assert np.array_equal(outcomes[0], ArmingtonModel()(flows[0], thetas[0], spec))
-    for f, theta, out in zip(flows[1:], thetas[1:], outcomes[1:]):
-        with pytest.raises(type(out), match=re.escape(str(out))):
-            ArmingtonModel()(f, theta, spec)
+    for f, theta, out in zip(flows[:2], thetas[:2], outcomes[:2]):
+        assert np.array_equal(out, ArmingtonModel()(f, theta, spec))
+    with pytest.raises(type(outcomes[2]), match=re.escape(str(outcomes[2]))):
+        ArmingtonModel()(flows[2], thetas[2], spec)
     assert ArmingtonModel().many([], [], spec) == []
