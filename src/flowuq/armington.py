@@ -310,30 +310,23 @@ def solve_counterfactual(
         message names the last solved share s of the shock tau^s, the share
         it failed at, and what stopped Newton there (``reason``).
     """
-    (result,) = solve_counterfactual_many(
-        flows.values[None], cf_spec, [epsilon], labels=flows.labels
-    )
+    (result,) = solve_counterfactual_many([flows], cf_spec, [epsilon])
     if isinstance(result, FlowUqError):
         raise result
     return result
 
 
 def solve_counterfactual_many(
-    values: np.ndarray,
-    cf_spec: CounterfactualSpec,
-    epsilons,
-    labels: tuple[str, ...] = (),
+    flows_seq, cf_spec: CounterfactualSpec, epsilons
 ) -> list[EquilibriumResult | FlowUqError]:
-    """``solve_counterfactual`` for a (k, n, n) stack of flow matrices over
-    the same ``labels``, with one elasticity per matrix.
+    """``solve_counterfactual`` for a sequence of k ``FlowMatrix`` of one
+    size, with one elasticity per matrix.
 
-    Returns one entry per slice: its ``EquilibriumResult``, or the error that
-    ``solve_counterfactual`` raises on that slice alone, with the same class
-    and message.  A malformed stack raises ``DataError``.
+    Returns one entry per matrix: its ``EquilibriumResult``, or the error
+    that ``solve_counterfactual`` raises on that matrix alone, with the same
+    class and message.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 3 or values.shape[1] != values.shape[2]:
-        raise DataError(f"flows must be a (k, n, n) stack, got shape {values.shape}")
+    values = np.stack([flows.values for flows in flows_seq])
     k, n = values.shape[:2]
     epsilons = np.asarray(epsilons, dtype=float)
     if epsilons.shape != (k,):
@@ -354,13 +347,8 @@ def solve_counterfactual_many(
     with np.errstate(divide="ignore", invalid="ignore"):
         shares = values / expenditure[:, None, :]
     valid_epsilon = (epsilons > 0) & (epsilons < np.inf)  # NaN fails it
-    fast = (
-        valid_epsilon
-        & np.isfinite(values).all(axis=(1, 2))
-        & (values >= 0).all(axis=(1, 2))
-        & (np.diagonal(shares, axis1=1, axis2=2) > 0).all(axis=1)
-    )
-    if problem is not None or (labels and (len(labels) != n or len(set(labels)) != n)):
+    fast = valid_epsilon & (np.diagonal(shares, axis1=1, axis2=2) > 0).all(axis=1)
+    if problem is not None:
         fast[:] = False
     results: list = [None] * k
     for j in np.flatnonzero(~fast):
@@ -371,14 +359,13 @@ def solve_counterfactual_many(
                 )
             if problem is not None:
                 raise DataError(problem)
-            labels_j = FlowMatrix(values[j], labels).labels
             for error, what, zero in (
                 (ZeroMarginal, "total income", income[j] == 0),
                 (ZeroMarginal, "total expenditure", expenditure[j] == 0),
                 (ZeroDiagonal, "own flow", np.diag(shares[j]) <= 0),
             ):
                 if zero.any():
-                    bad = [labels_j[i] for i in np.flatnonzero(zero)]
+                    bad = [flows_seq[j].labels[i] for i in np.flatnonzero(zero)]
                     raise error(f"zero {what} for {bad}")
         except FlowUqError as exc:
             results[j] = exc
@@ -447,10 +434,7 @@ class ArmingtonModel:
         if not flows_seq:
             return []
         results = solve_counterfactual_many(
-            np.stack([flows.values for flows in flows_seq]),
-            cf_spec,
-            [float(np.atleast_1d(theta)[0]) for theta in thetas],
-            labels=flows_seq[0].labels,
+            flows_seq, cf_spec, [float(np.atleast_1d(theta)[0]) for theta in thetas]
         )
         return [
             r if isinstance(r, FlowUqError) else welfare_change_pct(r) for r in results

@@ -383,6 +383,9 @@ def cmd_simulate_attenuation(args: argparse.Namespace) -> int:
 def cmd_report_ranks(args: argparse.Namespace) -> int:
     out = _outdir(args)
     paths = [p for p in args.draws.split(",") if p]
+    for i, path in enumerate(paths):
+        if path in paths[:i]:
+            raise DataError(f"--draws gives {path} twice")
     files: list[tuple[str, tuple[str, ...]]] = []
     columns: list[np.ndarray] = []
     length = None

@@ -524,13 +524,17 @@ def write_draws_csv(path, draw_set: DrawSet):
 
 def read_draws_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     """The outcome labels and the (B, q) draws of a :func:`write_draws_csv`
-    file; ParseError names the first ragged row or row with a bad or
-    non-finite draw."""
+    file; ParseError names a repeated label, or the first ragged row or row
+    with a bad or non-finite draw."""
     with _open(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if not header:
             raise ParseError("missing header", row=1)
+        labels = tuple(h.strip() for h in header)
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ParseError(f"duplicate label {label!r}", row=1)
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -546,7 +550,7 @@ def read_draws_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
                 raise ParseError(f"non-finite draw {cell.strip()!r}", row=lineno)
     if not rows:
         raise ParseError("no draws", row=2)
-    return tuple(h.strip() for h in header), np.asarray(rows)
+    return labels, np.asarray(rows)
 
 
 def intervals_to_json(

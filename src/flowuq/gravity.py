@@ -47,6 +47,7 @@ from .errors import (
 
 _FE_DIVERGENCE_BOUND = 30.0
 _MAX_ITER = 200  # IRLS iterations before a fit counts as not converged
+_DEV_TOL = 1e-12  # relative deviance change at which IRLS stops
 
 
 def _twoway_fe(w: np.ndarray, v: np.ndarray, labels: tuple[np.ndarray, np.ndarray]):
@@ -218,10 +219,7 @@ def _poisson_deviance(y: np.ndarray, mu: np.ndarray, pos: np.ndarray) -> np.ndar
 
 
 def fit_ppml(
-    flows: FlowMatrix,
-    log_costs: np.ndarray,
-    include_diagonal: bool = False,
-    dev_tol: float = 1e-12,
+    flows: FlowMatrix, log_costs: np.ndarray, include_diagonal: bool = False
 ) -> PpmlFit:
     """Poisson pseudo-likelihood fit of flows on log costs with two-way FEs.
 
@@ -229,20 +227,17 @@ def fit_ppml(
     estimate is the negated coefficient on ``log_costs``.  This is
     ``fit_ppml_many`` on a batch of one; the errors are documented there.
     """
-    return fit_ppml_many(
-        flows.values[None], log_costs, include_diagonal, dev_tol
-    )[0]
+    return fit_ppml_many([flows], log_costs, include_diagonal)[0]
 
 
 def fit_ppml_many(
-    values: np.ndarray,
+    flows_seq,
     log_costs: np.ndarray,
     include_diagonal: bool = False,
-    dev_tol: float = 1e-12,
     start: PpmlFit | None = None,
 ) -> list[PpmlFit]:
-    """PPML fits of a (k, n, n) stack of flow matrices on shared log costs,
-    run as one batched IRLS.
+    """PPML fits of a sequence of k ``FlowMatrix`` of one size on shared log
+    costs, run as one batched IRLS.
 
     Flows, means, the linear predictor and the weights are n x n grids with
     weight zero off the sample (the diagonal, unless included).  Each
@@ -263,7 +258,8 @@ def fit_ppml_many(
     Raises
     ------
     DataError
-        On a malformed stack, or log costs that are not finite where used.
+        On log costs that are not n x n or not finite where used, or a
+        ``start`` fit of another size.
     InsufficientData
         When no included dyad of a slice has a positive flow.
     Collinear
@@ -279,11 +275,7 @@ def fit_ppml_many(
     When several slices fail, the error raised is that of the lowest failing
     slice, the one ``fit_ppml`` raises on that slice alone.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 3 or values.shape[1] != values.shape[2]:
-        raise DataError(f"flows must be a (k, n, n) stack, got shape {values.shape}")
-    if not np.all(np.isfinite(values)) or np.any(values < 0):
-        raise DataError("flows must be finite and non-negative")
+    values = np.stack([flows.values for flows in flows_seq])
     k, n = values.shape[:2]
     log_costs = np.asarray(log_costs, dtype=float)
     if log_costs.shape != (n, n):
@@ -362,7 +354,7 @@ def fit_ppml_many(
             s, o, d = s_new, o_new, d_new
             eta_t, mu_t, dev_t = trial(y, pos, s, o, d)
         else:  # halve each fit's step until its deviance does not rise
-            bound = dev + dev_tol * np.maximum(1.0, np.abs(dev))
+            bound = dev + _DEV_TOL * np.maximum(1.0, np.abs(dev))
             s_t, o_t, d_t = np.empty_like(s), np.empty_like(o), np.empty_like(d)
             eta_t, mu_t, dev_t = np.empty_like(eta), np.empty_like(mu), np.empty_like(dev)
             todo, step = np.arange(len(idx)), 1.0
@@ -381,7 +373,7 @@ def fit_ppml_many(
             failures[int(j)] = Separation(
                 f"a fixed effect exceeded {_FE_DIVERGENCE_BOUND:g} during PPML iteration"
             )
-        converged = np.abs(dev - dev_t) < dev_tol * np.maximum(1.0, np.abs(dev))
+        converged = np.abs(dev - dev_t) < _DEV_TOL * np.maximum(1.0, np.abs(dev))
         eta, mu, dev = eta_t, mu_t, dev_t
         done = converged & ~separated
         rows = idx[done]
@@ -454,12 +446,7 @@ class PpmlEstimator:
         return self.many([flows])[0]
 
     def many(self, flows_seq) -> list[EstimatorResult]:
-        fits = fit_ppml_many(
-            np.stack([flows.values for flows in flows_seq]),
-            self.log_costs,
-            include_diagonal=self.include_diagonal,
-            start=self.start,
-        )
+        fits = fit_ppml_many(flows_seq, self.log_costs, self.include_diagonal, self.start)
         return [fit.to_estimator_result() for fit in fits]
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from flowuq import (
     CounterfactualSpec,
-    DataError,
     EquilibriumResult,
     EstimatorResult,
     FlowMatrix,
@@ -318,6 +317,12 @@ def test_bootstrap_at_n80_has_no_failed_draws():
     assert draws.draws_failed == 0
 
 
+def matrices(stack):
+    """The flow matrices of a stack of values, as ``solve_counterfactual_many``
+    takes them."""
+    return [FlowMatrix(values) for values in stack]
+
+
 def solve_alone(values, tau, epsilon):
     """``solve_counterfactual`` on one matrix: its result or its error."""
     try:
@@ -375,6 +380,21 @@ def test_split_world_solves_bloc_by_bloc():
     assert np.max(np.abs(res.welfare_prop - w_o)) < 1e-8
 
 
+def test_split_world_fails_as_its_failing_bloc_fails_alone():
+    # The surplus world of test_error_conditions as one bloc, next to an
+    # autarkic location: the world fails with that bloc's own error.
+    surplus = np.array([[1.0, 10.0], [0.1, 1.0]])
+    tau = np.array([[1.0, 5.0], [1.0, 1.0]])
+    values = np.zeros((3, 3))
+    values[:2, :2], values[2, 2] = surplus, 3.0
+    tau_split = np.array([[1.0, 5.0, 1.2], [1.0, 1.0, 0.8], [1.3, 0.9, 1.0]])
+    bloc = solve_alone(surplus, tau, 5.0)
+    split = solve_alone(values, tau_split, 5.0)
+    assert type(split) is type(bloc) is NoConvergence
+    assert str(split) == str(bloc)
+    assert split.reason == bloc.reason == "step cap after positivity bound"
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 12),
@@ -402,7 +422,7 @@ def test_many_matches_single_solves(n, k, seed, shock, data):
             values[0, 1:] = values[1:, 0] = 0.0
         stack.append(values)
         epsilons.append(epsilon)
-    batched = solve_counterfactual_many(np.stack(stack), CounterfactualSpec(tau), epsilons)
+    batched = solve_counterfactual_many(matrices(stack), CounterfactualSpec(tau), epsilons)
     assert len(batched) == k
     for values, epsilon, result in zip(stack, epsilons, batched):
         assert_same_outcome(solve_alone(values, tau, epsilon), result)
@@ -416,7 +436,7 @@ def test_many_runs_each_slice_through_its_own_stages():
     tau = np.array([[1.0, 1.0, 1.1], [0.96, 1.0, 2.0], [1.8, 1.3, 1.0]])
     stack = [asymmetric_world().values, large, unbalanced_world().values, large, autarkic_world()]
     epsilons = [3.5, 10.0, 4.0, 0.0, 10.0]
-    results = solve_counterfactual_many(np.stack(stack), CounterfactualSpec(tau), epsilons)
+    results = solve_counterfactual_many(matrices(stack), CounterfactualSpec(tau), epsilons)
     for values, epsilon, result in zip(stack, epsilons, results):
         assert_same_outcome(solve_alone(values, tau, epsilon), result)
     assert isinstance(results[1], EquilibriumResult)
@@ -426,7 +446,7 @@ def test_many_runs_each_slice_through_its_own_stages():
     surplus = np.array([[1.0, 10.0], [0.1, 1.0]])
     tau = np.array([[1.0, 5.0], [1.0, 1.0]])
     stack = [np.ones((2, 2)), surplus, np.array([[2.0, 1.0], [0.5, 3.0]])]
-    results = solve_counterfactual_many(np.stack(stack), CounterfactualSpec(tau), [5.0] * 3)
+    results = solve_counterfactual_many(matrices(stack), CounterfactualSpec(tau), [5.0] * 3)
     for values, result in zip(stack, results):
         assert_same_outcome(solve_alone(values, tau, 5.0), result)
     assert results[1].reason == "step cap after positivity bound"
@@ -440,23 +460,21 @@ def test_many_checks_each_slice_as_it_is_checked_alone():
     # rest still solve.
     spec = CounterfactualSpec.uniform_increase(3, 0.1)
     good = asymmetric_world().values
-    nan, negative, no_income = good.copy(), good.copy(), good.copy()
-    nan[0, 1] = np.nan
-    negative[1, 2] = -1.0
+    no_income = good.copy()
     no_income[2] = 0.0
-    stack = [good, nan, negative, good, no_income, good, good]
-    epsilons = [4.0, 4.0, 4.0, 0.0, 4.0, np.nan, 2.5]
-    results = solve_counterfactual_many(np.stack(stack), spec, epsilons)
+    stack = [good, good, no_income, good, good]
+    epsilons = [4.0, 0.0, 4.0, np.nan, 2.5]
+    results = solve_counterfactual_many(matrices(stack), spec, epsilons)
     for values, epsilon, result in zip(stack, epsilons, results):
         assert_same_outcome(solve_alone(values, spec.tau_prop, epsilon), result)
     assert [type(r).__name__ for r in results] == [
-        "EquilibriumResult", "DataError", "DataError", "InvalidElasticity", "ZeroMarginal",
-        "InvalidElasticity", "EquilibriumResult",
+        "EquilibriumResult", "InvalidElasticity", "ZeroMarginal", "InvalidElasticity",
+        "EquilibriumResult",
     ]
-    for result in solve_counterfactual_many(
-        np.stack([good, good]), spec, [4.0, 4.0], labels=("A", "A", "B")
-    ):
-        assert isinstance(result, DataError) and "unique" in str(result)
+    # Each slice's error names its locations by that slice's own labels.
+    flows = [asymmetric_world(), FlowMatrix(no_income, ("X", "Y", "Z"))]
+    _, result = solve_counterfactual_many(flows, spec, [4.0, 4.0])
+    assert type(result) is ZeroMarginal and str(result) == "zero total income for ['Z']"
 
 
 def test_many_matches_single_solves_at_the_draw_loop_batch_n100():
@@ -471,7 +489,7 @@ def test_many_matches_single_solves_at_the_draw_loop_batch_n100():
     stack = [sample_flow_matrix(observed, world.params, rng)[0].values for _ in range(k)]
     epsilons = rng.uniform(3.0, 7.0, k)
     tau = world.cf_spec.tau_prop
-    results = solve_counterfactual_many(np.stack(stack), world.cf_spec, epsilons)
+    results = solve_counterfactual_many(matrices(stack), world.cf_spec, epsilons)
     for values, epsilon, result in zip(stack, epsilons, results):
         assert isinstance(result, EquilibriumResult), result
         assert_same_outcome(solve_alone(values, tau, epsilon), result)
@@ -498,7 +516,7 @@ def test_singular_newton_system_fails_its_slice_alone(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", spy)
     spec = CounterfactualSpec.uniform_increase(3, 0.1)
     stack = [asymmetric_world().values, unbalanced_world().values, marked, np.ones((3, 3))]
-    results = solve_counterfactual_many(np.stack(stack), spec, [4.0, 2.5, 4.0, 3.0])
+    results = solve_counterfactual_many(matrices(stack), spec, [4.0, 2.5, 4.0, 3.0])
     assert any(stacked_raises)
     assert [isinstance(r, FlowUqError) for r in results] == [False, False, True, False]
     assert results[2].reason == "singular Newton system"

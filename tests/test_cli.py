@@ -913,6 +913,29 @@ def test_report_ranks_refuses_a_non_finite_draw(tmp_path, capsys):
     assert not (out / "ranks.json").exists()
 
 
+def test_report_ranks_refuses_a_file_given_twice(tmp_path, capsys):
+    # Both copies' columns would be named "<path>:A", and --columns would
+    # compare the first with itself.
+    path = tmp_path / "ok.csv"
+    path.write_text("A,B\n1.0,2.0\n2.0,1.0\n", encoding="utf-8")
+    out = tmp_path / "r"
+    argv = ["report-ranks", "--draws", f"{path},{path}", "--output-dir", str(out)]
+    assert main([*argv, "--columns", f"{path}:A,{path}:A"]) == 2
+    assert f"--draws gives {path} twice" in capsys.readouterr().err
+    assert not (out / "ranks.json").exists()
+
+
+def test_uq_exits_4_when_every_draw_fails(armington_files, tmp_path, capsys):
+    # A negative elasticity fails every draw's solve.
+    _, flows, _, _, params = armington_files
+    out = tmp_path / "uq"
+    argv = ["uq", "--flows", str(flows), "--params", str(params), "--theta", "-1"]
+    argv += ["--uniform-increase", "0.1", "--b", "40", "--output-dir", str(out)]
+    assert main(argv) == 4
+    assert "error: 40/40 draws failed" in capsys.readouterr().err
+    assert not (out / "draws.csv").exists() and not (out / "interval.json").exists()
+
+
 def test_simulate_attenuation_smoke(tmp_path):
     out = tmp_path / "att"
     code = main(

@@ -25,7 +25,11 @@ def test_flow_matrix_validation():
     with pytest.raises(DataError):
         FlowMatrix([[np.inf, 1.0], [0.0, 1.0]])
     with pytest.raises(DataError):
+        FlowMatrix([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(DataError):
         FlowMatrix(np.ones((2, 2)), labels=("a", "a"))
+    with pytest.raises(DataError):
+        FlowMatrix(np.ones((2, 2)), labels=("a", "b", "c"))
 
 
 def test_flow_matrix_immutable():

@@ -109,6 +109,14 @@ def test_draws_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(arr, ds.draws)
 
 
+def test_draws_csv_refuses_a_repeated_label(tmp_path):
+    path = tmp_path / "draws.csv"
+    path.write_text("A,B, A\n1.0,2.0,3.0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="row 1: duplicate label 'A'") as info:
+        dataio.read_draws_csv(path)
+    assert info.value.row == 1
+
+
 def test_mirror_csv_roundtrip(tmp_path):
     scen = mirror_world(n=4, t=3, seed=5)
     path = tmp_path / "mirror.csv"
