@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CalibratedParams, DistanceMatrix, FlowMatrix, _freeze
+from .core import CalibratedParams, DistanceMatrix, FlowMatrix, _freeze, _labels
 from .dataio import read_mirror_csv
 from .errors import DataError, InsufficientData
 from .gravity import GravityFit, _components, _log_gravity_ols, _twoway_fe, fit_log_gravity
@@ -204,8 +204,8 @@ class MirrorPanel:
         t, n, _ = r1.shape
         if t < 1:
             raise DataError("a mirror panel needs at least one period")
-        if len(self.labels) != n or len(self.periods) != t:
-            raise DataError("labels/periods do not match the report arrays")
+        if len(self.periods) != t:
+            raise DataError("periods do not match the report arrays")
         off = ~np.eye(n, dtype=bool)
         for name, arr in (("report1", r1), ("report2", r2)):
             if np.any(np.isnan(arr)):
@@ -224,7 +224,7 @@ class MirrorPanel:
             )
         object.__setattr__(self, "report1", _freeze(r1))
         object.__setattr__(self, "report2", _freeze(r2))
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", _labels(self.labels, n))
         object.__setattr__(self, "periods", tuple(int(x) for x in self.periods))
 
     @property

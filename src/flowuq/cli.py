@@ -276,7 +276,7 @@ def cmd_uq(args: argparse.Namespace) -> int:
     params = None
     if args.mode != "only-ee":
         params = _params(args)
-        if tuple(params.labels) != tuple(flows.labels):
+        if params.labels != flows.labels:
             raise DataError("params and flows cover different locations")
 
     if args.costs is not None:

@@ -10,6 +10,7 @@ needs to know what the model does internally.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -40,8 +41,15 @@ def _as_square_matrix(values, name: str) -> np.ndarray:
     return arr
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(n))
+def _labels(labels, n: int) -> tuple[str, ...]:
+    """``n`` unique labels: the given ones, or "0", "1", ... when none are."""
+    labels = tuple(labels) or tuple(str(i) for i in range(n))
+    if len(labels) != n:
+        raise DataError(f"expected {n} labels, got {len(labels)}")
+    repeated = [lab for lab, count in Counter(labels).items() if count > 1]
+    if repeated:
+        raise DataError(f"labels must be unique; repeated: {repeated}")
+    return labels
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -65,15 +73,8 @@ class FlowMatrix:
         arr = _as_square_matrix(self.values, "flows")
         if np.any(arr < 0):
             raise DataError("flows must be non-negative")
-        labels = tuple(self.labels) if self.labels else _default_labels(arr.shape[0])
-        if len(labels) != arr.shape[0]:
-            raise DataError(
-                f"{len(labels)} labels for a {arr.shape[0]}x{arr.shape[0]} matrix"
-            )
-        if len(set(labels)) != len(labels):
-            raise DataError("location labels must be unique")
         object.__setattr__(self, "values", _freeze(arr))
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _labels(self.labels, arr.shape[0]))
 
     @property
     def n(self) -> int:
@@ -97,11 +98,8 @@ class DistanceMatrix:
         off = ~np.eye(arr.shape[0], dtype=bool)
         if np.any(arr[off] <= 0):
             raise DataError("off-diagonal distances must be strictly positive")
-        labels = tuple(self.labels) if self.labels else _default_labels(arr.shape[0])
-        if len(labels) != arr.shape[0]:
-            raise DataError("label count does not match matrix dimension")
         object.__setattr__(self, "values", _freeze(arr))
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _labels(self.labels, arr.shape[0]))
 
     @property
     def n(self) -> int:
@@ -110,7 +108,8 @@ class DistanceMatrix:
 
 @dataclass(frozen=True)
 class CounterfactualSpec:
-    """Proportional trade-cost changes; entries > 0, 1 means unchanged."""
+    """Proportional trade-cost changes; entries > 0, 1 means unchanged.  Own
+    trade costs are fixed, so the diagonal is 1."""
 
     tau_prop: np.ndarray
 
@@ -118,6 +117,8 @@ class CounterfactualSpec:
         arr = _as_square_matrix(self.tau_prop, "counterfactual spec")
         if np.any(arr <= 0):
             raise DataError("proportional cost changes must be strictly positive")
+        if np.any(np.abs(np.diag(arr) - 1.0) > 1e-12):
+            raise DataError("own trade costs are fixed at 1; diagonal must be 1")
         object.__setattr__(self, "tau_prop", _freeze(arr))
 
     @property
@@ -210,10 +211,7 @@ class CalibratedParams:
         for name in ("mu_defined", "me_observed"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=bool))
-        labels = tuple(self.labels) if self.labels else _default_labels(n)
-        if len(labels) != n:
-            raise DataError("label count does not match parameter matrices")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _labels(self.labels, n))
         if self.periods is not None:
             object.__setattr__(self, "periods", tuple(int(t) for t in self.periods))
 
@@ -267,11 +265,8 @@ class DrawSet:
             )
         if arr.shape[0] + self.draws_failed != self.b:
             raise DataError("draws_used + draws_failed must equal b")
-        labels = tuple(self.labels) if self.labels else _default_labels(arr.shape[1])
-        if len(labels) != arr.shape[1]:
-            raise DataError("one label per outcome coordinate required")
         object.__setattr__(self, "draws", _freeze(arr))
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _labels(self.labels, arr.shape[1]))
 
     @property
     def draws_used(self) -> int:

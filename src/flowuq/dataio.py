@@ -28,6 +28,7 @@ import csv
 import io
 import json
 import math
+import re
 from array import array
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -55,18 +56,30 @@ def _open(path):
         raise DataError(f"cannot open {path}: {exc}") from exc
 
 
+# A quoted field, from a ``"`` at the start of a field (elsewhere a ``"`` is
+# text, as ``csv.reader`` reads it) through its closing ``"`` (group 1; a
+# ``""`` is a quote) or, when it is still open, the end of the text.
+_QUOTED = re.compile(r'(?:^|(?<=[,\r\n]))"[^"]*(?:""[^"]*)*("(?!")|\Z)')
+
+
+def _open_quote(text: str) -> int | None:
+    """Where the quoted field still open at the end of ``text`` opens, or
+    None; ``text`` starts at the start of a field."""
+    return next((m.start() for m in _QUOTED.finditer(text) if not m[1]), None)
+
+
 def _chunks(handle, size: int):
     """The handle's remaining lines, about ``size`` characters at a time.  A
-    chunk with an odd count of ``"`` ends inside a quoted field, so it takes
-    one more line until the count is even: no record spans two chunks.  (A
-    stray ``"`` inside an unquoted field, which ``csv.reader`` keeps as text,
-    runs the chunk on to the next ``"``: still read right, but not bounded.)"""
+    chunk that ends inside a quoted field takes one more line until the
+    field closes: no record spans two chunks, and a chunk holds at most
+    ``size`` characters and a line unless a quoted field spans lines."""
     while lines := handle.readlines(size):
         text = "".join(lines)
-        odd = '"' in text and text.count('"') % 2
-        while odd and (line := handle.readline()):
+        start = _open_quote(text) if '"' in text else None
+        while start is not None and (line := handle.readline()):
             lines.append(line)
-            odd ^= line.count('"') % 2
+            text = text[start:] + line
+            start = _open_quote(text)
         yield lines
 
 
@@ -133,9 +146,9 @@ def _read_table(path, header: Sequence[str], what: str, refuse=()):
     count CSV records, the header being row 1.
 
     The file is read in chunks of about ``_CHUNK_CHARS`` characters of whole
-    lines.  A chunk grows by a line while it holds an odd count of ``"``, so
-    a quoted field (which may hold a comma or a line break) never spans two
-    chunks.  Two tokenizers feed the same column code:
+    lines.  A chunk grows by a line while it ends inside a quoted field (see
+    ``_chunks``), so a quoted field (which may hold a comma or a line break)
+    never spans two chunks.  Two tokenizers feed the same column code:
 
     * a chunk with no ``"`` whose every line has ``width - 1`` commas is
       split with one ``str.split`` (``_split``);

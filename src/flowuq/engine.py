@@ -9,7 +9,7 @@ keeps its theta_hat).  The one smoother, :class:`LowDimSmoother`,
 transforms the matrix the model evaluates; the parameter is always
 estimated on the unsmoothed one.  :func:`run_uq` is the
 ``flowuq uq`` pipeline: it fits the observed matrix, picks the estimator the
-mode needs, runs the loop and evaluates the point estimate.
+mode needs, evaluates the point estimate and runs the loop.
 The loop runs in batches of draws, as many as fit a budget of stacked n x n
 cells chosen from a measured sweep of batch sizes (``_BATCH_CELLS``: 40
 draws at n = 30, 3 at n = 100).  A batch's matrices are estimated
@@ -82,13 +82,11 @@ class UqConfig:
             raise DataError("draw count must be positive")
         if self.seed < 0:
             raise DataError("seed must be non-negative")
-        if not 0 < self.alpha < 1:
-            raise DataError("alpha must be in (0, 1)")
         if self.mode not in MODES:
             raise DataError(f"mode must be one of {MODES}")
         if self.interval_kind not in INTERVAL_KINDS:
             raise DataError(f"interval kind must be one of {INTERVAL_KINDS}")
-        robust_interval_levels(self.alpha, self.robust_c)  # c finite and >= 1
+        robust_interval_levels(self.alpha, self.robust_c)  # alpha in (0, 1), c in [1, inf)
         if not 0 <= self.max_failure_fraction < 1:
             raise DataError("max failure fraction must be in [0, 1)")
         if self.workers < 1:
@@ -263,15 +261,15 @@ def _run_loop(ctx: _LoopContext):
     return [item[1] for item in results]
 
 
-def _compose(ctx: _LoopContext, results, labels) -> tuple[DrawSet, tuple[Interval, ...]]:
+def _compose(ctx: _LoopContext, results) -> tuple[DrawSet, tuple[Interval, ...]]:
     cfg = ctx.cfg
     kept = [r for r in results if r[0] is not None]
     failed = cfg.b - len(kept)
     if failed > cfg.max_failure_fraction * cfg.b or not kept:
         raise TooManyFailures(failed, cfg.b, cfg.max_failure_fraction)
     stacked = np.vstack([np.atleast_1d(r[0]) for r in kept])
-    if labels is None or len(labels) != stacked.shape[1]:
-        labels = tuple(str(q) for q in range(stacked.shape[1]))
+    # Outcomes are named by location when there is one per location.
+    labels = ctx.flows_obs.labels if ctx.flows_obs.n == stacked.shape[1] else ()
     draw_set = DrawSet(draws=stacked, b=cfg.b, draws_failed=failed, labels=labels)
 
     # Ranks come from the nominal draw counts, so failed draws are handled
@@ -324,8 +322,6 @@ def run_algorithm1(
     """
     if cfg.mode != "only-ee" and params is None:
         raise DataError("data sampling requires calibrated parameters")
-    if params is not None and params.has_periods:
-        raise DataError("slice per-period parameters with for_period() first")
     if estimator is None:
         raise DataError(f"{cfg.mode} mode needs an estimator")
     # With one leg fixed, the observed matrix is smoothed (only-ee) and
@@ -346,7 +342,7 @@ def run_algorithm1(
         flows_fixed=flows_fixed,
     )
     results = _run_loop(ctx)
-    return _compose(ctx, results, flows_obs.labels)
+    return _compose(ctx, results)
 
 
 def point_estimate(
@@ -388,7 +384,10 @@ def run_uq(
         estimator = (
             PpmlEstimator(estimation, fit, include_diagonal) if cfg.mode == "ee+me" else observed
         )
+    # The point estimate runs the model's own checks once, on the observed
+    # data, so an input it refuses stops the run before any draw.
+    point = point_estimate(flows_obs, observed, model, cf_spec)
     draw_set, intervals = run_algorithm1(
         flows_obs, params, estimator, model, cf_spec, cfg, smoother=smoother
     )
-    return draw_set, intervals, point_estimate(flows_obs, observed, model, cf_spec)
+    return draw_set, intervals, point

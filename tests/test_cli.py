@@ -925,14 +925,62 @@ def test_report_ranks_refuses_a_file_given_twice(tmp_path, capsys):
     assert not (out / "ranks.json").exists()
 
 
-def test_uq_exits_4_when_every_draw_fails(armington_files, tmp_path, capsys):
-    # A negative elasticity fails every draw's solve.
+def _uq_argv(flows, params, out, *extra):
+    return ["uq", "--flows", str(flows), "--params", str(params), "--b", "40",
+            "--output-dir", str(out), *extra]
+
+
+def test_uq_exits_4_when_too_many_draws_fail(armington_files, tmp_path, capsys):
+    # theta ~ N(0.5, 1) is not positive on about a third of the draws, and
+    # each of those draws fails its solve.
     _, flows, _, _, params = armington_files
     out = tmp_path / "uq"
-    argv = ["uq", "--flows", str(flows), "--params", str(params), "--theta", "-1"]
-    argv += ["--uniform-increase", "0.1", "--b", "40", "--output-dir", str(out)]
-    assert main(argv) == 4
-    assert "error: 40/40 draws failed" in capsys.readouterr().err
+    argv = _uq_argv(flows, params, out, "--theta", "0.5", "--theta-se", "1")
+    assert main([*argv, "--uniform-increase", "0.1"]) == 4
+    assert "error: 11/40 draws failed" in capsys.readouterr().err
+    assert not (out / "draws.csv").exists() and not (out / "interval.json").exists()
+
+
+def test_uq_refuses_a_zero_own_flow_before_any_draw(armington_files, tmp_path, capsys):
+    scen, flows, _, costs, params = armington_files
+    values = dataio.read_flows_csv(flows).values.copy()
+    values[3, 3] = 0.0
+    dataio.write_dyadic_csv(flows, scen.labels, values, "flow")
+    out = tmp_path / "uq"
+    argv = _uq_argv(flows, params, out, "--costs", str(costs), "--uniform-increase", "0.1")
+    assert main(argv) == 2
+    assert "error: ZeroDiagonal: zero own flow for ['L03']" in capsys.readouterr().err
+    assert not (out / "draws.csv").exists() and not (out / "interval.json").exists()
+
+
+def test_uq_refuses_a_negative_theta_before_any_draw(
+    armington_files, tmp_path, capsys, monkeypatch
+):
+    _, flows, _, _, params = armington_files
+    sampled = []
+    monkeypatch.setattr(engine, "sample_flow_matrix", lambda *a: sampled.append(a))
+    out = tmp_path / "uq"
+    assert main(_uq_argv(flows, params, out, "--theta", "-1", "--uniform-increase", "0.1")) == 2
+    assert "error: InvalidElasticity: elasticity must be finite" in capsys.readouterr().err
+    assert not sampled
+    assert not (out / "draws.csv").exists() and not (out / "interval.json").exists()
+
+
+def test_uq_refuses_an_own_cost_change_before_any_fit(
+    armington_files, tmp_path, capsys, monkeypatch
+):
+    scen, flows, _, costs, params = armington_files
+    tau = np.ones((scen.n, scen.n))
+    tau[2, 2] = 1.1
+    spec = tmp_path / "cf.csv"
+    dataio.write_dyadic_csv(spec, scen.labels, tau, "tau_prop")
+    fits = []
+    monkeypatch.setattr(engine, "fit_ppml", lambda *a, **k: fits.append(a))
+    out = tmp_path / "uq"
+    argv = _uq_argv(flows, params, out, "--costs", str(costs), "--cf-spec", str(spec))
+    assert main(argv) == 2
+    assert "own trade costs are fixed at 1; diagonal must be 1" in capsys.readouterr().err
+    assert not fits
     assert not (out / "draws.csv").exists() and not (out / "interval.json").exists()
 
 

@@ -14,7 +14,8 @@ from flowuq import (
     evaluate_model,
 )
 from flowuq.armington import ArmingtonModel
-from flowuq.core import evaluate_model_many, solve_stack
+from flowuq.calibration import MirrorPanel
+from flowuq.core import CalibratedParams, DistanceMatrix, evaluate_model_many, solve_stack
 
 
 def test_flow_matrix_validation():
@@ -26,10 +27,31 @@ def test_flow_matrix_validation():
         FlowMatrix([[np.inf, 1.0], [0.0, 1.0]])
     with pytest.raises(DataError):
         FlowMatrix([[1.0, np.nan], [0.0, 1.0]])
-    with pytest.raises(DataError):
-        FlowMatrix(np.ones((2, 2)), labels=("a", "a"))
-    with pytest.raises(DataError):
-        FlowMatrix(np.ones((2, 2)), labels=("a", "b", "c"))
+
+
+_ZEROS = np.zeros((3, 3))
+# Each labelled type, built over 3 locations (or 3 outcomes) with the given labels.
+_LABELLED = {
+    "FlowMatrix": lambda labels: FlowMatrix(np.ones((3, 3)), labels),
+    "DistanceMatrix": lambda labels: DistanceMatrix(np.ones((3, 3)), labels),
+    "CalibratedParams": lambda labels: CalibratedParams(
+        p=_ZEROS, b=_ZEROS, mu=_ZEROS, s2=_ZEROS, sigma2=_ZEROS, labels=labels
+    ),
+    "DrawSet": lambda labels: DrawSet(draws=np.ones((2, 3)), b=2, labels=labels),
+    "MirrorPanel": lambda labels: MirrorPanel(
+        np.ones((1, 3, 3)), np.ones((1, 3, 3)), labels, periods=(2000,)
+    ),
+}
+
+
+@pytest.mark.parametrize("build", _LABELLED.values(), ids=_LABELLED.keys())
+def test_every_labelled_type_has_one_label_rule(build):
+    assert build(()).labels == ("0", "1", "2")
+    assert build(["a", "b", "c"]).labels == ("a", "b", "c")
+    with pytest.raises(DataError, match=r"labels must be unique; repeated: \['a'\]"):
+        build(("a", "b", "a"))
+    with pytest.raises(DataError, match="expected 3 labels, got 2"):
+        build(("a", "b"))
 
 
 def test_flow_matrix_immutable():
@@ -50,6 +72,10 @@ def test_estimator_result_validation():
 def test_counterfactual_spec_validation():
     with pytest.raises(DataError):
         CounterfactualSpec(np.zeros((2, 2)))
+    own = np.ones((2, 2))
+    own[1, 1] = 1.1
+    with pytest.raises(DataError, match="own trade costs are fixed at 1; diagonal must be 1"):
+        CounterfactualSpec(own)
     spec = CounterfactualSpec.uniform_increase(3, 0.1)
     assert np.allclose(np.diag(spec.tau_prop), 1.0)
     assert np.allclose(spec.tau_prop[0, 1], 1.1)

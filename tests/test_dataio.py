@@ -204,6 +204,17 @@ def test_params_json_refuses_lost_values(edit, message):
         dataio.params_from_json(doc)
 
 
+def test_params_json_refuses_repeated_labels():
+    # With "A" twice, every "A->..." entry lands in the second row and the
+    # first stays all zeros; the labels are refused instead.
+    params = armington_world(n=3, seed=1).params
+    doc = params_json_doc(replace(params, labels=("A", "C", "B")))
+    doc["dyads"] = {key: entry for key, entry in doc["dyads"].items() if "C" not in key}
+    doc["labels"] = ["A", "A", "B"]
+    with pytest.raises(DataError, match=r"labels must be unique; repeated: \['A'\]"):
+        dataio.params_from_json(doc)
+
+
 def test_params_json_shrunk_pair_on_every_dyad_or_none():
     doc = params_json_doc(_mirror_params(shrink=False))
     key = sorted(doc["dyads"])[6]
@@ -594,6 +605,17 @@ def _outcome(read):
         return ("ParseError", exc.row, str(exc))
 
 
+def _assert_same_table(got, expected):
+    """``_read_table``'s result equals ``read_table_rows``'s."""
+    labels, periods, rows = expected
+    assert got[:2] == (labels, periods)
+    i, j, k, values = got[2:]
+    np.testing.assert_array_equal(i, [r[0] for r in rows])
+    np.testing.assert_array_equal(j, [r[1] for r in rows])
+    np.testing.assert_array_equal(k, [r[2] for r in rows])
+    np.testing.assert_array_equal(values, np.array([r[3] for r in rows]).reshape(values.shape))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_tables())
 def test_chunked_reader_matches_a_csv_row_loop(tmp_path_factory, table):
@@ -608,10 +630,31 @@ def test_chunked_reader_matches_a_csv_row_loop(tmp_path_factory, table):
     if expected[0] == "ParseError":
         assert got == expected
         return
-    labels, periods, rows = expected
-    assert got[:2] == (labels, periods)
-    i, j, k, values = got[2:]
-    np.testing.assert_array_equal(i, [r[0] for r in rows])
-    np.testing.assert_array_equal(j, [r[1] for r in rows])
-    np.testing.assert_array_equal(k, [r[2] for r in rows])
-    np.testing.assert_array_equal(values, np.array([r[3] for r in rows]).reshape(values.shape))
+    _assert_same_table(got, expected)
+
+
+def test_a_stray_quote_in_a_label_keeps_chunks_bounded(tmp_path, monkeypatch):
+    # A '"' inside an unquoted field is text to csv.reader, so it opens no
+    # quoted field: the chunk after row 2's 'A"x' ends at the size bound like
+    # every other.  A quoted label with a comma still reads whole.
+    labels = ['A"x', '"Paris, FR"'] + [f"L{i:02d}" for i in range(78)]
+    rng = np.random.default_rng(0)
+    pairs = [(o, d) for o in labels for d in labels if o != d][:5000]
+    lines = ["origin,destination,flow"] + [f"{o},{d},{rng.random()!r}" for o, d in pairs]
+    path = tmp_path / "flows.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    chunks = []
+    real = dataio._chunks
+
+    def recording(handle, size):
+        for lines in real(handle, size):
+            chunks.append((size, lines))
+            yield lines
+
+    monkeypatch.setattr(dataio, "_CHUNK_CHARS", 1000)
+    monkeypatch.setattr(dataio, "_chunks", recording)
+    header = ("origin", "destination", "flow")
+    got = dataio._read_table(path, header, "flow")
+    assert len(chunks) > 100
+    assert all(sum(map(len, lines[:-1])) <= size for size, lines in chunks)
+    _assert_same_table(got, read_table_rows(path, header, "flow"))

@@ -347,55 +347,6 @@ class TestPpmlMany:
                 fit_ppml_many(matrices(stack), log_costs)
             assert str(info.value) == str(expected.value)
 
-    def test_singular_projection_fails_its_slice_alone(self, monkeypatch):
-        # On the heavy-noise world the fitted means of the empty origin fall
-        # to ~1e-17 of the largest, and the fixed-effects block turns
-        # singular before any effect exceeds the separation bound.
-        flows, log_costs = singular_world()
-        with pytest.raises(Separation, match="projection became singular") as single:
-            fit_ppml(flows, log_costs)
-
-        # The weighting that was singular fails alone in a stack: the other
-        # slices get their own projections, bit for bit.
-        seen = []
-        real = gravity._twoway_fe
-
-        def recording(w, v, labels):
-            out = real(w, v, labels)
-            if out[3].any():
-                seen.append((w[out[3]][0], v[out[3]][0], labels))
-            return out
-
-        monkeypatch.setattr(gravity, "_twoway_fe", recording)
-        with pytest.raises(Separation):
-            fit_ppml(flows, log_costs)
-        monkeypatch.undo()
-        w_bad, v_bad, labels = seen[0]
-        rng = np.random.default_rng(3)
-        w = np.exp(rng.normal(0.0, 1.0, (4,) + w_bad.shape)) * (w_bad > 0)
-        v = rng.normal(size=(4,) + v_bad.shape)
-        w[2], v[2] = w_bad, v_bad
-        a, b, _, singular = _twoway_fe(w, v, labels)
-        assert singular.tolist() == [False, False, True, False]
-        assert np.isnan(a[2]).all() and np.isnan(b[2]).all()
-        for j in (0, 1, 3):
-            a_j, b_j, _, singular_j = _twoway_fe(w[j : j + 1], v[j : j + 1], labels)
-            assert not singular_j.any()
-            assert np.array_equal(a[j], a_j[0]) and np.array_equal(b[j], b_j[0])
-
-        # In a batch of fits the lowest failing slice's error is raised.
-        good = [gravity_flows(flows.n, 2.0, rng)[0].values for _ in range(3)]
-        separating = good[2] * np.exp(40.0 * (np.arange(flows.n) == 2))
-        with pytest.raises(Separation, match="exceeded") as sep:
-            fit_ppml(FlowMatrix(separating), log_costs)
-        for stack, expected in (
-            ([good[0], good[1], flows.values, separating], single),
-            ([good[0], separating, flows.values, good[1]], sep),
-        ):
-            with pytest.raises(Separation) as info:
-                fit_ppml_many(matrices(stack), log_costs)
-            assert str(info.value) == str(expected.value)
-
     def test_draw_loop_batch_at_n100_matches_single_fits(self):
         # The draw loop's batches hold more than one draw at n = 100; such a
         # batch of drawn matrices, fitted in one IRLS from the observed fit,
