@@ -185,32 +185,32 @@ def _continuation(log_tau, shares, income, deficit, epsilon):
     done, s = np.zeros(k), np.ones(k)
     steps = np.zeros(k, dtype=int)  # Newton steps of the finished stages
     stall: list = [None] * k        # what stopped the last failed stage
-    # The unfinished systems' current stages, one row per system in ``ids``.
-    ids = np.arange(k)
+    # Each system's current stage, one row per system; ``live`` marks the
+    # systems not yet finished.
+    live = np.ones(k, dtype=bool)
     args = (shares, income, deficit, epsilon)
     x, lt = np.empty((k, n)), np.empty((k, n, n))  # lt: the stage's s * log tau
     defect, g, pi, exp_cf = np.empty((k, n)), np.empty((k, n)), np.empty((k, n, n)), np.empty((k, n))
     taken, cap = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
     fresh = np.ones(k, dtype=bool)  # rows starting a stage
-    while ids.size:
+    while live.any():
         if fresh.any():
-            rows, new = _rows(fresh), ids[fresh]
-            lt[rows] = s[new, None, None] * log_tau
-            x[rows] = base[new]
+            rows = _rows(fresh)
+            lt[rows] = s[rows, None, None] * log_tau
+            x[rows] = base[rows]
             taken[rows] = 0
-            cap[rows] = np.minimum(_STAGE_STEPS, _MAX_STEPS - steps[new])
+            cap[rows] = np.minimum(_STAGE_STEPS, _MAX_STEPS - steps[rows])
             defect[rows], g[rows], pi[rows], exp_cf[rows] = _defects(
                 lt[rows], x[rows], *(a[rows] for a in args)
             )
         residual = np.abs(defect).max(axis=1)
-        converged = np.maximum(residual, np.abs(g[:, -1])) <= _TOL
-        capped = ~converged & (taken == cap)
+        converged = live & (np.maximum(residual, np.abs(g[:, -1])) <= _TOL)
+        capped = live & ~converged & (taken == cap)
         stops = {i: None for i in np.flatnonzero(converged)}
         stops.update({i: "step cap" for i in np.flatnonzero(capped)})
-        moving = ~(converged | capped)
+        moving = live & ~(converged | capped)
         if moving.any():
             rows = _rows(moving)
-            _, income, _, epsilon = args
             step, singular = _newton_steps(
                 x[rows], pi[rows], exp_cf[rows], income[rows], epsilon[rows], g[rows]
             )
@@ -234,34 +234,26 @@ def _continuation(log_tau, shares, income, deficit, epsilon):
             defect[rows], g[rows], pi[rows], exp_cf[rows] = trial
 
         fresh[:] = False
-        finished = np.zeros(len(ids), dtype=bool)
         for i, stop in stops.items():
-            j = ids[i]
-            steps[j] += taken[i]
-            if stop is None and s[j] == 1.0:
-                out[j] = (x[i].copy(), float(residual[i]), int(steps[j]))
-                finished[i] = True
+            steps[i] += taken[i]
+            if stop is None and s[i] == 1.0:
+                out[i] = (x[i].copy(), float(residual[i]), int(steps[i]))
+                live[i] = False
             elif stop is None:
-                base[j], done[j], s[j] = x[i], s[j], 1.0
+                base[i], done[i], s[i] = x[i], s[i], 1.0
                 fresh[i] = True
-            elif steps[j] < _MAX_STEPS and s[j] - done[j] > _MIN_STAGE:
-                s[j], stall[j] = 0.5 * (done[j] + s[j]), stop
+            elif steps[i] < _MAX_STEPS and s[i] - done[i] > _MIN_STAGE:
+                s[i], stall[i] = 0.5 * (done[i] + s[i]), stop
                 fresh[i] = True
             else:
-                out[j] = NoConvergence(
-                    int(steps[j]),
+                out[i] = NoConvergence(
+                    int(steps[i]),
                     float(residual[i]),
                     what="counterfactual solver (continuation solved the shock tau^s "
-                    f"up to s = {done[j]:.6g} and failed at s = {s[j]:.6g})",
-                    reason=stop if stall[j] in (None, stop) else f"{stop} after {stall[j]}",
+                    f"up to s = {done[i]:.6g} and failed at s = {s[i]:.6g})",
+                    reason=stop if stall[i] in (None, stop) else f"{stop} after {stall[i]}",
                 )
-                finished[i] = True
-        if finished.any():
-            keep = ~finished
-            ids, x, lt, defect, g, pi, exp_cf, taken, cap, fresh = (
-                a[keep] for a in (ids, x, lt, defect, g, pi, exp_cf, taken, cap, fresh)
-            )
-            args = tuple(a[keep] for a in args)
+                live[i] = False
     return out
 
 

@@ -167,7 +167,6 @@ def calibrate_baseline(
         mu=fit.mu,
         s2=s2,
         sigma2=sigma2,
-        mu_defined=off,
         labels=flows_obs.labels,
     )
     return params, fit
@@ -344,7 +343,6 @@ class PriorMeans:
     command-line diagnostics report."""
 
     mu: np.ndarray        # (T, n, n), NaN where undefined
-    defined: np.ndarray   # (n, n): dyad has at least one positive period
     beta: np.ndarray      # (T,) log-distance coefficients
     adj_r2: np.ndarray    # (T,)
     last_fit: GravityFit  # the fit of period T
@@ -360,8 +358,8 @@ def estimate_prior_means(
     Positive dyad-periods get the within-period fitted value.  Zero
     dyad-periods are imputed with the across-period average of the dyad's
     fitted values over its positive periods.  Dyads never positive stay NaN
-    and are flagged undefined (their posterior never needs a slab mean when
-    the true-zero probability is one).
+    in every period (their posterior never needs a slab mean when the
+    true-zero probability is one).
     """
     n, t = panel.n, panel.t
     if distances.n != n:
@@ -390,7 +388,7 @@ def estimate_prior_means(
     for k in range(t):
         fill = pos_any & ~(flows[k] > 0)
         mu[k][fill] = avg[fill]
-    return PriorMeans(mu=mu, defined=pos_any, beta=beta, adj_r2=adj, last_fit=fit)
+    return PriorMeans(mu=mu, beta=beta, adj_r2=adj, last_fit=fit)
 
 
 def estimate_prior_variances(
@@ -530,7 +528,6 @@ def calibrate_mirror(
         sigma2=sigma2,
         s2_shrunk=s2_shrunk,
         sigma2_shrunk=sigma2_shrunk,
-        mu_defined=means.defined,
         me_observed=observed,
         labels=panel.labels,
         periods=panel.periods,

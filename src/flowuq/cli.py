@@ -76,7 +76,8 @@ def _outdir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _write_diagnostics(out: Path, diag, plot):
+def _write_diagnostics(out: Path, diag, fit):
+    """The normality diagnostic's files, and the gravity fit's partial plot."""
     dataio.write_json(
         out / "normality_summary.json",
         {
@@ -96,7 +97,8 @@ def _write_diagnostics(out: Path, diag, plot):
         ["bin_left", "bin_right", "count"],
         [edges[:-1], edges[1:], diag.bin_counts],
     )
-    dataio.write_columns_csv(out / "gravity_partial.csv", ["x", "y"], [plot.x, plot.y])
+    dataio.write_columns_csv(out / "gravity_partial.csv", ["x", "y"], [fit.x_res, fit.y_res])
+    plot = gravity_partial_plot(fit)
     filled = plot.bin_counts > 0
     dataio.write_columns_csv(
         out / "gravity_binned.csv",
@@ -146,8 +148,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             [FlowMatrix(r, panel.labels) for r in panel.report1], params
         )
         last = panel.periods[-1]
-        plot = gravity_partial_plot(means.last_fit)
-        _write_diagnostics(out, diag, plot)
+        _write_diagnostics(out, diag, means.last_fit)
         dataio.write_json(
             out / "calibration_summary.json",
             {
@@ -172,8 +173,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         params, fit = calibrate_baseline(flows, distances, sigma2, p, b)
         dataio.write_params_json(out / "params.json", params)
         diag = normality_diagnostic(flows, params)
-        plot = gravity_partial_plot(fit)
-        _write_diagnostics(out, diag, plot)
+        _write_diagnostics(out, diag, fit)
         dataio.write_json(
             out / "calibration_summary.json",
             {
@@ -336,8 +336,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     distances = dataio.read_distances_csv(args.distances, flows.labels)
     params = _params(args)
     diag = normality_diagnostic(flows, params)
-    plot = gravity_partial_plot(fit_log_gravity(flows, distances))
-    _write_diagnostics(out, diag, plot)
+    _write_diagnostics(out, diag, fit_log_gravity(flows, distances))
     _log(f"diagnostics written to {out}")
     return 0
 
@@ -380,12 +379,17 @@ def cmd_simulate_attenuation(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unique(option: str, items: list[str]) -> list[str]:
+    """The items of a comma-separated option, refused if one repeats."""
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise DataError(f"{option} gives {item} twice")
+    return items
+
+
 def cmd_report_ranks(args: argparse.Namespace) -> int:
     out = _outdir(args)
-    paths = [p for p in args.draws.split(",") if p]
-    for i, path in enumerate(paths):
-        if path in paths[:i]:
-            raise DataError(f"--draws gives {path} twice")
+    paths = _unique("--draws", [p for p in args.draws.split(",") if p])
     files: list[tuple[str, tuple[str, ...]]] = []
     columns: list[np.ndarray] = []
     length = None
@@ -405,7 +409,7 @@ def cmd_report_ranks(args: argparse.Namespace) -> int:
         owners[lab] = owners.get(lab, 0) + 1
     labels = [f"{path}:{lab}" if owners[lab] > 1 else lab for path, labs in files for lab in labs]
     if args.columns is not None:
-        keep = [w.strip() for w in args.columns.split(",")]
+        keep = _unique("--columns", [w.strip() for w in args.columns.split(",")])
         missing = [w for w in keep if w not in labels]
         if missing:
             raise DataError(f"unknown outcome columns {missing}")
@@ -563,10 +567,8 @@ def _config_tokens(path, command: str, options: dict[str, argparse.Action]) -> l
     """The command-line tokens of a flat ``key = value`` file ('#' starts a
     comment): ``--key=value``, or ``--key``/``--no-key`` for a yes/no
     option.  A key must name an option of ``command`` exactly."""
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot open config {path}: {exc}") from exc
+    with dataio._open(path) as handle:
+        text = handle.read()
     tokens: list[str] = []
     unknown: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -170,8 +170,9 @@ class CalibratedParams:
     """Calibrated prior and measurement-error parameters, one set per dyad.
 
     ``mu`` is (n, n) in the baseline regime or (T, n, n) in the mirror-panel
-    regime (slice with :meth:`for_period` before sampling).  Shrunk variance
-    matrices, when present, take precedence in the posterior.
+    regime (slice with :meth:`for_period` before sampling); a NaN mean marks
+    a dyad without a prior mean.  Shrunk variance matrices, when present,
+    take precedence in the posterior.
     """
 
     p: np.ndarray
@@ -181,7 +182,6 @@ class CalibratedParams:
     sigma2: np.ndarray
     s2_shrunk: np.ndarray | None = None
     sigma2_shrunk: np.ndarray | None = None
-    mu_defined: np.ndarray | None = None
     me_observed: np.ndarray | None = None
     labels: tuple[str, ...] = ()
     periods: tuple[int, ...] | None = None
@@ -208,9 +208,8 @@ class CalibratedParams:
             if self.periods is None or len(self.periods) != mu.shape[0]:
                 raise DataError("per-period mu requires matching periods")
         object.__setattr__(self, "mu", _freeze(mu))
-        for name in ("mu_defined", "me_observed"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=bool))
+        if self.me_observed is not None:
+            object.__setattr__(self, "me_observed", np.asarray(self.me_observed, dtype=bool))
         object.__setattr__(self, "labels", _labels(self.labels, n))
         if self.periods is not None:
             object.__setattr__(self, "periods", tuple(int(t) for t in self.periods))
@@ -244,12 +243,11 @@ class DrawSet:
     """Bootstrap draws of the counterfactual outcome vector.
 
     ``draws`` has one row per successful draw (ordered by draw index) and one
-    column per outcome coordinate.  ``b`` is the requested draw count, so
-    ``len(draws) + draws_failed == b``.
+    column per outcome coordinate; ``draws_failed`` counts the draws that
+    failed, so the requested draw count is ``draws_used + draws_failed``.
     """
 
     draws: np.ndarray
-    b: int
     draws_failed: int = 0
     labels: tuple[str, ...] = ()
 
@@ -263,8 +261,6 @@ class DrawSet:
             raise DataError(
                 "draw sets must be finite; failed draws are counted separately"
             )
-        if arr.shape[0] + self.draws_failed != self.b:
-            raise DataError("draws_used + draws_failed must equal b")
         object.__setattr__(self, "draws", _freeze(arr))
         object.__setattr__(self, "labels", _labels(self.labels, arr.shape[1]))
 

@@ -30,6 +30,7 @@ import json
 import math
 import re
 from array import array
+from contextlib import contextmanager
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
@@ -48,12 +49,20 @@ _CHUNK_CHARS = 1 << 16
 _BLOCK_DYADS = 256
 
 
+@contextmanager
 def _open(path):
-    """A text input: UTF-8, a byte-order mark skipped."""
+    """A text input: UTF-8, a byte-order mark skipped.  A file that cannot be
+    opened is a DataError, and one that is not UTF-8 a ParseError, whichever
+    read meets the bad byte."""
     try:
-        return open(path, newline="", encoding="utf-8-sig")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
+    with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            raise ParseError(f"{path} is not UTF-8 text") from None
 
 
 # A quoted field, from a ``"`` at the start of a field (elsewhere a ``"`` is
@@ -174,43 +183,40 @@ def _read_table(path, header: Sequence[str], what: str, refuse=()):
     origin, dest, lines, vals = array("q"), array("q"), array("q"), array("d")
     blank: list[int] = []  # positions in vals of blank value cells
     error = None  # (row, message) of the first row that does not parse
-    try:
-        with _open(path) as handle:
-            head = next(csv.reader(next(_chunks(handle, 1), [])), None)
-            if head is None or [h.strip() for h in head] != list(header):
-                raise ParseError(f"expected header {','.join(header)}", row=1)
-            row = 2
-            for chunk in _chunks(handle, _CHUNK_CHARS):
-                cells, rows, row, error = _split(chunk, width, row)
-                values, blanks, bad = _parse_values(cells, width, nv)
-                origins, dests = cells[0::width], cells[1::width]
-                if blanks.any() or bad.any():
-                    # A row of blank cells is skipped; a blank year is bad.
-                    empty = [not (o.strip() or d.strip()) for o, d in zip(origins, dests)]
-                    skip = blanks.all(axis=0) & np.array(empty, dtype=bool)
-                    bad[0] |= blanks[0] & year
-                    bad &= ~skip
-                    if bad.any():
-                        r = int(np.argmax(bad.any(axis=0)))
-                        c = int(np.argmax(bad[:, r]))
-                        cell = cells[r * width + 2 + c].strip()
-                        error = (int(rows[r]), f"bad {names[c]} {cell!r}")
-                        skip[r:] = True
-                    keep = ~skip
-                    origins, dests = ([x for x, k in zip(c, keep) if k] for c in (origins, dests))
-                    values, blanks, rows = values[:, keep], blanks[:, keep], rows[keep]
-                    blank += (np.flatnonzero(blanks.T) + len(vals)).tolist()
-                for lab in sorted(set(origins).union(dests).difference(label_idx)):
-                    label_idx[lab] = len(label_idx)
-                for column, labs in ((origin, origins), (dest, dests)):
-                    indices = np.fromiter(map(label_idx.__getitem__, labs), np.int64, len(labs))
-                    column.frombytes(indices.tobytes())
-                lines.frombytes(rows.tobytes())
-                vals.frombytes(values.T.tobytes())
-                if error:
-                    break
-    except UnicodeDecodeError:
-        raise ParseError(f"{path} is not UTF-8 text") from None
+    with _open(path) as handle:
+        head = next(csv.reader(next(_chunks(handle, 1), [])), None)
+        if head is None or [h.strip() for h in head] != list(header):
+            raise ParseError(f"expected header {','.join(header)}", row=1)
+        row = 2
+        for chunk in _chunks(handle, _CHUNK_CHARS):
+            cells, rows, row, error = _split(chunk, width, row)
+            values, blanks, bad = _parse_values(cells, width, nv)
+            origins, dests = cells[0::width], cells[1::width]
+            if blanks.any() or bad.any():
+                # A row of blank cells is skipped; a blank year is bad.
+                empty = [not (o.strip() or d.strip()) for o, d in zip(origins, dests)]
+                skip = blanks.all(axis=0) & np.array(empty, dtype=bool)
+                bad[0] |= blanks[0] & year
+                bad &= ~skip
+                if bad.any():
+                    r = int(np.argmax(bad.any(axis=0)))
+                    c = int(np.argmax(bad[:, r]))
+                    cell = cells[r * width + 2 + c].strip()
+                    error = (int(rows[r]), f"bad {names[c]} {cell!r}")
+                    skip[r:] = True
+                keep = ~skip
+                origins, dests = ([x for x, k in zip(c, keep) if k] for c in (origins, dests))
+                values, blanks, rows = values[:, keep], blanks[:, keep], rows[keep]
+                blank += (np.flatnonzero(blanks.T) + len(vals)).tolist()
+            for lab in sorted(set(origins).union(dests).difference(label_idx)):
+                label_idx[lab] = len(label_idx)
+            for column, labs in ((origin, origins), (dest, dests)):
+                indices = np.fromiter(map(label_idx.__getitem__, labs), np.int64, len(labs))
+                column.frombytes(indices.tobytes())
+            lines.frombytes(rows.tobytes())
+            vals.frombytes(values.T.tobytes())
+            if error:
+                break
 
     labels = sorted({lab.strip() for lab in label_idx})
     position = {lab: p for p, lab in enumerate(labels)}
@@ -414,11 +420,7 @@ def write_params_json(path, params: CalibratedParams):
         )
         if arr is not None
     }
-    flags = {
-        name: np.ravel(arr)
-        for name, arr in (("mu_defined", params.mu_defined), ("me_observed", params.me_observed))
-        if arr is not None
-    }
+    flags = {} if params.me_observed is None else {"me_observed": np.ravel(params.me_observed)}
     if params.has_periods:
         periods = params.periods
         by_text = sorted(range(len(periods)), key=lambda k: str(periods[k]))
@@ -457,56 +459,75 @@ def write_params_json(path, params: CalibratedParams):
         handle.write(f'\n  "labels": {labels_text},\n  "periods": {periods_text}\n}}\n')
 
 
-def _nan(x) -> float:
-    return math.nan if x is None else float(x)
+def _number(value, key: str, name: str) -> float:
+    """A dyad's JSON number as a float, null as NaN."""
+    if value is None:
+        return math.nan
+    try:
+        if type(value) in (int, float):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise DataError(f"params dyad {key!r}: {name} must be a number, got {value!r}")
 
 
 _SHRUNK = ("s2_shrunk", "sigma2_shrunk")
 
 
-def params_from_json(doc: dict) -> CalibratedParams:
+def params_from_json(doc) -> CalibratedParams:
     """Parameters from a ``write_params_json`` document.  Every one of the
     n * n dyads must be listed and carry p, b, s2, sigma2 and mu, and either
     both shrunk variances or neither, as every other dyad does; only mu may
-    be null."""
-    labels = tuple(doc["labels"])
-    periods = doc.get("periods")
+    be null, and a null mu marks a dyad without a prior mean.  A document of
+    another shape is a DataError."""
+    if not isinstance(doc, dict):
+        raise DataError("params file must hold a JSON object")
+    labels, dyads, periods = doc.get("labels"), doc.get("dyads"), doc.get("periods")
+    if not (isinstance(labels, list) and all(type(lab) is str for lab in labels)):
+        raise DataError('params file needs "labels", a list of strings')
+    if not isinstance(dyads, dict):
+        raise DataError('params file needs "dyads", an object keyed by dyad')
+    if not (periods is None or isinstance(periods, list) and all(type(t) is int for t in periods)):
+        raise DataError('params "periods" must be null or a list of whole numbers')
+    labels = tuple(labels)
     n = len(labels)
     t = len(periods) if periods else 0
-    first = next(iter(doc["dyads"].values()), {})
-    shrunk = any(name in first for name in _SHRUNK)
+    first = next(iter(dyads.values()), {})
+    shrunk = isinstance(first, dict) and any(name in first for name in _SHRUNK)
     names = ("p", "b", "s2", "sigma2") + (_SHRUNK if shrunk else ())
     values = {name: np.zeros((n, n)) for name in names}
     mu = np.full((t, n, n) if periods else (n, n), np.nan)
-    mu_defined = np.zeros((n, n), dtype=bool)
     me_observed = np.zeros((n, n), dtype=bool)
     idx = {lab: i for i, lab in enumerate(labels)}
-    for key, entry in doc["dyads"].items():
+    for key, entry in dyads.items():
         o, _, d = key.partition("->")
         if o not in idx or d not in idx:
             raise DataError(f"unknown dyad key {key!r}")
         i, j = idx[o], idx[d]
+        if not isinstance(entry, dict):
+            raise DataError(f"params dyad {key!r} must be an object, got {entry!r}")
         for name in names:
             if entry.get(name) is None:
                 raise DataError(f"params dyad {key!r}: {name} is missing or null")
-            values[name][i, j] = float(entry[name])
+            values[name][i, j] = _number(entry[name], key, name)
         if not shrunk and any(name in entry for name in _SHRUNK):
             raise DataError(f"params dyad {key!r}: shrunk variances on some dyads only")
         if "mu" not in entry:
             raise DataError(f"params dyad {key!r}: mu is missing")
-        mu_defined[i, j] = bool(entry.get("mu_defined", entry["mu"] is not None))
         me_observed[i, j] = bool(entry.get("me_observed", False))
         if periods:
+            by_period = {} if entry["mu"] is None else entry["mu"]
+            if not isinstance(by_period, dict):
+                raise DataError(f"params dyad {key!r}: per-period mu must be an object")
             for k, per in enumerate(periods):
-                mu[k, i, j] = _nan((entry["mu"] or {}).get(str(per)))
+                mu[k, i, j] = _number(by_period.get(str(per)), key, "mu")
         else:
-            mu[i, j] = _nan(entry["mu"])
+            mu[i, j] = _number(entry["mu"], key, "mu")
     for key in (f"{o}->{d}" for o in labels for d in labels):
-        if key not in doc["dyads"]:
+        if key not in dyads:
             raise DataError(f"params file has no dyad {key!r}")
     return CalibratedParams(
         mu=mu,
-        mu_defined=mu_defined,
         me_observed=me_observed,
         labels=labels,
         periods=tuple(periods) if periods else None,
@@ -518,7 +539,7 @@ def read_params_json(path) -> CalibratedParams:
     try:
         with _open(path) as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     return params_from_json(doc)
 

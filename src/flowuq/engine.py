@@ -270,7 +270,7 @@ def _compose(ctx: _LoopContext, results) -> tuple[DrawSet, tuple[Interval, ...]]
     stacked = np.vstack([np.atleast_1d(r[0]) for r in kept])
     # Outcomes are named by location when there is one per location.
     labels = ctx.flows_obs.labels if ctx.flows_obs.n == stacked.shape[1] else ()
-    draw_set = DrawSet(draws=stacked, b=cfg.b, draws_failed=failed, labels=labels)
+    draw_set = DrawSet(draws=stacked, draws_failed=failed, labels=labels)
 
     # Ranks come from the nominal draw counts, so failed draws are handled
     # by the clamping rule in ``intervals``.

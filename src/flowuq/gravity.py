@@ -172,7 +172,6 @@ class PpmlFit:
     variance: float               # dyadic-robust variance of epsilon_hat
     variance_psd_projected: bool  # whether the dyadic pair sum was negative
     mu_hat: np.ndarray            # n x n fitted mean flows, zero off the sample
-    n: int
     deviance: float
     iterations: int
 
@@ -200,7 +199,6 @@ class GravityFit:
     residual_variance: float  # 1/N (maximum-likelihood) convention
     adj_r2: float
     mu: np.ndarray            # fitted log-means, NaN diagonal and unidentified
-    n_obs: int
     x_res: np.ndarray         # partialled log distance on the sample
     y_res: np.ndarray         # partialled log flow on the sample
 
@@ -280,8 +278,8 @@ def fit_ppml_many(
     log_costs = np.asarray(log_costs, dtype=float)
     if log_costs.shape != (n, n):
         raise DataError("log_costs must be n x n")
-    if start is not None and start.n != n:
-        raise DataError(f"the start fit has {start.n} locations, the flows {n}")
+    if start is not None and len(start.fe_origin) != n:
+        raise DataError(f"the start fit has {len(start.fe_origin)} locations, the flows {n}")
     mask = np.ones((n, n), dtype=bool) if include_diagonal else ~np.eye(n, dtype=bool)
     if not np.all(np.isfinite(log_costs[mask])):
         raise DataError("log_costs must be finite on included dyads")
@@ -421,7 +419,6 @@ def fit_ppml_many(
                 variance=var,
                 variance_psd_projected=projected,
                 mu_hat=mu_hat[j],
-                n=n,
                 deviance=float(deviance[j]),
                 iterations=int(iterations[j]),
             )
@@ -511,22 +508,21 @@ def _log_gravity_ols(flows: np.ndarray, log_dist: np.ndarray) -> GravityFit:
 
     y_obs = y[sample]
     e = y_obs - mu[sample]
-    n_obs = y_obs.shape[0]
+    m = y_obs.shape[0]
     ssr = float(e @ e)
     tss = float(np.sum((y_obs - y_obs.mean()) ** 2))
     r2 = 1.0 if tss == 0 else 1.0 - ssr / tss
     k = int(sample.any(axis=1).sum() + sample.any(axis=0).sum())
     adj_r2 = (
-        1.0 - (1.0 - r2) * (n_obs - 1) / (n_obs - k) if n_obs > k else float("nan")
+        1.0 - (1.0 - r2) * (m - 1) / (m - k) if m > k else float("nan")
     )
     return GravityFit(
         beta_hat=beta,
         fe_origin=fe_origin,
         fe_dest=fe_dest,
-        residual_variance=ssr / n_obs,
+        residual_variance=ssr / m,
         adj_r2=adj_r2,
         mu=mu,
-        n_obs=n_obs,
         x_res=x_res,
         y_res=y_res,
     )

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibration import posterior_log_variance, shrinkage_weight
 from .core import CalibratedParams, FlowMatrix
 from .engine import draw_rng
 from .errors import DataError
@@ -67,6 +68,10 @@ def run_attenuation_sim(cfg: AttenuationSimConfig) -> np.ndarray:
     the implied elasticity centered at the truth; the mu-zero ablation
     (shrink toward a constant) is the contrast and is not part of the
     reference procedure.
+
+    The posterior is the sampler's (``calibration.shrinkage_weight`` and
+    ``posterior_log_variance``), whose 1e-12 floor on each variance binds
+    when s or sigma is below 1e-6; sigma = 0 is an exact observation.
     """
     i, j = np.meshgrid(np.arange(cfg.n), np.arange(cfg.n), indexing="ij")
     off = i != j
@@ -78,8 +83,8 @@ def run_attenuation_sim(cfg: AttenuationSimConfig) -> np.ndarray:
     if cfg.sigma == 0:
         w, post_var = 1.0, 0.0  # exact observation: posterior collapses on it
     else:
-        w = cfg.s**2 / (cfg.s**2 + cfg.sigma**2)
-        post_var = 1.0 / (1.0 / cfg.s**2 + 1.0 / cfg.sigma**2)
+        w = float(shrinkage_weight(cfg.s**2, cfg.sigma**2))
+        post_var = float(posterior_log_variance(cfg.s**2, cfg.sigma**2))
     m = log_dist.shape[0]
 
     biases = np.empty(cfg.m_reps)
@@ -229,17 +234,14 @@ def normality_diagnostic(
 
 @dataclass(frozen=True)
 class GravityPartialPlot:
-    x: np.ndarray           # log distance, fixed effects partialled out
-    y: np.ndarray           # log flow, fixed effects partialled out
-    slope: float            # the gravity fit's distance coefficient
     bin_centers: np.ndarray
     bin_means: np.ndarray
     bin_counts: np.ndarray
 
 
 def gravity_partial_plot(fit: GravityFit) -> GravityPartialPlot:
-    """The partial-regression scatter of a gravity fit, with binned means
-    for a nonparametric overlay.
+    """Binned means of a gravity fit's partial-regression scatter, for a
+    nonparametric overlay on it.
 
     The scatter is the fit's log distance and log flow with the fixed
     effects partialled out (``x_res``, ``y_res``); by the Frisch-Waugh-Lovell
@@ -255,11 +257,4 @@ def gravity_partial_plot(fit: GravityFit) -> GravityPartialPlot:
     with np.errstate(invalid="ignore"):
         means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    return GravityPartialPlot(
-        x=x_res,
-        y=y_res,
-        slope=fit.beta_hat,
-        bin_centers=centers,
-        bin_means=means,
-        bin_counts=counts,
-    )
+    return GravityPartialPlot(bin_centers=centers, bin_means=means, bin_counts=counts)

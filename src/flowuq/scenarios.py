@@ -95,7 +95,6 @@ def armington_world(
         mu=mu,
         s2=np.where(off, s2, 0.0),
         sigma2=np.where(off, sigma2, 0.0),
-        mu_defined=off,
         labels=labels,
     )
     return ArmingtonScenario(

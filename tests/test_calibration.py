@@ -52,7 +52,6 @@ def constant_params(n, p=0.0, b=0.0, mu=0.5, s2=0.1, sigma2=0.05):
         mu=np.where(off, mu, np.nan),
         s2=np.where(off, s2, 0.0),
         sigma2=np.where(off, sigma2, 0.0),
-        mu_defined=off,
     )
 
 
@@ -447,7 +446,7 @@ class TestPriorMeans:
         means = estimate_prior_means(panel, dist)
         expected = 0.5 * (means.mu[0, 0, 1] + means.mu[2, 0, 1])
         assert abs(means.mu[1, 0, 1] - expected) < 1e-12
-        assert means.defined[0, 1]
+        assert np.all(np.isfinite(means.mu[:, 0, 1]))
 
     def test_never_positive_dyad_is_undefined(self):
         dist, rng = self.world(seed=2)
@@ -457,7 +456,6 @@ class TestPriorMeans:
         r[:, 0, 1] = 0.0
         panel = panel_from_reports(r, r.copy())
         means = estimate_prior_means(panel, dist)
-        assert not means.defined[0, 1]
         assert np.all(np.isnan(means.mu[:, 0, 1]))
 
     def test_exact_log_linear_zero_residuals(self):

@@ -593,6 +593,7 @@ def test_config_yes_no_spellings(tmp_path, command, key, spelling):
         ("calibrate", "out = x", "calibrate has no option out"),
         ("calibrate", "seed = 1", "calibrate has no option seed"),
         ("calibrate", "config = other.conf", "calibrate has no option config"),
+        ("uq", "seed 3", "config line 1: expected key = value"),
     ],
 )
 def test_config_value_refused_exits_2(tmp_path, capsys, command, line, message):
@@ -668,6 +669,85 @@ def test_uq_params_missing_a_dyad_exits_2(armington_files, tmp_path, capsys):
     argv += ["--uniform-increase", "0.1", "--b", "40", "--output-dir", str(tmp_path / "o")]
     assert main(argv) == 2
     assert f"params file has no dyad '{first}'" in capsys.readouterr().err
+
+
+def _set_first(doc, key, value):
+    doc["dyads"][next(iter(doc["dyads"]))][key] = value
+    return doc
+
+
+def _without(doc, key):
+    del doc[key]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: _without(doc, "labels"),
+        lambda doc: _without(doc, "dyads"),
+        lambda doc: list(doc),
+        lambda doc: {**doc, "dyads": {key: 1.0 for key in doc["dyads"]}},
+        lambda doc: _set_first(doc, "p", "x"),
+        lambda doc: {**doc, "periods": [2000]},  # with one mu per dyad, not per period
+    ],
+    ids=["no-labels", "no-dyads", "list", "number-dyad", "text-p", "periods-scalar-mu"],
+)
+def test_uq_malformed_params_exits_2(armington_files, tmp_path, capsys, edit):
+    _, flows, _, costs, params = armington_files
+    params.write_text(json.dumps(edit(json.loads(params.read_text(encoding="utf-8")))),
+                      encoding="utf-8")
+    argv = ["uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs)]
+    argv += ["--uniform-increase", "0.1", "--b", "40", "--period", "2000"]
+    assert main(argv + ["--output-dir", str(tmp_path / "o")]) == 2
+    assert "data error: " in capsys.readouterr().err
+    assert not (tmp_path / "o" / "draws.csv").exists()
+
+
+@pytest.mark.parametrize("which", ["draws", "params", "config"])
+def test_non_utf8_inputs_exit_2(armington_files, tmp_path, capsys, which):
+    _, flows, _, costs, params = armington_files
+    draws, conf = tmp_path / "draws.csv", tmp_path / "run.conf"
+    draws.write_text("a,b\n1.0,2.0\n2.0,1.0\n", encoding="utf-8")
+    uq = ["uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs)]
+    uq += ["--uniform-increase", "0.1", "--b", "40"]
+    path, argv = {
+        "draws": (draws, ["report-ranks", "--draws", str(draws)]),
+        "params": (params, uq),
+        "config": (conf, [*uq, "--config", str(conf)]),
+    }[which]
+    path.write_bytes((path.read_bytes() if path.exists() else b"seed = 1\n") + b"\xff\n")
+    out = tmp_path / "o"
+    assert main(argv + ["--output-dir", str(out)]) == 2
+    assert f"data error: {path} is not UTF-8 text" in capsys.readouterr().err
+    assert not any(out.glob("*.*"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["calibrate", "--distances", "{dist}"], "missing required option --flows"),
+        (["uq", "--flows", "{flows}", "--params", "{other}", "--theta", "5",
+          "--uniform-increase", "0.1", "--b", "40"],
+         "params and flows cover different locations"),
+        (["estimate", "--flows", "{flows}", "--costs", "{zero_cost}"],
+         "cost levels must be strictly positive"),
+        (["simulate-attenuation", "--n", "2", "--m-reps", "2", "--b-draws", "5"],
+         "degenerate distance design"),
+    ],
+    ids=["calibrate-no-input", "uq-other-locations", "zero-cost", "attenuation-n2"],
+)
+def test_refused_inputs_exit_2(armington_files, tmp_path, capsys, argv, message):
+    scen, flows, dist, _, _ = armington_files
+    other, zero_cost = tmp_path / "other.json", tmp_path / "zero_cost.csv"
+    dataio.write_params_json(other, armington_world(n=5, seed=1).params)
+    zero_cost.write_text(f"origin,destination,cost\n{scen.labels[0]},{scen.labels[1]},0\n",
+                         encoding="utf-8")
+    files = {"dist": dist, "flows": flows, "other": other, "zero_cost": zero_cost}
+    out = tmp_path / "o"
+    assert main([a.format(**files) for a in argv] + ["--output-dir", str(out)]) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not any(out.glob("*.*"))
 
 
 def test_unused_options_exit_2(armington_files, mirror_files, tmp_path, capsys):
@@ -828,7 +908,6 @@ def test_report_ranks_separated_normals(tmp_path):
         draws=np.column_stack(
             [rng.normal(0.0, 1.0, 4000), rng.normal(10.0, 1.0, 4000)]
         ),
-        b=4000,
         labels=("low", "high"),
     )
     path = tmp_path / "draws.csv"
@@ -846,7 +925,6 @@ def test_report_ranks_identical_columns_all_ties(tmp_path):
     col = np.arange(100.0)
     ds = DrawSet(
         draws=np.column_stack([col, col]),
-        b=100,
         labels=("a", "b"),
     )
     path = tmp_path / "draws.csv"
@@ -864,7 +942,6 @@ def test_report_ranks_length_mismatch(tmp_path):
     for name, length in (("a.csv", 50), ("b.csv", 60)):
         ds = DrawSet(
             draws=np.arange(float(length)),
-            b=length,
             labels=(name,),
         )
         dataio.write_draws_csv(tmp_path / name, ds)
@@ -922,6 +999,36 @@ def test_report_ranks_refuses_a_file_given_twice(tmp_path, capsys):
     argv = ["report-ranks", "--draws", f"{path},{path}", "--output-dir", str(out)]
     assert main([*argv, "--columns", f"{path}:A,{path}:A"]) == 2
     assert f"--draws gives {path} twice" in capsys.readouterr().err
+    assert not (out / "ranks.json").exists()
+
+
+def test_report_ranks_refuses_a_repeated_column(tmp_path, capsys):
+    path = tmp_path / "draws.csv"
+    path.write_text("a,b\n1.0,2.0\n2.0,1.0\n", encoding="utf-8")
+    out = tmp_path / "r"
+    argv = ["report-ranks", "--draws", str(path), "--output-dir", str(out)]
+    for columns in ("a,a", "a,b,a"):
+        assert main([*argv, "--columns", columns]) == 2
+        assert "--columns gives a twice" in capsys.readouterr().err
+        assert not (out / "ranks.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b\n1.0,2.0\n3.0\n", "row 3: ragged row"),
+        ("a,b\n1.0,x\n", "row 2: bad number"),
+        ("a,b\n", "row 2: no draws"),
+        ("", "row 1: missing header"),
+    ],
+    ids=["ragged", "bad-number", "no-rows", "empty"],
+)
+def test_report_ranks_refuses_a_malformed_draws_file(tmp_path, capsys, text, message):
+    path = tmp_path / "draws.csv"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["report-ranks", "--draws", str(path), "--output-dir", str(out)]) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
     assert not (out / "ranks.json").exists()
 
 

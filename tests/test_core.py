@@ -37,7 +37,7 @@ _LABELLED = {
     "CalibratedParams": lambda labels: CalibratedParams(
         p=_ZEROS, b=_ZEROS, mu=_ZEROS, s2=_ZEROS, sigma2=_ZEROS, labels=labels
     ),
-    "DrawSet": lambda labels: DrawSet(draws=np.ones((2, 3)), b=2, labels=labels),
+    "DrawSet": lambda labels: DrawSet(draws=np.ones((2, 3)), labels=labels),
     "MirrorPanel": lambda labels: MirrorPanel(
         np.ones((1, 3, 3)), np.ones((1, 3, 3)), labels, periods=(2000,)
     ),
@@ -167,10 +167,8 @@ def test_model_determinism():
 
 
 def test_drawset_accounting():
-    ds = DrawSet(draws=np.arange(8.0), b=10, draws_failed=2)
+    ds = DrawSet(draws=np.arange(8.0), draws_failed=2)
     assert ds.draws_used == 8
     assert ds.n_outcomes == 1
     with pytest.raises(DataError):
-        DrawSet(draws=np.arange(8.0), b=10, draws_failed=1)
-    with pytest.raises(DataError):
-        DrawSet(draws=np.array([1.0, np.nan]), b=2)
+        DrawSet(draws=np.array([1.0, np.nan]))

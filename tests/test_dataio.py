@@ -79,7 +79,6 @@ def test_params_json_roundtrip(tmp_path):
     np.testing.assert_allclose(back.sigma2, params.sigma2)
     np.testing.assert_allclose(back.s2_shrunk, params.s2_shrunk)
     np.testing.assert_allclose(back.mu, params.mu)
-    assert np.array_equal(back.mu_defined, params.mu_defined)
 
 
 def test_params_json_baseline_roundtrip(tmp_path):
@@ -99,7 +98,6 @@ def test_draws_csv_roundtrip(tmp_path):
 
     ds = DrawSet(
         draws=np.random.default_rng(0).normal(size=(50, 3)),
-        b=50,
         labels=("x", "y", "z"),
     )
     path = tmp_path / "draws.csv"
@@ -183,6 +181,20 @@ def test_params_json_optional_keys(tmp_path):
     assert doc["periods"] is None
     first, second = doc["labels"][:2]
     assert isinstance(doc["dyads"][f"{first}->{second}"]["mu"], float)
+
+
+def test_params_json_reads_files_with_the_old_mu_defined_flag(tmp_path):
+    # A null mu is what marks a dyad without a prior mean; files written
+    # before that also carry a "mu_defined" flag, which the reader ignores.
+    params = _mirror_params()
+    path = tmp_path / "params.json"
+    dataio.write_params_json(path, params)
+    assert "mu_defined" not in path.read_text(encoding="utf-8")
+    doc = params_json_doc(params)
+    for entry in doc["dyads"].values():
+        entry["mu_defined"] = True
+    back = dataio.params_from_json(doc)
+    np.testing.assert_array_equal(back.mu, dataio.read_params_json(path).mu)
 
 
 @pytest.mark.parametrize(
@@ -419,6 +431,19 @@ def test_params_json_must_list_every_dyad():
     del doc["dyads"][f"{first}->{second}"]
     with pytest.raises(DataError, match=f"params file has no dyad '{first}->{second}'"):
         dataio.params_from_json(doc)
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_params_json_refuses_an_integer_beyond_the_float_range(tmp_path, digits):
+    # float() overflows on 400 digits; json.load itself refuses 5000 digits
+    # on Pythons that limit integer text.
+    params = armington_world(n=2, seed=2).params
+    path = tmp_path / "params.json"
+    dataio.write_params_json(path, params)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace('"p": 0.0', '"p": 1' + "0" * digits, 1), encoding="utf-8")
+    with pytest.raises(DataError, match="p must be a number|invalid JSON"):
+        dataio.read_params_json(path)
 
 
 def test_write_json_is_strict(tmp_path):

@@ -505,7 +505,7 @@ class TestLogGravity:
         values[0, 1] = 0.0
         fit = fit_log_gravity(FlowMatrix(values), dist)
         assert np.isfinite(fit.beta_hat)
-        assert fit.n_obs == np.count_nonzero(values[~np.eye(7, dtype=bool)])
+        assert fit.x_res.size == np.count_nonzero(values[~np.eye(7, dtype=bool)])
 
 
 class TestTwowayProjection:

@@ -160,7 +160,6 @@ def _diag_params(n, mu, s2, sigma2):
         mu=np.where(off, mu, np.nan),
         s2=np.where(off, s2, 0.0),
         sigma2=np.where(off, sigma2, 0.0),
-        mu_defined=off,
     )
 
 
@@ -316,18 +315,17 @@ class TestGravityPartialPlot:
 
     def test_exact_gravity_points_on_line(self):
         flows, dist = self.world()
-        plot = gravity_partial_plot(fit_log_gravity(flows, dist))
-        assert abs(plot.slope + 1.3) < 1e-10
-        assert np.max(np.abs(plot.y - plot.slope * plot.x)) < 1e-10
+        fit = fit_log_gravity(flows, dist)
+        assert abs(fit.beta_hat + 1.3) < 1e-10
+        assert np.max(np.abs(fit.y_res - fit.beta_hat * fit.x_res)) < 1e-10
 
     def test_slope_equals_gravity_beta(self):
         # Frisch-Waugh-Lovell: the scatter's own least-squares slope is the
         # gravity fit's distance coefficient.
         flows, dist = self.world(seed=3, noise=0.4)
         fit = fit_log_gravity(flows, dist)
-        plot = gravity_partial_plot(fit)
-        assert plot.slope == fit.beta_hat
-        assert abs(float(plot.x @ plot.y) / float(plot.x @ plot.x) - fit.beta_hat) < 1e-10
+        x, y = fit.x_res, fit.y_res
+        assert abs(float(x @ y) / float(x @ x) - fit.beta_hat) < 1e-10
 
     @staticmethod
     def oracle_scatter(values, dist):
@@ -360,18 +358,18 @@ class TestGravityPartialPlot:
             (last_fit, r1[-1], scen.distances.values),
         ]
         for fit, v, d in cases:
-            plot = gravity_partial_plot(fit)
             x, y = self.oracle_scatter(v, d)
-            assert plot.x.shape == x.shape
-            assert np.max(np.abs(plot.x - x)) < 1e-10
-            assert np.max(np.abs(plot.y - y)) < 1e-10
+            assert fit.x_res.shape == x.shape
+            assert np.max(np.abs(fit.x_res - x)) < 1e-10
+            assert np.max(np.abs(fit.y_res - y)) < 1e-10
 
     def test_binned_means_track_line(self):
         flows, dist = self.world(seed=4, noise=0.0)
-        plot = gravity_partial_plot(fit_log_gravity(flows, dist))
+        fit = fit_log_gravity(flows, dist)
+        plot = gravity_partial_plot(fit)
         mask = plot.bin_counts > 0
         assert np.max(
-            np.abs(plot.bin_means[mask] - plot.slope * plot.bin_centers[mask])
+            np.abs(plot.bin_means[mask] - fit.beta_hat * plot.bin_centers[mask])
         ) < 0.2  # bin centers vs in-bin means differ by at most the bin width
 
     def test_constant_distance_collinear(self):
