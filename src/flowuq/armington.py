@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CounterfactualSpec, FlowMatrix, solve_stack
+from .core import CounterfactualSpec, FlowMatrix, _rows, solve_stack
 from .errors import (
     DataError,
     FlowUqError,
@@ -116,12 +116,6 @@ def _newton_steps(log_y, pi, exp_cf, income, epsilon, g):
     jac[:, -1] = y_income / y_income.sum(axis=1)[:, None]
     step, singular = solve_stack(jac, -g[:, :, None])
     return step[:, :, 0], singular
-
-
-def _rows(mask: np.ndarray):
-    """An index for the rows a mask selects: a plain slice when it selects
-    every row, so that the arrays are viewed rather than copied."""
-    return slice(None) if mask.all() else mask
 
 
 def _line_search(log_tau, log_y, step, g, args):

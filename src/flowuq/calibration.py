@@ -314,13 +314,13 @@ def estimate_zero_probs(panel: MirrorPanel) -> tuple[np.ndarray, np.ndarray]:
     return p, b
 
 
-def estimate_me_variance(panel: MirrorPanel) -> tuple[np.ndarray, np.ndarray]:
-    """Measurement-error variance per dyad from mirror discrepancies.
+def estimate_me_variance(panel: MirrorPanel) -> np.ndarray:
+    """Measurement-error variance sigma2 per dyad from mirror discrepancies.
 
     The log difference of two positive reports is N(0, 2 sigma2), so half
     the mean squared log difference over double-positive periods estimates
-    sigma2.  Dyads with no double-positive period get 0; the returned mask
-    records which dyads were actually identified.
+    sigma2.  Own dyads, and dyads with no double-positive period, where
+    sigma2 is not identified, get 0.
     """
     r1, r2 = panel.report1, panel.report2
     both = (r1 > 0) & (r2 > 0)
@@ -329,11 +329,8 @@ def estimate_me_variance(panel: MirrorPanel) -> tuple[np.ndarray, np.ndarray]:
         d = np.where(both, np.log(np.where(both, r1, 1.0)) - np.log(np.where(both, r2, 1.0)), 0.0)
     total = (d**2).sum(axis=0)
     sigma2 = np.where(counts > 0, 0.5 * total / np.maximum(counts, 1), 0.0)
-    observed = counts > 0
-    diag = np.eye(panel.n, dtype=bool)
-    sigma2[diag] = 0.0
-    observed = observed & ~diag
-    return sigma2, observed
+    np.fill_diagonal(sigma2, 0.0)
+    return sigma2
 
 
 @dataclass(frozen=True)
@@ -514,7 +511,7 @@ def calibrate_mirror(
     diagnostics report.
     """
     p, b = estimate_zero_probs(panel)
-    sigma2, observed = estimate_me_variance(panel)
+    sigma2 = estimate_me_variance(panel)
     means = estimate_prior_means(panel, distances)
     s2 = estimate_prior_variances(panel, means.mu, sigma2)
     sigma2_shrunk = s2_shrunk = None
@@ -528,7 +525,6 @@ def calibrate_mirror(
         sigma2=sigma2,
         s2_shrunk=s2_shrunk,
         sigma2_shrunk=sigma2_shrunk,
-        me_observed=observed,
         labels=panel.labels,
         periods=panel.periods,
     )

@@ -263,6 +263,10 @@ def _params(args: argparse.Namespace):
 def cmd_uq(args: argparse.Namespace) -> int:
     if args.costs is not None and args.theta_se is not None:
         raise DataError("--theta-se goes with an external --theta, not with --costs")
+    if args.costs is None:
+        _refuse_unused(args, "--costs", "include_diagonal")
+    if args.theta_se is not None and args.theta_se < 0:
+        raise DataError(f"--theta-se must be non-negative, got {args.theta_se:g}")
     if args.interval != "c2":
         _refuse_unused(args, "--interval c2", "b_inner")
     if args.interval != "robust":
@@ -308,15 +312,14 @@ def cmd_uq(args: argparse.Namespace) -> int:
         smoother = LowDimSmoother(distances)
 
     draw_set, intervals, point = run_uq(
-        flows, params, estimation, model, cf, cfg, smoother, args.include_diagonal
+        flows, params, estimation, model, cf, cfg, smoother, bool(args.include_diagonal)
     )
 
     dataio.write_draws_csv(out / "draws.csv", draw_set)
     dataio.write_json(
         out / "interval.json",
         dataio.intervals_to_json(
-            intervals, draw_set.labels, point, cfg.seed, cfg.mode,
-            "g(F)" if smoother is None else "g(S(F))",
+            intervals, draw_set, point, cfg, "g(F)" if smoother is None else "g(S(F))"
         ),
     )
     _log(
@@ -518,7 +521,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
     add("--costs", group=elasticity, help="re-estimate the elasticity from this cost CSV")
     add("--theta", group=elasticity, type=float, help="external point estimate")
     add("--theta-se", type=float, help="standard error of --theta (default 0)")
-    add("--include-diagonal", action=yes_no, default=False)
+    add("--include-diagonal", action=yes_no,
+        help="fit own flows too when estimating from --costs (default no)")
     add("--model", choices=["armington"], default="armington")
     cost_change(p, add)
     add("--b", type=int, default=1000)

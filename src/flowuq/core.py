@@ -182,7 +182,6 @@ class CalibratedParams:
     sigma2: np.ndarray
     s2_shrunk: np.ndarray | None = None
     sigma2_shrunk: np.ndarray | None = None
-    me_observed: np.ndarray | None = None
     labels: tuple[str, ...] = ()
     periods: tuple[int, ...] | None = None
 
@@ -208,8 +207,6 @@ class CalibratedParams:
             if self.periods is None or len(self.periods) != mu.shape[0]:
                 raise DataError("per-period mu requires matching periods")
         object.__setattr__(self, "mu", _freeze(mu))
-        if self.me_observed is not None:
-            object.__setattr__(self, "me_observed", np.asarray(self.me_observed, dtype=bool))
         object.__setattr__(self, "labels", _labels(self.labels, n))
         if self.periods is not None:
             object.__setattr__(self, "periods", tuple(int(t) for t in self.periods))
@@ -336,6 +333,13 @@ def _checked_outcome(out) -> np.ndarray | ModelEvaluationFailed:
     if not np.all(np.isfinite(out)):
         return ModelEvaluationFailed("model returned non-finite outcomes")
     return out
+
+
+def _rows(mask: np.ndarray):
+    """An index for the rows of a stack that a mask selects: a plain slice
+    when it selects every row, so that the arrays are viewed rather than
+    copied."""
+    return slice(None) if mask.all() else mask
 
 
 def solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

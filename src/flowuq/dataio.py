@@ -31,15 +31,17 @@ import math
 import re
 from array import array
 from contextlib import contextmanager
-from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .core import CalibratedParams, CounterfactualSpec, DistanceMatrix, DrawSet, FlowMatrix
 from .errors import DataError, ParseError
 from .intervals import Interval
+
+if TYPE_CHECKING:  # the engine imports this module through calibration
+    from .engine import UqConfig
 
 _MIRROR_HEADER = ("origin", "destination", "year", "flow_report1", "flow_report2")
 
@@ -420,7 +422,6 @@ def write_params_json(path, params: CalibratedParams):
         )
         if arr is not None
     }
-    flags = {} if params.me_observed is None else {"me_observed": np.ravel(params.me_observed)}
     if params.has_periods:
         periods = params.periods
         by_text = sorted(range(len(periods)), key=lambda k: str(periods[k]))
@@ -430,7 +431,7 @@ def write_params_json(path, params: CalibratedParams):
     else:
         numbers["mu"] = params.mu.reshape(n * n, 1)
         mu_slot = "%s"
-    names = sorted([*numbers, *flags])
+    names = sorted(numbers)
     slots = ",".join(f'\n      "{name}": {mu_slot if name == "mu" else "%s"}' for name in names)
     template = "\n    %s: {" + slots + "\n    }"
     periods_text = (
@@ -444,16 +445,12 @@ def write_params_json(path, params: CalibratedParams):
             block = order[start : start + _BLOCK_DYADS]
             # The block's numbers in one call, one run of len(block) per
             # column, in the order of the template's slots.
-            grid = np.concatenate([numbers[name][block].T for name in names if name in numbers])
+            grid = np.concatenate([numbers[name][block].T for name in names])
             text = _json_numbers(grid.ravel())
             columns = (text[at : at + len(block)] for at in range(0, len(text), len(block)))
-            args = [[encode_basestring_ascii(keys[k]) for k in block.tolist()]]
-            for name in names:
-                if name in flags:
-                    args.append(["true" if v else "false" for v in flags[name][block].tolist()])
-                else:
-                    args += islice(columns, numbers[name].shape[1])
-            handle.write(("," if start else "") + ",".join(map(template.__mod__, zip(*args))))
+            dyads = [encode_basestring_ascii(keys[k]) for k in block.tolist()]
+            entries = map(template.__mod__, zip(dyads, *columns))
+            handle.write(("," if start else "") + ",".join(entries))
         handle.write("\n  }," if n else "},")
         labels_text = _json_list([encode_basestring_ascii(lab) for lab in params.labels])
         handle.write(f'\n  "labels": {labels_text},\n  "periods": {periods_text}\n}}\n')
@@ -497,7 +494,6 @@ def params_from_json(doc) -> CalibratedParams:
     names = ("p", "b", "s2", "sigma2") + (_SHRUNK if shrunk else ())
     values = {name: np.zeros((n, n)) for name in names}
     mu = np.full((t, n, n) if periods else (n, n), np.nan)
-    me_observed = np.zeros((n, n), dtype=bool)
     idx = {lab: i for i, lab in enumerate(labels)}
     for key, entry in dyads.items():
         o, _, d = key.partition("->")
@@ -514,7 +510,6 @@ def params_from_json(doc) -> CalibratedParams:
             raise DataError(f"params dyad {key!r}: shrunk variances on some dyads only")
         if "mu" not in entry:
             raise DataError(f"params dyad {key!r}: mu is missing")
-        me_observed[i, j] = bool(entry.get("me_observed", False))
         if periods:
             by_period = {} if entry["mu"] is None else entry["mu"]
             if not isinstance(by_period, dict):
@@ -528,7 +523,6 @@ def params_from_json(doc) -> CalibratedParams:
             raise DataError(f"params file has no dyad {key!r}")
     return CalibratedParams(
         mu=mu,
-        me_observed=me_observed,
         labels=labels,
         periods=tuple(periods) if periods else None,
         **values,
@@ -589,29 +583,30 @@ def read_draws_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
 
 def intervals_to_json(
     intervals: Sequence[Interval],
-    labels: Sequence[str],
+    draw_set: DrawSet,
     point: np.ndarray,
-    seed: int,
-    mode: str,
+    cfg: UqConfig,
     estimand: str,
 ) -> dict:
-    """The ``interval.json`` document.  ``estimand`` names what the
-    intervals cover: ``"g(F)"``, the counterfactual at the true flows, or
-    ``"g(S(F))"``, the counterfactual at the smoothed true flows."""
+    """The ``interval.json`` document: each outcome's interval and point
+    estimate, with the level, kind and draw counts of the run, which are the
+    same for every outcome.  ``estimand`` names what the intervals cover:
+    ``"g(F)"``, the counterfactual at the true flows, or ``"g(S(F))"``, the
+    counterfactual at the smoothed true flows."""
     outcomes = [
         {
-            "outcome": labels[q],
+            "outcome": draw_set.labels[q],
             "lo": interval.lo,
             "hi": interval.hi,
-            "alpha": interval.alpha,
-            "kind": interval.kind,
-            "draws_used": interval.draws_used,
-            "draws_failed": interval.draws_failed,
+            "alpha": cfg.alpha,
+            "kind": cfg.kind_name,
+            "draws_used": draw_set.draws_used,
+            "draws_failed": draw_set.draws_failed,
             "point_estimate": float(point[q]),
         }
         for q, interval in enumerate(intervals)
     ]
-    return {"seed": seed, "mode": mode, "estimand": estimand, "outcomes": outcomes}
+    return {"seed": cfg.seed, "mode": cfg.mode, "estimand": estimand, "outcomes": outcomes}
 
 
 def write_json(path, doc: dict):

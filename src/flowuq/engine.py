@@ -101,6 +101,14 @@ class UqConfig:
     def inner_draws(self) -> int:
         return self.b if self.b_inner is None else self.b_inner
 
+    @property
+    def kind_name(self) -> str:
+        """The interval kind as ``interval.json`` names it: ``"c1"``,
+        ``"c2"`` or ``"robust(c=...)"``."""
+        if self.interval_kind == "robust":
+            return f"robust(c={self.robust_c:g})"
+        return self.interval_kind
+
 
 def draw_rng(seed: int, draw: int, substream: int) -> np.random.Generator:
     """Independent generator for one (draw, substream) cell.
@@ -167,10 +175,6 @@ class _LoopContext:
     flows_fixed: FlowMatrix | None
 
 
-def _estimate(estimator: Estimator | EstimatorResult, flows: FlowMatrix) -> EstimatorResult:
-    return estimator if isinstance(estimator, EstimatorResult) else estimator(flows)
-
-
 def _estimate_many(
     estimator: Estimator | EstimatorResult, flows: list[FlowMatrix]
 ) -> list[EstimatorResult]:
@@ -205,24 +209,21 @@ def _run_chunk(ctx: _LoopContext, draws: Sequence[int]):
     (see ``evaluate_model_many``).  An estimator error is raised for the
     batch before any of its draws is evaluated.
 
-    Returns (b, (gamma or None, the outcomes of every parameter draw that
-    evaluated, degenerate count)) for each draw b; draw b fails when its
-    first parameter draw does."""
+    Returns (b, outcomes) for each draw b: the (m, q) outcomes of the
+    parameter draws of b that evaluated, in draw order, or None when its
+    first parameter draw fails, which fails draw b."""
     cfg = ctx.cfg
     size = _batch_size(ctx.flows_obs.n)
     results = []
     for start in range(0, len(draws), size):
         batch = draws[start : start + size]
         if cfg.mode == "only-ee":
-            evals, degenerate = [ctx.flows_fixed] * len(batch), [0] * len(batch)
-            ests = [ctx.estimator] * len(batch)
+            evals, ests = [ctx.flows_fixed] * len(batch), [ctx.estimator] * len(batch)
         else:
-            sampled = [
-                sample_flow_matrix(ctx.flows_obs, ctx.params, draw_rng(cfg.seed, b, 0))
+            flows_b = [
+                sample_flow_matrix(ctx.flows_obs, ctx.params, draw_rng(cfg.seed, b, 0))[0]
                 for b in batch
             ]
-            flows_b = [flows for flows, _ in sampled]
-            degenerate = [zeros for _, zeros in sampled]
             evals = flows_b if ctx.smoother is None else [ctx.smoother(f) for f in flows_b]
             ests = _estimate_many(ctx.estimator, flows_b)
         thetas = [_theta_draws(cfg, b, est) for b, est in zip(batch, ests)]
@@ -234,14 +235,12 @@ def _run_chunk(ctx: _LoopContext, draws: Sequence[int]):
                 ctx.model, [f for f, _ in group], [t for _, t in group], ctx.cf_spec
             )
         first = 0
-        for b, zeros, ts in zip(batch, degenerate, thetas):
+        for b, ts in zip(batch, thetas):
             outs = outcomes[first : first + len(ts)]
             first += len(ts)
-            if isinstance(outs[0], ModelEvaluationFailed):
-                results.append((b, (None, None, zeros)))
-            else:
-                gammas = [g for g in outs if not isinstance(g, ModelEvaluationFailed)]
-                results.append((b, (gammas[0], np.asarray(gammas), zeros)))
+            evaluated = [g for g in outs if not isinstance(g, ModelEvaluationFailed)]
+            failed = isinstance(outs[0], ModelEvaluationFailed)
+            results.append((b, None if failed else np.asarray(evaluated)))
     return results
 
 
@@ -263,11 +262,11 @@ def _run_loop(ctx: _LoopContext):
 
 def _compose(ctx: _LoopContext, results) -> tuple[DrawSet, tuple[Interval, ...]]:
     cfg = ctx.cfg
-    kept = [r for r in results if r[0] is not None]
+    kept = [r for r in results if r is not None]
     failed = cfg.b - len(kept)
     if failed > cfg.max_failure_fraction * cfg.b or not kept:
         raise TooManyFailures(failed, cfg.b, cfg.max_failure_fraction)
-    stacked = np.vstack([np.atleast_1d(r[0]) for r in kept])
+    stacked = np.vstack([r[0] for r in kept])
     # Outcomes are named by location when there is one per location.
     labels = ctx.flows_obs.labels if ctx.flows_obs.n == stacked.shape[1] else ()
     draw_set = DrawSet(draws=stacked, draws_failed=failed, labels=labels)
@@ -275,22 +274,14 @@ def _compose(ctx: _LoopContext, results) -> tuple[DrawSet, tuple[Interval, ...]]
     # Ranks come from the nominal draw counts, so failed draws are handled
     # by the clamping rule in ``intervals``.
     if cfg.interval_kind == "c2":
-        inner = [_order_stats(r[1], cfg.alpha, 1.0, cfg.inner_draws) for r in kept]
+        inner = [_order_stats(r, cfg.alpha, 1.0, cfg.inner_draws) for r in kept]
         lowers, uppers = map(np.array, zip(*inner))
         lo, _ = _order_stats(lowers, cfg.alpha, 1.0, cfg.b)
         _, hi = _order_stats(uppers, cfg.alpha, 1.0, cfg.b)
-        kind = "c2"
-    elif cfg.interval_kind == "robust":
-        lo, hi = _order_stats(stacked, cfg.alpha, cfg.robust_c, cfg.b)
-        kind = f"robust(c={cfg.robust_c:g})"
     else:
-        lo, hi = _order_stats(stacked, cfg.alpha, 1.0, cfg.b)
-        kind = "c1"
-    intervals = tuple(
-        Interval(float(a), float(b), cfg.alpha, kind, draw_set.draws_used, failed)
-        for a, b in zip(lo, hi)
-    )
-    return draw_set, intervals
+        c = cfg.robust_c if cfg.interval_kind == "robust" else 1.0
+        lo, hi = _order_stats(stacked, cfg.alpha, c, cfg.b)
+    return draw_set, tuple(Interval(float(a), float(b)) for a, b in zip(lo, hi))
 
 
 def run_algorithm1(
@@ -330,7 +321,7 @@ def run_algorithm1(
     if cfg.mode == "only-ee":
         flows_fixed = smoother(flows_obs) if smoother is not None else flows_obs
     if cfg.mode != "ee+me":
-        estimator = _estimate(estimator, flows_obs)
+        estimator = _estimate_many(estimator, [flows_obs])[0]
     ctx = _LoopContext(
         flows_obs=flows_obs,
         params=params,
@@ -352,7 +343,8 @@ def point_estimate(
     cf_spec: CounterfactualSpec,
 ) -> np.ndarray:
     """g evaluated at the observed data and the point estimate."""
-    return evaluate_model(model, flows_obs, _estimate(estimator, flows_obs).theta_hat, cf_spec)
+    (est,) = _estimate_many(estimator, [flows_obs])
+    return evaluate_model(model, flows_obs, est.theta_hat, cf_spec)
 
 
 def run_uq(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DistanceMatrix, EstimatorResult, FlowMatrix, solve_stack
+from .core import DistanceMatrix, EstimatorResult, FlowMatrix, _rows, solve_stack
 from .errors import (
     Collinear,
     DataError,
@@ -238,14 +238,15 @@ def fit_ppml_many(
     costs, run as one batched IRLS.
 
     Flows, means, the linear predictor and the weights are n x n grids with
-    weight zero off the sample (the diagonal, unless included).  Each
-    iteration partials log cost and the working response on the fixed
-    effects for every live fit at once and regresses one on the other.  Every
-    fit has its own step-halving on the linear predictor, taken whenever its
-    deviance would rise, and its own convergence test, and it leaves the
-    iteration with its state frozen once it converges.  Every slice's fit
-    equals the fit of that slice alone (a batch of one with the same
-    ``start``), bit for bit.
+    weight zero off the sample (the diagonal, unless included).  The batch
+    keeps one row per fit for the whole IRLS, and a ``live`` mask marks the
+    fits still iterating.  Each iteration partials log cost and the working
+    response on the fixed effects for every live fit at once and regresses
+    one on the other.  Every fit has its own step-halving on the linear
+    predictor, taken whenever its deviance would rise, and its own
+    convergence test; once it converges or fails it leaves the mask, and its
+    row keeps its last state.  Every slice's fit equals the fit of that slice
+    alone (a batch of one with the same ``start``), bit for bit.
 
     Without ``start`` every fit begins at the standard GLM start, as
     ``fit_ppml`` does; with it, every fit begins at that fit's coefficients.
@@ -295,101 +296,94 @@ def fit_ppml_many(
         mu = np.exp(eta) * on
         return eta, mu, _poisson_deviance(y, mu, pos)
 
-    # Results, filled in as fits leave the iteration, and the failures.
-    slope, fe_o, fe_d = np.zeros(k), np.zeros((k, n)), np.zeros((k, n))
-    mu_hat, deviance = np.zeros((k, n, n)), np.zeros(k)
-    iterations = np.zeros(k, dtype=int)
+    # Each fit's state, one row per fit; a fit that leaves ``live`` keeps
+    # the state it left with.
     failures: dict[int, Exception] = {}
-
-    # The live fits' state, one row per fit in ``idx``.
     y = values * on
     pos = y > 0
-    has_flow = pos.any(axis=(1, 2))
-    for j in np.flatnonzero(~has_flow):
+    live = pos.any(axis=(1, 2))
+    for j in np.flatnonzero(~live):
         failures[int(j)] = InsufficientData("no positive flow on the included dyads")
-    idx = np.flatnonzero(has_flow)
-    idx = idx[idx < min(failures, default=k)]
-    y, pos = y[idx], pos[idx]
+    live[min(failures, default=k) :] = False
     if start is None:
         # Standard GLM start: pull the mean toward the sample average.  Its
-        # support, and so that of every later mu = exp(eta), is the whole mask.
+        # support, and so that of every later mu = exp(eta), is the whole
+        # mask (nothing for a fit without flow, which never iterates).
         mu = 0.5 * (y + (_grid_sum(y) / mask.sum())[:, None, None]) * on
-        eta = np.log(np.where(mask, mu, 1.0))
+        eta = np.log(np.where(mu > 0, mu, 1.0))
         dev = _poisson_deviance(y, mu, pos)
-        s, o, d = np.zeros(len(idx)), np.zeros((len(idx), n)), np.zeros((len(idx), n))
+        s, o, d = np.zeros(k), np.zeros((k, n)), np.zeros((k, n))
     else:
-        s = np.full(len(idx), -start.epsilon_hat)
-        o = np.tile(start.fe_origin, (len(idx), 1))
-        d = np.tile(start.fe_dest, (len(idx), 1))
+        s = np.full(k, -start.epsilon_hat)
+        o, d = np.tile(start.fe_origin, (k, 1)), np.tile(start.fe_dest, (k, 1))
         eta, mu, dev = trial(y, pos, s, o, d)
+    iterations = np.zeros(k, dtype=int)
 
     for iteration in range(1, _MAX_ITER + 1):
-        if not idx.size:
+        if not live.any():
             break
-        v = np.empty((len(idx), 2, n, n))
+        rows, at = _rows(live), np.flatnonzero(live)
+        mu_r = mu[rows]
+        v = np.empty((len(at), 2, n, n))
         v[:, 0] = cost
-        np.divide(y - mu, np.where(mask, mu, 1.0), out=v[:, 1])
-        v[:, 1] += eta  # the working response z = eta + (y - mu) / mu
-        a, b, _, singular = _twoway_fe(mu, v, labels)
+        np.divide(y[rows] - mu_r, np.where(mask, mu_r, 1.0), out=v[:, 1])
+        v[:, 1] += eta[rows]  # the working response z = eta + (y - mu) / mu
+        a, b, _, singular = _twoway_fe(mu_r, v, labels)
         v -= a[:, :, :, None]
         v -= b[:, :, None, :]
-        xt, zt = v[:, 0], v[:, 1]  # the partialled grids
-        h = _grid_sum(mu * (xt * xt))
-        lacking = _lacks_variation(h, _grid_sum(mu * cost2))
-        for j in idx[singular]:
+        h = _grid_sum(mu_r * (v[:, 0] * v[:, 0]))
+        lacking = _lacks_variation(h, _grid_sum(mu_r * cost2))
+        for j in at[singular]:
             failures[int(j)] = _singular_projection()
-        for j in idx[lacking]:
+        for j in at[lacking]:
             failures[int(j)] = _collinear("log cost")
         dropped = singular | lacking
         if dropped.any():
-            idx, y, pos, mu, eta, dev, s, o, d, xt, zt, h, a, b = (
-                x[~dropped] for x in (idx, y, pos, mu, eta, dev, s, o, d, xt, zt, h, a, b)
-            )
-        s_new = _grid_sum((mu * xt) * zt) / h
+            live[at[dropped]] = False
+            rows, at = _rows(live), at[~dropped]
+            mu_r, v, h, a, b = (x[~dropped] for x in (mu_r, v, h, a, b))
+        xt, zt = v[:, 0], v[:, 1]  # the partialled grids
+        y_r, pos_r, s_r, o_r, d_r, dev_r = (x[rows] for x in (y, pos, s, o, d, dev))
+        s_new = _grid_sum((mu_r * xt) * zt) / h
         o_new = a[:, 1] - s_new[:, None] * a[:, 0]
         d_new = b[:, 1] - s_new[:, None] * b[:, 0]
         if iteration == 1:
-            s, o, d = s_new, o_new, d_new
-            eta_t, mu_t, dev_t = trial(y, pos, s, o, d)
+            s_t, o_t, d_t = s_new, o_new, d_new
+            eta_t, mu_t, dev_t = trial(y_r, pos_r, s_t, o_t, d_t)
         else:  # halve each fit's step until its deviance does not rise
-            bound = dev + _DEV_TOL * np.maximum(1.0, np.abs(dev))
-            s_t, o_t, d_t = np.empty_like(s), np.empty_like(o), np.empty_like(d)
-            eta_t, mu_t, dev_t = np.empty_like(eta), np.empty_like(mu), np.empty_like(dev)
-            todo, step = np.arange(len(idx)), 1.0
+            bound = dev_r + _DEV_TOL * np.maximum(1.0, np.abs(dev_r))
+            s_t, o_t, d_t = np.empty_like(s_r), np.empty_like(o_r), np.empty_like(d_r)
+            eta_t, mu_t, dev_t = np.empty_like(mu_r), np.empty_like(mu_r), np.empty_like(dev_r)
+            todo, step = np.arange(len(at)), 1.0
             while todo.size:
-                s_t[todo] = s[todo] + step * (s_new[todo] - s[todo])
-                o_t[todo] = o[todo] + step * (o_new[todo] - o[todo])
-                d_t[todo] = d[todo] + step * (d_new[todo] - d[todo])
+                s_t[todo] = s_r[todo] + step * (s_new[todo] - s_r[todo])
+                o_t[todo] = o_r[todo] + step * (o_new[todo] - o_r[todo])
+                d_t[todo] = d_r[todo] + step * (d_new[todo] - d_r[todo])
                 eta_t[todo], mu_t[todo], dev_t[todo] = trial(
-                    y[todo], pos[todo], s_t[todo], o_t[todo], d_t[todo]
+                    y_r[todo], pos_r[todo], s_t[todo], o_t[todo], d_t[todo]
                 )
                 todo = todo[~(dev_t[todo] <= bound[todo])] if step >= 1e-8 else todo[:0]
                 step *= 0.5
-            s, o, d = s_t, o_t, d_t
-        separated = np.maximum(np.abs(o).max(axis=1), np.abs(d).max(axis=1)) > _FE_DIVERGENCE_BOUND
-        for j in idx[separated]:
+        fe_max = np.maximum(np.abs(o_t).max(axis=1), np.abs(d_t).max(axis=1))
+        separated = fe_max > _FE_DIVERGENCE_BOUND
+        for j in at[separated]:
             failures[int(j)] = Separation(
                 f"a fixed effect exceeded {_FE_DIVERGENCE_BOUND:g} during PPML iteration"
             )
-        converged = np.abs(dev - dev_t) < _DEV_TOL * np.maximum(1.0, np.abs(dev))
-        eta, mu, dev = eta_t, mu_t, dev_t
-        done = converged & ~separated
-        rows = idx[done]
-        slope[rows], fe_o[rows], fe_d[rows] = s[done], o[done], d[done]
-        mu_hat[rows], deviance[rows], iterations[rows] = mu[done], dev[done], iteration
+        converged = np.abs(dev_r - dev_t) < _DEV_TOL * np.maximum(1.0, np.abs(dev_r))
+        s[rows], o[rows], d[rows] = s_t, o_t, d_t
+        eta[rows], mu[rows], dev[rows] = eta_t, mu_t, dev_t
+        iterations[rows] = iteration
+        live[at[converged | separated]] = False
         # A fit after the first failure can no longer decide the error raised.
-        keep = ~(converged | separated) & (idx < min(failures, default=k))
-        if not keep.all():
-            idx, y, pos, mu, eta, dev, s, o, d = (
-                x[keep] for x in (idx, y, pos, mu, eta, dev, s, o, d)
-            )
-    for j, dev_j in zip(idx, dev):
-        failures[int(j)] = NoConvergence(_MAX_ITER, abs(float(dev_j)), what="PPML")
+        live[min(failures, default=k) :] = False
+    for j in np.flatnonzero(live):
+        failures[int(j)] = NoConvergence(_MAX_ITER, abs(float(dev[j])), what="PPML")
 
     # First-order conditions of the fits below the first failure, which all
     # converged: the score sums for the slope and every fixed effect.
     m = min(failures, default=k)
-    u = values[:m] * on - mu_hat[:m]
+    u = y[:m] - mu[:m]
     foc = np.maximum(
         np.abs(_grid_sum(u * cost)),
         np.maximum(np.abs(u.sum(axis=2)).max(axis=1), np.abs(u.sum(axis=1)).max(axis=1)),
@@ -402,24 +396,24 @@ def fit_ppml_many(
     if failures:
         raise failures[min(failures)]
 
-    a, b, _, singular = _twoway_fe(mu_hat, np.broadcast_to(cost, (k, 1, n, n)), labels)
+    a, b, _, singular = _twoway_fe(mu, np.broadcast_to(cost, (k, 1, n, n)), labels)
     if singular.any():  # no slice failed before, so this is the lowest failure
         raise _singular_projection()
     xt = cost - a[:, 0, :, None] - b[:, 0, None, :]
-    influence = (xt * u) * on / _grid_sum(mu_hat * (xt * xt))[:, None, None]
+    influence = (xt * u) * on / _grid_sum(mu * (xt * xt))[:, None, None]
     fits = []
     for j in range(k):
         var, projected = _influence_variance(influence[j], dyadic=True)
         fits.append(
             PpmlFit(
-                epsilon_hat=-float(slope[j]),
-                fe_origin=fe_o[j],
-                fe_dest=fe_d[j],
+                epsilon_hat=-float(s[j]),
+                fe_origin=o[j],
+                fe_dest=d[j],
                 influence=influence[j],
                 variance=var,
                 variance_psd_projected=projected,
-                mu_hat=mu_hat[j],
-                deviance=float(deviance[j]),
+                mu_hat=mu[j],
+                deviance=float(dev[j]),
                 iterations=int(iterations[j]),
             )
         )

@@ -25,6 +25,10 @@ present than B, and each rank is clamped to the number present.  This acts
 as if every failed draw lay above all the present draws.  For the upper
 endpoint that is the widest choice.  For the lower endpoint it is the
 narrowest: the lower rank keeps its nominal value among fewer draws.
+
+An :class:`Interval` is its two endpoints.  The level, the kind and the draw
+counts are the same for every outcome of a bootstrap run, so they stay with
+the run's configuration and draw set.
 """
 
 from __future__ import annotations
@@ -42,10 +46,6 @@ from .errors import BadQuantileGrid, DataError, TooFewDraws
 class Interval:
     lo: float
     hi: float
-    alpha: float
-    kind: str
-    draws_used: int
-    draws_failed: int = 0
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -135,7 +135,7 @@ def interval_c1(draws: Sequence[float], alpha: float) -> Interval:
         raise DataError("interval_c1 expects a one-dimensional draw set")
     _check_grid(arr.shape[0], alpha)
     lo, hi = _order_stats(arr, alpha, 1.0, arr.shape[0])
-    return Interval(float(lo), float(hi), alpha, "c1", arr.shape[0])
+    return Interval(float(lo), float(hi))
 
 
 def interval_c2(
@@ -149,7 +149,7 @@ def interval_c2(
     _check_grid(arr.shape[0], alpha)
     lo, _ = _order_stats(arr[:, 0], alpha, 1.0, arr.shape[0])
     _, hi = _order_stats(arr[:, 1], alpha, 1.0, arr.shape[0])
-    return Interval(float(lo), float(hi), alpha, "c2", arr.shape[0])
+    return Interval(float(lo), float(hi))
 
 
 def robust_interval(draws, alpha: float, c: float) -> Interval:
@@ -163,4 +163,4 @@ def robust_interval(draws, alpha: float, c: float) -> Interval:
     if arr.ndim != 1:
         raise DataError("robust_interval expects a one-dimensional draw set")
     lo, hi = _order_stats(arr, alpha, c, arr.shape[0])
-    return Interval(float(lo), float(hi), alpha, f"robust(c={c:g})", arr.shape[0])
+    return Interval(float(lo), float(hi))

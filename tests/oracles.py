@@ -161,8 +161,6 @@ def params_json_doc(params) -> dict:
             for name in ("s2_shrunk", "sigma2_shrunk"):
                 if getattr(params, name) is not None:
                     entry[name] = num(getattr(params, name)[i, j])
-            if params.me_observed is not None:
-                entry["me_observed"] = bool(params.me_observed[i, j])
             if params.has_periods:
                 entry["mu"] = {str(t): num(params.mu[k, i, j]) for k, t in enumerate(params.periods)}
             else:

@@ -352,10 +352,9 @@ class TestMeVariance:
         for k in range(5):
             np.fill_diagonal(r[k], 0.0)
         panel = panel_from_reports(r, r.copy())
-        sigma2, observed = estimate_me_variance(panel)
+        sigma2 = estimate_me_variance(panel)
         off = ~np.eye(3, dtype=bool)
         assert np.all(sigma2[off] == 0.0)
-        assert np.all(observed[off])
 
     def test_constant_log_difference(self):
         t = 6
@@ -364,7 +363,7 @@ class TestMeVariance:
         for k in range(t):
             np.fill_diagonal(r1[k], 0.0)
             np.fill_diagonal(r2[k], 0.0)
-        sigma2, _ = estimate_me_variance(panel_from_reports(r1, r2))
+        sigma2 = estimate_me_variance(panel_from_reports(r1, r2))
         assert abs(sigma2[0, 1] - 0.02) < 1e-12
 
     def test_swap_invariance(self):
@@ -374,8 +373,8 @@ class TestMeVariance:
         for k in range(4):
             np.fill_diagonal(r1[k], 0.0)
             np.fill_diagonal(r2[k], 0.0)
-        s_a, _ = estimate_me_variance(panel_from_reports(r1, r2))
-        s_b, _ = estimate_me_variance(panel_from_reports(r2, r1))
+        s_a = estimate_me_variance(panel_from_reports(r1, r2))
+        s_b = estimate_me_variance(panel_from_reports(r2, r1))
         assert np.array_equal(s_a, s_b)
 
     def test_no_double_positive_flagged_zero(self):
@@ -385,10 +384,8 @@ class TestMeVariance:
         r1[:, 1, 0] = 1.0
         r2[:, 1, 0] = 1.0
         r1[:, 0, 1] = 1.0  # report2 stays zero: never double positive
-        sigma2, observed = estimate_me_variance(panel_from_reports(r1, r2))
+        sigma2 = estimate_me_variance(panel_from_reports(r1, r2))
         assert sigma2[0, 1] == 0.0
-        assert not observed[0, 1]
-        assert observed[1, 0]
 
     def test_unbiased_quick(self):
         rng = np.random.default_rng(2)

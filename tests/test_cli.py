@@ -791,6 +791,35 @@ def test_unused_options_exit_2(armington_files, mirror_files, tmp_path, capsys):
             assert message in capsys.readouterr().err, (argv, extra)
 
 
+def test_uq_include_diagonal_needs_costs(armington_files, tmp_path, capsys):
+    # Only the PPML fit of --costs reads --include-diagonal; with an external
+    # --theta either spelling is refused, from a flag or a file.
+    _, flows, _, _, params = armington_files
+    uq = ["uq", "--flows", str(flows), "--params", str(params), "--theta", "5"]
+    uq += ["--uniform-increase", "0.1", "--b", "40"]
+    for i, value in enumerate(("yes", "no")):
+        conf = tmp_path / f"c{i}.conf"
+        conf.write_text(f"include-diagonal = {value}\n", encoding="utf-8")
+        flag = "--include-diagonal" if value == "yes" else "--no-include-diagonal"
+        for extra in ([flag], ["--config", str(conf)]):
+            out = tmp_path / f"o{i}"
+            assert main(uq + extra + ["--output-dir", str(out)]) == 2, extra
+            assert "--include-diagonal needs --costs" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_uq_negative_theta_se_exits_2(armington_files, tmp_path, capsys):
+    # Only the square of --theta-se reaches the sampler, so a negative one
+    # would run as its absolute value; it is refused instead.
+    _, flows, _, _, params = armington_files
+    out = tmp_path / "o"
+    argv = ["uq", "--flows", str(flows), "--params", str(params), "--theta", "5"]
+    argv += ["--theta-se", "-0.3", "--uniform-increase", "0.1", "--b", "40"]
+    assert main(argv + ["--output-dir", str(out)]) == 2
+    assert "data error: --theta-se must be non-negative, got -0.3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_uq_smoother_matches_engine(armington_files, tmp_path):
     # The CLI smooths the matrix the model evaluates and estimates on the raw
     # one: through PpmlEstimator in ee+me, and as the observed PPML fit in

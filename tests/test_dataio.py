@@ -185,16 +185,34 @@ def test_params_json_optional_keys(tmp_path):
 
 def test_params_json_reads_files_with_the_old_mu_defined_flag(tmp_path):
     # A null mu is what marks a dyad without a prior mean; files written
-    # before that also carry a "mu_defined" flag, which the reader ignores.
+    # before that also carry a "mu_defined" flag, and mirror files an
+    # "me_observed" flag that nothing read; the reader ignores both.
     params = _mirror_params()
     path = tmp_path / "params.json"
     dataio.write_params_json(path, params)
-    assert "mu_defined" not in path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    assert "mu_defined" not in text and "me_observed" not in text
     doc = params_json_doc(params)
     for entry in doc["dyads"].values():
         entry["mu_defined"] = True
+        entry["me_observed"] = False
     back = dataio.params_from_json(doc)
     np.testing.assert_array_equal(back.mu, dataio.read_params_json(path).mu)
+    again = tmp_path / "again.json"
+    dataio.write_params_json(again, back)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: armington_world(n=6, seed=1).params, _mirror_params],
+    ids=["baseline", "mirror"],
+)
+def test_params_json_rewrites_what_it_reads_byte_for_byte(tmp_path, make):
+    # A file read and written back is the file: nothing is added on the way.
+    path, again = tmp_path / "params.json", tmp_path / "again.json"
+    dataio.write_params_json(path, make())
+    dataio.write_params_json(again, dataio.read_params_json(path))
+    assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -293,7 +293,6 @@ class TestEngine:
         )
         assert ds.draws_used + ds.draws_failed == cfg.b
         assert ds.draws_failed > 0
-        assert ivs[0].draws_failed == ds.draws_failed
         with pytest.raises(TooManyFailures):
             run_algorithm1(
                 flows_obs,
@@ -503,7 +502,6 @@ class TestEngineIntervals:
         )
         assert ds_r.draws_failed == 1
         assert [(iv.lo, iv.hi) for iv in robust] == [(iv.lo, iv.hi) for iv in c1]
-        assert robust[0].draws_failed == 1
 
     @settings(max_examples=40, deadline=None)
     @given(
