@@ -197,12 +197,14 @@ class CalibratedParams:
                 raise DataError(f"{name} must be {n}x{n}")
             if probability and not np.all((arr >= 0) & (arr <= 1)):  # NaN fails it
                 raise DataError(f"{name} entries must be probabilities in [0, 1]")
-            if not np.all(arr >= 0):  # NaN fails it
-                raise DataError(f"{name} must be non-negative, not NaN")
+            if not np.all((arr >= 0) & (arr < np.inf)):  # NaN fails it
+                raise DataError(f"{name} must be finite and non-negative")
             object.__setattr__(self, name, _freeze(arr))
         mu = np.asarray(self.mu, dtype=float)
         if mu.shape[-2:] != (n, n) or mu.ndim not in (2, 3):
             raise DataError("mu must be (n, n) or (T, n, n)")
+        if np.any(np.isinf(mu)):
+            raise DataError("mu must be finite, or NaN for a dyad without a prior mean")
         if mu.ndim == 3:
             if self.periods is None or len(self.periods) != mu.shape[0]:
                 raise DataError("per-period mu requires matching periods")

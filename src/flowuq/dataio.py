@@ -49,6 +49,8 @@ _MIRROR_HEADER = ("origin", "destination", "year", "flow_report1", "flow_report2
 _CHUNK_CHARS = 1 << 16
 # The params.json writer lays out the text of this many dyads at a time.
 _BLOCK_DYADS = 256
+# The column CSV writer lays out the text of this many rows at a time.
+_BLOCK_ROWS = 4096
 
 
 @contextmanager
@@ -370,24 +372,27 @@ def write_mirror_csv(path, labels, periods, report1, report2):
 
 def write_columns_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]):
     """A CSV of equal-length numeric columns under a header line: floats as
-    their shortest round-trip text, integer columns as integers."""
-    rows = map(",".join, zip(*(map(repr, np.asarray(c).tolist()) for c in columns)))
+    their shortest round-trip text, integer columns as integers.  The rows
+    are written ``_BLOCK_ROWS`` at a time, so the text held at once is
+    bounded whatever the columns' length."""
+    columns = [np.asarray(c) for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("\n".join((",".join(header), *rows)) + "\n")
+        handle.write(",".join(header) + "\n")
+        for start in range(0, min(map(len, columns), default=0), _BLOCK_ROWS):
+            block = (map(repr, c[start : start + _BLOCK_ROWS].tolist()) for c in columns)
+            handle.write("".join(f"{row}\n" for row in map(",".join, zip(*block))))
 
 
 # ---------------------------------------------------------------------------
 # Calibrated parameters <-> JSON (keyed by dyad)
 
-_JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _json_numbers(values: np.ndarray) -> list[str]:
     """Each float as ``json.dumps`` writes it once NaN is mapped to None:
-    ``float.__repr__``, ``null`` for NaN, ``Infinity`` for inf."""
+    ``float.__repr__``, ``null`` for NaN.  ``CalibratedParams`` holds no
+    infinity."""
     out = list(map(float.__repr__, values.tolist()))
-    for k in np.flatnonzero(~np.isfinite(values)).tolist():
-        out[k] = _JSON_NONFINITE[out[k]]
+    for k in np.flatnonzero(np.isnan(values)).tolist():
+        out[k] = "null"
     return out
 
 

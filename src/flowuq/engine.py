@@ -150,8 +150,9 @@ class LowDimSmoother:
 # n = 10, 30, 60 and 100 (BENCH_stacked_draws.json) found the per-draw cost
 # of PPML plus the Newton solve lowest between about 30,000 and 48,000 cells
 # at every size, and higher on both sides of that range at n = 60 and 100.
-# PPML holds about 15 grids per draw at its peak, so a batch's working memory
-# stays near 4 MB.
+# PPML's traced peak is 8.3 grids per draw at n = 30 (2.4 MB for 40 draws)
+# and at most 8.8 grids at n = 100 and 300, under the Newton batch's 9.7, so
+# a batch's working memory stays near 2.5 MB.
 _BATCH_CELLS = 36000
 
 

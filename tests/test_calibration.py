@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,6 +263,26 @@ class TestCalibrateBaseline:
 def test_calibrated_params_refuse_nan(name):
     with pytest.raises(DataError, match=f"^{name} "):
         constant_params(3, **{name: np.nan})
+
+
+@pytest.mark.parametrize("name", ["p", "b", "s2", "sigma2"])
+def test_calibrated_params_refuse_infinity(name):
+    with pytest.raises(DataError, match=f"^{name} "):
+        constant_params(3, **{name: np.inf})
+
+
+@pytest.mark.parametrize("name", ["s2_shrunk", "sigma2_shrunk"])
+def test_calibrated_params_refuse_infinite_shrunk_variances(name):
+    with pytest.raises(DataError, match=f"^{name} "):
+        replace(constant_params(3), **{name: np.full((3, 3), np.inf)})
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_calibrated_params_refuse_infinite_prior_means(value):
+    # A NaN mean marks a dyad without a prior mean; an infinite one is an error.
+    assert np.isnan(constant_params(3, mu=np.nan).mu).all()
+    with pytest.raises(DataError, match="^mu "):
+        constant_params(3, mu=value)
 
 
 class TestZeroProbs:

@@ -671,6 +671,27 @@ def test_uq_params_missing_a_dyad_exits_2(armington_files, tmp_path, capsys):
     assert f"params file has no dyad '{first}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, text", [("s2", "Infinity"), ("sigma2", "Infinity"), ("mu", "-Infinity")]
+)
+def test_uq_infinite_params_exit_2_before_any_draw(
+    armington_files, tmp_path, capsys, monkeypatch, field, text
+):
+    # Python's JSON reader takes Infinity, which is not JSON; the parameters
+    # refuse it, where before it surfaced inside the draw loop.
+    _, flows, _, _, params = armington_files
+    doc = json.loads(params.read_text(encoding="utf-8"))
+    doc["dyads"]["L00->L01"][field] = "INFINITE"
+    params.write_text(json.dumps(doc).replace('"INFINITE"', text), encoding="utf-8")
+    sampled = []
+    monkeypatch.setattr(engine, "sample_flow_matrix", lambda *a: sampled.append(a))
+    argv = ["uq", "--flows", str(flows), "--params", str(params), "--theta", "5"]
+    argv += ["--uniform-increase", "0.1", "--b", "40", "--output-dir", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert f"data error: {field} must be finite" in capsys.readouterr().err
+    assert not sampled
+
+
 def _set_first(doc, key, value):
     doc["dyads"][next(iter(doc["dyads"]))][key] = value
     return doc

@@ -146,11 +146,7 @@ def _nan_mu_params():
 
 
 def _odd_label_params():
-    params = _mirror_params()
-    mu = np.array(params.mu)
-    mu[0, 0, 1] = np.inf
-    mu[2, 1, 0] = -np.inf
-    return replace(params, mu=mu, labels=('a"b', "c,d %s", "Zürich\\ %%", "東京{0}"))
+    return replace(_mirror_params(), labels=('a"b', "c,d %s", "Zürich\\ %%", "東京{0}"))
 
 
 @pytest.mark.parametrize(
@@ -310,6 +306,19 @@ def test_columns_csv(tmp_path):
     assert path.read_text(encoding="utf-8") == expected
     dataio.write_columns_csv(path, ["x"], [np.empty(0)])
     assert path.read_text(encoding="utf-8") == "x\n"
+    dataio.write_columns_csv(path, ["x", "n"], [np.empty(0), np.empty(0, dtype=int)])
+    assert path.read_text(encoding="utf-8") == "x,n\n"
+
+
+def test_columns_csv_in_blocks(tmp_path, monkeypatch):
+    # Two and a half blocks of rows give the text of the rows written at once.
+    monkeypatch.setattr(dataio, "_BLOCK_ROWS", 4)
+    x = np.random.default_rng(5).normal(size=10) * 10.0 ** np.arange(-5, 5)
+    n = np.arange(10) - 3
+    path = tmp_path / "cols.csv"
+    dataio.write_columns_csv(path, ["x", "n"], [x, n])
+    rows = [f"{a!r},{b!r}" for a, b in zip(x.tolist(), n.tolist())]
+    assert path.read_bytes() == ("\n".join(["x,n", *rows]) + "\n").encode("utf-8")
 
 
 # One reader parses every dyadic CSV; each format only places the values.

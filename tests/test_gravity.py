@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,8 +92,8 @@ class TestPpml:
         seen = []
         real = gravity._twoway_fe
 
-        def recording(w, v, labels):
-            out = real(w, v, labels)
+        def recording(w, v, labels, *scratch):
+            out = real(w, v, labels, *scratch)
             if out[3].any():
                 seen.append((w[out[3]][0], v[out[3]][0], labels))
             return out
@@ -346,6 +348,56 @@ class TestPpmlMany:
             with pytest.raises(type(expected.value)) as info:
                 fit_ppml_many(matrices(stack), log_costs)
             assert str(info.value) == str(expected.value)
+
+    def test_fits_that_stop_and_fail_mid_iteration_leave_the_others_alone(self, monkeypatch):
+        # On one world's log costs: a clean and a noisy fit that converge at
+        # iterations 5 and 6, a slow fit stopped by a cap of 36 iterations,
+        # and the singular slice, whose projection fails at iteration 35 while
+        # the slow fit still iterates beside it.  The rows of the fits that
+        # stop are reordered in place each time; the slow fit's capped
+        # deviance, which the batch raises, is the one it reaches alone.
+        monkeypatch.setattr(gravity, "_MAX_ITER", 36)
+        singular, log_costs = singular_world()
+        n = singular.n
+        clean = gravity_flows(n, 2.0, np.random.default_rng(0))[0]
+        noisy = gravity_flows(n, 2.0, np.random.default_rng(1), 3.0)[0]
+        slow = gravity_flows(n, 2.0, np.random.default_rng(767), 6.0)[0]
+        assert [fit_ppml(f, log_costs).iterations for f in (clean, noisy)] == [5, 6]
+        with pytest.raises(NoConvergence) as alone:
+            fit_ppml(slow, log_costs)
+        assert alone.value.iterations == 36
+        with pytest.raises(Separation, match="projection became singular"):
+            fit_ppml(singular, log_costs)
+
+        with pytest.raises(NoConvergence) as batched:
+            fit_ppml_many([clean, slow, singular, noisy], log_costs)
+        assert str(batched.value) == str(alone.value)
+        assert batched.value.residual == alone.value.residual
+        for flows, batched in zip((noisy, clean, noisy), fit_ppml_many([noisy, clean, noisy], log_costs)):
+            assert_same_fit(fit_ppml(flows, log_costs), batched)
+
+    def test_working_set_is_fixed(self):
+        # A batch of warm-started draws that stop at iterations 4 and 5.  The
+        # IRLS holds seven (k, n, n) grids and the log costs; numpy's 64 KiB
+        # iteration buffers add about two grids at this size, which is below
+        # the 256 KiB at which numpy starts eliding temporaries, so every
+        # temporary counts.  A loop that gathers, scatters or allocates whole
+        # stacks per iteration peaks near 18 grids per fit here.
+        world = armington_world(n=30, seed=3)
+        _, observed = world.draw_world(np.random.default_rng(1))
+        start = fit_ppml(observed, world.log_costs)
+        rng = np.random.default_rng(2)
+        draws = [sample_flow_matrix(observed, world.params, rng)[0] for _ in range(8)]
+        fit_ppml_many(draws, world.log_costs, start=start)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fits = fit_ppml_many(draws, world.log_costs, start=start)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert {fit.iterations for fit in fits} == {4, 5}
+        assert peak / (8 * 30 * 30 * 8) < 12
 
     def test_draw_loop_batch_at_n100_matches_single_fits(self):
         # The draw loop's batches hold more than one draw at n = 100; such a
