@@ -125,7 +125,7 @@ def sample_flow_matrix(
         raise DataError("slab draw needs a finite prior mean")
     out[slab] = np.exp(mu[slab] + np.sqrt(s2[slab]) * z[slab])
 
-    return flows_obs.replace_values(out), int(np.count_nonzero(degenerate))
+    return FlowMatrix(out, flows_obs.labels), int(np.count_nonzero(degenerate))
 
 
 # ---------------------------------------------------------------------------

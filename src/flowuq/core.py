@@ -80,10 +80,6 @@ class FlowMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def replace_values(self, values: np.ndarray) -> "FlowMatrix":
-        """New FlowMatrix with the same labels and different entries."""
-        return FlowMatrix(values, self.labels)
-
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -266,13 +262,6 @@ class DrawSet:
     @property
     def draws_used(self) -> int:
         return self.draws.shape[0]
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.draws.shape[1]
-
-    def column(self, q: int) -> np.ndarray:
-        return self.draws[:, q]
 
 
 def evaluate_model(

@@ -478,10 +478,10 @@ _SHRUNK = ("s2_shrunk", "sigma2_shrunk")
 
 def params_from_json(doc) -> CalibratedParams:
     """Parameters from a ``write_params_json`` document.  Every one of the
-    n * n dyads must be listed and carry p, b, s2, sigma2 and mu, and either
-    both shrunk variances or neither, as every other dyad does; only mu may
-    be null, and a null mu marks a dyad without a prior mean.  A document of
-    another shape is a DataError."""
+    n * n dyads must be listed and carry p, b, s2, sigma2 and mu, and each
+    shrunk variance on every dyad or on none; only mu may be null, and a null
+    mu marks a dyad without a prior mean.  A document of another shape is a
+    DataError."""
     if not isinstance(doc, dict):
         raise DataError("params file must hold a JSON object")
     labels, dyads, periods = doc.get("labels"), doc.get("dyads"), doc.get("periods")
@@ -495,8 +495,9 @@ def params_from_json(doc) -> CalibratedParams:
     n = len(labels)
     t = len(periods) if periods else 0
     first = next(iter(dyads.values()), {})
-    shrunk = isinstance(first, dict) and any(name in first for name in _SHRUNK)
-    names = ("p", "b", "s2", "sigma2") + (_SHRUNK if shrunk else ())
+    shrunk = tuple(name for name in _SHRUNK if isinstance(first, dict) and name in first)
+    unshrunk = tuple(name for name in _SHRUNK if name not in shrunk)
+    names = ("p", "b", "s2", "sigma2") + shrunk
     values = {name: np.zeros((n, n)) for name in names}
     mu = np.full((t, n, n) if periods else (n, n), np.nan)
     idx = {lab: i for i, lab in enumerate(labels)}
@@ -511,7 +512,7 @@ def params_from_json(doc) -> CalibratedParams:
             if entry.get(name) is None:
                 raise DataError(f"params dyad {key!r}: {name} is missing or null")
             values[name][i, j] = _number(entry[name], key, name)
-        if not shrunk and any(name in entry for name in _SHRUNK):
+        if unshrunk and any(name in entry for name in unshrunk):
             raise DataError(f"params dyad {key!r}: shrunk variances on some dyads only")
         if "mu" not in entry:
             raise DataError(f"params dyad {key!r}: mu is missing")

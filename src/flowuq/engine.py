@@ -136,7 +136,7 @@ class LowDimSmoother:
         fit = fit_log_gravity(flows, self.distances)
         values = np.exp(fit.mu)
         np.fill_diagonal(values, np.diag(flows.values))
-        return flows.replace_values(values)
+        return FlowMatrix(values, flows.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ built and a slope is the regression of one partialled variable on another.
 
 * ``fit_ppml_many`` -- Poisson pseudo-maximum-likelihood with origin and
   destination fixed effects, robust to zero flows, for a stack of flow
-  matrices at once; ``fit_ppml`` is a batch of one, and ``PpmlEstimator``
-  is the bootstrap's estimator plug-in on top of it, whose fits start at
-  the fit of the observed matrix.  Each iteratively reweighted
+  matrices at once, which returns each matrix's fit or its own error, as
+  ``armington.solve_counterfactual_many`` does; ``fit_ppml`` is a batch of
+  one that raises its error, and ``PpmlEstimator`` is the bootstrap's
+  estimator plug-in on top of it, whose fits start at the fit of the
+  observed matrix.  Each iteratively reweighted
   least-squares step partials log cost and the working response on the
   fixed effects with weights mu and regresses one on the other.  The
   negated coefficient on log cost is the trade elasticity.  Its sampling
@@ -39,6 +41,7 @@ from .core import DistanceMatrix, EstimatorResult, FlowMatrix, solve_stack
 from .errors import (
     Collinear,
     DataError,
+    FlowUqError,
     InsufficientData,
     NoConvergence,
     NotPSD,
@@ -226,7 +229,9 @@ def _poisson_deviance(y: np.ndarray, mu: np.ndarray, pos: np.ndarray, work) -> n
     formed in ``work``, two grids of the stack's shape."""
     ratio, diff = work
     ratio.fill(1.0)
-    np.log(np.divide(y, mu, out=ratio, where=pos), out=ratio)
+    with np.errstate(over="ignore"):  # mu underflows on a separating fit
+        np.divide(y, mu, out=ratio, where=pos)
+    np.log(ratio, out=ratio)
     ratio *= y
     ratio -= np.subtract(y, mu, out=diff)
     return 2.0 * _grid_sum(ratio)
@@ -239,9 +244,13 @@ def fit_ppml(
 
     Zeros in the flows are fine; that is the point of PPML.  The elasticity
     estimate is the negated coefficient on ``log_costs``.  This is
-    ``fit_ppml_many`` on a batch of one; the errors are documented there.
+    ``fit_ppml_many`` on a batch of one, which raises the error that
+    ``fit_ppml_many`` returns for the matrix; the errors are documented there.
     """
-    return fit_ppml_many([flows], log_costs, include_diagonal)[0]
+    (fit,) = fit_ppml_many([flows], log_costs, include_diagonal)
+    if isinstance(fit, FlowUqError):
+        raise fit
+    return fit
 
 
 def fit_ppml_many(
@@ -249,7 +258,7 @@ def fit_ppml_many(
     log_costs: np.ndarray,
     include_diagonal: bool = False,
     start: PpmlFit | None = None,
-) -> list[PpmlFit]:
+) -> list[PpmlFit | FlowUqError]:
     """PPML fits of a sequence of k ``FlowMatrix`` of one size on shared log
     costs, run as one batched IRLS.
 
@@ -259,9 +268,7 @@ def fit_ppml_many(
     effects for every fit still iterating at once and regresses one on the
     other.  Every fit has its own step-halving on the linear predictor,
     taken whenever its deviance would rise, and its own convergence test;
-    once it converges or fails it stops, keeping its last state.  Every
-    slice's fit equals the fit of that slice alone (a batch of one with the
-    same ``start``), bit for bit.
+    once it converges or fails it stops, keeping its last state.
 
     The IRLS runs in a working set of (k, n, n) grids allocated once: the
     flows, the linear predictor and the mean, a candidate pair of the two
@@ -279,13 +286,13 @@ def fit_ppml_many(
     observed one, which they lie close to, and they converge in fewer
     iterations to the same estimates within the convergence tolerance.
 
-    Raises
-    ------
-    DataError
-        On log costs that are not n x n or not finite where used, or a
-        ``start`` fit of another size.
+    Returns one entry per matrix: its ``PpmlFit``, or the error that
+    ``fit_ppml`` raises on that matrix alone, with the same class and
+    message.  A fit equals the fit of its matrix alone (a batch of one with
+    the same ``start``), bit for bit.  The errors of a matrix are:
+
     InsufficientData
-        When no included dyad of a slice has a positive flow.
+        When no included dyad has a positive flow.
     Collinear
         When ``log_costs`` has no variation beyond the fixed effects.
     Separation
@@ -296,8 +303,11 @@ def fit_ppml_many(
     NoConvergence
         When the iteration cap is hit or the first-order conditions fail.
 
-    When several slices fail, the error raised is that of the lowest failing
-    slice, the one ``fit_ppml`` raises on that slice alone.
+    Raises
+    ------
+    DataError
+        On log costs that are not n x n or not finite where used, or a
+        ``start`` fit of another size.
     """
     y = np.stack([flows.values for flows in flows_seq])
     k, n = y.shape[:2]
@@ -309,34 +319,35 @@ def fit_ppml_many(
     mask = np.ones((n, n), dtype=bool) if include_diagonal else ~np.eye(n, dtype=bool)
     if not np.all(np.isfinite(log_costs[mask])):
         raise DataError("log_costs must be finite on included dyads")
-    s, o, d, dev, iterations, mu, influence = _ppml_irls(
+    failures, fit_at, s, o, d, dev, iterations, mu, influence = _ppml_irls(
         y, np.where(mask, log_costs, 0.0), mask, start
     )
-    fits = []
-    for j in range(k):
-        var, projected = _influence_variance(influence[j], dyadic=True)
-        fits.append(
-            PpmlFit(
-                epsilon_hat=-float(s[j]),
-                fe_origin=o[j],
-                fe_dest=d[j],
-                influence=influence[j],
+    fits: list = [failures.get(j) for j in range(k)]
+    for r, j in enumerate(fit_at):
+        if fits[j] is None:
+            var, projected = _influence_variance(influence[r], dyadic=True)
+            fits[j] = PpmlFit(
+                epsilon_hat=-float(s[r]),
+                fe_origin=o[r],
+                fe_dest=d[r],
+                influence=influence[r],
                 variance=var,
                 variance_psd_projected=projected,
-                mu_hat=mu[j],
-                deviance=float(dev[j]),
-                iterations=int(iterations[j]),
+                mu_hat=mu[r],
+                deviance=float(dev[r]),
+                iterations=int(iterations[r]),
             )
-        )
     return fits
 
 
 def _ppml_irls(y: np.ndarray, cost: np.ndarray, mask: np.ndarray, start: PpmlFit | None):
     """The batched IRLS of ``fit_ppml_many`` on the (k, n, n) flows ``y``,
     which it overwrites, and the log costs ``cost``, zero off the ``mask``
-    of included dyads.  Raises the batch's error; otherwise returns the
-    coefficients, deviances and iteration counts of the fits with their
-    fitted means and influence grids."""
+    of included dyads.  Every fit runs to its own end.  Returns the errors
+    of the failed fits by fit index, and the per-row coefficients,
+    deviances, iteration counts, fitted means and influence grids, where
+    row r holds fit ``fit_at[r]`` (the first ``len(fit_at)`` rows, which
+    hold every converged fit)."""
     k, n = y.shape[:2]
     labels = _components(mask)
     # The working set.  Row r of every grid and per-fit vector holds the fit
@@ -375,7 +386,6 @@ def _ppml_irls(y: np.ndarray, cost: np.ndarray, mask: np.ndarray, start: PpmlFit
     live = pos.any(axis=(1, 2))
     for j in np.flatnonzero(~live):
         failures[int(j)] = InsufficientData("no positive flow on the included dyads")
-    live[min(failures, default=k) :] = False
     if start is None:
         # Standard GLM start: pull the mean toward the sample average.  Its
         # support, and so that of every later mu = exp(eta), is the whole
@@ -419,7 +429,7 @@ def _ppml_irls(y: np.ndarray, cost: np.ndarray, mask: np.ndarray, start: PpmlFit
             failures[int(j)] = _collinear("log cost")
         dropped = singular | lacking
         if dropped.any():
-            nl = retire(~dropped & (fit_at[:nl] < min(failures)), v[0], v[1], a, b, h)
+            nl = retire(~dropped, v[0], v[1], a, b, h)
             w, xt, zt, a, b, h, work = mu[:nl], xt[:nl], zt[:nl], a[:nl], b[:nl], h[:nl], work[:nl]
         s_new = _grid_sum(np.multiply(np.multiply(w, xt, out=work), zt, out=work)) / h
         o_new = a[:, 1] - s_new[:, None] * a[:, 0]
@@ -453,47 +463,37 @@ def _ppml_irls(y: np.ndarray, cost: np.ndarray, mask: np.ndarray, start: PpmlFit
         s_l[:], o_l[:], d_l[:], dev_l[:] = s_t, o_t, d_t, dev_t
         iterations[:nl] = iteration
         eta, eta_t, mu, mu_t = eta_t, eta, mu_t, mu
-        # A fit after the first failure can no longer decide the error raised.
-        keep = ~(converged | separated) & (fit_at[:nl] < min(failures, default=k))
+        keep = ~(converged | separated)
         if not keep.all():
             nl = retire(keep)
     for r in range(nl):
         failures[int(fit_at[r])] = NoConvergence(_MAX_ITER, abs(float(dev[r])), what="PPML")
 
-    # Back to one row per fit in fit order, through the free grids.
-    if (fit_at != np.arange(k)).any():
-        row = np.argsort(fit_at)
-        np.take(y, row, axis=0, out=eta, mode="clip")
-        np.take(mu, row, axis=0, out=mu_t, mode="clip")
-        y, eta, mu, mu_t = eta, y, mu_t, mu
-        s, o, d, dev, iterations = (x[row] for x in (s, o, d, dev, iterations))
-
-    # First-order conditions of the fits below the first failure, which all
-    # converged: the score sums for the slope and every fixed effect.
-    m = min(failures, default=k)
+    # The converged fits take the leading m rows.  Their first-order
+    # conditions: the score sums for the slope and every fixed effect.
+    m = retire(np.isin(fit_at, list(failures), invert=True))
     largest = y[:m].reshape(m, n * n).max(axis=1)  # y is zero off the sample
     u = np.subtract(y[:m], mu[:m], out=eta_t[:m])
     foc = np.maximum(
         np.abs(_grid_sum(np.multiply(u, cost, out=v[0, :m]))),
         np.maximum(np.abs(u.sum(axis=2)).max(axis=1), np.abs(u.sum(axis=1)).max(axis=1)),
     )
-    for j in range(m):
-        if foc[j] > 1e-8 * max(1.0, float(largest[j])):
-            failures[j] = NoConvergence(
-                int(iterations[j]), float(foc[j]), what="PPML first-order conditions"
-            )
-    if failures:
-        raise failures[min(failures)]
+    for r in np.flatnonzero(foc > 1e-8 * np.maximum(1.0, largest)):
+        failures[int(fit_at[r])] = NoConvergence(
+            int(iterations[r]), float(foc[r]), what="PPML first-order conditions"
+        )
 
-    a, b, _, singular = _twoway_fe(mu, np.broadcast_to(cost, (k, 1, n, n)), labels, (eta, mu_t))
-    if singular.any():  # no slice failed before, so this is the lowest failure
-        raise _singular_projection()
-    xt = np.subtract(cost, a[:, 0, :, None], out=y)
+    a, b, _, singular = _twoway_fe(
+        mu[:m], np.broadcast_to(cost, (m, 1, n, n)), labels, (eta[:m], mu_t[:m])
+    )
+    for j in fit_at[:m][singular]:
+        failures.setdefault(int(j), _singular_projection())
+    xt = np.subtract(cost, a[:, 0, :, None], out=y[:m])
     xt -= b[:, 0, None, :]
-    h = _grid_sum(np.multiply(mu, np.multiply(xt, xt, out=eta), out=eta))
+    h = _grid_sum(np.multiply(mu[:m], np.multiply(xt, xt, out=eta[:m]), out=eta[:m]))
     influence = np.multiply(np.multiply(xt, u, out=u), mask, out=u)
     influence /= h[:, None, None]
-    return s, o, d, dev, iterations, mu, influence
+    return failures, fit_at[:m], s, o, d, dev, iterations, mu, influence
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,8 +502,9 @@ class PpmlEstimator:
     variance on a flow matrix, against fixed log costs.  Every fit starts its
     IRLS at ``start``, the fit of the observed matrix, which a drawn matrix
     lies close to.  ``many`` fits a batch of matrices in one IRLS with the
-    same results as one call per matrix.  Picklable, so a process pool can
-    ship it."""
+    same results as one call per matrix; when fits fail it raises the error
+    of the lowest failing matrix, which aborts the bootstrap.  Picklable, so
+    a process pool can ship it."""
 
     log_costs: np.ndarray
     start: PpmlFit
@@ -514,6 +515,9 @@ class PpmlEstimator:
 
     def many(self, flows_seq) -> list[EstimatorResult]:
         fits = fit_ppml_many(flows_seq, self.log_costs, self.include_diagonal, self.start)
+        for fit in fits:
+            if isinstance(fit, FlowUqError):
+                raise fit
         return [fit.to_estimator_result() for fit in fits]
 
 

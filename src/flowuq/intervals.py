@@ -51,10 +51,6 @@ class Interval:
         if self.lo > self.hi:
             raise DataError("interval endpoints out of order")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 # ---------------------------------------------------------------------------
 # Density-ratio-class quantile levels

@@ -169,6 +169,6 @@ def test_model_determinism():
 def test_drawset_accounting():
     ds = DrawSet(draws=np.arange(8.0), draws_failed=2)
     assert ds.draws_used == 8
-    assert ds.n_outcomes == 1
+    assert ds.draws.shape[1] == 1
     with pytest.raises(DataError):
         DrawSet(draws=np.array([1.0, np.nan]))

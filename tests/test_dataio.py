@@ -200,8 +200,14 @@ def test_params_json_reads_files_with_the_old_mu_defined_flag(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: armington_world(n=6, seed=1).params, _mirror_params],
-    ids=["baseline", "mirror"],
+    "make",
+    [
+        lambda: armington_world(n=6, seed=1).params,
+        _mirror_params,
+        lambda: replace(_mirror_params(), sigma2_shrunk=None),
+        lambda: replace(_mirror_params(), s2_shrunk=None),
+    ],
+    ids=["baseline", "mirror", "s2-shrunk-only", "sigma2-shrunk-only"],
 )
 def test_params_json_rewrites_what_it_reads_byte_for_byte(tmp_path, make):
     # A file read and written back is the file: nothing is added on the way.
@@ -242,14 +248,19 @@ def test_params_json_refuses_repeated_labels():
 
 
 def test_params_json_shrunk_pair_on_every_dyad_or_none():
-    doc = params_json_doc(_mirror_params(shrink=False))
-    key = sorted(doc["dyads"])[6]
-    doc["dyads"][key]["s2_shrunk"] = 0.1
-    with pytest.raises(DataError, match="shrunk variances on some dyads only"):
-        dataio.params_from_json(doc)
     doc = params_json_doc(_mirror_params())
+    key = sorted(doc["dyads"])[6]
     doc["dyads"][key]["mu"] = None
     assert np.isnan(dataio.params_from_json(doc).mu[:, 1, 2]).all()
+    # Each shrunk variance is on every dyad or on none, whatever the other.
+    for params, extra in (
+        (_mirror_params(shrink=False), "s2_shrunk"),
+        (replace(_mirror_params(), sigma2_shrunk=None), "sigma2_shrunk"),
+    ):
+        doc = params_json_doc(params)
+        doc["dyads"][key][extra] = 0.1
+        with pytest.raises(DataError, match="shrunk variances on some dyads only"):
+            dataio.params_from_json(doc)
 
 
 def test_mirror_csv_golden(tmp_path):

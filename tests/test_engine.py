@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from flowuq import (
     BadQuantileGrid,
+    Collinear,
     CounterfactualSpec,
     DataError,
     EstimatorResult,
     FlowMatrix,
     IdentityModel,
+    InsufficientData,
     ModelEvaluationFailed,
+    Separation,
     TooFewDraws,
     TooManyFailures,
     UqConfig,
@@ -86,15 +89,15 @@ class CallsOnly:
 
 
 class Counting:
-    """Wraps an estimator or smoother and counts its calls."""
+    """Wraps an estimator, smoother or model and counts its calls."""
 
     def __init__(self, fn):
         self.fn = fn
         self.calls = 0
 
-    def __call__(self, flows):
+    def __call__(self, *args):
         self.calls += 1
-        return self.fn(flows)
+        return self.fn(*args)
 
 
 def mean_flow_estimator(flows, se=0.1):
@@ -354,7 +357,7 @@ class TestEngine:
             flows_obs, scen.params, estimator, ThetaPassThrough(), scen.cf_spec, cfg2
         )
         assert np.array_equal(ds1.draws, ds2.draws)
-        assert iv2[0].width >= iv1[0].width
+        assert iv2[0].hi - iv2[0].lo >= iv1[0].hi - iv1[0].lo
         assert iv2[0].lo <= iv1[0].lo <= iv1[0].hi <= iv2[0].hi
 
     def test_point_estimate(self):
@@ -402,6 +405,35 @@ class TestEngine:
         assert np.array_equal(ds_single.draws, ds_batched.draws)
         assert ivs_single == ivs_batched
         np.testing.assert_allclose(ds_batched.draws, ds.draws, rtol=1e-10, atol=0)
+
+    def test_failed_reestimate_aborts_the_run(self):
+        # Constant log costs make every re-fit of a drawn matrix Collinear,
+        # from a start at the fit on the world's own log costs: the first
+        # batch's estimator error aborts the run before any model call.
+        scen, flows_obs = small_world()
+        start = fit_ppml(flows_obs, scen.log_costs)
+        model = Counting(ArmingtonModel())
+        with pytest.raises(Collinear):
+            run_algorithm1(
+                flows_obs,
+                scen.params,
+                PpmlEstimator(np.full((5, 5), 0.7), start),
+                model,
+                scen.cf_spec,
+                self.cfg(b=40, alpha=0.1),
+            )
+        assert model.calls == 0
+
+        # With two failing matrices in a batch, the lower one's error.
+        estimator = PpmlEstimator(scen.log_costs, start)
+        separating = FlowMatrix(flows_obs.values * np.exp(40.0 * (np.arange(5) == 2)))
+        empty = FlowMatrix(np.zeros((5, 5)))
+        for first, second, error in (
+            (separating, empty, Separation),
+            (empty, separating, InsufficientData),
+        ):
+            with pytest.raises(error):
+                estimator.many([flows_obs, first, flows_obs, second])
 
     def test_models_with_and_without_many_give_the_per_draw_loop(self):
         # Whether the model evaluates a batch's pairs through ``many`` or
@@ -512,7 +544,7 @@ class TestEngineIntervals:
     )
     def test_engine_intervals_are_the_public_ones(self, b, c, seed, data):
         ds, c1 = self.run(IdentityModel(), b=b, seed=seed)
-        columns = [ds.column(q) for q in range(ds.n_outcomes)]
+        columns = [ds.draws[:, q] for q in range(ds.draws.shape[1])]
         assert c1 == tuple(interval_c1(col, self.ALPHA) for col in columns)
 
         # c2 is interval_c2 of each draw's interval_c1 of its inner draws,

@@ -16,6 +16,7 @@ from flowuq import (
     NoConvergence,
     NotPSD,
     PpmlEstimator,
+    PpmlFit,
     Separation,
     fit_log_gravity,
     fit_ppml,
@@ -115,18 +116,21 @@ class TestPpml:
             assert not singular_j.any()
             assert np.array_equal(a[j], a_j[0]) and np.array_equal(b[j], b_j[0])
 
-        # In a batch of fits the lowest failing slice's error is raised.
+        # In a batch of fits each slice gets its own outcome: the singular
+        # and the separating slice their errors, the others their fits.
         good = [gravity_flows(flows.n, 2.0, rng)[0].values for _ in range(3)]
         separating = good[2] * np.exp(40.0 * (np.arange(flows.n) == 2))
         with pytest.raises(Separation, match="exceeded") as sep:
             fit_ppml(FlowMatrix(separating), log_costs)
-        for stack, expected in (
-            ([good[0], good[1], flows.values, separating], single),
-            ([good[0], separating, flows.values, good[1]], sep),
+        for stack, at_singular, at_sep in (
+            ([good[0], good[1], flows.values, separating], 2, 3),
+            ([good[0], separating, flows.values, good[1]], 2, 1),
         ):
-            with pytest.raises(Separation) as info:
-                fit_ppml_many(matrices(stack), log_costs)
-            assert str(info.value) == str(expected.value)
+            fits = fit_ppml_many(matrices(stack), log_costs)
+            assert str(fits[at_singular]) == str(single.value)
+            assert str(fits[at_sep]) == str(sep.value)
+            for values, fit in zip(stack, fits):
+                assert_same_outcome(fit_alone(FlowMatrix(values), log_costs), fit)
 
     def test_warm_start_matches_cold_fits(self):
         # Draws around an observed matrix, fitted from the observed fit: the
@@ -158,8 +162,10 @@ class TestPpml:
             assert est.theta_hat[0] == fit.epsilon_hat
 
         separating = stack[0] * np.exp(40.0 * (np.arange(12) == 2))
-        with pytest.raises(Separation):
-            fit_ppml_many(matrices([stack[1], separating]), world.log_costs, start=start)
+        fits = fit_ppml_many(matrices([stack[1], separating]), world.log_costs, start=start)
+        assert_same_fit(warm[1], fits[0])
+        assert isinstance(fits[1], Separation)
+        assert_same_outcome(fit_alone(FlowMatrix(separating), world.log_costs, start=start), fits[1])
         with pytest.raises(DataError):
             fit_ppml_many(matrices(stack[:, :5, :5]), world.log_costs[:5, :5], start=start)
 
@@ -222,6 +228,32 @@ class TestPpml:
         with pytest.raises(Separation):
             fit_ppml(FlowMatrix(values), log_costs)
 
+    def test_overflowing_deviance_is_halved_away(self):
+        # Flows spanning 18 orders of magnitude on the singular world's log
+        # costs: one full step's fitted means underflow where a flow is
+        # positive, so y / mu overflows and that trial's deviance is
+        # infinite.  Step halving rejects it, with no warning, and the fit
+        # separates a few iterations later, alone and beside a clean fit.
+        values = np.array([
+            [0.0, 564.1289768084856, 1.9364704053808356e-05, 0.0003560173778841396,
+             8.481263868108828e-08],
+            [5.76356758863535, 0.0, 0.3485341034449002, 3.588486837726577e-05,
+             78277598097.51564],
+            [0.000958182131387694, 26411.54550803015, 0.0, 28282.830848024307,
+             241.93005409509848],
+            [0.003963066443626403, 23843769.894473676, 0.4401145028695913, 0.0,
+             9.618430056563335e-05],
+            [0.19100769125354886, 1191.8175143329872, 0.5874505392633331,
+             3764359.772210726, 0.0],
+        ])
+        log_costs = singular_world()[1]
+        with pytest.raises(Separation, match="exceeded") as alone:
+            fit_ppml(FlowMatrix(values), log_costs)
+        clean = gravity_flows(5, 2.0, np.random.default_rng(0))[0]
+        fits = fit_ppml_many([clean, FlowMatrix(values)], log_costs)
+        assert_same_fit(fit_ppml(clean, log_costs), fits[0])
+        assert_same_outcome(alone.value, fits[1])
+
     def test_fe_normalization_is_inert(self):
         # Re-solving with a different dropped origin dummy moves the fixed
         # effects but not the elasticity.
@@ -260,37 +292,68 @@ def assert_same_fit(single, batched):
         assert np.array_equal(getattr(single, field), getattr(batched, field)), field
 
 
+def fit_alone(flows, log_costs, include_diagonal=False, start=None):
+    """One matrix fitted alone: its fit or the error ``fit_ppml`` raises, or
+    with a ``start`` the outcome of ``fit_ppml_many`` on it alone."""
+    if start is not None:
+        return fit_ppml_many([flows], log_costs, include_diagonal, start)[0]
+    try:
+        return fit_ppml(flows, log_costs, include_diagonal)
+    except FlowUqError as exc:
+        return exc
+
+
+def assert_same_outcome(single, batched):
+    """A slice of a batched fit equals the fit of that slice alone, bit for
+    bit: the same fit, or an error of the same class and message."""
+    if isinstance(single, FlowUqError):
+        assert type(batched) is type(single)
+        assert str(batched) == str(single)
+        return
+    assert isinstance(batched, PpmlFit), batched
+    assert_same_fit(single, batched)
+
+
 class TestPpmlMany:
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(3, 8),
-        k=st.integers(1, 5),
+        kinds=st.lists(st.sampled_from(["plain", "separating", "empty"]), min_size=1, max_size=5),
         seed=st.integers(0, 2**32 - 1),
         noise_sd=st.floats(0.0, 1.5),
         zero_frac=st.sampled_from([0.0, 0.1, 0.3]),
         include_diagonal=st.booleans(),
+        warm=st.booleans(),
+        max_iter=st.sampled_from([gravity._MAX_ITER, 4]),
     )
-    def test_matches_single_fits(self, n, k, seed, noise_sd, zero_frac, include_diagonal):
+    def test_matches_single_fits(
+        self, n, kinds, seed, noise_sd, zero_frac, include_diagonal, warm, max_iter
+    ):
+        # A mixed batch: fits that converge, fits with one destination scaled
+        # by e^40 (which separate), fits without flow and, under a cap of 4
+        # iterations, capped fits.  Every slice gets the outcome of that slice
+        # alone.
         rng = np.random.default_rng(seed)
-        log_costs = gravity_flows(n, 3.0, rng)[1]
+        exact, log_costs = gravity_flows(n, 3.0, rng, 0.0, include_diagonal)
+        start = fit_ppml(exact, log_costs, include_diagonal) if warm else None
         stack = []
-        for _ in range(k):
+        for kind in kinds:
             flows = gravity_flows(n, 3.0, rng, noise_sd, include_diagonal)[0]
-            stack.append(flows.values * (rng.random((n, n)) >= zero_frac))
-        singles = []
-        for values in stack:
-            try:
-                singles.append(fit_ppml(FlowMatrix(values), log_costs, include_diagonal))
-            except FlowUqError as exc:  # the batch must raise the first failure
-                with pytest.raises(type(exc)) as info:
-                    fit_ppml_many(matrices(stack), log_costs, include_diagonal)
-                assert str(info.value) == str(exc)
-                return
-        fits = fit_ppml_many(matrices(stack), log_costs, include_diagonal)
-        assert len(fits) == k
-        for single, batched in zip(singles, fits):
-            assert_same_fit(single, batched)
-            assert independent_variance(single) == independent_variance(batched)
+            values = flows.values * (rng.random((n, n)) >= zero_frac)
+            if kind == "separating":
+                values = values * np.exp(40.0 * (np.arange(n) == rng.integers(n)))
+            stack.append(0.0 * values if kind == "empty" else values)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gravity, "_MAX_ITER", max_iter)
+            fits = fit_ppml_many(matrices(stack), log_costs, include_diagonal, start)
+            assert len(fits) == len(kinds)
+            for kind, values, fit in zip(kinds, stack, fits):
+                single = fit_alone(FlowMatrix(values), log_costs, include_diagonal, start)
+                assert_same_outcome(single, fit)
+                if kind == "empty":
+                    assert isinstance(fit, InsufficientData)
+                elif isinstance(fit, PpmlFit):
+                    assert independent_variance(single) == independent_variance(fit)
 
     def test_step_halving_is_per_fit(self):
         # Heavy multiplicative noise: the full IRLS step raises the deviance
@@ -343,19 +406,36 @@ class TestPpmlMany:
             fit_ppml(FlowMatrix(slow), log_costs)
         assert cap.value.iterations == 5
 
+        # Every slice of a batch gets its own outcome.
         for first, second, expected in ((separating, slow, sep), (slow, separating, cap)):
-            stack = np.stack([good[0], good[1], first, good[2], second, good[3]])
-            with pytest.raises(type(expected.value)) as info:
-                fit_ppml_many(matrices(stack), log_costs)
-            assert str(info.value) == str(expected.value)
+            stack = [good[0], good[1], first, good[2], second, good[3]]
+            fits = fit_ppml_many(matrices(stack), log_costs)
+            assert str(fits[2]) == str(expected.value)
+            for values, fit in zip(stack, fits):
+                assert_same_outcome(fit_alone(FlowMatrix(values), log_costs), fit)
+
+        # The estimator plug-in, whose fits start at that of good[0], raises
+        # the lower failing slice's error; rescaled copies of good[0] converge
+        # from there within the cap.
+        estimator = PpmlEstimator(log_costs, fit_ppml(FlowMatrix(good[0]), log_costs))
+        for first, second in ((separating, slow), (slow, separating)):
+            stack = [good[0], 1.1 * good[0], first, 1.001 * good[0], second, good[0]]
+            warm = [fit_alone(FlowMatrix(v), log_costs, start=estimator.start) for v in stack]
+            assert [isinstance(fit, FlowUqError) for fit in warm] == [
+                False, False, True, False, True, False
+            ]
+            assert str(warm[2]) != str(warm[4])
+            with pytest.raises(type(warm[2])) as info:
+                estimator.many(matrices(stack))
+            assert str(info.value) == str(warm[2])
 
     def test_fits_that_stop_and_fail_mid_iteration_leave_the_others_alone(self, monkeypatch):
         # On one world's log costs: a clean and a noisy fit that converge at
         # iterations 5 and 6, a slow fit stopped by a cap of 36 iterations,
         # and the singular slice, whose projection fails at iteration 35 while
         # the slow fit still iterates beside it.  The rows of the fits that
-        # stop are reordered in place each time; the slow fit's capped
-        # deviance, which the batch raises, is the one it reaches alone.
+        # stop are reordered in place each time; every slice gets the outcome
+        # it reaches alone, the slow fit's capped deviance included.
         monkeypatch.setattr(gravity, "_MAX_ITER", 36)
         singular, log_costs = singular_world()
         n = singular.n
@@ -369,10 +449,12 @@ class TestPpmlMany:
         with pytest.raises(Separation, match="projection became singular"):
             fit_ppml(singular, log_costs)
 
-        with pytest.raises(NoConvergence) as batched:
-            fit_ppml_many([clean, slow, singular, noisy], log_costs)
-        assert str(batched.value) == str(alone.value)
-        assert batched.value.residual == alone.value.residual
+        stack = [clean, slow, singular, noisy]
+        fits = fit_ppml_many(stack, log_costs)
+        assert [type(fit) for fit in fits] == [PpmlFit, NoConvergence, Separation, PpmlFit]
+        assert fits[1].residual == alone.value.residual
+        for flows, fit in zip(stack, fits):
+            assert_same_outcome(fit_alone(flows, log_costs), fit)
         for flows, batched in zip((noisy, clean, noisy), fit_ppml_many([noisy, clean, noisy], log_costs)):
             assert_same_fit(fit_ppml(flows, log_costs), batched)
 
@@ -418,10 +500,15 @@ class TestPpmlMany:
             assert_same_fit(alone[0], batched)
 
     def test_collinear_costs(self):
+        # Constant log costs fail every slice, each with the error it raises
+        # alone.
         rng = np.random.default_rng(1)
-        stack = np.stack([gravity_flows(5, 2.0, rng, noise_sd=0.1)[0].values for _ in range(3)])
-        with pytest.raises(Collinear):
-            fit_ppml_many(matrices(stack), np.full((5, 5), 0.7))
+        stack = [gravity_flows(5, 2.0, rng, noise_sd=0.1)[0] for _ in range(3)]
+        log_costs = np.full((5, 5), 0.7)
+        fits = fit_ppml_many(stack, log_costs)
+        assert all(isinstance(fit, Collinear) for fit in fits)
+        for flows, fit in zip(stack, fits):
+            assert_same_outcome(fit_alone(flows, log_costs), fit)
 
 
 class TestDyadicVariance:
