@@ -80,9 +80,8 @@ from .gravity import (
 )
 from .intervals import (
     Interval,
-    interval_c1,
-    interval_c2,
-    robust_interval,
+    endpoints,
+    rank_reversals,
     robust_interval_levels,
     robust_quantile_levels,
 )

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,8 @@ import numpy as np
 from . import dataio
 from .armington import ArmingtonModel, solve_counterfactual, welfare_change_pct
 from .calibration import calibrate_baseline, calibrate_mirror, ingest_mirror_csv
-from .core import CounterfactualSpec, EstimatorResult, FlowMatrix
-from .engine import INTERVAL_KINDS, MODES, LowDimSmoother, UqConfig, run_uq
+from .core import CounterfactualSpec, DrawSet, EstimatorResult, FlowMatrix
+from .engine import MODES, LowDimSmoother, UqConfig, run_uq
 from .errors import (
     DataError,
     FlowUqError,
@@ -42,6 +43,7 @@ from .errors import (
     TooManyFailures,
 )
 from .gravity import fit_log_gravity, fit_ppml, independent_variance
+from .intervals import INTERVAL_KINDS, rank_reversals
 from .robustness import (
     AttenuationSimConfig,
     gravity_partial_plot,
@@ -394,61 +396,31 @@ def cmd_report_ranks(args: argparse.Namespace) -> int:
     out = _outdir(args)
     paths = _unique("--draws", [p for p in args.draws.split(",") if p])
     files: list[tuple[str, tuple[str, ...]]] = []
-    columns: list[np.ndarray] = []
-    length = None
+    arrays: list[np.ndarray] = []
     for path in paths:
         labs, arr = dataio.read_draws_csv(path)
-        if length is None:
-            length = arr.shape[0]
-        elif arr.shape[0] != length:
+        if arrays and arr.shape[0] != arrays[0].shape[0]:
             raise LengthMismatch(
-                f"{path} has {arr.shape[0]} draws, expected {length}"
+                f"{path} has {arr.shape[0]} draws, expected {arrays[0].shape[0]}"
             )
         files.append((path, labs))
-        columns.extend(arr.T)
-    # A label that several files have is named "<path>:<label>" in each.
-    owners: dict[str, int] = {}
-    for lab in (lab for _, labs in files for lab in set(labs)):
-        owners[lab] = owners.get(lab, 0) + 1
+        arrays.append(arr)
+    # A label that several files have is named "<path>:<label>" in each; the
+    # draw set refuses a name that two columns end up with.
+    owners = Counter(lab for _, labs in files for lab in set(labs))
     labels = [f"{path}:{lab}" if owners[lab] > 1 else lab for path, labs in files for lab in labs]
+    draw_set = DrawSet(draws=np.hstack(arrays), labels=labels)
     if args.columns is not None:
         keep = _unique("--columns", [w.strip() for w in args.columns.split(",")])
         missing = [w for w in keep if w not in labels]
         if missing:
             raise DataError(f"unknown outcome columns {missing}")
-        order = [labels.index(w) for w in keep]
-        labels = keep
-        columns = [columns[i] for i in order]
-    if len(columns) < 2:
-        raise DataError("need at least two outcome columns to compare ranks")
+        draw_set = DrawSet(draws=draw_set.draws[:, [labels.index(w) for w in keep]], labels=keep)
 
-    pairs = []
-    for a in range(len(columns)):
-        for b in range(a + 1, len(columns)):
-            xa, xb = columns[a], columns[b]
-            # Order by draw mean; a reversal is a strict flip of that order.
-            if xa.mean() >= xb.mean():
-                hi, lo, hi_lab, lo_lab = xa, xb, labels[a], labels[b]
-            else:
-                hi, lo, hi_lab, lo_lab = xb, xa, labels[b], labels[a]
-            ties = float(np.mean(hi == lo))
-            reversal = float(np.mean(hi < lo))
-            pairs.append(
-                {
-                    "higher": hi_lab,
-                    "lower": lo_lab,
-                    "reversal_frequency": reversal,
-                    "tie_frequency": ties,
-                    "mean_higher": float(hi.mean()),
-                    "mean_lower": float(lo.mean()),
-                }
-            )
-    dataio.write_json(out / "ranks.json", {"draws": int(length), "pairs": pairs})
-    for pair in pairs:
-        _log(
-            f"P[{pair['lower']} > {pair['higher']}] = "
-            f"{pair['reversal_frequency']:.3f} (ties {pair['tie_frequency']:.3f})"
-        )
+    pairs = rank_reversals(draw_set)
+    dataio.write_json(out / "ranks.json", {"draws": draw_set.draws_used, "pairs": pairs})
+    for higher, lower, reversal, ties, *_ in (pair.values() for pair in pairs):
+        _log(f"P[{lower} > {higher}] = {reversal:.3f} (ties {ties:.3f})")
     return 0
 
 

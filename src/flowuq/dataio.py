@@ -30,6 +30,7 @@ import json
 import math
 import re
 from array import array
+from collections import Counter
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Sequence
@@ -401,6 +402,18 @@ def _json_list(items: list[str]) -> str:
     return "[" + ",".join(f"\n    {x}" for x in items) + "\n  ]" if items else "[]"
 
 
+def _dyad_keys(labels: Sequence[str]) -> list[str]:
+    """The ``"origin->destination"`` key of each dyad, origin-major,
+    refused when a label containing ``->`` makes two dyads share a key
+    (repeated labels repeat keys too, and are the caller's to refuse)."""
+    keys = [f"{o}->{d}" for o in labels for d in labels]
+    # Without "->" inside a label, each key splits only at its own arrow.
+    if any("->" in lab for lab in labels) and len(set(keys)) < len(set(labels)) ** 2:
+        key = Counter(keys).most_common(1)[0][0]
+        raise DataError(f"labels give two dyads the params key {key!r}")
+    return keys
+
+
 def write_params_json(path, params: CalibratedParams):
     """Write the parameters keyed by dyad ``"origin->destination"``.
 
@@ -412,7 +425,7 @@ def write_params_json(path, params: CalibratedParams):
     (periods sorted as text), and one ``%`` template per dyad places them.
     """
     n = params.n
-    keys = [f"{o}->{d}" for o in params.labels for d in params.labels]
+    keys = _dyad_keys(params.labels)
     # Each field's values as an (n * n, width) grid: width 1, or one column
     # per period for per-period means.
     numbers = {
@@ -500,12 +513,11 @@ def params_from_json(doc) -> CalibratedParams:
     names = ("p", "b", "s2", "sigma2") + shrunk
     values = {name: np.zeros((n, n)) for name in names}
     mu = np.full((t, n, n) if periods else (n, n), np.nan)
-    idx = {lab: i for i, lab in enumerate(labels)}
+    cells = {key: divmod(k, n) for k, key in enumerate(_dyad_keys(labels))}
     for key, entry in dyads.items():
-        o, _, d = key.partition("->")
-        if o not in idx or d not in idx:
+        if key not in cells:
             raise DataError(f"unknown dyad key {key!r}")
-        i, j = idx[o], idx[d]
+        i, j = cells.pop(key)
         if not isinstance(entry, dict):
             raise DataError(f"params dyad {key!r} must be an object, got {entry!r}")
         for name in names:
@@ -524,9 +536,8 @@ def params_from_json(doc) -> CalibratedParams:
                 mu[k, i, j] = _number(by_period.get(str(per)), key, "mu")
         else:
             mu[i, j] = _number(entry["mu"], key, "mu")
-    for key in (f"{o}->{d}" for o in labels for d in labels):
-        if key not in dyads:
-            raise DataError(f"params file has no dyad {key!r}")
+    if cells:
+        raise DataError(f"params file has no dyad {next(iter(cells))!r}")
     return CalibratedParams(
         mu=mu,
         labels=labels,

@@ -47,12 +47,11 @@ from .core import (
 )
 from .errors import DataError, ModelEvaluationFailed, TooManyFailures
 from .gravity import PpmlEstimator, fit_log_gravity, fit_ppml, sample_theta
-from .intervals import Interval, _check_grid, _order_stats, _ranks, robust_interval_levels
+from .intervals import Interval, check_kind, compose
 
 Estimator = Callable[[FlowMatrix], EstimatorResult]
 
 MODES = ("only-ee", "only-me", "ee+me")
-INTERVAL_KINDS = ("c1", "c2", "robust")
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,8 @@ class UqConfig:
     ``b`` and ``alpha`` must put alpha/2*b on the integer grid so the
     interval endpoints are bona fide order statistics.  ``b_inner`` controls
     the nested draw count used for the conservative interval-of-intervals
-    (defaults to ``b``).  ``robust_c`` and a robust interval's ranks are
-    checked here, before any draw.
+    (defaults to ``b``).  ``intervals.check_kind`` checks the interval kind
+    against these draw counts here, before any draw.
     """
 
     b: int
@@ -84,18 +83,11 @@ class UqConfig:
             raise DataError("seed must be non-negative")
         if self.mode not in MODES:
             raise DataError(f"mode must be one of {MODES}")
-        if self.interval_kind not in INTERVAL_KINDS:
-            raise DataError(f"interval kind must be one of {INTERVAL_KINDS}")
-        robust_interval_levels(self.alpha, self.robust_c)  # alpha in (0, 1), c in [1, inf)
         if not 0 <= self.max_failure_fraction < 1:
             raise DataError("max failure fraction must be in [0, 1)")
         if self.workers < 1:
             raise DataError("workers must be >= 1")
-        _check_grid(self.b, self.alpha)
-        if self.interval_kind == "c2":
-            _check_grid(self.inner_draws, self.alpha)
-        elif self.interval_kind == "robust":
-            _ranks(self.alpha, self.robust_c, self.b)
+        check_kind(self.alpha, self.interval_kind, self.robust_c, self.b, self.inner_draws)
 
     @property
     def inner_draws(self) -> int:
@@ -271,18 +263,9 @@ def _compose(ctx: _LoopContext, results) -> tuple[DrawSet, tuple[Interval, ...]]
     # Outcomes are named by location when there is one per location.
     labels = ctx.flows_obs.labels if ctx.flows_obs.n == stacked.shape[1] else ()
     draw_set = DrawSet(draws=stacked, draws_failed=failed, labels=labels)
-
-    # Ranks come from the nominal draw counts, so failed draws are handled
-    # by the clamping rule in ``intervals``.
-    if cfg.interval_kind == "c2":
-        inner = [_order_stats(r, cfg.alpha, 1.0, cfg.inner_draws) for r in kept]
-        lowers, uppers = map(np.array, zip(*inner))
-        lo, _ = _order_stats(lowers, cfg.alpha, 1.0, cfg.b)
-        _, hi = _order_stats(uppers, cfg.alpha, 1.0, cfg.b)
-    else:
-        c = cfg.robust_c if cfg.interval_kind == "robust" else 1.0
-        lo, hi = _order_stats(stacked, cfg.alpha, c, cfg.b)
-    return draw_set, tuple(Interval(float(a), float(b)) for a, b in zip(lo, hi))
+    return draw_set, compose(
+        kept, cfg.alpha, cfg.interval_kind, cfg.robust_c, cfg.b, cfg.inner_draws
+    )
 
 
 def run_algorithm1(

@@ -1,10 +1,11 @@
-"""Order-statistic intervals of bootstrap draws.
+"""Order-statistic intervals of bootstrap draws, and rank comparisons.
 
-Every interval kind uses one rule.  Sort the draws.  The lower endpoint is
-the draw at rank floor(L * B + 1e-12), the upper endpoint the draw at rank
-ceil(U * B - 1e-12).  Ranks count from 1.  (L, U) =
-``robust_interval_levels(alpha, c)`` are the robust quantile levels for a
-density-ratio factor c, finite and >= 1, and B is the nominal draw count.
+Every interval kind uses one rule, :func:`endpoints`: sort the draws and take
+those at ranks floor(L * B * (1 + 1e-12)) and ceil(U * B * (1 - 1e-12)),
+counted from 1.  The slack is relative, so an integer L * B gives its own
+rank at any B.  (L, U) = ``robust_interval_levels(alpha, c)`` are the robust
+quantile levels for a density-ratio factor c, finite and >= 1, and B is the
+nominal draw count.
 
 * ``c1``, equal-tailed: the rule at c = 1, where (L, U) = (alpha/2,
   1 - alpha/2).  B and alpha must put alpha/2 * B on the integer grid, so
@@ -18,27 +19,25 @@ density-ratio factor c, finite and >= 1, and B is the nominal draw count.
   levels, so a robust interval is wider empirical quantiles of the same
   draws.  At c = 1 it equals c1.
 
-The public functions take B to be the number of draws they are given.  The
-bootstrap engine passes the nominal B of its configuration (and the nominal
-inner draw count for c2's inner draws).  When draws failed, fewer draws are
-present than B, and each rank is clamped to the number present.  This acts
-as if every failed draw lay above all the present draws.  For the upper
-endpoint that is the widest choice.  For the lower endpoint it is the
-narrowest: the lower rank keeps its nominal value among fewer draws.
-
-An :class:`Interval` is its two endpoints.  The level, the kind and the draw
-counts are the same for every outcome of a bootstrap run, so they stay with
-the run's configuration and draw set.
+The engine checks a kind against its draw counts with :func:`check_kind` and
+builds every kind with :func:`compose`, which ranks on the nominal counts.
+When draws failed, each rank is clamped to the draws present, as if every
+failed draw lay above them: the widest upper endpoint, the narrowest lower.
+An :class:`Interval` is its two endpoints; the level, kind and draw counts
+stay with the run's configuration and draw set.  :func:`rank_reversals`
+compares the columns of a draw set pair by pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .core import DrawSet
 from .errors import BadQuantileGrid, DataError, TooFewDraws
 
 
@@ -105,58 +104,92 @@ def _ranks(alpha: float, c: float, b: int) -> tuple[int, int]:
     """Ranks (from 1) of the lower and upper endpoints among ``b`` draws at
     the robust levels for factor ``c``."""
     lower, upper = robust_interval_levels(alpha, c)
-    lo_rank = math.floor(lower * b + 1e-12)
+    lo_rank = math.floor(lower * b * (1 + 1e-12))
     if lo_rank < 1:
         raise TooFewDraws(
             f"need B * {lower:.4g} >= 1 to resolve the lower tail at c = {c:g} (B = {b})"
         )
-    return lo_rank, math.ceil(upper * b - 1e-12)
+    return lo_rank, math.ceil(upper * b * (1 - 1e-12))
 
 
-def _order_stats(draws: np.ndarray, alpha: float, c: float, b: int):
-    """Lower and upper endpoints of the draws along axis 0 at the robust
-    levels for factor ``c``, ranked on ``b`` nominal draws and clamped into
+def endpoints(draws, alpha: float, c: float = 1.0, b: int | None = None):
+    """Lower and upper endpoints of the draws along axis 0 of a (B,) or
+    (B, q) array at the robust levels for factor ``c`` (c = 1: equal-tailed),
+    ranked on ``b`` nominal draws (default: the draws given) and clamped into
     the draws present.  Ties are broken by a stable sort."""
-    lo_rank, hi_rank = _ranks(alpha, c, b)
-    s = np.sort(draws, axis=0, kind="stable")
+    s = np.sort(np.asarray(draws, dtype=float), axis=0, kind="stable")
     used = s.shape[0]
+    lo_rank, hi_rank = _ranks(alpha, c, used if b is None else b)
     return s[min(lo_rank, used) - 1], s[min(hi_rank, used) - 1]
 
 
-def interval_c1(draws: Sequence[float], alpha: float) -> Interval:
-    """Equal-tailed interval from the (a/2*B)-th and ((1-a/2)*B)-th order
-    statistics of the draws (1-indexed; ties broken by stable sort)."""
-    arr = np.asarray(draws, dtype=float)
-    if arr.ndim != 1:
-        raise DataError("interval_c1 expects a one-dimensional draw set")
-    _check_grid(arr.shape[0], alpha)
-    lo, hi = _order_stats(arr, alpha, 1.0, arr.shape[0])
-    return Interval(float(lo), float(hi))
+# ---------------------------------------------------------------------------
+# Interval kinds
 
 
-def interval_c2(
-    per_draw_intervals: Sequence[tuple[float, float]], alpha: float
-) -> Interval:
-    """Conservative interval-of-intervals: the a/2 quantile of the lower
-    bounds paired with the 1-a/2 quantile of the upper bounds."""
-    arr = np.asarray(per_draw_intervals, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise DataError("interval_c2 expects (lower, upper) pairs")
-    _check_grid(arr.shape[0], alpha)
-    lo, _ = _order_stats(arr[:, 0], alpha, 1.0, arr.shape[0])
-    _, hi = _order_stats(arr[:, 1], alpha, 1.0, arr.shape[0])
-    return Interval(float(lo), float(hi))
+INTERVAL_KINDS = ("c1", "c2", "robust")
 
 
-def robust_interval(draws, alpha: float, c: float) -> Interval:
-    """Empirical quantiles of the draws at the robust levels.
+def check_kind(alpha: float, kind: str, c: float, b: int, b_inner: int) -> None:
+    """Refuse an interval kind that ``b`` draws (and ``b_inner`` inner draws
+    for c2) cannot resolve: an unknown kind, alpha outside (0, 1), c not
+    finite and >= 1, alpha/2 * B off the integer grid, or a robust lower
+    tail below the first draw."""
+    if kind not in INTERVAL_KINDS:
+        raise DataError(f"interval kind must be one of {INTERVAL_KINDS}")
+    robust_interval_levels(alpha, c)
+    _check_grid(b, alpha)
+    if kind == "c2":
+        _check_grid(b_inner, alpha)
+    elif kind == "robust":
+        _ranks(alpha, c, b)
 
-    Contains the nominal equal-tailed interval for every c >= 1 and is
-    monotone in c on a fixed draw set.  Raises TooFewDraws when the lower
-    level cannot be resolved (B * level < 1).
-    """
-    arr = np.asarray(draws, dtype=float)
-    if arr.ndim != 1:
-        raise DataError("robust_interval expects a one-dimensional draw set")
-    lo, hi = _order_stats(arr, alpha, c, arr.shape[0])
-    return Interval(float(lo), float(hi))
+
+def compose(
+    per_draw: Sequence[np.ndarray], alpha: float, kind: str, c: float, b: int, b_inner: int
+) -> tuple[Interval, ...]:
+    """One interval per outcome from ``per_draw``, each kept draw's (m, q)
+    outcomes of its parameter draws that evaluated, the draw's own first.
+    c1 and robust rank the first rows on ``b``; c2 ranks each draw's rows on
+    ``b_inner``, then its lower and upper bounds on ``b``."""
+    if kind == "c2":
+        inner = [endpoints(rows, alpha, 1.0, b_inner) for rows in per_draw]
+        lowers, uppers = map(np.array, zip(*inner))
+        lo, _ = endpoints(lowers, alpha, 1.0, b)
+        _, hi = endpoints(uppers, alpha, 1.0, b)
+    else:
+        first = np.array([rows[0] for rows in per_draw])
+        lo, hi = endpoints(first, alpha, c if kind == "robust" else 1.0, b)
+    return tuple(Interval(float(x), float(y)) for x, y in zip(lo, hi))
+
+
+# ---------------------------------------------------------------------------
+# Rank comparisons
+
+
+def rank_reversals(draw_set: DrawSet) -> list[dict]:
+    """The ``ranks.json`` pairs of a draw set's columns, in column order,
+    each keyed in this order: the higher by draw mean (the first on a tie),
+    the lower, how often the higher's draw is below (a reversal) or equal to
+    the lower's, and both means."""
+    labels = draw_set.labels
+    if len(labels) < 2:
+        raise DataError("need at least two outcome columns to compare ranks")
+    columns = draw_set.draws.T
+    pairs = []
+    for a, b in itertools.combinations(range(len(labels)), 2):
+        # Order by draw mean; a reversal is a strict flip of that order.
+        if columns[a].mean() < columns[b].mean():
+            a, b = b, a
+        hi, lo = columns[a], columns[b]
+        pairs.append(
+            {
+                "higher": labels[a],
+                "lower": labels[b],
+                "reversal_frequency": float(np.mean(hi < lo)),
+                "tie_frequency": float(np.mean(hi == lo)),
+                "mean_higher": float(hi.mean()),
+                "mean_lower": float(lo.mean()),
+            }
+        )
+    return pairs

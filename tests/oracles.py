@@ -6,15 +6,18 @@ Newton iteration on the log market-clearing defects, the posterior oracle
 does numerical Bayes on a grid instead of conjugate algebra, the variance
 oracle enumerates dyad pairs instead of node sums, and the fixed-effects
 regressions are rebuilt on a dense dummy design instead of the library's
-concentrated projection, the params.json document is built as a dict
-for ``json.dumps`` instead of the library's streaming writer, and the
-dyadic table is read row by row from one ``csv.reader`` over the whole file
+concentrated projection, the interval oracle applies the documented ranks
+and level formulas to one sorted column at a time instead of the library's
+stacked sort, the params.json document is built as a dict for
+``json.dumps`` instead of the library's streaming writer, and the dyadic
+table is read row by row from one ``csv.reader`` over the whole file
 instead of the library's chunked column parse.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 from scipy import optimize
@@ -142,6 +145,24 @@ def simulate_mirror_zeros(
     r1 = np.where(true_zero | spur1, 0.0, 1.0)
     r2 = np.where(true_zero | spur2, 0.0, 1.0)
     return r1, r2
+
+
+def order_statistic_interval(draws, alpha: float, c: float = 1.0, b: int | None = None):
+    """The documented interval of a one-dimensional draw set, read off
+    ``np.sort``: with a = alpha/2 and u = 1 - alpha/2, the levels are
+    L = a / (a + (1 - a) c^2) and U = u c^2 / (1 - u + u c^2), and the
+    endpoints are the draws at ranks floor(L * B * (1 + 1e-12)) and
+    ceil(U * B * (1 - 1e-12)), counted from 1 and clamped to the draws
+    present, for the nominal draw count B (default: the draws given).
+    Returns (lo, hi), or None when the lower rank is below 1."""
+    x = np.sort(np.asarray(draws, dtype=float))
+    b = x.size if b is None else b
+    a, u, c2 = alpha / 2.0, 1.0 - alpha / 2.0, c * c
+    lo = math.floor(a / (a + (1.0 - a) * c2) * b * (1 + 1e-12))
+    hi = math.ceil(u * c2 / (1.0 - u + u * c2) * b * (1 - 1e-12))
+    if lo < 1:
+        return None
+    return float(x[min(lo, x.size) - 1]), float(x[min(hi, x.size) - 1])
 
 
 def params_json_doc(params) -> dict:

@@ -217,6 +217,20 @@ def test_calibrate_missing_file_exits_2(tmp_path):
     assert code == 2
 
 
+def test_calibrate_refuses_labels_whose_params_keys_collide(tmp_path, capsys):
+    # Dyads (A, B->C) and (A->B, C) would both be keyed A->B->C.
+    scen = armington_world(n=4, seed=1)
+    labels = ("A", "A->B", "B->C", "C")
+    flows, dist = tmp_path / "flows.csv", tmp_path / "distances.csv"
+    dataio.write_dyadic_csv(flows, labels, scen.draw_world(np.random.default_rng(0))[1].values, "flow")
+    dataio.write_dyadic_csv(dist, labels, scen.distances.values, "distance")
+    out = tmp_path / "calib"
+    argv = ["calibrate", "--flows", str(flows), "--distances", str(dist), "--sigma2", "0.05"]
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    assert "two dyads the params key 'A->B->C'" in capsys.readouterr().err
+    assert not (out / "params.json").exists()
+
+
 def test_calibrate_na_counting(tmp_path):
     rows = [
         "origin,destination,year,flow_report1,flow_report2",
@@ -1037,6 +1051,18 @@ def test_report_ranks_refuses_a_non_finite_draw(tmp_path, capsys):
     out = tmp_path / "r"
     assert main(["report-ranks", "--draws", str(path), "--output-dir", str(out)]) == 2
     assert "row 3: non-finite draw 'nan'" in capsys.readouterr().err
+    assert not (out / "ranks.json").exists()
+
+
+def test_report_ranks_refuses_a_name_two_columns_end_up_with(tmp_path, capsys):
+    # Both files have X, so b.csv's X is named "<b.csv>:X", which a.csv's
+    # second column is already called.
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(f"X,{b}:X\n1.0,2.0\n2.0,1.0\n", encoding="utf-8")
+    b.write_text("X\n3.0\n4.0\n", encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["report-ranks", "--draws", f"{a},{b}", "--output-dir", str(out)]) == 2
+    assert f"labels must be unique; repeated: ['{b}:X']" in capsys.readouterr().err
     assert not (out / "ranks.json").exists()
 
 

@@ -247,6 +247,25 @@ def test_params_json_refuses_repeated_labels():
         dataio.params_from_json(doc)
 
 
+def test_params_json_keys_are_read_whole(tmp_path):
+    # A label may contain "->": each key is looked up among the n * n keys
+    # the labels give, not split at its first arrow.
+    params = replace(armington_world(n=2, seed=1).params, labels=("A->B", "B"))
+    path = tmp_path / "params.json"
+    dataio.write_params_json(path, params)
+    back = dataio.read_params_json(path)
+    assert back.labels == params.labels
+    for name in ("p", "b", "s2", "sigma2", "mu"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(params, name))
+    # Unless two dyads share a key: (A, B->C) and (A->B, C) are both A->B->C.
+    clash = replace(armington_world(n=4, seed=1).params, labels=("A", "A->B", "B->C", "C"))
+    with pytest.raises(DataError, match="two dyads the params key 'A->B->C'"):
+        dataio.write_params_json(tmp_path / "clash.json", clash)
+    assert not (tmp_path / "clash.json").exists()
+    with pytest.raises(DataError, match="two dyads the params key 'A->B->C'"):
+        dataio.params_from_json(params_json_doc(clash))
+
+
 def test_params_json_shrunk_pair_on_every_dyad_or_none():
     doc = params_json_doc(_mirror_params())
     key = sorted(doc["dyads"])[6]

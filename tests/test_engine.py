@@ -21,10 +21,8 @@ from flowuq import (
     TooManyFailures,
     UqConfig,
     evaluate_model,
-    interval_c1,
-    interval_c2,
+    endpoints,
     point_estimate,
-    robust_interval,
     run_algorithm1,
     run_uq,
     sample_flow_matrix,
@@ -33,7 +31,10 @@ from flowuq import engine
 from flowuq.armington import ArmingtonModel
 from flowuq.engine import MODES, LowDimSmoother, draw_rng
 from flowuq.gravity import PpmlEstimator, fit_ppml, sample_theta
+from flowuq.intervals import compose
 from flowuq.scenarios import armington_world
+
+from .oracles import order_statistic_interval
 
 
 # Module-level models/estimators so multi-worker runs can pickle them.
@@ -133,24 +134,28 @@ def small_world():
 class TestIntervalOps:
     def test_c1_order_statistics(self):
         draws = np.random.default_rng(0).permutation(np.arange(1.0, 1001.0))
-        iv = interval_c1(draws, alpha=0.05)
-        assert (iv.lo, iv.hi) == (25.0, 975.0)
+        assert endpoints(draws, alpha=0.05) == (25.0, 975.0)
 
     def test_c1_constant_draws(self):
-        iv = interval_c1(np.full(200, 3.5), alpha=0.05)
-        assert (iv.lo, iv.hi) == (3.5, 3.5)
+        assert endpoints(np.full(200, 3.5), alpha=0.05) == (3.5, 3.5)
 
-    def test_c1_bad_grid(self):
-        with pytest.raises(BadQuantileGrid):
-            interval_c1(np.arange(10.0), alpha=0.05)
+    @pytest.mark.parametrize(
+        "alpha, b, lo, hi", [(0.29, 200_000, 29_000, 171_000), (0.36, 10**6, 180_000, 820_000)]
+    )
+    def test_c1_ranks_are_exact_at_large_b(self, alpha, b, lo, hi):
+        # alpha/2 * B is a whole number, but alpha/2 * B rounds to within
+        # more than 1e-12 of it at these sizes.
+        assert endpoints(np.arange(1.0, b + 1.0), alpha) == (lo, hi)
 
     def test_c2_shifted_intervals(self):
-        pairs = [(float(k), float(k) + 10.0) for k in range(1, 1001)]
-        iv = interval_c2(pairs, alpha=0.05)
+        # Draw k's 40 inner draws give the inner interval (k, k + 10).
+        inner = np.r_[0.0, np.full(37, 5.0), 10.0, 20.0][:, None]
+        (iv,) = compose([k + inner for k in range(1, 1001)], 0.05, "c2", 1.0, 1000, 40)
         assert (iv.lo, iv.hi) == (25.0, 985.0)
 
     def test_c2_identical_inner_intervals(self):
-        iv = interval_c2([(1.0, 2.0)] * 100, alpha=0.1)
+        inner = np.r_[1.0, np.full(17, 1.5), 2.0, 3.0][:, None]
+        (iv,) = compose([inner] * 100, 0.1, "c2", 1.0, 100, 20)
         assert (iv.lo, iv.hi) == (1.0, 2.0)
 
 
@@ -508,9 +513,26 @@ class TestRunUq:
                 assert (ds.draws.shape, len(ivs)) == ((cfg.b, 5), 5)
 
 
+def c2_oracle(inner, alpha, b, b_inner):
+    """The c2 interval of each outcome by the oracle, from each kept draw's
+    (m, q) inner outcomes: each draw's inner interval ranked on ``b_inner``,
+    then the lower end of the lower bounds and the upper end of the upper
+    bounds, ranked on ``b``."""
+    per_draw = np.array(
+        [[order_statistic_interval(col, alpha, b=b_inner) for col in rows.T] for rows in inner]
+    )
+    return [
+        (
+            order_statistic_interval(lows, alpha, b=b)[0],
+            order_statistic_interval(highs, alpha, b=b)[1],
+        )
+        for lows, highs in zip(per_draw[:, :, 0].T, per_draw[:, :, 1].T)
+    ]
+
+
 class TestEngineIntervals:
-    """The engine builds its intervals with the public interval functions'
-    rule; with failed draws it ranks on the nominal B."""
+    """The engine's intervals are the oracle's order statistics; with failed
+    draws it ranks on the nominal B."""
 
     ALPHA = 0.1
     EST = EstimatorResult(
@@ -522,6 +544,11 @@ class TestEngineIntervals:
     def run(self, model, alpha=ALPHA, **kw):
         cfg = UqConfig(alpha=alpha, mode="only-ee", **kw)
         return run_algorithm1(self.FLOWS, None, self.EST, model, self.CF, cfg)
+
+    def inner_thetas(self, seed, b, b_inner):
+        """Each draw's parameter draws, rebuilt from its parameter stream."""
+        rngs = (draw_rng(seed, d, 1) for d in range(1, b + 1))
+        return [np.array([sample_theta(self.EST, rng) for _ in range(b_inner)]) for rng in rngs]
 
     def test_robust_with_a_failed_draw(self):
         # One failed draw out of B = 40 is within the 5% tolerance.  Ranked
@@ -535,6 +562,20 @@ class TestEngineIntervals:
         assert ds_r.draws_failed == 1
         assert [(iv.lo, iv.hi) for iv in robust] == [(iv.lo, iv.hi) for iv in c1]
 
+    def test_c2_with_failed_inner_evaluations(self):
+        b, b_inner, seed = 40, 20, 11
+        thetas = self.inner_thetas(seed, b, b_inner)
+        # Draw 3 fails on its first parameter draw, which fails the draw;
+        # draws 5 and 8 fail on inner parameter draws only and are kept.
+        failing = [thetas[2][0, 0], thetas[4][1, 0], thetas[4][7, 0], thetas[7][19, 0]]
+        ds, c2 = self.run(
+            FailOnThetas(failing), b=b, seed=seed, interval_kind="c2", b_inner=b_inner
+        )
+        assert (ds.draws_used, ds.draws_failed) == (b - 1, 1)
+        inner = [t[~np.isin(t[:, 0], failing)] for k, t in enumerate(thetas) if k != 2]
+        assert [len(t) for t in inner].count(b_inner) == b - 3
+        assert [(iv.lo, iv.hi) for iv in c2] == c2_oracle(inner, self.ALPHA, b, b_inner)
+
     @settings(max_examples=40, deadline=None)
     @given(
         b=st.sampled_from([20, 40, 60, 100, 200]),
@@ -542,36 +583,26 @@ class TestEngineIntervals:
         seed=st.integers(min_value=0, max_value=2**16),
         data=st.data(),
     )
-    def test_engine_intervals_are_the_public_ones(self, b, c, seed, data):
+    def test_engine_intervals_match_the_oracle(self, b, c, seed, data):
         ds, c1 = self.run(IdentityModel(), b=b, seed=seed)
-        columns = [ds.draws[:, q] for q in range(ds.draws.shape[1])]
-        assert c1 == tuple(interval_c1(col, self.ALPHA) for col in columns)
+        expected = [order_statistic_interval(col, self.ALPHA) for col in ds.draws.T]
+        assert [(iv.lo, iv.hi) for iv in c1] == expected
 
-        # c2 is interval_c2 of each draw's interval_c1 of its inner draws,
-        # rebuilt here from each draw's parameter stream.
         b_inner = 20
-        per_draw = []
-        for d in range(1, b + 1):
-            rng = draw_rng(seed, d, 1)
-            inner = np.array([sample_theta(self.EST, rng) for _ in range(b_inner)])
-            per_draw.append([interval_c1(col, self.ALPHA) for col in inner.T])
-        expected = tuple(
-            interval_c2([(iv.lo, iv.hi) for iv in column], self.ALPHA)
-            for column in zip(*per_draw)
-        )
         _, c2 = self.run(IdentityModel(), b=b, seed=seed, interval_kind="c2", b_inner=b_inner)
-        assert c2 == expected
+        expected = c2_oracle(self.inner_thetas(seed, b, b_inner), self.ALPHA, b, b_inner)
+        assert [(iv.lo, iv.hi) for iv in c2] == expected
 
         robust = dict(b=b, seed=seed, interval_kind="robust", robust_c=c)
-        try:
-            expected = tuple(robust_interval(col, self.ALPHA, c) for col in columns)
-        except TooFewDraws:
+        expected = [order_statistic_interval(col, self.ALPHA, c) for col in ds.draws.T]
+        if None in expected:
             with pytest.raises(TooFewDraws):
                 self.run(IdentityModel(), **robust)
         else:
-            assert self.run(IdentityModel(), **robust)[1] == expected
+            assert [(iv.lo, iv.hi) for iv in self.run(IdentityModel(), **robust)[1]] == expected
 
-        # Fail up to the 5% tolerance: robust at c = 1 still equals c1.
+        # Fail up to the 5% tolerance: c1 ranks the survivors on the nominal
+        # B, and robust at c = 1 still equals c1.
         fail = data.draw(
             st.lists(st.integers(0, b - 1), unique=True, max_size=b // 20)
         )
@@ -581,7 +612,9 @@ class TestEngineIntervals:
             model, b=b, seed=seed, interval_kind="robust", robust_c=1.0
         )
         assert ds_f.draws_failed == len(fail)
-        assert [(iv.lo, iv.hi) for iv in robust_f] == [(iv.lo, iv.hi) for iv in c1_f]
+        expected = [order_statistic_interval(col, self.ALPHA, b=b) for col in ds_f.draws.T]
+        assert [(iv.lo, iv.hi) for iv in c1_f] == expected
+        assert [(iv.lo, iv.hi) for iv in robust_f] == expected
 
 
 class TestUqConfigValidation:

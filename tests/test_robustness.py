@@ -18,10 +18,9 @@ from flowuq import (
     estimate_prior_means,
     fit_log_gravity,
     gravity_partial_plot,
-    interval_c1,
     calibrate_mirror,
+    endpoints,
     normality_diagnostic,
-    robust_interval,
     robust_interval_levels,
     robust_quantile_levels,
     run_attenuation_sim,
@@ -87,30 +86,26 @@ class TestRobustInterval:
     def test_c_equal_one_matches_c1(self):
         rng = np.random.default_rng(0)
         draws = rng.normal(0, 1, 1000)
-        nominal = interval_c1(draws, alpha=0.05)
-        robust = robust_interval(draws, alpha=0.05, c=1.0)
-        assert (robust.lo, robust.hi) == (nominal.lo, nominal.hi)
+        assert endpoints(draws, alpha=0.05, c=1.0) == endpoints(draws, alpha=0.05)
 
     def test_contains_nominal_and_monotone(self):
         rng = np.random.default_rng(1)
         draws = rng.standard_t(5, size=2000)
-        nominal = interval_c1(draws, alpha=0.05)
-        prev = nominal
+        prev = endpoints(draws, alpha=0.05)
         for c in (1.2, 1.5, 2.0, 3.0):
-            rob = robust_interval(draws, alpha=0.05, c=c)
-            assert rob.lo <= prev.lo and rob.hi >= prev.hi
+            rob = endpoints(draws, alpha=0.05, c=c)
+            assert rob[0] <= prev[0] and rob[1] >= prev[1]
             prev = rob
 
     def test_paper_levels_on_empirical_quantiles(self):
         draws = np.arange(1.0, 100001.0)
-        rob = robust_interval(draws, alpha=0.05, c=1.5)
-        lo_expected = np.floor(0.05 / 4.4375 * 100000)
-        assert rob.lo == lo_expected
-        assert rob.hi == np.ceil(4.3875 / 4.4375 * 100000)
+        lo, hi = endpoints(draws, alpha=0.05, c=1.5)
+        assert lo == np.floor(0.05 / 4.4375 * 100000)
+        assert hi == np.ceil(4.3875 / 4.4375 * 100000)
 
     def test_too_few_draws(self):
         with pytest.raises(TooFewDraws):
-            robust_interval(np.arange(10.0), alpha=0.05, c=3.0)
+            endpoints(np.arange(10.0), alpha=0.05, c=3.0)
 
 
 class TestAttenuationSim:
