@@ -76,7 +76,6 @@ from .gravity import (
     fit_ppml,
     fit_ppml_many,
     independent_variance,
-    sample_theta,
 )
 from .intervals import (
     Interval,

@@ -393,8 +393,10 @@ def _unique(option: str, items: list[str]) -> list[str]:
 
 
 def cmd_report_ranks(args: argparse.Namespace) -> int:
-    out = _outdir(args)
     paths = _unique("--draws", [p for p in args.draws.split(",") if p])
+    if not paths:
+        raise DataError("--draws names no file")
+    out = _outdir(args)
     files: list[tuple[str, tuple[str, ...]]] = []
     arrays: list[np.ndarray] = []
     for path in paths:

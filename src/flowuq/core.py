@@ -11,7 +11,7 @@ needs to know what the model does internally.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -130,10 +130,18 @@ class CounterfactualSpec:
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """Point estimate and sampling variance of a structural parameter."""
+    """Point estimate and sampling variance of a structural parameter.
+
+    Construction checks that ``sigma_hat`` is symmetric and PSD and stores a
+    ``factor`` F with F F' = sigma_hat: the Cholesky factor, or for a
+    singular sigma_hat the eigenvectors scaled by the clipped root
+    eigenvalues.  :meth:`draws` samples the estimate's sampling distribution
+    N(theta_hat, sigma_hat) through it, so each estimate is factored once.
+    """
 
     theta_hat: np.ndarray
     sigma_hat: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta_hat, dtype=float))
@@ -148,17 +156,28 @@ class EstimatorResult:
         scale = max(1.0, float(np.max(np.abs(sigma))))
         if np.max(np.abs(sigma - sigma.T)) > 1e-10 * scale:
             raise NotPSD("sigma_hat is not symmetric within 1e-10")
-        eigvals = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
-        if eigvals.size and eigvals.min() < -1e-10 * scale:
-            raise NotPSD(
-                f"sigma_hat has eigenvalue {eigvals.min():.3e} below -1e-10"
-            )
+        sigma_sym = 0.5 * (sigma + sigma.T)
+        try:
+            factor = np.linalg.cholesky(sigma_sym)
+        except np.linalg.LinAlgError:
+            vals, vecs = np.linalg.eigh(sigma_sym)
+            if vals.min() < -1e-10 * scale:
+                raise NotPSD(f"sigma_hat has eigenvalue {vals.min():.3e} below -1e-10") from None
+            factor = vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
         object.__setattr__(self, "theta_hat", _freeze(theta))
         object.__setattr__(self, "sigma_hat", _freeze(sigma))
+        object.__setattr__(self, "factor", _freeze(factor))
 
     @property
     def dim(self) -> int:
         return self.theta_hat.shape[0]
+
+    def draws(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """``k`` draws from N(theta_hat, sigma_hat), one per row, with all
+        the normals taken in one call.  Each row is theta_hat + factor @ z
+        on its own, so the first rows do not depend on ``k``."""
+        z = rng.standard_normal((k, self.dim))
+        return np.array([self.theta_hat + self.factor @ row for row in z])
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import CalibratedParams, CounterfactualSpec, DistanceMatrix, DrawSet, FlowMatrix
 from .errors import DataError, ParseError
-from .intervals import Interval
+from .intervals import Interval, kind_name
 
 if TYPE_CHECKING:  # the engine imports this module through calibration
     from .engine import UqConfig
@@ -616,7 +616,7 @@ def intervals_to_json(
             "lo": interval.lo,
             "hi": interval.hi,
             "alpha": cfg.alpha,
-            "kind": cfg.kind_name,
+            "kind": kind_name(cfg.interval_kind, cfg.robust_c),
             "draws_used": draw_set.draws_used,
             "draws_failed": draw_set.draws_failed,
             "point_estimate": float(point[q]),

@@ -46,7 +46,7 @@ from .core import (
     evaluate_model_many,
 )
 from .errors import DataError, ModelEvaluationFailed, TooManyFailures
-from .gravity import PpmlEstimator, fit_log_gravity, fit_ppml, sample_theta
+from .gravity import PpmlEstimator, fit_log_gravity, fit_ppml
 from .intervals import Interval, check_kind, compose
 
 Estimator = Callable[[FlowMatrix], EstimatorResult]
@@ -92,14 +92,6 @@ class UqConfig:
     @property
     def inner_draws(self) -> int:
         return self.b if self.b_inner is None else self.b_inner
-
-    @property
-    def kind_name(self) -> str:
-        """The interval kind as ``interval.json`` names it: ``"c1"``,
-        ``"c2"`` or ``"robust(c=...)"``."""
-        if self.interval_kind == "robust":
-            return f"robust(c={self.robust_c:g})"
-        return self.interval_kind
 
 
 def draw_rng(seed: int, draw: int, substream: int) -> np.random.Generator:
@@ -181,7 +173,7 @@ def _estimate_many(
     return [estimator(f) for f in flows]
 
 
-def _theta_draws(cfg: UqConfig, b: int, est: EstimatorResult) -> list[np.ndarray]:
+def _theta_draws(cfg: UqConfig, b: int, est: EstimatorResult) -> Sequence[np.ndarray]:
     """The parameter draws of draw b: the point estimate alone in only-me
     mode, else one draw from this b's estimate, or ``cfg.inner_draws`` of
     them for the interval-of-intervals.  The first one gives this b's
@@ -189,9 +181,8 @@ def _theta_draws(cfg: UqConfig, b: int, est: EstimatorResult) -> list[np.ndarray
     seed."""
     if cfg.mode == "only-me":
         return [est.theta_hat]
-    theta_rng = draw_rng(cfg.seed, b, 1)
     n_theta = cfg.inner_draws if cfg.interval_kind == "c2" else 1
-    return [sample_theta(est, theta_rng) for _ in range(n_theta)]
+    return est.draws(draw_rng(cfg.seed, b, 1), n_theta)
 
 
 def _run_chunk(ctx: _LoopContext, draws: Sequence[int]):

@@ -26,9 +26,6 @@ built and a slope is the regression of one partialled variable on another.
 * ``fit_log_gravity`` -- least squares of log flows on log distance plus
   two-way fixed effects, restricted to positive flows.  This is the
   workhorse behind the empirical-Bayes prior means.
-
-``sample_theta`` draws structural parameters from the normal sampling
-distribution N(theta_hat, sigma_hat) of an estimate.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from .errors import (
     FlowUqError,
     InsufficientData,
     NoConvergence,
-    NotPSD,
     Separation,
 )
 
@@ -631,25 +627,3 @@ def fit_log_gravity(flows: FlowMatrix, distances: DistanceMatrix) -> GravityFit:
             f"{flows.labels[i]}->{flows.labels[j]} have no identified prior mean"
         )
     return fit
-
-
-def _psd_factor(sigma: np.ndarray) -> np.ndarray:
-    sigma = 0.5 * (sigma + sigma.T)
-    try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        pass
-    vals, vecs = np.linalg.eigh(sigma)
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
-    if vals.min() < -1e-10 * scale:
-        raise NotPSD(
-            f"covariance has eigenvalue {vals.min():.3e}; not PSD within 1e-10"
-        )
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
-
-
-def sample_theta(est: EstimatorResult, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the sampling distribution N(theta_hat, sigma_hat) of
-    the estimate."""
-    z = rng.standard_normal(est.dim)
-    return est.theta_hat + _psd_factor(est.sigma_hat) @ z

@@ -20,7 +20,8 @@ nominal draw count.
   draws.  At c = 1 it equals c1.
 
 The engine checks a kind against its draw counts with :func:`check_kind` and
-builds every kind with :func:`compose`, which ranks on the nominal counts.
+builds every kind with :func:`compose`, which ranks on the nominal counts;
+:func:`kind_name` names a kind in ``interval.json``.
 When draws failed, each rank is clamped to the draws present, as if every
 failed draw lay above them: the widest upper endpoint, the narrowest lower.
 An :class:`Interval` is its two endpoints; the level, kind and draw counts
@@ -119,6 +120,8 @@ def endpoints(draws, alpha: float, c: float = 1.0, b: int | None = None):
     the draws present.  Ties are broken by a stable sort."""
     s = np.sort(np.asarray(draws, dtype=float), axis=0, kind="stable")
     used = s.shape[0]
+    if used == 0:
+        raise TooFewDraws("no draws to take endpoints of")
     lo_rank, hi_rank = _ranks(alpha, c, used if b is None else b)
     return s[min(lo_rank, used) - 1], s[min(hi_rank, used) - 1]
 
@@ -143,6 +146,12 @@ def check_kind(alpha: float, kind: str, c: float, b: int, b_inner: int) -> None:
         _check_grid(b_inner, alpha)
     elif kind == "robust":
         _ranks(alpha, c, b)
+
+
+def kind_name(kind: str, c: float) -> str:
+    """The interval kind as ``interval.json`` names it: ``"c1"``, ``"c2"``
+    or ``"robust(c=...)"``."""
+    return f"robust(c={c:g})" if kind == "robust" else kind
 
 
 def compose(

@@ -763,7 +763,23 @@ class TestMirrorCsv:
         assert zeroed == 0
 
 
+def panel_without_report1_flows_in(period):
+    """``mirror_world(n=5, t=4, seed=2)`` with every report-1 flow of one
+    period zero."""
+    from flowuq.scenarios import mirror_world
+
+    scen = mirror_world(n=5, t=4, seed=2)
+    report1 = np.array(scen.panel.report1)
+    report1[scen.panel.periods.index(period)] = 0.0
+    return scen, replace(scen.panel, report1=report1)
+
+
 class TestCalibrateMirror:
+    def test_refuses_a_period_without_positive_flows(self):
+        scen, panel = panel_without_report1_flows_in(2002)
+        with pytest.raises(InsufficientData, match="period 2002 has no positive flows"):
+            calibrate_mirror(panel, scen.distances)
+
     def test_full_pipeline_on_synthetic_panel(self):
         from flowuq.scenarios import mirror_world
 

@@ -12,6 +12,7 @@ from flowuq.calibration import sample_flow_matrix
 from flowuq.cli import main
 from flowuq.scenarios import armington_world, mirror_world
 
+from .test_calibration import panel_without_report1_flows_in
 from .test_gravity import singular_world
 
 
@@ -1108,9 +1109,30 @@ def test_report_ranks_refuses_a_malformed_draws_file(tmp_path, capsys, text, mes
     assert not (out / "ranks.json").exists()
 
 
+@pytest.mark.parametrize("draws", [",", ""])
+def test_report_ranks_refuses_no_file(tmp_path, capsys, draws):
+    out = tmp_path / "r"
+    assert main(["report-ranks", "--draws", draws, "--output-dir", str(out)]) == 2
+    assert "data error: --draws names no file" in capsys.readouterr().err
+    conf = tmp_path / "ranks.conf"
+    conf.write_text(f"draws = {draws}\n", encoding="utf-8")
+    assert main(["report-ranks", "--config", str(conf), "--output-dir", str(out)]) == 2
+    assert "data error: --draws names no file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _uq_argv(flows, params, out, *extra):
     return ["uq", "--flows", str(flows), "--params", str(params), "--b", "40",
             "--output-dir", str(out), *extra]
+
+
+def test_uq_alpha_outside_the_unit_interval_exits_2(armington_files, tmp_path, capsys):
+    _, flows, _, costs, params = armington_files
+    out = tmp_path / "uq"
+    argv = _uq_argv(flows, params, out, "--costs", str(costs), "--uniform-increase", "0.1")
+    assert main([*argv, "--alpha", "1.5"]) == 2
+    assert "data error: alpha must be in (0, 1)" in capsys.readouterr().err
+    assert not (out / "draws.csv").exists() and not (out / "interval.json").exists()
 
 
 def test_uq_exits_4_when_too_many_draws_fail(armington_files, tmp_path, capsys):
@@ -1258,6 +1280,18 @@ def test_estimate_singular_projection_exit_3(tmp_path):
     dataio.write_dyadic_csv(costs, labels, np.exp(log_costs), "cost")
     argv = ["estimate", "--flows", str(flows), "--costs", str(costs)]
     assert main(argv + ["--output-dir", str(tmp_path / "est")]) == 3
+
+
+def test_calibrate_mirror_period_without_positive_flows_exits_3(tmp_path, capsys):
+    scen, panel = panel_without_report1_flows_in(2002)
+    mirror, dist = tmp_path / "mirror.csv", tmp_path / "distances.csv"
+    dataio.write_mirror_csv(mirror, panel.labels, panel.periods, panel.report1, panel.report2)
+    dataio.write_dyadic_csv(dist, scen.labels, scen.distances.values, "distance")
+    out = tmp_path / "calib"
+    argv = ["calibrate", "--mirror", str(mirror), "--distances", str(dist)]
+    assert main([*argv, "--output-dir", str(out)]) == 3
+    assert "period 2002 has no positive flows" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_identification_error_exit_3(tmp_path):

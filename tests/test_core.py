@@ -69,6 +69,48 @@ def test_estimator_result_validation():
         EstimatorResult(theta_hat=[0.0, 0.0], sigma_hat=[[1.0, 2.0], [2.0, 1.0]])
 
 
+class TestEstimatorResultDraws:
+    def test_degenerate_variance(self):
+        est = EstimatorResult(theta_hat=[2.26], sigma_hat=[[0.0]])
+        rng = np.random.default_rng(0)
+        assert est.draws(rng, 1)[0] == pytest.approx(2.26)
+
+    def test_moments_match_paper_scale_estimate(self):
+        est = EstimatorResult(theta_hat=[2.26], sigma_hat=[[0.52**2]])
+        rng = np.random.default_rng(123)
+        draws = np.array([est.draws(rng, 1)[0, 0] for _ in range(100_000)])
+        assert abs(draws.mean() - 2.26) < 0.01
+        assert abs(draws.std() - 0.52) < 0.01
+
+    def test_seed_determinism(self):
+        est = EstimatorResult(theta_hat=[1.0, 2.0], sigma_hat=np.eye(2) * 0.25)
+        a = [est.draws(np.random.default_rng(42), 1)[0] for _ in range(3)]
+        b = [est.draws(np.random.default_rng(42), 1)[0] for _ in range(3)]
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_k_draws_are_k_single_draws(self):
+        # One call for k draws takes the normals of k calls for one, and
+        # each row is its own product with the factor: bit for bit the same.
+        est = EstimatorResult(theta_hat=[2.0, -1.0], sigma_hat=[[0.1, 0.02], [0.02, 0.3]])
+        many = est.draws(np.random.default_rng(7), 25)
+        rng = np.random.default_rng(7)
+        one_by_one = np.array([est.draws(rng, 1)[0] for _ in range(25)])
+        assert many.shape == (25, 2)
+        assert np.array_equal(many, one_by_one)
+        assert not np.array_equal(many[0], many[1])
+        zero = EstimatorResult(theta_hat=[2.0, -1.0], sigma_hat=np.zeros((2, 2)))
+        assert np.array_equal(zero.draws(np.random.default_rng(7), 3), [[2.0, -1.0]] * 3)
+
+    def test_factor_of_a_singular_variance(self):
+        # A singular sigma_hat has no Cholesky factor; its eigen-factor
+        # reproduces it, and draws stay on its range.
+        sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
+        est = EstimatorResult(theta_hat=[0.0, 0.0], sigma_hat=sigma)
+        assert np.allclose(est.factor @ est.factor.T, sigma)
+        draws = est.draws(np.random.default_rng(0), 10)
+        assert np.allclose(draws[:, 0], draws[:, 1])
+
+
 def test_counterfactual_spec_validation():
     with pytest.raises(DataError):
         CounterfactualSpec(np.zeros((2, 2)))

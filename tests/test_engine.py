@@ -30,7 +30,7 @@ from flowuq import (
 from flowuq import engine
 from flowuq.armington import ArmingtonModel
 from flowuq.engine import MODES, LowDimSmoother, draw_rng
-from flowuq.gravity import PpmlEstimator, fit_ppml, sample_theta
+from flowuq.gravity import PpmlEstimator, fit_ppml
 from flowuq.intervals import compose
 from flowuq.scenarios import armington_world
 
@@ -153,6 +153,11 @@ class TestIntervalOps:
         (iv,) = compose([k + inner for k in range(1, 1001)], 0.05, "c2", 1.0, 1000, 40)
         assert (iv.lo, iv.hi) == (25.0, 985.0)
 
+    @pytest.mark.parametrize("b", [None, 20])
+    def test_no_draws(self, b):
+        with pytest.raises(TooFewDraws):
+            endpoints(np.empty(0), 0.1, b=b)
+
     def test_c2_identical_inner_intervals(self):
         inner = np.r_[1.0, np.full(17, 1.5), 2.0, 3.0][:, None]
         (iv,) = compose([inner] * 100, 0.1, "c2", 1.0, 100, 20)
@@ -215,7 +220,7 @@ class TestEngine:
         # parameter stream, as when every draw re-estimated.
         est = cell_estimator(flows_obs, se=0.2)
         assert est.theta_hat[0] != cell_estimator(smoother.fn(flows_obs)).theta_hat[0]
-        expected = [sample_theta(est, draw_rng(cfg.seed, b, 1)) for b in range(1, 41)]
+        expected = [est.draws(draw_rng(cfg.seed, b, 1), 1)[0] for b in range(1, 41)]
         assert np.array_equal(ds.draws, np.array(expected))
 
     def test_only_me_estimates_once(self):
@@ -454,7 +459,7 @@ class TestEngine:
             for b in range(1, 41):
                 flows_b = sample_flow_matrix(flows_obs, scen.params, draw_rng(cfg.seed, b, 0))[0]
                 theta_rng = draw_rng(cfg.seed, b, 1)
-                thetas = [sample_theta(est, theta_rng) for _ in range(n_theta)]
+                thetas = [est.draws(theta_rng, 1)[0] for _ in range(n_theta)]
                 try:
                     expected.append(evaluate_model(ArmingtonModel(), flows_b, thetas[0], scen.cf_spec))
                 except ModelEvaluationFailed:
@@ -548,7 +553,7 @@ class TestEngineIntervals:
     def inner_thetas(self, seed, b, b_inner):
         """Each draw's parameter draws, rebuilt from its parameter stream."""
         rngs = (draw_rng(seed, d, 1) for d in range(1, b + 1))
-        return [np.array([sample_theta(self.EST, rng) for _ in range(b_inner)]) for rng in rngs]
+        return [np.array([self.EST.draws(rng, 1)[0] for _ in range(b_inner)]) for rng in rngs]
 
     def test_robust_with_a_failed_draw(self):
         # One failed draw out of B = 40 is within the 5% tolerance.  Ranked
@@ -635,3 +640,8 @@ class TestUqConfigValidation:
         assert cfg.inner_draws == 200
         with pytest.raises(BadQuantileGrid):
             UqConfig(b=100, alpha=0.1, interval_kind="c2", b_inner=30)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, np.nan])
+    def test_alpha_outside_the_unit_interval(self, alpha):
+        with pytest.raises(DataError, match=re.escape("alpha must be in (0, 1)")):
+            UqConfig(b=40, alpha=alpha)

@@ -9,12 +9,10 @@ from flowuq import (
     Collinear,
     DataError,
     DistanceMatrix,
-    EstimatorResult,
     FlowMatrix,
     FlowUqError,
     InsufficientData,
     NoConvergence,
-    NotPSD,
     PpmlEstimator,
     PpmlFit,
     Separation,
@@ -22,7 +20,6 @@ from flowuq import (
     fit_ppml,
     independent_variance,
     sample_flow_matrix,
-    sample_theta,
 )
 from flowuq import engine, gravity
 from flowuq.gravity import _components, _twoway_fe, fit_ppml_many
@@ -684,29 +681,3 @@ class TestTwowayProjection:
             assert np.all(b[~weights.any(axis=0)] == 0.0)
             assert np.array_equal(linked, linked_expected)
 
-
-class TestSampleTheta:
-    def test_degenerate_variance(self):
-        est = EstimatorResult(theta_hat=[2.26], sigma_hat=[[0.0]])
-        rng = np.random.default_rng(0)
-        assert sample_theta(est, rng) == pytest.approx(2.26)
-
-    def test_moments_match_paper_scale_estimate(self):
-        est = EstimatorResult(theta_hat=[2.26], sigma_hat=[[0.52**2]])
-        rng = np.random.default_rng(123)
-        draws = np.array([sample_theta(est, rng)[0] for _ in range(100_000)])
-        assert abs(draws.mean() - 2.26) < 0.01
-        assert abs(draws.std() - 0.52) < 0.01
-
-    def test_seed_determinism(self):
-        est = EstimatorResult(theta_hat=[1.0, 2.0], sigma_hat=np.eye(2) * 0.25)
-        a = [sample_theta(est, np.random.default_rng(42)) for _ in range(3)]
-        b = [sample_theta(est, np.random.default_rng(42)) for _ in range(3)]
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_not_psd(self):
-        est = EstimatorResult(theta_hat=[1.0], sigma_hat=[[1.0]])
-        object.__setattr__(est, "sigma_hat", np.array([[-1.0]]))
-        rng = np.random.default_rng(0)
-        with pytest.raises(NotPSD):
-            sample_theta(est, rng)
