@@ -81,13 +81,14 @@ def _share_changes(
     log_tau: np.ndarray, log_y: np.ndarray, shares: np.ndarray, epsilon
 ) -> np.ndarray:
     """lam^cf_ij for a candidate y, computed stably in logs; the arguments may
-    carry a leading stack axis."""
+    carry a leading stack axis.  The steps work in place on one new grid."""
     epsilon = np.asarray(epsilon)[..., None, None]
-    logp = -epsilon * (log_tau + log_y[..., :, None])
-    m = logp.max(axis=-2)
-    p = np.exp(logp - m[..., None, :])
-    denom = (shares * p).sum(axis=-2)
-    return p / denom[..., None, :]
+    p = log_tau + log_y[..., :, None]
+    p *= -epsilon
+    p -= p.max(axis=-2)[..., None, :]
+    np.exp(p, out=p)
+    p /= (shares * p).sum(axis=-2)[..., None, :]
+    return p
 
 
 def _defects(log_tau, log_y, shares, income, deficit, epsilon):
@@ -97,7 +98,8 @@ def _defects(log_tau, log_y, shares, income, deficit, epsilon):
     expenditure E^cf is positive."""
     y_income = np.exp(log_y) * income
     exp_cf = y_income + deficit
-    pi = _share_changes(log_tau, log_y, shares, epsilon) * shares
+    pi = _share_changes(log_tau, log_y, shares, epsilon)
+    pi *= shares
     defect = np.log((pi @ exp_cf[..., None])[..., 0] / y_income)
     world = np.log(y_income.sum(axis=-1) / income.sum(axis=-1))
     system = np.concatenate([defect[..., :-1], world[..., None]], axis=-1)
@@ -109,8 +111,10 @@ def _newton_steps(log_y, pi, exp_cf, income, epsilon, g):
     mask of the singular systems (their steps are NaN)."""
     y_income = np.exp(log_y) * income
     supply = (pi @ exp_cf[:, :, None])[:, :, 0]
-    jac = (epsilon[:, None, None] * (pi * exp_cf[:, None, :])) @ pi.transpose(0, 2, 1)
-    jac += pi * y_income[:, None, :]
+    work = pi * exp_cf[:, None, :]
+    work *= epsilon[:, None, None]
+    jac = work @ pi.transpose(0, 2, 1)
+    jac += np.multiply(pi, y_income[:, None, :], out=work)
     jac /= supply[:, :, None]
     jac.reshape(len(jac), -1)[:, :: jac.shape[1] + 1] -= (1.0 + epsilon)[:, None]
     jac[:, -1] = y_income / y_income.sum(axis=1)[:, None]
@@ -370,18 +374,26 @@ def solve_counterfactual_many(
         solved[i] = _solve_by_bloc(
             log_tau, shares[i], income[i], deficit[i], epsilons[idx[i]], blocs[i]
         )
-    for j, shares_j, outcome in zip(idx, shares, solved):
+    # The share and welfare changes of every solved slice as one stack.
+    ok = []
+    for i, outcome in enumerate(solved):
         if isinstance(outcome, NoConvergence):
-            results[j] = outcome
-            continue
-        log_y, residual, steps = outcome
-        lam_cf = _share_changes(log_tau, log_y, shares_j, epsilons[j])
-        results[j] = EquilibriumResult(
-            y_prop=np.exp(log_y),
-            lambda_prop=lam_cf,
-            welfare_prop=np.diag(lam_cf) ** (-1.0 / epsilons[j]),
-            residual=residual,
-            iterations=steps,
+            results[idx[i]] = outcome
+        else:
+            ok.append(i)
+    log_y = np.array([solved[i][0] for i in ok]).reshape(len(ok), n)
+    eps = epsilons[idx[ok]]
+    lam_cf = _share_changes(log_tau, log_y, shares[ok], eps)
+    y_prop = np.exp(log_y)
+    for r, i in enumerate(ok):
+        results[idx[i]] = EquilibriumResult(
+            y_prop=y_prop[r],
+            lambda_prop=lam_cf[r],
+            # A power with a scalar exponent: NumPy rounds x ** -1.0 (at an
+            # elasticity of 1) differently from an elementwise power.
+            welfare_prop=np.diagonal(lam_cf[r]) ** (-1.0 / eps[r]),
+            residual=solved[i][1],
+            iterations=solved[i][2],
         )
     return results
 

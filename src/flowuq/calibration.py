@@ -70,18 +70,23 @@ def spike_weight(p: float | np.ndarray, b: float | np.ndarray):
     return np.where(denom > 0, p / np.where(denom > 0, denom, 1.0), 1.0)[()]
 
 
-def sample_flow_matrix(
-    flows_obs: FlowMatrix, params: CalibratedParams, rng: np.random.Generator
-) -> tuple[FlowMatrix, int]:
-    """One posterior draw of the whole true flow matrix.
+def sample_flow_matrix(flows_obs: FlowMatrix, params: CalibratedParams, rng):
+    """Posterior draws of the whole true flow matrix, one per stream.
 
-    Consumes exactly n*n standard normals followed by n*n uniforms from
-    ``rng`` regardless of the data, so draw streams are reproducible.  Exact
-    special cases (measurement-error variance exactly zero, spike draws)
-    return the observed flow or zero verbatim, which is what lets
-    no-measurement-error runs reproduce estimation-error-only runs bit for
-    bit.  Returns the draw and the count of degenerate observed zeros
-    (p = b = 0) that were resolved as true zeros.
+    ``rng`` is a ``np.random.Generator``, for one draw, or a sequence of k
+    of them, one stream per draw.  Each stream consumes exactly n*n standard
+    normals followed by n*n uniforms regardless of the data, so draw streams
+    are reproducible, and the draw of a stream in a sequence equals its draw
+    alone, bit for bit.  The posterior moments and spike weights, which
+    depend on the data and the parameters only, are computed once for all
+    the streams.  Exact special cases (measurement-error variance exactly
+    zero, spike draws) return the observed flow or zero verbatim, which is
+    what lets no-measurement-error runs reproduce estimation-error-only runs
+    bit for bit.
+
+    Returns the draw, a ``FlowMatrix`` for one generator or a list of k for a
+    sequence, and the count of degenerate observed zeros (p = b = 0) that
+    were resolved as true zeros, summed over the streams.
     """
     if params.has_periods:
         raise DataError("slice per-period parameters with for_period() first")
@@ -89,14 +94,19 @@ def sample_flow_matrix(
     n = flows_obs.n
     if params.n != n:
         raise DataError("parameter matrices do not match the flow matrix size")
-    z = rng.standard_normal((n, n))
-    u = rng.random((n, n))
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    k = len(rngs)
+    z, u = np.empty((k, n, n)), np.empty((k, n, n))
+    for j, stream in enumerate(rngs):
+        stream.standard_normal(out=z[j])
+        stream.random(out=u[j])
 
     s2 = params.effective_s2()
     sigma2 = params.effective_sigma2()
     mu = params.mu
     finite_mu = np.isfinite(mu)
-    out = np.zeros((n, n))
+    out = np.zeros((k, n, n))
     pos = f > 0
 
     # Positive observations: conjugate log-normal update.
@@ -109,9 +119,12 @@ def sample_flow_matrix(
     w = shrinkage_weight(s2_g, sigma2_g)
     mean = w * np.log(f[generic]) + (1.0 - w) * mu[generic]
     sd = np.sqrt(posterior_log_variance(s2_g, sigma2_g))
-    out[generic] = np.exp(mean + sd * z[generic])
-    out[exact_obs] = f[exact_obs]
-    out[exact_prior] = np.exp(mu[exact_prior])
+    draw = z[:, generic]
+    draw *= sd
+    draw += mean
+    out[:, generic] = np.exp(draw, out=draw)
+    out[:, exact_obs] = f[exact_obs]
+    out[:, exact_prior] = np.exp(mu[exact_prior])
 
     # Observed zeros: an exactly-measured zero is a true zero (the model has
     # no channel for a spurious one without reporting noise); otherwise draw
@@ -119,13 +132,17 @@ def sample_flow_matrix(
     zero = ~pos
     hold = zero & (sigma2 == 0)
     degenerate = zero & ~hold & (params.p == 0) & (params.b == 0)
-    slab = zero & ~hold & ~degenerate
-    slab[slab] = ~(u[slab] < spike_weight(params.p[slab], params.b[slab]))
+    drawn = zero & ~hold & ~degenerate
+    slab = np.zeros((k, n, n), dtype=bool)
+    slab[:, drawn] = ~(u[:, drawn] < spike_weight(params.p[drawn], params.b[drawn]))
     if np.any(slab & ~finite_mu):
         raise DataError("slab draw needs a finite prior mean")
-    out[slab] = np.exp(mu[slab] + np.sqrt(s2[slab]) * z[slab])
+    at = np.nonzero(slab)
+    out[at] = np.exp(mu[at[1:]] + np.sqrt(s2[at[1:]]) * z[at])
 
-    return FlowMatrix(out, flows_obs.labels), int(np.count_nonzero(degenerate))
+    draws = [FlowMatrix(values, flows_obs.labels) for values in out]
+    count = k * int(np.count_nonzero(degenerate))
+    return (draws[0] if single else draws), count
 
 
 # ---------------------------------------------------------------------------

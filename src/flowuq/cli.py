@@ -73,6 +73,8 @@ def _refuse_unused(args: argparse.Namespace, needs: str, *names: str):
 
 
 def _outdir(args: argparse.Namespace) -> Path:
+    """The output directory, made when a command writes its first output, so
+    that a command refused on its inputs leaves none behind."""
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -123,7 +125,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         _refuse_unused(args, "the baseline regime (no --mirror)", *baseline)
     else:
         _refuse_unused(args, "--mirror", "shrink")
-    out = _outdir(args)
     if args.mirror is not None:
         shrink = args.shrink is not False  # default yes
         panel = ingest_mirror_csv(args.mirror)
@@ -144,6 +145,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                     "variance (no positive estimate connects their origin and "
                     "destination)"
                 )
+        out = _outdir(args)
         dataio.write_params_json(out / "params.json", params)
 
         diag = normality_diagnostic(
@@ -173,6 +175,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         p = 0.0 if args.p is None else args.p
         b = 0.0 if args.b_spurious is None else args.b_spurious
         params, fit = calibrate_baseline(flows, distances, sigma2, p, b)
+        out = _outdir(args)
         dataio.write_params_json(out / "params.json", params)
         diag = normality_diagnostic(flows, params)
         _write_diagnostics(out, diag, fit)
@@ -196,7 +199,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    out = _outdir(args)
     flows = dataio.read_flows_csv(args.flows)
     log_costs = dataio.read_costs_csv(args.costs, flows.labels)
     fit = fit_ppml(flows, log_costs, include_diagonal=args.include_diagonal)
@@ -205,7 +207,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     else:  # a sum of squares, never projected
         variance, projected = independent_variance(fit), False
     dataio.write_json(
-        out / "ppml.json",
+        _outdir(args) / "ppml.json",
         {
             "epsilon_hat": fit.epsilon_hat,
             "variance": variance,
@@ -228,13 +230,12 @@ def _cf_spec(args: argparse.Namespace, n: int, labels) -> CounterfactualSpec:
 
 
 def cmd_counterfactual(args: argparse.Namespace) -> int:
-    out = _outdir(args)
     flows = dataio.read_flows_csv(args.flows)
     cf = _cf_spec(args, flows.n, flows.labels)
     result = solve_counterfactual(flows, cf, args.epsilon)
     pct = welfare_change_pct(result)
     dataio.write_json(
-        out / "welfare.json",
+        _outdir(args) / "welfare.json",
         {
             "epsilon": args.epsilon,
             "residual": result.residual,
@@ -277,7 +278,6 @@ def cmd_uq(args: argparse.Namespace) -> int:
         _refuse_unused(args, "--smoother lowdim", "distances")
     if args.mode == "only-ee":
         _refuse_unused(args, "--mode only-me or ee+me", "period")
-    out = _outdir(args)
     flows = dataio.read_flows_csv(args.flows)
     params = None
     if args.mode != "only-ee":
@@ -317,6 +317,7 @@ def cmd_uq(args: argparse.Namespace) -> int:
         flows, params, estimation, model, cf, cfg, smoother, bool(args.include_diagonal)
     )
 
+    out = _outdir(args)
     dataio.write_draws_csv(out / "draws.csv", draw_set)
     dataio.write_json(
         out / "interval.json",
@@ -336,18 +337,18 @@ def cmd_uq(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    out = _outdir(args)
     flows = dataio.read_flows_csv(args.flows)
     distances = dataio.read_distances_csv(args.distances, flows.labels)
     params = _params(args)
     diag = normality_diagnostic(flows, params)
-    _write_diagnostics(out, diag, fit_log_gravity(flows, distances))
+    fit = fit_log_gravity(flows, distances)
+    out = _outdir(args)
+    _write_diagnostics(out, diag, fit)
     _log(f"diagnostics written to {out}")
     return 0
 
 
 def cmd_simulate_attenuation(args: argparse.Namespace) -> int:
-    out = _outdir(args)
     if args.rho <= 0:
         _log(f"warning: rho = {args.rho:g} is outside the usual positive range")
     cfg = AttenuationSimConfig(
@@ -362,6 +363,7 @@ def cmd_simulate_attenuation(args: argparse.Namespace) -> int:
         mu_zero_ablation=args.mu_zero,
     )
     biases = run_attenuation_sim(cfg)
+    out = _outdir(args)
     dataio.write_columns_csv(out / "biases.csv", ["median_posterior_bias"], [biases])
     counts, edges = np.histogram(biases, bins=40)
     dataio.write_columns_csv(
@@ -396,7 +398,6 @@ def cmd_report_ranks(args: argparse.Namespace) -> int:
     paths = _unique("--draws", [p for p in args.draws.split(",") if p])
     if not paths:
         raise DataError("--draws names no file")
-    out = _outdir(args)
     files: list[tuple[str, tuple[str, ...]]] = []
     arrays: list[np.ndarray] = []
     for path in paths:
@@ -420,7 +421,7 @@ def cmd_report_ranks(args: argparse.Namespace) -> int:
         draw_set = DrawSet(draws=draw_set.draws[:, [labels.index(w) for w in keep]], labels=keep)
 
     pairs = rank_reversals(draw_set)
-    dataio.write_json(out / "ranks.json", {"draws": draw_set.draws_used, "pairs": pairs})
+    dataio.write_json(_outdir(args) / "ranks.json", {"draws": draw_set.draws_used, "pairs": pairs})
     for higher, lower, reversal, ties, *_ in (pair.values() for pair in pairs):
         _log(f"P[{lower} > {higher}] = {reversal:.3f} (ties {ties:.3f})")
     return 0
@@ -437,57 +438,37 @@ _CONFIG = argparse.ArgumentParser(prog="flowuq", add_help=False)
 _CONFIG.add_argument("--config", metavar="FILE", help="key = value file of options; flags win")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
-    """The ``flowuq`` parser, and each command's options by name: the keys a
-    ``--config`` file may set."""
-    parser = argparse.ArgumentParser(
-        prog="flowuq",
-        description="Uncertainty quantification for counterfactuals from noisy dyadic flows",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    options: dict[str, dict[str, argparse.Action]] = {}
-
-    def command(name, handler, help):
-        p = sub.add_parser(name, parents=[_CONFIG], help=help)
-        p.set_defaults(handler=handler)
-        known = options[name] = {}
-
-        def add(*flags, group=None, **kwargs):
-            action = (group or p).add_argument(*flags, **kwargs)
-            known[action.dest] = action
-
-        add("--output-dir", default=".", help="output directory")
-        return p, add
-
-    yes_no = argparse.BooleanOptionalAction
-
-    p, add = command("calibrate", cmd_calibrate, "calibrate prior and ME parameters")
+def _calibrate_options(p, add):
     add("--mirror", help="mirror panel CSV (two reports per dyad-period)")
     add("--flows", help="flows CSV (baseline regime)")
     add("--distances", required=True, help="distances CSV")
     add("--sigma2", type=float, help="common ME variance (baseline)")
     add("--p", type=float, help="true-zero probability (baseline; default 0)")
     add("--b-spurious", type=float, help="spurious-zero probability (baseline; default 0)")
-    add("--shrink", action=yes_no,
+    add("--shrink", action=argparse.BooleanOptionalAction,
         help="shrink per-dyad variances across reporters (mirror regime; default yes)")
 
-    p, add = command("estimate", cmd_estimate, "PPML elasticity with dyadic-robust variance")
+
+def _estimate_options(p, add):
     add("--flows", required=True)
     add("--costs", required=True, help="cost-level CSV")
-    add("--include-diagonal", action=yes_no, default=False)
+    add("--include-diagonal", action=argparse.BooleanOptionalAction, default=False)
     add("--variance", choices=["dyadic", "independent"], default="dyadic")
 
-    def cost_change(p, add):
-        change = p.add_mutually_exclusive_group(required=True)
-        add("--cf-spec", group=change, help="proportional cost-change CSV")
-        add("--uniform-increase", group=change, type=float)
 
-    p, add = command("counterfactual", cmd_counterfactual, "solve the built-in model once")
+def _cost_change(p, add):
+    change = p.add_mutually_exclusive_group(required=True)
+    add("--cf-spec", group=change, help="proportional cost-change CSV")
+    add("--uniform-increase", group=change, type=float)
+
+
+def _counterfactual_options(p, add):
     add("--flows", required=True)
     add("--epsilon", type=float, required=True)
-    cost_change(p, add)
+    _cost_change(p, add)
 
-    p, add = command("uq", cmd_uq, "bootstrap draws and uncertainty intervals")
+
+def _uq_options(p, add):
     add("--flows", required=True)
     add("--params", help="params.json from calibrate")
     add("--period", type=int, help="year of per-period params")
@@ -495,10 +476,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
     add("--costs", group=elasticity, help="re-estimate the elasticity from this cost CSV")
     add("--theta", group=elasticity, type=float, help="external point estimate")
     add("--theta-se", type=float, help="standard error of --theta (default 0)")
-    add("--include-diagonal", action=yes_no,
+    add("--include-diagonal", action=argparse.BooleanOptionalAction,
         help="fit own flows too when estimating from --costs (default no)")
     add("--model", choices=["armington"], default="armington")
-    cost_change(p, add)
+    _cost_change(p, add)
     add("--b", type=int, default=1000)
     add("--alpha", type=float, default=0.05)
     add("--seed", type=int, default=0)
@@ -512,15 +493,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
         help="lowdim: evaluate the model on the gravity fit of each draw (estimand g(S(F)))")
     add("--distances", help="distances CSV, with --smoother lowdim")
 
-    p, add = command("diagnose", cmd_diagnose, "model-adequacy diagnostics")
+
+def _diagnose_options(p, add):
     add("--flows", required=True)
     add("--distances", required=True)
     add("--params", required=True)
     add("--period", type=int, help="year of per-period params")
 
-    p, add = command(
-        "simulate-attenuation", cmd_simulate_attenuation, "posterior-bias Monte Carlo"
-    )
+
+def _simulate_attenuation_options(p, add):
     add("--m-reps", type=int, default=2000)
     add("--b-draws", type=int, default=200)
     add("--n", type=int, default=50)
@@ -529,15 +510,66 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
     add("--s", type=float, default=0.1)
     add("--sigma", type=float, default=0.1)
     add("--seed", type=int, default=0)
-    add("--mu-zero", action=yes_no, default=False,
+    add("--mu-zero", action=argparse.BooleanOptionalAction, default=False,
         help="ablation: shrink toward zero instead of the gravity fit")
 
-    p, add = command("report-ranks", cmd_report_ranks, "pairwise rank-reversal frequencies")
+
+def _report_ranks_options(p, add):
     add("--draws", required=True,
         help="draws CSV (comma-separate multiple files with aligned seeds; a label "
              "that several files have is named PATH:LABEL)")
     add("--columns", help="comma-separated outcome columns to compare")
 
+
+# Each command: its handler, its help line and what adds its options after
+# the shared --output-dir.
+_COMMANDS = {
+    "calibrate": (cmd_calibrate, "calibrate prior and ME parameters", _calibrate_options),
+    "estimate": (
+        cmd_estimate, "PPML elasticity with dyadic-robust variance", _estimate_options
+    ),
+    "counterfactual": (
+        cmd_counterfactual, "solve the built-in model once", _counterfactual_options
+    ),
+    "uq": (cmd_uq, "bootstrap draws and uncertainty intervals", _uq_options),
+    "diagnose": (cmd_diagnose, "model-adequacy diagnostics", _diagnose_options),
+    "simulate-attenuation": (
+        cmd_simulate_attenuation, "posterior-bias Monte Carlo", _simulate_attenuation_options
+    ),
+    "report-ranks": (
+        cmd_report_ranks, "pairwise rank-reversal frequencies", _report_ranks_options
+    ),
+}
+
+
+def build_parser(
+    command: str | None = None,
+) -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The ``flowuq`` parser, and each command's options by name: the keys a
+    ``--config`` file may set.  With ``command`` only that command gets its
+    parser, which is all that parsing its command line reads."""
+    parser = argparse.ArgumentParser(
+        prog="flowuq",
+        description="Uncertainty quantification for counterfactuals from noisy dyadic flows",
+    )
+    # The command list of the usage line: argparse's own, from every command's
+    # parser, or the same text when only one command has a parser.
+    commands = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=commands)
+    options: dict[str, dict[str, argparse.Action]] = {}
+    for name, (handler, help, add_options) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, parents=[_CONFIG], help=help)
+        p.set_defaults(handler=handler)
+        known = options[name] = {}
+
+        def add(*flags, group=None, **kwargs):
+            action = (group or p).add_argument(*flags, **kwargs)
+            known[action.dest] = action
+
+        add("--output-dir", default=".", help="output directory")
+        add_options(p, add)
     return parser, options
 
 
@@ -577,8 +609,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     right after the command name, so argparse checks them as it checks
     flags, and a flag given on the command line wins."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, options = build_parser()
-    if argv and argv[0] in options:
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser, options = build_parser(command)
+    if command is not None:
         path = _CONFIG.parse_known_args(argv[1:])[0].config
         if path is not None:
             argv[1:1] = _config_tokens(path, argv[0], options[argv[0]])

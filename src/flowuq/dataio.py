@@ -494,7 +494,11 @@ def params_from_json(doc) -> CalibratedParams:
     n * n dyads must be listed and carry p, b, s2, sigma2 and mu, and each
     shrunk variance on every dyad or on none; only mu may be null, and a null
     mu marks a dyad without a prior mean.  A document of another shape is a
-    DataError."""
+    DataError.
+
+    A document as ``write_params_json`` writes it, every number a float, is
+    read a field at a time (``_params_columns``); any other goes dyad by
+    dyad, which names the first dyad that is refused."""
     if not isinstance(doc, dict):
         raise DataError("params file must hold a JSON object")
     labels, dyads, periods = doc.get("labels"), doc.get("dyads"), doc.get("periods")
@@ -506,14 +510,65 @@ def params_from_json(doc) -> CalibratedParams:
         raise DataError('params "periods" must be null or a list of whole numbers')
     labels = tuple(labels)
     n = len(labels)
-    t = len(periods) if periods else 0
     first = next(iter(dyads.values()), {})
     shrunk = tuple(name for name in _SHRUNK if isinstance(first, dict) and name in first)
-    unshrunk = tuple(name for name in _SHRUNK if name not in shrunk)
     names = ("p", "b", "s2", "sigma2") + shrunk
+    keys = _dyad_keys(labels)
+    values = _params_columns(dyads, keys, names, periods) or _params_by_dyad(
+        dyads, keys, names, periods
+    )
+    return CalibratedParams(
+        labels=labels,
+        periods=tuple(periods) if periods else None,
+        **values,
+    )
+
+
+def _params_columns(dyads: dict, keys: list[str], names, periods) -> dict | None:
+    """The (n, n) grid of each field in ``names`` and of mu, (T, n, n) per
+    period, from a ``dyads`` object that lists every dyad of ``keys`` once,
+    each an object with only float numbers and a mu that may be null; None
+    for any other object."""
+    entries = list(dyads.values())
+    cells = {key: k for k, key in enumerate(keys)}
+    at = list(map(cells.get, dyads))
+    if len(at) != len(keys) or None in at or set(map(type, entries)) != {dict}:
+        return None
+    # With the fields and mu in every entry and nothing else, no shrunk
+    # variance sits on some dyads only.
+    if set(map(len, entries)) != {len(names) + 1} or not all("mu" in e for e in entries):
+        return None
+    mus = [e["mu"] for e in entries]
+    if periods:
+        if not all(type(mu) is dict or mu is None for mu in mus):
+            return None
+        mus = [[None if mu is None else mu.get(str(t)) for mu in mus] for t in periods]
+    else:
+        mus = [mus]
+    n = math.isqrt(len(keys))
+
+    def grid(column, types):
+        if not set(map(type, column)) <= types:
+            return None
+        values = np.empty(n * n)
+        values[at] = np.array(column, dtype=float)  # None reads as NaN
+        return values.reshape(n, n)
+
+    out = {name: grid([e.get(name) for e in entries], {float}) for name in names}
+    mu = [grid(column, {float, type(None)}) for column in mus]
+    if any(values is None for values in [*out.values(), *mu]):
+        return None
+    return dict(out, mu=np.stack(mu) if periods else mu[0])
+
+
+def _params_by_dyad(dyads: dict, keys: list[str], names, periods) -> dict:
+    """The grids of ``_params_columns`` from any ``dyads`` object, dyad after
+    dyad in the document's order; a DataError names the first dyad refused."""
+    n = math.isqrt(len(keys))
+    unshrunk = tuple(name for name in _SHRUNK if name not in names)
     values = {name: np.zeros((n, n)) for name in names}
-    mu = np.full((t, n, n) if periods else (n, n), np.nan)
-    cells = {key: divmod(k, n) for k, key in enumerate(_dyad_keys(labels))}
+    mu = np.full((len(periods), n, n) if periods else (n, n), np.nan)
+    cells = {key: divmod(k, n) for k, key in enumerate(keys)}
     for key, entry in dyads.items():
         if key not in cells:
             raise DataError(f"unknown dyad key {key!r}")
@@ -538,12 +593,7 @@ def params_from_json(doc) -> CalibratedParams:
             mu[i, j] = _number(entry["mu"], key, "mu")
     if cells:
         raise DataError(f"params file has no dyad {next(iter(cells))!r}")
-    return CalibratedParams(
-        mu=mu,
-        labels=labels,
-        periods=tuple(periods) if periods else None,
-        **values,
-    )
+    return dict(values, mu=mu)
 
 
 def read_params_json(path) -> CalibratedParams:
@@ -560,11 +610,13 @@ def read_params_json(path) -> CalibratedParams:
 
 
 def write_draws_csv(path, draw_set: DrawSet):
+    """The draws under their labels, in ``csv.writer``'s bytes.  A draw is
+    finite, so its text never needs quoting and each row is its fields
+    joined by commas."""
+    rows = draw_set.draws.tolist()
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(draw_set.labels))
-        for row in draw_set.draws:
-            writer.writerow([repr(float(v)) for v in row])
+        handle.write(_csv_fields(*draw_set.labels) + "\r\n")
+        handle.write("".join(",".join(map(float.__repr__, row)) + "\r\n" for row in rows))
 
 
 def read_draws_csv(path) -> tuple[tuple[str, ...], np.ndarray]:

@@ -186,12 +186,12 @@ def _theta_draws(cfg: UqConfig, b: int, est: EstimatorResult) -> Sequence[np.nda
 
 
 def _run_chunk(ctx: _LoopContext, draws: Sequence[int]):
-    """The draw loop, over batches of ``_batch_size(n)`` draws: sample each
-    draw's flow matrix from its own stream, estimate the batch's matrices
-    together, sample each draw's parameters, then evaluate the model on every
-    (draw, parameter) pair of the batch, ``_batch_size(n)`` pairs at a time
-    (see ``evaluate_model_many``).  An estimator error is raised for the
-    batch before any of its draws is evaluated.
+    """The draw loop, over batches of ``_batch_size(n)`` draws: sample the
+    batch's flow matrices in one call, each draw from its own stream,
+    estimate them together, sample each draw's parameters, then evaluate the
+    model on every (draw, parameter) pair of the batch, ``_batch_size(n)``
+    pairs at a time (see ``evaluate_model_many``).  An estimator error is
+    raised for the batch before any of its draws is evaluated.
 
     Returns (b, outcomes) for each draw b: the (m, q) outcomes of the
     parameter draws of b that evaluated, in draw order, or None when its
@@ -204,10 +204,9 @@ def _run_chunk(ctx: _LoopContext, draws: Sequence[int]):
         if cfg.mode == "only-ee":
             evals, ests = [ctx.flows_fixed] * len(batch), [ctx.estimator] * len(batch)
         else:
-            flows_b = [
-                sample_flow_matrix(ctx.flows_obs, ctx.params, draw_rng(cfg.seed, b, 0))[0]
-                for b in batch
-            ]
+            flows_b, _ = sample_flow_matrix(
+                ctx.flows_obs, ctx.params, [draw_rng(cfg.seed, b, 0) for b in batch]
+            )
             evals = flows_b if ctx.smoother is None else [ctx.smoother(f) for f in flows_b]
             ests = _estimate_many(ctx.estimator, flows_b)
         thetas = [_theta_draws(cfg, b, est) for b, est in zip(batch, ests)]

@@ -14,9 +14,9 @@ built and a slope is the regression of one partialled variable on another.
   ``armington.solve_counterfactual_many`` does; ``fit_ppml`` is a batch of
   one that raises its error, and ``PpmlEstimator`` is the bootstrap's
   estimator plug-in on top of it, whose fits start at the fit of the
-  observed matrix.  Each iteratively reweighted
-  least-squares step partials log cost and the working response on the
-  fixed effects with weights mu and regresses one on the other.  The
+  observed matrix and end by the warm stop rule (below).  Each iteratively
+  reweighted least-squares step partials log cost and the working response
+  on the fixed effects with weights mu and regresses one on the other.  The
   negated coefficient on log cost is the trade elasticity.  Its sampling
   variance is built from the per-dyad influence values
   psi = x~ (y - mu) / h, where x~ is log cost partialled with the final
@@ -26,6 +26,21 @@ built and a slope is the regression of one partialled variable on another.
 * ``fit_log_gravity`` -- least squares of log flows on log distance plus
   two-way fixed effects, restricted to positive flows.  This is the
   workhorse behind the empirical-Bayes prior means.
+
+The warm stop rule takes a few Newton steps from the full-sample estimate,
+as the k-step bootstrap of Andrews (2002, Econometrica) does, instead of
+iterating every drawn matrix to the deviance tolerance.  A fit started at
+the observed fit stops once a full step moves the slope by less than
+10^-2.5 of the start fit's standard error se and no fixed effect by 0.01,
+which under Newton's quadratic convergence leaves the slope about
+(step / se)^2 se < 1e-5 se from its converged value.  Unless it then meets
+the first-order conditions, its slope's next Newton step must lie within
+1e-4 se, the score bound, or the fit fails alone with NoConvergence.
+Against full IRLS its elasticity moves by less than the score bound and its
+variance by less than 1e-3 of itself; measured on the bootstrap's draws at
+n = 10 to 100, by at most 1.9e-5 se and 6.4e-5.  The fits take about 3
+iterations instead of 4 to 5.  The observed fit and the point estimate run
+full IRLS.
 """
 
 from __future__ import annotations
@@ -47,6 +62,14 @@ from .errors import (
 _FE_DIVERGENCE_BOUND = 30.0
 _MAX_ITER = 200  # IRLS iterations before a fit counts as not converged
 _DEV_TOL = 1e-12  # relative deviance change at which IRLS stops
+# The warm stop rule (see the module docstring): a warm fit stops after a
+# full step of d in the slope, d^2 < _WARM_STOP times the start fit's
+# variance, and of less than _WARM_FE_STEP in every fixed effect; it must
+# then keep its slope's next Newton step within _WARM_SCORE start standard
+# errors unless it meets the first-order conditions.
+_WARM_STOP = 1e-5
+_WARM_FE_STEP = 1e-2
+_WARM_SCORE = 1e-4
 
 
 def _twoway_fe(
@@ -277,10 +300,16 @@ def fit_ppml_many(
     and 8.8 grids per fit at n = 30, 100 and 300 (40, 3 and 1 fits).
 
     Without ``start`` every fit begins at the standard GLM start, as
-    ``fit_ppml`` does; with it, every fit begins at that fit's coefficients.
-    The bootstrap starts the fits of its drawn matrices at the fit of the
-    observed one, which they lie close to, and they converge in fewer
-    iterations to the same estimates within the convergence tolerance.
+    ``fit_ppml`` does, and runs to a relative deviance change of 1e-12.
+    With it, every fit begins at that fit's coefficients and may also end
+    by the warm stop rule (see the module docstring): once a step taken in
+    full moves the slope by d with d^2 below ``_WARM_STOP`` times the start
+    fit's variance and no fixed effect by ``_WARM_FE_STEP``.  Such a fit
+    meets the first-order conditions below or the score bound: its slope's
+    next Newton step, the sum of its influence values, within
+    ``_WARM_SCORE`` of the start fit's standard error.  The bootstrap starts
+    the fits of its drawn matrices at the fit of the observed one, which
+    they lie close to.
 
     Returns one entry per matrix: its ``PpmlFit``, or the error that
     ``fit_ppml`` raises on that matrix alone, with the same class and
@@ -297,7 +326,9 @@ def fit_ppml_many(
         vanish on part of the sample so that the fixed-effects projection
         becomes singular.
     NoConvergence
-        When the iteration cap is hit or the first-order conditions fail.
+        When the iteration cap is hit or the first-order conditions fail
+        (a score sum above 1e-8 of the largest flow), and for a warm fit
+        the score bound too.
 
     Raises
     ------
@@ -319,16 +350,16 @@ def fit_ppml_many(
         y, np.where(mask, log_costs, 0.0), mask, start
     )
     fits: list = [failures.get(j) for j in range(k)]
+    var, projected = _influence_variance(influence, dyadic=True)
     for r, j in enumerate(fit_at):
         if fits[j] is None:
-            var, projected = _influence_variance(influence[r], dyadic=True)
             fits[j] = PpmlFit(
                 epsilon_hat=-float(s[r]),
                 fe_origin=o[r],
                 fe_dest=d[r],
                 influence=influence[r],
-                variance=var,
-                variance_psd_projected=projected,
+                variance=float(var[r]),
+                variance_psd_projected=bool(projected[r]),
                 mu_hat=mu[r],
                 deviance=float(dev[r]),
                 iterations=int(iterations[r]),
@@ -431,6 +462,7 @@ def _ppml_irls(y: np.ndarray, cost: np.ndarray, mask: np.ndarray, start: PpmlFit
         o_new = a[:, 1] - s_new[:, None] * a[:, 0]
         d_new = b[:, 1] - s_new[:, None] * b[:, 0]
         s_l, o_l, d_l, dev_l = s[:nl], o[:nl], d[:nl], dev[:nl]
+        full = np.ones(nl, dtype=bool)  # the fits that take the full step
         if iteration == 1:
             s_t, o_t, d_t = s_new, o_new, d_new
             dev_t = trial(slice(nl), s_t, o_t, d_t)
@@ -448,6 +480,7 @@ def _ppml_irls(y: np.ndarray, cost: np.ndarray, mask: np.ndarray, start: PpmlFit
                 for rows in [slice(nl)] if todo.size == nl else [slice(r, r + 1) for r in todo]:
                     dev_t[rows] = trial(rows, s_t[rows], o_t[rows], d_t[rows])
                 todo = todo[~(dev_t[todo] <= bound[todo])] if step >= 1e-8 else todo[:0]
+                full[todo] = False
                 step *= 0.5
         fe_max = np.maximum(np.abs(o_t).max(axis=1), np.abs(d_t).max(axis=1))
         separated = fe_max > _FE_DIVERGENCE_BOUND
@@ -456,6 +489,13 @@ def _ppml_irls(y: np.ndarray, cost: np.ndarray, mask: np.ndarray, start: PpmlFit
                 f"a fixed effect exceeded {_FE_DIVERGENCE_BOUND:g} during PPML iteration"
             )
         converged = np.abs(dev_l - dev_t) < _DEV_TOL * np.maximum(1.0, np.abs(dev_l))
+        if start is not None:  # the warm stop rule
+            fe_step = np.maximum(np.abs(o_t - o_l).max(axis=1), np.abs(d_t - d_l).max(axis=1))
+            converged |= (
+                full
+                & (np.square(s_t - s_l) < _WARM_STOP * start.variance)
+                & (fe_step < _WARM_FE_STEP)
+            )
         s_l[:], o_l[:], d_l[:], dev_l[:] = s_t, o_t, d_t, dev_t
         iterations[:nl] = iteration
         eta, eta_t, mu, mu_t = eta_t, eta, mu_t, mu
@@ -474,21 +514,33 @@ def _ppml_irls(y: np.ndarray, cost: np.ndarray, mask: np.ndarray, start: PpmlFit
         np.abs(_grid_sum(np.multiply(u, cost, out=v[0, :m]))),
         np.maximum(np.abs(u.sum(axis=2)).max(axis=1), np.abs(u.sum(axis=1)).max(axis=1)),
     )
-    for r in np.flatnonzero(foc > 1e-8 * np.maximum(1.0, largest)):
-        failures[int(fit_at[r])] = NoConvergence(
-            int(iterations[r]), float(foc[r]), what="PPML first-order conditions"
-        )
+    unsettled = foc > 1e-8 * np.maximum(1.0, largest)
 
     a, b, _, singular = _twoway_fe(
         mu[:m], np.broadcast_to(cost, (m, 1, n, n)), labels, (eta[:m], mu_t[:m])
     )
-    for j in fit_at[:m][singular]:
-        failures.setdefault(int(j), _singular_projection())
     xt = np.subtract(cost, a[:, 0, :, None], out=y[:m])
     xt -= b[:, 0, None, :]
     h = _grid_sum(np.multiply(mu[:m], np.multiply(xt, xt, out=eta[:m]), out=eta[:m]))
     influence = np.multiply(np.multiply(xt, u, out=u), mask, out=u)
     influence /= h[:, None, None]
+    if start is None:
+        for r in np.flatnonzero(unsettled):
+            failures[int(fit_at[r])] = NoConvergence(
+                int(iterations[r]), float(foc[r]), what="PPML first-order conditions"
+            )
+    else:
+        # A warm fit that the stop rule ended may instead meet the score
+        # bound: the slope's next Newton step, which by Frisch-Waugh-Lovell
+        # is the sum of its influence values, within _WARM_SCORE of the start
+        # fit's standard error.
+        step = np.abs(_grid_sum(influence))
+        for r in np.flatnonzero(unsettled & ~(step <= _WARM_SCORE * np.sqrt(start.variance))):
+            failures[int(fit_at[r])] = NoConvergence(
+                int(iterations[r]), float(step[r]), what="warm-started PPML score bound"
+            )
+    for j in fit_at[:m][singular]:
+        failures.setdefault(int(j), _singular_projection())
     return failures, fit_at[:m], s, o, d, dev, iterations, mu, influence
 
 
@@ -497,10 +549,12 @@ class PpmlEstimator:
     """Bootstrap estimator plug-in: the PPML elasticity and its sampling
     variance on a flow matrix, against fixed log costs.  Every fit starts its
     IRLS at ``start``, the fit of the observed matrix, which a drawn matrix
-    lies close to.  ``many`` fits a batch of matrices in one IRLS with the
-    same results as one call per matrix; when fits fail it raises the error
-    of the lowest failing matrix, which aborts the bootstrap.  Picklable, so
-    a process pool can ship it."""
+    lies close to, and ends by the warm stop rule of ``fit_ppml_many``: its
+    elasticity lies within the score bound, 1e-4 of the start fit's standard
+    error, of the converged one, or the fit fails.  ``many`` fits a batch of
+    matrices in one IRLS with the same results as one call per matrix; when
+    fits fail it raises the error of the lowest failing matrix, which aborts
+    the bootstrap.  Picklable, so a process pool can ship it."""
 
     log_costs: np.ndarray
     start: PpmlFit
@@ -518,13 +572,16 @@ class PpmlEstimator:
 
 
 def _influence_variance(psi: np.ndarray, dyadic: bool):
-    """Sandwich variance of the elasticity from its influence grid.
+    """Sandwich variances of the elasticity from a (k, n, n) stack of
+    influence grids: the (k,) variances and the mask of those projected.
 
     The dyadic sum runs over ordered pairs of dyads sharing a location.  It
     is computed through per-location sums T_a of the influence values of the
     dyads touching a: summing T_a^2 counts each sharing pair once per shared
     location, so pairs sharing two locations (an off-diagonal dyad with
     itself or with its mirror) are counted twice and corrected afterwards.
+    Every sum adds in the same order whatever the stack's length, so a
+    slice's variance is the same alone and in a stack.
 
     The pair sum can be negative in finite samples; the variance of interest
     is a single quadratic form, so the projection onto the feasible (PSD)
@@ -532,19 +589,23 @@ def _influence_variance(psi: np.ndarray, dyadic: bool):
     spectrum instead would systematically inflate the variance.
     """
     if dyadic:
-        own = np.diag(psi)
-        t = psi.sum(axis=1) + psi.sum(axis=0) - own
-        off = psi - np.diag(own)
-        var = float(t @ t - np.sum(off * off) - np.sum(off * off.T))
+        k, n = psi.shape[:2]
+        own = np.diagonal(psi, axis1=1, axis2=2)
+        t = psi.sum(axis=2) + psi.sum(axis=1) - own
+        off = psi.copy()
+        off.reshape(k, n * n)[:, :: n + 1] = 0.0
+        var = (t[:, None, :] @ t[:, :, None])[:, 0, 0]
+        var -= _grid_sum(off * off)
+        var -= _grid_sum(off * off.transpose(0, 2, 1))
     else:
-        var = float(np.sum(psi * psi))
-    return max(var, 0.0), var < 0.0
+        var = _grid_sum(psi * psi)
+    return np.maximum(var, 0.0), var < 0.0
 
 
 def independent_variance(fit: PpmlFit) -> float:
     """Heteroskedasticity-robust variance ignoring dyadic dependence.  Tends
     to understate uncertainty relative to the dyadic version."""
-    return _influence_variance(fit.influence, dyadic=False)[0]
+    return float(_influence_variance(fit.influence[None], dyadic=False)[0][0])
 
 
 def _log_gravity_ols(flows: np.ndarray, log_dist: np.ndarray) -> GravityFit:

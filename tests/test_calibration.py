@@ -66,6 +66,57 @@ def off_diagonal_draws(f_obs, params, seed):
     return draw.values[~np.eye(n, dtype=bool)]
 
 
+def reference_draw(flows_obs, params, rng):
+    """One posterior draw, dyad group by dyad group, from n * n normals and
+    then n * n uniforms of ``rng``: the reference for the sampler's streams."""
+    f, n = flows_obs.values, flows_obs.n
+    z, u = rng.standard_normal((n, n)), rng.random((n, n))
+    s2, sigma2, mu = params.effective_s2(), params.effective_sigma2(), params.mu
+    out = np.zeros((n, n))
+    pos = f > 0
+    exact_obs = pos & (sigma2 == 0)
+    exact_prior = pos & (s2 == 0) & ~exact_obs
+    generic = pos & ~exact_obs & ~exact_prior
+    w = shrinkage_weight(s2[generic], sigma2[generic])
+    mean = w * np.log(f[generic]) + (1.0 - w) * mu[generic]
+    sd = np.sqrt(posterior_log_variance(s2[generic], sigma2[generic]))
+    out[generic] = np.exp(mean + sd * z[generic])
+    out[exact_obs] = f[exact_obs]
+    out[exact_prior] = np.exp(mu[exact_prior])
+    zero = ~pos
+    hold = zero & (sigma2 == 0)
+    degenerate = zero & ~hold & (params.p == 0) & (params.b == 0)
+    slab = zero & ~hold & ~degenerate
+    slab[slab] = ~(u[slab] < spike_weight(params.p[slab], params.b[slab]))
+    out[slab] = np.exp(mu[slab] + np.sqrt(s2[slab]) * z[slab])
+    return out
+
+
+def mixed_params_and_flows(n=7, seed=11):
+    """Parameters and observed flows that reach every branch of the sampler:
+    positive flows with sigma2 = 0 (kept), with s2 = 0 (the prior mean) and
+    with both variances positive; zeros held by sigma2 = 0, degenerate zeros
+    (p = b = 0) and spike-or-slab zeros with p, b > 0; NaN means where no
+    draw reads them."""
+    rng = np.random.default_rng(seed)
+    values = np.exp(rng.normal(0.0, 1.0, (n, n))) * (rng.random((n, n)) >= 0.35)
+    p = rng.uniform(0.05, 0.6, (n, n)) * (rng.random((n, n)) >= 0.2)
+    b = rng.uniform(0.05, 0.4, (n, n)) * (rng.random((n, n)) >= 0.2)
+    s2 = rng.uniform(0.05, 0.5, (n, n)) * (rng.random((n, n)) >= 0.15)
+    sigma2 = rng.uniform(0.05, 0.5, (n, n)) * (rng.random((n, n)) >= 0.15)
+    mu = rng.normal(0.0, 1.0, (n, n))
+    values[0, 1], p[0, 1], b[0, 1], sigma2[0, 1] = 0.0, 0.0, 0.0, 0.2  # degenerate
+    values[0, 2], sigma2[0, 2] = 0.0, 0.0  # held
+    values[0, 3], p[0, 3], b[0, 3], sigma2[0, 3] = 0.0, 0.3, 0.2, 0.2  # spike or slab
+    values[1, 0], sigma2[1, 0] = 2.0, 0.0  # kept
+    values[1, 2], s2[1, 2], sigma2[1, 2] = 2.0, 0.0, 0.2  # the prior mean
+    values[1, 3], s2[1, 3], sigma2[1, 3] = 2.0, 0.2, 0.2  # the conjugate update
+    mu[np.eye(n, dtype=bool)] = np.nan
+    sigma2[np.eye(n, dtype=bool)] = 0.0
+    values[np.eye(n, dtype=bool)] = 1.0
+    return CalibratedParams(p=p, b=b, mu=mu, s2=s2, sigma2=sigma2), FlowMatrix(values)
+
+
 class TestPosteriorDraw:
     # A 317 x 317 matrix has 100,172 off-diagonal dyads: one call draws them.
     N_LARGE = 317
@@ -156,6 +207,39 @@ class TestPosteriorDraw:
 
 
 class TestSampleFlowMatrix:
+    def test_streams_draw_as_they_do_alone(self):
+        # k streams in one call give the k draws of the streams alone, bit for
+        # bit, which are the reference's; each stream takes n * n normals then
+        # n * n uniforms; the degenerate zeros are counted once per stream.
+        params, flows = mixed_params_and_flows()
+        n, f, pos = flows.n, flows.values, flows.values > 0
+        s2, sigma2 = params.s2, params.sigma2
+        off = ~np.eye(n, dtype=bool)
+        for group in (
+            pos & off & (sigma2 == 0),
+            pos & (s2 == 0) & (sigma2 > 0),
+            pos & (s2 > 0) & (sigma2 > 0),
+            ~pos & (sigma2 == 0),
+            ~pos & (sigma2 > 0) & (params.p == 0) & (params.b == 0),
+            ~pos & (sigma2 > 0) & (params.p > 0) & (params.b > 0),
+        ):
+            assert group.any()
+        k = 5
+        streams = [np.random.default_rng(seed) for seed in range(k)]
+        draws, degenerate = sample_flow_matrix(flows, params, streams)
+        assert len(draws) == k
+        for seed, (draw, stream) in enumerate(zip(draws, streams)):
+            alone, count = sample_flow_matrix(flows, params, np.random.default_rng(seed))
+            assert np.array_equal(draw.values, alone.values)
+            expected = reference_draw(flows, params, np.random.default_rng(seed))
+            assert np.array_equal(draw.values, expected)
+            assert draw.labels == flows.labels
+            used = np.random.default_rng(seed)
+            used.standard_normal((n, n)), used.random((n, n))
+            assert stream.random() == used.random()
+        assert count > 0 and degenerate == k * count
+        assert np.all(draws[0].values[pos & off & (sigma2 == 0)] == f[pos & off & (sigma2 == 0)])
+
     def test_zero_me_variance_reproduces_observation(self):
         rng = np.random.default_rng(0)
         flows = FlowMatrix(np.random.default_rng(1).uniform(0.5, 2.0, (4, 4)))

@@ -1135,6 +1135,35 @@ def test_uq_alpha_outside_the_unit_interval_exits_2(armington_files, tmp_path, c
     assert not (out / "draws.csv").exists() and not (out / "interval.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["uq", "calibrate", "estimate", "counterfactual", "diagnose", "simulate-attenuation"],
+)
+def test_a_command_refused_on_its_inputs_leaves_no_output_dir(
+    armington_files, tmp_path, capsys, command
+):
+    # The output directory is made with a command's first output, so a
+    # command that its inputs stop exits 2 and leaves no directory behind.
+    _, flows, dist, costs, params = armington_files
+    missing = str(tmp_path / "missing.csv")
+    argv = {
+        "uq": ["uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs),
+               "--uniform-increase", "0.1", "--b", "40", "--alpha", "1.5"],
+        "calibrate": ["calibrate", "--flows", str(flows), "--distances", missing,
+                      "--sigma2", "0.05"],
+        "estimate": ["estimate", "--flows", str(flows), "--costs", missing],
+        "counterfactual": ["counterfactual", "--flows", missing, "--epsilon", "5",
+                           "--uniform-increase", "0.1"],
+        "diagnose": ["diagnose", "--flows", str(flows), "--distances", str(dist),
+                     "--params", missing],
+        "simulate-attenuation": ["simulate-attenuation", "--m-reps", "0"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_uq_exits_4_when_too_many_draws_fail(armington_files, tmp_path, capsys):
     # theta ~ N(0.5, 1) is not positive on about a third of the draws, and
     # each of those draws fails its solve.
@@ -1291,7 +1320,7 @@ def test_calibrate_mirror_period_without_positive_flows_exits_3(tmp_path, capsys
     argv = ["calibrate", "--mirror", str(mirror), "--distances", str(dist)]
     assert main([*argv, "--output-dir", str(out)]) == 3
     assert "period 2002 has no positive flows" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_identification_error_exit_3(tmp_path):

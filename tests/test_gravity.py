@@ -131,8 +131,8 @@ class TestPpml:
 
     def test_warm_start_matches_cold_fits(self):
         # Draws around an observed matrix, fitted from the observed fit: the
-        # estimates agree with cold fits within the IRLS tolerance, in fewer
-        # iterations; a separating draw still separates.
+        # estimates agree with cold fits within the warm stop rule's declared
+        # bound, in fewer iterations; a separating draw still separates.
         world = armington_world(n=12, seed=4)
         _, observed = world.draw_world(np.random.default_rng(1))
         start = fit_ppml(observed, world.log_costs)
@@ -143,8 +143,9 @@ class TestPpml:
         cold = fit_ppml_many(matrices(stack), world.log_costs)
         warm = fit_ppml_many(matrices(stack), world.log_costs, start=start)
         for c, w in zip(cold, warm):
-            assert abs(w.epsilon_hat - c.epsilon_hat) <= 1e-10 * abs(c.epsilon_hat)
-            assert abs(w.variance - c.variance) <= 1e-10 * c.variance
+            se = np.sqrt(start.variance)
+            assert abs(w.epsilon_hat - c.epsilon_hat) <= gravity._WARM_SCORE * se
+            assert abs(w.variance - c.variance) <= WARM_VARIANCE_BOUND * c.variance
         assert sum(w.iterations for w in warm) < sum(c.iterations for c in cold)
         for single, batched in zip(stack, warm):
             alone = fit_ppml_many([FlowMatrix(single)], world.log_costs, start=start)
@@ -276,6 +277,29 @@ def singular_world():
     return FlowMatrix(values), log_costs
 
 
+def warm_batch(rng, n, k, noise_sd, spread, zero_frac, include_diagonal):
+    """A bootstrap-like warm batch: an observed matrix with noise around the
+    gravity model, k matrices scattered around it by multiplicative noise of
+    sd ``spread`` with a share ``zero_frac`` of zeros, and the observed fit,
+    at which their fits start.  Returns (matrices, log costs, observed,
+    start)."""
+    observed, log_costs = gravity_flows(n, 3.0, rng, noise_sd, include_diagonal)
+    start = fit_ppml(observed, log_costs, include_diagonal)
+    stack = [
+        observed.values
+        * np.exp(spread * rng.standard_normal((n, n)))
+        * (rng.random((n, n)) >= zero_frac)
+        for _ in range(k)
+    ]
+    return matrices(stack), log_costs, observed, start
+
+
+# The warm stop rule's declared tolerance against full IRLS: the elasticity
+# within the score bound, _WARM_SCORE se of the start fit, and the variance
+# within this share of itself.
+WARM_VARIANCE_BOUND = 1e-3
+
+
 def matrices(stack):
     """The flow matrices of a stack of values, as ``fit_ppml_many`` takes them."""
     return [FlowMatrix(values) for values in stack]
@@ -351,6 +375,76 @@ class TestPpmlMany:
                     assert isinstance(fit, InsufficientData)
                 elif isinstance(fit, PpmlFit):
                     assert independent_variance(single) == independent_variance(fit)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(4, 12),
+        seed=st.integers(0, 2**32 - 1),
+        noise_sd=st.floats(0.2, 1.0),
+        spread=st.floats(0.05, 0.5),
+        zero_frac=st.sampled_from([0.0, 0.1, 0.3]),
+        include_diagonal=st.booleans(),
+    )
+    def test_warm_stop_rule_keeps_the_declared_bound(
+        self, n, seed, noise_sd, spread, zero_frac, include_diagonal
+    ):
+        # Warm batches around a noisy observed matrix: the fits the stop rule
+        # ends early lie within the declared bound of full IRLS (cold fits),
+        # and every slice equals its fit alone, bit for bit.
+        # (A start whose variance is clamped to zero never stops a fit early:
+        # such fits run full IRLS, within its tolerance of the cold ones.)
+        rng = np.random.default_rng(seed)
+        stack, log_costs, _, start = warm_batch(
+            rng, n, 5, noise_sd, spread, zero_frac, include_diagonal
+        )
+        fits = fit_ppml_many(stack, log_costs, include_diagonal, start)
+        se = np.sqrt(start.variance)
+        for flows, fit in zip(stack, fits):
+            assert_same_outcome(fit_alone(flows, log_costs, include_diagonal, start), fit)
+            cold = fit_alone(flows, log_costs, include_diagonal)
+            if isinstance(cold, FlowUqError):
+                continue
+            assert isinstance(fit, PpmlFit), fit
+            tol = 1e-10 * abs(cold.epsilon_hat)
+            assert abs(fit.epsilon_hat - cold.epsilon_hat) <= gravity._WARM_SCORE * se + tol
+            tol = 1e-10 * cold.variance
+            assert abs(fit.variance - cold.variance) <= WARM_VARIANCE_BOUND * cold.variance + tol
+
+    def test_warm_stop_rule_ends_most_fits_early(self):
+        # On such batches the rule stops most fits an iteration or more
+        # before full IRLS, and the elasticities it leaves are far inside the
+        # score bound.
+        early, fitted, worst = 0, 0, 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            stack, log_costs, _, start = warm_batch(rng, 15, 5, 0.5, 0.2, 0.1, False)
+            full = fit_ppml_many(stack, log_costs)
+            for warm, cold in zip(fit_ppml_many(stack, log_costs, start=start), full):
+                fitted += 1
+                early += warm.iterations < cold.iterations
+                se = np.sqrt(start.variance)
+                worst = max(worst, abs(warm.epsilon_hat - cold.epsilon_hat) / se)
+        assert early >= 0.8 * fitted
+        assert worst <= 0.1 * gravity._WARM_SCORE
+
+    def test_warm_fit_missing_the_score_bound_fails_alone(self, monkeypatch):
+        # With the score bound tightened far below what the stop rule leaves,
+        # each fit the rule ends fails alone with NoConvergence, and the
+        # observed matrix itself, whose fit meets the first-order conditions
+        # at once, still converges beside them.
+        rng = np.random.default_rng(7)
+        stack, log_costs, observed, start = warm_batch(rng, 30, 4, 0.5, 0.3, 0.1, False)
+        stack.insert(2, observed)
+        passing = fit_ppml_many(stack, log_costs, start=start)
+        assert all(isinstance(fit, PpmlFit) for fit in passing)
+        monkeypatch.setattr(gravity, "_WARM_SCORE", 1e-12)
+        fits = fit_ppml_many(stack, log_costs, start=start)
+        assert_same_fit(passing[2], fits[2])
+        failed = [fit for fit in fits if isinstance(fit, NoConvergence)]
+        assert len(failed) == 4
+        assert all("warm-started PPML score bound" in str(fit) for fit in failed)
+        for flows, fit in zip(stack, fits):
+            assert_same_outcome(fit_alone(flows, log_costs, start=start), fit)
 
     def test_step_halving_is_per_fit(self):
         # Heavy multiplicative noise: the full IRLS step raises the deviance
@@ -456,11 +550,11 @@ class TestPpmlMany:
             assert_same_fit(fit_ppml(flows, log_costs), batched)
 
     def test_working_set_is_fixed(self):
-        # A batch of warm-started draws that stop at iterations 4 and 5.  The
-        # IRLS holds seven (k, n, n) grids and the log costs; numpy's 64 KiB
-        # iteration buffers add about two grids at this size, which is below
-        # the 256 KiB at which numpy starts eliding temporaries, so every
-        # temporary counts.  A loop that gathers, scatters or allocates whole
+        # A batch of warm-started draws that the stop rule ends at iteration
+        # 3.  The IRLS holds seven (k, n, n) grids and the log costs; numpy's
+        # 64 KiB iteration buffers add about two grids at this size, which is
+        # below the 256 KiB at which numpy starts eliding temporaries, so
+        # every temporary counts.  A loop that gathers, scatters or allocates whole
         # stacks per iteration peaks near 18 grids per fit here.
         world = armington_world(n=30, seed=3)
         _, observed = world.draw_world(np.random.default_rng(1))
@@ -475,7 +569,7 @@ class TestPpmlMany:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert {fit.iterations for fit in fits} == {4, 5}
+        assert {fit.iterations for fit in fits} == {3}
         assert peak / (8 * 30 * 30 * 8) < 12
 
     def test_draw_loop_batch_at_n100_matches_single_fits(self):
