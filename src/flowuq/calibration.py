@@ -70,23 +70,23 @@ def spike_weight(p: float | np.ndarray, b: float | np.ndarray):
     return np.where(denom > 0, p / np.where(denom > 0, denom, 1.0), 1.0)[()]
 
 
-def sample_flow_matrix(flows_obs: FlowMatrix, params: CalibratedParams, rng):
+def sample_flow_matrix(flows_obs: FlowMatrix, params: CalibratedParams, rngs):
     """Posterior draws of the whole true flow matrix, one per stream.
 
-    ``rng`` is a ``np.random.Generator``, for one draw, or a sequence of k
-    of them, one stream per draw.  Each stream consumes exactly n*n standard
-    normals followed by n*n uniforms regardless of the data, so draw streams
-    are reproducible, and the draw of a stream in a sequence equals its draw
-    alone, bit for bit.  The posterior moments and spike weights, which
-    depend on the data and the parameters only, are computed once for all
-    the streams.  Exact special cases (measurement-error variance exactly
-    zero, spike draws) return the observed flow or zero verbatim, which is
-    what lets no-measurement-error runs reproduce estimation-error-only runs
-    bit for bit.
+    ``rngs`` is a sequence of k ``np.random.Generator``, one stream per
+    draw; a single draw takes a list of one.  Each stream consumes exactly
+    n*n standard normals followed by n*n uniforms regardless of the data, so
+    draw streams are reproducible, and the draw of a stream in a sequence
+    equals its draw alone, bit for bit.  The posterior moments and spike
+    weights, which depend on the data and the parameters only, are computed
+    once for all the streams.  Exact special cases (measurement-error
+    variance exactly zero, spike draws) return the observed flow or zero
+    verbatim, which is what lets no-measurement-error runs reproduce
+    estimation-error-only runs bit for bit.
 
-    Returns the draw, a ``FlowMatrix`` for one generator or a list of k for a
-    sequence, and the count of degenerate observed zeros (p = b = 0) that
-    were resolved as true zeros, summed over the streams.
+    Returns the k draws, a list of ``FlowMatrix``, and the count of
+    degenerate observed zeros (p = b = 0) that were resolved as true zeros,
+    summed over the streams.
     """
     if params.has_periods:
         raise DataError("slice per-period parameters with for_period() first")
@@ -94,8 +94,6 @@ def sample_flow_matrix(flows_obs: FlowMatrix, params: CalibratedParams, rng):
     n = flows_obs.n
     if params.n != n:
         raise DataError("parameter matrices do not match the flow matrix size")
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
     k = len(rngs)
     z, u = np.empty((k, n, n)), np.empty((k, n, n))
     for j, stream in enumerate(rngs):
@@ -141,8 +139,7 @@ def sample_flow_matrix(flows_obs: FlowMatrix, params: CalibratedParams, rng):
     out[at] = np.exp(mu[at[1:]] + np.sqrt(s2[at[1:]]) * z[at])
 
     draws = [FlowMatrix(values, flows_obs.labels) for values in out]
-    count = k * int(np.count_nonzero(degenerate))
-    return (draws[0] if single else draws), count
+    return draws, k * int(np.count_nonzero(degenerate))
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,14 @@ def _labels(labels, n: int) -> tuple[str, ...]:
     labels = tuple(labels) or tuple(str(i) for i in range(n))
     if len(labels) != n:
         raise DataError(f"expected {n} labels, got {len(labels)}")
-    repeated = [lab for lab, count in Counter(labels).items() if count > 1]
-    if repeated:
-        raise DataError(f"labels must be unique; repeated: {repeated}")
+    _refuse_repeats("labels", labels)
     return labels
+
+
+def _refuse_repeats(what: str, items):
+    repeated = [x for x, count in Counter(items).items() if count > 1]
+    if repeated:
+        raise DataError(f"{what} must be unique; repeated: {repeated}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -185,9 +189,10 @@ class CalibratedParams:
     """Calibrated prior and measurement-error parameters, one set per dyad.
 
     ``mu`` is (n, n) in the baseline regime or (T, n, n) in the mirror-panel
-    regime (slice with :meth:`for_period` before sampling); a NaN mean marks
-    a dyad without a prior mean.  Shrunk variance matrices, when present,
-    take precedence in the posterior.
+    regime, one slice per distinct period of ``periods`` (slice with
+    :meth:`for_period` before sampling); a NaN mean marks a dyad without a
+    prior mean.  Shrunk variance matrices, when present, take precedence in
+    the posterior.
     """
 
     p: np.ndarray
@@ -227,6 +232,7 @@ class CalibratedParams:
         object.__setattr__(self, "labels", _labels(self.labels, n))
         if self.periods is not None:
             object.__setattr__(self, "periods", tuple(int(t) for t in self.periods))
+            _refuse_repeats("periods", self.periods)
 
     @property
     def n(self) -> int:

@@ -28,10 +28,12 @@ import csv
 import io
 import json
 import math
+import operator
 import re
 from array import array
 from collections import Counter
 from contextlib import contextmanager
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Sequence
 
@@ -52,6 +54,9 @@ _CHUNK_CHARS = 1 << 16
 _BLOCK_DYADS = 256
 # The column CSV writer lays out the text of this many rows at a time.
 _BLOCK_ROWS = 4096
+# The fields of a params.json dyad besides mu; the last two, the shrunk
+# variances, are on every dyad or on none.
+_FIELDS = ("p", "b", "s2", "sigma2", "s2_shrunk", "sigma2_shrunk")
 
 
 @contextmanager
@@ -428,18 +433,8 @@ def write_params_json(path, params: CalibratedParams):
     keys = _dyad_keys(params.labels)
     # Each field's values as an (n * n, width) grid: width 1, or one column
     # per period for per-period means.
-    numbers = {
-        name: np.reshape(arr, (n * n, 1))
-        for name, arr in (
-            ("p", params.p),
-            ("b", params.b),
-            ("s2", params.s2),
-            ("sigma2", params.sigma2),
-            ("s2_shrunk", params.s2_shrunk),
-            ("sigma2_shrunk", params.sigma2_shrunk),
-        )
-        if arr is not None
-    }
+    arrays = {name: getattr(params, name) for name in _FIELDS}
+    numbers = {name: arr.reshape(n * n, 1) for name, arr in arrays.items() if arr is not None}
     if params.has_periods:
         periods = params.periods
         by_text = sorted(range(len(periods)), key=lambda k: str(periods[k]))
@@ -474,10 +469,12 @@ def write_params_json(path, params: CalibratedParams):
         handle.write(f'\n  "labels": {labels_text},\n  "periods": {periods_text}\n}}\n')
 
 
-def _number(value, key: str, name: str) -> float:
-    """A dyad's JSON number as a float, null as NaN."""
+def _number(value, key: str, name: str, nullable: bool) -> float:
+    """A dyad's JSON number as a float; null is NaN where ``nullable``."""
     if value is None:
-        return math.nan
+        if nullable:
+            return math.nan
+        raise DataError(f"params dyad {key!r}: {name} is missing or null")
     try:
         if type(value) in (int, float):
             return float(value)
@@ -486,19 +483,27 @@ def _number(value, key: str, name: str) -> float:
     raise DataError(f"params dyad {key!r}: {name} must be a number, got {value!r}")
 
 
-_SHRUNK = ("s2_shrunk", "sigma2_shrunk")
+def _check(dyads: dict, ok: list, message: str):
+    """Refuse ``message``, formatted with the ``key`` and ``entry`` of the
+    first dyad in the document's order whose ``ok`` is false."""
+    if not all(ok):
+        key = next(compress(dyads, map(operator.not_, ok)))
+        raise DataError(message.format(key=repr(key), entry=dyads[key]))
 
 
 def params_from_json(doc) -> CalibratedParams:
-    """Parameters from a ``write_params_json`` document.  Every one of the
-    n * n dyads must be listed and carry p, b, s2, sigma2 and mu, and each
-    shrunk variance on every dyad or on none; only mu may be null, and a null
-    mu marks a dyad without a prior mean.  A document of another shape is a
-    DataError.
+    """Parameters from a ``write_params_json`` document: each of the n * n
+    dyads listed once, as an object carrying p, b, s2, sigma2 and mu, and
+    each shrunk variance on every dyad or on none.  Only mu may be null,
+    marking a dyad without a prior mean; a per-period mu is an object keyed
+    by exactly the file's periods, whose values may be null.  A document of
+    another shape is a DataError.
 
-    A document as ``write_params_json`` writes it, every number a float, is
-    read a field at a time (``_params_columns``); any other goes dyad by
-    dyad, which names the first dyad that is refused."""
+    The document is read a field at a time: the dyad keys by set operations,
+    every other check on a whole column of the dyads, and a field (a period
+    of mu) of floats only in one ``np.array`` call; any other goes value by
+    value through ``_number``.  A refusal names the first refused dyad in
+    the document's key order, a missing one in label order."""
     if not isinstance(doc, dict):
         raise DataError("params file must hold a JSON object")
     labels, dyads, periods = doc.get("labels"), doc.get("dyads"), doc.get("periods")
@@ -508,92 +513,50 @@ def params_from_json(doc) -> CalibratedParams:
         raise DataError('params file needs "dyads", an object keyed by dyad')
     if not (periods is None or isinstance(periods, list) and all(type(t) is int for t in periods)):
         raise DataError('params "periods" must be null or a list of whole numbers')
-    labels = tuple(labels)
+    labels, periods = tuple(labels), tuple(periods or ()) or None
     n = len(labels)
-    first = next(iter(dyads.values()), {})
-    shrunk = tuple(name for name in _SHRUNK if isinstance(first, dict) and name in first)
-    names = ("p", "b", "s2", "sigma2") + shrunk
-    keys = _dyad_keys(labels)
-    values = _params_columns(dyads, keys, names, periods) or _params_by_dyad(
-        dyads, keys, names, periods
-    )
-    return CalibratedParams(
-        labels=labels,
-        periods=tuple(periods) if periods else None,
-        **values,
-    )
-
-
-def _params_columns(dyads: dict, keys: list[str], names, periods) -> dict | None:
-    """The (n, n) grid of each field in ``names`` and of mu, (T, n, n) per
-    period, from a ``dyads`` object that lists every dyad of ``keys`` once,
-    each an object with only float numbers and a mu that may be null; None
-    for any other object."""
+    cells = dict(zip(_dyad_keys(labels), range(n * n)))
+    if unknown := dyads.keys() - cells:
+        raise DataError(f"unknown dyad key {next(filter(unknown.__contains__, dyads))!r}")
+    if len(dyads) < len(cells):  # with no unknown key, some are missing
+        missing = cells.keys() - dyads.keys()
+        raise DataError(f"params file has no dyad {next(filter(missing.__contains__, cells))!r}")
     entries = list(dyads.values())
-    cells = {key: k for k, key in enumerate(keys)}
-    at = list(map(cells.get, dyads))
-    if len(at) != len(keys) or None in at or set(map(type, entries)) != {dict}:
-        return None
-    # With the fields and mu in every entry and nothing else, no shrunk
-    # variance sits on some dyads only.
-    if set(map(len, entries)) != {len(names) + 1} or not all("mu" in e for e in entries):
-        return None
-    mus = [e["mu"] for e in entries]
-    if periods:
-        if not all(type(mu) is dict or mu is None for mu in mus):
-            return None
-        mus = [[None if mu is None else mu.get(str(t)) for mu in mus] for t in periods]
-    else:
-        mus = [mus]
-    n = math.isqrt(len(keys))
+    objects = list(map(isinstance, entries, repeat(dict)))
+    _check(dyads, objects, "params dyad {key} must be an object, got {entry!r}")
+    at = np.fromiter(map(cells.__getitem__, dyads), np.intp, len(dyads))
 
-    def grid(column, types):
-        if not set(map(type, column)) <= types:
-            return None
-        values = np.empty(n * n)
-        values[at] = np.array(column, dtype=float)  # None reads as NaN
-        return values.reshape(n, n)
+    def grid(objects, field, name, nullable=False):
+        # With repeated labels some cells stay 0; CalibratedParams refuses them.
+        values = list(map(dict.get, objects, repeat(field)))
+        if not set(map(type, values)) <= ({float, type(None)} if nullable else {float}):
+            values = [_number(v, key, name, nullable) for key, v in zip(dyads, values)]
+        out = np.zeros(n * n)
+        out[at] = np.array(values, dtype=float)  # None reads as NaN
+        return out.reshape(n, n)
 
-    out = {name: grid([e.get(name) for e in entries], {float}) for name in names}
-    mu = [grid(column, {float, type(None)}) for column in mus]
-    if any(values is None for values in [*out.values(), *mu]):
-        return None
-    return dict(out, mu=np.stack(mu) if periods else mu[0])
+    def has(name):
+        return list(map(dict.__contains__, entries, repeat(name)))
 
-
-def _params_by_dyad(dyads: dict, keys: list[str], names, periods) -> dict:
-    """The grids of ``_params_columns`` from any ``dyads`` object, dyad after
-    dyad in the document's order; a DataError names the first dyad refused."""
-    n = math.isqrt(len(keys))
-    unshrunk = tuple(name for name in _SHRUNK if name not in names)
-    values = {name: np.zeros((n, n)) for name in names}
-    mu = np.full((len(periods), n, n) if periods else (n, n), np.nan)
-    cells = {key: divmod(k, n) for k, key in enumerate(keys)}
-    for key, entry in dyads.items():
-        if key not in cells:
-            raise DataError(f"unknown dyad key {key!r}")
-        i, j = cells.pop(key)
-        if not isinstance(entry, dict):
-            raise DataError(f"params dyad {key!r} must be an object, got {entry!r}")
-        for name in names:
-            if entry.get(name) is None:
-                raise DataError(f"params dyad {key!r}: {name} is missing or null")
-            values[name][i, j] = _number(entry[name], key, name)
-        if unshrunk and any(name in entry for name in unshrunk):
-            raise DataError(f"params dyad {key!r}: shrunk variances on some dyads only")
-        if "mu" not in entry:
-            raise DataError(f"params dyad {key!r}: mu is missing")
-        if periods:
-            by_period = {} if entry["mu"] is None else entry["mu"]
-            if not isinstance(by_period, dict):
-                raise DataError(f"params dyad {key!r}: per-period mu must be an object")
-            for k, per in enumerate(periods):
-                mu[k, i, j] = _number(by_period.get(str(per)), key, "mu")
-        else:
-            mu[i, j] = _number(entry["mu"], key, "mu")
-    if cells:
-        raise DataError(f"params file has no dyad {next(iter(cells))!r}")
-    return dict(values, mu=mu)
+    shrunk = tuple(name for name in _FIELDS[4:] if entries and name in entries[0])
+    values = {name: grid(entries, name, name) for name in _FIELDS[:4] + shrunk}
+    _check(dyads, has("mu"), "params dyad {key}: mu is missing")
+    if set(map(len, entries)) != {len(values) + 1}:  # keys besides the fields and mu
+        for name in (name for name in _FIELDS[4:] if name not in shrunk):
+            absent = list(map(operator.not_, has(name)))
+            _check(dyads, absent, "params dyad {key}: shrunk variances on some dyads only")
+    if not periods:
+        return CalibratedParams(labels=labels, mu=grid(entries, "mu", "mu", True), **values)
+    mus = list(map(dict.get, entries, repeat("mu")))
+    objects = list(map(isinstance, mus, repeat((dict, type(None)))))
+    _check(dyads, objects, "params dyad {key}: per-period mu must be an object")
+    texts = [str(t) for t in periods]
+    if None in mus:  # a null mu is null in every period
+        mus = [dict.fromkeys(texts) if mu is None else mu for mu in mus]
+    keyed = list(map(operator.eq, map(dict.keys, mus), repeat(set(texts))))
+    _check(dyads, keyed, "params dyad {key}: per-period mu must be keyed by exactly the periods")
+    mu = np.stack([grid(mus, t, "mu", True) for t in texts])
+    return CalibratedParams(labels=labels, periods=periods, mu=mu, **values)
 
 
 def read_params_json(path) -> CalibratedParams:

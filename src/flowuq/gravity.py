@@ -179,6 +179,15 @@ def _collinear(what: str) -> Collinear:
     return Collinear(f"{what} lies in the span of the fixed effects")
 
 
+def _no_flow_for(has_origin: np.ndarray, has_dest: np.ndarray, labels) -> str | None:
+    """The refusal of a sample that leaves origins, else destinations,
+    without a positive flow, naming them; None when every one has one."""
+    for name, present in (("origin", has_origin), ("destination", has_dest)):
+        if not present.all():
+            return f"no positive flow for {name}s {[labels[i] for i in np.flatnonzero(~present)]}"
+    return None
+
+
 def _singular_projection() -> Separation:
     return Separation(
         "the fixed-effects projection became singular during PPML iteration: "
@@ -321,10 +330,12 @@ def fit_ppml_many(
     Collinear
         When ``log_costs`` has no variation beyond the fixed effects.
     Separation
-        When a fixed effect diverges (|FE| > 30, with the first origin
-        effect normalised to zero) during iteration, or the fitted means
-        vanish on part of the sample so that the fixed-effects projection
-        becomes singular.
+        Before iterating, when the included positive flows leave an origin
+        or a destination without one (the message names them, as
+        ``fit_log_gravity`` does); during iteration, when a fixed effect
+        diverges (|FE| > 30, with the first origin effect normalised to
+        zero) or the fitted means vanish on part of the sample so that the
+        fixed-effects projection becomes singular.
     NoConvergence
         When the iteration cap is hit or the first-order conditions fail
         (a score sum above 1e-8 of the largest flow), and for a warm fit
@@ -347,7 +358,7 @@ def fit_ppml_many(
     if not np.all(np.isfinite(log_costs[mask])):
         raise DataError("log_costs must be finite on included dyads")
     failures, fit_at, s, o, d, dev, iterations, mu, influence = _ppml_irls(
-        y, np.where(mask, log_costs, 0.0), mask, start
+        y, np.where(mask, log_costs, 0.0), mask, start, [flows.labels for flows in flows_seq]
     )
     fits: list = [failures.get(j) for j in range(k)]
     var, projected = _influence_variance(influence, dyadic=True)
@@ -367,14 +378,14 @@ def fit_ppml_many(
     return fits
 
 
-def _ppml_irls(y: np.ndarray, cost: np.ndarray, mask: np.ndarray, start: PpmlFit | None):
+def _ppml_irls(y: np.ndarray, cost: np.ndarray, mask: np.ndarray, start: PpmlFit | None, names):
     """The batched IRLS of ``fit_ppml_many`` on the (k, n, n) flows ``y``,
     which it overwrites, and the log costs ``cost``, zero off the ``mask``
-    of included dyads.  Every fit runs to its own end.  Returns the errors
-    of the failed fits by fit index, and the per-row coefficients,
-    deviances, iteration counts, fitted means and influence grids, where
-    row r holds fit ``fit_at[r]`` (the first ``len(fit_at)`` rows, which
-    hold every converged fit)."""
+    of included dyads; ``names`` holds each fit's location labels.  Every
+    fit runs to its own end.  Returns the errors of the failed fits by fit
+    index, and the per-row coefficients, deviances, iteration counts, fitted
+    means and influence grids, where row r holds fit ``fit_at[r]`` (the
+    first ``len(fit_at)`` rows, which hold every converged fit)."""
     k, n = y.shape[:2]
     labels = _components(mask)
     # The working set.  Row r of every grid and per-fit vector holds the fit
@@ -410,9 +421,16 @@ def _ppml_irls(y: np.ndarray, cost: np.ndarray, mask: np.ndarray, start: PpmlFit
         return kept
 
     failures: dict[int, Exception] = {}
-    live = pos.any(axis=(1, 2))
+    has_origin, has_dest = pos.any(axis=2), pos.any(axis=1)
+    live = has_origin.any(axis=1)
     for j in np.flatnonzero(~live):
         failures[int(j)] = InsufficientData("no positive flow on the included dyads")
+    # A location without positive flow has no finite fixed effect: its
+    # fitted means can only fall toward zero, so the fit separates.
+    reached = has_origin.all(axis=1) & has_dest.all(axis=1)
+    for j in np.flatnonzero(live & ~reached):
+        failures[int(j)] = Separation(_no_flow_for(has_origin[j], has_dest[j], names[j]))
+    live &= reached
     if start is None:
         # Standard GLM start: pull the mean toward the sample average.  Its
         # support, and so that of every later mu = exp(eta), is the whole
@@ -673,10 +691,8 @@ def fit_log_gravity(flows: FlowMatrix, distances: DistanceMatrix) -> GravityFit:
     sample = (flows.values > 0) & ~np.eye(n, dtype=bool)
     if not np.any(sample):
         raise InsufficientData("no positive off-diagonal flows")
-    for name, present in (("origin", sample.any(axis=1)), ("destination", sample.any(axis=0))):
-        if not present.all():
-            labels = [flows.labels[i] for i in np.flatnonzero(~present)]
-            raise InsufficientData(f"no positive flow for {name}s {labels}")
+    if message := _no_flow_for(sample.any(axis=1), sample.any(axis=0), flows.labels):
+        raise InsufficientData(message)
     with np.errstate(divide="ignore"):
         fit = _log_gravity_ols(flows.values, np.log(distances.values))
     unlinked = np.isnan(fit.mu) & ~np.eye(n, dtype=bool)

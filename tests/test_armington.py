@@ -486,7 +486,7 @@ def test_many_matches_single_solves_at_the_draw_loop_batch_n100():
     world = armington_world(n=100, seed=3)
     _, observed = world.draw_world(np.random.default_rng(1))
     rng = np.random.default_rng(2)
-    stack = [sample_flow_matrix(observed, world.params, rng)[0].values for _ in range(k)]
+    stack = [d.values for d in sample_flow_matrix(observed, world.params, [rng] * k)[0]]
     epsilons = rng.uniform(3.0, 7.0, k)
     tau = world.cf_spec.tau_prop
     results = solve_counterfactual_many(matrices(stack), world.cf_spec, epsilons)

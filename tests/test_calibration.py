@@ -60,8 +60,8 @@ def off_diagonal_draws(f_obs, params, seed):
     """Off-diagonal entries of one posterior draw of a matrix whose every
     entry is observed as ``f_obs``."""
     n = params.n
-    draw, _ = sample_flow_matrix(
-        FlowMatrix(np.full((n, n), f_obs)), params, np.random.default_rng(seed)
+    (draw,), _ = sample_flow_matrix(
+        FlowMatrix(np.full((n, n), f_obs)), params, [np.random.default_rng(seed)]
     )
     return draw.values[~np.eye(n, dtype=bool)]
 
@@ -229,7 +229,7 @@ class TestSampleFlowMatrix:
         draws, degenerate = sample_flow_matrix(flows, params, streams)
         assert len(draws) == k
         for seed, (draw, stream) in enumerate(zip(draws, streams)):
-            alone, count = sample_flow_matrix(flows, params, np.random.default_rng(seed))
+            (alone,), count = sample_flow_matrix(flows, params, [np.random.default_rng(seed)])
             assert np.array_equal(draw.values, alone.values)
             expected = reference_draw(flows, params, np.random.default_rng(seed))
             assert np.array_equal(draw.values, expected)
@@ -243,16 +243,14 @@ class TestSampleFlowMatrix:
     def test_zero_me_variance_reproduces_observation(self):
         rng = np.random.default_rng(0)
         flows = FlowMatrix(np.random.default_rng(1).uniform(0.5, 2.0, (4, 4)))
-        draw, degenerate = sample_flow_matrix(
-            flows, constant_params(4, sigma2=0.0), rng
-        )
+        (draw,), degenerate = sample_flow_matrix(flows, constant_params(4, sigma2=0.0), [rng])
         assert np.array_equal(draw.values, flows.values)
         assert degenerate == 0
 
     def test_diagonal_held_fixed(self):
         rng = np.random.default_rng(2)
         flows = FlowMatrix(np.random.default_rng(3).uniform(0.5, 2.0, (4, 4)))
-        draw, _ = sample_flow_matrix(flows, constant_params(4), rng)
+        (draw,), _ = sample_flow_matrix(flows, constant_params(4), [rng])
         assert np.array_equal(np.diag(draw.values), np.diag(flows.values))
         off = ~np.eye(4, dtype=bool)
         assert np.all(draw.values[off] != flows.values[off])
@@ -263,7 +261,7 @@ class TestSampleFlowMatrix:
         values[0, 1] = 0.0
         values[1, 2] = 0.0
         flows = FlowMatrix(values)
-        draw, degenerate = sample_flow_matrix(flows, constant_params(3), rng)
+        (draw,), degenerate = sample_flow_matrix(flows, constant_params(3), [rng])
         assert degenerate == 2
         assert draw.values[0, 1] == 0.0 and draw.values[1, 2] == 0.0
 
@@ -278,7 +276,7 @@ class TestSampleFlowMatrix:
             p=params.p, b=params.b, mu=mu, s2=s2, sigma2=params.sigma2
         )
         with pytest.raises(DataError, match="posterior update needs a finite prior mean"):
-            sample_flow_matrix(FlowMatrix(np.ones((3, 3))), params, np.random.default_rng(0))
+            sample_flow_matrix(FlowMatrix(np.ones((3, 3))), params, [np.random.default_rng(0)])
 
     def test_rng_consumption_is_data_independent(self):
         # Same seed, different observed zeros: subsequent rng state matches.
@@ -289,8 +287,8 @@ class TestSampleFlowMatrix:
         values = np.ones((3, 3))
         values[0, 1] = 0.0
         f2 = FlowMatrix(values)
-        sample_flow_matrix(f1, params, a)
-        sample_flow_matrix(f2, params, b)
+        sample_flow_matrix(f1, params, [a])
+        sample_flow_matrix(f2, params, [b])
         assert a.standard_normal() == b.standard_normal()
 
 
@@ -881,7 +879,7 @@ class TestCalibrateMirror:
         assert not sliced.has_periods
         flows = FlowMatrix(scen.panel.report1[-1], scen.labels)
         rng = np.random.default_rng(0)
-        draw, degenerate = sample_flow_matrix(flows, sliced, rng)
+        (draw,), degenerate = sample_flow_matrix(flows, sliced, [rng])
         assert degenerate == 0
         assert np.all(draw.values[off] > 0)
         # The last period's fit comes back whole.

@@ -1298,9 +1298,10 @@ def test_estimate_variance_modes(armington_files, tmp_path):
     assert not (out / "ppml.json").exists()
 
 
-def test_estimate_singular_projection_exit_3(tmp_path):
-    # The weighted fixed-effects block turns singular during IRLS on this
-    # world; that is a separation error, not a numpy traceback.
+def test_estimate_singular_projection_exit_3(tmp_path, capsys):
+    # Origin 2 of this world exports nothing, which can turn the weighted
+    # fixed-effects block singular during IRLS; the fit is refused before it
+    # iterates, with a separation error rather than a numpy traceback.
     world, log_costs = singular_world()
     labels = [str(i) for i in range(world.n)]
     flows = tmp_path / "flows.csv"
@@ -1309,6 +1310,7 @@ def test_estimate_singular_projection_exit_3(tmp_path):
     dataio.write_dyadic_csv(costs, labels, np.exp(log_costs), "cost")
     argv = ["estimate", "--flows", str(flows), "--costs", str(costs)]
     assert main(argv + ["--output-dir", str(tmp_path / "est")]) == 3
+    assert "no positive flow for origins ['2']" in capsys.readouterr().err
 
 
 def test_calibrate_mirror_period_without_positive_flows_exits_3(tmp_path, capsys):

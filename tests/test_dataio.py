@@ -282,6 +282,51 @@ def test_params_json_shrunk_pair_on_every_dyad_or_none():
             dataio.params_from_json(doc)
 
 
+def test_params_json_reads_hand_edited_numbers():
+    # An integer reads as its float; a boolean is no number.
+    doc = params_json_doc(_mirror_params())
+    key = sorted(doc["dyads"])[6]
+    doc["dyads"][key]["p"] = 0
+    doc["dyads"][key]["mu"]["10"] = -2
+    back = dataio.params_from_json(doc)
+    i, j = (back.labels.index(lab) for lab in key.split("->"))
+    assert back.p[i, j] == 0.0 and back.mu[1, i, j] == -2.0
+    assert back.p.dtype == float
+    doc["dyads"][key]["p"] = True
+    with pytest.raises(DataError, match=f"params dyad '{key}': p must be a number, got True"):
+        dataio.params_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda mu: mu.pop("10"),  # would read as an all-NaN prior mean
+        lambda mu: mu.update({"12": 1.0}),  # would be dropped
+        lambda mu: mu.update({"9.0": mu.pop("9")}),
+    ],
+    ids=["missing-period", "extra-period", "period-spelt-otherwise"],
+)
+def test_params_json_per_period_mu_is_keyed_by_exactly_the_periods(edit):
+    doc = params_json_doc(_mirror_params())
+    keys = sorted(doc["dyads"])
+    doc["dyads"][keys[1]]["mu"] = None  # a null mu stays allowed,
+    doc["dyads"][keys[2]]["mu"]["11"] = None  # and so does a null value in one
+    dataio.params_from_json(doc)
+    edit(doc["dyads"][keys[6]]["mu"])
+    message = f"params dyad '{keys[6]}': per-period mu must be keyed by exactly the periods"
+    with pytest.raises(DataError, match=message):
+        dataio.params_from_json(doc)
+
+
+def test_params_json_refuses_repeated_periods():
+    # Every mu object is keyed by the periods listed, but for_period(9)
+    # would take the first of the two slices of period 9.
+    doc = params_json_doc(_mirror_params())
+    doc["periods"] = [9, 10, 9, 11]
+    with pytest.raises(DataError, match=r"periods must be unique; repeated: \[9\]"):
+        dataio.params_from_json(doc)
+
+
 def test_mirror_csv_golden(tmp_path):
     nan = np.nan
     r1 = np.array(

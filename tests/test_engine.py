@@ -457,7 +457,8 @@ class TestEngine:
             cfg = self.cfg(b=40, alpha=0.1, max_failure_fraction=0.5, **kw)
             expected = []
             for b in range(1, 41):
-                flows_b = sample_flow_matrix(flows_obs, scen.params, draw_rng(cfg.seed, b, 0))[0]
+                stream = [draw_rng(cfg.seed, b, 0)]
+                (flows_b,), _ = sample_flow_matrix(flows_obs, scen.params, stream)
                 theta_rng = draw_rng(cfg.seed, b, 1)
                 thetas = [est.draws(theta_rng, 1)[0] for _ in range(n_theta)]
                 try:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowuq import (
@@ -77,34 +77,58 @@ class TestPpml:
         scores = ppml_rebuild(fit, flows, log_costs)[0]
         assert np.max(np.abs(scores)) < 1e-6
 
-    def test_singular_projection_fails_its_slice_alone(self, monkeypatch):
-        # On the heavy-noise world the fitted means of the empty origin fall
-        # to ~1e-17 of the largest, and the fixed-effects block turns
-        # singular before any effect exceeds the separation bound.
+    def test_location_without_positive_flow_separates_up_front(self):
+        # Origin 2 of the heavy-noise world exports nothing: its effect has
+        # no finite value, so the fit is refused before it iterates, naming
+        # the origin as the log-linear gravity fit does; likewise a
+        # destination.  In a batch each slice keeps its own outcome.
         flows, log_costs = singular_world()
-        with pytest.raises(Separation, match="projection became singular") as single:
+        with pytest.raises(Separation, match=r"no positive flow for origins \['2'\]") as single:
             fit_ppml(flows, log_costs)
+        with pytest.raises(InsufficientData, match=r"no positive flow for origins \['2'\]"):
+            fit_log_gravity(flows, DistanceMatrix(np.exp(log_costs) + np.eye(flows.n)))
+        lonely, _ = gravity_flows(flows.n, 2.0, np.random.default_rng(5), 0.3, True)
+        lonely = np.array(lonely.values)
+        lonely[:, 3] = 0.0
+        with pytest.raises(Separation, match=r"no positive flow for destinations \['3'\]"):
+            fit_ppml(FlowMatrix(lonely), log_costs)
+        # Only included flows count: an own flow reaches its destination
+        # only when the diagonal is in the sample.
+        lonely[3, 3] = 1.0
+        with pytest.raises(Separation, match=r"no positive flow for destinations \['3'\]"):
+            fit_ppml(FlowMatrix(lonely), log_costs)
+        assert fit_ppml(FlowMatrix(lonely), log_costs, include_diagonal=True).iterations > 0
 
-        # The weighting that was singular fails alone in a stack: the other
-        # slices get their own projections, bit for bit.
-        seen = []
-        real = gravity._twoway_fe
-
-        def recording(w, v, labels, *scratch):
-            out = real(w, v, labels, *scratch)
-            if out[3].any():
-                seen.append((w[out[3]][0], v[out[3]][0], labels))
-            return out
-
-        monkeypatch.setattr(gravity, "_twoway_fe", recording)
-        with pytest.raises(Separation):
-            fit_ppml(flows, log_costs)
-        monkeypatch.undo()
-        w_bad, v_bad, labels = seen[0]
         rng = np.random.default_rng(3)
-        w = np.exp(rng.normal(0.0, 1.0, (4,) + w_bad.shape)) * (w_bad > 0)
-        v = rng.normal(size=(4,) + v_bad.shape)
-        w[2], v[2] = w_bad, v_bad
+        good = [gravity_flows(flows.n, 2.0, rng)[0].values for _ in range(3)]
+        separating = good[2] * np.exp(40.0 * (np.arange(flows.n) == 2))
+        with pytest.raises(Separation, match="exceeded") as sep:
+            fit_ppml(FlowMatrix(separating), log_costs)
+        for stack, at_empty, at_sep in (
+            ([good[0], good[1], flows.values, separating], 2, 3),
+            ([good[0], separating, flows.values, good[1]], 2, 1),
+        ):
+            for start in (None, fit_ppml(FlowMatrix(good[0]), log_costs)):
+                fits = fit_ppml_many(matrices(stack), log_costs, start=start)
+                assert str(fits[at_empty]) == str(single.value)
+                assert str(fits[at_sep]) == str(sep.value)
+                for values, fit in zip(stack, fits):
+                    assert_same_outcome(fit_alone(FlowMatrix(values), log_costs, start=start), fit)
+
+    def test_singular_projection_fails_its_slice_alone(self, monkeypatch):
+        # Fitted means that vanish on part of the sample can split it in
+        # two: origins 0 and 1 reach only destinations 2 and 3, and origins 2
+        # and 3 only destinations 0 and 1.  With weights 0 and 1 the weighted
+        # fixed-effects block is exactly singular, and that weighting fails
+        # alone in a stack: the others get their own projections, bit for bit.
+        n = 4
+        labels = _components(~np.eye(n, dtype=bool))
+        w_bad = np.zeros((n, n))
+        w_bad[:2, 2:] = w_bad[2:, :2] = 1.0
+        rng = np.random.default_rng(3)
+        w = np.exp(rng.normal(0.0, 1.0, (4, n, n))) * ~np.eye(n, dtype=bool)
+        v = rng.normal(size=(4, 2, n, n))
+        w[2] = w_bad
         a, b, _, singular = _twoway_fe(w, v, labels)
         assert singular.tolist() == [False, False, True, False]
         assert np.isnan(a[2]).all() and np.isnan(b[2]).all()
@@ -113,21 +137,29 @@ class TestPpml:
             assert not singular_j.any()
             assert np.array_equal(a[j], a_j[0]) and np.array_equal(b[j], b_j[0])
 
-        # In a batch of fits each slice gets its own outcome: the singular
-        # and the separating slice their errors, the others their fits.
-        good = [gravity_flows(flows.n, 2.0, rng)[0].values for _ in range(3)]
-        separating = good[2] * np.exp(40.0 * (np.arange(flows.n) == 2))
-        with pytest.raises(Separation, match="exceeded") as sep:
-            fit_ppml(FlowMatrix(separating), log_costs)
-        for stack, at_singular, at_sep in (
-            ([good[0], good[1], flows.values, separating], 2, 3),
-            ([good[0], separating, flows.values, good[1]], 2, 1),
-        ):
-            fits = fit_ppml_many(matrices(stack), log_costs)
-            assert str(fits[at_singular]) == str(single.value)
-            assert str(fits[at_sep]) == str(sep.value)
-            for values, fit in zip(stack, fits):
-                assert_same_outcome(fit_alone(FlowMatrix(values), log_costs), fit)
+        # A fit whose projection turns singular mid-iteration fails alone
+        # with the singular-projection error.  Refusing locations without
+        # flow leaves no known matrix that reaches it, so the projection
+        # reports the heaviest weighting singular from the third iteration.
+        real, calls = gravity._twoway_fe, []
+
+        def singular_when_heavy(w, v, labels, *scratch):
+            a, b, linked, singular = real(w, v, labels, *scratch)
+            calls.append(None)
+            if len(calls) >= 3:
+                singular = singular | (w.sum(axis=(1, 2)) > 1e5)
+            return a, b, linked, singular
+
+        log_costs = rng.uniform(0.0, 0.5, (n, n))
+        stack = [gravity_flows(n, 2.0, rng, 0.3)[0].values for _ in range(3)]
+        stack[1] = stack[1] * 1e6
+        monkeypatch.setattr(gravity, "_twoway_fe", singular_when_heavy)
+        fits = fit_ppml_many(matrices(stack), log_costs)
+        assert isinstance(fits[1], Separation)
+        assert "projection became singular" in str(fits[1])
+        monkeypatch.undo()
+        for j in (0, 2):
+            assert_same_fit(fit_ppml(FlowMatrix(stack[j]), log_costs), fits[j])
 
     def test_warm_start_matches_cold_fits(self):
         # Draws around an observed matrix, fitted from the observed fit: the
@@ -137,9 +169,8 @@ class TestPpml:
         _, observed = world.draw_world(np.random.default_rng(1))
         start = fit_ppml(observed, world.log_costs)
         rng = np.random.default_rng(2)
-        stack = np.stack(
-            [sample_flow_matrix(observed, world.params, rng)[0].values for _ in range(6)]
-        )
+        draws, _ = sample_flow_matrix(observed, world.params, [rng] * 6)
+        stack = np.stack([d.values for d in draws])
         cold = fit_ppml_many(matrices(stack), world.log_costs)
         warm = fit_ppml_many(matrices(stack), world.log_costs, start=start)
         for c, w in zip(cold, warm):
@@ -265,8 +296,8 @@ class TestPpml:
 
 
 def singular_world():
-    """A heavy-noise PPML world (origin 0 exports nothing) on which the
-    weighted fixed-effects block turns singular during IRLS."""
+    """A heavy-noise PPML world, n = 5, in which origin 2 exports nothing and
+    destination 1 receives nothing; such a fit is refused before IRLS."""
     rng = np.random.default_rng(41)
     n = int(rng.integers(3, 7))
     noise_sd = rng.uniform(3, 8)
@@ -377,6 +408,10 @@ class TestPpmlMany:
                     assert independent_variance(single) == independent_variance(fit)
 
     @settings(max_examples=40, deadline=None)
+    # Batch matrix 4 gives destination 0 no positive flow: a cold fit can
+    # reach its first-order conditions with an effect near -30 while the warm
+    # fit crosses the separation bound, so both are refused before IRLS.
+    @example(n=4, seed=2**32 - 1, noise_sd=1.0, spread=0.5, zero_frac=0.3, include_diagonal=False)
     @given(
         n=st.integers(4, 12),
         seed=st.integers(0, 2**32 - 1),
@@ -523,13 +558,14 @@ class TestPpmlMany:
     def test_fits_that_stop_and_fail_mid_iteration_leave_the_others_alone(self, monkeypatch):
         # On one world's log costs: a clean and a noisy fit that converge at
         # iterations 5 and 6, a slow fit stopped by a cap of 36 iterations,
-        # and the singular slice, whose projection fails at iteration 35 while
-        # the slow fit still iterates beside it.  The rows of the fits that
+        # and a heavy-noise slice whose fixed effect passes the separation
+        # bound at iteration 16 while the slow fit still iterates beside it.
+        # The rows of the fits that
         # stop are reordered in place each time; every slice gets the outcome
         # it reaches alone, the slow fit's capped deviance included.
         monkeypatch.setattr(gravity, "_MAX_ITER", 36)
-        singular, log_costs = singular_world()
-        n = singular.n
+        _, log_costs = singular_world()
+        n = len(log_costs)
         clean = gravity_flows(n, 2.0, np.random.default_rng(0))[0]
         noisy = gravity_flows(n, 2.0, np.random.default_rng(1), 3.0)[0]
         slow = gravity_flows(n, 2.0, np.random.default_rng(767), 6.0)[0]
@@ -537,10 +573,15 @@ class TestPpmlMany:
         with pytest.raises(NoConvergence) as alone:
             fit_ppml(slow, log_costs)
         assert alone.value.iterations == 36
-        with pytest.raises(Separation, match="projection became singular"):
-            fit_ppml(singular, log_costs)
+        separating = gravity_flows(n, 2.0, np.random.default_rng(58), 6.0)[0]
+        with pytest.raises(Separation, match="exceeded"):
+            fit_ppml(separating, log_costs)
+        monkeypatch.setattr(gravity, "_MAX_ITER", 15)
+        with pytest.raises(NoConvergence):
+            fit_ppml(separating, log_costs)
+        monkeypatch.setattr(gravity, "_MAX_ITER", 36)
 
-        stack = [clean, slow, singular, noisy]
+        stack = [clean, slow, separating, noisy]
         fits = fit_ppml_many(stack, log_costs)
         assert [type(fit) for fit in fits] == [PpmlFit, NoConvergence, Separation, PpmlFit]
         assert fits[1].residual == alone.value.residual
@@ -560,7 +601,7 @@ class TestPpmlMany:
         _, observed = world.draw_world(np.random.default_rng(1))
         start = fit_ppml(observed, world.log_costs)
         rng = np.random.default_rng(2)
-        draws = [sample_flow_matrix(observed, world.params, rng)[0] for _ in range(8)]
+        draws = sample_flow_matrix(observed, world.params, [rng] * 8)[0]
         fit_ppml_many(draws, world.log_costs, start=start)
         tracemalloc.start()
         try:
@@ -582,9 +623,8 @@ class TestPpmlMany:
         _, observed = world.draw_world(np.random.default_rng(1))
         start = fit_ppml(observed, world.log_costs)
         rng = np.random.default_rng(2)
-        stack = np.stack(
-            [sample_flow_matrix(observed, world.params, rng)[0].values for _ in range(k)]
-        )
+        draws, _ = sample_flow_matrix(observed, world.params, [rng] * k)
+        stack = np.stack([d.values for d in draws])
         fits = fit_ppml_many(matrices(stack), world.log_costs, start=start)
         for single, batched in zip(stack, fits):
             alone = fit_ppml_many([FlowMatrix(single)], world.log_costs, start=start)
