@@ -28,7 +28,14 @@ import numpy as np
 from .core import CalibratedParams, DistanceMatrix, FlowMatrix, _freeze, _labels
 from .dataio import read_mirror_csv
 from .errors import DataError, InsufficientData
-from .gravity import GravityFit, _components, _log_gravity_ols, _twoway_fe, fit_log_gravity
+from .gravity import (
+    GravityFit,
+    _components,
+    _log_gravity_ols,
+    _no_flow_for,
+    _twoway_fe,
+    fit_log_gravity,
+)
 
 VARIANCE_FLOOR = 1e-12
 
@@ -443,7 +450,7 @@ def estimate_prior_variances(
     return s2
 
 
-def _twoway_log_fit(values: np.ndarray, what: str, keep_empty: bool) -> np.ndarray:
+def _twoway_log_fit(values: np.ndarray, labels, what: str, keep_empty: bool) -> np.ndarray:
     """Fit log(values) = origin FE + destination FE on the positive
     off-diagonal estimates and return exp(fitted) for every off-diagonal dyad
     whose fitted value is identified.
@@ -455,35 +462,33 @@ def _twoway_log_fit(values: np.ndarray, what: str, keep_empty: bool) -> np.ndarr
     separate groups of locations.  With ``keep_empty`` the dyads without an
     identified fitted value keep zero, and the fit runs on the rest; this is
     for estimates whose zeros are data (prior variances floored at zero).
-    Without it the fit raises InsufficientData; this is for estimates whose
-    zeros mean "not identified" (ME variances with no double-positive
-    period).
+    Without it the fit raises InsufficientData, naming the ``labels`` of the
+    locations or of a dyad it concerns; this is for estimates whose zeros
+    mean "not identified" (ME variances with no double-positive period).
     """
     n = values.shape[0]
     off = ~np.eye(n, dtype=bool)
     mask = off & np.isfinite(values) & (values > 0)
-    if not keep_empty:
-        for role, has in (("origin", mask.any(axis=1)), ("destination", mask.any(axis=0))):
-            if not has.all():
-                raise InsufficientData(
-                    f"no positive {what} estimate for {role} index "
-                    f"{np.flatnonzero(~has).tolist()}"
-                )
+    message = _no_flow_for(mask.any(axis=1), mask.any(axis=0), labels, f"{what} estimate")
+    if message and not keep_empty:
+        raise InsufficientData(message)
     log_v = np.log(np.where(mask, values, 1.0))
-    labels = _components(mask)
-    fe_o, fe_d, linked, _ = _twoway_fe(mask.astype(float)[None], log_v[None, None], labels)
+    comps = _components(mask)
+    fe_o, fe_d, linked, _ = _twoway_fe(mask.astype(float)[None], log_v[None, None], comps)
     fe_o, fe_d = fe_o[0, 0], fe_d[0, 0]
-    identified = linked & off
-    if not keep_empty and not identified[off].all():
+    unlinked = off & ~linked
+    if not keep_empty and unlinked.any():
+        i, j = np.argwhere(unlinked)[0]
         raise InsufficientData(
             f"positive {what} estimates split the locations into unconnected "
-            f"groups; {int(np.count_nonzero(off & ~identified))} dyads join two groups"
+            f"groups; {int(np.count_nonzero(unlinked))} dyads such as "
+            f"{labels[i]}->{labels[j]} join two groups"
         )
-    return np.where(identified, np.exp(fe_o[:, None] + fe_d[None, :]), 0.0)
+    return np.where(off & linked, np.exp(fe_o[:, None] + fe_d[None, :]), 0.0)
 
 
 def shrink_variances(
-    sigma2: np.ndarray, s2: np.ndarray
+    sigma2: np.ndarray, s2: np.ndarray, labels
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replace raw variance estimates by fitted values from two-way
     multiplicative fixed-effects models, log ves = k_i + k_j + error.
@@ -505,11 +510,11 @@ def shrink_variances(
       period, so sigma2 is not identified there (``estimate_me_variance``).
       A location with no positive sigma2 estimate in a role, or positive
       estimates that leave some dyad's origin and destination unconnected,
-      raise InsufficientData.
+      raise InsufficientData, which names them by their ``labels``.
     """
     return (
-        _twoway_log_fit(np.asarray(sigma2, dtype=float), "ME variance", keep_empty=False),
-        _twoway_log_fit(np.asarray(s2, dtype=float), "prior variance", keep_empty=True),
+        _twoway_log_fit(np.asarray(sigma2, dtype=float), labels, "ME variance", keep_empty=False),
+        _twoway_log_fit(np.asarray(s2, dtype=float), labels, "prior variance", keep_empty=True),
     )
 
 
@@ -530,7 +535,7 @@ def calibrate_mirror(
     s2 = estimate_prior_variances(panel, means.mu, sigma2)
     sigma2_shrunk = s2_shrunk = None
     if shrink:
-        sigma2_shrunk, s2_shrunk = shrink_variances(sigma2, s2)
+        sigma2_shrunk, s2_shrunk = shrink_variances(sigma2, s2, panel.labels)
     params = CalibratedParams(
         p=p,
         b=b,

@@ -277,7 +277,7 @@ def cmd_uq(args: argparse.Namespace) -> int:
     if args.smoother != "lowdim":
         _refuse_unused(args, "--smoother lowdim", "distances")
     if args.mode == "only-ee":
-        _refuse_unused(args, "--mode only-me or ee+me", "period")
+        _refuse_unused(args, "--mode only-me or ee+me", "period", "params")
     flows = dataio.read_flows_csv(args.flows)
     params = None
     if args.mode != "only-ee":
@@ -488,7 +488,9 @@ def _uq_options(p, add):
     add("--robust-c", type=float, help="with --interval robust (default 1)")
     add("--b-inner", type=int, help="with --interval c2 (default --b)")
     add("--max-failure-frac", type=float, default=0.05)
-    add("--workers", type=int, default=1)
+    add("--workers", type=int, default=1,
+        help="processes that run the draws; outputs are byte-identical for any count "
+             "(with more than one, set OPENBLAS_NUM_THREADS=1)")
     add("--smoother", choices=["none", "lowdim"], default="none",
         help="lowdim: evaluate the model on the gravity fit of each draw (estimand g(S(F)))")
     add("--distances", help="distances CSV, with --smoother lowdim")

@@ -10,10 +10,10 @@ dyad is 0 for flows, 1 for cost levels and cost changes, the reverse dyad
 for distances, and missing for a mirror report.  Inputs are UTF-8, with or
 without a byte-order mark.
 
-The reader parses by the column, on chunks of whole lines of about 64 K
-characters, so the text it holds at once is bounded whatever the file's
-size.  A quote-free chunk of rows of the header's width is split with one
-``str.split``, any other chunk with ``csv.reader`` (see ``_read_table``).
+The reader parses by the column, a batch of records at a time, so the text
+it holds at once is bounded whatever the file's size.  A quote-free chunk of
+rows of the header's width is split with one ``str.split``, any other record
+read with ``csv.reader`` (see ``_read_table``).
 
 Outputs are UTF-8 CSV/JSON in a fixed order, with floats as their shortest
 round-trip text (``float.__repr__``), so a rerun with the same seed is
@@ -29,11 +29,10 @@ import io
 import json
 import math
 import operator
-import re
 from array import array
 from collections import Counter
 from contextlib import contextmanager
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Sequence
 
@@ -75,40 +74,19 @@ def _open(path):
             raise ParseError(f"{path} is not UTF-8 text") from None
 
 
-# A quoted field, from a ``"`` at the start of a field (elsewhere a ``"`` is
-# text, as ``csv.reader`` reads it) through its closing ``"`` (group 1; a
-# ``""`` is a quote) or, when it is still open, the end of the text.
-_QUOTED = re.compile(r'(?:^|(?<=[,\r\n]))"[^"]*(?:""[^"]*)*("(?!")|\Z)')
+def _split(handle, width: int):
+    """The handle's remaining records of ``width`` fields, batch by batch:
+    each batch's cells, record after record, their row numbers, counting
+    from 2, and ``(row, message)`` for the first record of another width
+    that is not blank (the records after it are dropped), or None.
 
-
-def _open_quote(text: str) -> int | None:
-    """Where the quoted field still open at the end of ``text`` opens, or
-    None; ``text`` starts at the start of a field."""
-    return next((m.start() for m in _QUOTED.finditer(text) if not m[1]), None)
-
-
-def _chunks(handle, size: int):
-    """The handle's remaining lines, about ``size`` characters at a time.  A
-    chunk that ends inside a quoted field takes one more line until the
-    field closes: no record spans two chunks, and a chunk holds at most
-    ``size`` characters and a line unless a quoted field spans lines."""
-    while lines := handle.readlines(size):
-        text = "".join(lines)
-        start = _open_quote(text) if '"' in text else None
-        while start is not None and (line := handle.readline()):
-            lines.append(line)
-            text = text[start:] + line
-            start = _open_quote(text)
-        yield lines
-
-
-def _split(lines: list[str], width: int, row: int):
-    """The cells of a chunk's records of ``width`` fields, record after
-    record, and their row numbers, counting from ``row``; then the row number
-    after the chunk, and ``(row, message)`` for the first record of another
-    width that is not blank (the records after it are dropped), or None."""
-    text = ",".join(lines)
-    if '"' not in text:
+    The lines are read about ``_CHUNK_CHARS`` characters at a time.  A chunk
+    without a ``"`` is one batch.  From the first chunk that holds one, a
+    single ``csv.reader`` reads the rest of the file, as many records at a
+    time as that chunk has lines, so a quoted field (which may hold a comma
+    or a line break) is never cut."""
+    row = 2
+    while (lines := handle.readlines(_CHUNK_CHARS)) and '"' not in (text := ",".join(lines)):
         # Each line is one record.  Its terminator ("\n", "\r\n" or "\r";
         # only the file's last line may lack one) stays on its last cell,
         # where float() and strip() ignore it.  The split is right when there
@@ -119,10 +97,23 @@ def _split(lines: list[str], width: int, row: int):
         last = "".join(cells[width - 1 :: width])
         ends = last.count("\n") + last.count("\r") - last.count("\r\n")
         if len(cells) == width * len(lines) and ends == len(lines) - (lines[-1][-1] not in "\r\n"):
-            rows = np.arange(row, row + len(lines), dtype=np.int64)
-            return cells, rows, row + len(lines), None
+            yield cells, np.arange(row, row + len(lines), dtype=np.int64), None
+            row += len(lines)
+        else:
+            cells, rows, row, error = _records(csv.reader(lines), width, row)
+            yield cells, rows, error
+    # At the end of the file ``lines`` is empty, and so is every batch here.
+    reader = csv.reader(chain(lines, handle))
+    while records := list(islice(reader, len(lines))):
+        cells, rows, row, error = _records(records, width, row)
+        yield cells, rows, error
+
+
+def _records(records, width: int, row: int):
+    """``_split``'s batch of ``records``, counting rows from ``row``, and the
+    row number after the batch."""
     cells, rows, error = [], array("q"), None
-    for row, record in enumerate(csv.reader(lines), start=row):
+    for row, record in enumerate(records, start=row):
         if len(record) == width:
             cells += record
             rows.append(row)
@@ -164,25 +155,23 @@ def _read_table(path, header: Sequence[str], what: str, refuse=()):
     row mask)`` flags; then a key listed twice, at its second row.  Rows
     count CSV records, the header being row 1.
 
-    The file is read in chunks of about ``_CHUNK_CHARS`` characters of whole
-    lines.  A chunk grows by a line while it ends inside a quoted field (see
-    ``_chunks``), so a quoted field (which may hold a comma or a line break)
-    never spans two chunks.  Two tokenizers feed the same column code:
+    The records after the header come in batches from ``_split``, and two
+    tokenizers feed the same column code:
 
-    * a chunk with no ``"`` whose every line has ``width - 1`` commas is
-      split with one ``str.split`` (``_split``);
-    * any other chunk, one with a quoted field or a blank or ragged row, goes
-      through ``csv.reader``; a record of the wrong width is skipped if its
-      cells are blank and is an error otherwise.
+    * a chunk of whole lines with no ``"`` whose every line has ``width - 1``
+      commas is split with one ``str.split``;
+    * any other record, in a chunk with a blank or ragged row or from the
+      first ``"`` on, goes through ``csv.reader``; a record of the wrong
+      width is skipped if its cells are blank and is an error otherwise.
 
     Labels map to indices through a dict, and each value column parses with
     one ``float`` map; only a column that fails goes cell by cell.  A row of
     blank cells is skipped and a blank year is bad.  Reading stops at the
     first row that does not parse, which is reported unless an earlier row
-    fails a check made on whole columns after the last chunk: finite
+    fails a check made on whole columns after the last batch: finite
     values, whole years, ``refuse``, then duplicates.  Memory: the text and
-    cell strings of one chunk, plus 8 bytes per row for each of the origin,
-    destination, row number, year and value columns.
+    cell strings of one batch (see ``_split``), plus 8 bytes per row for each
+    of the origin, destination, row number, year and value columns.
     """
     year = header[2] == "year"
     width, nv = len(header), len(header) - 2
@@ -194,12 +183,10 @@ def _read_table(path, header: Sequence[str], what: str, refuse=()):
     blank: list[int] = []  # positions in vals of blank value cells
     error = None  # (row, message) of the first row that does not parse
     with _open(path) as handle:
-        head = next(csv.reader(next(_chunks(handle, 1), [])), None)
+        head = next(csv.reader(handle), None)
         if head is None or [h.strip() for h in head] != list(header):
             raise ParseError(f"expected header {','.join(header)}", row=1)
-        row = 2
-        for chunk in _chunks(handle, _CHUNK_CHARS):
-            cells, rows, row, error = _split(chunk, width, row)
+        for cells, rows, error in _split(handle, width):
             values, blanks, bad = _parse_values(cells, width, nv)
             origins, dests = cells[0::width], cells[1::width]
             if blanks.any() or bad.any():

@@ -179,12 +179,13 @@ def _collinear(what: str) -> Collinear:
     return Collinear(f"{what} lies in the span of the fixed effects")
 
 
-def _no_flow_for(has_origin: np.ndarray, has_dest: np.ndarray, labels) -> str | None:
+def _no_flow_for(has_origin: np.ndarray, has_dest: np.ndarray, labels, what: str) -> str | None:
     """The refusal of a sample that leaves origins, else destinations,
-    without a positive flow, naming them; None when every one has one."""
+    without a positive ``what``, naming them; None when every one has one."""
     for name, present in (("origin", has_origin), ("destination", has_dest)):
         if not present.all():
-            return f"no positive flow for {name}s {[labels[i] for i in np.flatnonzero(~present)]}"
+            missing = [labels[i] for i in np.flatnonzero(~present)]
+            return f"no positive {what} for {name}s {missing}"
     return None
 
 
@@ -429,7 +430,7 @@ def _ppml_irls(y: np.ndarray, cost: np.ndarray, mask: np.ndarray, start: PpmlFit
     # fitted means can only fall toward zero, so the fit separates.
     reached = has_origin.all(axis=1) & has_dest.all(axis=1)
     for j in np.flatnonzero(live & ~reached):
-        failures[int(j)] = Separation(_no_flow_for(has_origin[j], has_dest[j], names[j]))
+        failures[int(j)] = Separation(_no_flow_for(has_origin[j], has_dest[j], names[j], "flow"))
     live &= reached
     if start is None:
         # Standard GLM start: pull the mean toward the sample average.  Its
@@ -691,7 +692,7 @@ def fit_log_gravity(flows: FlowMatrix, distances: DistanceMatrix) -> GravityFit:
     sample = (flows.values > 0) & ~np.eye(n, dtype=bool)
     if not np.any(sample):
         raise InsufficientData("no positive off-diagonal flows")
-    if message := _no_flow_for(sample.any(axis=1), sample.any(axis=0), flows.labels):
+    if message := _no_flow_for(sample.any(axis=1), sample.any(axis=0), flows.labels, "flow"):
         raise InsufficientData(message)
     with np.errstate(divide="ignore"):
         fit = _log_gravity_ols(flows.values, np.log(distances.values))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from flowuq import (
     CounterfactualSpec,
+    DataError,
     EquilibriumResult,
     EstimatorResult,
     FlowMatrix,
@@ -179,6 +180,10 @@ def test_error_conditions():
             CounterfactualSpec.uniform_increase(2, 0.1),
             2.0,
         )
+    with pytest.raises(DataError, match=re.escape("need 2 elasticities, got shape (1,)")):
+        solve_counterfactual_many([flows, flows], spec, [2.0])
+    with pytest.raises(DataError, match="flow matrix and counterfactual spec sizes differ"):
+        solve_counterfactual(symmetric_world(3), spec, 2.0)
     # Location 0 runs a trade surplus of 9.9 on an income of 11, so its
     # expenditure stays positive only while its income stays above 0.9 of
     # baseline; a fivefold cost on its exports leaves no such equilibrium.

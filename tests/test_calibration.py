@@ -56,6 +56,36 @@ def constant_params(n, p=0.0, b=0.0, mu=0.5, s2=0.1, sigma2=0.05):
     )
 
 
+_PANEL = panel_from_reports(np.ones((2, 3, 3)), np.ones((2, 3, 3)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda rng: sample_flow_matrix(
+            FlowMatrix(np.ones((3, 3))),
+            replace(constant_params(3), mu=np.zeros((2, 3, 3)), periods=(2000, 2001)),
+            [rng],
+        ), "slice per-period parameters with for_period() first"),
+        (lambda rng: sample_flow_matrix(FlowMatrix(np.ones((2, 2))), constant_params(3), [rng]),
+         "parameter matrices do not match the flow matrix size"),
+        # b = 1 makes every observed zero a slab draw, which needs a mean.
+        (lambda rng: sample_flow_matrix(
+            FlowMatrix(np.eye(2)), constant_params(2, b=1.0, mu=np.nan), [rng]
+        ), "slab draw needs a finite prior mean"),
+        (lambda rng: estimate_prior_means(_PANEL, DistanceMatrix(np.ones((2, 2)))),
+         "distance matrix size does not match the panel"),
+        (lambda rng: estimate_prior_variances(_PANEL, np.zeros((3, 3)), np.zeros((3, 3))),
+         "mu must be the (T, n, n) prior-mean array"),
+    ],
+    ids=["per-period", "size", "slab-without-mean", "distance-size", "mu-shape"],
+)
+def test_calibration_steps_refuse_inputs_that_do_not_fit(call, message):
+    with pytest.raises(DataError, match=re.escape(message)) as info:
+        call(np.random.default_rng(0))
+    assert info.type is DataError
+
+
 def off_diagonal_draws(f_obs, params, seed):
     """Off-diagonal entries of one posterior draw of a matrix whose every
     entry is observed as ``f_obs``."""
@@ -628,6 +658,10 @@ class TestPriorVariances:
         assert abs(est.mean() - s2_true) < 0.1 * s2_true
 
 
+# Refusals name locations by label.
+LABELS = tuple(f"L{i}" for i in range(8))
+
+
 class TestShrinkVariances:
     def test_exact_multiplicative_recovered(self):
         rng = np.random.default_rng(0)
@@ -637,7 +671,7 @@ class TestShrinkVariances:
         v = np.exp(ko[:, None] + kd[None, :])
         off = ~np.eye(n, dtype=bool)
         v[~off] = 0.0
-        shrunk_sigma, shrunk_s = shrink_variances(v, v)
+        shrunk_sigma, shrunk_s = shrink_variances(v, v, LABELS[:n])
         assert np.max(np.abs(shrunk_sigma[off] - v[off])) < 1e-10
         assert np.max(np.abs(shrunk_s[off] - v[off])) < 1e-10
 
@@ -649,7 +683,7 @@ class TestShrinkVariances:
         off = ~np.eye(n, dtype=bool)
         v = np.exp(ko[:, None] + kd[None, :] + 0.6 * rng.standard_normal((n, n)))
         v[~off] = 0.0
-        shrunk, _ = shrink_variances(v, v)
+        shrunk, _ = shrink_variances(v, v, LABELS[:n])
         assert np.log(shrunk[off]).var() < np.log(v[off]).var()
         assert np.all(shrunk[off] > 0)
 
@@ -658,8 +692,8 @@ class TestShrinkVariances:
         off = ~np.eye(n, dtype=bool)
         v = np.where(off, 0.1, 0.0)
         v[2, :] = 0.0  # location 2 never appears as origin with a positive value
-        with pytest.raises(InsufficientData):
-            shrink_variances(v, np.where(off, 0.1, 0.0))
+        with pytest.raises(InsufficientData, match=r"ME variance estimate for origins \['L2'\]"):
+            shrink_variances(v, np.where(off, 0.1, 0.0), LABELS[:n])
 
     def test_all_zero_prior_variance_location_keeps_zero(self):
         rng = np.random.default_rng(2)
@@ -677,14 +711,18 @@ class TestShrinkVariances:
         # and within {3, 4, 5}: no estimate links a dyad across the groups.
         group = np.arange(n) < 3
         unconnected = group[:, None] != group[None, :]
-        for emptied in (emptied_locations & off, unconnected):
+        refusals = (
+            r"no positive ME variance estimate for origins \['L0'\]",
+            r"unconnected groups; 18 dyads such as L0->L3 join two groups",
+        )
+        for emptied, message in zip((emptied_locations & off, unconnected), refusals):
             s2 = np.where(emptied, 0.0, v)
-            _, shrunk_s = shrink_variances(v, s2)
+            _, shrunk_s = shrink_variances(v, s2, LABELS[:n])
             assert np.all(shrunk_s[emptied] == 0.0)
             assert np.max(np.abs(shrunk_s[off & ~emptied] - v[off & ~emptied])) < 1e-10
             assert np.all(shrunk_s[~off] == 0.0)
-            with pytest.raises(InsufficientData):
-                shrink_variances(s2, v)
+            with pytest.raises(InsufficientData, match=message):
+                shrink_variances(s2, v, LABELS[:n])
 
 
 class TestMirrorCsv:

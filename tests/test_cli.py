@@ -265,6 +265,36 @@ def test_calibrate_na_counting(tmp_path):
     assert panel.na_zeroed == 1
 
 
+def test_calibrate_mirror_reports_the_missing_data_rule(mirror_files, tmp_path, capsys):
+    # C00->C01's report 2 is blank in every year while report 1 is positive:
+    # copied (5 entries); C00->C02's report 2 is blank in one year: zeroed.
+    scen, mirror, dist = mirror_files
+    report2 = np.array(scen.panel.report2)
+    report2[:, 0, 1] = np.nan
+    report2[1, 0, 2] = np.nan
+    dataio.write_mirror_csv(mirror, scen.labels, scen.periods, scen.panel.report1, report2)
+    out = tmp_path / "calib"
+    assert main(["calibrate", "--mirror", str(mirror), "--distances", str(dist),
+                 "--output-dir", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "missing-data rule: copied 5 entries from the mirror side, zeroed 1" in err
+    summary = json.loads((out / "calibration_summary.json").read_text(encoding="utf-8"))
+    assert (summary["na_copied"], summary["na_zeroed"]) == (5, 1)
+
+
+def test_simulate_attenuation_warns_on_rho_and_passes_mu_zero(tmp_path, capsys):
+    from flowuq.robustness import AttenuationSimConfig, run_attenuation_sim
+
+    out = tmp_path / "att"
+    argv = ["simulate-attenuation", "--m-reps", "3", "--b-draws", "5", "--n", "6"]
+    assert main([*argv, "--rho", "-0.5", "--mu-zero", "--output-dir", str(out)]) == 0
+    assert "warning: rho = -0.5 is outside the usual positive range" in capsys.readouterr().err
+    summary = json.loads((out / "attenuation_summary.json").read_text(encoding="utf-8"))
+    assert summary["mu_zero_ablation"] is True
+    cfg = AttenuationSimConfig(m_reps=3, b_draws=5, n=6, rho=-0.5, mu_zero_ablation=True)
+    assert summary["mean_bias"] == float(run_attenuation_sim(cfg).mean())
+
+
 def test_uq_byte_identical_and_mode_ladder(armington_files, tmp_path):
     scen, flows, dist, costs, params = armington_files
     outs = {}
@@ -307,13 +337,14 @@ def test_uq_byte_identical_and_mode_ladder(armington_files, tmp_path):
     widths = {}
     for mode in ("only-ee", "only-me", "ee+me"):
         out = tmp_path / f"uq_{mode}"
+        # only-ee draws no flows, so it reads no params and refuses them.
+        params_flags = [] if mode == "only-ee" else ["--params", str(params)]
         code = main(
             [
                 "uq",
                 "--flows",
                 str(flows),
-                "--params",
-                str(params),
+                *params_flags,
                 "--costs",
                 str(costs),
                 "--uniform-increase",
@@ -357,13 +388,14 @@ def test_uq_ppml_byte_identical_across_workers_and_batches(
     }
     for name, extra in variants.items():
         outputs = {}
+        params_flags = [] if name == "only-ee" else ["--params", str(params)]
         for workers, batch in ((1, None), (2, None), (3, None), (1, 1), (1, 3)):
             monkeypatch.setattr(
                 engine, "_batch_size", default_batch if batch is None else lambda n: batch
             )
             out = tmp_path / f"uq_{name}_w{workers}_b{batch}"
             argv = [
-                "uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs),
+                "uq", "--flows", str(flows), *params_flags, "--costs", str(costs),
                 "--uniform-increase", "0.1", "--b", "40", "--alpha", "0.05", "--seed", "4",
                 "--workers", str(workers), "--output-dir", str(out), *extra,
             ]
@@ -718,25 +750,33 @@ def _without(doc, key):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, message",
     [
-        lambda doc: _without(doc, "labels"),
-        lambda doc: _without(doc, "dyads"),
-        lambda doc: list(doc),
-        lambda doc: {**doc, "dyads": {key: 1.0 for key in doc["dyads"]}},
-        lambda doc: _set_first(doc, "p", "x"),
-        lambda doc: {**doc, "periods": [2000]},  # with one mu per dyad, not per period
+        (lambda doc: _without(doc, "labels"), 'params file needs "labels", a list of strings'),
+        (lambda doc: _without(doc, "dyads"), 'params file needs "dyads", an object keyed by dyad'),
+        (lambda doc: list(doc), "params file must hold a JSON object"),
+        (lambda doc: {**doc, "dyads": {key: 1.0 for key in doc["dyads"]}},
+         "params dyad 'L00->L00' must be an object, got 1.0"),
+        (lambda doc: _set_first(doc, "p", "x"), "params dyad 'L00->L00': p must be a number"),
+        # with one mu per dyad, not per period; an own dyad's mu is null
+        (lambda doc: {**doc, "periods": [2000]},
+         "params dyad 'L00->L01': per-period mu must be an object"),
+        (lambda doc: {**doc, "periods": ["2000"]},
+         'params "periods" must be null or a list of whole numbers'),
+        (lambda doc: {**doc, "dyads": {**doc["dyads"], "L00->X": doc["dyads"]["L00->L01"]}},
+         "unknown dyad key 'L00->X'"),
     ],
-    ids=["no-labels", "no-dyads", "list", "number-dyad", "text-p", "periods-scalar-mu"],
+    ids=["no-labels", "no-dyads", "list", "number-dyad", "text-p", "periods-scalar-mu",
+         "periods-text", "unknown-key"],
 )
-def test_uq_malformed_params_exits_2(armington_files, tmp_path, capsys, edit):
+def test_uq_malformed_params_exits_2(armington_files, tmp_path, capsys, edit, message):
     _, flows, _, costs, params = armington_files
     params.write_text(json.dumps(edit(json.loads(params.read_text(encoding="utf-8")))),
                       encoding="utf-8")
     argv = ["uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs)]
     argv += ["--uniform-increase", "0.1", "--b", "40", "--period", "2000"]
     assert main(argv + ["--output-dir", str(tmp_path / "o")]) == 2
-    assert "data error: " in capsys.readouterr().err
+    assert f"data error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o" / "draws.csv").exists()
 
 
@@ -791,6 +831,8 @@ def test_unused_options_exit_2(armington_files, mirror_files, tmp_path, capsys):
     # would use is refused when that is absent, from a flag or a file.
     _, flows, dist, costs, params = armington_files
     _, mirror, mdist = mirror_files
+    only_ee = ["uq", "--flows", str(flows), "--costs", str(costs), "--mode", "only-ee"]
+    only_ee += ["--uniform-increase", "0.1", "--b", "40"]
     uq = ["uq", "--flows", str(flows), "--params", str(params), "--costs", str(costs)]
     uq += ["--uniform-increase", "0.1", "--b", "40"]
     mirror_calibrate = ["calibrate", "--mirror", str(mirror), "--distances", str(mdist)]
@@ -804,7 +846,9 @@ def test_unused_options_exit_2(armington_files, mirror_files, tmp_path, capsys):
         (uq, "robust-c = 3", "--robust-c needs --interval robust"),
         (uq, "distances = nowhere.csv", "--distances needs --smoother lowdim"),
         (uq, "period = 1999", "--period needs per-period --params"),
-        (uq + ["--mode", "only-ee"], "period = 1999", "--period needs --mode only-me or ee+me"),
+        (only_ee, "period = 1999", "--period needs --mode only-me or ee+me"),
+        (only_ee, f"params = {params}", "--params needs --mode only-me or ee+me"),
+        (only_ee, "params = missing.json", "--params needs --mode only-me or ee+me"),
         (diagnose, "period = 1999", "--period needs per-period --params"),
         (mirror_calibrate, "flows = nowhere.csv", f"--flows {regime}"),
         (mirror_calibrate, "sigma2 = 0.3", f"--sigma2 {regime}"),
@@ -882,6 +926,7 @@ def test_uq_smoother_matches_engine(armington_files, tmp_path):
     }
     external = EstimatorResult(theta_hat=np.array([4.5]), sigma_hat=np.array([[0.3**2]]))
     for mode in ("only-ee", "only-me", "ee+me"):
+        params_flags = [] if mode == "only-ee" else ["--params", str(params)]
         ppml = PpmlEstimator(log_costs, fit) if mode == "ee+me" else fit.to_estimator_result()
         estimators = {
             "costs": (["--costs", str(costs)], ppml),
@@ -891,7 +936,7 @@ def test_uq_smoother_matches_engine(armington_files, tmp_path):
             for source, (source_flags, estimator) in estimators.items():
                 out = tmp_path / f"uq_{mode}_{name}_{source}"
                 argv = [
-                    "uq", "--flows", str(flows), "--params", str(params), *source_flags,
+                    "uq", "--flows", str(flows), *params_flags, *source_flags,
                     "--uniform-increase", "0.1", "--b", "40", "--seed", "6", "--mode", mode,
                     "--output-dir", str(out), *flags,
                 ]
@@ -1097,8 +1142,9 @@ def test_report_ranks_refuses_a_repeated_column(tmp_path, capsys):
         ("a,b\n1.0,x\n", "row 2: bad number"),
         ("a,b\n", "row 2: no draws"),
         ("", "row 1: missing header"),
+        ("a\n1.0\n", "need at least two outcome columns to compare ranks"),
     ],
-    ids=["ragged", "bad-number", "no-rows", "empty"],
+    ids=["ragged", "bad-number", "no-rows", "empty", "one-column"],
 )
 def test_report_ranks_refuses_a_malformed_draws_file(tmp_path, capsys, text, message):
     path = tmp_path / "draws.csv"
@@ -1323,6 +1369,21 @@ def test_calibrate_mirror_period_without_positive_flows_exits_3(tmp_path, capsys
     assert main([*argv, "--output-dir", str(out)]) == 3
     assert "period 2002 has no positive flows" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_calibrate_mirror_shrinkage_refusal_names_labels(tmp_path, capsys):
+    # Report 2 never sees a flow from C03, so no period of its dyads has two
+    # positive reports and its ME variances are not identified as origin.
+    scen = mirror_world(n=5, t=4, seed=1)
+    report2 = scen.panel.report2.copy()
+    report2[:, scen.labels.index("C03"), :] = 0.0
+    mirror, dist = tmp_path / "mirror.csv", tmp_path / "distances.csv"
+    dataio.write_mirror_csv(mirror, scen.labels, scen.periods, scen.panel.report1, report2)
+    dataio.write_dyadic_csv(dist, scen.labels, scen.distances.values, "distance")
+    argv = ["calibrate", "--mirror", str(mirror), "--distances", str(dist)]
+    assert main([*argv, "--output-dir", str(tmp_path / "calib")]) == 3
+    err = capsys.readouterr().err
+    assert "no positive ME variance estimate for origins ['C03']" in err
 
 
 def test_identification_error_exit_3(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from flowuq import (
 from flowuq.armington import ArmingtonModel
 from flowuq.calibration import MirrorPanel
 from flowuq.core import CalibratedParams, DistanceMatrix, evaluate_model_many, solve_stack
+from flowuq.intervals import Interval
 
 
 def test_flow_matrix_validation():
@@ -52,6 +55,54 @@ def test_every_labelled_type_has_one_label_rule(build):
         build(("a", "b", "a"))
     with pytest.raises(DataError, match="expected 3 labels, got 2"):
         build(("a", "b"))
+
+
+def _params(**fields):
+    return CalibratedParams(**{"p": _ZEROS, "b": _ZEROS, "mu": _ZEROS, "s2": _ZEROS,
+                               "sigma2": _ZEROS, **fields})
+
+
+_ONES = np.ones((1, 3, 3))
+# Each value type built from input that breaks one of its rules, and the
+# DataError it raises.
+_REFUSED = {
+    "distance-not-positive": (lambda: DistanceMatrix([[1.0, 0.0], [2.0, 1.0]]),
+                              "off-diagonal distances must be strictly positive"),
+    "theta-not-a-vector": (lambda: EstimatorResult(theta_hat=np.ones((2, 2)), sigma_hat=np.eye(2)),
+                           "theta_hat must be a vector"),
+    "sigma-shape": (lambda: EstimatorResult(theta_hat=[1.0, 2.0], sigma_hat=np.eye(3)),
+                    "sigma_hat must be 2x2, got (3, 3)"),
+    "theta-not-finite": (lambda: EstimatorResult(theta_hat=[np.nan], sigma_hat=[[1.0]]),
+                         "estimator result contains non-finite entries"),
+    "field-shape": (lambda: _params(s2=np.zeros((2, 2))), "s2 must be 3x3"),
+    "mu-shape": (lambda: _params(mu=np.zeros((3, 2))), "mu must be (n, n) or (T, n, n)"),
+    "mu-periods": (lambda: _params(mu=np.zeros((2, 3, 3)), periods=(2000,)),
+                   "per-period mu requires matching periods"),
+    "unknown-period": (
+        lambda: _params(mu=np.zeros((2, 3, 3)), periods=(2000, 2001)).for_period(1999),
+        "period 1999 not in calibrated periods",
+    ),
+    "no-draws": (lambda: DrawSet(draws=np.empty((0, 2))),
+                 "a draw set must contain at least one draw"),
+    "panel-shapes": (lambda: MirrorPanel(_ONES, np.ones((1, 2, 2)), (), (2000,)),
+                     "reports must be matching (T, n, n) arrays"),
+    "panel-no-period": (lambda: MirrorPanel(_ONES[:0], _ONES[:0], (), ()),
+                        "a mirror panel needs at least one period"),
+    "panel-periods": (lambda: MirrorPanel(_ONES, _ONES, (), (2000, 2001)),
+                      "periods do not match the report arrays"),
+    "panel-negative": (lambda: MirrorPanel(_ONES, -_ONES, (), (2000,)),
+                       "report2 contains negative flows"),
+    "panel-no-double-positive": (lambda: MirrorPanel(_ONES, 0 * _ONES, (), (2000,)),
+                                 "panel has no dyad-period with two positive reports"),
+    "interval-order": (lambda: Interval(lo=1.0, hi=0.5), "interval endpoints out of order"),
+}
+
+
+@pytest.mark.parametrize("build, message", _REFUSED.values(), ids=_REFUSED.keys())
+def test_value_types_refuse_input_that_breaks_their_rules(build, message):
+    with pytest.raises(DataError, match=re.escape(message)) as info:
+        build()
+    assert info.type is DataError
 
 
 def test_flow_matrix_immutable():

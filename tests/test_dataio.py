@@ -761,27 +761,32 @@ def test_chunked_reader_matches_a_csv_row_loop(tmp_path_factory, table):
 
 
 def test_a_stray_quote_in_a_label_keeps_chunks_bounded(tmp_path, monkeypatch):
-    # A '"' inside an unquoted field is text to csv.reader, so it opens no
-    # quoted field: the chunk after row 2's 'A"x' ends at the size bound like
-    # every other.  A quoted label with a comma still reads whole.
+    # From the first chunk with a '"' (here row 2's 'A"x', which csv.reader
+    # reads as text) one csv.reader reads the rest of the file, at most as
+    # many records at a time as that chunk has lines, never the whole file
+    # at once.  A quoted label with a comma still reads whole.
     labels = ['A"x', '"Paris, FR"'] + [f"L{i:02d}" for i in range(78)]
     rng = np.random.default_rng(0)
     pairs = [(o, d) for o in labels for d in labels if o != d][:5000]
     lines = ["origin,destination,flow"] + [f"{o},{d},{rng.random()!r}" for o, d in pairs]
     path = tmp_path / "flows.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    chunks = []
-    real = dataio._chunks
+    with open(path, newline="", encoding="utf-8") as handle:
+        handle.readline()
+        first = handle.readlines(1000)
+    assert '"' in "".join(first)
+    batches = []
+    real = dataio._split
 
-    def recording(handle, size):
-        for lines in real(handle, size):
-            chunks.append((size, lines))
-            yield lines
+    def recording(handle, width):
+        for batch in real(handle, width):
+            batches.append(len(batch[1]))
+            yield batch
 
     monkeypatch.setattr(dataio, "_CHUNK_CHARS", 1000)
-    monkeypatch.setattr(dataio, "_chunks", recording)
+    monkeypatch.setattr(dataio, "_split", recording)
     header = ("origin", "destination", "flow")
     got = dataio._read_table(path, header, "flow")
-    assert len(chunks) > 100
-    assert all(sum(map(len, lines[:-1])) <= size for size, lines in chunks)
+    assert sum(batches) == len(pairs) and len(batches) > 100
+    assert max(batches) <= len(first)
     _assert_same_table(got, read_table_rows(path, header, "flow"))

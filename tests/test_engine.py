@@ -248,6 +248,15 @@ class TestEngine:
                 self.cfg(mode=mode),
             )
 
+    @pytest.mark.parametrize("mode", ["only-me", "ee+me"])
+    def test_sampling_without_params_is_a_data_error(self, mode):
+        scen, flows_obs = small_world()
+        with pytest.raises(DataError, match="data sampling requires calibrated parameters"):
+            run_algorithm1(
+                flows_obs, None, mean_flow_estimator, ThetaPassThrough(), scen.cf_spec,
+                self.cfg(mode=mode),
+            )
+
     def test_only_me_fixes_theta(self):
         scen, flows_obs = small_world()
         estimator = functools.partial(mean_flow_estimator, se=0.5)
@@ -641,6 +650,20 @@ class TestUqConfigValidation:
         assert cfg.inner_draws == 200
         with pytest.raises(BadQuantileGrid):
             UqConfig(b=100, alpha=0.1, interval_kind="c2", b_inner=30)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("b", 0, "draw count must be positive"),
+            ("max_failure_fraction", 1.0, "max failure fraction must be in [0, 1)"),
+            ("workers", 0, "workers must be >= 1"),
+            ("interval_kind", "c3", "interval kind must be one of ('c1', 'c2', 'robust')"),
+        ],
+    )
+    def test_out_of_range_settings(self, field, value, message):
+        with pytest.raises(DataError, match=re.escape(message)) as info:
+            UqConfig(**{"b": 40, "alpha": 0.05, field: value})
+        assert info.type is DataError
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, np.nan])
     def test_alpha_outside_the_unit_interval(self, alpha):

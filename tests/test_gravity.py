@@ -67,6 +67,19 @@ class TestPpml:
         with pytest.raises(InsufficientData):
             fit_ppml(FlowMatrix(5.0 * np.eye(4)), np.ones((4, 4)))
 
+    @pytest.mark.parametrize(
+        "log_costs, message",
+        [
+            (np.zeros((3, 3)), "log_costs must be n x n"),
+            (np.where(np.eye(4, dtype=bool), 0.0, np.inf), "must be finite on included dyads"),
+        ],
+        ids=["shape", "infinite"],
+    )
+    def test_malformed_log_costs_are_data_errors(self, log_costs, message):
+        with pytest.raises(DataError, match=message) as info:
+            fit_ppml(FlowMatrix(np.ones((4, 4))), log_costs)
+        assert info.type is DataError
+
     def test_exact_recovery(self):
         rng = np.random.default_rng(11)
         flows, log_costs = gravity_flows(8, 5.0, rng)
@@ -764,9 +777,16 @@ class TestLogGravity:
         # {3, 4, 5, 6}: a dyad joining the groups has no identified mean.
         group = np.arange(7) < 3
         unconnected = np.where(group[:, None] == group[None, :], flows.values, 0.0)
-        for values in (no_exports, unconnected):
-            with pytest.raises(InsufficientData):
-                fit_log_gravity(FlowMatrix(values), dist)
+        cases = [
+            (no_exports, dist, InsufficientData, r"no positive flow for origins \['3'\]"),
+            (unconnected, dist, InsufficientData, "24 dyads such as 0->3 have no identified"),
+            (np.eye(7), dist, InsufficientData, "no positive off-diagonal flows"),
+            (flows.values, DistanceMatrix(np.ones((3, 3))), DataError, "different sizes"),
+        ]
+        for values, distances, error, message in cases:
+            with pytest.raises(error, match=message) as info:
+                fit_log_gravity(FlowMatrix(values), distances)
+            assert info.type is error
 
     def test_positive_flows_only(self):
         # Zeros are excluded, not log-transformed.

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -75,6 +76,11 @@ class TestRobustLevels:
             robust_quantile_levels(0.05, c)
         with pytest.raises(DataError, match="c must be finite and >= 1"):
             robust_interval_levels(0.05, c)
+
+    @pytest.mark.parametrize("alpha_tail", [0.0, 1.0, math.nan])
+    def test_quantile_level_must_be_inside_the_unit_interval(self, alpha_tail):
+        with pytest.raises(DataError, match=re.escape("quantile level must be in (0, 1)")):
+            robust_quantile_levels(alpha_tail, 1.5)
 
     def test_levels_whose_square_overflows_are_refused(self):
         # c * c is infinite: the upper level would be inf / inf.
