@@ -93,14 +93,14 @@ def sample_flow_matrix(flows_obs: FlowMatrix, params: CalibratedParams, rngs):
 
     Returns the k draws, a list of ``FlowMatrix``, and the count of
     degenerate observed zeros (p = b = 0) that were resolved as true zeros,
-    summed over the streams.
+    summed over the streams.  Parameters over other locations than the
+    flows' are a DataError.
     """
     if params.has_periods:
         raise DataError("slice per-period parameters with for_period() first")
+    params._refuse_other_locations(flows_obs)
     f = flows_obs.values
     n = flows_obs.n
-    if params.n != n:
-        raise DataError("parameter matrices do not match the flow matrix size")
     k = len(rngs)
     z, u = np.empty((k, n, n)), np.empty((k, n, n))
     for j, stream in enumerate(rngs):

@@ -33,7 +33,7 @@ import numpy as np
 from . import dataio
 from .armington import ArmingtonModel, solve_counterfactual, welfare_change_pct
 from .calibration import calibrate_baseline, calibrate_mirror, ingest_mirror_csv
-from .core import CounterfactualSpec, DrawSet, EstimatorResult, FlowMatrix
+from .core import CounterfactualSpec, DrawSet, EstimatorResult, FlowMatrix, _refuse_repeats
 from .engine import MODES, LowDimSmoother, UqConfig, run_uq
 from .errors import (
     DataError,
@@ -123,9 +123,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if args.mirror is not None:
         baseline = ("flows", "sigma2", "p", "b_spurious")
         _refuse_unused(args, "the baseline regime (no --mirror)", *baseline)
-    else:
-        _refuse_unused(args, "--mirror", "shrink")
-    if args.mirror is not None:
         shrink = args.shrink is not False  # default yes
         panel = ingest_mirror_csv(args.mirror)
         distances = dataio.read_distances_csv(args.distances, panel.labels)
@@ -145,51 +142,40 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                     "variance (no positive estimate connects their origin and "
                     "destination)"
                 )
-        out = _outdir(args)
-        dataio.write_params_json(out / "params.json", params)
-
-        diag = normality_diagnostic(
-            [FlowMatrix(r, panel.labels) for r in panel.report1], params
-        )
-        last = panel.periods[-1]
-        _write_diagnostics(out, diag, means.last_fit)
-        dataio.write_json(
-            out / "calibration_summary.json",
-            {
-                "regime": "mirror",
-                "periods": list(panel.periods),
-                "beta_by_period": [float(x) for x in means.beta],
-                "adj_r2_by_period": [_j(x) for x in means.adj_r2],
-                "adj_r2_last_period": _j(means.adj_r2[-1]),
-                "last_period": last,
-                "na_copied": panel.na_copied,
-                "na_zeroed": panel.na_zeroed,
-                "s2_shrunk_zero_dyads": s2_zero,
-                "shrunk_variances": shrink,
-            },
-        )
+        observed = [FlowMatrix(r, panel.labels) for r in panel.report1]
+        fit = means.last_fit
+        summary = {
+            "regime": "mirror",
+            "periods": list(panel.periods),
+            "beta_by_period": [float(x) for x in means.beta],
+            "adj_r2_by_period": [_j(x) for x in means.adj_r2],
+            "adj_r2_last_period": _j(means.adj_r2[-1]),
+            "last_period": panel.periods[-1],
+            "na_copied": panel.na_copied,
+            "na_zeroed": panel.na_zeroed,
+            "s2_shrunk_zero_dyads": s2_zero,
+            "shrunk_variances": shrink,
+        }
     else:
-        flows = dataio.read_flows_csv(_required(args, "flows"))
-        distances = dataio.read_distances_csv(args.distances, flows.labels)
+        _refuse_unused(args, "--mirror", "shrink")
+        observed = dataio.read_flows_csv(_required(args, "flows"))
+        distances = dataio.read_distances_csv(args.distances, observed.labels)
         sigma2 = _required(args, "sigma2")
         p = 0.0 if args.p is None else args.p
         b = 0.0 if args.b_spurious is None else args.b_spurious
-        params, fit = calibrate_baseline(flows, distances, sigma2, p, b)
-        out = _outdir(args)
-        dataio.write_params_json(out / "params.json", params)
-        diag = normality_diagnostic(flows, params)
-        _write_diagnostics(out, diag, fit)
-        dataio.write_json(
-            out / "calibration_summary.json",
-            {
-                "regime": "baseline",
-                "beta": fit.beta_hat,
-                "adj_r2": _j(fit.adj_r2),
-                "residual_variance": fit.residual_variance,
-                "sigma2": sigma2,
-                "s2": float(np.max(params.s2)),
-            },
-        )
+        params, fit = calibrate_baseline(observed, distances, sigma2, p, b)
+        summary = {
+            "regime": "baseline",
+            "beta": fit.beta_hat,
+            "adj_r2": _j(fit.adj_r2),
+            "residual_variance": fit.residual_variance,
+            "sigma2": sigma2,
+            "s2": float(np.max(params.s2)),
+        }
+    out = _outdir(args)
+    dataio.write_params_json(out / "params.json", params)
+    _write_diagnostics(out, normality_diagnostic(observed, params), fit)
+    dataio.write_json(out / "calibration_summary.json", summary)
     _log(f"calibration written to {out}")
     return 0
 
@@ -279,11 +265,7 @@ def cmd_uq(args: argparse.Namespace) -> int:
     if args.mode == "only-ee":
         _refuse_unused(args, "--mode only-me or ee+me", "period", "params")
     flows = dataio.read_flows_csv(args.flows)
-    params = None
-    if args.mode != "only-ee":
-        params = _params(args)
-        if params.labels != flows.labels:
-            raise DataError("params and flows cover different locations")
+    params = None if args.mode == "only-ee" else _params(args)
 
     if args.costs is not None:
         estimation = dataio.read_costs_csv(args.costs, flows.labels)
@@ -386,16 +368,9 @@ def cmd_simulate_attenuation(args: argparse.Namespace) -> int:
     return 0
 
 
-def _unique(option: str, items: list[str]) -> list[str]:
-    """The items of a comma-separated option, refused if one repeats."""
-    for i, item in enumerate(items):
-        if item in items[:i]:
-            raise DataError(f"{option} gives {item} twice")
-    return items
-
-
 def cmd_report_ranks(args: argparse.Namespace) -> int:
-    paths = _unique("--draws", [p for p in args.draws.split(",") if p])
+    paths = [p for p in args.draws.split(",") if p]
+    _refuse_repeats("--draws", paths)
     if not paths:
         raise DataError("--draws names no file")
     files: list[tuple[str, tuple[str, ...]]] = []
@@ -414,7 +389,8 @@ def cmd_report_ranks(args: argparse.Namespace) -> int:
     labels = [f"{path}:{lab}" if owners[lab] > 1 else lab for path, labs in files for lab in labs]
     draw_set = DrawSet(draws=np.hstack(arrays), labels=labels)
     if args.columns is not None:
-        keep = _unique("--columns", [w.strip() for w in args.columns.split(",")])
+        keep = [w.strip() for w in args.columns.split(",")]
+        _refuse_repeats("--columns", keep)
         missing = [w for w in keep if w not in labels]
         if missing:
             raise DataError(f"unknown outcome columns {missing}")

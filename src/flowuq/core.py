@@ -225,9 +225,10 @@ class CalibratedParams:
             raise DataError("mu must be (n, n) or (T, n, n)")
         if np.any(np.isinf(mu)):
             raise DataError("mu must be finite, or NaN for a dyad without a prior mean")
-        if mu.ndim == 3:
-            if self.periods is None or len(self.periods) != mu.shape[0]:
-                raise DataError("per-period mu requires matching periods")
+        if mu.ndim == 3 and (self.periods is None or len(self.periods) != mu.shape[0]):
+            raise DataError("per-period mu requires matching periods")
+        if mu.ndim == 2 and self.periods is not None:
+            raise DataError("periods go only with a (T, n, n) mu")
         object.__setattr__(self, "mu", _freeze(mu))
         object.__setattr__(self, "labels", _labels(self.labels, n))
         if self.periods is not None:
@@ -246,7 +247,7 @@ class CalibratedParams:
         """Slice per-period prior means down to a single period."""
         if not self.has_periods:
             return self
-        if self.periods is None or period not in self.periods:
+        if period not in self.periods:
             raise DataError(f"period {period} not in calibrated periods")
         t = self.periods.index(period)
         return replace(self, mu=self.mu[t], periods=None)
@@ -256,6 +257,11 @@ class CalibratedParams:
 
     def effective_sigma2(self) -> np.ndarray:
         return self.sigma2 if self.sigma2_shrunk is None else self.sigma2_shrunk
+
+    def _refuse_other_locations(self, flows: FlowMatrix):
+        """Refuse flows over locations other than these parameters'."""
+        if self.labels != flows.labels:
+            raise DataError("params and flows cover different locations")
 
 
 @dataclass(frozen=True)

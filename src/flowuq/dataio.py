@@ -61,8 +61,8 @@ _FIELDS = ("p", "b", "s2", "sigma2", "s2_shrunk", "sigma2_shrunk")
 @contextmanager
 def _open(path):
     """A text input: UTF-8, a byte-order mark skipped.  A file that cannot be
-    opened is a DataError, and one that is not UTF-8 a ParseError, whichever
-    read meets the bad byte."""
+    opened is a DataError; bytes that are not UTF-8, or a CSV field over
+    ``csv``'s size limit, are a ParseError when a read meets them."""
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -72,6 +72,8 @@ def _open(path):
             yield handle
         except UnicodeDecodeError:
             raise ParseError(f"{path} is not UTF-8 text") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def _split(handle, width: int):

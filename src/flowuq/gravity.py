@@ -362,7 +362,7 @@ def fit_ppml_many(
         y, np.where(mask, log_costs, 0.0), mask, start, [flows.labels for flows in flows_seq]
     )
     fits: list = [failures.get(j) for j in range(k)]
-    var, projected = _influence_variance(influence, dyadic=True)
+    var, projected = _influence_variance(influence)
     for r, j in enumerate(fit_at):
         if fits[j] is None:
             fits[j] = PpmlFit(
@@ -590,7 +590,7 @@ class PpmlEstimator:
         return [fit.to_estimator_result() for fit in fits]
 
 
-def _influence_variance(psi: np.ndarray, dyadic: bool):
+def _influence_variance(psi: np.ndarray):
     """Sandwich variances of the elasticity from a (k, n, n) stack of
     influence grids: the (k,) variances and the mask of those projected.
 
@@ -607,24 +607,21 @@ def _influence_variance(psi: np.ndarray, dyadic: bool):
     set reduces to clamping that scalar at zero.  Clamping the full matrix
     spectrum instead would systematically inflate the variance.
     """
-    if dyadic:
-        k, n = psi.shape[:2]
-        own = np.diagonal(psi, axis1=1, axis2=2)
-        t = psi.sum(axis=2) + psi.sum(axis=1) - own
-        off = psi.copy()
-        off.reshape(k, n * n)[:, :: n + 1] = 0.0
-        var = (t[:, None, :] @ t[:, :, None])[:, 0, 0]
-        var -= _grid_sum(off * off)
-        var -= _grid_sum(off * off.transpose(0, 2, 1))
-    else:
-        var = _grid_sum(psi * psi)
+    k, n = psi.shape[:2]
+    own = np.diagonal(psi, axis1=1, axis2=2)
+    t = psi.sum(axis=2) + psi.sum(axis=1) - own
+    off = psi.copy()
+    off.reshape(k, n * n)[:, :: n + 1] = 0.0
+    var = (t[:, None, :] @ t[:, :, None])[:, 0, 0]
+    var -= _grid_sum(off * off)
+    var -= _grid_sum(off * off.transpose(0, 2, 1))
     return np.maximum(var, 0.0), var < 0.0
 
 
 def independent_variance(fit: PpmlFit) -> float:
     """Heteroskedasticity-robust variance ignoring dyadic dependence.  Tends
     to understate uncertainty relative to the dyadic version."""
-    return float(_influence_variance(fit.influence[None], dyadic=False)[0][0])
+    return float(_grid_sum((fit.influence * fit.influence)[None])[0])
 
 
 def _log_gravity_ols(flows: np.ndarray, log_dist: np.ndarray) -> GravityFit:

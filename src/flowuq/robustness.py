@@ -216,6 +216,7 @@ def normality_diagnostic(
 
     Entries whose total variance is zero cannot be standardized and are
     excluded (counted).  An empty positive subsample yields empty output.
+    Parameters over other locations than the flows' are a DataError.
     """
     single = isinstance(flows_obs, FlowMatrix)
     flows = [flows_obs] if single else list(flows_obs)
@@ -225,6 +226,8 @@ def normality_diagnostic(
             "pass one flow matrix with single-period parameters or one per "
             "period with per-period parameters (for_period() slices them)"
         )
+    for f in flows:
+        params._refuse_other_locations(f)
     total_var = params.effective_s2() + params.effective_sigma2()
     parts = [_standardized_residuals(f, mu, total_var) for f, mu in zip(flows, mus)]
     return residual_summary(

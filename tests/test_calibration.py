@@ -68,7 +68,7 @@ _PANEL = panel_from_reports(np.ones((2, 3, 3)), np.ones((2, 3, 3)))
             [rng],
         ), "slice per-period parameters with for_period() first"),
         (lambda rng: sample_flow_matrix(FlowMatrix(np.ones((2, 2))), constant_params(3), [rng]),
-         "parameter matrices do not match the flow matrix size"),
+         "params and flows cover different locations"),
         # b = 1 makes every observed zero a slab draw, which needs a mean.
         (lambda rng: sample_flow_matrix(
             FlowMatrix(np.eye(2)), constant_params(2, b=1.0, mu=np.nan), [rng]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -799,6 +800,24 @@ def test_non_utf8_inputs_exit_2(armington_files, tmp_path, capsys, which):
     assert not any(out.glob("*.*"))
 
 
+@pytest.mark.parametrize("command", ["estimate", "report-ranks"])
+def test_a_field_over_the_csv_size_limit_exits_2(armington_files, tmp_path, capsys, command):
+    # csv refuses a field of more than 131,072 characters; here a quoted label.
+    costs = armington_files[3]
+    label = '"' + "x" * 200_000 + '"'
+    path = tmp_path / "big.csv"
+    if command == "estimate":
+        path.write_text(f"origin,destination,flow\n{label},B,1.0\n", encoding="utf-8")
+        argv = ["estimate", "--flows", str(path), "--costs", str(costs)]
+    else:
+        path.write_text(f"{label},b\n1.0,2.0\n2.0,1.0\n", encoding="utf-8")
+        argv = ["report-ranks", "--draws", str(path)]
+    out = tmp_path / "o"
+    assert main(argv + ["--output-dir", str(out)]) == 2
+    assert f"data error: {path}: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -806,20 +825,29 @@ def test_non_utf8_inputs_exit_2(armington_files, tmp_path, capsys, which):
         (["uq", "--flows", "{flows}", "--params", "{other}", "--theta", "5",
           "--uniform-increase", "0.1", "--b", "40"],
          "params and flows cover different locations"),
+        (["diagnose", "--flows", "{flows}", "--distances", "{dist}", "--params", "{other}"],
+         "params and flows cover different locations"),
+        (["diagnose", "--flows", "{flows}", "--distances", "{dist}", "--params", "{renamed}"],
+         "params and flows cover different locations"),
         (["estimate", "--flows", "{flows}", "--costs", "{zero_cost}"],
          "cost levels must be strictly positive"),
         (["simulate-attenuation", "--n", "2", "--m-reps", "2", "--b-draws", "5"],
          "degenerate distance design"),
     ],
-    ids=["calibrate-no-input", "uq-other-locations", "zero-cost", "attenuation-n2"],
+    ids=["calibrate-no-input", "uq-other-locations", "diagnose-other-locations",
+         "diagnose-other-labels", "zero-cost", "attenuation-n2"],
 )
 def test_refused_inputs_exit_2(armington_files, tmp_path, capsys, argv, message):
     scen, flows, dist, _, _ = armington_files
     other, zero_cost = tmp_path / "other.json", tmp_path / "zero_cost.csv"
     dataio.write_params_json(other, armington_world(n=5, seed=1).params)
+    renamed = tmp_path / "renamed.json"
+    labels = tuple(f"X{lab}" for lab in scen.labels)
+    dataio.write_params_json(renamed, replace(scen.params, labels=labels))
     zero_cost.write_text(f"origin,destination,cost\n{scen.labels[0]},{scen.labels[1]},0\n",
                          encoding="utf-8")
-    files = {"dist": dist, "flows": flows, "other": other, "zero_cost": zero_cost}
+    files = {"dist": dist, "flows": flows, "other": other, "renamed": renamed,
+             "zero_cost": zero_cost}
     out = tmp_path / "o"
     assert main([a.format(**files) for a in argv] + ["--output-dir", str(out)]) == 2
     assert f"data error: {message}" in capsys.readouterr().err
@@ -1120,7 +1148,7 @@ def test_report_ranks_refuses_a_file_given_twice(tmp_path, capsys):
     out = tmp_path / "r"
     argv = ["report-ranks", "--draws", f"{path},{path}", "--output-dir", str(out)]
     assert main([*argv, "--columns", f"{path}:A,{path}:A"]) == 2
-    assert f"--draws gives {path} twice" in capsys.readouterr().err
+    assert f"--draws must be unique; repeated: ['{path}']" in capsys.readouterr().err
     assert not (out / "ranks.json").exists()
 
 
@@ -1131,7 +1159,7 @@ def test_report_ranks_refuses_a_repeated_column(tmp_path, capsys):
     argv = ["report-ranks", "--draws", str(path), "--output-dir", str(out)]
     for columns in ("a,a", "a,b,a"):
         assert main([*argv, "--columns", columns]) == 2
-        assert "--columns gives a twice" in capsys.readouterr().err
+        assert "--columns must be unique; repeated: ['a']" in capsys.readouterr().err
         assert not (out / "ranks.json").exists()
 
 

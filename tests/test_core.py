@@ -78,6 +78,8 @@ _REFUSED = {
     "mu-shape": (lambda: _params(mu=np.zeros((3, 2))), "mu must be (n, n) or (T, n, n)"),
     "mu-periods": (lambda: _params(mu=np.zeros((2, 3, 3)), periods=(2000,)),
                    "per-period mu requires matching periods"),
+    "periods-without-per-period-mu": (lambda: _params(periods=(2000,)),
+                                      "periods go only with a (T, n, n) mu"),
     "unknown-period": (
         lambda: _params(mu=np.zeros((2, 3, 3)), periods=(2000, 2001)).for_period(1999),
         "period 1999 not in calibrated periods",
