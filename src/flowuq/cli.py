@@ -373,21 +373,17 @@ def cmd_report_ranks(args: argparse.Namespace) -> int:
     _refuse_repeats("--draws", paths)
     if not paths:
         raise DataError("--draws names no file")
-    files: list[tuple[str, tuple[str, ...]]] = []
-    arrays: list[np.ndarray] = []
+    sets: list[DrawSet] = []
     for path in paths:
-        labs, arr = dataio.read_draws_csv(path)
-        if arrays and arr.shape[0] != arrays[0].shape[0]:
-            raise LengthMismatch(
-                f"{path} has {arr.shape[0]} draws, expected {arrays[0].shape[0]}"
-            )
-        files.append((path, labs))
-        arrays.append(arr)
+        sets.append(dataio.read_draws_csv(path))
+        if (used := sets[-1].draws_used) != sets[0].draws_used:
+            raise LengthMismatch(f"{path} has {used} draws, expected {sets[0].draws_used}")
     # A label that several files have is named "<path>:<label>" in each; the
     # draw set refuses a name that two columns end up with.
-    owners = Counter(lab for _, labs in files for lab in set(labs))
-    labels = [f"{path}:{lab}" if owners[lab] > 1 else lab for path, labs in files for lab in labs]
-    draw_set = DrawSet(draws=np.hstack(arrays), labels=labels)
+    named = [(path, lab) for path, ds in zip(paths, sets) for lab in ds.labels]
+    owners = Counter(lab for _, lab in named)
+    labels = [f"{path}:{lab}" if owners[lab] > 1 else lab for path, lab in named]
+    draw_set = DrawSet(draws=np.hstack([ds.draws for ds in sets]), labels=labels)
     if args.columns is not None:
         keep = [w.strip() for w in args.columns.split(",")]
         _refuse_repeats("--columns", keep)

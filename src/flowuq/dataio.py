@@ -1,25 +1,29 @@
-"""File formats: dyadic CSVs in, results and parameter files out.
+"""File formats: CSVs in, results and parameter files out.
 
-Every dyadic input is a CSV with a header row: ``origin,destination,VALUE``
-for flows, distances, cost levels and cost changes, and
-``origin,destination,year,flow_report1,flow_report2`` for a mirror panel.
-One reader parses them all: it skips blank rows, strips labels, reads a
-blank value cell as missing, and raises ParseError with the row number of a
-malformed row, a non-finite value or a repeated dyad.  An absent or blank
-dyad is 0 for flows, 1 for cost levels and cost changes, the reverse dyad
-for distances, and missing for a mirror report.  Inputs are UTF-8, with or
-without a byte-order mark.
+Every CSV input has a header row: ``origin,destination,VALUE`` for flows,
+distances, cost levels and cost changes,
+``origin,destination,year,flow_report1,flow_report2`` for a mirror panel,
+and the outcome labels, over one row per draw, for ``draws.csv``.  One
+reader parses them all: it skips blank rows, whitespace-only rows and rows
+of blank cells, strips labels, refuses a field longer than
+``csv.field_size_limit()`` wherever it sits, and raises ParseError with the
+row number of the first ragged row ("expected 2 fields, got 1") or bad or
+non-finite value ("bad draw 'x'", "non-finite draw 'nan'"), or of a
+repeated dyad.  In ``draws.csv`` a blank cell in a kept row is bad.  An
+absent or blank dyad is 0 for flows, 1 for cost levels and cost changes,
+the reverse dyad for distances, and missing for a mirror report.  Inputs
+are UTF-8, with or without a byte-order mark.
 
 The reader parses by the column, a batch of records at a time, so the text
 it holds at once is bounded whatever the file's size.  A quote-free chunk of
-rows of the header's width is split with one ``str.split``, any other record
-read with ``csv.reader`` (see ``_read_table``).
+rows of the header's width, within the field-size limit, is split with one
+``str.split``, any other record read with ``csv.reader`` (see ``_split``).
 
 Outputs are UTF-8 CSV/JSON in a fixed order, with floats as their shortest
 round-trip text (``float.__repr__``), so a rerun with the same seed is
-byte-identical and every number reads back.  JSON outputs are strict: a
-NaN or infinity is written as null where it can rightly occur, and is an
-error anywhere else.
+byte-identical and every number reads back; a CSV writer refuses a value no
+reader takes.  JSON outputs are strict: a NaN or infinity is written as
+null where it can rightly occur, and is an error anywhere else.
 """
 
 from __future__ import annotations
@@ -83,7 +87,9 @@ def _split(handle, width: int):
     that is not blank (the records after it are dropped), or None.
 
     The lines are read about ``_CHUNK_CHARS`` characters at a time.  A chunk
-    without a ``"`` is one batch.  From the first chunk that holds one, a
+    without a ``"`` is one batch, read by ``csv.reader`` when it is ragged or
+    longer than ``csv.field_size_limit()``, so a field over that limit is
+    refused wherever it sits.  From the first chunk that holds a ``"``, a
     single ``csv.reader`` reads the rest of the file, as many records at a
     time as that chunk has lines, so a quoted field (which may hold a comma
     or a line break) is never cut."""
@@ -98,7 +104,8 @@ def _split(handle, width: int):
         cells = text.split(",")
         last = "".join(cells[width - 1 :: width])
         ends = last.count("\n") + last.count("\r") - last.count("\r\n")
-        if len(cells) == width * len(lines) and ends == len(lines) - (lines[-1][-1] not in "\r\n"):
+        fits = len(text) <= csv.field_size_limit() and len(cells) == width * len(lines)
+        if fits and ends == len(lines) - (lines[-1][-1] not in "\r\n"):
             yield cells, np.arange(row, row + len(lines), dtype=np.int64), None
             row += len(lines)
         else:
@@ -126,7 +133,7 @@ def _records(records, width: int, row: int):
 
 
 def _parse_values(cells: list[str], width: int, nv: int):
-    """The ``nv`` value columns of ``width``-field records as an (nv, m)
+    """The last ``nv`` columns of ``width``-field records as an (nv, m)
     array, each parsed with one ``float`` map.  A column that fails goes cell
     by cell: its blank cells read NaN and are flagged in the blank mask, and
     its unparsable ones in the bad mask."""
@@ -134,7 +141,7 @@ def _parse_values(cells: list[str], width: int, nv: int):
     values = np.empty((nv, m))
     blank, bad = np.zeros((nv, m), dtype=bool), np.zeros((nv, m), dtype=bool)
     for c in range(nv):
-        column = cells[2 + c :: width]
+        column = cells[width - nv + c :: width]
         try:
             values[c] = np.fromiter(map(float, column), dtype=float, count=m)
         except ValueError:
@@ -157,23 +164,16 @@ def _read_table(path, header: Sequence[str], what: str, refuse=()):
     row mask)`` flags; then a key listed twice, at its second row.  Rows
     count CSV records, the header being row 1.
 
-    The records after the header come in batches from ``_split``, and two
-    tokenizers feed the same column code:
-
-    * a chunk of whole lines with no ``"`` whose every line has ``width - 1``
-      commas is split with one ``str.split``;
-    * any other record, in a chunk with a blank or ragged row or from the
-      first ``"`` on, goes through ``csv.reader``; a record of the wrong
-      width is skipped if its cells are blank and is an error otherwise.
-
-    Labels map to indices through a dict, and each value column parses with
-    one ``float`` map; only a column that fails goes cell by cell.  A row of
-    blank cells is skipped and a blank year is bad.  Reading stops at the
-    first row that does not parse, which is reported unless an earlier row
-    fails a check made on whole columns after the last batch: finite
-    values, whole years, ``refuse``, then duplicates.  Memory: the text and
-    cell strings of one batch (see ``_split``), plus 8 bytes per row for each
-    of the origin, destination, row number, year and value columns.
+    The records after the header come in batches from ``_split``, whose two
+    tokenizers feed the same column code.  Labels map to indices through a
+    dict, and each value column parses with one ``float`` map; only a column
+    that fails goes cell by cell.  A row of blank cells is skipped and a
+    blank year is bad.  Reading stops at the first row that does not parse,
+    which is reported unless an earlier row fails a check made on whole
+    columns after the last batch: finite values, whole years, ``refuse``,
+    then duplicates.  Memory: the text and cell strings of one batch, plus 8
+    bytes per row for each of the origin, destination, row number, year and
+    value columns.
     """
     year = header[2] == "year"
     width, nv = len(header), len(header) - 2
@@ -323,7 +323,12 @@ def read_mirror_csv(path) -> tuple[list[str], list[int], np.ndarray, np.ndarray]
 
 
 def write_dyadic_csv(path, labels, values: np.ndarray, value_name: str):
+    """One row per dyad, origin-major.  A value that is not finite, which no
+    reader takes, is a DataError naming the first such dyad."""
     values = np.asarray(values)
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise DataError(f"{value_name} for {labels[i]}->{labels[j]} is not finite")
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["origin", "destination", value_name])
@@ -341,9 +346,9 @@ def _csv_fields(*fields) -> str:
 
 def write_mirror_csv(path, labels, periods, report1, report2):
     """Inverse of :func:`read_mirror_csv`: one row per off-diagonal
-    dyad-period; a NaN report is an empty cell.  The bytes are those of
-    ``csv.writer``; each dyad's label pair and each year is quoted once and
-    reused on every row."""
+    dyad-period; a NaN report is an empty cell, and an infinite one a
+    DataError.  The bytes are those of ``csv.writer``; each dyad's label
+    pair and each year is quoted once and reused on every row."""
 
     def cells(matrix):
         return [["" if v != v else repr(v) for v in row] for row in matrix.tolist()]
@@ -352,10 +357,13 @@ def write_mirror_csv(path, labels, periods, report1, report2):
     dyads = [
         (i, j, _csv_fields(labels[i], labels[j])) for i in range(n) for j in range(n) if i != j
     ]
-    reports = zip(np.asarray(report1, dtype=float), np.asarray(report2, dtype=float))
+    reports = np.array([report1, report2], dtype=float)
+    if np.isinf(reports).any():
+        r, t, i, j = np.argwhere(np.isinf(reports))[0]
+        raise DataError(f"report {r + 1} for {labels[i]}->{labels[j]} in {periods[t]} is infinite")
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(_csv_fields(*_MIRROR_HEADER) + "\r\n")
-        for year, (matrix1, matrix2) in zip(periods, reports):
+        for year, matrix1, matrix2 in zip(periods, *reports):
             year = _csv_fields(year)
             rows1, rows2 = cells(matrix1), cells(matrix2)
             handle.write(
@@ -571,35 +579,23 @@ def write_draws_csv(path, draw_set: DrawSet):
         handle.write("".join(",".join(map(float.__repr__, row)) + "\r\n" for row in rows))
 
 
-def read_draws_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """The outcome labels and the (B, q) draws of a :func:`write_draws_csv`
-    file; ParseError names a repeated label, or the first ragged row or row
-    with a bad or non-finite draw."""
+def read_draws_csv(path) -> DrawSet:
+    """Inverse of :func:`write_draws_csv`; see the module docstring."""
     with _open(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header:
+        if not (header := next(csv.reader(handle), None)):
             raise ParseError("missing header", row=1)
-        labels = tuple(h.strip() for h in header)
-        for i, label in enumerate(labels):
-            if label in labels[:i]:
-                raise ParseError(f"duplicate label {label!r}", row=1)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError("ragged row", row=lineno)
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                raise ParseError("bad number", row=lineno) from None
-            if not all(map(math.isfinite, rows[-1])):
-                cell = next(c for c, v in zip(row, rows[-1]) if not math.isfinite(v))
-                raise ParseError(f"non-finite draw {cell.strip()!r}", row=lineno)
-    if not rows:
+        draws = [np.empty((0, width := len(header)))]
+        for cells, rows, error in _split(handle, width):
+            values, blank, bad = _parse_values(cells, width, width)
+            draws.append(values.T[keep := ~blank.all(axis=0)])
+            if (wrong := ~np.isfinite(values.T) & keep[:, None]).any():
+                kind = "bad" if (blank | bad).T.flat[k := wrong.argmax()] else "non-finite"
+                error = rows[k // width], f"{kind} draw {cells[k].strip()!r}"
+            if error:
+                raise ParseError(error[1], row=int(error[0]))
+    if not (draws := np.vstack(draws)).size:
         raise ParseError("no draws", row=2)
-    return labels, np.asarray(rows)
+    return DrawSet(draws, labels=tuple(map(str.strip, header)))
 
 
 def intervals_to_json(

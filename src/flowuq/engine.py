@@ -287,6 +287,8 @@ def run_algorithm1(
     """
     if cfg.mode != "only-ee" and params is None:
         raise DataError("data sampling requires calibrated parameters")
+    if params is not None:
+        params._refuse_other_locations(flows_obs)
     if estimator is None:
         raise DataError(f"{cfg.mode} mode needs an estimator")
     # With one leg fixed, the observed matrix is smoothed (only-ee) and
@@ -340,8 +342,11 @@ def run_uq(
     re-estimated by a :class:`PpmlEstimator` started at that fit, and in the
     other modes, which estimate only the observed matrix, the loop takes the
     observed fit as it is.  The point estimate uses the observed fit (or the
-    external estimate) and the unsmoothed observed matrix.
+    external estimate) and the unsmoothed observed matrix.  Parameters over
+    other locations than the flows' are refused before anything is fitted.
     """
+    if params is not None:
+        params._refuse_other_locations(flows_obs)
     if isinstance(estimation, EstimatorResult):
         observed = estimator = estimation
     else:

@@ -818,6 +818,23 @@ def test_a_field_over_the_csv_size_limit_exits_2(armington_files, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("quoted_before", [False, True], ids=["alone", "after-a-quoted-label"])
+def test_an_unquoted_field_over_the_csv_size_limit_exits_2(
+    armington_files, tmp_path, capsys, quoted_before
+):
+    # The limit holds wherever the field sits: it used to apply only from the
+    # first '"' in the file on, so without one this file read.
+    costs = armington_files[3]
+    path = tmp_path / "big.csv"
+    first = '"A, B",B,1.0' if quoted_before else "A,B,1.0"
+    path.write_text(f"origin,destination,flow\n{first}\n{'x' * 200_000},B,1.0\n", encoding="utf-8")
+    out = tmp_path / "o"
+    argv = ["estimate", "--flows", str(path), "--costs", str(costs), "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert f"data error: {path}: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -973,8 +990,8 @@ def test_uq_smoother_matches_engine(armington_files, tmp_path):
                     flows_obs, params_obs, estimator, ArmingtonModel(), cf,
                     UqConfig(b=40, seed=6, mode=mode), smoother=smoother,
                 )
-                _, drawn = dataio.read_draws_csv(out / "draws.csv")
-                assert np.array_equal(drawn, draw_set.draws), (mode, name, source)
+                drawn = dataio.read_draws_csv(out / "draws.csv")
+                assert np.array_equal(drawn.draws, draw_set.draws), (mode, name, source)
                 doc = json.loads((out / "interval.json").read_text(encoding="utf-8"))
                 assert doc["estimand"] == estimand
 
@@ -1166,8 +1183,8 @@ def test_report_ranks_refuses_a_repeated_column(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("a,b\n1.0,2.0\n3.0\n", "row 3: ragged row"),
-        ("a,b\n1.0,x\n", "row 2: bad number"),
+        ("a,b\n1.0,2.0\n3.0\n", "row 3: expected 2 fields, got 1"),
+        ("a,b\n1.0,x\n", "row 2: bad draw 'x'"),
         ("a,b\n", "row 2: no draws"),
         ("", "row 1: missing header"),
         ("a\n1.0\n", "need at least two outcome columns to compare ranks"),

@@ -1,5 +1,6 @@
 import functools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -526,6 +527,27 @@ class TestRunUq:
                 expected = point_estimate(flows_obs, est, ArmingtonModel(), scen.cf_spec)
                 assert np.array_equal(point, expected)
                 assert (ds.draws.shape, len(ivs)) == ((cfg.b, 5), 5)
+
+    @pytest.mark.parametrize("run", ["run_uq", "run_algorithm1"])
+    def test_refuses_params_over_other_locations_before_any_fit_or_worker(self, monkeypatch, run):
+        # The refusal used to come from the draw loop: after the observed
+        # PPML fit and the point estimate, and after the process pool started.
+        world = armington_world(6)
+        _, flows_obs = world.draw_world(np.random.default_rng(0))
+        other = replace(world.params, labels=tuple(f"X{i}" for i in range(6)))
+
+        def not_yet(*args, **kwargs):
+            raise AssertionError("called before the params were checked")
+
+        monkeypatch.setattr(engine, "fit_ppml", not_yet)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", not_yet)
+        cfg = UqConfig(b=40, seed=1, workers=2)
+        external = EstimatorResult(theta_hat=[4.0], sigma_hat=[[0.04]])
+        estimation = world.log_costs if run == "run_uq" else external
+        with pytest.raises(DataError, match="params and flows cover different locations"):
+            getattr(engine, run)(
+                flows_obs, other, estimation, ArmingtonModel(), world.cf_spec, cfg
+            )
 
 
 def c2_oracle(inner, alpha, b, b_inner):
